@@ -15,7 +15,7 @@ Six subcommands, all built on :class:`repro.service.MaskOptService`:
   from disk, only the unfinished ones are re-dispatched.
 * ``table``     — regenerate the paper's Table 1 / Table 2 through the
   service-routed experiment drivers.
-* ``bench-info``— show the serving environment: version, FFT backend,
+* ``bench-info``— show the serving environment: version, array backend,
   engine registry, kernel-spectra store state.
 
 Examples::
@@ -225,7 +225,6 @@ def cmd_optimize(args) -> int:
         max_kernels=args.max_kernels,
         backend=args.backend,
         device=args.device,
-        fft_backend=args.fft_backend,
         spectra_store=_store_root(args),
     )
     service = MaskOptService(litho_config=config)
@@ -321,7 +320,6 @@ def cmd_resume(args) -> int:
         max_kernels=args.max_kernels,
         backend=args.backend,
         device=args.device,
-        fft_backend=args.fft_backend,
         spectra_store=_store_root(args),
     )
     service = MaskOptService(litho_config=config)
@@ -393,7 +391,6 @@ def cmd_serve(args) -> int:
         max_kernels=args.max_kernels,
         backend=args.backend,
         device=args.device,
-        fft_backend=args.fft_backend,
         spectra_store=_store_root(args),
     )
     clips = _build_clips(args)
@@ -500,7 +497,6 @@ def cmd_train_surrogate(args) -> int:
         max_kernels=args.max_kernels,
         backend=args.backend,
         device=args.device,
-        fft_backend=args.fft_backend,
         spectra_store=_store_root(args),
     )
     simulator = LithographySimulator(config)
@@ -583,16 +579,13 @@ def cmd_bench_info(args) -> int:
     from repro.litho.store import SPECTRA_STORE_ENV, open_store
     from repro.service import available_engines
 
-    requested = args.backend
-    if args.fft_backend is not None and requested == "auto":
-        requested = args.fft_backend
-    backend = resolve_backend(requested, device=args.device)
+    backend = resolve_backend(args.backend, device=args.device)
     print(f"repro {__version__}")
     print(f"python        : {sys.version.split()[0]}")
     print(f"cpu cores     : {os.cpu_count()}")
     print(f"scipy fft     : {'available' if scipy_fft_available() else 'absent'}")
     print(f"torch         : {'available' if torch_available() else 'absent'}")
-    print(f"array backend : {requested!r} -> {backend.name} "
+    print(f"array backend : {args.backend!r} -> {backend.name} "
           f"(workers={backend.workers}, device={backend.device})")
     print(f"engines       : {', '.join(available_engines())}")
 
@@ -606,8 +599,7 @@ def cmd_bench_info(args) -> int:
 
     config = LithoConfig(
         pixel_nm=args.pixel_nm, max_kernels=args.max_kernels,
-        backend=args.backend, device=args.device,
-        fft_backend=args.fft_backend, spectra_store=root,
+        backend=args.backend, device=args.device, spectra_store=root,
     )
     simulator = LithographySimulator(config)
     n = int(args.window_nm / config.pixel_nm)
@@ -633,17 +625,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-kernels", type=int, default=max_kernels_default,
                        help="SOCS kernel cap per corner")
         p.add_argument("--backend", default="auto",
-                       choices=["auto", "numpy", "scipy", "torch", "cupy"],
+                       choices=["auto", "numpy", "scipy", "torch"],
                        help="array/device backend (default auto: scipy "
                             "threads when available, else numpy; torch "
                             "must be requested explicitly)")
         p.add_argument("--device", default=None, metavar="DEV",
                        help="device for the torch backend (cpu, cuda, "
                             "cuda:N; default: cuda when available)")
-        p.add_argument("--fft-backend", default=None,
-                       choices=["auto", "numpy", "scipy"],
-                       help="deprecated alias of --backend (host "
-                            "transform libraries only)")
         p.add_argument("--store", default=None, metavar="DIR",
                        help="kernel-spectra store directory "
                             "(default: $REPRO_SPECTRA_STORE)")

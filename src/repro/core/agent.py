@@ -253,9 +253,7 @@ class CAMO:
 
         ``rl_population == 1`` runs the original sequential loop
         (bit-for-bit reproducible histories); a larger population routes
-        through the lockstep population loop.  (The retired
-        ``rl_eval_mode`` knob no longer affects routing — every litho
-        call is exact.)
+        through the lockstep population loop.
         """
         if self.config.rl_population > 1:
             self._train_rl_population(clips, history, verbose)

@@ -6,29 +6,28 @@ baselines (ICCAD-2013 contest style): Hopkins imaging decomposed into a sum
 of coherent systems (SOCS).  The transmission cross coefficient (TCC) is
 built *frequency-natively* — directly on each simulation grid's DFT
 frequency lattice — and eigendecomposed into exactly band-limited kernel
-spectra, so the compact pupil-band convolution engine is exact (there is
-no separate screening mode).  A constant-threshold resist model with
+spectra.  Those per-grid band spectra are the only kernel representation
+(persisted by :class:`KernelSpectraStore`), and one pupil-band subgrid
+engine convolves them on every grid; where the band covers the grid the
+subgrid is the grid itself.  A constant-threshold resist model with
 dose/defocus process corners yields printed contours and the PV band.
 """
 
 from repro.backend import (
     ArrayBackend,
-    FFTBackend,
     next_fast_len,
     resolve_backend,
-    resolve_fft_backend,
     scipy_fft_available,
     torch_available,
 )
 from repro.litho.source import SourceSpec, source_weights
 from repro.litho.pupil import pupil_function
-from repro.litho.tcc import build_tcc, build_tcc_grid, socs_kernels, socs_spectra
+from repro.litho.tcc import build_tcc, build_tcc_grid, socs_spectra
 from repro.litho.kernels import (
     GridBandSpectra,
     OpticalKernelSet,
     build_kernel_set,
 )
-from repro.litho.imaging import aerial_image
 from repro.litho.resist import printed_image
 from repro.litho.process import ProcessCorner, nominal_corner, standard_corners
 from repro.litho.simulator import LithographySimulator, LithoConfig, LithoResult
@@ -36,10 +35,8 @@ from repro.litho.store import KernelSpectraStore, open_store, optics_fingerprint
 
 __all__ = [
     "ArrayBackend",
-    "FFTBackend",
     "next_fast_len",
     "resolve_backend",
-    "resolve_fft_backend",
     "scipy_fft_available",
     "torch_available",
     "SourceSpec",
@@ -47,12 +44,10 @@ __all__ = [
     "pupil_function",
     "build_tcc",
     "build_tcc_grid",
-    "socs_kernels",
     "socs_spectra",
     "GridBandSpectra",
     "OpticalKernelSet",
     "build_kernel_set",
-    "aerial_image",
     "printed_image",
     "ProcessCorner",
     "nominal_corner",

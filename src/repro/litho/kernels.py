@@ -1,13 +1,14 @@
 """Optical kernel sets: frequency-native, band-limited SOCS spectra.
 
 A :class:`OpticalKernelSet` owns the optics of one process condition
-(focus setting).  Its primary representation is *per-grid band spectra*
-(:class:`GridBandSpectra`): for every raster shape it simulates on, the
-TCC is built directly on that grid's DFT frequency lattice
+(focus setting).  Its only kernel representation is *per-grid band
+spectra* (:class:`GridBandSpectra`): for every raster shape it simulates
+on, the TCC is built directly on that grid's DFT frequency lattice
 (:func:`repro.litho.tcc.build_tcc_grid`) and eigendecomposed into SOCS
 kernel spectra that are exactly zero outside the pupil band.  Because no
-spatial crop ever happens, the compact pupil-band subgrid engine is
-*exact* — the former screening-vs-reference accuracy split is gone.
+spatial crop ever happens, the pupil-band subgrid engine is *exact*.
+Finished spectra persist across processes through
+:class:`repro.litho.store.KernelSpectraStore`.
 
 Convolution entry points:
 
@@ -15,31 +16,22 @@ Convolution entry points:
   reference path: full-grid per-kernel inverse FFTs over the scattered
   band spectra.  Everything else is tested against it.
 * :meth:`OpticalKernelSet.convolve_intensity_batch` /
-  :meth:`~OpticalKernelSet.intensity_from_mask_ffts` — the unified
-  engine for ``(B, H, W)`` stacks: gather the pupil-band mask
-  coefficients, run the per-kernel inverse FFTs on an alias-free
-  ``m x m`` subgrid (``m >= 4b + 1`` so the *squared* field, band radius
-  ``2b``, folds nowhere), and resample the intensity to the full grid
-  with one zero-padded FFT interpolation.  Exact to FFT round-off
-  (<= 1e-9 absolute intensity) against the reference path, at what used
-  to be screening speed; it falls back to the full-grid loop when the
-  band covers the grid.
+  :meth:`~OpticalKernelSet.intensity_from_mask_ffts` — the one engine
+  for ``(B, H, W)`` stacks: gather the pupil-band mask coefficients, run
+  the per-kernel inverse FFTs on an alias-free ``m x m`` subgrid
+  (``m >= 4b + 1`` so the *squared* field, band radius ``2b``, folds
+  nowhere), and resample the intensity to the full grid with one
+  zero-padded FFT interpolation.  Exact to FFT round-off (<= 1e-9
+  absolute intensity) against the reference path.  When the band covers
+  the grid the subgrid *is* the grid, so the same gather and
+  convolution run at full size and the resample is skipped — bit-for-bit
+  equal to the reference path.
 
 Lower-level helpers (:meth:`~OpticalKernelSet.kernel_spectra`,
 :meth:`~OpticalKernelSet.weights_for`,
 :meth:`~OpticalKernelSet.fields_from_mask_fft`) expose the cached
 full-grid transfer functions to callers that hold mask spectra already —
-the simulator's shared-forward corner sweep and the pixel-ILT gradient
-loop.
-
-Spatial kernels still exist, but only as a *derived* artifact: the
-canonical square-lattice materialization (:meth:`spatial_kernels`) feeds
-persistence and visualization, and kernel sets loaded from legacy
-``.npz`` files (spatial arrays only) keep simulating through the
-full-grid path with their padded-kernel FFTs cached per
-``(shape, fft backend)`` — the backend is part of the cache key so one
-set shared across configs can never serve spectra computed by another
-backend's transform.
+the single-mask reference path and the pixel-ILT gradient loop.
 """
 
 from __future__ import annotations
@@ -56,7 +48,7 @@ from repro.constants import NUMERICAL_APERTURE, WAVELENGTH_NM
 from repro.errors import LithoError
 from repro.backend import ArrayBackend, next_fast_len, resolve_backend
 from repro.litho.source import SourceSpec
-from repro.litho.tcc import build_tcc, build_tcc_grid, socs_kernels, socs_spectra
+from repro.litho.tcc import build_tcc_grid, socs_spectra
 
 
 def _band_indices(n: int, radius: int) -> np.ndarray:
@@ -385,47 +377,31 @@ def band_values_at_pixels(
 
 @dataclass
 class OpticalKernelSet:
-    """SOCS kernels for one focus condition.
+    """SOCS kernels for one focus condition, as per-grid band spectra.
 
-    Two provenances share this class:
-
-    * **Frequency-native** (``source`` given, the builder default): band
-      spectra are constructed lazily per grid shape and are the source of
-      truth; ``weights`` / ``kernels`` stay ``None`` and spatial kernels
-      exist only through :meth:`spatial_kernels` (persistence /
-      visualization).
-    * **Legacy spatial** (``weights`` + ``kernels`` arrays given, e.g.
-      loaded from an old ``.npz``): simulation runs through the full-grid
-      path with padded-kernel FFTs; there is no band engine because a
-      cropped kernel is not band-limited.
+    Band spectra are constructed lazily per grid shape (see
+    :meth:`band_spectra`) from the optics below; nothing spatial is
+    stored.
 
     Attributes:
-        pixel_nm: Raster pitch the kernels are sampled at.
+        pixel_nm: Raster pitch the spectra are built for.
         defocus_nm: Focus condition this set represents.
-        weights / kernels: Legacy spatial arrays (``None`` when native).
-        source: Illumination source (native sets).
-        wavelength_nm / numerical_aperture: Optics of the native build.
+        source: Illumination source.
+        wavelength_nm / numerical_aperture: Projection optics.
         max_kernels / energy_fraction: SOCS truncation knobs.
-        period_nm: Square-lattice period of the canonical spatial
-            materialization (persistence/visualization only — simulation
-            lattices are per-grid).
-        cutoff_per_nm: Coherent pupil cutoff ``NA / lambda`` in
-            cycles/nm (informational; ``None`` for legacy files that
-            never recorded it).
         fft_cache_capacity: Max distinct grid shapes kept resident in
             each bounded LRU (band spectra, full-grid transfer stacks).
-        fft_backend / fft_workers / device: Array/transform backend
-            selection (see :mod:`repro.backend`) — ``fft_backend``
-            accepts every :data:`~repro.backend.BACKEND_NAMES` spelling
-            including ``"torch"``, and ``device`` picks the torch device
-            (``None`` = CUDA when available).  All entry points share
-            the one resolved :class:`~repro.backend.ArrayBackend`;
-            cached FFT-derived artifacts are keyed by backend identity
-            (+ device), so swapping the backend can never serve stale or
-            wrong-device spectra.  Device execution lives on the compact
-            band path (batched subgrid convolution, sparse gathers); the
-            dense full-grid fallback, the single-mask reference path and
-            legacy spatial sets always run host-side.
+        backend / fft_workers / device: Array/transform backend
+            selection (see :mod:`repro.backend`) — ``backend`` accepts
+            every :data:`~repro.backend.BACKEND_NAMES` spelling, and
+            ``device`` picks the torch device (``None`` = CUDA when
+            available).  All entry points share the one resolved
+            :class:`~repro.backend.ArrayBackend`; device-resident copies
+            of the spectra are keyed by backend array identity, so
+            swapping the backend can never serve wrong-device spectra.
+            The batched band engine and the sparse gathers run on the
+            device; the single-mask reference path and the pixel-ILT
+            field helper always run host-side.
         spectra_store: Optional disk-persistent store
             (:class:`repro.litho.store.KernelSpectraStore`) consulted on
             band-spectra misses before building, and written after every
@@ -437,17 +413,13 @@ class OpticalKernelSet:
 
     pixel_nm: float
     defocus_nm: float
-    weights: np.ndarray | None = None
-    kernels: np.ndarray | None = None
-    source: SourceSpec | None = None
+    source: SourceSpec
     wavelength_nm: float = WAVELENGTH_NM
     numerical_aperture: float = NUMERICAL_APERTURE
     max_kernels: int = 12
     energy_fraction: float = 0.995
-    period_nm: float = 2048.0
-    cutoff_per_nm: float | None = None
     fft_cache_capacity: int = 6
-    fft_backend: str = "auto"
+    backend: str = "auto"
     fft_workers: int | None = None
     device: str | None = None
     spectra_store: object | None = None
@@ -456,9 +428,6 @@ class OpticalKernelSet:
     )
     _fft_cache: "OrderedDict[tuple, np.ndarray]" = field(
         default_factory=OrderedDict, repr=False
-    )
-    _canonical: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False
     )
     _fingerprint: str | None = field(default=None, repr=False)
     _cache_lock: threading.RLock = field(
@@ -469,32 +438,14 @@ class OpticalKernelSet:
     an unguarded ``move_to_end`` can race another thread's eviction."""
 
     def __post_init__(self) -> None:
-        if self.kernels is not None:
-            if (
-                self.kernels.ndim != 3
-                or self.kernels.shape[1] != self.kernels.shape[2]
-            ):
-                raise LithoError(f"bad kernel array shape {self.kernels.shape}")
-            if self.weights is None or len(self.weights) != len(self.kernels):
-                raise LithoError("weights / kernels length mismatch")
-        elif self.source is None:
-            raise LithoError(
-                "kernel set needs either a source spec (frequency-native) "
-                "or explicit spatial weights + kernels (legacy)"
-            )
         if self.fft_cache_capacity < 1:
             raise LithoError(
                 f"fft_cache_capacity must be >= 1, got {self.fft_cache_capacity}"
             )
         # Resolve eagerly so a bad backend name fails at construction.
-        resolve_backend(self.fft_backend, self.fft_workers, self.device)
+        resolve_backend(self.backend, self.fft_workers, self.device)
 
-    # -- provenance / backend ------------------------------------------------
-    @property
-    def is_native(self) -> bool:
-        """True for frequency-native sets (band spectra available)."""
-        return self.source is not None and self.kernels is None
-
+    # -- backend ---------------------------------------------------------------
     @property
     def fft(self) -> ArrayBackend:
         """The resolved array backend shared by every entry point.
@@ -503,44 +454,19 @@ class OpticalKernelSet:
         backend — but it now carries the full array namespace, device
         policy and dtype policy (:class:`repro.backend.ArrayBackend`).
         """
-        return resolve_backend(self.fft_backend, self.fft_workers, self.device)
+        return resolve_backend(self.backend, self.fft_workers, self.device)
 
     def _host_fft(self) -> ArrayBackend:
         """The host-side backend for paths that are host-only by design
-        (single-mask reference, dense fallback, legacy spatial sets,
-        ILT field gradients).  Numpy/scipy backends pass through; a
-        device backend degrades to single-threaded numpy."""
+        (single-mask reference, ILT field gradients).  Numpy/scipy
+        backends pass through; a device backend degrades to
+        single-threaded numpy."""
         fft = self.fft
         return fft if fft.is_numpy else resolve_backend("numpy", 1)
 
-    @property
-    def count(self) -> int:
-        """Kernel count of a legacy spatial set (per-grid for native)."""
-        if self.is_native:
-            raise LithoError(
-                "frequency-native kernel sets have per-grid kernel counts; "
-                "use band_spectra(shape).count"
-            )
-        return len(self.weights)
-
-    @property
-    def ambit_px(self) -> int:
-        """Spatial kernel extent of a legacy set (native sets have none)."""
-        if self.is_native:
-            raise LithoError(
-                "frequency-native kernel sets are not spatially cropped "
-                "and have no ambit"
-            )
-        return self.kernels.shape[1]
-
-    # -- per-grid band spectra (the source of truth) -------------------------
+    # -- per-grid band spectra -------------------------------------------------
     def band_spectra(self, shape: tuple[int, int]) -> GridBandSpectra:
         """Band-limited SOCS spectra for one grid shape (built once, LRU)."""
-        if not self.is_native:
-            raise LithoError(
-                "legacy spatial kernel sets carry no band spectra; "
-                "rebuild with build_kernel_set for the frequency-native path"
-            )
         key = (int(shape[0]), int(shape[1]))
         with self._cache_lock:
             cached = self._band_cache.get(key)
@@ -637,39 +563,24 @@ class OpticalKernelSet:
 
     def weights_for(self, shape: tuple[int, int]) -> np.ndarray:
         """Kernel weights matching :meth:`kernel_spectra` for one shape."""
-        if self.is_native:
-            return self.band_spectra((int(shape[0]), int(shape[1]))).weights
-        return self.weights
+        return self.band_spectra((int(shape[0]), int(shape[1]))).weights
 
     # -- full-grid transfer functions ---------------------------------------
     def kernel_spectra(self, shape: tuple[int, int]) -> np.ndarray:
         """Cached ``(K, H, W)`` full-grid kernel spectra (read-only).
 
-        Native sets scatter the band coefficients (exactly zero outside
-        the pupil band, backend-independent); legacy sets FFT their
-        zero-padded spatial kernels (cached per transform backend).
+        The band coefficients scattered onto the full grid: exactly zero
+        outside the pupil band and backend-independent (no transform is
+        involved).
         """
         key = (int(shape[0]), int(shape[1]))
         self._validate_grid(key)
-        if self.is_native:
-            cache_key = (key, "band")
-        else:
-            # Legacy spatial sets transform host-side (see _host_fft);
-            # the full resolved identity keys the cache so one set
-            # shared across configs can never serve spectra computed by
-            # another backend's transform.
-            cache_key = (key, *self._host_fft().identity)
+        cache_key = (key, "band")
         with self._cache_lock:
-            return self._kernel_spectra_locked(key, cache_key)
-
-    def _kernel_spectra_locked(
-        self, key: tuple[int, int], cache_key: tuple
-    ) -> np.ndarray:
-        cached = self._fft_cache.get(cache_key)
-        if cached is not None:
-            self._fft_cache.move_to_end(cache_key)
-            return cached
-        if self.is_native:
+            cached = self._fft_cache.get(cache_key)
+            if cached is not None:
+                self._fft_cache.move_to_end(cache_key)
+                return cached
             band = self.band_spectra(key)
             m0, m1 = band.subgrid
             scale = (key[0] * key[1]) / (m0 * m1)
@@ -679,32 +590,17 @@ class OpticalKernelSet:
             ] = band.sub_spectra[
                 :, band.rows_dst[:, None], band.cols_dst[None, :]
             ] * scale
-        else:
-            c = self.ambit_px
-            half = c // 2
-            stack = np.empty((self.count, *key), dtype=np.complex128)
-            for k in range(self.count):
-                padded = np.zeros(key, dtype=np.complex128)
-                padded[:c, :c] = self.kernels[k]
-                # Centre the kernel on pixel (0, 0) for circular convolution.
-                padded = np.roll(padded, (-half, -half), axis=(0, 1))
-                stack[k] = self._host_fft().fft2(padded, axes=(-2, -1))
-        self._fft_cache[cache_key] = stack
-        while len(self._fft_cache) > self.fft_cache_capacity:
-            self._fft_cache.popitem(last=False)
-        return stack
+            self._fft_cache[cache_key] = stack
+            while len(self._fft_cache) > self.fft_cache_capacity:
+                self._fft_cache.popitem(last=False)
+            return stack
 
     # -- validation ----------------------------------------------------------
     def _validate_grid(self, shape: tuple[int, int]) -> None:
         if len(shape) != 2:
             raise LithoError(f"grid shape must be 2-D, got {shape}")
-        if self.is_native:
-            # Raises "frequency lattice too coarse" for unusably small grids.
-            self.band_spectra(shape)
-        elif min(shape) < self.ambit_px:
-            raise LithoError(
-                f"grid {shape} cannot hold kernels with ambit {self.ambit_px}"
-            )
+        # Raises "frequency lattice too coarse" for unusably small grids.
+        self.band_spectra(shape)
 
     def validate_mask_batch(self, masks):
         """Check and coerce a ``(B, H, W)`` stack of rasterized masks.
@@ -723,13 +619,33 @@ class OpticalKernelSet:
             )
         if stack.shape[0] == 0:
             raise LithoError("mask batch is empty")
-        if not self.is_native and min(stack.shape[1:]) < self.ambit_px:
-            raise LithoError(
-                f"batch masks {tuple(stack.shape[1:])} smaller than kernel "
-                f"ambit {self.ambit_px}"
-            )
         self._validate_grid(tuple(stack.shape[1:]))
         return stack
+
+    @staticmethod
+    def _check_rfft_shape(mask_rffts, shape: tuple[int, int]) -> tuple[int, int]:
+        if mask_rffts.ndim != 3:
+            raise LithoError(
+                "mask rfft spectra must be 3-D (B, H, W//2+1), got shape "
+                f"{mask_rffts.shape}"
+            )
+        shape = (int(shape[0]), int(shape[1]))
+        if mask_rffts.shape[-2:] != (shape[0], shape[1] // 2 + 1):
+            raise LithoError(
+                f"rfft spectra {mask_rffts.shape[-2:]} do not match grid "
+                f"{shape} (expected ({shape[0]}, {shape[1] // 2 + 1}))"
+            )
+        return shape
+
+    def _compact_band(self, shape: tuple[int, int], entry: str) -> GridBandSpectra:
+        band = self.band_spectra(shape)
+        if not band.compact:
+            raise LithoError(
+                f"{entry} needs a compact pupil band; the {shape} grid's "
+                "band covers it — use intensity_at_pixels on full spectra "
+                "instead"
+            )
+        return band
 
     # -- convolution ---------------------------------------------------------
     def convolve_intensity(self, mask: np.ndarray) -> np.ndarray:
@@ -756,7 +672,7 @@ class OpticalKernelSet:
         return intensity
 
     def convolve_intensity_batch(self, masks: np.ndarray) -> np.ndarray:
-        """Aerial intensities of a ``(B, H, W)`` mask stack (unified engine).
+        """Aerial intensities of a ``(B, H, W)`` mask stack (band engine).
 
         One vectorized forward FFT over the batch axis feeds the
         band-limited subgrid engine (exact: the spectra carry no energy
@@ -771,11 +687,7 @@ class OpticalKernelSet:
         """Intensities from precomputed ``(B, H, W)`` mask spectra.
 
         Lets callers share one forward FFT across several kernel sets
-        (the simulator's focus + defocus corner sweep).  Runs the compact
-        pupil-band subgrid engine whenever it saves work; otherwise the
-        full-grid per-kernel loop (always for legacy spatial sets — a
-        cropped kernel is not band-limited, so only the full-grid path is
-        exact for them).
+        (the simulator's focus + defocus corner sweep).
         """
         if mask_ffts.ndim != 3:
             raise LithoError(
@@ -783,11 +695,7 @@ class OpticalKernelSet:
             )
         shape = tuple(mask_ffts.shape[-2:])
         self._validate_grid(shape)
-        if self.is_native:
-            band = self.band_spectra(shape)
-            if band.compact:
-                return self._band_intensity(mask_ffts, band)
-        return self._full_grid_intensity(mask_ffts, shape)
+        return self._band_intensity(mask_ffts, self.band_spectra(shape))
 
     def _gather_band(
         self, mask_ffts, band: GridBandSpectra
@@ -835,20 +743,6 @@ class OpticalKernelSet:
                 self._fft_cache.popitem(last=False)
         return pair
 
-    def _gather_band_rfft(
-        self, mask_rffts, band: GridBandSpectra
-    ):
-        """Band gather from a half-width ``rfft2`` spectrum.
-
-        A real mask's spectrum is Hermitian, ``F[r, c] = conj(F[(-r) % H,
-        (-c) % W])``, so the negative-column half of the pupil band is
-        recovered from the stored positive columns with flipped rows.
-        Values match :meth:`_gather_band` on the full spectrum to FFT
-        round-off (the rfft sums in a different order — not bit-for-bit).
-        Delegates to the module-level :func:`gather_band_rfft`.
-        """
-        return gather_band_rfft(mask_rffts, band, self.fft)
-
     def _subgrid_intensity(
         self, sub, band: GridBandSpectra
     ):
@@ -869,24 +763,26 @@ class OpticalKernelSet:
     def _band_intensity(
         self, mask_ffts, band: GridBandSpectra
     ) -> np.ndarray:
-        """Exact subgrid engine: gather band, convolve, resample intensity.
+        """The engine: gather band, convolve, resample intensity.
 
         The gather, per-kernel convolution and zero-padded resample all
         run backend-native; the dense full-grid aerial is the
         host/device boundary, so the returned array is always host
-        numpy.
+        numpy.  A non-compact band's subgrid is the full grid, so its
+        intensity needs no resample.
         """
-        rows, cols = band.shape
-        m0, m1 = band.subgrid
-        batch = mask_ffts.shape[0]
         fft = self.fft
-        idx = fft.index
         sub = self._gather_band(mask_ffts, band)
         intensity = self._subgrid_intensity(sub, band)
+        if not band.compact:
+            return fft.to_host(intensity)
+        rows, cols = band.shape
+        m0, m1 = band.subgrid
+        idx = fft.index
         # Exact zero-padded FFT resampling of the (band-limited) intensity.
         spectrum = fft.fft2(intensity, axes=(-2, -1))
         upscale = (rows * cols) / (m0 * m1)
-        full = fft.zeros((batch, rows, cols), fft.complex128)
+        full = fft.zeros((mask_ffts.shape[0], rows, cols), fft.complex128)
         full[:, idx(band.up_rows_dst[:, None]), idx(band.up_cols_dst[None, :])] = (
             spectrum[:, idx(band.up_rows_src[:, None]), idx(band.up_cols_src[None, :])]
             * upscale
@@ -921,10 +817,9 @@ class OpticalKernelSet:
         gather are the same linear map evaluated in different summation
         orders).  On the compact band path the full-grid inverse
         transform never happens: cost drops from O(B H W log(H W)) to one
-        ``(B, 2F) x (2F, S)`` GEMM after the subgrid convolution.
-        Non-compact and legacy-spatial sets fall back to the dense
-        intensity plus a fancy-index gather, which is exact by
-        construction.
+        ``(B, 2F) x (2F, S)`` GEMM after the subgrid convolution.  A
+        non-compact band's intensity already lives on the full grid, so
+        it is gathered directly, which is exact by construction.
         """
         if mask_ffts.ndim != 3:
             raise LithoError(
@@ -933,12 +828,11 @@ class OpticalKernelSet:
         shape = tuple(mask_ffts.shape[-2:])
         self._validate_grid(shape)
         rows, cols = _validate_pixel_set(shape, rows, cols)
-        if self.is_native:
-            band = self.band_spectra(shape)
-            if band.compact:
-                sub = self._gather_band(mask_ffts, band)
-                return self._sparse_band_values(sub, band, rows, cols)
-        return self._full_grid_intensity(mask_ffts, shape)[:, rows, cols]
+        band = self.band_spectra(shape)
+        if not band.compact:
+            return self._band_intensity(mask_ffts, band)[:, rows, cols]
+        sub = self._gather_band(mask_ffts, band)
+        return self._sparse_band_values(sub, band, rows, cols)
 
     def sparse_intensity_from_rfft(
         self,
@@ -950,41 +844,19 @@ class OpticalKernelSet:
         """Sparse intensity from half-width real-input spectra.
 
         The fast path of the sparse EPE pipeline: callers forward-
-        transform their real mask stack once with :meth:`FFTBackend.
-        rfft2` (about half the cost of the full ``fft2``) and share the
-        result across the focus and defocus kernel sets; the pupil band
-        is reconstructed by Hermitian symmetry.  Only available on the
-        compact band path — the dense fallback needs full spectra, so
-        callers without a compact band should compute ``fft2`` and use
+        transform their real mask stack once with
+        :meth:`~repro.backend.ArrayBackend.rfft2` (about half the cost of
+        the full ``fft2``) and share the result across the focus and
+        defocus kernel sets; the pupil band is reconstructed by Hermitian
+        symmetry.  Only available on the compact band path — callers
+        without a compact band should compute ``fft2`` and use
         :meth:`intensity_at_pixels` instead.
         """
-        if mask_rffts.ndim != 3:
-            raise LithoError(
-                "mask rfft spectra must be 3-D (B, H, W//2+1), got shape "
-                f"{mask_rffts.shape}"
-            )
-        shape = (int(shape[0]), int(shape[1]))
-        if mask_rffts.shape[-2:] != (shape[0], shape[1] // 2 + 1):
-            raise LithoError(
-                f"rfft spectra {mask_rffts.shape[-2:]} do not match grid "
-                f"{shape} (expected ({shape[0]}, {shape[1] // 2 + 1}))"
-            )
+        shape = self._check_rfft_shape(mask_rffts, shape)
         self._validate_grid(shape)
         rows, cols = _validate_pixel_set(shape, rows, cols)
-        if not self.is_native:
-            raise LithoError(
-                "sparse_intensity_from_rfft needs a frequency-native "
-                "kernel set; legacy spatial sets must gather from the "
-                "dense path (intensity_at_pixels)"
-            )
-        band = self.band_spectra(shape)
-        if not band.compact:
-            raise LithoError(
-                "sparse_intensity_from_rfft needs a compact pupil band; "
-                f"the {shape} grid's band covers it — use "
-                "intensity_at_pixels on full spectra instead"
-            )
-        sub = self._gather_band_rfft(mask_rffts, band)
+        band = self._compact_band(shape, "sparse_intensity_from_rfft")
+        sub = gather_band_rfft(mask_rffts, band, self.fft)
         return self._sparse_band_values(sub, band, rows, cols)
 
     def subgrid_intensity_from_rfft(
@@ -997,69 +869,13 @@ class OpticalKernelSet:
         representation of the aerial image — the surrogate trainer uses it
         as ground-truth labels, and :func:`band_values_at_pixels` lifts
         either these or surrogate predictions to full-grid pixels.
-        Requires a frequency-native compact-band set, like
-        :meth:`sparse_intensity_from_rfft`.
+        Requires a compact band, like :meth:`sparse_intensity_from_rfft`.
         """
-        if mask_rffts.ndim != 3:
-            raise LithoError(
-                "mask rfft spectra must be 3-D (B, H, W//2+1), got shape "
-                f"{mask_rffts.shape}"
-            )
-        shape = (int(shape[0]), int(shape[1]))
-        if mask_rffts.shape[-2:] != (shape[0], shape[1] // 2 + 1):
-            raise LithoError(
-                f"rfft spectra {mask_rffts.shape[-2:]} do not match grid "
-                f"{shape} (expected ({shape[0]}, {shape[1] // 2 + 1}))"
-            )
+        shape = self._check_rfft_shape(mask_rffts, shape)
         self._validate_grid(shape)
-        if not self.is_native:
-            raise LithoError(
-                "subgrid_intensity_from_rfft needs a frequency-native "
-                "kernel set"
-            )
-        band = self.band_spectra(shape)
-        if not band.compact:
-            raise LithoError(
-                "subgrid_intensity_from_rfft needs a compact pupil band; "
-                f"the {shape} grid's band covers it"
-            )
-        sub = self._gather_band_rfft(mask_rffts, band)
+        band = self._compact_band(shape, "subgrid_intensity_from_rfft")
+        sub = gather_band_rfft(mask_rffts, band, self.fft)
         return self.fft.to_host(self._subgrid_intensity(sub, band))
-
-    def _full_grid_intensity(
-        self, mask_ffts, shape: tuple[int, int]
-    ) -> np.ndarray:
-        fft = self.fft
-        if not fft.is_numpy:
-            # The dense fallback exists for non-compact bands and legacy
-            # spatial sets — host-only paths by design (the device win
-            # lives on the compact band pipeline).
-            mask_ffts = fft.to_host(mask_ffts)
-            fft = self._host_fft()
-        kernel_ffts = self.kernel_spectra(shape)
-        weights = self.weights_for(shape)
-        intensity = np.zeros(mask_ffts.shape, dtype=np.float64)
-        if fft.name == "scipy" and fft.workers > 1 and mask_ffts.shape[0] > 1:
-            # Threaded backend: one (B, H, W) inverse transform per kernel
-            # lets the workers split the batch axis.
-            for weight, kernel_fft in zip(weights, kernel_ffts):
-                field_k = fft.ifft2(mask_ffts * kernel_fft, axes=(-2, -1))
-                term = field_k.real**2
-                term += field_k.imag**2
-                term *= weight
-                intensity += term
-            return intensity
-        # Per-mask inner loop: 2-D transforms on contiguous slices are
-        # faster than one (B, H, W) batched transform on a single core
-        # (smaller working set) and bit-for-bit identical to it.
-        for mask_fft, out in zip(mask_ffts, intensity):
-            for weight, kernel_fft in zip(weights, kernel_ffts):
-                field_k = fft.ifft2(mask_fft * kernel_fft, axes=(-2, -1))
-                term = field_k.real**2
-                term += field_k.imag**2
-                term *= weight
-                out += term
-        return intensity
 
     def fields_from_mask_fft(self, mask_fft: np.ndarray) -> np.ndarray:
         """Per-kernel coherent fields ``(K, H, W)`` for one mask spectrum.
@@ -1077,143 +893,26 @@ class OpticalKernelSet:
         kernel_ffts = self.kernel_spectra(mask_fft.shape)
         return self._host_fft().ifft2(mask_fft[None] * kernel_ffts, axes=(-2, -1))
 
-    # -- spatial materialization (persistence / visualization) ---------------
-    def spatial_kernels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Canonical spatial ``(weights, kernels)`` for saving / plotting.
-
-        Native sets materialize the square ``period_nm`` lattice once
-        (uncropped — the full periodic kernel) and normalize so an open
-        frame images to 1.0; legacy sets return their stored arrays.
-        """
-        if not self.is_native:
-            return self.weights, self.kernels
-        if self._canonical is None:
-            tcc = build_tcc(
-                self.source,
-                period_nm=self.period_nm,
-                defocus_nm=self.defocus_nm,
-                wavelength_nm=self.wavelength_nm,
-                numerical_aperture=self.numerical_aperture,
-            )
-            weights, kernels = socs_kernels(
-                tcc,
-                self.pixel_nm,
-                max_kernels=self.max_kernels,
-                energy_fraction=self.energy_fraction,
-            )
-            sums = kernels.sum(axis=(1, 2))
-            open_frame = float(np.sum(weights * np.abs(sums) ** 2))
-            if open_frame <= 0:
-                raise LithoError(
-                    "kernel set images an open frame to zero intensity"
-                )
-            self._canonical = (weights / open_frame, kernels)
-        return self._canonical
-
-    # -- persistence ---------------------------------------------------------
-    def save(self, path: str) -> None:
-        """Persist the set: spatial kernels plus (native) optics metadata."""
-        weights, kernels = self.spatial_kernels()
-        extras: dict[str, object] = {}
-        if self.cutoff_per_nm is not None:
-            extras["cutoff_per_nm"] = self.cutoff_per_nm
-        if self.is_native:
-            extras.update(
-                source_shape=self.source.shape,
-                source_sigma=self.source.sigma,
-                source_sigma_in=self.source.sigma_in,
-                source_sigma_out=self.source.sigma_out,
-                wavelength_nm=self.wavelength_nm,
-                numerical_aperture=self.numerical_aperture,
-                max_kernels=self.max_kernels,
-                energy_fraction=self.energy_fraction,
-                period_nm=self.period_nm,
-            )
-        np.savez_compressed(
-            path,
-            weights=weights,
-            kernels=kernels,
-            pixel_nm=self.pixel_nm,
-            defocus_nm=self.defocus_nm,
-            **extras,
-        )
-
-    @classmethod
-    def load(
-        cls,
-        path: str,
-        fft_backend: str = "auto",
-        fft_workers: int | None = None,
-        device: str | None = None,
-    ) -> "OpticalKernelSet":
-        """Reload a saved set.
-
-        The transform backend is an execution choice, not physics, so it
-        is never persisted; pass ``fft_backend="numpy"`` explicitly when
-        bit-for-bit reproducibility with a pre-save numpy-backend set is
-        required (the ``"auto"`` default may resolve to threaded scipy
-        on multi-core hosts, ~1e-12 from numpy).
-        """
-        with np.load(path) as data:
-            cutoff = (
-                float(data["cutoff_per_nm"]) if "cutoff_per_nm" in data else None
-            )
-            if "source_shape" in data:
-                # Full optics metadata present: reconstruct frequency-native.
-                source = SourceSpec(
-                    shape=str(data["source_shape"]),
-                    sigma=float(data["source_sigma"]),
-                    sigma_in=float(data["source_sigma_in"]),
-                    sigma_out=float(data["source_sigma_out"]),
-                )
-                return cls(
-                    pixel_nm=float(data["pixel_nm"]),
-                    defocus_nm=float(data["defocus_nm"]),
-                    source=source,
-                    wavelength_nm=float(data["wavelength_nm"]),
-                    numerical_aperture=float(data["numerical_aperture"]),
-                    max_kernels=int(data["max_kernels"]),
-                    energy_fraction=float(data["energy_fraction"]),
-                    period_nm=float(data["period_nm"]),
-                    cutoff_per_nm=cutoff,
-                    fft_backend=fft_backend,
-                    fft_workers=fft_workers,
-                    device=device,
-                )
-            return cls(
-                pixel_nm=float(data["pixel_nm"]),
-                defocus_nm=float(data["defocus_nm"]),
-                weights=np.asarray(data["weights"]),
-                kernels=np.asarray(data["kernels"]),
-                cutoff_per_nm=cutoff,
-                fft_backend=fft_backend,
-                fft_workers=fft_workers,
-                device=device,
-            )
-
 
 @lru_cache(maxsize=8)
 def build_kernel_set(
     pixel_nm: float = 4.0,
     defocus_nm: float = 0.0,
     source: SourceSpec = SourceSpec(),
-    period_nm: float = 2048.0,
     max_kernels: int = 12,
     energy_fraction: float = 0.995,
     wavelength_nm: float = WAVELENGTH_NM,
     numerical_aperture: float = NUMERICAL_APERTURE,
-    fft_backend: str = "auto",
+    backend: str = "auto",
     fft_workers: int | None = None,
     device: str | None = None,
     spectra_store: object | None = None,
 ) -> OpticalKernelSet:
-    """Build (and cache) a frequency-native :class:`OpticalKernelSet`.
+    """Build (and cache) an :class:`OpticalKernelSet`.
 
     Construction is lazy: per-grid band spectra are built on first use
-    for each simulated shape.  ``period_nm`` only sizes the canonical
-    square-lattice spatial materialization used for persistence and
-    visualization — there is no ambit crop anywhere, which is what makes
-    the compact band engine exact.  ``spectra_store`` (a
+    for each simulated shape.  There is no ambit crop anywhere, which is
+    what makes the band engine exact.  ``spectra_store`` (a
     :class:`repro.litho.store.KernelSpectraStore`, which hashes by its
     root directory) persists finished band spectra across processes.
     """
@@ -1225,9 +924,7 @@ def build_kernel_set(
         numerical_aperture=numerical_aperture,
         max_kernels=max_kernels,
         energy_fraction=energy_fraction,
-        period_nm=period_nm,
-        cutoff_per_nm=numerical_aperture / wavelength_nm,
-        fft_backend=fft_backend,
+        backend=backend,
         fft_workers=fft_workers,
         device=device,
         spectra_store=spectra_store,

@@ -12,9 +12,10 @@ Architecture — one exact engine
 Kernels are *frequency-native*: for every grid shape the TCC is built
 directly on that grid's DFT frequency lattice and eigendecomposed into
 SOCS spectra that are exactly zero outside the pupil band (no spatial
-ambit crop anywhere — see :mod:`repro.litho.kernels`).  That makes the
-compact pupil-band subgrid engine exact, so there is a single simulation
-engine with two entry points:
+ambit crop anywhere — see :mod:`repro.litho.kernels`).  Those band
+spectra are the only kernel representation, and the pupil-band subgrid
+engine is exact on them, so there is a single simulation engine with two
+entry points:
 
 * :meth:`LithographySimulator.simulate_mask` — the single-mask *spatial
   reference path*: one full-grid inverse FFT per kernel.  Slow, simple,
@@ -27,17 +28,13 @@ engine with two entry points:
   single vectorized forward FFT, *shares those mask spectra across the
   focus and defocus kernel sets* (all three process corners come from
   one forward transform), and runs the per-kernel inverse FFTs on the
-  compact pupil-band subgrid with one exact zero-padded FFT resample of
-  the intensity per corner.  Results match :meth:`simulate_mask` to FFT
+  pupil-band subgrid with one exact zero-padded FFT resample of the
+  intensity per corner (none when the band covers the grid, where the
+  subgrid is the grid).  Results match :meth:`simulate_mask` to FFT
   round-off (far below the 1e-9 golden tolerance) and are bit-for-bit
-  independent of the batch size, at what used to be screening speed —
-  formerly-"spectral" throughput is now legal for reported EPE/PV-band
-  metrology.  ``benchmarks/bench_batch_litho.py`` gates >= 3x over the
-  per-mask reference loop at B=8.
-
-The old ``mode="spectral"`` screening split is retired: ``mode=`` is
-accepted as a deprecated no-op (every call is exact now) and warns;
-unknown modes still raise.
+  independent of the batch size, so they are legal for reported
+  EPE/PV-band metrology.  ``benchmarks/bench_batch_litho.py`` gates
+  >= 3x over the per-mask reference loop at B=8.
 
 Array/device backend
 --------------------
@@ -61,8 +58,7 @@ device tensors and run the forward transform, band convolution and
 sparse gathers on the device; the returned aerials / sparse values are
 always host numpy — downstream metrology and resist thresholding are
 host-side by contract, so conversion happens exactly once, at this
-boundary.  The old ``fft_backend=`` spelling is accepted as a
-deprecated alias of ``backend=`` and warns.
+boundary.
 
 Batched metrology contract
 --------------------------
@@ -83,7 +79,6 @@ follow this two-call pattern.
 from __future__ import annotations
 
 import threading
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -108,23 +103,6 @@ from repro.litho.resist import printed_image
 from repro.litho.source import SourceSpec
 
 
-def warn_deprecated_mode(mode: str | None) -> None:
-    """Thin shim for retired ``mode=`` arguments: warn, never change math."""
-    if mode is None:
-        return
-    if mode not in ("exact", "spectral"):
-        raise LithoError(
-            f"unknown simulation mode {mode!r}; the unified engine accepts "
-            "only the deprecated values 'exact' and 'spectral'"
-        )
-    warnings.warn(
-        "simulation mode= is deprecated and ignored: the unified "
-        "band-limited engine is always exact",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass(frozen=True)
 class LithoConfig:
     """Simulator settings (paper-scale defaults, all overridable)."""
@@ -134,13 +112,6 @@ class LithoConfig:
     defocus_nm: float = DEFOCUS_NM
     dose_variation: float = DOSE_VARIATION
     source: SourceSpec = SourceSpec()
-    period_nm: float = 2048.0
-    """Square-lattice period of the canonical spatial kernel
-    materialization (persistence / visualization).  Simulation lattices
-    are per-grid and do not use it."""
-    ambit_nm: float = 512.0
-    """Deprecated and ignored: kernels are no longer spatially cropped.
-    Retained so existing configs keep constructing."""
     max_kernels: int = 12
     energy_fraction: float = 0.995
     backend: str = "auto"
@@ -151,10 +122,6 @@ class LithoConfig:
     """Torch device (``"cpu"``, ``"cuda"``, ``"cuda:N"``); ``None``
     picks CUDA when available.  Host backends ignore it (must be
     ``None``/``"cpu"``)."""
-    fft_backend: str | None = None
-    """Deprecated alias of ``backend=`` (the knob predates the array-API
-    refactor).  Passing it warns and, when ``backend`` is left at its
-    default, routes the value into ``backend``."""
     fft_workers: int | None = None
     """Thread count for the scipy backend; ``None`` uses every core."""
     spectra_store: str | None = None
@@ -167,19 +134,6 @@ class LithoConfig:
     def __post_init__(self) -> None:
         if self.pixel_nm <= 0:
             raise LithoError("pixel_nm must be positive")
-        if self.period_nm <= 0:
-            raise LithoError("period_nm must be positive")
-        if self.fft_backend is not None:
-            warnings.warn(
-                "LithoConfig(fft_backend=) is deprecated; use backend= "
-                "(same host spellings, plus 'torch')",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.backend == "auto":
-                # The frozen dataclass is mutated only here, inside
-                # construction, before any reader can observe it.
-                object.__setattr__(self, "backend", self.fft_backend)
         resolve_backend(self.backend, self.fft_workers, self.device)
 
 
@@ -302,10 +256,9 @@ class LithographySimulator:
                     pixel_nm=cfg.pixel_nm,
                     defocus_nm=defocus_nm,
                     source=cfg.source,
-                    period_nm=cfg.period_nm,
                     max_kernels=cfg.max_kernels,
                     energy_fraction=cfg.energy_fraction,
-                    fft_backend=cfg.backend,
+                    backend=cfg.backend,
                     fft_workers=cfg.fft_workers,
                     device=cfg.device,
                     spectra_store=store,
@@ -353,7 +306,6 @@ class LithographySimulator:
         self,
         masks: Sequence[np.ndarray] | np.ndarray,
         grid: Grid,
-        mode: str | None = None,
     ) -> list[LithoResult]:
         """Full corner sweep for a stack of same-shape rasterized masks.
 
@@ -364,14 +316,10 @@ class LithographySimulator:
         subgrid engine.  Results match :meth:`simulate_mask` to FFT
         round-off and are bit-for-bit independent of the batch size.
 
-        ``mode`` is deprecated and ignored (the engine is always exact);
-        passing ``"exact"`` or ``"spectral"`` warns, anything else raises.
-
         Under a device backend ``masks`` may already be a device tensor
         (``(B, H, W)``); host input is moved to the device once, and the
         returned aerials are host numpy either way.
         """
-        warn_deprecated_mode(mode)
         if hasattr(masks, "ndim"):
             stack = masks
         else:
@@ -440,9 +388,9 @@ class LithographySimulator:
         sparse_intensity_from_rfft`).  Values agree with gathering the
         dense :meth:`simulate_batch` aerials at the same pixels to
         <= 1e-12 absolute intensity — resolved EPE offsets agree to
-        <= 1e-9 nm.  Grids whose pupil band is not compact (or legacy
-        spatial kernel sets) fall back to the dense engine plus a
-        gather, which is exact.
+        <= 1e-9 nm.  Grids whose pupil band is not compact take the
+        full spectrum and gather from the dense intensity, which is
+        exact.
 
         Like :meth:`simulate_batch`, ``masks`` may be a device tensor
         under a device backend; the sparse values in each returned
@@ -496,8 +444,7 @@ class LithographySimulator:
         defocus_set = self.kernel_set(inner.defocus_nm) if with_defocus else None
         kernel_sets = [focus_set] + ([defocus_set] if with_defocus else [])
         compact = all(
-            kset.is_native and kset.band_spectra(shape).compact
-            for kset in kernel_sets
+            kset.band_spectra(shape).compact for kset in kernel_sets
         )
         if compact:
             spectra = focus_set.fft.rfft2(stack, axes=(-2, -1))

@@ -103,10 +103,6 @@ def optics_fingerprint(kernel_set) -> str:
     so their store entries are interchangeable.  The FFT backend is
     deliberately excluded — the build never runs a transform.
     """
-    if not kernel_set.is_native:
-        raise LithoError(
-            "legacy spatial kernel sets have no band spectra to fingerprint"
-        )
     source = kernel_set.source
     payload = {
         "version": STORE_FORMAT_VERSION,

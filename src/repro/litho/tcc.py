@@ -11,16 +11,16 @@ every fast OPC simulator uses.
 
 Two lattice conventions are supported:
 
+* :func:`build_tcc_grid` — the *frequency-native* path the simulator
+  uses: the lattice is exactly the DFT frequency grid of one simulation
+  raster (per-axis spacing ``1 / (n_pixels * pixel_nm)``, anisotropic
+  for non-square grids).  Eigenvectors of this TCC
+  (:func:`socs_spectra`) are SOCS kernel spectra defined directly on
+  that raster's pupil-band frequency subgrid — no spatial sampling, no
+  ambit crop, hence exactly band-limited on the grid they will convolve
+  (:class:`repro.litho.kernels.GridBandSpectra`).
 * :func:`build_tcc` — a square lattice of spacing ``1 / period_nm``,
-  used for the canonical spatial kernels kept for persistence and
-  visualization (:func:`socs_kernels`).
-* :func:`build_tcc_grid` — the *frequency-native* path: the lattice is
-  exactly the DFT frequency grid of one simulation raster (per-axis
-  spacing ``1 / (n_pixels * pixel_nm)``, anisotropic for non-square
-  grids).  Eigenvectors of this TCC are SOCS kernel spectra defined
-  directly on that raster's pupil-band frequency subgrid — no spatial
-  sampling, no ambit crop, hence exactly band-limited on the grid they
-  will convolve (:class:`repro.litho.kernels.GridBandSpectra`).
+  kept as an independent reference for the grid build.
 
 Either way the TCC is a Gram matrix ``A^H A`` with
 ``A[s, a] = sqrt(J_s) * P(f_s + f_a)``, which keeps it exactly PSD.
@@ -157,8 +157,8 @@ def build_tcc(
 ) -> TCCResult:
     """Build the TCC on a square lattice with spacing ``1 / period_nm``.
 
-    ``period_nm`` is the spatial period of the resulting kernels; it should
-    comfortably exceed the optical ambit (defaults elsewhere use ~2 um).
+    ``period_nm`` is the spatial period of the lattice; it should
+    comfortably exceed the optical ambit (~1-2 um).
     """
     if period_nm <= 0:
         raise LithoError(f"period must be positive, got {period_nm}")
@@ -248,46 +248,3 @@ def socs_spectra(
     count = min(count, max_kernels, len(eigvals))
     return eigvals[:count], np.ascontiguousarray(eigvecs[:, :count].T)
 
-
-def socs_kernels(
-    tcc: TCCResult,
-    pixel_nm: float,
-    max_kernels: int = 12,
-    energy_fraction: float = 0.995,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize SOCS kernels spatially (persistence / visualization).
-
-    Args:
-        tcc: Output of :func:`build_tcc` (square lattice).
-        pixel_nm: Raster pitch to sample the kernels at.
-        max_kernels: Hard cap on the number of kernels kept.
-        energy_fraction: Keep the smallest kernel count whose eigenvalue
-            mass reaches this fraction of the total.
-
-    Returns:
-        ``(weights, kernels)``: weights ``(K,)`` (eigenvalues, descending)
-        and complex spatial kernels ``(K, N, N)`` sampled at ``pixel_nm``
-        with the kernel centre at the array centre.  ``N`` is the lattice
-        period divided by the pixel size.
-    """
-    weights, coefficients = socs_spectra(
-        tcc, max_kernels=max_kernels, energy_fraction=energy_fraction
-    )
-    period_nm = 1.0 / tcc.lattice_spacing
-    n_pixels = int(round(period_nm / pixel_nm))
-    if n_pixels < 8:
-        raise LithoError(
-            f"kernel raster too small ({n_pixels} px); "
-            f"decrease pixel size or increase period"
-        )
-
-    count = len(weights)
-    kernels = np.empty((count, n_pixels, n_pixels), dtype=np.complex128)
-    rows = tcc.shift_indices[:, 0] % n_pixels
-    cols = tcc.shift_indices[:, 1] % n_pixels
-    for k in range(count):
-        spectrum = np.zeros((n_pixels, n_pixels), dtype=np.complex128)
-        spectrum[rows, cols] = coefficients[k]
-        spatial = np.fft.ifft2(spectrum) * (n_pixels * n_pixels)
-        kernels[k] = np.fft.fftshift(spatial)
-    return weights, kernels

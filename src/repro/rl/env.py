@@ -31,11 +31,7 @@ from repro.geometry.layout import Clip
 from repro.geometry.mask_edit import MaskState
 from repro.geometry.raster import Grid, rasterize
 from repro.geometry.segmentation import Segment, fragment_clip
-from repro.litho.simulator import (
-    LithographySimulator,
-    LithoResult,
-    warn_deprecated_mode,
-)
+from repro.litho.simulator import LithographySimulator, LithoResult
 from repro.metrology.epe import (
     EPEReport,
     measure_epe,
@@ -148,18 +144,13 @@ class OPCEnvironment:
         """Run lithography + metrology for a mask state."""
         return self._metrology(mask, self.simulator.simulate_state(mask, self.grid))
 
-    def evaluate_batch(
-        self, masks: Sequence[MaskState], mode: str | None = None
-    ) -> list[EnvState]:
+    def evaluate_batch(self, masks: Sequence[MaskState]) -> list[EnvState]:
         """Evaluate several mask states: one batched litho call followed
         by one batched metrology call.
 
         Results are bit-for-bit identical to mapping :meth:`evaluate`
-        over ``masks``.  ``mode`` is deprecated and ignored (the unified
-        engine is always exact); the shim warns here and is never
-        forwarded into the simulator.
+        over ``masks``.
         """
-        warn_deprecated_mode(mode)
         if not masks:
             raise RLError("evaluate_batch needs at least one mask state")
         images = np.stack(
@@ -233,7 +224,6 @@ class OPCEnvironment:
         self,
         states: Sequence[EnvState],
         action_indices: np.ndarray,
-        mode: str | None = None,
     ) -> list[tuple[EnvState, float]]:
         """Advance P states by one action vector each, in lockstep.
 
@@ -243,9 +233,7 @@ class OPCEnvironment:
         reward)`` pair is bit-for-bit identical to :meth:`step` on that
         state alone.  This is the transition primitive of
         population-based training and lockstep teacher rollouts.
-        ``mode`` is deprecated and ignored (warn-only shim).
         """
-        warn_deprecated_mode(mode)
         actions = np.asarray(action_indices)
         if actions.ndim != 2 or actions.shape[0] != len(states) or not len(states):
             raise RLError(
@@ -275,7 +263,6 @@ class OPCEnvironment:
         self,
         state: EnvState,
         candidate_actions: np.ndarray,
-        mode: str | None = None,
         *,
         screener=None,
         screen_keep: int = 1,
@@ -285,8 +272,7 @@ class OPCEnvironment:
         ``candidate_actions`` is ``(A, n_segments)`` movement indices;
         returns one ``(next_state, reward)`` pair per candidate, each
         bit-for-bit identical to what :meth:`step` would have produced
-        for that candidate.  ``mode`` is deprecated and ignored
-        (warn-only shim).
+        for that candidate.
 
         ``screener`` opts into learned-surrogate pre-screening: an object
         with ``score_candidates(env, state, candidates) -> (A,) totals``
@@ -298,7 +284,6 @@ class OPCEnvironment:
         exact engine, so reported metrology never depends on surrogate
         numbers (the screening-vs-reporting discipline).
         """
-        warn_deprecated_mode(mode)
         candidates = self._validate_candidates(candidate_actions)
         if screener is None:
             return self.step_batch([state] * len(candidates), candidates)

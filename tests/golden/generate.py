@@ -44,7 +44,7 @@ from repro.litho.simulator import LithoConfig, LithographySimulator
 
 GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
 
-GOLDEN_CONFIG = LithoConfig(pixel_nm=8.0, max_kernels=8, fft_backend="numpy")
+GOLDEN_CONFIG = LithoConfig(pixel_nm=8.0, max_kernels=8, backend="numpy")
 """Fixed simulator settings for the goldens (independent of REPRO_SCALE)."""
 
 

@@ -18,7 +18,7 @@ from repro.squish import NodeFeatureEncoder
 @pytest.fixture(scope="module")
 def simulator():
     return LithographySimulator(
-        LithoConfig(pixel_nm=8.0, period_nm=1024.0, max_kernels=6)
+        LithoConfig(pixel_nm=8.0, max_kernels=6)
     )
 
 
@@ -208,8 +208,6 @@ class TestPopulationTraining:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             CamoConfig(rl_population=0)
-        with pytest.raises(ConfigError):
-            CamoConfig(rl_eval_mode="approximate")
 
     def test_forward_population_matches_single(self, simulator, clip):
         """Each population row must equal the single-state forward on
@@ -261,18 +259,6 @@ class TestPopulationTraining:
         """rl_population=1 must take the original per-step loop — the
         bit-for-bit reproducibility path."""
         config = CamoConfig.smoke(imitation_epochs=0, rl_epochs=1, max_updates=2)
-        agent = CAMO(config, simulator)
-        called = []
-        agent._train_rl_sequential = lambda *a, **k: called.append("seq")
-        agent._train_rl_population = lambda *a, **k: called.append("pop")
-        agent._train_rl([clip], {"rl_reward": []}, False)
-        assert called == ["seq"]
-
-    def test_spectral_eval_mode_deprecated_and_ignored(self, simulator, clip):
-        """The retired screening knob warns and no longer affects routing:
-        P=1 stays on the sequential loop."""
-        with pytest.warns(DeprecationWarning, match="rl_eval_mode"):
-            config = CamoConfig.smoke(rl_eval_mode="spectral")
         agent = CAMO(config, simulator)
         called = []
         agent._train_rl_sequential = lambda *a, **k: called.append("seq")

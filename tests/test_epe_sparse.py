@@ -21,7 +21,7 @@ from repro.geometry import Grid, Polygon, Rect, rasterize
 from repro.geometry.raster import bilinear_sample_many, bilinear_sample_stack
 from repro.geometry.segmentation import fragment_clip
 from repro.litho import build_kernel_set
-from repro.litho.fft import (
+from repro.backend import (
     _is_5_smooth,
     next_fast_len,
     scipy_fft_available,
@@ -58,7 +58,7 @@ def sim(request):
     every installed backend (numpy always; scipy and CPU/CUDA torch
     when importable)."""
     return LithographySimulator(LithoConfig(
-        pixel_nm=8.0, period_nm=1024.0, max_kernels=4,
+        pixel_nm=8.0, max_kernels=4,
         backend=request.param,
         fft_workers=2 if request.param == "scipy" else 1,
     ))
@@ -148,8 +148,8 @@ class TestSparseIntensity:
         path; the fallback must be the dense engine plus a gather —
         bit-for-bit, not merely close."""
         kset = build_kernel_set(
-            pixel_nm=40.0, period_nm=2048.0, max_kernels=4,
-            fft_backend="numpy",
+            pixel_nm=40.0, max_kernels=4,
+            backend="numpy",
         )
         assert not kset.band_spectra((32, 32)).compact
         mask = np.zeros((32, 32))

@@ -22,7 +22,7 @@ from repro.litho import LithoConfig, LithographySimulator
 @pytest.fixture(scope="module")
 def simulator():
     return LithographySimulator(
-        LithoConfig(pixel_nm=8.0, period_nm=1024.0, max_kernels=6)
+        LithoConfig(pixel_nm=8.0, max_kernels=6)
     )
 
 

@@ -68,7 +68,7 @@ class TestGridLattice:
 @pytest.fixture(scope="module")
 def simulator():
     return LithographySimulator(
-        LithoConfig(pixel_nm=8.0, max_kernels=8, fft_backend="numpy")
+        LithoConfig(pixel_nm=8.0, max_kernels=8, backend="numpy")
     )
 
 
@@ -122,7 +122,7 @@ class TestExactness:
     )
     def test_band_engine_matches_reference_scipy(self):
         sim = LithographySimulator(
-            LithoConfig(pixel_nm=8.0, max_kernels=8, fft_backend="scipy",
+            LithoConfig(pixel_nm=8.0, max_kernels=8, backend="scipy",
                         fft_workers=2)
         )
         grid = Grid(0, 0, 8.0, 160, 160)
@@ -157,8 +157,8 @@ class TestBandCaches:
 
     def test_band_cache_lru_eviction(self):
         kernel_set = build_kernel_set(
-            pixel_nm=8.0, period_nm=1024.0, max_kernels=4,
-            fft_backend="numpy",
+            pixel_nm=8.0, max_kernels=4,
+            backend="numpy",
         )
         kernel_set._band_cache.clear()
         capacity = kernel_set.fft_cache_capacity

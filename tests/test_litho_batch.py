@@ -21,7 +21,7 @@ MAX_ABS_ERROR = 1e-9
 @pytest.fixture(scope="module")
 def sim():
     return LithographySimulator(
-        LithoConfig(pixel_nm=8.0, period_nm=1024.0, ambit_nm=512.0, max_kernels=6)
+        LithoConfig(pixel_nm=8.0, max_kernels=6)
     )
 
 
@@ -134,24 +134,15 @@ class TestUnifiedBandEngine:
         assert np.abs(full[:, out_of_band]).max() == 0.0
         assert np.abs(full[:, ~out_of_band]).max() > 0
 
-    def test_deprecated_mode_values_do_not_change_results(self, sim):
-        masks = np.stack(mask_stack(SQUARE, 2))
-        plain = sim.simulate_batch(masks, SQUARE)
-        for mode in ("exact", "spectral"):
-            with pytest.warns(DeprecationWarning):
-                shimmed = sim.simulate_batch(masks, SQUARE, mode=mode)
-            for a, b in zip(plain, shimmed):
-                assert_results_identical(a, b)
-
     def test_fallback_when_band_covers_grid(self):
         """When the pupil band spans the whole grid the subgrid cannot
-        shrink; the unified engine must fall back to (and exactly match)
-        the full-grid reference path."""
+        shrink: the band engine runs on the full grid, skips the
+        resample, and must exactly match the reference path."""
         from repro.litho import build_kernel_set
 
         # 40 nm pixels: the band radius is ~0.28 * n, so 4b + 1 > n.
         kernel_set = build_kernel_set(
-            pixel_nm=40.0, period_nm=2048.0, max_kernels=4, fft_backend="numpy"
+            pixel_nm=40.0, max_kernels=4, backend="numpy"
         )
         band = kernel_set.band_spectra((32, 32))
         assert not band.compact

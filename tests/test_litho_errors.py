@@ -1,209 +1,167 @@
 """Error-path coverage for the lithography engine plus the bounded
 per-grid caches: every ``LithoError`` raise in ``kernels.py`` /
 ``simulator.py`` is exercised, LRU eviction is shown to keep results
-correct, and the FFT-derived cache is shown to key on backend identity
-(the cross-backend staleness regression)."""
+correct, and the full-grid kernel spectra are shown to be
+backend-independent."""
 
 import numpy as np
 import pytest
 
+from repro.backend import next_fast_len
 from repro.errors import LithoError, RLError
 from repro.geometry import Clip, Grid, Polygon, Rect
 from repro.litho import (
     LithoConfig,
     LithographySimulator,
     OpticalKernelSet,
-    scipy_fft_available,
+    SourceSpec,
 )
-from repro.litho.fft import next_fast_len
 from repro.rl.env import OPCEnvironment
 
+SMALL = 96
+"""Smallest grid side (8 nm pixels) used below; 16 px is too coarse to
+hold the pupil band."""
 
-def tiny_kernel_set(capacity: int = 6, cutoff: float | None = 0.0126, **kw):
-    """Legacy spatial-provenance set (explicit weights + kernels)."""
-    rng = np.random.default_rng(42)
-    kw.setdefault("fft_backend", "numpy")
+
+def native_kernel_set(capacity: int = 6, **kw):
+    """A small uncached kernel set (8 nm, at most 4 kernels)."""
+    kw.setdefault("backend", "numpy")
     return OpticalKernelSet(
-        weights=np.array([0.5, 0.3, 0.2]),
-        kernels=rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5)),
         pixel_nm=8.0,
         defocus_nm=0.0,
-        cutoff_per_nm=cutoff,
+        source=SourceSpec(),
+        max_kernels=4,
         fft_cache_capacity=capacity,
         **kw,
     )
 
 
-def cache_key(kernel_set, shape):
-    backend = kernel_set.fft
-    return (shape, *backend.identity)
+def cache_key(shape):
+    return (shape, "band")
 
 
 class TestKernelSetErrors:
     def test_non_2d_mask(self):
         with pytest.raises(LithoError):
-            tiny_kernel_set().convolve_intensity(np.ones((2, 16, 16)))
+            native_kernel_set().convolve_intensity(np.ones((2, 16, 16)))
 
     def test_mask_smaller_than_ambit(self):
-        with pytest.raises(LithoError):
-            tiny_kernel_set().convolve_intensity(np.ones((3, 3)))
+        """A window smaller than the optical ambit holds no pupil band."""
+        with pytest.raises(LithoError, match="too coarse"):
+            native_kernel_set().convolve_intensity(np.ones((3, 3)))
 
     def test_batch_rejects_2d(self):
         with pytest.raises(LithoError, match="3-D"):
-            tiny_kernel_set().convolve_intensity_batch(np.ones((16, 16)))
+            native_kernel_set().convolve_intensity_batch(np.ones((16, 16)))
 
     def test_batch_rejects_4d(self):
         with pytest.raises(LithoError, match="3-D"):
-            tiny_kernel_set().convolve_intensity_batch(np.ones((2, 2, 16, 16)))
+            native_kernel_set().convolve_intensity_batch(np.ones((2, 2, 16, 16)))
 
     def test_batch_rejects_empty(self):
         with pytest.raises(LithoError, match="empty"):
-            tiny_kernel_set().convolve_intensity_batch(np.empty((0, 16, 16)))
+            native_kernel_set().convolve_intensity_batch(np.empty((0, 16, 16)))
 
     def test_batch_rejects_small_masks(self):
-        with pytest.raises(LithoError, match="ambit"):
-            tiny_kernel_set().convolve_intensity_batch(np.ones((2, 3, 3)))
+        with pytest.raises(LithoError, match="too coarse"):
+            native_kernel_set().convolve_intensity_batch(np.ones((2, 16, 16)))
 
     def test_spectra_helper_rejects_2d(self):
         with pytest.raises(LithoError, match="3-D"):
-            tiny_kernel_set().intensity_from_mask_ffts(np.ones((16, 16), complex))
+            native_kernel_set().intensity_from_mask_ffts(np.ones((16, 16), complex))
 
     def test_fields_helper_rejects_3d(self):
         with pytest.raises(LithoError, match="2-D"):
-            tiny_kernel_set().fields_from_mask_fft(np.ones((2, 16, 16), complex))
+            native_kernel_set().fields_from_mask_fft(np.ones((2, 16, 16), complex))
 
     def test_kernel_spectra_rejects_small_grid(self):
-        with pytest.raises(LithoError, match="ambit"):
-            tiny_kernel_set().kernel_spectra((3, 3))
+        with pytest.raises(LithoError, match="too coarse"):
+            native_kernel_set().kernel_spectra((16, 16))
 
     def test_spectra_helper_rejects_small_grid(self):
-        with pytest.raises(LithoError, match="ambit"):
-            tiny_kernel_set().intensity_from_mask_ffts(
-                np.ones((1, 3, 3), complex)
+        with pytest.raises(LithoError, match="too coarse"):
+            native_kernel_set().intensity_from_mask_ffts(
+                np.ones((1, 16, 16), complex)
             )
 
     def test_fields_helper_rejects_small_grid(self):
-        with pytest.raises(LithoError, match="ambit"):
-            tiny_kernel_set().fields_from_mask_fft(np.ones((3, 3), complex))
+        with pytest.raises(LithoError, match="too coarse"):
+            native_kernel_set().fields_from_mask_fft(np.ones((16, 16), complex))
 
     def test_bad_cache_capacity(self):
         with pytest.raises(LithoError, match="fft_cache_capacity"):
-            tiny_kernel_set(capacity=0)
-
-    def test_bad_kernel_shape(self):
-        with pytest.raises(LithoError):
-            OpticalKernelSet(
-                weights=np.ones(2),
-                kernels=np.ones((2, 5, 4), dtype=complex),
-                pixel_nm=8.0,
-                defocus_nm=0.0,
-            )
-
-    def test_weights_kernels_mismatch(self):
-        with pytest.raises(LithoError):
-            OpticalKernelSet(
-                weights=np.ones(3),
-                kernels=np.ones((2, 5, 5), dtype=complex),
-                pixel_nm=8.0,
-                defocus_nm=0.0,
-            )
+            native_kernel_set(capacity=0)
 
     def test_needs_source_or_kernels(self):
-        with pytest.raises(LithoError, match="source"):
+        """Band spectra are built from the optics: a set without a
+        source spec cannot be constructed, and explicit spatial kernels
+        are no longer accepted."""
+        with pytest.raises(TypeError, match="source"):
             OpticalKernelSet(pixel_nm=8.0, defocus_nm=0.0)
+        with pytest.raises(TypeError, match="kernels"):
+            OpticalKernelSet(
+                pixel_nm=8.0, defocus_nm=0.0, source=SourceSpec(),
+                kernels=np.ones((2, 5, 5), dtype=complex),
+            )
 
     def test_native_set_has_no_spatial_ambit(self):
         from repro.litho import build_kernel_set
 
-        native = build_kernel_set(pixel_nm=8.0, period_nm=1024.0, max_kernels=4)
-        with pytest.raises(LithoError, match="ambit"):
-            native.ambit_px
-        with pytest.raises(LithoError, match="per-grid"):
-            native.count
-
-    def test_legacy_set_has_no_band_spectra(self):
-        with pytest.raises(LithoError, match="band spectra"):
-            tiny_kernel_set().band_spectra((64, 64))
+        native = build_kernel_set(pixel_nm=8.0, max_kernels=4)
+        # Kernel counts are per grid: they live on the band spectra.
+        assert not hasattr(native, "ambit_px")
+        assert not hasattr(native, "count")
+        assert native.band_spectra((SMALL, SMALL)).count <= 4
 
 
 class TestFFTCacheLRU:
     def test_capacity_is_enforced(self):
-        kernel_set = tiny_kernel_set(capacity=2)
-        for n in (16, 20, 24, 28):
+        kernel_set = native_kernel_set(capacity=2)
+        for n in (SMALL, SMALL + 4, SMALL + 8, SMALL + 12):
             kernel_set.convolve_intensity(np.ones((n, n)))
         assert len(kernel_set._fft_cache) == 2
         assert list(kernel_set._fft_cache) == [
-            cache_key(kernel_set, (24, 24)),
-            cache_key(kernel_set, (28, 28)),
+            cache_key((SMALL + 8, SMALL + 8)),
+            cache_key((SMALL + 12, SMALL + 12)),
         ]
 
     def test_recently_used_shape_survives(self):
-        kernel_set = tiny_kernel_set(capacity=2)
-        kernel_set.convolve_intensity(np.ones((16, 16)))
-        kernel_set.convolve_intensity(np.ones((20, 20)))
-        kernel_set.convolve_intensity(np.ones((16, 16)))  # refresh (16, 16)
-        kernel_set.convolve_intensity(np.ones((24, 24)))  # evicts (20, 20)
-        assert list(kernel_set._fft_cache) == [
-            cache_key(kernel_set, (16, 16)),
-            cache_key(kernel_set, (24, 24)),
-        ]
+        kernel_set = native_kernel_set(capacity=2)
+        a, b, c = (SMALL, SMALL), (SMALL + 4, SMALL + 4), (SMALL + 8, SMALL + 8)
+        kernel_set.convolve_intensity(np.ones(a))
+        kernel_set.convolve_intensity(np.ones(b))
+        kernel_set.convolve_intensity(np.ones(a))  # refresh a
+        kernel_set.convolve_intensity(np.ones(c))  # evicts b
+        assert list(kernel_set._fft_cache) == [cache_key(a), cache_key(c)]
 
     def test_eviction_keeps_results_correct(self):
         """Recomputing an evicted shape must reproduce the original
         intensities exactly."""
-        kernel_set = tiny_kernel_set(capacity=1)
+        kernel_set = native_kernel_set(capacity=1)
         rng = np.random.default_rng(3)
-        mask_small = rng.random((16, 16))
-        mask_large = rng.random((24, 24))
+        mask_small = rng.random((SMALL, SMALL))
+        mask_large = rng.random((SMALL + 8, SMALL + 8))
         first = kernel_set.convolve_intensity(mask_small)
-        kernel_set.convolve_intensity(mask_large)  # evicts the (16, 16) FFTs
-        assert cache_key(kernel_set, (16, 16)) not in kernel_set._fft_cache
+        kernel_set.convolve_intensity(mask_large)  # evicts the small spectra
+        assert cache_key((SMALL, SMALL)) not in kernel_set._fft_cache
         again = kernel_set.convolve_intensity(mask_small)
         assert np.array_equal(first, again)
 
     def test_batch_and_single_share_cache(self):
-        kernel_set = tiny_kernel_set()
-        kernel_set.convolve_intensity(np.ones((16, 16)))
-        assert list(kernel_set._fft_cache) == [cache_key(kernel_set, (16, 16))]
-        kernel_set.convolve_intensity_batch(np.ones((4, 16, 16)))
+        kernel_set = native_kernel_set()
+        kernel_set.convolve_intensity(np.ones((SMALL, SMALL)))
+        assert list(kernel_set._fft_cache) == [cache_key((SMALL, SMALL))]
+        kernel_set.convolve_intensity_batch(np.ones((4, SMALL, SMALL)))
         # no new entry
-        assert list(kernel_set._fft_cache) == [cache_key(kernel_set, (16, 16))]
+        assert list(kernel_set._fft_cache) == [cache_key((SMALL, SMALL))]
 
 
 class TestFFTCacheBackendKey:
-    """Regression: FFT-derived spectra are keyed by backend identity, so
-    swapping the transform backend on a shared kernel set can never serve
-    spectra computed by the previous backend."""
-
-    def test_worker_identity_in_key(self):
-        kernel_set = tiny_kernel_set(fft_backend="numpy", fft_workers=1)
-        kernel_set.kernel_spectra((16, 16))
-        kernel_set.fft_workers = 2
-        kernel_set.kernel_spectra((16, 16))
-        keys = list(kernel_set._fft_cache)
-        assert ((16, 16), "numpy", 1, "cpu") in keys
-        assert ((16, 16), "numpy", 2, "cpu") in keys
-
-    @pytest.mark.skipif(
-        not scipy_fft_available(), reason="scipy not installed"
-    )
-    def test_backend_swap_recomputes(self):
-        kernel_set = tiny_kernel_set(fft_backend="numpy", fft_workers=1)
-        numpy_stack = kernel_set.kernel_spectra((16, 16))
-        kernel_set.fft_backend = "scipy"
-        kernel_set.fft_workers = 2
-        scipy_stack = kernel_set.kernel_spectra((16, 16))
-        assert scipy_stack is not numpy_stack  # fresh computation
-        assert np.allclose(scipy_stack, numpy_stack, atol=1e-9)
-        # Both entries stay resident under their own keys.
-        assert ((16, 16), "numpy", 1, "cpu") in kernel_set._fft_cache
-        assert ((16, 16), "scipy", 2, "cpu") in kernel_set._fft_cache
-
     def test_native_band_spectra_are_backend_independent(self):
         from repro.litho import build_kernel_set
 
         native = build_kernel_set(
-            pixel_nm=8.0, period_nm=1024.0, max_kernels=4, fft_backend="numpy"
+            pixel_nm=8.0, max_kernels=4, backend="numpy"
         )
         stack = native.kernel_spectra((96, 96))
         # Scattered band coefficients involve no transform at all, so the
@@ -218,19 +176,15 @@ class TestSimulatorErrors:
     def sim(self):
         return LithographySimulator(
             LithoConfig(
-                pixel_nm=8.0, period_nm=1024.0, ambit_nm=512.0, max_kernels=4
+                pixel_nm=8.0, max_kernels=4
             )
         )
 
     def test_bad_mode(self, sim):
+        """The retired ``mode=`` argument is not accepted at all."""
         grid = Grid(0, 0, 8.0, 96, 96)
-        with pytest.raises(LithoError, match="mode"):
-            sim.simulate_batch(np.ones((1, 96, 96)), grid, mode="turbo")
-
-    def test_deprecated_mode_warns(self, sim):
-        grid = Grid(0, 0, 8.0, 96, 96)
-        for mode in ("exact", "spectral"):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
+        for mode in ("turbo", "exact", "spectral"):
+            with pytest.raises(TypeError, match="mode"):
                 sim.simulate_batch(np.ones((1, 96, 96)), grid, mode=mode)
 
     def test_empty_batch(self, sim):
@@ -265,7 +219,7 @@ class TestEnvBatchErrors:
     def env(self):
         sim = LithographySimulator(
             LithoConfig(
-                pixel_nm=8.0, period_nm=1024.0, ambit_nm=512.0, max_kernels=4
+                pixel_nm=8.0, max_kernels=4
             )
         )
         clip = Clip(
@@ -283,12 +237,6 @@ class TestEnvBatchErrors:
     def test_empty_reset_population(self, env):
         with pytest.raises(RLError, match="at least one"):
             env.reset_population([])
-
-    def test_deprecated_env_mode_warns(self, env):
-        state = env.reset()
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            env.step_batch([state], np.zeros((1, env.n_segments), dtype=int),
-                           mode="spectral")
 
     def test_score_moves_rejects_1d(self, env):
         state = env.reset()

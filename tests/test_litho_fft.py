@@ -1,54 +1,51 @@
-"""Tests for the pluggable FFT backend behind the lithography engines."""
+"""Tests for the FFT entry points of the array backend
+(:mod:`repro.backend`) behind the lithography engines."""
 
 import numpy as np
 import pytest
 
+from repro.backend import ArrayBackend, resolve_backend, scipy_fft_available
 from repro.errors import LithoError
-from repro.litho import (
-    LithoConfig,
-    LithographySimulator,
-    resolve_fft_backend,
-    scipy_fft_available,
-)
-from repro.litho.fft import FFTBackend
+from repro.litho import LithoConfig, LithographySimulator
 
 
 class TestResolution:
     def test_numpy_backend(self):
-        backend = resolve_fft_backend("numpy")
+        backend = resolve_backend("numpy")
         assert backend.name == "numpy"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(LithoError):
-            resolve_fft_backend("fftw")
+        for name in ("fftw", "cupy"):
+            with pytest.raises(LithoError, match="unknown array backend"):
+                resolve_backend(name)
 
     def test_bad_workers_rejected(self):
         with pytest.raises(LithoError):
-            resolve_fft_backend("numpy", workers=0)
+            resolve_backend("numpy", workers=0)
 
     def test_auto_resolves_to_concrete_backend(self):
-        backend = resolve_fft_backend("auto")
+        backend = resolve_backend("auto")
         assert backend.name in ("numpy", "scipy")
 
     def test_auto_single_worker_is_numpy(self):
         """With one worker threading cannot help, so auto must pick the
         bit-for-bit reproducible numpy backend."""
-        assert resolve_fft_backend("auto", workers=1).name == "numpy"
+        assert resolve_backend("auto", workers=1).name == "numpy"
 
     def test_scipy_request_degrades_gracefully(self):
-        backend = resolve_fft_backend("scipy", workers=2)
+        backend = resolve_backend("scipy", workers=2)
         expected = "scipy" if scipy_fft_available() else "numpy"
         assert backend.name == expected
 
     def test_backends_are_cached(self):
-        assert resolve_fft_backend("numpy", 1) is resolve_fft_backend("numpy", 1)
+        assert resolve_backend("numpy", 1) is resolve_backend("numpy", 1)
 
 
 class TestTransforms:
     def test_numpy_backend_matches_np_fft_exactly(self):
         rng = np.random.default_rng(0)
         stack = rng.random((3, 16, 16))
-        backend = FFTBackend(name="numpy", workers=1)
+        backend = ArrayBackend(name="numpy", workers=1)
         assert np.array_equal(backend.fft2(stack), np.fft.fft2(stack, axes=(-2, -1)))
         spec = np.fft.fft2(stack, axes=(-2, -1))
         assert np.array_equal(
@@ -63,8 +60,8 @@ class TestTransforms:
         orders; they must agree far inside the 1e-9 golden tolerance."""
         rng = np.random.default_rng(1)
         stack = rng.random((2, 64, 64))
-        scipy_backend = FFTBackend(name="scipy", workers=2)
-        numpy_backend = FFTBackend(name="numpy", workers=1)
+        scipy_backend = ArrayBackend(name="scipy", workers=2)
+        numpy_backend = ArrayBackend(name="numpy", workers=1)
         delta = np.abs(
             scipy_backend.fft2(stack) - numpy_backend.fft2(stack)
         ).max()
@@ -74,13 +71,13 @@ class TestTransforms:
 class TestSimulatorIntegration:
     def test_litho_config_validates_backend(self):
         with pytest.raises(LithoError):
-            LithoConfig(fft_backend="fftw")
+            LithoConfig(backend="fftw")
 
     def test_kernel_set_carries_backend(self):
         sim = LithographySimulator(
             LithoConfig(
-                pixel_nm=8.0, period_nm=1024.0, max_kernels=4,
-                fft_backend="numpy",
+                pixel_nm=8.0, max_kernels=4,
+                backend="numpy",
             )
         )
         assert sim.kernel_set(0.0).fft.name == "numpy"
@@ -97,10 +94,10 @@ class TestSimulatorIntegration:
         mask = rasterize(
             [Polygon.from_rect(Rect.square(512, 512, 90))], grid
         )
-        base = dict(pixel_nm=8.0, period_nm=1024.0, max_kernels=4)
-        sim_np = LithographySimulator(LithoConfig(fft_backend="numpy", **base))
+        base = dict(pixel_nm=8.0, max_kernels=4)
+        sim_np = LithographySimulator(LithoConfig(backend="numpy", **base))
         sim_sp = LithographySimulator(
-            LithoConfig(fft_backend="scipy", fft_workers=2, **base)
+            LithoConfig(backend="scipy", fft_workers=2, **base)
         )
         ref = sim_np.simulate_mask(mask, grid)
         got = sim_sp.simulate_mask(mask, grid)

@@ -14,7 +14,7 @@ from repro.litho.resist import printed_image
 def sim():
     # Module-scoped: kernel construction is the expensive part.
     return LithographySimulator(
-        LithoConfig(pixel_nm=8.0, period_nm=1024.0, ambit_nm=512.0, max_kernels=8)
+        LithoConfig(pixel_nm=8.0, max_kernels=8)
     )
 
 
@@ -128,7 +128,4 @@ class TestSimulator:
         with pytest.raises(LithoError):
             LithoConfig(pixel_nm=-1)
         with pytest.raises(LithoError):
-            LithoConfig(period_nm=0.0)
-        # ambit_nm is deprecated and ignored: a value that the old crop
-        # validation rejected must no longer block construction.
-        LithoConfig(ambit_nm=4096.0, period_nm=2048.0)
+            LithoConfig(backend="fftw")

@@ -1,4 +1,4 @@
-"""Tests for TCC construction and SOCS kernel generation."""
+"""Tests for TCC construction and SOCS spectra generation."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.errors import LithoError
 from repro.litho.kernels import build_kernel_set
 from repro.litho.source import SourceSpec
-from repro.litho.tcc import TCCResult, build_tcc, frequency_lattice, socs_kernels
+from repro.litho.tcc import build_tcc, frequency_lattice, socs_spectra
 
 SMALL = dict(period_nm=1024.0)
 
@@ -18,7 +18,7 @@ def tcc():
 
 @pytest.fixture(scope="module")
 def kernel_set():
-    return build_kernel_set(pixel_nm=8.0, period_nm=1024.0, fft_backend="numpy")
+    return build_kernel_set(pixel_nm=8.0, backend="numpy")
 
 
 class TestLattice:
@@ -69,27 +69,22 @@ class TestTCC:
 
 class TestSOCS:
     def test_weights_descending_nonnegative(self, tcc):
-        weights, _ = socs_kernels(tcc, pixel_nm=8.0)
+        weights, _ = socs_spectra(tcc)
         assert np.all(weights >= 0)
         assert np.all(np.diff(weights) <= 1e-12)
 
     def test_first_kernel_dominates(self, tcc):
-        weights, _ = socs_kernels(tcc, pixel_nm=8.0)
+        weights, _ = socs_spectra(tcc)
         assert weights[0] > 0.5 * weights.sum()
 
     def test_kernel_count_capped(self, tcc):
-        weights, kernels = socs_kernels(tcc, pixel_nm=8.0, max_kernels=3)
-        assert len(weights) == len(kernels) == 3
-
-    def test_kernel_centered(self, tcc):
-        _, kernels = socs_kernels(tcc, pixel_nm=8.0, max_kernels=1)
-        k = np.abs(kernels[0])
-        centre = np.unravel_index(np.argmax(k), k.shape)
-        assert centre == (k.shape[0] // 2, k.shape[1] // 2)
+        weights, coefficients = socs_spectra(tcc, max_kernels=3)
+        assert len(weights) == len(coefficients) == 3
+        assert coefficients.shape[1] == len(tcc.shift_indices)
 
     def test_bad_energy_fraction(self, tcc):
         with pytest.raises(LithoError):
-            socs_kernels(tcc, pixel_nm=8.0, energy_fraction=0.0)
+            socs_spectra(tcc, energy_fraction=0.0)
 
 
 class TestKernelSet:
@@ -125,81 +120,7 @@ class TestKernelSet:
         with pytest.raises(LithoError):
             kernel_set.convolve_intensity(np.ones((4, 192, 192)))
 
-    def test_save_load_roundtrip(self, kernel_set, tmp_path):
-        """Native sets persist their optics and reload frequency-native:
-        the reloaded set must simulate identically."""
-        path = str(tmp_path / "kernels.npz")
-        kernel_set.save(path)
-        # The transform backend is an execution choice and is never
-        # persisted; requesting the original backend restores bit-for-bit
-        # equality with the pre-save set.
-        loaded = type(kernel_set).load(path, fft_backend="numpy")
-        assert loaded.is_native
-        assert loaded.pixel_nm == kernel_set.pixel_nm
-        weights, kernels = kernel_set.spatial_kernels()
-        loaded_weights, loaded_kernels = loaded.spatial_kernels()
-        assert np.allclose(loaded_weights, weights)
-        assert np.allclose(loaded_kernels, kernels)
-        mask = np.zeros((128, 128))
-        mask[50:70, 50:70] = 1.0
-        assert np.array_equal(
-            loaded.convolve_intensity(mask),
-            kernel_set.convolve_intensity(mask),
-        )
-
-    def test_legacy_file_without_optics_loads_spatial(self, kernel_set, tmp_path):
-        """Old .npz files (spatial arrays only) still load and simulate
-        through the full-grid path."""
-        weights, kernels = kernel_set.spatial_kernels()
-        path = str(tmp_path / "legacy.npz")
-        np.savez_compressed(
-            path, weights=weights, kernels=kernels,
-            pixel_nm=kernel_set.pixel_nm, defocus_nm=kernel_set.defocus_nm,
-        )
-        loaded = type(kernel_set).load(path)
-        assert not loaded.is_native
-        assert loaded.count == len(weights)
-        mask = np.zeros((128, 128))
-        mask[50:70, 50:70] = 1.0
-        intensity = loaded.convolve_intensity(mask)
-        assert intensity.shape == (128, 128)
-        assert intensity.max() > 0
-
-    def test_legacy_load_save_load_roundtrip_scipy(self, kernel_set, tmp_path):
-        """Legacy spatial ``.npz`` sets survive a load -> save -> load
-        round trip under the scipy backend: the arrays are preserved
-        bit-for-bit and both generations simulate identically (and stay
-        inside the golden tolerance of the numpy backend)."""
-        weights, kernels = kernel_set.spatial_kernels()
-        original = str(tmp_path / "legacy.npz")
-        np.savez_compressed(
-            original, weights=weights, kernels=kernels,
-            pixel_nm=kernel_set.pixel_nm, defocus_nm=kernel_set.defocus_nm,
-        )
-        first = type(kernel_set).load(original, fft_backend="scipy")
-        assert not first.is_native
-        assert first.fft.name in ("scipy", "numpy")  # numpy if scipy absent
-
-        resaved = str(tmp_path / "resaved.npz")
-        first.save(resaved)
-        second = type(kernel_set).load(resaved, fft_backend="scipy")
-        assert not second.is_native
-        assert np.array_equal(second.weights, first.weights)
-        assert np.array_equal(second.kernels, first.kernels)
-        assert second.pixel_nm == first.pixel_nm
-        assert second.defocus_nm == first.defocus_nm
-
-        mask = np.zeros((128, 128))
-        mask[50:70, 50:70] = 1.0
-        assert np.array_equal(
-            second.convolve_intensity(mask), first.convolve_intensity(mask)
-        )
-        reference = type(kernel_set).load(
-            original, fft_backend="numpy"
-        ).convolve_intensity(mask)
-        assert np.allclose(second.convolve_intensity(mask), reference, atol=1e-9)
-
     def test_cache_reuse(self):
-        a = build_kernel_set(pixel_nm=8.0, period_nm=1024.0)
-        b = build_kernel_set(pixel_nm=8.0, period_nm=1024.0)
+        a = build_kernel_set(pixel_nm=8.0)
+        b = build_kernel_set(pixel_nm=8.0)
         assert a is b

@@ -25,7 +25,7 @@ from repro.metrology import (
 @pytest.fixture(scope="module")
 def sim():
     return LithographySimulator(
-        LithoConfig(pixel_nm=8.0, period_nm=1024.0, max_kernels=8)
+        LithoConfig(pixel_nm=8.0, max_kernels=8)
     )
 
 
@@ -383,7 +383,7 @@ class TestPVBand:
         # coarse 8 nm test grid (the +/-2% default can stay sub-pixel).
         sim = LithographySimulator(
             LithoConfig(
-                pixel_nm=8.0, period_nm=1024.0, max_kernels=8, dose_variation=0.15
+                pixel_nm=8.0, max_kernels=8, dose_variation=0.15
             )
         )
         mask = rasterize([Polygon.from_rect(Rect.square(640, 640, 100))], grid)

@@ -98,7 +98,7 @@ class TestTrajectory:
 @pytest.fixture(scope="module")
 def env():
     simulator = LithographySimulator(
-        LithoConfig(pixel_nm=8.0, period_nm=1024.0, max_kernels=6)
+        LithoConfig(pixel_nm=8.0, max_kernels=6)
     )
     clip = generate_via_clip("rl", n_vias=2, seed=21, clip_nm=1280)
     return OPCEnvironment(clip, simulator, initial_bias_nm=3.0)

@@ -34,7 +34,7 @@ from repro.service import (
 @pytest.fixture(scope="module")
 def sim():
     return LithographySimulator(
-        LithoConfig(pixel_nm=8.0, period_nm=1024.0, max_kernels=4)
+        LithoConfig(pixel_nm=8.0, max_kernels=4)
     )
 
 
@@ -233,9 +233,9 @@ class TestRunAllBitForBit:
         original_dense = LithographySimulator.simulate_batch
         original_sparse = LithographySimulator.simulate_epe_batch
 
-        def counting_dense(self, masks, grid, mode=None):
+        def counting_dense(self, masks, grid):
             calls["simulate_batch"] += 1
-            return original_dense(self, masks, grid, mode)
+            return original_dense(self, masks, grid)
 
         def counting_sparse(self, masks, grid, plans, **kwargs):
             calls["simulate_epe_batch"] += 1

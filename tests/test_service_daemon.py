@@ -41,7 +41,7 @@ OVERRIDES = {"max_updates": 3, "initial_bias_nm": 3.0}
 
 
 def _litho_config(**extra):
-    return LithoConfig(pixel_nm=8.0, period_nm=1024.0, max_kernels=4, **extra)
+    return LithoConfig(pixel_nm=8.0, max_kernels=4, **extra)
 
 
 @pytest.fixture(scope="module")

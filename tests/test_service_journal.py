@@ -42,7 +42,7 @@ OVERRIDES = {"max_updates": 3, "initial_bias_nm": 3.0}
 
 
 def _litho_config(**extra):
-    return LithoConfig(pixel_nm=8.0, period_nm=1024.0, max_kernels=4, **extra)
+    return LithoConfig(pixel_nm=8.0, max_kernels=4, **extra)
 
 
 def _suite():
@@ -218,11 +218,10 @@ def test_fingerprint_tracks_identity_not_backend():
     (array backend, device, FFT worker counts, store path)."""
     base = EngineSpec(engine="mbopc", litho=_litho_config(),
                       overrides=tuple(sorted(OVERRIDES.items())))
-    with pytest.warns(DeprecationWarning, match="fft_backend"):
-        legacy_spelling = _litho_config(fft_backend="numpy")
-    same = EngineSpec(engine="mbopc", litho=legacy_spelling,
-                      overrides=tuple(sorted(OVERRIDES.items())))
-    assert base.fingerprint() == same.fingerprint()
+    same_workers = EngineSpec(engine="mbopc",
+                              litho=_litho_config(fft_workers=2),
+                              overrides=tuple(sorted(OVERRIDES.items())))
+    assert base.fingerprint() == same_workers.fingerprint()
     same_backend = EngineSpec(engine="mbopc",
                               litho=_litho_config(backend="scipy"),
                               overrides=tuple(sorted(OVERRIDES.items())))

@@ -36,7 +36,7 @@ from repro.surrogate.data import dataset_clips, exact_subgrid_labels
 def sim():
     # Coarse fast optics: 128x128 grid for a 1024 nm clip.
     return LithographySimulator(
-        LithoConfig(pixel_nm=8.0, period_nm=1024.0, max_kernels=4)
+        LithoConfig(pixel_nm=8.0, max_kernels=4)
     )
 
 
@@ -335,7 +335,7 @@ class TestBackendParity:
     """
 
     def _sims(self, backend):
-        base = dict(pixel_nm=8.0, period_nm=1024.0, max_kernels=4)
+        base = dict(pixel_nm=8.0, max_kernels=4)
         return (
             LithographySimulator(LithoConfig(backend="numpy", **base)),
             LithographySimulator(LithoConfig(backend=backend, **base)),

@@ -28,7 +28,7 @@ from repro.surrogate import (
 @pytest.fixture(scope="module")
 def sim():
     return LithographySimulator(
-        LithoConfig(pixel_nm=8.0, period_nm=1024.0, max_kernels=4)
+        LithoConfig(pixel_nm=8.0, max_kernels=4)
     )
 
 
