@@ -411,7 +411,6 @@ def cmd_serve(args) -> int:
         daemon = MaskOptDaemon(
             litho_config=config,
             workers=args.workers,
-            dispatch=args.dispatch,
             max_pending=args.max_pending,
             journal=args.journal,
             **daemon_kwargs,
@@ -438,8 +437,7 @@ def cmd_serve(args) -> int:
 
     results, stats = asyncio.run(run())
     print(f"repro serve: engine={args.engine} suite={args.suite} "
-          f"clips={len(clips)} workers={args.workers} "
-          f"dispatch={args.dispatch}")
+          f"clips={len(clips)} workers={args.workers}")
     print(f"{'clip':12s} {'EPE (nm)':>10s} {'PVB (nm^2)':>12s} "
           f"{'RT (s)':>8s} {'steps':>5s}  verified")
     verified_marks = {"verified": "ok", "unverified": "-",
@@ -465,7 +463,6 @@ def cmd_serve(args) -> int:
             "engine": args.engine,
             "suite": args.suite,
             "workers": args.workers,
-            "dispatch": args.dispatch,
             "results": [result.to_dict() for result in results],
             "daemon_stats": stats,
             "version": __version__,
@@ -738,10 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=2, metavar="N",
                        help="persistent warm workers per engine pool "
                             "(default 2)")
-    serve.add_argument("--dispatch", default="steal",
-                       choices=["steal", "static"],
-                       help="work-stealing shared queue (default) or the "
-                            "static round-robin baseline")
     serve.add_argument("--max-pending", type=int, default=32, metavar="N",
                        help="per-tenant admission bound before requests "
                             "are shed with ServiceBusy (default 32)")

@@ -250,9 +250,9 @@ def table1(scale: str | Scale | None = None) -> tuple[str, dict]:
     """Via-layer comparison (paper Table 1)."""
     bundle = trained_via_engines(scale)
     test_clips = bundle["test_clips"]
-    # One service call sweeps all four engines (thread-pooled on
-    # multi-core hosts) and funnels every reported EPE through one
-    # cross-engine shape-binned re-simulation pass (service docs).
+    # One service call sweeps all four engines in order and funnels
+    # every reported EPE through one cross-engine shape-binned
+    # re-simulation pass (service docs).
     service = MaskOptService(simulator=bundle["simulator"])
     suites = service.map_suite(
         {

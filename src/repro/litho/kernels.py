@@ -433,9 +433,9 @@ class OpticalKernelSet:
     _cache_lock: threading.RLock = field(
         default_factory=threading.RLock, repr=False
     )
-    """Guards the two LRU caches: the service's thread-pooled
-    ``map_suite`` drives one shared kernel set from several threads, and
-    an unguarded ``move_to_end`` can race another thread's eviction."""
+    """Guards the two LRU caches: callers may share one simulator (and so
+    one kernel set) across threads, and an unguarded ``move_to_end`` can
+    race another thread's eviction."""
 
     def __post_init__(self) -> None:
         if self.fft_cache_capacity < 1:

@@ -242,10 +242,9 @@ class LithographySimulator:
     def kernel_set(self, defocus_nm: float = 0.0) -> OpticalKernelSet:
         """Kernels for one focus condition (built once, then cached).
 
-        Lazy init is locked: the service's thread-pooled ``map_suite``
-        drives one shared simulator from several threads, and a
-        concurrent first call must not build (and then discard) the set
-        twice."""
+        Lazy init is locked: callers may share one simulator across
+        threads, and a concurrent first call must not build (and then
+        discard) the set twice."""
         if defocus_nm in self._kernel_sets:
             return self._kernel_sets[defocus_nm]
         cfg = self.config

@@ -8,6 +8,7 @@ Broadcasting is supported everywhere via gradient "unbroadcasting".
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable
 
@@ -15,23 +16,31 @@ import numpy as np
 
 from repro.errors import NNError
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Per-thread grad mode; the class attribute is every thread's
+    starting value, so a new thread starts with grad on."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Context manager disabling graph construction (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager disabling graph construction (inference mode) on
+    the calling thread only."""
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    return _GRAD_MODE.enabled
 
 
 class Tensor:
@@ -49,7 +58,7 @@ class Tensor:
     ) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad and _GRAD_ENABLED
+        self.requires_grad = requires_grad and _GRAD_MODE.enabled
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward
 

@@ -48,10 +48,12 @@ Components:
   ``measure_epe_grouped`` per (grid-shape, search-range) bin per
   verification pass.
 * :class:`~repro.service.service.MaskOptService` — queue, engine cache,
-  sync ``submit``/``run_all``, and the thread-pooled ``map_suite`` for
-  multi-core hosts (pair with ``LithoConfig(backend="scipy")``, whose
-  transforms release the GIL and split across the batch axis, or
-  ``backend="torch"`` to move the compact band path onto a device).
+  sync ``submit``/``run_all``, and ``map_suite`` for several engines
+  over one suite.  Without ``workers`` both run one sequential
+  in-process loop; multi-core hosts get their parallelism from
+  ``workers=N`` (below) and from ``LithoConfig(backend="scipy")``, whose
+  transforms split across the batch axis (``backend="torch"`` moves the
+  compact band path onto a device).
 * :class:`~repro.service.sharding.ShardedSuiteRunner` — process-based
   sharding *within* one engine's suite (``map_suite(workers=N)``,
   ``run_suite_sharded``, CLI ``--workers N``): N spawned workers rebuild
@@ -64,7 +66,11 @@ Components:
 * :class:`~repro.service.workqueue.WorkStealingPool` — the persistent
   warm worker fleet under both sharded sweeps and the daemon: one
   shared task queue per engine spec, workers pull the next clip the
-  moment they free up, crashed workers are revivable in place.
+  moment they free up.  It is also the one pool consumer:
+  :func:`~repro.service.workqueue.poll_verdicts` turns worker messages
+  and liveness ticks into per-task verdicts (done, or failed with a
+  typed error) under one retry/deadline/revive policy, which the sweep
+  and the daemon both consume.
 * :class:`~repro.service.daemon.MaskOptDaemon` — the always-on asyncio
   front door (``python -m repro serve``): ``await submit(request,
   tenant=...)`` continuously, per-tenant bounded queues that shed load
@@ -127,7 +133,7 @@ from repro.service.sharding import (
     OptOutcome,
     ShardedSuiteRunner,
 )
-from repro.service.workqueue import Task, TaskEvent, WorkStealingPool
+from repro.service.workqueue import Task, WorkStealingPool
 
 __all__ = [
     "OptRequest",
@@ -161,6 +167,5 @@ __all__ = [
     "OptOutcome",
     "ShardedSuiteRunner",
     "Task",
-    "TaskEvent",
     "WorkStealingPool",
 ]

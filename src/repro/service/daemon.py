@@ -19,24 +19,27 @@ Architecture — three threads around one event loop::
       admission control ───ServiceBusy when tenant full
       per-tenant FIFO
       round-robin dispatch ──▶ pool task queues
-                                   drains the shared
-                                   relay of all pools:
-                                   ok ──verify?──────────▶ scheduler.add
-                                   ok (no verify) ─┐        flush_ready /
-                                   error ──────────┤        idle flush
-                                   crash ► revive ─┤        drift check
-                                                   ▼            │
+                                   poll_verdicts over the
+                                   shared relay of all pools:
+                                   done ──verify?────────▶ scheduler.add
+                                   done (no verify) ─┐      flush_ready /
+                                   failed ───────────┤      idle flush
+                                   failed pool ► retire     drift check
+                                                     ▼          │
                               future.set_result / set_exception ◀┘
                                    (loop.call_soon_threadsafe)
 
-* The **collector** owns every pool's message stream (all pools share
-  one relay queue, each message tagged with its pool).  It routes ``ok``
-  payloads to the verifier (or straight to assembly for ``verify=False``
-  requests), turns per-task ``error`` messages into failed futures, and
-  on its idle polls runs the liveness check: a crashed worker fails only
-  the ticket it had claimed (named via the pool's shared-memory claims
-  array) and is **revived** — the daemon keeps serving, one lost request
-  does not become an outage.
+* The **collector** is the daemon's pool consumer: all pools share one
+  relay queue of ``(pool, message)`` pairs, and
+  :func:`~repro.service.workqueue.poll_verdicts` turns that stream plus
+  each pool's liveness tick into per-task verdicts — the same consumer
+  policy (dedup, retry backoff, deadlines, stall kills, crash verdicts,
+  revive budget, error wording) a sweep uses.  A done verdict goes to
+  the verifier (or straight to assembly for ``verify=False`` requests);
+  a failed one fails only its ticket.  A crashed worker is **revived**
+  by its pool — the daemon keeps serving, one lost request does not
+  become an outage — and a pool that fails as a whole (engine build
+  failed, stream corrupted, revive budget spent) is retired.
 * The **verifier** owns the service's shape-binned scheduler.  Outcomes
   join their bin as they arrive; any bin reaching ``stream_min_bin``
   masks flushes immediately, and when the daemon goes quiescent (nothing
@@ -93,9 +96,10 @@ from repro.service.sharding import EngineSpec
 from repro.service.workqueue import (
     CRASH_GRACE_S,
     DEFAULT_START_METHOD,
-    POLL_INTERVAL_S,
     Task,
+    TaskVerdict,
     WorkStealingPool,
+    poll_verdicts,
 )
 
 DEFAULT_MAX_PENDING = 32
@@ -140,7 +144,6 @@ class MaskOptDaemon:
         litho_config: LithoConfig | None = None,
         *,
         workers: int = 2,
-        dispatch: str = "steal",
         max_pending: int = DEFAULT_MAX_PENDING,
         pool_backlog: int | None = None,
         stream_min_bin: int | None = None,
@@ -179,20 +182,11 @@ class MaskOptDaemon:
             )
         self.service = service or MaskOptService(litho_config=litho_config)
         self.workers = int(workers)
-        self.dispatch = dispatch
         self.max_pending = int(max_pending)
         self.pool_backlog = int(pool_backlog)
         self.stream_min_bin = int(stream_min_bin)
         self.flush_idle_s = float(flush_idle_s)
         self.flush_max_wait_s = float(flush_max_wait_s)
-        self.start_method = start_method
-        self.grace_s = float(grace_s)
-        # A worker that keeps dying (e.g. during bootstrap, before it can
-        # even send a "fatal") would otherwise be revived forever; past
-        # this many revives the whole pool is retired as failed.
-        self.max_revives = (
-            3 * self.workers if max_revives is None else int(max_revives)
-        )
         if retries < 0:
             raise ServiceError(f"retries must be >= 0, got {retries}")
         if deadline_s is not None and not deadline_s > 0:
@@ -201,8 +195,12 @@ class MaskOptDaemon:
             )
         self.retries = int(retries)
         self.deadline_s = deadline_s
-        self.stall_timeout_s = stall_timeout_s
-        self.fault_plan = fault_plan
+        # Everything else configures the warm pool of each engine spec.
+        self._pool_options = dict(
+            start_method=start_method, grace_s=grace_s,
+            stall_timeout_s=stall_timeout_s, fault_plan=fault_plan,
+            max_revives=max_revives,
+        )
         self._journal, self._journal_owned = open_journal(journal)
 
         self._state = "new"
@@ -225,18 +223,16 @@ class MaskOptDaemon:
         self._verifier: threading.Thread | None = None
         self._pools_lock = threading.Lock()
         self._pools: dict[tuple, WorkStealingPool] = {}
-        self._static_rr: dict[tuple, int] = {}  # loop-side, dispatch="static"
-        self._failed_pools: set = set()  # collector-thread-owned
+        self._retired: set = set()  # collector-thread-owned
         # Dispatched-but-unanswered tickets: written by the dispatcher
-        # (loop), removed by the collector when the payload arrives.
+        # (loop), removed by the collector when the verdict arrives.
         self._routed_lock = threading.Lock()
-        self._routed: dict[int, tuple[OptRequest, WorkStealingPool]] = {}
+        self._routed: dict[int, OptRequest] = {}
         self._counter_lock = threading.Lock()
         self._counters = {
             "submitted": 0, "rejected": 0, "completed": 0, "failed": 0,
             "retried": 0, "deadline_exceeded": 0, "retries_exhausted": 0,
         }
-        self._last_sweep = 0.0  # collector-thread-owned
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> "MaskOptDaemon":
@@ -419,13 +415,7 @@ class MaskOptDaemon:
                 tenant_queue.popleft()
                 self._queued_count -= 1
                 with self._routed_lock:
-                    self._routed[ticket] = (request, pool)
-                if pool.dispatch == "static":
-                    slot = self._static_rr.get(key, 0)
-                    self._static_rr[key] = slot + 1
-                    worker = slot % pool.workers
-                else:
-                    worker = None
+                    self._routed[ticket] = request
                 try:
                     pool.submit(Task(
                         task_id=ticket,
@@ -440,10 +430,10 @@ class MaskOptDaemon:
                             self.deadline_s if request.deadline_s is None
                             else request.deadline_s
                         ),
-                    ), worker=worker)
+                    ))
                 except ServiceError as exc:
-                    # The pool was torn down between lookup and submit
-                    # (collector raced us on a fatal) — fail the ticket
+                    # The pool failed between lookup and submit (the
+                    # collector raced us on a fatal) — fail the ticket
                     # rather than strand it.
                     self._unroute(ticket)
                     self._loop.call_soon(
@@ -463,10 +453,7 @@ class MaskOptDaemon:
         if pool is not None:
             return pool
         pool = WorkStealingPool(
-            spec, self.workers, start_method=self.start_method,
-            dispatch=self.dispatch, relay=self._relay, grace_s=self.grace_s,
-            stall_timeout_s=self.stall_timeout_s,
-            fault_plan=self.fault_plan,
+            spec, self.workers, relay=self._relay, **self._pool_options
         )
         pool.start()
         with self._pools_lock:
@@ -475,134 +462,45 @@ class MaskOptDaemon:
 
     # -- collector thread ----------------------------------------------------
     def _collect(self) -> None:
-        """Drain the shared relay of every pool: route payloads, fail
-        errored tickets, revive crashed workers, dispatch due retries,
-        and declare missed deadlines."""
+        """The daemon's pool consumer: route every per-task verdict from
+        every pool (a failure fails only its ticket) and retire pools
+        that failed as a whole."""
         while True:
-            try:
-                pool, message = self._relay.get(timeout=POLL_INTERVAL_S)
-            except queue_mod.Empty:
-                if self._stop_collector.is_set():
-                    return
-                self._sweep_liveness()
-                continue
-            fresh = pool.observe(message)
-            kind, wid, task_id, payload = message
-            if kind == "ok" and fresh:
-                entry = self._unroute(task_id)
-                if entry is not None:
-                    request, _ = entry
-                    if request.verify:
-                        self._verify_inbox.put((task_id, request, payload))
-                    else:
-                        self._finish(task_id, request, payload, {}, False)
-            elif kind == "error" and fresh:
-                entry = self._unroute(task_id)
-                if entry is not None:
-                    request, _ = entry
-                    self._resolve_soon(task_id, error=ServiceError(
-                        f"{request.engine_label} failed optimizing clip "
-                        f"{request.clip.name!r}: {payload}"
-                    ))
-            elif kind in ("fatal", "corrupt"):
-                self._fail_pool(pool, kind, payload)
-            # "ready" / "exit" are liveness bookkeeping, folded in above;
-            # a stale ok/error (fresh=False) was a duplicate from a retry
-            # race and is dropped so each ticket resolves exactly once.
-            # Steady message traffic must not starve retry dispatch,
-            # deadline scans, or crash detection.
-            if time.monotonic() - self._last_sweep >= POLL_INTERVAL_S:
-                self._sweep_liveness()
+            with self._pools_lock:
+                pools = list(self._pools.values())
+            verdicts = poll_verdicts(self._relay, pools)
+            for verdict in verdicts:
+                self._route(verdict)
+            for pool in pools:
+                if pool.failure is not None and pool not in self._retired:
+                    self._retire(pool)
+            if not verdicts and self._stop_collector.is_set():
+                return
 
-    def _pump_pools(self) -> None:
-        """Dispatch due retries and surface missed deadlines on every
-        pool.  Collector-thread only."""
-        with self._pools_lock:
-            pools = list(self._pools.values())
-        for pool in pools:
-            for event in pool.pump():
-                if event.kind != "deadline":
-                    continue
-                task = event.task
-                self._unroute(task.task_id)
-                self._count("deadline_exceeded")
-                self._resolve_soon(task.task_id, error=DeadlineExceeded(
-                    f"request for clip {task.clip.name!r} "
-                    f"({pool.spec.label}) missed its {task.deadline_s}s "
-                    "deadline"
-                ))
-
-    def _sweep_liveness(self) -> None:
-        """Poll pass: declare crashed workers, requeue or fail the ticket
-        each one had claimed, revive the slot, and pump retry/deadline
-        state — the daemon keeps serving."""
-        self._last_sweep = time.monotonic()
-        self._pump_pools()
-        with self._pools_lock:
-            pools = list(self._pools.values())
-        for pool in pools:
-            for dead in pool.check_dead():
-                if dead.requeued:
-                    # The claimed task went back on the retry heap with
-                    # budget left; the ticket stays routed and will be
-                    # re-dispatched by pump() after its backoff.
-                    self._count("retried")
-                elif dead.task is not None:
-                    self._unroute(dead.task.task_id)
-                    if dead.task.retries > 0:
-                        self._count("retries_exhausted")
-                        error: ServiceError = RetriesExhausted(
-                            f"worker {dead.worker_id} ({pool.spec.label}) "
-                            f"died with exit code {dead.exitcode} while "
-                            f"optimizing clip {dead.task.clip.name!r}; "
-                            f"retries exhausted after "
-                            f"{dead.task.attempt + 1} attempts"
-                        )
-                    else:
-                        error = ServiceError(
-                            f"worker {dead.worker_id} ({pool.spec.label}) "
-                            f"died with exit code {dead.exitcode} while "
-                            f"optimizing clip {dead.task.clip.name!r}"
-                        )
-                    self._resolve_soon(dead.task.task_id, error=error)
-                if pool.stats()["workers_revived"] >= self.max_revives:
-                    self._fail_pool(
-                        pool, "crash",
-                        f"workers died {self.max_revives} times "
-                        f"(last: worker {dead.worker_id}, exit code "
-                        f"{dead.exitcode})",
-                    )
-                    break
-                try:
-                    pool.revive(dead.worker_id)
-                except ServiceError:
-                    pass  # slot came back by other means; keep serving
-
-    def _fail_pool(self, pool: WorkStealingPool, kind: str, payload) -> None:
-        """An engine spec cannot serve (build failed / stream corrupted):
-        fail everything routed to its pool and retire it.  Queued
-        requests for the spec will respawn a pool on next dispatch (and
-        fail the same way if the spec is truly broken)."""
-        if pool in self._failed_pools:
+    def _route(self, verdict: TaskVerdict) -> None:
+        ticket = verdict.task.task_id
+        request = self._unroute(ticket)
+        if request is None:
             return
-        self._failed_pools.add(pool)
-        reason = {
-            "fatal": "could not build its engine",
-            "corrupt": "corrupted its result stream",
-            "crash": "lost its workers repeatedly",
-        }[kind]
-        with self._routed_lock:
-            doomed = [
-                ticket for ticket, (_, routed_pool) in self._routed.items()
-                if routed_pool is pool
-            ]
-            for ticket in doomed:
-                del self._routed[ticket]
-        exc = ServiceError(
-            f"engine pool {pool.spec.label!r} {reason}: {payload}"
-        )
-        for ticket in doomed:
-            self._resolve_soon(ticket, error=exc)
+        self._count("retried", verdict.task.attempt)
+        error = verdict.error
+        if isinstance(error, DeadlineExceeded):
+            self._count("deadline_exceeded")
+        elif isinstance(error, RetriesExhausted):
+            self._count("retries_exhausted")
+        if error is not None:
+            self._resolve_soon(ticket, error=error)
+        elif request.verify:
+            self._verify_inbox.put((ticket, request, verdict.outcome))
+        else:
+            self._finish(ticket, request, verdict.outcome, {}, False)
+
+    def _retire(self, pool: WorkStealingPool) -> None:
+        """Tear down a pool that failed as a whole (its tickets already
+        failed through their verdicts).  Queued requests for the spec
+        respawn a pool on next dispatch (and fail the same way if the
+        spec is truly broken)."""
+        self._retired.add(pool)
         assert self._loop is not None
         try:
             self._loop.call_soon_threadsafe(self._drop_pool, pool)
@@ -617,7 +515,7 @@ class MaskOptDaemon:
                     del self._pools[key]
         self._dispatch()
 
-    def _unroute(self, ticket) -> tuple[OptRequest, WorkStealingPool] | None:
+    def _unroute(self, ticket) -> OptRequest | None:
         with self._routed_lock:
             return self._routed.pop(ticket, None)
 
@@ -826,9 +724,9 @@ class MaskOptDaemon:
                 yield future.result()
 
     # -- introspection -------------------------------------------------------
-    def _count(self, name: str) -> None:
+    def _count(self, name: str, amount: int = 1) -> None:
         with self._counter_lock:
-            self._counters[name] += 1
+            self._counters[name] += amount
 
     def stats(self) -> dict[str, Any]:
         """Serving metrics: daemon counters, per-pool worker state, and
@@ -849,7 +747,6 @@ class MaskOptDaemon:
         }
         out = {
             "state": self._state,
-            "dispatch": self.dispatch,
             "workers_per_pool": self.workers,
             "max_pending": self.max_pending,
             "pool_backlog": self.pool_backlog,

@@ -6,10 +6,9 @@ cache, a submission queue, and the shape-binned verification scheduler.
 Callers either queue :class:`~repro.service.api.OptRequest` records with
 :meth:`MaskOptService.submit` and drain them with
 :meth:`~MaskOptService.run_all`, or hand a whole benchmark suite to
-:meth:`~MaskOptService.map_suite`, which fans the engines out over a
-thread pool (the scipy FFT backend releases the GIL, so litho work
-genuinely overlaps on multi-core hosts) and still funnels *all*
-verification through one cross-engine batched pass.
+:meth:`~MaskOptService.map_suite`, which sweeps each engine over the
+suite in order through the same sequential loop as ``run_all`` and
+funnels *all* verification through one cross-engine batched pass.
 
 For throughput *within* one engine's suite,
 :meth:`~MaskOptService.run_suite_sharded` (also reachable as
@@ -22,18 +21,15 @@ early (:meth:`~repro.service.scheduler.ShapeBinScheduler.flush_ready`).
 Numerical contract: results are bit-for-bit identical to calling each
 engine's ``optimize`` directly and re-measuring masks one at a time —
 engines run unmodified, the scheduler's batched re-simulation is
-batch-size independent by construction, and neither threading nor
-process sharding reorders any per-engine computation (each engine
-instance is driven by exactly one thread, shard workers rebuild their
-engines from a deterministic spec, and the litho caches they share are
+batch-size independent by construction, and process sharding reorders
+no per-engine computation (shard workers rebuild their engines from a
+deterministic spec, and the litho caches they share are
 value-deterministic).
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import MetrologyError, ServiceError
@@ -165,15 +161,21 @@ class MaskOptService:
     def run_all(self, verify: bool = True) -> list[OptResult]:
         """Drain the queue in submission order and return all results.
 
-        Optimizations run sequentially (use :meth:`map_suite` for the
-        thread-pooled path); afterwards every verifiable outcome joins
-        one shape-binned batched re-simulation pass, and any engine whose
-        reported EPE drifts from the independent re-measurement by more
-        than ``verify_tolerance_nm`` raises :class:`MetrologyError`.
+        Optimizations run sequentially (:meth:`_execute`); afterwards
+        every verifiable outcome joins one shape-binned batched
+        re-simulation pass, and any engine whose reported EPE drifts from
+        the independent re-measurement by more than
+        ``verify_tolerance_nm`` raises :class:`MetrologyError`.
         """
         with self._lock:
             queued = self._pending
             self._pending = []
+        return self._finalize(self._execute(queued), verify)
+
+    def _execute(
+        self, queued: list[tuple[int, OptRequest]]
+    ) -> list[tuple[int, OptRequest, Any, Any]]:
+        """The in-process sweep: optimize each request's clip in order."""
         executed = []
         for ticket, request in queued:
             engine = self.engine_for(request)
@@ -181,13 +183,12 @@ class MaskOptService:
                 request.clip, **dict(request.optimize_kwargs)
             )
             executed.append((ticket, request, engine, outcome))
-        return self._finalize(executed, verify)
+        return executed
 
     def map_suite(
         self,
         engines: Mapping[str, Any] | Sequence[str],
         clips: Iterable[Clip],
-        max_workers: int | None = None,
         verify: bool = True,
         workers: int | None = None,
         stream_min_bin: int | None = None,
@@ -196,30 +197,27 @@ class MaskOptService:
         journal: Any = None,
         **optimize_kwargs,
     ) -> dict:
-        """Run several engines over one suite, parallelized two ways.
+        """Run several engines over one suite.
 
         ``engines`` maps display labels to engine specs (registry names,
         ``(name, overrides)`` pairs, or instances); a bare sequence of
         names labels each engine by its name.
 
-        With the default ``workers=None`` every engine sweeps the full
-        suite in clip order on its own thread (``max_workers`` threads;
-        an engine instance is never shared between threads, so per-engine
-        numbers are identical to a sequential sweep) and all outcomes
-        from all engines share **one** terminal verification pass whose
-        scheduler bins by grid shape across the whole suite-cross-engine
-        matrix.
+        With the default ``workers=None`` each engine sweeps the full
+        suite in clip order, one engine after another, through the same
+        in-process loop as :meth:`run_all`, and all outcomes from all
+        engines share **one** terminal verification pass whose scheduler
+        bins by grid shape across the whole suite-cross-engine matrix.
 
-        With ``workers=N > 1`` each engine's suite is additionally
-        *process-sharded*: N spawned workers split the clip list, stream
-        outcomes back as they finish, and verification drains full shape
-        bins while optimization is still running
-        (:meth:`run_suite_sharded`; engines then run one after another,
-        each owning the whole worker fleet).  Sharded specs must be
-        buildable in a child process — registry names or ``(name,
-        overrides)`` pairs, not instances.  Sharding reorders work, never
-        numbers: results are bit-for-bit identical to the thread/
-        sequential path.
+        With ``workers=N > 1`` each engine's suite is *process-sharded*:
+        N spawned workers split the clip list, stream outcomes back as
+        they finish, and verification drains full shape bins while
+        optimization is still running (:meth:`run_suite_sharded`;
+        engines run one after another, each owning the whole worker
+        fleet).  Sharded specs must be buildable in a child process —
+        registry names or ``(name, overrides)`` pairs, not instances.
+        Sharding reorders work, never numbers: results are bit-for-bit
+        identical to the sequential path.
 
         Returns ``{label: :class:`~repro.eval.metrics.SuiteResult`}`` in
         ``engines`` order.
@@ -238,8 +236,8 @@ class MaskOptService:
 
         # A journal implies the sharded (spec-buildable) path even at
         # workers=1: journal records are keyed by the EngineSpec
-        # fingerprint, which engine *instances* (threaded path) cannot
-        # provide.
+        # fingerprint, which engine *instances* (in-process path)
+        # cannot provide.
         if (workers is not None and workers > 1) or journal is not None:
             workers = max(1, int(workers or 1))
             journal_obj, journal_owned = open_journal(journal)
@@ -263,59 +261,29 @@ class MaskOptService:
                 if journal_owned:
                     journal_obj.close()
 
-        # Resolve (and train) engines up front, in label order, on the
-        # calling thread — construction order stays deterministic.
+        # Resolve (and train) engines up front, in label order —
+        # construction order stays deterministic.
         resolved = {
             label: self.engine_for(self._spec_request(spec, clip_list[0]))
             for label, spec in specs.items()
         }
-        requests: list[tuple[int, OptRequest, Any]] = []
         tickets = iter(self._allocate_tickets(len(specs) * len(clip_list)))
-        for label in specs:
-            for clip in clip_list:
-                request = OptRequest(
-                    clip=clip,
-                    engine=resolved[label],
-                    optimize_kwargs=dict(optimize_kwargs),
-                    verify=verify,
-                )
-                requests.append((next(tickets), request, label))
-
-        def sweep(label: str) -> list:
-            engine = resolved[label]
-            return [
-                engine.optimize(clip, **optimize_kwargs) for clip in clip_list
-            ]
-
-        threads = max_workers or min(
-            len(specs), max(os.cpu_count() or 1, 1)
-        )
-        if len({id(engine) for engine in resolved.values()}) < len(resolved):
-            # Two labels resolved to one cached engine object; driving it
-            # from two threads would interleave its internal state, so
-            # fall back to the sequential sweep (numbers are identical).
-            threads = 1
-        if threads > 1 and len(specs) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcome_lists = list(pool.map(sweep, specs))
-        else:
-            outcome_lists = [sweep(label) for label in specs]
-
-        executed = []
-        by_label: dict[str, list[OptResult]] = {label: [] for label in specs}
-        cursor = iter(requests)
-        for label, outcomes in zip(specs, outcome_lists):
-            for outcome in outcomes:
-                ticket, request, _ = next(cursor)
-                executed.append((ticket, request, resolved[label], outcome))
-        results = self._finalize(executed, verify)
-        for (ticket, request, label), result in zip(requests, results):
-            by_label[label].append(result)
+        queued = [
+            (next(tickets), OptRequest(
+                clip=clip,
+                engine=resolved[label],
+                optimize_kwargs=dict(optimize_kwargs),
+                verify=verify,
+            ))
+            for label in specs
+            for clip in clip_list
+        ]
+        results = iter(self._finalize(self._execute(queued), verify))
         suites = {}
         for label in specs:
             suite = SuiteResult(engine=label)
-            for result in by_label[label]:
-                suite.add(result.to_row())
+            for _ in clip_list:
+                suite.add(next(results).to_row())
             suites[label] = suite
         return suites
 
@@ -355,7 +323,6 @@ class MaskOptService:
         engine_overrides: Mapping[str, Any] | None = None,
         verify: bool = True,
         stream_min_bin: int | None = None,
-        dispatch: str = "steal",
         retries: int = DEFAULT_RETRIES,
         deadline_s: float | None = None,
         stall_timeout_s: float | None = None,
@@ -373,8 +340,7 @@ class MaskOptService:
         :class:`~repro.litho.simulator.LithoConfig`, including
         ``spectra_store=``, so all workers warm one on-disk kernel-
         spectra store).  Workers pull clips from a shared work-stealing
-        queue (``dispatch="static"`` restores the PR 5 round-robin deal
-        for A/B benchmarking), so skewed suites load-balance.  As
+        queue, so skewed suites load-balance.  As
         outcomes stream back, every one joins the shape-binned scheduler
         and any bin reaching ``stream_min_bin`` masks (default
         ``max(4, 2 * workers)``) is flushed immediately — verification
@@ -486,7 +452,7 @@ class MaskOptService:
             journal_ready()
 
         runner = ShardedSuiteRunner(
-            spec, workers, dispatch=dispatch, retries=retries,
+            spec, workers, retries=retries,
             deadline_s=deadline_s, stall_timeout_s=stall_timeout_s,
             fault_plan=fault_plan,
         )

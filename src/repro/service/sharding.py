@@ -1,12 +1,12 @@
 """Process-sharded suite execution over the work-stealing pool.
 
-:class:`~repro.service.service.MaskOptService.map_suite` thread-pools
-*across* engines, but one engine's sweep over a benchmark suite is still
-a single-core sequential loop — the litho FFTs release the GIL under the
-scipy backend, yet the surrounding python (policy forwards, geometry,
-metrology) serializes.  :class:`ShardedSuiteRunner` breaks that limit by
-fanning one engine's clip list out to N worker *processes* pulling from
-a shared :class:`~repro.service.workqueue.WorkStealingPool` queue:
+:meth:`~repro.service.service.MaskOptService.run_all` and
+``map_suite`` sweep a suite in one sequential in-process loop — the
+litho FFTs release the GIL under the scipy backend, yet the surrounding
+python (policy forwards, geometry, metrology) serializes.
+:class:`ShardedSuiteRunner` breaks that limit by fanning one engine's
+clip list out to N worker *processes* pulling from a shared
+:class:`~repro.service.workqueue.WorkStealingPool` queue:
 
 * **Spawn-safe by construction.**  Workers are started with the
   ``spawn`` method (the only start method that is safe everywhere and
@@ -24,8 +24,7 @@ a shared :class:`~repro.service.workqueue.WorkStealingPool` queue:
   each worker pulls its next clip the moment it finishes the previous
   one, so heterogeneous suites (mixed grid sizes, early-exiting clips)
   load-balance themselves instead of leaving one round-robin shard with
-  the expensive tail (``dispatch="static"`` retains the PR 5 deal as
-  the benchmark baseline).
+  the expensive tail.
 * **Streaming results.**  Each finished clip is flattened into a
   picklable :class:`OptOutcome` (reported numbers + the rasterized final
   mask) and put on a queue *immediately*, so the parent can verify full
@@ -39,10 +38,14 @@ a shared :class:`~repro.service.workqueue.WorkStealingPool` queue:
   bit-for-bit pin (``tests/test_service_sharding.py``).  (This requires
   engines whose ``optimize`` is per-clip deterministic and stateless
   across calls — true of every registry engine.)
-* **Crashes fail loudly.**  A worker that dies mid-suite (OOM kill,
-  segfault, ``os._exit``) is detected by the pool's liveness poll and
-  surfaces as a :class:`~repro.errors.ServiceError` naming the claimed
-  clip; the queue can never hang and sibling workers are torn down.
+* **Crashes are retried, then fail loudly.**  A worker that dies
+  mid-suite (OOM kill, segfault, ``os._exit``) is detected by the
+  pool's liveness tick; its clip is retried while budget lasts, then
+  surfaces as a :class:`~repro.errors.ServiceError` (or
+  :class:`~repro.errors.RetriesExhausted`) naming the claimed clip.  The
+  sweep consumes the same per-task verdicts as the daemon
+  (:func:`~repro.service.workqueue.poll_verdicts`) and raises the first
+  failure; the queue can never hang and sibling workers are torn down.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.errors import DeadlineExceeded, RetriesExhausted, ServiceError
+from repro.errors import ServiceError
 from repro.geometry.layout import Clip
 from repro.litho.simulator import LithoConfig, LithographySimulator
 from repro.service.registry import (
@@ -67,11 +70,10 @@ from repro.service.scheduler import final_mask_image
 from repro.service.workqueue import (
     CRASH_GRACE_S,
     DEFAULT_START_METHOD,
-    POLL_INTERVAL_S,
     RETRY_BACKOFF_S,
-    DeadWorker,
     Task,
     WorkStealingPool,
+    poll_verdicts,
 )
 
 FINGERPRINT_EXCLUDED_LITHO_FIELDS = (
@@ -217,16 +219,16 @@ class EngineSpec:
 class ShardedSuiteRunner:
     """Fan one engine's clip sweep out to N worker processes.
 
-    With the default ``dispatch="steal"`` every worker pulls its next
-    clip from one shared queue the moment it frees up, so load balances
-    even when clip costs are skewed; ``dispatch="static"`` retains the
-    PR 5 round-robin deal (worker ``w`` takes ``clips[w::N]``) as a
-    pinned-placement baseline.  :meth:`run` streams every finished clip
-    through the ``on_outcome`` callback as it arrives (arrival order is
-    nondeterministic) and returns the full outcome list in suite order
-    (which is not) — either dispatch mode yields bit-for-bit identical
-    outcomes, because *which* worker runs a clip never enters the
-    computation.
+    Every worker pulls its next clip from one shared queue the moment it
+    frees up, so load balances even when clip costs are skewed.
+    :meth:`run` streams every finished clip through the ``on_outcome``
+    callback as it arrives (arrival order is nondeterministic) and
+    returns the full outcome list in suite order (which is not) —
+    outcomes are bit-for-bit identical to the inline ``workers=1``
+    sweep, because *which* worker runs a clip never enters the
+    computation.  Retry, deadline, stall and revive policy are the
+    pool's (:func:`~repro.service.workqueue.poll_verdicts`), shared with
+    the daemon.
     """
 
     def __init__(
@@ -234,7 +236,6 @@ class ShardedSuiteRunner:
         spec: EngineSpec,
         workers: int,
         start_method: str = DEFAULT_START_METHOD,
-        dispatch: str = "steal",
         retries: int = 0,
         deadline_s: float | None = None,
         stall_timeout_s: float | None = None,
@@ -258,16 +259,13 @@ class ShardedSuiteRunner:
             )
         self.spec = spec
         self.workers = int(workers)
-        self.start_method = start_method
-        self.dispatch = dispatch
         self.retries = int(retries)
         self.deadline_s = deadline_s
-        self.stall_timeout_s = stall_timeout_s
-        self.grace_s = float(grace_s)
-        self.retry_backoff_s = float(retry_backoff_s)
-        self.fault_plan = fault_plan
-        self.max_revives = (
-            3 * self.workers if max_revives is None else int(max_revives)
+        # Everything else configures the pool each sharded run builds.
+        self._pool_options = dict(
+            start_method=start_method, grace_s=grace_s,
+            fault_plan=fault_plan, stall_timeout_s=stall_timeout_s,
+            retry_backoff_s=retry_backoff_s, max_revives=max_revives,
         )
         self.last_pool_stats: dict[str, Any] | None = None
 
@@ -321,9 +319,10 @@ class ShardedSuiteRunner:
         finishes — this is where the service hooks streaming
         verification.  ``capture_masks=False`` tells workers not to
         rasterize/ship final masks (for verification-free sweeps the
-        parent would discard them).  Raises :class:`ServiceError` if any
-        worker raises or dies; sibling workers are terminated before the
-        raise, so the caller never inherits a half-alive fleet.
+        parent would discard them).  Raises the pool's first failed
+        verdict (:class:`ServiceError` or a typed subclass); sibling
+        workers are terminated before the raise, so the caller never
+        inherits a half-alive fleet.
         """
         clip_list = list(clips)
         if not clip_list:
@@ -341,71 +340,26 @@ class ShardedSuiteRunner:
         # in-process relay with real timeouts and still reaches the
         # liveness check — the sweep fails with ServiceError instead of
         # hanging.
-        pool = WorkStealingPool(
-            self.spec, workers, start_method=self.start_method,
-            dispatch=self.dispatch, grace_s=self.grace_s,
-            fault_plan=self.fault_plan,
-            stall_timeout_s=self.stall_timeout_s,
-            retry_backoff_s=self.retry_backoff_s,
-        )
+        pool = WorkStealingPool(self.spec, workers, **self._pool_options)
         outcomes: list[OptOutcome | None] = [None] * len(clip_list)
-        revives_used = 0
         try:
             pool.start()
             for index, clip in enumerate(clip_list):
-                pool.submit(
-                    Task(
-                        task_id=index, clip=clip, optimize_kwargs=kwargs,
-                        capture_mask=capture_masks,
-                        retries=self.retries, deadline_s=self.deadline_s,
-                    ),
-                    worker=(
-                        index % workers if self.dispatch == "static" else None
-                    ),
-                )
+                pool.submit(Task(
+                    task_id=index, clip=clip, optimize_kwargs=kwargs,
+                    capture_mask=capture_masks,
+                    retries=self.retries, deadline_s=self.deadline_s,
+                ))
             pending = len(clip_list)
             while pending > 0:
-                message = pool.get_message(timeout=POLL_INTERVAL_S)
-                if message is None:
-                    revives_used = self._handle_deaths(pool, revives_used)
-                else:
-                    fresh = pool.observe(message)
-                    kind, wid, task_id, payload = message
-                    if not fresh:
-                        pass  # late sibling of a retried/deadlined task
-                    elif kind == "ok":
-                        outcomes[task_id] = payload
-                        pending -= 1
-                        if on_outcome is not None:
-                            on_outcome(task_id, payload)
-                    elif kind == "error":
-                        # Engine exceptions are deterministic — a retry
-                        # would fail identically, so surface immediately.
-                        clip = clip_list[task_id]
-                        raise ServiceError(
-                            f"shard worker {wid} failed optimizing clip "
-                            f"{clip.name!r} ({self.spec.label}): {payload}"
-                        )
-                    elif kind == "fatal":
-                        raise ServiceError(
-                            f"shard worker {wid} could not build engine "
-                            f"{self.spec.label!r}: {payload}"
-                        )
-                    elif kind == "corrupt":
-                        raise ServiceError(
-                            f"shard result stream corrupted "
-                            f"({self.spec.label}): {payload}"
-                        )
-                    # "ready" / "exit" are liveness bookkeeping, already
-                    # folded in by pool.observe.
-                for event in pool.pump():
-                    if event.kind == "deadline":
-                        raise DeadlineExceeded(
-                            f"clip {event.task.clip.name!r} "
-                            f"({self.spec.label}) missed its "
-                            f"{event.task.deadline_s}s deadline; "
-                            "sweep aborted"
-                        )
+                for verdict in poll_verdicts(pool.relay, [pool]):
+                    if verdict.error is not None:
+                        raise verdict.error
+                    index = verdict.task.task_id
+                    outcomes[index] = verdict.outcome
+                    pending -= 1
+                    if on_outcome is not None:
+                        on_outcome(index, verdict.outcome)
         except BaseException:
             self.last_pool_stats = pool.stats()
             pool.shutdown(graceful=False)
@@ -414,44 +368,3 @@ class ShardedSuiteRunner:
         pool.shutdown(graceful=True)
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
-
-    def _handle_deaths(
-        self, pool: WorkStealingPool, revives_used: int
-    ) -> int:
-        """Fold dead-worker verdicts into the sweep: revive workers whose
-        task was requeued (or who died idle — e.g. crashed *after* their
-        result landed), fail the sweep when a task is out of retries or
-        the revive budget is spent."""
-        for dead in pool.check_dead():
-            if dead.task is not None and not dead.requeued:
-                if dead.task.retries > 0:
-                    raise RetriesExhausted(
-                        f"shard worker {dead.worker_id} ({self.spec.label}) "
-                        f"died with exit code {dead.exitcode} while "
-                        f"optimizing clip {dead.task.clip.name!r}; retries "
-                        f"exhausted after {dead.task.attempt + 1} attempts; "
-                        "sweep aborted"
-                    )
-                raise self._death_error(dead)
-            if revives_used >= self.max_revives:
-                raise ServiceError(
-                    f"shard pool ({self.spec.label}) lost its workers "
-                    f"repeatedly ({revives_used} revivals); worker "
-                    f"{dead.worker_id} died with exit code "
-                    f"{dead.exitcode}; sweep aborted"
-                )
-            pool.revive(dead.worker_id)
-            revives_used += 1
-        return revives_used
-
-    def _death_error(self, dead: DeadWorker) -> ServiceError:
-        """A worker died without a clean ``exit`` message."""
-        where = (
-            f"while optimizing clip {dead.task.clip.name!r}"
-            if dead.task is not None
-            else "with no claimed clip (between tasks)"
-        )
-        return ServiceError(
-            f"shard worker {dead.worker_id} ({self.spec.label}) died with "
-            f"exit code {dead.exitcode} {where}; sweep aborted"
-        )

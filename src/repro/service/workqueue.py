@@ -41,11 +41,28 @@ Threading contract
 
 * ``submit`` may be called from any thread (it only touches the task
   registry under a lock and the queue's feeder thread).
-* Exactly **one** consumer thread drives ``get_message`` / ``observe`` /
-  ``check_dead`` / ``pump`` / ``revive`` / ``shutdown`` — the sweep loop
-  in :class:`~repro.service.sharding.ShardedSuiteRunner`, or the
-  daemon's collector thread.  All liveness, retry, and in-flight state
-  is owned by that thread.
+* Exactly **one** consumer thread drives :func:`poll_verdicts` (and so
+  every pool's ``advance``) and ``shutdown`` — the sweep loop in
+  :class:`~repro.service.sharding.ShardedSuiteRunner`, or the daemon's
+  collector thread.  All liveness, retry, and in-flight state is owned
+  by that thread.
+
+One consumer policy
+-------------------
+
+Every pool reports ``(pool, message)`` pairs on its relay queue — its
+own, or one shared by several pools (the daemon's).
+:func:`poll_verdicts` reads the next pair, folds it into its pool, runs
+each pool's due liveness tick, and returns **per-task verdicts**
+(:class:`TaskVerdict`): done with its ``OptOutcome``, or failed with a
+typed error — :class:`~repro.errors.ServiceError` (engine exception,
+worker death without retry budget), :class:`~repro.errors.
+RetriesExhausted`, or :class:`~repro.errors.DeadlineExceeded`.  A
+pool-level failure (engine build failed, result stream corrupted,
+revive budget spent) fails every task outstanding on that pool and
+marks the pool failed (``pool.failure``).  A sweep raises the first
+failed verdict; the daemon fails only that ticket and retires a failed
+pool.
 
 Liveness
 --------
@@ -61,18 +78,8 @@ crashed mid-sweep — the false positive this module fixes).  The grace
 window also orders crash-after-result correctly: the completed payload
 drains off the pipe (and dedup-registers its task as finished) before
 the death verdict lands, so the verdict carries no task and triggers no
-recompute.
-
-Dispatch modes
---------------
-
-``dispatch="steal"`` (the default) is the shared queue described above.
-``dispatch="static"`` gives each worker a private queue and routes tasks
-to an explicit worker slot — PR 5's round-robin deal, retained as the
-baseline the work-stealing benchmark (``benchmarks/bench_daemon.py``)
-measures against and as an escape hatch for workloads that want
-placement pinned.  A retried task goes back to its original slot under
-static dispatch, and to the shared queue under stealing.
+recompute.  A dead worker is revived in place until the pool has spent
+``max_revives`` revivals.
 """
 
 from __future__ import annotations
@@ -85,16 +92,15 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.errors import ServiceError
+from repro.errors import DeadlineExceeded, RetriesExhausted, ServiceError
 from repro.geometry.layout import Clip
 from repro.service.faults import install_fault_plan, maybe_fault
 
 DEFAULT_START_METHOD = "spawn"
-DISPATCH_MODES = ("steal", "static")
 
 POLL_INTERVAL_S = 0.05
 CRASH_GRACE_S = 1.0
@@ -137,9 +143,8 @@ class DeadWorker:
     """A worker declared crashed: exit code + whatever it was running.
 
     ``requeued`` says what happened to the claimed task: ``True`` — it
-    had retry budget left and is back on the queue (the consumer should
-    revive the worker and move on); ``False`` — it is failed for good
-    (no task, or retries exhausted).
+    had retry budget left and is back on the queue; ``False`` — it is
+    failed for good (no task, or retries exhausted).
     """
 
     worker_id: int
@@ -149,14 +154,19 @@ class DeadWorker:
 
 
 @dataclass(frozen=True)
-class TaskEvent:
-    """A task-level verdict surfaced by :meth:`WorkStealingPool.pump`.
+class TaskVerdict:
+    """The final word on one task, from :func:`poll_verdicts`.
 
-    ``kind`` is currently only ``"deadline"``: the task's wall-clock
-    budget elapsed and it has been failed (late results are deduped)."""
+    Exactly one of ``outcome`` (the worker's
+    :class:`~repro.service.sharding.OptOutcome`) and ``error`` (a
+    :class:`~repro.errors.ServiceError`, :class:`~repro.errors.
+    RetriesExhausted` or :class:`~repro.errors.DeadlineExceeded`) is
+    set.  ``task`` is the registry's copy, so ``task.attempt`` counts
+    the re-dispatches the task took."""
 
-    kind: str
     task: Task
+    outcome: Any = None
+    error: ServiceError | None = None
 
 
 def describe_error(exc: BaseException) -> str:
@@ -251,7 +261,9 @@ class WorkStealingPool:
     (so a worker SIGKILLed mid-payload-write — a torn pipe frame — can
     only wedge the abandonable relay thread, never the consumer; the
     consumer's polls keep reaching the liveness check and the failure
-    surfaces instead of hanging).
+    surfaces instead of hanging).  The relay is the pool's own unless
+    the caller passes one to share between pools; either way it carries
+    ``(pool, message)`` pairs for :func:`poll_verdicts`.
     """
 
     def __init__(
@@ -259,12 +271,12 @@ class WorkStealingPool:
         spec,
         workers: int,
         start_method: str = DEFAULT_START_METHOD,
-        dispatch: str = "steal",
         relay: queue_mod.Queue | None = None,
         grace_s: float = CRASH_GRACE_S,
         fault_plan=None,
         stall_timeout_s: float | None = None,
         retry_backoff_s: float = RETRY_BACKOFF_S,
+        max_revives: int | None = None,
     ) -> None:
         from repro.service.sharding import EngineSpec
 
@@ -275,24 +287,24 @@ class WorkStealingPool:
             )
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
-        if dispatch not in DISPATCH_MODES:
-            raise ServiceError(
-                f"dispatch must be one of {DISPATCH_MODES}, got {dispatch!r}"
-            )
         if stall_timeout_s is not None and stall_timeout_s <= 0:
             raise ServiceError(
                 f"stall_timeout_s must be > 0, got {stall_timeout_s}"
             )
         self.spec = spec
         self.workers = int(workers)
-        self.dispatch = dispatch
         self.grace_s = float(grace_s)
         self.stall_timeout_s = stall_timeout_s
         self.retry_backoff_s = float(retry_backoff_s)
+        # A worker that keeps dying (e.g. during bootstrap, before it can
+        # even send a "fatal") would otherwise be revived forever; past
+        # this many revivals the whole pool fails.
+        self.max_revives = (
+            3 * self.workers if max_revives is None else int(max_revives)
+        )
         self._fault_plan = fault_plan
         self._ctx = mp.get_context(start_method)
-        self._external_relay = relay is not None
-        self._relay: queue_mod.Queue = relay if relay is not None \
+        self.relay: queue_mod.Queue = relay if relay is not None \
             else queue_mod.Queue()
         # SimpleQueue, not Queue, for the worker->parent channel: its
         # put() writes synchronously to the pipe, so once a worker's put
@@ -302,8 +314,7 @@ class WorkStealingPool:
         # os._exit — which silently lost the result of a *completed*
         # task whenever the worker crashed on its next one.
         self._out_queue = self._ctx.SimpleQueue()
-        n_queues = 1 if dispatch == "steal" else self.workers
-        self._task_queues = [self._ctx.Queue() for _ in range(n_queues)]
+        self._task_queue = self._ctx.Queue()
         # Lock-free on purpose: a worker SIGKILLed mid-write under a
         # locked Array would leave the lock held and deadlock the
         # parent's read; a single aligned int64 store cannot tear.
@@ -319,12 +330,13 @@ class WorkStealingPool:
         # Task registry: submit() writes from any thread, the consumer
         # thread removes on completion.  ``_finished`` is the dedup set:
         # ids that completed, failed, or deadlined — late messages for
-        # them are dropped.
+        # them are dropped.  ``failure`` is set once, with the registry
+        # lock held, when the whole pool fails; submit() then refuses.
         self._tasks_lock = threading.Lock()
         self._tasks: dict[int, Task] = {}
         self._finished: set[int] = set()
         self._deadline_at: dict[int, float] = {}
-        self._slots: dict[int, int] = {}
+        self.failure: ServiceError | None = None
         self._submitted = 0
         self._completed = 0
         self._failed = 0
@@ -342,6 +354,7 @@ class WorkStealingPool:
         self._retry_heap: list[tuple[float, int, Task]] = []
         self._retry_seq = 0
         self._claim_seen: dict[int, tuple[int, float]] = {}
+        self._last_tick = 0.0
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
@@ -358,17 +371,13 @@ class WorkStealingPool:
     def _spawn(self, wid: int):
         proc = self._ctx.Process(
             target=_pool_worker,
-            args=(wid, self.spec, self._queue_for(wid), self._out_queue,
+            args=(wid, self.spec, self._task_queue, self._out_queue,
                   self._claims, self._generation[wid], self._fault_plan),
             daemon=True,
             name=f"repro-pool-{self.spec.label}-{wid}",
         )
         proc.start()
         return proc
-
-    def _queue_for(self, wid: int):
-        return self._task_queues[0 if self.dispatch == "steal"
-                                 else wid]
 
     def _drain(self) -> None:
         """Relay thread: multiprocessing queue -> in-process queue."""
@@ -383,38 +392,20 @@ class WorkStealingPool:
                 # Closed queue on shutdown, or a misframed payload from
                 # a killed writer failing to unpickle.
                 if not self._stop_draining.is_set():
-                    self._put_relay(
-                        ("corrupt", None, None, describe_error(exc))
+                    self.relay.put(
+                        (self, ("corrupt", None, None, describe_error(exc)))
                     )
                 return
-            self._put_relay(message)
-
-    def _put_relay(self, message) -> None:
-        self._relay.put((self, message) if self._external_relay
-                        else message)
+            self.relay.put((self, message))
 
     # -- submission ----------------------------------------------------------
-    def submit(self, task: Task, worker: int | None = None) -> int:
-        """Queue a task; with ``dispatch="static"`` it goes to ``worker``'s
-        private queue (required), with ``"steal"`` to the shared one
-        (``worker`` must be omitted).  Thread-safe.
-        """
+    def submit(self, task: Task) -> int:
+        """Queue a task on the shared queue.  Thread-safe."""
         if not self._started or self._closed:
             raise ServiceError("pool is not running")
-        if self.dispatch == "static":
-            if worker is None:
-                raise ServiceError(
-                    "static dispatch needs an explicit worker slot"
-                )
-            if not 0 <= worker < self.workers:
-                raise ServiceError(
-                    f"worker must be in [0, {self.workers}), got {worker}"
-                )
-        elif worker is not None:
-            raise ServiceError(
-                "work-stealing dispatch does not pin tasks to workers"
-            )
         with self._tasks_lock:
+            if self.failure is not None:
+                raise ServiceError(f"pool has failed: {self.failure}")
             if task.task_id in self._tasks:
                 raise ServiceError(
                     f"task id {task.task_id} is already outstanding"
@@ -426,15 +417,8 @@ class WorkStealingPool:
                 self._deadline_at[task.task_id] = (
                     time.monotonic() + task.deadline_s
                 )
-            if self.dispatch == "static":
-                self._slots[task.task_id] = worker
-        target = self._task_queues[0 if self.dispatch == "steal" else worker]
-        target.put(task)
+        self._task_queue.put(task)
         return task.task_id
-
-    def task_for(self, task_id: int) -> Task | None:
-        with self._tasks_lock:
-            return self._tasks.get(task_id)
 
     @property
     def outstanding(self) -> int:
@@ -442,29 +426,53 @@ class WorkStealingPool:
         with self._tasks_lock:
             return len(self._tasks)
 
-    # -- message consumption (single consumer thread) ------------------------
-    def get_message(self, timeout: float = POLL_INTERVAL_S):
-        """Next relayed message, or ``None`` on timeout (only valid for
-        pools that own their relay; daemon pools share an external one
-        and the collector reads it directly)."""
-        if self._external_relay:
-            raise ServiceError(
-                "pool uses an external relay; read messages from it"
+    # -- the consumer (single consumer thread) -------------------------------
+    def advance(self, message=None) -> list[TaskVerdict]:
+        """Fold one relayed message (if any) into pool state and run the
+        liveness tick when due; return the per-task verdicts produced.
+        A failed or shut-down pool produces none."""
+        if self.failure is not None or self._closed:
+            return []
+        verdicts = [] if message is None else self._on_message(message)
+        now = time.monotonic()
+        if self.failure is None and now - self._last_tick >= POLL_INTERVAL_S:
+            self._last_tick = now
+            verdicts.extend(self._tick(now))
+        return verdicts
+
+    def _on_message(self, message) -> list[TaskVerdict]:
+        kind, wid, _, payload = message
+        task = self.observe(message)
+        label = self.spec.label
+        if task is not None:
+            if kind == "ok":
+                return [TaskVerdict(task, outcome=payload)]
+            # Engine exceptions are deterministic — a retry would fail
+            # identically, so the task fails now.
+            return [TaskVerdict(task, error=ServiceError(
+                f"worker {wid} ({label}) failed optimizing clip "
+                f"{task.clip.name!r}: {payload}"
+            ))]
+        if kind == "fatal":
+            return self._fail_all(
+                f"worker {wid} could not build engine {label!r}: {payload}"
             )
-        try:
-            return self._relay.get(timeout=timeout)
-        except queue_mod.Empty:
-            return None
+        if kind == "corrupt":
+            return self._fail_all(
+                f"engine pool {label!r} corrupted its result stream: "
+                f"{payload}"
+            )
+        return []  # "ready" / "exit" / a stale duplicate
 
-    def observe(self, message) -> bool:
-        """Fold one message into liveness/progress state.  The consumer
-        must call this for every message before acting on it.
+    def observe(self, message) -> Task | None:
+        """Fold one message into liveness/progress state; returns the task
+        an ``ok``/``error`` message finished, else ``None``.
 
-        Returns ``False`` when the message is a *stale duplicate*: an
-        ``ok``/``error`` for a task that already finished, failed, or
-        deadlined (a retry's late sibling, or a result that outlived its
-        deadline).  The consumer must not act on a stale message — this
-        is the exactly-once half of the at-least-once contract.
+        A *stale duplicate* — an ``ok``/``error`` for a task that already
+        finished, failed, or deadlined (a retry's late sibling, or a
+        result that outlived its deadline) — also returns ``None`` and
+        must not be acted on: this is the exactly-once half of the
+        at-least-once contract.
 
         Any message from a worker resets its crash-suspicion window —
         a finished worker slowly draining large mask payloads is alive,
@@ -472,38 +480,92 @@ class WorkStealingPool:
         """
         kind, wid, task_id, _ = message
         if wid is None:
-            return True
+            return None
         self._dead_since.pop(wid, None)
         if kind == "ready":
             self._ready.add(wid)
         elif kind in ("ok", "error"):
             with self._tasks_lock:
-                task = self._tasks.pop(task_id, None)
+                task = self._finish(task_id)
                 if task is None:
                     self._duplicates += 1
-                    return False
-                self._finished.add(task_id)
-                self._deadline_at.pop(task_id, None)
-                self._slots.pop(task_id, None)
+                    return None
                 if kind == "ok":
                     self._completed += 1
                 else:
                     self._failed += 1
             if kind == "ok" and 0 <= wid < self.workers:
                 self._per_worker_done[wid] += 1
+            return task
         elif kind == "exit":
             self._exited.add(wid)
-        return True
+        return None
+
+    def _tick(self, now: float) -> list[TaskVerdict]:
+        """Liveness tick: due retries, deadlines, stall kills, then dead
+        workers — a claimed task out of retries fails, and the slot is
+        revived until the revive budget is spent."""
+        verdicts = self._pump(now)
+        dead_workers = self.check_dead()
+        # Every dead worker's failed task gets its verdict before any
+        # pool failure: check_dead has already taken those tasks out of
+        # the registry, so _fail_all would not see them.
+        for dead in dead_workers:
+            task = dead.task
+            if task is not None and not dead.requeued:
+                where = (
+                    f"worker {dead.worker_id} ({self.spec.label}) died "
+                    f"with exit code {dead.exitcode} while optimizing clip "
+                    f"{task.clip.name!r}"
+                )
+                verdicts.append(TaskVerdict(task, error=(
+                    RetriesExhausted(
+                        f"{where}; retries exhausted after "
+                        f"{task.attempt + 1} attempts"
+                    ) if task.retries > 0 else ServiceError(where)
+                )))
+        for dead in dead_workers:
+            if self._revived >= self.max_revives:
+                verdicts.extend(self._fail_all(
+                    f"engine pool {self.spec.label!r} lost its workers "
+                    f"repeatedly ({self._revived} revivals; last: worker "
+                    f"{dead.worker_id}, exit code {dead.exitcode})"
+                ))
+                break
+            self._revive(dead.worker_id)
+        return verdicts
+
+    def _finish(self, task_id: int) -> Task | None:
+        """Take a task out of the registry for good; later messages for
+        it are duplicates.  The caller holds ``_tasks_lock``."""
+        task = self._tasks.pop(task_id, None)
+        self._deadline_at.pop(task_id, None)
+        if task is not None:
+            self._finished.add(task_id)
+        return task
+
+    def _fail_all(self, reason: str) -> list[TaskVerdict]:
+        """Pool-level failure: every outstanding task fails with one
+        :class:`ServiceError` and the pool accepts no more work."""
+        error = ServiceError(reason)
+        with self._tasks_lock:
+            self.failure = error
+            doomed = list(self._tasks.values())
+            self._finished.update(self._tasks)
+            self._failed += len(doomed)
+            self._tasks.clear()
+            self._deadline_at.clear()
+        return [TaskVerdict(task, error=error) for task in doomed]
 
     def check_dead(self) -> list[DeadWorker]:
         """Workers whose processes died without a clean ``exit`` and
         whose grace window (since their *last* message) has elapsed.
-        Each dead worker is reported exactly once (``revive`` re-arms
+        Each dead worker is reported exactly once (``_revive`` re-arms
         its slot).
 
         A claimed task with retry budget left is **re-enqueued** (after
-        an exponential backoff, via :meth:`pump`) and the verdict says
-        ``requeued=True``; out of budget, the task is failed for good.
+        an exponential backoff) and the verdict says ``requeued=True``;
+        out of budget, the task is failed for good.
         """
         now = time.monotonic()
         verdicts = []
@@ -529,16 +591,13 @@ class WorkStealingPool:
                     if task is not None and task.attempt < task.retries:
                         requeued = True
                         self._retried += 1
-                        # One object for both registry and heap: pump's
+                        # One object for both registry and heap: _pump's
                         # identity check drops a heap entry whose task
                         # was superseded (deadline, later retry).
                         bumped = replace(task, attempt=task.attempt + 1)
                         self._tasks[claimed] = bumped
                     elif task is not None:
-                        self._tasks.pop(claimed)
-                        self._finished.add(claimed)
-                        self._deadline_at.pop(claimed, None)
-                        self._slots.pop(claimed, None)
+                        self._finish(claimed)
                         self._failed += 1
                 if requeued:
                     delay = self.retry_backoff_s * (2 ** task.attempt)
@@ -553,49 +612,44 @@ class WorkStealingPool:
             )
         return verdicts
 
-    def pump(self) -> list[TaskEvent]:
-        """Advance retry and deadline state; the consumer calls this on
-        every loop iteration (messages and timeouts alike).
-
-        Three scans, all cheap when idle:
+    def _pump(self, now: float) -> list[TaskVerdict]:
+        """Advance retry and deadline state.  Three scans, all cheap when
+        idle:
 
         1. Re-dispatch retried tasks whose backoff elapsed.
-        2. Fail tasks whose wall-clock deadline elapsed (returned as
-           ``TaskEvent("deadline", task)``; late results are deduped).
+        2. Fail tasks whose wall-clock deadline elapsed
+           (:class:`~repro.errors.DeadlineExceeded`; late results are
+           deduped).
         3. Kill workers whose claim has sat unchanged for longer than
            ``stall_timeout_s`` — the death then flows through
            :meth:`check_dead` and the retry path like any crash.
         """
-        now = time.monotonic()
-        events: list[TaskEvent] = []
         # 1. backoffs that came due
         while self._retry_heap and self._retry_heap[0][0] <= now:
             _, _, task = heapq.heappop(self._retry_heap)
             with self._tasks_lock:
                 live = self._tasks.get(task.task_id) is task
-                slot = self._slots.get(task.task_id, 0)
-            if not live:
-                continue  # deadlined (or otherwise finished) while waiting
-            target = self._task_queues[
-                0 if self.dispatch == "steal" else slot
-            ]
-            target.put(task)
+            if live:  # else deadlined (or otherwise finished) while waiting
+                self._task_queue.put(task)
         # 2. elapsed deadlines
         expired: list[Task] = []
         with self._tasks_lock:
             for task_id, due_at in list(self._deadline_at.items()):
                 if now < due_at:
                     continue
-                task = self._tasks.pop(task_id, None)
-                del self._deadline_at[task_id]
-                self._slots.pop(task_id, None)
+                task = self._finish(task_id)
                 if task is None:
                     continue
-                self._finished.add(task_id)
                 self._deadline_failed += 1
                 self._failed += 1
                 expired.append(task)
-        events.extend(TaskEvent("deadline", task) for task in expired)
+        verdicts = [
+            TaskVerdict(task, error=DeadlineExceeded(
+                f"clip {task.clip.name!r} ({self.spec.label}) missed its "
+                f"{task.deadline_s}s deadline"
+            ))
+            for task in expired
+        ]
         # 3. stalled claims
         if self.stall_timeout_s is not None:
             for wid, proc in enumerate(self._procs):
@@ -617,22 +671,15 @@ class WorkStealingPool:
                     proc.kill()
                     self._stalled += 1
                 self._claim_seen.pop(wid, None)
-        return events
+        return verdicts
 
-    def revive(self, worker_id: int) -> None:
+    def _revive(self, worker_id: int) -> None:
         """Replace a dead worker's process so the pool keeps serving.
 
         The replacement rebuilds its engine from the same spec (warming
         from the shared spectra store, so the rebuild is cheap) and
-        pulls from the same queue(s) — queued tasks are unaffected.
+        pulls from the same queue — queued tasks are unaffected.
         """
-        if not 0 <= worker_id < self.workers:
-            raise ServiceError(f"no worker slot {worker_id}")
-        old = self._procs[worker_id]
-        if old is not None and old.exitcode is None:
-            raise ServiceError(
-                f"worker {worker_id} is still alive; nothing to revive"
-            )
         self._dead_since.pop(worker_id, None)
         self._dead_handled.discard(worker_id)
         self._exited.discard(worker_id)
@@ -653,14 +700,9 @@ class WorkStealingPool:
             return
         self._closed = True
         if graceful and self._started:
-            if self.dispatch == "steal":
-                for wid in range(self.workers):
-                    if wid not in self._exited:
-                        self._task_queues[0].put(None)
-            else:
-                for wid, task_queue in enumerate(self._task_queues):
-                    if wid not in self._exited:
-                        task_queue.put(None)
+            for wid in range(self.workers):
+                if wid not in self._exited:
+                    self._task_queue.put(None)
             deadline = time.monotonic() + timeout
             for proc in self._procs:
                 if proc is None:
@@ -673,8 +715,7 @@ class WorkStealingPool:
         for proc in self._procs:
             if proc is not None:
                 proc.join(timeout=timeout)
-        for task_queue in self._task_queues:
-            task_queue.close()
+        self._task_queue.close()
         self._out_queue.close()
 
     # -- introspection -------------------------------------------------------
@@ -695,7 +736,6 @@ class WorkStealingPool:
             outstanding = len(self._tasks)
         return {
             "engine": self.spec.label,
-            "dispatch": self.dispatch,
             "workers": self.workers,
             "workers_alive": self.alive_workers(),
             "workers_ready": len(self._ready),
@@ -710,3 +750,21 @@ class WorkStealingPool:
             "duplicates_dropped": duplicates,
             "per_worker_completed": list(self._per_worker_done),
         }
+
+
+def poll_verdicts(
+    relay: queue_mod.Queue, pools: Sequence[WorkStealingPool],
+) -> list[TaskVerdict]:
+    """One step of the pool consumer: take the next ``(pool, message)``
+    pair off ``relay`` (waiting up to one poll interval), fold it into
+    its pool, run the due liveness tick of every pool in ``pools``, and
+    return the per-task verdicts."""
+    try:
+        source, message = relay.get(timeout=POLL_INTERVAL_S)
+    except queue_mod.Empty:
+        source = message = None
+    verdicts = [] if source is None else source.advance(message)
+    for pool in pools:
+        if pool is not source:
+            verdicts.extend(pool.advance())
+    return verdicts

@@ -1,5 +1,7 @@
 """Autograd tensor core: forward values, gradients, graph mechanics."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from nn_gradcheck import check_gradient
 from repro.errors import NNError
 from repro.nn import Tensor, no_grad
+from repro.nn.tensor import grad_enabled
 
 
 class TestForward:
@@ -87,6 +90,37 @@ class TestBackward:
         with no_grad():
             y = x * 2
         assert not y.requires_grad
+
+    def test_no_grad_is_per_thread(self):
+        """Two threads interleave no_grad as enter A, enter B, exit A,
+        exit B; a process-global flag would leave grad off for B and for
+        the main thread."""
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        after = {}
+
+        def run_a():
+            with no_grad():
+                a_in.set()
+                assert b_in.wait(10)
+            after["a"] = grad_enabled()
+            a_out.set()
+
+        def run_b():
+            assert a_in.wait(10)
+            with no_grad():
+                b_in.set()
+                assert a_out.wait(10)
+            after["b"] = grad_enabled()
+
+        threads = [threading.Thread(target=run_a),
+                   threading.Thread(target=run_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert after == {"a": True, "b": True}
+        assert grad_enabled()
 
     def test_detach(self):
         x = Tensor([1.0], requires_grad=True)

@@ -310,7 +310,6 @@ class TestMapSuite:
         suites = pooled.map_suite(
             {"MB-A": make_engine(sim), "MB-B": make_engine(sim)},
             mixed_suite,
-            max_workers=2,
         )
         assert list(suites) == ["MB-A", "MB-B"]
         for label in suites:
@@ -692,7 +691,9 @@ class TestBuildClips:
             "serve", "--pixel-nm", "8", "--max-kernels", "4",
             "--suite", "via", "--names", "V4",
         ])
-        assert args.dispatch == "steal"
+        assert not hasattr(args, "dispatch")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--dispatch", "static"])
         assert args.workers == 2
         assert args.max_pending == 32
         assert [clip.name for clip in _build_clips(args)] == ["V4"]

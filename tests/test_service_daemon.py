@@ -161,25 +161,6 @@ class TestDaemonBitForBit:
         assert_matches_reference(results, sharded_reference)
         assert all(r.outcome == "verified" for r in results)
 
-    def test_static_dispatch_also_matches(
-        self, sim, mixed_suite, sharded_reference
-    ):
-        """dispatch="static" (the round-robin baseline) through the
-        daemon: different placement, identical numbers."""
-        async def main():
-            daemon = MaskOptDaemon(
-                service=MaskOptService(simulator=sim), workers=2,
-                dispatch="static",
-            )
-            async with daemon:
-                tickets = await submit_suite(
-                    daemon, mixed_suite, engine_overrides=OVERRIDES,
-                )
-                return await gather_by_ticket(daemon, tickets)
-
-        results = asyncio.run(main())
-        assert_matches_reference(results, sharded_reference)
-
 
 class TestDaemonLifecycle:
     def test_submit_while_running(self, sim, mixed_suite):
@@ -528,6 +509,32 @@ class TestPoolLiveness:
         (dead,) = pool.check_dead()
         assert dead.task.task_id == 5
         assert dead.task.clip.name == mixed_suite[0].name
+
+    def test_deaths_at_revive_budget_edge_fail_every_task(
+        self, sim, mixed_suite,
+    ):
+        from repro.service import Task
+
+        pool = WorkStealingPool(
+            EngineSpec(engine="mbopc", litho=sim.config),
+            workers=2, grace_s=0.0, max_revives=0,
+        )
+        pool._procs = [_FakeProc(exitcode=9), _FakeProc(exitcode=9)]
+        pool._started = True
+        for task_id in (0, 1, 2):
+            pool.submit(Task(task_id=task_id, clip=mixed_suite[task_id]))
+        pool._claims[0] = 0
+        pool._claims[1] = 1
+        # Both workers die in one tick with the revive budget already
+        # spent: each claimed task is out of retries and must still get
+        # its own verdict, and the queued task fails with the pool.
+        verdicts = pool.advance()
+        assert sorted(v.task.task_id for v in verdicts) == [0, 1, 2]
+        by_id = {v.task.task_id: v.error for v in verdicts}
+        for task_id in (0, 1):
+            assert mixed_suite[task_id].name in str(by_id[task_id])
+        assert by_id[2] is pool.failure
+        assert pool.outstanding == 0
 
 
 class TestVerificationAbortCleanup:

@@ -6,7 +6,7 @@ daemon.py).
 The acceptance pins:
 
 * A worker killed mid-clip is retried and the final suite is bit-for-bit
-  identical to an uninterrupted run — in both dispatch modes.
+  identical to an uninterrupted run.
 * Retry exhaustion and missed deadlines are *typed* outcomes
   (``RetriesExhausted``, ``DeadlineExceeded``), distinguishable from
   engine failures.
@@ -220,7 +220,8 @@ class TestFaultPlan:
 
 # -- retry / deadline / stall semantics (real engines, real workers) ----------
 
-@pytest.mark.parametrize("dispatch", ["steal", "static"])
+# One dispatch mode is left; the parameter keeps the test ID stable.
+@pytest.mark.parametrize("dispatch", ["steal"])
 def test_crash_retry_is_bit_for_bit(dispatch, reference_outcomes):
     """A worker SIGKILLed mid-clip: the task is re-dispatched and the
     suite is bit-for-bit identical to the uninterrupted run."""
@@ -228,7 +229,7 @@ def test_crash_retry_is_bit_for_bit(dispatch, reference_outcomes):
         FaultRule(point="worker.before_result", action="crash",
                   match="fv1@0"),
     ])
-    runner = _runner(plan, dispatch=dispatch, retries=2)
+    runner = _runner(plan, retries=2)
     outcomes = runner.run(_suite(), optimize_kwargs={})
     assert_outcomes_identical(outcomes, reference_outcomes)
     stats = runner.last_pool_stats
@@ -268,6 +269,46 @@ def test_retries_exhausted_is_typed():
     assert isinstance(err.value, ServiceError)
     assert "exit code 41" in str(err.value)
     assert "2 attempts" in str(err.value)
+
+
+def test_retries_exhausted_same_through_sweep_and_daemon():
+    """One consumer policy: the same crash-every-attempt fault surfaces
+    as RetriesExhausted naming the clip, worded alike, through a sweep
+    and through the daemon."""
+    import asyncio
+    import re
+
+    from repro.service import MaskOptDaemon, OptRequest
+
+    plan = FaultPlan([
+        FaultRule(point="worker.before_result", action="crash",
+                  match="fv1@", exit_code=41),
+    ])
+    with pytest.raises(RetriesExhausted, match="'fv1'") as swept:
+        _runner(plan, retries=1).run(_suite(), optimize_kwargs={})
+
+    async def serve():
+        daemon = MaskOptDaemon(
+            litho_config=_litho_config(), workers=2, grace_s=0.3,
+            retries=1, fault_plan=plan,
+        )
+        async with daemon:
+            ticket = await daemon.submit(OptRequest(
+                clip=_suite()[0], engine="mbopc", engine_overrides=OVERRIDES,
+            ))
+            with pytest.raises(RetriesExhausted, match="'fv1'") as served:
+                await daemon.result(ticket)
+            return served.value, daemon.stats()
+
+    served, stats = asyncio.run(serve())
+
+    def wording(err):
+        return re.sub(r"worker \d+", "worker N", str(err))
+
+    assert wording(served) == wording(swept.value)
+    assert "exit code 41" in str(served) and "2 attempts" in str(served)
+    assert stats["retries_exhausted"] == 1
+    assert stats["retried"] == 1
 
 
 def test_deadline_exceeded_is_typed():
@@ -353,21 +394,24 @@ def test_revive_cap_exhaustion_mid_backlog():
 
 
 def test_worker_dying_during_engine_build_on_revival(reference_outcomes):
-    """The revived worker crashes *during its engine build* (generation
-    1); the pool revives again and the sweep still completes bit-for-bit
-    — a build crash on revival is just another transient fault.  Static
-    dispatch pins the retried clip to the dying slot, so the sweep
-    genuinely depends on the second revival (under stealing the healthy
-    sibling would take the clip before the slot matters)."""
+    """Revived workers crash *during their engine build* (generation 1);
+    the pool revives again and the sweep still completes bit-for-bit —
+    a build crash on revival is just another transient fault.  Every
+    clip's first attempt crashes its worker, so no first-generation
+    worker finishes anything and no first revival survives its build:
+    no healthy sibling can carry the suite, and it genuinely depends on
+    a second revival."""
     plan = FaultPlan([
         FaultRule(point="worker.before_result", action="crash",
-                  match="fv1@0"),
+                  match="@0"),
         FaultRule(point="worker.build", action="crash", match="g1"),
     ])
-    runner = _runner(plan, retries=2, dispatch="static")
+    runner = _runner(plan, retries=2)
     outcomes = runner.run(_suite(), optimize_kwargs={})
     assert_outcomes_identical(outcomes, reference_outcomes)
-    assert runner.last_pool_stats["workers_revived"] >= 2
+    stats = runner.last_pool_stats
+    assert stats["workers_revived"] >= 2
+    assert stats["tasks_retried"] == len(_suite())
 
 
 # -- full service path (OptResults, verification, typed errors) ---------------
