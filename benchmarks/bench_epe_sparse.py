@@ -14,15 +14,16 @@ reports:
 * ``dense``  — one ``simulate_batch`` (full-grid intensity at all three
   process corners, the pre-sparse verifier) + ``measure_epe_grouped``;
 * ``sparse`` — ``measure_stencil_plan`` per clip + one
-  ``simulate_epe_batch`` (half-width forward FFT, pupil-band subgrid
-  convolution, direct band-spectrum gather at the ~hundreds of pixels
-  the bilinear stencils touch) + ``measure_epe_grouped_sparse``.
+  ``simulate_epe_batch`` (half-width forward FFT, one pupil-band
+  subgrid convolution of the whole bin, then per clip a separable
+  inverse DFT on the lattice of the distinct rows x columns its
+  bilinear stencils touch) + ``measure_epe_grouped_sparse``.
 
 Parity is gated unconditionally: every resolved per-point EPE offset
 must agree to <= 1e-9 nm (far inside the service's 1e-6 nm drift gate).
 The speedup gate (>= 3x by default) is enforced on hosts with >= 4
-cores — the GEMM-shaped gather is where multi-core BLAS pays off — and
-recorded (but not enforced) on smaller hosts.  A machine-readable
+cores — the GEMM-shaped lattice gather is where multi-core BLAS pays
+off — and recorded (but not enforced) on smaller hosts.  A machine-readable
 record of every run goes to ``BENCH_epe_sparse.json`` at the repo root.
 """
 
@@ -56,7 +57,7 @@ DEFAULT_JSON_PATH = "BENCH_epe_sparse.json"
 
 
 def best_of(fn, repeats: int) -> float:
-    fn()  # warm caches (band spectra, stencil plans, phase matrices)
+    fn()  # warm caches (band spectra, stencil plans)
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -140,7 +141,7 @@ def run(
 
     print(f"  dense verify (simulate_batch + grouped EPE) : "
           f"{t_dense * 1e3:8.1f} ms  [reference]")
-    print(f"  sparse verify (band-spectrum gather)        : "
+    print(f"  sparse verify (lattice pixel gather)        : "
           f"{t_sparse * 1e3:8.1f} ms -> {speedup:4.2f}x  "
           f"(max |dEPE| = {parity:.1e} nm)")
 

@@ -25,8 +25,8 @@ one knob:
   device backend: device execution is an explicit opt-in.
 
 Backends are resolved once per ``(name, workers, device)`` triple and
-shared.  Cached artifacts downstream (phase matrices, band DFT
-matrices, surrogate DFT GEMMs, device-resident kernel spectra) key on
+shared.  Cached artifacts downstream (band DFT matrices, surrogate DFT
+GEMMs, device-resident kernel spectra) key on
 :attr:`ArrayBackend.identity` / :attr:`ArrayBackend.array_identity`, so
 swapping the backend can never serve arrays resident on the wrong
 device or spectra computed by another library's transform.
@@ -138,9 +138,9 @@ class ArrayBackend:
     def array_identity(self) -> tuple:
         """Identity of the array *representation* only.
 
-        Host-built constants (phase matrices, DFT matrices) are
-        identical under numpy and scipy — both hold numpy arrays — and
-        only need re-materializing per array namespace + device.  Keying
+        Host-built constants (DFT matrices) are identical under numpy
+        and scipy — both hold numpy arrays — and only need
+        re-materializing per array namespace + device.  Keying
         residency caches with this instead of :attr:`identity` lets the
         numpy and scipy backends share one host copy.
         """

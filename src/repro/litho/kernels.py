@@ -66,73 +66,6 @@ def _host_backend() -> ArrayBackend:
     return resolve_backend(*_HOST_BACKEND_ARGS)
 
 
-_PHASE_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
-_PHASE_CACHE_CAPACITY = 32
-_PHASE_LOCK = threading.Lock()
-"""Module-level LRU of sparse-gather phase matrices.  Keyed by (grid
-shape, band radii, pixel set, backend array identity), so every kernel
-set sharing one optics geometry — the simulator's focus and defocus sets
-in particular — reuses one matrix, and a device backend can never be
-served a host-resident matrix (or vice versa); guarded because the
-daemon's verifier thread races ``score_moves_epe`` callers."""
-
-
-def _sparse_phase_matrix(
-    shape: tuple[int, int],
-    band: GridBandSpectra,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    backend: ArrayBackend,
-):
-    """Real-stacked inverse-DFT phase matrix for a fixed pixel set.
-
-    Evaluating the zero-padded inverse FFT of ``_band_intensity`` at S
-    chosen pixels is the direct DFT ``I[s] = Re(sum_f spec[f] *
-    exp(2j pi (k_r r_s / H + k_c c_s / W))) * upscale / (H W)`` over the
-    F = (4b0+1)(4b1+1) intensity-band frequencies.  The matrix is built
-    separably (row phases x column phases) and returned *real-stacked* as
-    ``(2F, S)`` — ``[[Re P], [-Im P]]`` — so the per-batch evaluation is
-    one real GEMM of the ``[Re spec, Im spec]`` stack against it (half
-    the FLOPs of the complex product, result already real).
-
-    The matrix itself is built host-side in float64 on every backend
-    (identical bits everywhere); what the cache stores is the
-    backend-native copy — the host array itself for numpy/scipy, a
-    device tensor for torch — keyed by the backend's array identity.
-    """
-    key = (
-        shape,
-        band.band,
-        rows.tobytes(),
-        cols.tobytes(),
-        backend.array_identity,
-    )
-    with _PHASE_LOCK:
-        cached = _PHASE_CACHE.get(key)
-        if cached is not None:
-            _PHASE_CACHE.move_to_end(key)
-            return cached
-    height, width = shape
-    m0, m1 = band.subgrid
-    k_rows = band.up_rows_dst.astype(np.float64)
-    k_cols = band.up_cols_dst.astype(np.float64)
-    phase_r = np.exp((2j * np.pi / height) * np.outer(k_rows, rows))
-    phase_c = np.exp((2j * np.pi / width) * np.outer(k_cols, cols))
-    # upscale / (H W) == 1 / (m0 m1): the resample gain times the
-    # inverse-transform normalization.
-    matrix = (phase_r[:, None, :] * phase_c[None, :, :]).reshape(
-        len(k_rows) * len(k_cols), len(rows)
-    ) / (m0 * m1)
-    stacked = backend.to_device(
-        np.concatenate([matrix.real, -matrix.imag], axis=0)
-    )
-    with _PHASE_LOCK:
-        _PHASE_CACHE[key] = stacked
-        while len(_PHASE_CACHE) > _PHASE_CACHE_CAPACITY:
-            _PHASE_CACHE.popitem(last=False)
-    return stacked
-
-
 def _validate_pixel_set(
     shape: tuple[int, int], rows, cols
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +192,7 @@ _BAND_DFT_LOCK = threading.Lock()
 """LRU of the separable direct-DFT matrices used by
 :func:`band_limited_mask_subgrid_direct`; keyed per (grid shape, band,
 backend array identity) — matrices are built host-side and cached as
-backend-native copies, like the sparse phase matrices."""
+backend-native copies."""
 
 
 def _band_dft_matrices(
@@ -346,6 +279,24 @@ def band_coeffs_to_subgrid(
     return backend.ifft2(sub, axes=(-2, -1)).real * ((m0 * m1) / (rows * cols))
 
 
+def _lattice(indices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of ``indices`` (all in ``[0, n)``) and the
+    position of every entry among them."""
+    present = np.zeros(n, dtype=bool)
+    present[indices] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[indices]
+
+
+def _phases(n: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``exp(2 pi i l r / n)`` for every pair of ``left`` x ``right``.
+
+    The integer products are reduced mod ``n`` and looked up in the n
+    roots of unity, so every phase is exact to one rounding.
+    """
+    roots = np.exp((2j * np.pi / n) * np.arange(n))
+    return roots[np.outer(left, right) % n]
+
+
 def band_values_at_pixels(
     intensity_sub,
     band: GridBandSpectra,
@@ -355,24 +306,44 @@ def band_values_at_pixels(
 ) -> np.ndarray:
     """Full-grid pixel values of a band-limited subgrid intensity.
 
-    ``(B, m0, m1)`` subgrid intensities (exact or surrogate-predicted)
-    evaluate at S full-grid pixels via one forward FFT and one real GEMM
-    against the cached phase matrix — the same direct DFT gather the
-    sparse EPE path uses, factored out so surrogate predictions can ride
-    the identical resample map as exact metrology.  ``intensity_sub``
-    may be host or device resident; the FFT and GEMM run wherever the
-    backend's arrays live, and the resolved ``(B, S)`` values always
-    come back host-side (the metrology boundary).
+    Evaluating the zero-padded resample of ``(B, m0, m1)`` subgrid
+    intensities (exact or surrogate-predicted) at S full-grid pixels is
+    the direct inverse DFT of their intensity-band spectra.  That DFT is
+    separable, so it is evaluated on the small lattice of the pixel
+    set's distinct rows x distinct columns — ``P_rows @ spec_band @
+    P_cols``, two small GEMMs — and the S values are gathered from the
+    lattice.  The phases cost ``(R_u + C_u) F`` per call rather than
+    ``F S``, so there is nothing worth caching.  The intensity is real,
+    so only the Hermitian half of the column band is contracted (the
+    non-DC columns count twice).  ``intensity_sub`` may be host or
+    device resident; the GEMMs run wherever the backend's arrays live,
+    and the resolved ``(B, S)`` values always come back host-side (the
+    metrology boundary).
     """
-    idx = fft.index
-    spectrum = fft.fft2(intensity_sub, axes=(-2, -1))
-    spec_band = spectrum[
-        :, idx(band.up_rows_src[:, None]), idx(band.up_cols_src[None, :])
-    ].reshape(intensity_sub.shape[0], -1)
-    stacked = fft.concat([spec_band.real, spec_band.imag], axis=1)
-    return fft.to_host(
-        stacked @ _sparse_phase_matrix(band.shape, band, rows, cols, fft)
+    height, width = band.shape
+    m0, m1 = band.subgrid
+    half_cols = 2 * band.band[1] + 1
+    if fft.is_numpy:
+        # The subgrid is small, so threading never pays, and np.fft
+        # keeps numpy and scipy bit-for-bit here.
+        spectrum = np.fft.rfft2(intensity_sub, axes=(-2, -1))
+    else:
+        spectrum = fft.rfft2(intensity_sub, axes=(-2, -1))
+    spec_band = spectrum[:, fft.index(band.up_rows_src), :half_cols]
+    lattice_rows, row_idx = _lattice(rows, height)
+    lattice_cols, col_idx = _lattice(cols, width)
+    # upscale / (H W) == 1 / (m0 m1): the resample gain times the
+    # inverse-transform normalization.
+    phase_rows = _phases(height, lattice_rows, band.up_rows_dst) / (m0 * m1)
+    phase_cols = _phases(width, np.arange(half_cols), lattice_cols)
+    phase_cols[1:] *= 2.0
+    # Only the real part of the column contraction is needed: one real
+    # GEMM of [Re, Im] against [Re P_cols; -Im P_cols].
+    partial = fft.to_device(phase_rows) @ spec_band
+    lattice = fft.concat([partial.real, partial.imag], axis=-1) @ (
+        fft.to_device(np.concatenate([phase_cols.real, -phase_cols.imag]))
     )
+    return fft.to_host(lattice[:, fft.index(row_idx), fft.index(col_idx)])
 
 
 @dataclass
@@ -799,9 +770,9 @@ class OpticalKernelSet:
         """Intensity at a pixel set from subgrid-scattered mask bands.
 
         The subgrid convolution runs exactly as in :meth:`_band_intensity`;
-        the full-grid inverse FFT of the intensity is replaced by a direct
-        DFT gather — one real GEMM of the ``(B, 2F)`` intensity-band
-        spectra against the cached ``(2F, S)`` phase matrix.
+        the full-grid inverse FFT of the intensity is replaced by the
+        lattice gather of :func:`band_values_at_pixels` — two small GEMMs
+        over the pixel set's distinct rows x distinct columns.
         """
         intensity = self._subgrid_intensity(sub, band)
         return band_values_at_pixels(intensity, band, rows, cols, self.fft)
@@ -816,8 +787,8 @@ class OpticalKernelSet:
         absolute — the exact zero-padded FFT resample and the direct DFT
         gather are the same linear map evaluated in different summation
         orders).  On the compact band path the full-grid inverse
-        transform never happens: cost drops from O(B H W log(H W)) to one
-        ``(B, 2F) x (2F, S)`` GEMM after the subgrid convolution.  A
+        transform never happens: cost drops from O(B H W log(H W)) to
+        two small lattice GEMMs after the subgrid convolution.  A
         non-compact band's intensity already lives on the full grid, so
         it is gathered directly, which is exact by construction.
         """

@@ -97,7 +97,11 @@ from repro.geometry.mask_edit import MaskState
 from repro.geometry.polygon import Polygon
 from repro.geometry.raster import Grid, rasterize
 from repro.backend import resolve_backend
-from repro.litho.kernels import OpticalKernelSet, build_kernel_set
+from repro.litho.kernels import (
+    OpticalKernelSet,
+    band_values_at_pixels,
+    build_kernel_set,
+)
 from repro.litho.process import ProcessCorner, standard_corners
 from repro.litho.resist import printed_image
 from repro.litho.source import SourceSpec
@@ -380,16 +384,16 @@ class LithographySimulator:
 
         Neither ``printed_image`` nor any full-grid inverse FFT is
         constructed: the stack is forward-transformed once with the
-        half-width real-input FFT, both kernel sets gather their pupil
-        bands from it by Hermitian symmetry, and each plan's pixel set
-        is evaluated by the direct band-spectrum gather
-        (:meth:`~repro.litho.kernels.OpticalKernelSet.
-        sparse_intensity_from_rfft`).  Values agree with gathering the
-        dense :meth:`simulate_batch` aerials at the same pixels to
-        <= 1e-12 absolute intensity — resolved EPE offsets agree to
-        <= 1e-9 nm.  Grids whose pupil band is not compact take the
-        full spectrum and gather from the dense intensity, which is
-        exact.
+        half-width real-input FFT, each kernel set gathers its pupil
+        band from it by Hermitian symmetry and images the whole stack
+        once on the alias-free subgrid, and each plan's pixel set is
+        lifted from that subgrid intensity by the lattice gather
+        (:func:`~repro.litho.kernels.band_values_at_pixels`).  Values
+        agree with gathering the dense :meth:`simulate_batch` aerials at
+        the same pixels to <= 1e-12 absolute intensity — resolved EPE
+        offsets agree to <= 1e-9 nm.  Grids whose pupil band is not
+        compact take the full spectrum and gather from the dense
+        intensity, which is exact.
 
         Like :meth:`simulate_batch`, ``masks`` may be a device tensor
         under a device backend; the sparse values in each returned
@@ -440,43 +444,46 @@ class LithographySimulator:
             return results
 
         shape = grid.shape
-        defocus_set = self.kernel_set(inner.defocus_nm) if with_defocus else None
-        kernel_sets = [focus_set] + ([defocus_set] if with_defocus else [])
+        kernel_sets = [focus_set] + (
+            [self.kernel_set(inner.defocus_nm)] if with_defocus else []
+        )
         compact = all(
             kset.band_spectra(shape).compact for kset in kernel_sets
         )
+        # Each kernel set images the whole stack once; only the pixel
+        # lift runs per plan.
         if compact:
             spectra = focus_set.fft.rfft2(stack, axes=(-2, -1))
-
-            def evaluate(kset, indices, plan):
-                return kset.sparse_intensity_from_rfft(
-                    spectra[indices], shape, plan.pixel_rows, plan.pixel_cols
-                )
+            intensities = [
+                kset.subgrid_intensity_from_rfft(spectra, shape)
+                for kset in kernel_sets
+            ]
         else:
             spectra = focus_set.fft.fft2(stack, axes=(-2, -1))
+            intensities = [
+                kset.intensity_from_mask_ffts(spectra) for kset in kernel_sets
+            ]
 
-            def evaluate(kset, indices, plan):
-                return kset.intensity_at_pixels(
-                    spectra[indices], plan.pixel_rows, plan.pixel_cols
-                )
+        def lift(kset, intensity, plan):
+            rows, cols = plan.pixel_rows, plan.pixel_cols
+            if not compact:
+                return intensity[:, rows, cols]
+            return band_values_at_pixels(
+                intensity, kset.band_spectra(shape), rows, cols, kset.fft
+            )
 
         from repro.metrology.contour import SparseAerial
 
         for plan, indices in groups.values():
-            # Device spectra need device-resident batch indices.
-            index_array = focus_set.fft.index(np.asarray(indices))
-            values = evaluate(focus_set, index_array, plan)
-            values_defocus = (
-                evaluate(defocus_set, index_array, plan)
-                if with_defocus else None
-            )
+            values = [
+                lift(kset, intensity[indices], plan)
+                for kset, intensity in zip(kernel_sets, intensities)
+            ]
             for row, index in enumerate(indices):
                 results[index] = SparseAerial(
                     plan=plan,
-                    values=values[row],
-                    values_defocus=(
-                        values_defocus[row] if with_defocus else None
-                    ),
+                    values=values[0][row],
+                    values_defocus=values[1][row] if with_defocus else None,
                 )
         return results
 

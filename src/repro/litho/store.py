@@ -44,12 +44,14 @@ import numpy as np
 
 from repro.errors import LithoError
 
-STORE_FORMAT_VERSION = 2
+STORE_FORMAT_VERSION = 3
 """Bump when the on-disk layout or the spectra semantics change; entries
 with another version are ignored (treated as cold).  Version 2 added a
 content checksum over the array payloads — a bit-flipped entry (disk
 rot, foreign tools) is detected on load and rebuilt instead of silently
-corrupting every simulation that warms from it."""
+corrupting every simulation that warms from it.  Version 3 truncates
+SOCS only at eigenvalue-cluster boundaries, which can lower the stored
+kernel count (the ``weights`` length) for the same optics."""
 
 ORPHAN_TMP_MAX_AGE_S = 3600.0
 """Temp files older than this are presumed orphaned by a killed writer

@@ -219,12 +219,30 @@ def build_tcc_grid(
     )
 
 
+CLUSTER_RTOL = 1e-3
+"""Adjacent TCC eigenvalues whose gap is at most this fraction of the
+larger one form one cluster.  Source symmetry makes some eigenvalues
+exactly equal, and LAPACK may return any orthonormal basis of such an
+eigenspace, so a cut inside a cluster makes the image depend on the BLAS
+build.  A near-degenerate pair is as fragile: round-off of order
+``n eps lambda_1`` rotates its vectors by that over the gap.  The
+benchmark grids' 12-kernel cuts sit at gaps of 2-5% of lambda_12, well
+clear of this tolerance."""
+
+
 def socs_spectra(
     tcc: TCCResult,
     max_kernels: int = 12,
     energy_fraction: float = 0.995,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a TCC into SOCS kernel *spectra*.
+
+    The kernel count is the smallest one holding ``energy_fraction`` of
+    the eigenvalue sum, capped at ``max_kernels``; both cuts fall only
+    on eigenvalue-cluster boundaries (:data:`CLUSTER_RTOL`).  The energy
+    cut rounds up to the end of its cluster and the cap rounds down to
+    the start of the cluster it would split, so the truncated image is
+    invariant to the basis LAPACK picks inside any kept eigenspace.
 
     Returns:
         ``(weights, coefficients)``: weights ``(K,)`` (eigenvalues,
@@ -243,8 +261,21 @@ def socs_spectra(
     total = eigvals.sum()
     if total <= 0:
         raise LithoError("TCC has no positive eigenvalues")
+    # Kernel counts that end on a cluster boundary, ascending.
+    gaps = eigvals[:-1] - eigvals[1:]
+    boundaries = np.flatnonzero(gaps > CLUSTER_RTOL * eigvals[:-1])
+    cuts = np.append(boundaries + 1, len(eigvals))
     cumulative = np.cumsum(eigvals) / total
-    count = int(np.searchsorted(cumulative, energy_fraction) + 1)
-    count = min(count, max_kernels, len(eigvals))
+    needed = min(
+        int(np.searchsorted(cumulative, energy_fraction) + 1), len(eigvals)
+    )
+    count = int(cuts[np.searchsorted(cuts, needed)])
+    if count > max_kernels:
+        fitting = cuts[cuts <= max_kernels]
+        if not len(fitting):
+            raise LithoError(
+                f"max_kernels={max_kernels} splits the leading eigenvalue "
+                f"cluster of {int(cuts[0])} kernels"
+            )
+        count = int(fitting[-1])
     return eigvals[:count], np.ascontiguousarray(eigvecs[:, :count].T)
-

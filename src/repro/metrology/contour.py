@@ -21,8 +21,8 @@ Sparse evaluation: a :class:`ContourStencilPlan` enumerates, once per
 (clip geometry, search window), the unique grid pixels every bilinear
 stencil of every search sample touches — typically a few hundred of the
 grid's ~10^5 pixels.  The lithography engine evaluates intensity at just
-that pixel set (:meth:`repro.litho.kernels.OpticalKernelSet.
-intensity_at_pixels`), and :meth:`ContourStencilPlan.profiles` rebuilds
+that pixel set (:meth:`repro.litho.simulator.LithographySimulator.
+simulate_epe_batch`), and :meth:`ContourStencilPlan.profiles` rebuilds
 the search profiles with *exactly* the arithmetic of
 :func:`~repro.geometry.raster.bilinear_sample_many` — given identical
 pixel values the profiles are bit-for-bit identical, so the whole sparse
@@ -321,9 +321,8 @@ def plan_contour_stencils(
     """Build (and cache) the sparse sampling plan for one geometry.
 
     Plans are cached per ``(grid, points, normals, search window)`` —
-    clip geometry is immutable, so repeated verification of the same
-    clip (the service's steady state) reuses one plan, and with it the
-    litho engine's cached phase matrix for the pixel set.
+    clip geometry is immutable, so repeated verification or screening of
+    the same clip reuses one plan.
     """
     points, normals = _validate_inputs(points, normals, search_nm, step_nm)
     key = (

@@ -65,14 +65,7 @@ class MaskOptService:
         simulator: LithographySimulator | None = None,
         litho_config: LithoConfig | None = None,
         verify_tolerance_nm: float = _VERIFY_TOLERANCE_NM,
-        verify_eval: str = "sparse",
     ) -> None:
-        """``verify_eval`` selects the verification engine: ``"sparse"``
-        (default) evaluates intensity only at each clip's measure-point
-        stencils — same measured EPE to <= 1e-9 nm, a fraction of the
-        litho work — while ``"dense"`` retains the full
-        ``simulate_batch`` pipeline bit-for-bit (see
-        :class:`~repro.service.scheduler.ShapeBinScheduler`)."""
         if simulator is not None and litho_config is not None:
             raise ServiceError(
                 "pass either a simulator or a litho_config, not both"
@@ -81,7 +74,7 @@ class MaskOptService:
             simulator = LithographySimulator(litho_config or LithoConfig())
         self.simulator = simulator
         self.verify_tolerance_nm = float(verify_tolerance_nm)
-        self.scheduler = ShapeBinScheduler(verify_eval=verify_eval)
+        self.scheduler = ShapeBinScheduler()
         self._pending: list[tuple[int, OptRequest]] = []
         self._engines: dict[tuple, Any] = {}
         self._next_id = 0

@@ -207,9 +207,9 @@ def surrogate_features(
     (:func:`~repro.litho.kernels.band_limited_mask_subgrid_direct`),
     which skips the full-grid forward FFT entirely.  Returns the ``(B,
     1, m0, m1)`` feature stack together with the band geometry and the
-    focus kernel set (whose phase-matrix cache the prediction path
-    reuses).  Masks may arrive device-resident under a device backend;
-    features stay in the kernel set's native array representation.
+    focus kernel set the prediction path lifts through.  Masks may
+    arrive device-resident under a device backend; features stay in the
+    kernel set's native array representation.
     """
     band, kernel_set = _band_geometry(simulator, grid)
     masks = kernel_set.fft.asarray_f64(masks)

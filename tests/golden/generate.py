@@ -26,6 +26,12 @@ Regeneration log:
   compact pupil-band engine exact.  The images are generated by the
   single-mask spatial reference path under the numpy backend; the
   batched band engine must match them to the same 1e-9 tolerance.
+* Cluster-aware SOCS truncation: at this config (8 kernels, 8 nm) the
+  focus TCC's eigenvalues 8 and 9 are exactly equal on both golden
+  grids, so the old cut kept whichever vector of that 2-D eigenspace
+  LAPACK returned and the images differed by ~1.6e-9 across BLAS builds.
+  The cut now rounds down to 7 focus kernels (the defocus set keeps 8);
+  both goldens were regenerated once.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ Four contracts pinned here:
   backend identity + device: numpy and scipy share one host copy
   (same ``array_identity``), a device backend always gets its own
   entry, and a backend swap can never serve wrong-residency arrays.
+  The sparse pixel gather caches nothing: numpy and scipy compute it
+  bit-for-bit alike, and a device backend gets host float64 values.
 * **Torch parity** — the torch CPU backend agrees with numpy to <= 1e-9
   nm EPE on the sparse screening path (skipped when torch is not
   installed).
@@ -36,9 +38,7 @@ from repro.geometry import Grid, Polygon, Rect, rasterize
 from repro.geometry.segmentation import fragment_clip
 from repro.litho.kernels import (
     _BAND_DFT_CACHE,
-    _PHASE_CACHE,
     _band_dft_matrices,
-    _sparse_phase_matrix,
     band_limited_mask_subgrid_direct,
     band_values_at_pixels,
     gather_band_rfft,
@@ -79,6 +79,14 @@ def small_mask_stack(count=2, n=160, seed=3):
             [Polygon.from_rect(Rect.square(cx, cy, 90))], grid
         ))
     return np.stack(masks)
+
+
+def subgrid_intensity(kset, band, count=2):
+    """Exact ``(count, m0, m1)`` subgrid intensity of a small mask stack."""
+    masks = small_mask_stack(count)
+    return kset.subgrid_intensity_from_rfft(
+        np.fft.rfft2(masks, axes=(-2, -1)), band.shape
+    )
 
 
 class TestResolution:
@@ -151,14 +159,17 @@ class TestFingerprintExclusion:
 
 
 class TestDtypePolicy:
-    def test_sparse_phase_matrix_is_float64(self, band_geometry):
-        band, _ = band_geometry
-        rows = np.array([5, 80, 120], dtype=np.int64)
-        cols = np.array([7, 40, 150], dtype=np.int64)
-        matrix = _sparse_phase_matrix(
-            (160, 160), band, rows, cols, resolve_backend("numpy", 1)
+    def test_lattice_gather_is_float64(self, band_geometry):
+        band, kset = band_geometry
+        intensity = subgrid_intensity(kset, band)
+        rows = np.array([5, 80, 120, 80], dtype=np.int64)
+        cols = np.array([7, 40, 150, 7], dtype=np.int64)
+        values = band_values_at_pixels(
+            intensity, band, rows, cols, resolve_backend("numpy", 1)
         )
-        assert matrix.dtype == np.float64
+        assert isinstance(values, np.ndarray)
+        assert values.dtype == np.float64
+        assert values.shape == (2, 4)
 
     def test_band_dft_matrices_are_complex128_float64(self, band_geometry):
         band, _ = band_geometry
@@ -197,34 +208,22 @@ class TestDtypePolicy:
 
 
 class TestCacheIdentity:
-    def test_numpy_and_scipy_share_host_phase_matrices(self, band_geometry):
-        """Same array_identity -> literally the same cached object; no
-        duplicate host copies for a transform-library swap."""
+    def test_numpy_and_scipy_gather_bit_for_bit(self, band_geometry):
+        """The gather caches nothing per backend; on the same subgrid
+        intensity numpy and scipy produce identical bits."""
         if not scipy_fft_available():
             pytest.skip("scipy not installed")
-        band, _ = band_geometry
-        rows = np.array([3, 9], dtype=np.int64)
-        cols = np.array([4, 11], dtype=np.int64)
-        via_numpy = _sparse_phase_matrix(
-            (160, 160), band, rows, cols, resolve_backend("numpy", 1)
+        band, kset = band_geometry
+        intensity = subgrid_intensity(kset, band)
+        rows = np.array([3, 9, 3, 150], dtype=np.int64)
+        cols = np.array([4, 11, 100, 4], dtype=np.int64)
+        via_numpy = band_values_at_pixels(
+            intensity, band, rows, cols, resolve_backend("numpy", 1)
         )
-        via_scipy = _sparse_phase_matrix(
-            (160, 160), band, rows, cols, resolve_backend("scipy", 2)
+        via_scipy = band_values_at_pixels(
+            intensity, band, rows, cols, resolve_backend("scipy", 2)
         )
-        assert via_scipy is via_numpy
-
-    def test_phase_cache_keys_carry_array_identity(self, band_geometry):
-        band, _ = band_geometry
-        rows = np.array([1, 2], dtype=np.int64)
-        cols = np.array([3, 4], dtype=np.int64)
-        _sparse_phase_matrix(
-            (160, 160), band, rows, cols, resolve_backend("numpy", 1)
-        )
-        key = (
-            (160, 160), band.band, rows.tobytes(), cols.tobytes(),
-            ("numpy", "cpu"),
-        )
-        assert key in _PHASE_CACHE
+        np.testing.assert_array_equal(via_scipy, via_numpy)
 
     def test_band_dft_cache_keys_carry_array_identity(self, band_geometry):
         band, _ = band_geometry
@@ -232,32 +231,29 @@ class TestCacheIdentity:
         assert ((160, 160), band.band, ("numpy", "cpu")) in _BAND_DFT_CACHE
 
     @requires_torch
-    def test_torch_gets_its_own_device_entries(self, band_geometry):
-        """A device backend must never be served the host copy (or vice
-        versa): distinct array_identity -> distinct cache entry, holding
-        a tensor on the backend's device."""
+    def test_torch_gather_runs_on_device_values_come_home(
+        self, band_geometry
+    ):
+        """Under a device backend the gather takes a device-resident
+        intensity and returns host float64 values equal to numpy's."""
         import torch
 
-        band, _ = band_geometry
-        rows = np.array([3, 9], dtype=np.int64)
-        cols = np.array([4, 11], dtype=np.int64)
-        host = _sparse_phase_matrix(
-            (160, 160), band, rows, cols, resolve_backend("numpy", 1)
+        band, kset = band_geometry
+        intensity = subgrid_intensity(kset, band)
+        rows = np.array([3, 9, 3], dtype=np.int64)
+        cols = np.array([4, 11, 100], dtype=np.int64)
+        host = band_values_at_pixels(
+            intensity, band, rows, cols, resolve_backend("numpy", 1)
         )
         backend = resolve_backend("torch", device="cpu")
-        device_copy = _sparse_phase_matrix(
-            (160, 160), band, rows, cols, backend
+        device_intensity = backend.to_device(intensity)
+        assert isinstance(device_intensity, torch.Tensor)
+        got = band_values_at_pixels(
+            device_intensity, band, rows, cols, backend
         )
-        assert isinstance(host, np.ndarray)
-        assert isinstance(device_copy, torch.Tensor)
-        assert device_copy.dtype == torch.float64
-        np.testing.assert_array_equal(host, device_copy.cpu().numpy())
-        # And the host entry is still served to host backends afterwards
-        # (no cross-backend eviction/overwrite).
-        again = _sparse_phase_matrix(
-            (160, 160), band, rows, cols, resolve_backend("numpy", 1)
-        )
-        assert again is host
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == np.float64
+        assert np.abs(got - host).max() < 1e-12
 
     def test_contour_plan_cache_is_backend_independent(self):
         """Stencil plans are pure geometry — no FFT input — so one plan

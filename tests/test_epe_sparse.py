@@ -180,16 +180,59 @@ class TestSparseIntensity:
                 full, GRID.shape, np.array([0]), np.array([0])
             )
 
-    def test_phase_matrix_is_cached_per_pixel_set(self, sim):
-        from repro.litho.kernels import _PHASE_CACHE
-
+    @pytest.mark.parametrize("case", [
+        "duplicated_unsorted", "single_row", "single_col", "one_pixel",
+    ])
+    def test_lattice_gather_on_awkward_pixel_sets(self, sim, case):
+        """The gather evaluates a rows x cols lattice and picks pixels out
+        of it: repeated, unsorted, one-row, one-column and one-pixel sets
+        must all match the dense engine."""
+        rows, cols = {
+            "duplicated_unsorted": (
+                np.array([120, 5, 77, 5, 120, 33]),
+                np.array([9, 150, 9, 150, 9, 64]),
+            ),
+            "single_row": (np.full(12, 41), np.arange(100, 64, -3)),
+            "single_col": (np.arange(3, 159, 13), np.full(12, 97)),
+            "one_pixel": (np.array([58]), np.array([131])),
+        }[case]
         kset = sim.kernel_set(0.0)
-        spectra = kset.fft.fft2(mask_stack(GRID, 1), axes=(-2, -1))
-        rows, cols = random_pixel_set(GRID.shape, 64, seed=23)
-        kset.intensity_at_pixels(spectra, rows, cols)
-        size = len(_PHASE_CACHE)
-        kset.intensity_at_pixels(spectra, rows, cols)
-        assert len(_PHASE_CACHE) == size  # second call hit the cache
+        masks = mask_stack(GRID, 3)
+        spectra = kset.fft.fft2(masks, axes=(-2, -1))
+        dense = kset.intensity_from_mask_ffts(spectra)[:, rows, cols]
+        sparse = kset.intensity_at_pixels(spectra, rows, cols)
+        assert sparse.shape == dense.shape == (3, len(rows))
+        assert np.abs(sparse - dense).max() < INTENSITY_TOLERANCE
+
+    def test_verifying_distinct_clips_retains_no_state(self):
+        """Verification sees each clip once, so nothing per pixel set may
+        outlive the call: verifying 8 distinct metal clips of one shape
+        grows the traced peak by well under one cached gather matrix
+        per clip."""
+        import tracemalloc
+
+        sim = LithographySimulator(LithoConfig(backend="numpy"))
+        clips = [
+            stdcell_metal_clip(f"tm{i}", 64, seed=600 + i) for i in range(9)
+        ]
+        grid = sim.grid_for(clips[0])
+
+        def verify(clip):
+            plan = measure_stencil_plan(grid, fragment_clip(clip))
+            mask = rasterize(clip.targets, grid)
+            sim.simulate_epe_batch(mask[None], grid, plan)
+
+        verify(clips[0])  # band spectra for the shared grid shape
+        assert all(sim.grid_for(clip) == grid for clip in clips)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            for clip in clips[1:]:
+                verify(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - baseline < 100 * 2**20
 
 
 class TestStencilPlan:

@@ -6,7 +6,14 @@ import pytest
 from repro.errors import LithoError
 from repro.litho.kernels import build_kernel_set
 from repro.litho.source import SourceSpec
-from repro.litho.tcc import build_tcc, frequency_lattice, socs_spectra
+from repro.litho.tcc import (
+    CLUSTER_RTOL,
+    TCCResult,
+    build_tcc,
+    build_tcc_grid,
+    frequency_lattice,
+    socs_spectra,
+)
 
 SMALL = dict(period_nm=1024.0)
 
@@ -85,6 +92,105 @@ class TestSOCS:
     def test_bad_energy_fraction(self, tcc):
         with pytest.raises(LithoError):
             socs_spectra(tcc, energy_fraction=0.0)
+
+
+def synthetic_tcc(eigenvalues) -> TCCResult:
+    """A TCC with the given spectrum in a random orthonormal basis."""
+    rng = np.random.default_rng(0)
+    n = len(eigenvalues)
+    basis, _ = np.linalg.qr(
+        rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    )
+    matrix = (basis * np.asarray(eigenvalues, dtype=float)) @ basis.conj().T
+    return TCCResult(
+        matrix=(matrix + matrix.conj().T) / 2,
+        shift_indices=np.zeros((n, 2), dtype=np.int64),
+        lattice_spacing_rc=(1.0, 1.0),
+    )
+
+
+def clusters(eigenvalues) -> list[slice]:
+    """Descending eigenvalues grouped by the truncation's cluster rule."""
+    gaps = eigenvalues[:-1] - eigenvalues[1:]
+    ends = list(np.flatnonzero(gaps > CLUSTER_RTOL * eigenvalues[:-1]) + 1)
+    starts = [0] + ends
+    return [slice(a, b) for a, b in zip(starts, ends + [len(eigenvalues)])]
+
+
+def socs_image(mask, tcc, weights, coefficients) -> np.ndarray:
+    """Full-grid SOCS intensity of kernels given on the TCC lattice."""
+    shape = mask.shape
+    rows = tcc.shift_indices[:, 0] % shape[0]
+    cols = tcc.shift_indices[:, 1] % shape[1]
+    mask_fft = np.fft.fft2(mask)
+    image = np.zeros(shape)
+    for weight, coefficient in zip(weights, coefficients):
+        spectrum = np.zeros(shape, dtype=np.complex128)
+        spectrum[rows, cols] = coefficient
+        field = np.fft.ifft2(mask_fft * spectrum)
+        image += weight * (field.real**2 + field.imag**2)
+    return image
+
+
+class TestClusterAwareTruncation:
+    def test_cap_rounds_down_to_a_cluster_boundary(self):
+        tcc = synthetic_tcc([4.0, 2.0, 1.0, 1.0, 1.0, 0.5])
+        for cap, kept in ((2, 2), (3, 2), (4, 2), (5, 5), (6, 6)):
+            weights, coefficients = socs_spectra(
+                tcc, max_kernels=cap, energy_fraction=1.0
+            )
+            assert len(weights) == len(coefficients) == kept
+
+    def test_energy_cut_rounds_up_to_the_end_of_its_cluster(self):
+        # 0.75 of the energy is reached inside the {1, 1, 1} cluster.
+        tcc = synthetic_tcc([4.0, 2.0, 1.0, 1.0, 1.0, 0.5])
+        weights, _ = socs_spectra(tcc, max_kernels=6, energy_fraction=0.75)
+        assert len(weights) == 5
+
+    def test_cap_inside_the_leading_cluster_raises(self):
+        tcc = synthetic_tcc([3.0, 3.0, 1.0])
+        with pytest.raises(LithoError, match="leading eigenvalue cluster"):
+            socs_spectra(tcc, max_kernels=1)
+
+    def test_golden_config_drops_the_split_pair(self):
+        """At 8 nm / 8 kernels the focus TCC's eigenvalues 8 and 9 are
+        equal, so only 7 focus kernels are kept."""
+        kset = build_kernel_set(pixel_nm=8.0, max_kernels=8, backend="numpy")
+        tcc = build_tcc_grid(kset.source, (188, 188), kset.pixel_nm)
+        eigvals = np.sort(np.linalg.eigvalsh(tcc.matrix))[::-1]
+        assert eigvals[7] - eigvals[8] < 1e-12 * eigvals[0]
+        weights, _ = socs_spectra(tcc, max_kernels=8)
+        assert len(weights) == 7
+        assert eigvals[6] - eigvals[7] > CLUSTER_RTOL * eigvals[6]
+
+    def test_intensity_invariant_under_unitary_mix_of_each_cluster(self):
+        """LAPACK may return any orthonormal basis of an eigenspace.  The
+        cut never splits a cluster, so remixing every cluster of the
+        full spectrum by a random unitary leaves the image unchanged."""
+        source = build_kernel_set(pixel_nm=8.0, backend="numpy").source
+        tcc = build_tcc_grid(source, (188, 188), 8.0)
+        weights, coefficients = socs_spectra(tcc, max_kernels=8)
+        eigvals, eigvecs = np.linalg.eigh(tcc.matrix)
+        eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+        groups = clusters(eigvals[: len(weights) + 1])
+        assert any(group.stop - group.start > 1 for group in groups)
+        rng = np.random.default_rng(5)
+        mixed = eigvecs.copy()
+        for group in groups:
+            size = group.stop - group.start
+            unitary, _ = np.linalg.qr(
+                rng.normal(size=(size, size))
+                + 1j * rng.normal(size=(size, size))
+            )
+            mixed[:, group] = eigvecs[:, group] @ unitary
+        mask = np.zeros((188, 188))
+        mask[40:90, 60:75] = 1.0
+        mask[100:110, 20:160] = 1.0
+        reference = socs_image(mask, tcc, weights, coefficients)
+        remixed = socs_image(
+            mask, tcc, weights, mixed[:, : len(weights)].T
+        )
+        assert np.abs(remixed - reference).max() < 1e-12
 
 
 class TestKernelSet:

@@ -3,11 +3,11 @@ MaskOptService, CLI).
 
 The acceptance pin: ``MaskOptService.run_all`` over a mixed via+metal
 suite is bit-for-bit identical to the pre-redesign per-script path
-(direct ``engine.optimize`` + one-at-a-time re-simulation) under
-``verify_eval="dense"``, while the verification pass issues at most one
-batched litho call per (grid-shape, search-range) bin.  The sparse
-default (``verify_eval="sparse"``) must reproduce the dense verified
-EPE to <= 1e-9 nm.
+(direct ``engine.optimize`` + one-at-a-time re-measurement), while the
+verification pass issues at most one batched litho call per
+(grid-shape, search-range) bin.  The sparse verifier must reproduce the
+dense reference (``simulate_batch`` + ``measure_epe_grouped``) to
+<= 1e-9 nm.
 """
 
 import json
@@ -130,14 +130,15 @@ class TestRunAllBitForBit:
 
         Reference: the pre-redesign per-script wiring — direct
         ``engine.optimize`` per clip, then an independent one-clip-at-a-
-        time re-simulation + measurement (no cross-clip batching; batched
-        results are batch-size independent, so the service's grouped pass
-        must reproduce these values exactly).  The bit-for-bit half runs
-        under ``verify_eval="dense"``; the sparse default is pinned to
-        the same values separately in
-        ``test_sparse_default_matches_dense_verifier``.
+        time re-measurement (no cross-clip batching; batched results are
+        batch-size independent, so the service's grouped pass must
+        reproduce these values exactly).  The dense reference is pinned
+        separately in ``test_sparse_default_matches_dense_verifier``.
         """
-        from repro.metrology.epe import measure_epe_grouped
+        from repro.metrology.epe import (
+            measure_epe_grouped_sparse,
+            measure_stencil_plan,
+        )
 
         reference_engine = make_engine(sim)
         expected = [reference_engine.optimize(clip) for clip in mixed_suite]
@@ -145,14 +146,16 @@ class TestRunAllBitForBit:
         for clip, outcome in zip(mixed_suite, expected):
             grid = sim.grid_for(clip)
             mask = final_mask_image(outcome, grid)
-            litho = sim.simulate_batch(mask[None], grid)[0]
-            (report,) = measure_epe_grouped(
-                litho.aerial[None], [grid], [fragment_clip(clip)],
-                sim.config.threshold, search_nm=40.0,
+            plan = measure_stencil_plan(
+                grid, fragment_clip(clip), search_nm=40.0
+            )
+            (report,) = measure_epe_grouped_sparse(
+                sim.simulate_epe_batch(mask[None], grid, plan),
+                sim.config.threshold,
             )
             expected_epe[clip.name] = report.total_abs
 
-        service = MaskOptService(simulator=sim, verify_eval="dense")
+        service = MaskOptService(simulator=sim)
         engine = make_engine(sim)
         for clip in mixed_suite:
             service.submit(OptRequest(clip=clip, engine=engine))
@@ -169,58 +172,47 @@ class TestRunAllBitForBit:
             assert result.early_exited == outcome.early_exited
             assert result.verified_epe_nm == expected_epe[result.clip_name]
 
-        # At most one simulate_batch per (grid-shape, search-range) bin
-        # per verification pass: 2 distinct shapes -> 2 batched calls.
+        # At most one batched litho call per (grid-shape, search-range)
+        # bin per verification pass: 2 distinct shapes -> 2 calls.
         shapes = {sim.grid_for(clip).shape for clip in mixed_suite}
         assert service.scheduler.batch_calls == len(shapes) == 2
         assert service.scheduler.items_flushed == len(mixed_suite)
 
     def test_sparse_default_matches_dense_verifier(self, sim, mixed_suite):
-        """The default sparse verifier (EPE-only band-spectrum gather)
-        must reproduce the dense verified EPE to <= 1e-9 nm — far inside
-        the service's 1e-6 nm drift gate — with the same bin counters."""
+        """The sparse verifier (EPE-only lattice gather) must reproduce
+        the dense reference — full-grid ``simulate_batch`` +
+        ``measure_epe_grouped`` per mask — to <= 1e-9 nm, far inside the
+        service's 1e-6 nm drift gate."""
+        from repro.metrology.epe import measure_epe_grouped
+
         engine = make_engine(sim)
-
-        dense = MaskOptService(simulator=sim, verify_eval="dense")
+        service = MaskOptService(simulator=sim)
         for clip in mixed_suite:
-            dense.submit(OptRequest(clip=clip, engine=engine))
-        dense_results = dense.run_all()
+            service.submit(OptRequest(clip=clip, engine=engine))
+        results = service.run_all()
 
-        sparse = MaskOptService(simulator=sim)
-        assert sparse.scheduler.verify_eval == "sparse"
-        for clip in mixed_suite:
-            sparse.submit(OptRequest(clip=clip, engine=engine))
-        sparse_results = sparse.run_all()
-
-        for got, ref in zip(sparse_results, dense_results):
-            # Identical optimization numbers (verification never feeds
-            # back into the engine) ...
-            assert got.epe_nm == ref.epe_nm
-            assert got.pvband_nm2 == ref.pvband_nm2
-            # ... and sparse-vs-dense verified EPE inside 1e-9 nm.
-            assert got.verified_epe_nm == pytest.approx(
-                ref.verified_epe_nm, abs=1e-9
+        for clip, result in zip(mixed_suite, results):
+            grid = sim.grid_for(clip)
+            mask = final_mask_image(engine.optimize(clip), grid)
+            litho = sim.simulate_batch(mask[None], grid)[0]
+            (dense,) = measure_epe_grouped(
+                litho.aerial[None], [grid], [fragment_clip(clip)],
+                sim.config.threshold, search_nm=40.0,
             )
-        # Same binning: one batched call per grid shape either way.
-        assert sparse.scheduler.batch_calls == dense.scheduler.batch_calls == 2
-        assert sparse.scheduler.items_flushed == len(mixed_suite)
+            assert result.verified_epe_nm == pytest.approx(
+                dense.total_abs, abs=1e-9
+            )
 
-    def test_rejects_unknown_verify_eval(self, sim):
-        with pytest.raises(ServiceError, match="verify_eval"):
-            MaskOptService(simulator=sim, verify_eval="approximate")
-
-    @pytest.mark.parametrize("verify_eval", ["sparse", "dense"])
     def test_scheduler_counter_matches_real_litho_calls(
-        self, sim, mixed_suite, monkeypatch, verify_eval
+        self, sim, mixed_suite, monkeypatch
     ):
         """`scheduler.batch_calls` (what the other tests assert on) must
-        track actual batched litho invocations one-for-one — sparse bins
-        flush through `simulate_epe_batch`, dense ones through
-        `simulate_batch`."""
+        track actual batched litho invocations one-for-one: every bin
+        flushes through `simulate_epe_batch`, never `simulate_batch`."""
         from repro.service.scheduler import ShapeBinScheduler
 
         engine = make_engine(sim)
-        scheduler = ShapeBinScheduler(verify_eval=verify_eval)
+        scheduler = ShapeBinScheduler()
         for ticket, clip in enumerate(mixed_suite):
             added = scheduler.add_outcome(
                 ticket, clip, engine.optimize(clip), sim, 40.0
@@ -248,12 +240,11 @@ class TestRunAllBitForBit:
             LithographySimulator, "simulate_epe_batch", counting_sparse
         )
         measured = scheduler.flush(sim)
-        expected_method = (
-            "simulate_epe_batch" if verify_eval == "sparse"
-            else "simulate_batch"
-        )
-        assert calls[expected_method] == scheduler.batch_calls == 2
-        assert sum(calls.values()) == 2  # the other engine never runs
+        assert calls == {
+            "simulate_batch": 0,
+            "simulate_epe_batch": scheduler.batch_calls,
+        }
+        assert scheduler.batch_calls == 2
         assert set(measured) == set(range(len(mixed_suite)))
         assert scheduler.pending == 0  # queue drained
 
