@@ -172,7 +172,9 @@ def conv2d(
     """2-D convolution (cross-correlation) on ``(N, C, H, W)`` inputs.
 
     ``weight`` is ``(F, C, KH, KW)``; output is ``(N, F, OH, OW)``.
-    Implemented with im2col so the heavy lifting is one matmul.
+    Implemented with im2col so the heavy lifting is one BLAS matmul per
+    pass: ``(F, C*KH*KW) @ (N, C*KH*KW, OH*OW)`` forward, and its
+    transposes for the weight and input gradients.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise NNError(f"conv2d expects 4-D input/weight, got {x.shape}/{weight.shape}")
@@ -195,9 +197,9 @@ def conv2d(
     cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
 
     w_flat = weight.data.reshape(f, c * kh * kw)
-    out_data = np.einsum("fk,nkp->nfp", w_flat, cols).reshape(n, f, oh, ow)
+    out_data = np.matmul(w_flat, cols).reshape(n, f, oh, ow)
     if bias is not None:
-        out_data = out_data + bias.data.reshape(1, f, 1, 1)
+        out_data += bias.data.reshape(1, f, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     requires = any(t.requires_grad for t in parents)
@@ -206,12 +208,13 @@ def conv2d(
     def backward(grad: np.ndarray) -> None:
         grad_flat = grad.reshape(n, f, oh * ow)
         if weight.requires_grad:
-            grad_w = np.einsum("nfp,nkp->fk", grad_flat, cols).reshape(weight.shape)
+            grad_w = np.tensordot(grad_flat, cols, ((0, 2), (0, 2)))
+            grad_w = grad_w.reshape(weight.shape)
             _accumulate(weight, grad_w)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            grad_cols = np.einsum("fk,nfp->nkp", w_flat, grad_flat)
+            grad_cols = np.matmul(w_flat.T, grad_flat)
             grad_cols = grad_cols.reshape(n, c, kh, kw, oh, ow)
             grad_padded = np.zeros(
                 (n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64

@@ -26,6 +26,11 @@ target encode per segment replaces P.  With a single state the union
 degenerates to exactly the per-window grid, so P=1 encodings are
 bit-for-bit identical to :meth:`encode_all`.
 
+Every encode extracts the mask and target polygons' bounding boxes,
+vertices and vertical edges once per state (:class:`PolygonTable`); the
+per-window work is array arithmetic on those tables, and the patterns
+sharing a window's grid are re-gridded together.
+
 RL-OPC's original 3-channel encoding (mask only) is exposed separately for
 the baseline.
 """
@@ -40,11 +45,11 @@ import numpy as np
 from repro.constants import FEATURE_WINDOW_NM
 from repro.errors import SquishError
 from repro.geometry.mask_edit import MaskState
-from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 from repro.geometry.segmentation import Segment
-from repro.squish.adaptive import adaptive_squish_tensor
-from repro.squish.squish import encode_squish
+from repro.squish.adaptive import adaptive_squish_tensors
+from repro.squish.scanlines import window_scanlines
+from repro.squish.squish import PolygonTable
 
 
 @dataclass(frozen=True)
@@ -73,94 +78,63 @@ class NodeFeatureEncoder:
         cx, cy = segment.control
         return Rect.from_center(cx, cy, self.window_nm, self.window_nm)
 
-    def _mask_tensor(
-        self,
-        mask_polys: list[Polygon],
-        window: Rect,
-        extra_x: Sequence[float],
-        extra_y: Sequence[float],
+    def _encode_window(
+        self, window: Rect, masks: list[PolygonTable], targets: PolygonTable
     ) -> np.ndarray:
-        pattern = encode_squish(
-            mask_polys, window, extra_x=extra_x, extra_y=extra_y
+        """``(len(masks), channels, s, s)`` tensors for one window.
+
+        Every mask (and, for 6 channels, the targets) is encoded on one
+        scanline grid: the window borders plus every vertex of every
+        polygon overlapping the window.  For a single mask this is the
+        mask grid refined by the target edges, and vice versa.
+        """
+        mask_ids = [table.overlapping(window) for table in masks]
+        tables = list(zip(masks, mask_ids))
+        if self.channels == 6:
+            tables.append((targets, targets.overlapping(window)))
+        vertices = [table.vertices[i] for table, ids in tables for i in ids]
+        xs, ys = _grid(window, vertices)
+        matrices = np.stack(
+            [table.occupancy(ids, xs, ys) for table, ids in tables]
         )
-        return adaptive_squish_tensor(pattern, self.out_size, self.out_size)
+        tensors = adaptive_squish_tensors(
+            matrices, np.diff(xs), np.diff(ys), self.out_size, self.out_size
+        )
+        if self.channels == 3:
+            return tensors
+        return np.concatenate(
+            [tensors[:-1], np.broadcast_to(tensors[-1:], tensors[:-1].shape)],
+            axis=1,
+        )
 
     def encode_segment(self, state: MaskState, segment: Segment) -> np.ndarray:
         """Feature tensor ``(channels, out_size, out_size)`` for one node."""
-        window = self._window(segment)
-        mask_polys = _clip_polygons(state.mask_polygons(), window)
-
-        if self.channels == 3:
-            mask_pattern = encode_squish(mask_polys, window)
-            return adaptive_squish_tensor(mask_pattern, self.out_size, self.out_size)
-
-        target_polys = _clip_polygons(state.clip.targets, window)
-        target_x, target_y = _vertex_scanlines(target_polys)
-        mask_x, mask_y = _vertex_scanlines(mask_polys)
-        tensor = self._mask_tensor(mask_polys, window, target_x, target_y)
-        target_pattern = encode_squish(
-            target_polys, window, extra_x=mask_x, extra_y=mask_y
-        )
-        tensor_t = adaptive_squish_tensor(target_pattern, self.out_size, self.out_size)
-        return np.concatenate([tensor, tensor_t], axis=0)
+        return self._encode_window(
+            self._window(segment), [_mask_table(state)], _target_table(state)
+        )[0]
 
     def encode_all(self, state: MaskState) -> np.ndarray:
         """Feature tensors for every segment: ``(n, channels, s, s)``."""
-        return np.stack(
-            [self.encode_segment(state, seg) for seg in state.segments]
-        )
-
-    # -- population batching -------------------------------------------------
-    def encode_segment_population(
-        self, states: Sequence[MaskState], segment: Segment
-    ) -> np.ndarray:
-        """``(P, channels, s, s)`` tensors for one segment across P states.
-
-        All members share one scanline union (target edges + every
-        member's mask edges), so the target channels are encoded once and
-        broadcast.  With ``P == 1`` the union equals the per-window grid
-        and the result is bit-for-bit :meth:`encode_segment`.
-        """
-        if not states:
-            raise SquishError("population encoding needs at least one state")
-        window = self._window(segment)
-        members = [
-            _clip_polygons(state.mask_polygons(), window) for state in states
-        ]
-        target_polys = _clip_polygons(states[0].clip.targets, window)
-        union_x, union_y = _vertex_scanlines(target_polys)
-        for mask_polys in members:
-            mask_x, mask_y = _vertex_scanlines(mask_polys)
-            union_x = union_x + mask_x
-            union_y = union_y + mask_y
-        target_pattern = encode_squish(
-            target_polys, window, extra_x=union_x, extra_y=union_y
-        )
-        tensor_t = adaptive_squish_tensor(
-            target_pattern, self.out_size, self.out_size
-        )
+        masks, targets = [_mask_table(state)], _target_table(state)
         return np.stack(
             [
-                np.concatenate(
-                    [
-                        self._mask_tensor(mask_polys, window, union_x, union_y),
-                        tensor_t,
-                    ],
-                    axis=0,
-                )
-                for mask_polys in members
+                self._encode_window(self._window(seg), masks, targets)[0]
+                for seg in state.segments
             ]
         )
 
+    # -- population batching -------------------------------------------------
     def encode_all_population(
         self, states: Sequence[MaskState]
     ) -> np.ndarray:
         """Feature tensors for P lockstep states: ``(P, n, channels, s, s)``.
 
         The population members must share one clip (the lockstep training
-        invariant); each segment is encoded through a shared scanline
-        union.  3-channel encoders have no cross-member sharing to
-        exploit and fall back to per-state :meth:`encode_all`.
+        invariant); each segment is encoded through one scanline union
+        (target edges + every member's mask edges), so its target
+        channels are encoded once and broadcast.  3-channel encoders have
+        no cross-member sharing to exploit and fall back to per-state
+        :meth:`encode_all`.
         """
         if not states:
             raise SquishError("population encoding needs at least one state")
@@ -171,30 +145,28 @@ class NodeFeatureEncoder:
             raise SquishError(
                 "population members must share one clip's segments"
             )
+        masks = [_mask_table(state) for state in states]
+        targets = _target_table(states[0])
         return np.stack(
             [
-                self.encode_segment_population(states, seg)
+                self._encode_window(self._window(seg), masks, targets)
                 for seg in segments
             ],
             axis=1,
         )
 
 
-def _clip_polygons(
-    polygons: tuple[Polygon, ...], window: Rect
-) -> list[Polygon]:
-    """Polygons whose bounding box overlaps the window."""
-    return [p for p in polygons if p.bbox.intersects(window)]
+def _mask_table(state: MaskState) -> PolygonTable:
+    return PolygonTable.of(state.mask_polygons())
 
 
-def _vertex_scanlines(
-    polygons: list[Polygon],
-) -> tuple[list[float], list[float]]:
-    """Scanline coordinates at every polygon vertex."""
-    xs: list[float] = []
-    ys: list[float] = []
-    for polygon in polygons:
-        for x, y in polygon.vertices:
-            xs.append(x)
-            ys.append(y)
-    return xs, ys
+def _target_table(state: MaskState) -> PolygonTable:
+    return PolygonTable.of(state.clip.targets)
+
+
+def _grid(
+    window: Rect, vertices: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scanlines at the window borders and every given vertex inside it."""
+    points = np.concatenate(vertices) if vertices else np.empty((0, 2))
+    return window_scanlines(window, points[:, 0], points[:, 1])

@@ -28,26 +28,37 @@ def scanline_positions(
         ``(xs, ys)`` strictly increasing coordinate arrays, both starting
         at the window's low edge and ending at its high edge.
     """
-    xs: list[float] = [window.x0, window.x1]
-    ys: list[float] = [window.y0, window.y1]
-    for polygon in polygons:
-        for x, y in polygon.vertices:
-            if window.x0 < x < window.x1:
-                xs.append(x)
-            if window.y0 < y < window.y1:
-                ys.append(y)
-    xs.extend(x for x in extra_x if window.x0 < x < window.x1)
-    ys.extend(y for y in extra_y if window.y0 < y < window.y1)
+    polys = list(polygons)
+    vertex_x = [x for polygon in polys for x, _ in polygon.vertices]
+    vertex_y = [y for polygon in polys for _, y in polygon.vertices]
+    return window_scanlines(
+        window,
+        np.asarray(vertex_x + list(extra_x), dtype=np.float64),
+        np.asarray(vertex_y + list(extra_y), dtype=np.float64),
+        tolerance,
+    )
 
-    xs_arr = _dedupe_sorted(np.asarray(xs, dtype=np.float64), tolerance)
-    ys_arr = _dedupe_sorted(np.asarray(ys, dtype=np.float64), tolerance)
+
+def window_scanlines(
+    window: Rect, xs: np.ndarray, ys: np.ndarray, tolerance: float = 1e-9
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`scanline_positions` from candidate coordinate arrays.
+
+    Keeps the candidates strictly inside the window, adds its borders,
+    then sorts and merges coordinates closer than ``tolerance``.
+    """
+    xs_arr = _axis_scanlines(xs, window.x0, window.x1, tolerance)
+    ys_arr = _axis_scanlines(ys, window.y0, window.y1, tolerance)
     if len(xs_arr) < 2 or len(ys_arr) < 2:
         raise SquishError("window degenerated to fewer than two scanlines")
     return xs_arr, ys_arr
 
 
-def _dedupe_sorted(values: np.ndarray, tolerance: float) -> np.ndarray:
-    ordered = np.sort(values)
+def _axis_scanlines(
+    values: np.ndarray, lo: float, hi: float, tolerance: float
+) -> np.ndarray:
+    inside = values[(lo < values) & (values < hi)]
+    ordered = np.sort(np.concatenate(([lo, hi], inside)))
     keep = np.empty(len(ordered), dtype=bool)
     keep[0] = True
     keep[1:] = np.diff(ordered) > tolerance

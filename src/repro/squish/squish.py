@@ -79,7 +79,7 @@ def encode_squish(
     """
     polys = list(polygons)
     xs, ys = scanline_positions(polys, window, extra_x=extra_x, extra_y=extra_y)
-    matrix = _occupancy(polys, xs, ys)
+    matrix = _occupancy([vertical_edges(p.vertices) for p in polys], xs, ys)
     return SquishPattern(
         matrix=matrix,
         delta_x=np.diff(xs),
@@ -88,22 +88,81 @@ def encode_squish(
     )
 
 
-def _occupancy(polygons: list[Polygon], xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vectorized even-odd test of every cell centre against every polygon."""
+@dataclass(frozen=True)
+class PolygonTable:
+    """Bounding boxes, vertices and vertical edges of a polygon list.
+
+    Extracted once so that many windows can be encoded from the same
+    geometry without touching the ``Polygon`` objects again.
+
+    Attributes:
+        bboxes: ``(P, 4)`` rows of ``(x0, y0, x1, y1)``.
+        vertices: Per polygon, its ``(V, 2)`` vertex array.
+        edges: Per polygon, its :func:`vertical_edges`.
+    """
+
+    bboxes: np.ndarray
+    vertices: tuple[np.ndarray, ...]
+    edges: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, polygons: Sequence[Polygon]) -> "PolygonTable":
+        vertices = tuple(
+            np.asarray(p.vertices, dtype=np.float64) for p in polygons
+        )
+        bboxes = np.array(
+            [[*v.min(axis=0), *v.max(axis=0)] for v in vertices],
+            dtype=np.float64,
+        ).reshape(-1, 4)
+        return cls(bboxes, vertices, tuple(vertical_edges(v) for v in vertices))
+
+    def overlapping(self, window: Rect) -> np.ndarray:
+        """Indices of the polygons whose bbox overlaps the window with
+        positive area (:meth:`Rect.intersects`)."""
+        x0, y0, x1, y1 = self.bboxes.T
+        return np.flatnonzero(
+            (x0 < window.x1) & (window.x0 < x1) & (y0 < window.y1) & (window.y0 < y1)
+        )
+
+    def occupancy(
+        self, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray
+    ) -> np.ndarray:
+        """Occupancy matrix of the polygons ``ids`` on a scanline grid."""
+        return _occupancy([self.edges[i] for i in ids], xs, ys)
+
+
+def vertical_edges(
+    vertices: Sequence[tuple[float, float]] | np.ndarray,
+) -> np.ndarray:
+    """``(E, 3)`` rows of ``(x, y_lo, y_hi)``, one per vertical edge of
+    the closed vertex loop."""
+    verts = np.asarray(vertices, dtype=np.float64)
+    a, b = verts, np.roll(verts, -1, axis=0)
+    vertical = a[:, 0] == b[:, 0]
+    a, b = a[vertical], b[vertical]
+    return np.stack(
+        [a[:, 0], np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1])],
+        axis=1,
+    )
+
+
+def _occupancy(
+    edge_sets: Sequence[np.ndarray], xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """Even-odd test of every cell centre against every polygon.
+
+    A centre is inside a polygon when an odd number of its vertical edges
+    lie to the right of it within their ``[y_lo, y_hi)`` span; the count
+    over all edges of one polygon is one ``(rows x E) @ (E x cols)``
+    product.  Polygons are OR-ed.
+    """
     cx = (xs[:-1] + xs[1:]) / 2
     cy = (ys[:-1] + ys[1:]) / 2
-    occupied = np.zeros((len(cy), len(cx)), dtype=bool)
-    for polygon in polygons:
-        inside = np.zeros_like(occupied)
-        verts = polygon.vertices
-        n = len(verts)
-        for i in range(n):
-            (ax, ay), (bx, by) = verts[i], verts[(i + 1) % n]
-            if ax != bx:
-                continue  # crossing counts use vertical edges only
-            y_lo, y_hi = (ay, by) if ay < by else (by, ay)
-            row_hit = (cy >= y_lo) & (cy < y_hi)
-            col_hit = cx < ax
-            inside ^= row_hit[:, None] & col_hit[None, :]
-        occupied |= inside
-    return occupied.astype(np.uint8)
+    occupied = np.zeros((len(cy), len(cx)), dtype=np.uint8)
+    for edges in edge_sets:
+        x, y_lo, y_hi = edges.T
+        row_hit = (y_lo[:, None] <= cy) & (cy < y_hi[:, None])
+        col_hit = cx < x[:, None]
+        crossings = row_hit.T.astype(np.int64) @ col_hit.astype(np.int64)
+        occupied |= (crossings & 1).astype(np.uint8)
+    return occupied

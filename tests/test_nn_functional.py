@@ -173,6 +173,48 @@ class TestConv2d:
         value = rng.normal(size=(2,))
         check_gradient(lambda b: (conv2d(x, w, b) ** 2.0).sum(), value)
 
+    # N = 3, C = 2 != F = 4, stride 2, padding 1 on a non-square input.
+    BATCH_X = (3, 2, 7, 9)
+    BATCH_W = (4, 2, 3, 3)
+
+    def test_matmul_forward_matches_einsum_reference(self):
+        x = rng.normal(size=self.BATCH_X)
+        w = rng.normal(size=self.BATCH_W)
+        b = rng.normal(size=(4,))
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=2, padding=1).numpy()
+        padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, (3, 3), axis=(2, 3)
+        )[:, :, ::2, ::2]
+        reference = np.einsum("nchwij,fcij->nfhw", windows, w)
+        reference += b.reshape(1, 4, 1, 1)
+        assert out.shape == (3, 4, 4, 5)
+        np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
+
+    def test_batched_strided_input_grad(self):
+        w = Tensor(rng.normal(size=self.BATCH_W))
+        b = Tensor(rng.normal(size=(4,)))
+        check_gradient(
+            lambda t: (conv2d(t, w, b, stride=2, padding=1) ** 2.0).sum(),
+            rng.normal(size=self.BATCH_X),
+        )
+
+    def test_batched_strided_weight_grad(self):
+        x = Tensor(rng.normal(size=self.BATCH_X))
+        b = Tensor(rng.normal(size=(4,)))
+        check_gradient(
+            lambda wt: (conv2d(x, wt, b, stride=2, padding=1) ** 2.0).sum(),
+            rng.normal(size=self.BATCH_W),
+        )
+
+    def test_batched_strided_bias_grad(self):
+        x = Tensor(rng.normal(size=self.BATCH_X))
+        w = Tensor(rng.normal(size=self.BATCH_W))
+        check_gradient(
+            lambda bt: (conv2d(x, w, bt, stride=2, padding=1) ** 2.0).sum(),
+            rng.normal(size=(4,)),
+        )
+
     def test_validation(self):
         with pytest.raises(NNError):
             conv2d(Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 1, 3, 3))))

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SquishError
@@ -13,6 +13,7 @@ from repro.geometry import (
     Rect,
     fragment_clip,
 )
+from repro.data import metal_test_suite
 from repro.squish import (
     NodeFeatureEncoder,
     SquishPattern,
@@ -20,6 +21,9 @@ from repro.squish import (
     encode_squish,
     scanline_positions,
 )
+from repro.squish.adaptive import _fit_axis
+from repro.squish.scanlines import window_scanlines
+from repro.squish.squish import _occupancy, vertical_edges
 
 
 WINDOW = Rect(0, 0, 100, 100)
@@ -150,6 +154,37 @@ class TestAdaptive:
             adaptive_squish_tensor(self.pattern(), 1, 16)
 
 
+def _in_window(polygons, window):
+    return [p for p in polygons if p.bbox.intersects(window)]
+
+
+def _vertex_coords(polygons):
+    return (
+        [x for p in polygons for x, _ in p.vertices],
+        [y for p in polygons for _, y in p.vertices],
+    )
+
+
+def _reference_encode_segment(encoder, state, segment):
+    """CAMO's two encodings of one window, one squish pattern each: the
+    mask with extra scanlines at the target vertices, and the targets
+    with extra scanlines at the mask vertices."""
+    window = encoder._window(segment)
+    mask_polys = _in_window(state.mask_polygons(), window)
+    target_polys = _in_window(state.clip.targets, window)
+    mask_x, mask_y = _vertex_coords(mask_polys)
+    target_x, target_y = _vertex_coords(target_polys)
+    size = encoder.out_size
+    mask = encode_squish(mask_polys, window, extra_x=target_x, extra_y=target_y)
+    target = encode_squish(target_polys, window, extra_x=mask_x, extra_y=mask_y)
+    return np.concatenate(
+        [
+            adaptive_squish_tensor(mask, size, size),
+            adaptive_squish_tensor(target, size, size),
+        ]
+    )
+
+
 def via_state():
     clip = Clip(
         name="f",
@@ -208,6 +243,21 @@ class TestNodeFeatures:
         narrow_occupied = narrow.encode_segment(state, state.segments[0])[0].sum()
         assert wide_occupied != narrow_occupied
 
+    @pytest.mark.parametrize("out_size", [8, 32])
+    def test_encode_all_matches_reference_on_moved_metal_clip(self, out_size):
+        """The per-state tables, the shared scanline grid and the stacked
+        re-gridding reproduce the one-pattern-at-a-time encoding bit for
+        bit; out_size 8 forces merges, 32 forces splits."""
+        clip = metal_test_suite()[0]
+        segments = fragment_clip(clip)
+        offsets = np.random.default_rng(7).integers(-6, 7, len(segments))
+        state = MaskState.initial(clip, segments).moved(offsets.astype(float))
+        encoder = NodeFeatureEncoder(out_size=out_size, channels=6)
+        expected = np.stack(
+            [_reference_encode_segment(encoder, state, seg) for seg in segments]
+        )
+        assert np.array_equal(encoder.encode_all(state), expected)
+
     def test_validation(self):
         with pytest.raises(SquishError):
             NodeFeatureEncoder(window_nm=-1)
@@ -252,25 +302,25 @@ class TestPopulationEncoding:
     def test_population_matches_per_window_on_union_grid(self):
         """Parity against per-window encoding: each member's tensors
         equal the per-window encode run on the same scanline union."""
-        from repro.squish.features import _clip_polygons, _vertex_scanlines
-
         encoder = self.encoder()
         states = self.population()
         feats = encoder.encode_all_population(states)
         assert feats.shape == (3, 8, 6, 32, 32)
         for j, segment in enumerate(states[0].segments):
             window = encoder._window(segment)
-            target_polys = _clip_polygons(states[0].clip.targets, window)
-            union_x, union_y = _vertex_scanlines(target_polys)
+            target_polys = _in_window(states[0].clip.targets, window)
+            union_x, union_y = _vertex_coords(target_polys)
             for state in states:
-                xs, ys = _vertex_scanlines(
-                    _clip_polygons(state.mask_polygons(), window)
-                )
+                xs, ys = _vertex_coords(_in_window(state.mask_polygons(), window))
                 union_x, union_y = union_x + xs, union_y + ys
             for p, state in enumerate(states):
-                mask_polys = _clip_polygons(state.mask_polygons(), window)
-                expected_mask = encoder._mask_tensor(
-                    mask_polys, window, union_x, union_y
+                mask_polys = _in_window(state.mask_polygons(), window)
+                expected_mask = adaptive_squish_tensor(
+                    encode_squish(
+                        mask_polys, window, extra_x=union_x, extra_y=union_y
+                    ),
+                    32,
+                    32,
                 )
                 assert np.array_equal(feats[p, j, :3], expected_mask)
 
@@ -326,3 +376,116 @@ def test_property_adaptive_split_preserves_area(out, x0, w):
     occ, dx, dy = tensor
     area = float((occ * np.expm1(dx) * np.expm1(dy)).sum()) * (100 / out) * (100 / out)
     assert area == pytest.approx(rect.area, rel=1e-9)
+
+
+def _split_widest_reference(matrix, deltas, axis):
+    """Halve the widest interval (the first on a tie), duplicating its
+    occupancy line: one step of the iterative adaptive split."""
+    k = int(np.argmax(deltas))
+    half = deltas[k] / 2
+    new_deltas = np.concatenate([deltas[:k], [half, half], deltas[k + 1 :]])
+    line = matrix[:, k : k + 1] if axis == 1 else matrix[k : k + 1, :]
+    matrix = np.concatenate(
+        [
+            matrix[:, :k] if axis == 1 else matrix[:k, :],
+            line,
+            matrix[:, k:] if axis == 1 else matrix[k:, :],
+        ],
+        axis=axis,
+    )
+    return matrix, new_deltas
+
+
+# Widths drawn from a small set collide and sit powers of two apart, so
+# halvings of different intervals tie; arbitrary floats cover the rest.
+SPLIT_WIDTHS = st.one_of(
+    st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 12.0, 96.0]),
+    st.floats(min_value=0.01, max_value=500.0),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    widths=st.lists(SPLIT_WIDTHS, min_size=1, max_size=12),
+    growth=st.floats(min_value=1.0, max_value=4.0),
+    axis=st.sampled_from([0, 1]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(widths=[4.0, 4.0, 4.0], growth=1.0, axis=0, seed=0)
+@example(widths=[2.0, 4.0, 1.0, 8.0, 4.0], growth=4.0, axis=1, seed=1)
+@example(widths=[3.0, 6.0, 3.0, 12.0], growth=2.5, axis=0, seed=2)
+def test_closed_form_split_matches_iterative(widths, growth, axis, seed):
+    """The closed-form split equals halving the widest interval one at a
+    time, bit for bit, for targets from the input length (a no-op) up to
+    four times it."""
+    deltas = np.asarray(widths, dtype=np.float64)
+    target = int(len(deltas) * growth)
+    shape = (len(deltas), 5) if axis == 0 else (5, len(deltas))
+    matrix = np.random.default_rng(seed).integers(0, 2, shape, dtype=np.uint8)
+
+    expected_matrix, expected_deltas = matrix, deltas
+    while len(expected_deltas) < target:
+        expected_matrix, expected_deltas = _split_widest_reference(
+            expected_matrix, expected_deltas, axis
+        )
+    got_matrix, got_deltas = _fit_axis(matrix, deltas, target, axis)
+    assert np.array_equal(got_matrix, expected_matrix)
+    assert np.array_equal(got_deltas, expected_deltas)
+    if target == len(deltas):
+        assert np.array_equal(got_matrix, matrix)
+        assert np.array_equal(got_deltas, deltas)
+
+
+def _occupancy_reference(vertex_loops, xs, ys):
+    """Even-odd cell-centre test, one vertical edge at a time."""
+    cx = (xs[:-1] + xs[1:]) / 2
+    cy = (ys[:-1] + ys[1:]) / 2
+    occupied = np.zeros((len(cy), len(cx)), dtype=bool)
+    for verts in vertex_loops:
+        inside = np.zeros_like(occupied)
+        n = len(verts)
+        for i in range(n):
+            (ax, ay), (bx, by) = verts[i], verts[(i + 1) % n]
+            if ax != bx:
+                continue
+            y_lo, y_hi = (ay, by) if ay < by else (by, ay)
+            row_hit = (cy >= y_lo) & (cy < y_hi)
+            col_hit = cx < ax
+            inside ^= row_hit[:, None] & col_hit[None, :]
+        occupied |= inside
+    return occupied.astype(np.uint8)
+
+
+L_SHAPE = [(10, 10), (60, 10), (60, 30), (30, 30), (30, 80), (10, 80)]
+U_SHAPE = [
+    (20, 20), (80, 20), (80, 90), (65, 90), (65, 40), (35, 40), (35, 90), (20, 90)
+]
+COLLINEAR = [(15, 15), (40, 15), (70, 15), (70, 45), (70, 75), (15, 75), (15, 40)]
+
+
+@pytest.mark.parametrize(
+    "loops",
+    [
+        [L_SHAPE],
+        [U_SHAPE],
+        [U_SHAPE, [(30, 50), (75, 50), (75, 70), (30, 70)]],
+        [[(-40, 60), (140, 60), (140, 130), (-40, 130)], L_SHAPE[::-1]],
+        [COLLINEAR],
+    ],
+    ids=["L", "U", "overlapping", "clipped-by-border", "collinear"],
+)
+def test_vectorized_occupancy_matches_per_edge_loop(loops):
+    """The ``(rows x E) @ (E x cols)`` crossing count gives the same
+    occupancy as XOR-ing one edge at a time, on the polygons' own grid
+    and on a refined one."""
+    coords = np.asarray([v for loop in loops for v in loop], dtype=np.float64)
+    refine = np.linspace(3.0, 97.0, 11)
+    for extra in (np.empty(0), refine):
+        xs, ys = window_scanlines(
+            WINDOW,
+            np.concatenate([coords[:, 0], extra]),
+            np.concatenate([coords[:, 1], extra]),
+        )
+        got = _occupancy([vertical_edges(loop) for loop in loops], xs, ys)
+        assert np.array_equal(got, _occupancy_reference(loops, xs, ys))
+        assert got.any()
