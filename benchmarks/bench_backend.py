@@ -8,8 +8,8 @@ Run from the repo root:
 The workload is screening-shaped: a B=8 batch of realistic via clips
 through the sparse contour-point EPE pipeline (half-width forward FFT,
 pupil-band subgrid convolution, direct band-spectrum gather), the hot
-loop of both the RL candidate screener and the surrogate verifier.  The
-same workload runs once per available backend:
+loop of the service's batched verifier.  The same workload runs once per
+available backend:
 
 * ``numpy``  — single-threaded host reference (bit-for-bit with the
   committed goldens); always available, always the parity baseline.

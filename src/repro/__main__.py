@@ -1,12 +1,9 @@
 """``python -m repro`` — the command-line front door.
 
-Six subcommands, all built on :class:`repro.service.MaskOptService`:
+Five subcommands, all built on :class:`repro.service.MaskOptService`:
 
 * ``optimize``  — run one engine over a clip suite (generated tiny /
   via / metal benches), print the rows, optionally dump JSON.
-* ``train-surrogate`` — train the CFNO-lite litho surrogate on a seeded
-  exact-labeled dataset (with litho-guided self-training) and save a
-  checkpoint for ``optimize --engine surrogate --opt checkpoint=...``.
 * ``serve``     — run the suite through the always-on async daemon
   (:class:`repro.service.MaskOptDaemon`): persistent warm worker pools,
   work-stealing dispatch, admission control, streaming verification.
@@ -472,89 +469,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_train_surrogate(args) -> int:
-    """Train the CFNO-lite litho surrogate and save a checkpoint.
-
-    The dataset is seeded and exact-labeled, training is deterministic
-    (same flags -> byte-identical checkpoint), and litho-guided
-    self-training rounds re-label the worst self-predicted samples with
-    the exact engine before continuing.
-    """
-    import time
-
-    from repro.litho.simulator import LithoConfig, LithographySimulator
-    from repro.surrogate import (
-        SurrogateTrainConfig,
-        save_surrogate,
-        train_surrogate,
-    )
-
-    config = LithoConfig(
-        pixel_nm=args.pixel_nm,
-        max_kernels=args.max_kernels,
-        backend=args.backend,
-        device=args.device,
-        spectra_store=_store_root(args),
-    )
-    simulator = LithographySimulator(config)
-    train_config = SurrogateTrainConfig(
-        width=args.width,
-        n_clips=args.clips,
-        samples_per_clip=args.samples,
-        clip_nm=args.clip_nm,
-        steps=args.steps,
-        lr=args.lr,
-        seed=args.seed,
-        selftrain_rounds=args.selftrain_rounds,
-        selftrain_pool=args.selftrain_pool,
-        selftrain_keep=args.selftrain_keep,
-        selftrain_steps=args.selftrain_steps,
-    )
-    start = time.perf_counter()
-    model, report = train_surrogate(simulator, train_config)
-    elapsed = time.perf_counter() - start
-    save_surrogate(args.out, model)
-    print(f"repro train-surrogate: width={args.width} steps={report.steps} "
-          f"samples={report.samples} seed={args.seed}")
-    print(f"final loss    : {report.final_loss:.3e}")
-    for index, round_info in enumerate(report.selftrain_rounds):
-        print(f"self-train {index + 1}  : relabeled "
-              f"{round_info['relabeled']}/{round_info['pool']} pool samples "
-              f"(worst MSE {round_info['worst_mse']:.3e}, "
-              f"mean {round_info['mean_mse']:.3e})")
-    print(f"train time    : {elapsed:.1f} s")
-    print(f"checkpoint    : {args.out}")
-    if args.json:
-        payload = {
-            "command": "train-surrogate",
-            "checkpoint": args.out,
-            "config": {
-                "width": args.width,
-                "n_clips": args.clips,
-                "samples_per_clip": args.samples,
-                "clip_nm": args.clip_nm,
-                "steps": args.steps,
-                "lr": args.lr,
-                "seed": args.seed,
-                "selftrain_rounds": args.selftrain_rounds,
-                "selftrain_pool": args.selftrain_pool,
-                "selftrain_keep": args.selftrain_keep,
-                "selftrain_steps": args.selftrain_steps,
-            },
-            "report": {
-                "steps": report.steps,
-                "samples": report.samples,
-                "final_loss": report.final_loss,
-                "selftrain_rounds": report.selftrain_rounds,
-            },
-            "train_time_s": elapsed,
-            "version": __version__,
-        }
-        _write_json(args.json, payload)
-        print(f"wrote {args.json}")
-    return 0
-
-
 def cmd_table(args) -> int:
     from repro.eval import experiments
 
@@ -746,44 +660,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_delivery_knobs(serve)
     add_litho_knobs(serve, max_kernels_default=6)
     serve.set_defaults(func=cmd_serve)
-
-    train = sub.add_parser(
-        "train-surrogate",
-        help="train the CFNO-lite litho surrogate and save a checkpoint",
-    )
-    train.add_argument("--out", required=True, metavar="PATH",
-                       help="checkpoint output path (.npz, atomic write)")
-    train.add_argument("--width", type=int, default=24,
-                       help="spectral channels (default 24 = 2 corners x "
-                            "max-kernels coherent fields)")
-    train.add_argument("--clips", type=int, default=4,
-                       help="generated via clips in the dataset (default 4)")
-    train.add_argument("--samples", type=int, default=16,
-                       help="perturbed masks per clip (default 16)")
-    train.add_argument("--clip-nm", type=float, default=1024.0,
-                       help="dataset clip window (default 1024 nm)")
-    train.add_argument("--steps", type=int, default=400,
-                       help="base Adam steps (default 400)")
-    train.add_argument("--lr", type=float, default=3e-3,
-                       help="Adam learning rate (default 3e-3)")
-    train.add_argument("--seed", type=int, default=0,
-                       help="dataset + init seed; fixed seed reproduces "
-                            "the checkpoint byte for byte (default 0)")
-    train.add_argument("--selftrain-rounds", type=int, default=2,
-                       help="litho-guided self-training rounds (default 2; "
-                            "0 disables)")
-    train.add_argument("--selftrain-pool", type=int, default=16,
-                       help="candidate pool per self-training round")
-    train.add_argument("--selftrain-keep", type=int, default=6,
-                       help="worst-fidelity samples re-labeled exactly and "
-                            "appended per round")
-    train.add_argument("--selftrain-steps", type=int, default=100,
-                       help="fine-tune steps after each round")
-    train.add_argument("--json", default=None, metavar="PATH",
-                       help="write the training report to PATH (atomic "
-                            "write)")
-    add_litho_knobs(train, max_kernels_default=6)
-    train.set_defaults(func=cmd_train_surrogate)
 
     table = sub.add_parser(
         "table", help="regenerate paper Table 1 / Table 2 via the service"

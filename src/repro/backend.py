@@ -1,11 +1,10 @@
 """One array/device backend for the whole numerical core.
 
-Every hot-path array operation in the litho engine, the sparse EPE
-pipeline and the CFNO-lite surrogate routes through a single
-:class:`ArrayBackend` — the array namespace (``xp``), the 2-D FFT entry
-points, host/device movement, and the dtype policy all live here, so the
-entire screening/verification stack switches execution substrate behind
-one knob:
+Every hot-path array operation in the litho engine and the sparse EPE
+pipeline routes through a single :class:`ArrayBackend` — the array
+namespace (``xp``), the 2-D FFT entry points, host/device movement, and
+the dtype policy all live here, so the entire screening/verification
+stack switches execution substrate behind one knob:
 
 * ``"numpy"`` — ``np.fft`` + host BLAS; single-threaded, bit-for-bit
   reproducible, and the backend the committed golden images were
@@ -25,11 +24,11 @@ one knob:
   device backend: device execution is an explicit opt-in.
 
 Backends are resolved once per ``(name, workers, device)`` triple and
-shared.  Cached artifacts downstream (band DFT matrices, surrogate DFT
-GEMMs, device-resident kernel spectra) key on
-:attr:`ArrayBackend.identity` / :attr:`ArrayBackend.array_identity`, so
-swapping the backend can never serve arrays resident on the wrong
-device or spectra computed by another library's transform.
+shared.  Cached artifacts downstream (device-resident kernel spectra)
+key on :attr:`ArrayBackend.identity` /
+:attr:`ArrayBackend.array_identity`, so swapping the backend can never
+serve arrays resident on the wrong device or spectra computed by another
+library's transform.
 
 Dtype policy
 ------------
@@ -240,11 +239,6 @@ class ArrayBackend:
         if self.name == "torch":
             return _torch.einsum(subscripts, *operands)
         return np.einsum(subscripts, *operands)
-
-    def ascontiguous(self, a):
-        if self.name == "torch":
-            return a.contiguous()
-        return np.ascontiguousarray(a)
 
     # -- FFT entry points ----------------------------------------------------
     def fft2(self, a, axes: tuple[int, int] = (-2, -1)):

@@ -56,11 +56,6 @@ class ConfigError(ReproError):
     """Invalid configuration value."""
 
 
-class SurrogateError(ReproError):
-    """Learned litho surrogate failure (bad checkpoint, non-compact band,
-    feature/label shape mismatch...)."""
-
-
 class ServiceError(ReproError):
     """Mask-optimization service failure (bad request, unknown engine...)."""
 

@@ -106,11 +106,9 @@ def slab_decomposition(polygon: Polygon):
     """Split a rectilinear polygon into disjoint axis-aligned slabs.
 
     Cutting at every distinct vertex y gives horizontal bands inside which
-    the polygon's cross-section is a fixed union of x-intervals.  Public
-    because the antialiased raster is exactly the sum of the slabs'
-    pixel-coverage outer products — consumers (e.g. the surrogate's
-    rasterless feature path) can evaluate linear functionals of the
-    raster directly from these slabs without building the image.
+    the polygon's cross-section is a fixed union of x-intervals.  The
+    antialiased raster is exactly the sum of the slabs' pixel-coverage
+    outer products.
     """
     verts = polygon.vertices
     n = len(verts)

@@ -136,10 +136,10 @@ def gather_band_rfft(
     (-c) % W])``, so the negative-column half of the pupil band is
     recovered from the stored positive columns with flipped rows.  Values
     match the full-spectrum gather to FFT round-off (the rfft sums in a
-    different order — not bit-for-bit).  Public module-level entry point:
-    the surrogate's feature pipeline shares it with the sparse EPE path.
-    Runs on whatever arrays ``backend`` holds — spectra on a device stay
-    on that device (default: host numpy, unchanged behavior).
+    different order — not bit-for-bit).  Both half-width entry points of
+    :class:`OpticalKernelSet` share it.  Runs on whatever arrays
+    ``backend`` holds — spectra on a device stay on that device (default:
+    host numpy, unchanged behavior).
     """
     backend = backend or _host_backend()
     idx = backend.index
@@ -163,120 +163,6 @@ def gather_band_rfft(
     )
     sub[:, idx(band.rows_dst[:, None]), idx(band.cols_dst[None, :])] = gathered
     return sub
-
-
-def band_limited_mask_subgrid(
-    mask_rffts: np.ndarray, band: GridBandSpectra, fft
-) -> np.ndarray:
-    """Band-limited mask raster resampled onto the intensity subgrid.
-
-    ``(B, H, W//2+1)`` rfft spectra map to real ``(B, m0, m1)`` rasters on
-    the same physical 0..1 transmission scale as the full-grid mask: the
-    subgrid inverse FFT carries a ``1/(m0 m1)`` normalization where the
-    band coefficients came from an ``(H, W)`` forward transform, so the
-    resample gain is ``(m0 m1)/(H W)``.  This is the surrogate model's
-    input feature — everything the projection optics can see of the mask,
-    at the cheapest alias-free resolution.
-    """
-    rows, cols = band.shape
-    m0, m1 = band.subgrid
-    sub = gather_band_rfft(mask_rffts, band, fft)
-    return fft.to_host(
-        fft.ifft2(sub, axes=(-2, -1)).real * ((m0 * m1) / (rows * cols))
-    )
-
-
-_BAND_DFT_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_BAND_DFT_CACHE_CAPACITY = 16
-_BAND_DFT_LOCK = threading.Lock()
-"""LRU of the separable direct-DFT matrices used by
-:func:`band_limited_mask_subgrid_direct`; keyed per (grid shape, band,
-backend array identity) — matrices are built host-side and cached as
-backend-native copies."""
-
-
-def _band_dft_matrices(
-    shape: tuple[int, int], band: GridBandSpectra, backend: ArrayBackend
-) -> tuple:
-    key = (shape, band.band, backend.array_identity)
-    with _BAND_DFT_LOCK:
-        cached = _BAND_DFT_CACHE.get(key)
-        if cached is not None:
-            _BAND_DFT_CACHE.move_to_end(key)
-            return cached
-    height, width = shape
-    b0, b1 = band.band
-    k_rows = _band_indices(height, b0).astype(np.float64)
-    k_cols = _band_indices(width, b1).astype(np.float64)
-    left = np.exp(
-        (-2j * np.pi / height) * np.outer(k_rows, np.arange(height))
-    )
-    right = np.exp(
-        (-2j * np.pi / width) * np.outer(np.arange(width), k_cols)
-    )
-    # Stack real/imag parts so the hot path runs real GEMMs only — a
-    # complex @ real matmul would promote the whole mask stack to
-    # complex128 first, which costs more than the arithmetic.
-    right_ri = np.ascontiguousarray(
-        np.concatenate([right.real, right.imag], axis=1)
-    )
-    pair = (backend.to_device(left), backend.to_device(right_ri))
-    with _BAND_DFT_LOCK:
-        _BAND_DFT_CACHE[key] = pair
-        while len(_BAND_DFT_CACHE) > _BAND_DFT_CACHE_CAPACITY:
-            _BAND_DFT_CACHE.popitem(last=False)
-    return pair
-
-
-def band_limited_mask_subgrid_direct(
-    masks, band: GridBandSpectra, backend: ArrayBackend | None = None
-):
-    """:func:`band_limited_mask_subgrid` without the full-grid transform.
-
-    The pupil band holds only ``(2 b0 + 1) x (2 b1 + 1)`` coefficients, so
-    for screening-sized batches two small GEMMs against cached separable
-    DFT matrices beat a ``(B, H, W)`` forward FFT that computes ``H W``
-    coefficients and discards almost all of them.  Values agree with the
-    FFT route to float round-off (same linear map, different summation
-    order); the fast path of the surrogate screener.  Under a device
-    backend the two GEMMs (and the result) live on the device.
-    """
-    backend = backend or _host_backend()
-    masks = backend.asarray_f64(masks)
-    left, right_ri = _band_dft_matrices(band.shape, band, backend)
-    half = right_ri.shape[1] // 2
-    mixed = masks @ right_ri
-    col_re, col_im = mixed[..., :half], mixed[..., half:]
-    coeffs = (left.real @ col_re - left.imag @ col_im) + 1j * (
-        left.real @ col_im + left.imag @ col_re
-    )
-    return band_coeffs_to_subgrid(coeffs, band, backend)
-
-
-def band_coeffs_to_subgrid(
-    coeffs, band: GridBandSpectra, backend: ArrayBackend | None = None
-):
-    """Real-space subgrid signal of ``(B, 2 b0 + 1, b1 + 1)`` band coefficients.
-
-    ``coeffs`` are full-grid DFT coefficients at the band frequencies (row
-    order ``_band_indices``); the subgrid scatter plus a small inverse FFT
-    reproduce :func:`band_limited_mask_subgrid`'s output scale.  Host
-    backends keep the historical ``np.fft`` inverse transform (the
-    subgrid is ~30x30 — threading never pays here, and the numpy route
-    stays bit-for-bit with the seed history); the torch backend runs the
-    inverse transform on its device and returns a device array.
-    """
-    backend = backend or _host_backend()
-    m0, m1 = band.subgrid
-    rows, cols = band.shape
-    sub = backend.zeros((coeffs.shape[0], m0, m1), backend.complex128)
-    idx = backend.index
-    sub[:, idx(band.rows_dst[:, None]), idx(band.cols_dst[None, :])] = coeffs
-    if backend.is_numpy:
-        return np.fft.ifft2(sub, axes=(-2, -1)).real * (
-            (m0 * m1) / (rows * cols)
-        )
-    return backend.ifft2(sub, axes=(-2, -1)).real * ((m0 * m1) / (rows * cols))
 
 
 def _lattice(indices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +193,7 @@ def band_values_at_pixels(
     """Full-grid pixel values of a band-limited subgrid intensity.
 
     Evaluating the zero-padded resample of ``(B, m0, m1)`` subgrid
-    intensities (exact or surrogate-predicted) at S full-grid pixels is
+    intensities at S full-grid pixels is
     the direct inverse DFT of their intensity-band spectra.  That DFT is
     separable, so it is evaluated on the small lattice of the pixel
     set's distinct rows x distinct columns — ``P_rows @ spec_band @
@@ -837,10 +723,11 @@ class OpticalKernelSet:
 
         The band-limited intensity is fully determined by its subgrid
         samples (``m >= 4b + 1`` per axis), so this is the cheapest exact
-        representation of the aerial image — the surrogate trainer uses it
-        as ground-truth labels, and :func:`band_values_at_pixels` lifts
-        either these or surrogate predictions to full-grid pixels.
-        Requires a compact band, like :meth:`sparse_intensity_from_rfft`.
+        representation of the aerial image — the imaging step of
+        :meth:`~repro.litho.simulator.LithographySimulator.simulate_epe_batch`,
+        whose contour pixels :func:`band_values_at_pixels` then lifts to
+        the full grid.  Requires a compact band, like
+        :meth:`sparse_intensity_from_rfft`.
         """
         shape = self._check_rfft_shape(mask_rffts, shape)
         self._validate_grid(shape)

@@ -12,11 +12,9 @@ from repro.nn.functional import (
     concat,
     conv2d,
     cross_entropy,
-    irfft2,
     log_softmax,
     max_pool2d,
     relu,
-    rfft2,
     sigmoid,
     softmax,
     stack,
@@ -36,7 +34,6 @@ from repro.nn.layers import (
     Linear,
     MaxPool2d,
     ReLU,
-    SpectralConv2d,
     Tanh,
 )
 from repro.nn.rnn import ElmanRNN
@@ -50,11 +47,9 @@ __all__ = [
     "concat",
     "conv2d",
     "cross_entropy",
-    "irfft2",
     "log_softmax",
     "max_pool2d",
     "relu",
-    "rfft2",
     "sigmoid",
     "softmax",
     "stack",
@@ -70,7 +65,6 @@ __all__ = [
     "Linear",
     "MaxPool2d",
     "ReLU",
-    "SpectralConv2d",
     "Tanh",
     "ElmanRNN",
     "GraphSAGEConv",

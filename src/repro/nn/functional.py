@@ -101,67 +101,6 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def rfft2(x: Tensor) -> Tensor:
-    """Real 2-D FFT over the last two axes, returned *real-stacked*.
-
-    ``(..., H, W)`` real input maps to a ``(..., H, W//2 + 1, 2)`` tensor
-    whose last axis holds ``[Re, Im]`` of the half-width spectrum — the
-    autograd tensor is float64-only, so complex spectra travel as a real
-    pair.  The backward pass is the exact adjoint of the linear map
-    ``numpy.fft.rfft2`` computes: zero-fill the unstored negative
-    columns, inverse-transform, keep the real part.
-    """
-    if x.ndim < 2:
-        raise NNError(f"rfft2 expects at least 2-D input, got {x.shape}")
-    h, w = x.shape[-2:]
-    spec = np.fft.rfft2(x.data, axes=(-2, -1))
-    value = np.stack([spec.real, spec.imag], axis=-1)
-    out = Tensor(value, requires_grad=x.requires_grad, _parents=(x,))
-
-    def backward(grad: np.ndarray) -> None:
-        g = grad[..., 0] + 1j * grad[..., 1]
-        full = np.zeros((*g.shape[:-1], w), dtype=np.complex128)
-        full[..., : g.shape[-1]] = g
-        _accumulate(x, np.fft.ifft2(full, axes=(-2, -1)).real * (h * w))
-
-    out._backward = backward
-    return out
-
-
-def irfft2(y: Tensor, s: tuple[int, int]) -> Tensor:
-    """Inverse of :func:`rfft2`'s real-stacked half spectrum.
-
-    ``(..., H, W//2 + 1, 2)`` maps to a real ``(..., H, W)`` tensor with
-    ``s = (H, W)``.  The backward pass is ``rfft2`` of the upstream
-    gradient scaled by ``2 / (H W)`` — except the self-conjugate columns
-    (0 and, for even ``W``, the Nyquist column), which appear once in
-    the full spectrum and take ``1 / (H W)``.  Verified against central
-    differences of the numpy forward in the gradcheck suite.
-    """
-    height, width = int(s[0]), int(s[1])
-    half = width // 2 + 1
-    if y.ndim < 3 or y.shape[-3:] != (height, half, 2):
-        raise NNError(
-            f"irfft2 expects trailing dims ({height}, {half}, 2) for "
-            f"s={s!r}, got {y.shape}"
-        )
-    spec = y.data[..., 0] + 1j * y.data[..., 1]
-    value = np.fft.irfft2(spec, s=(height, width), axes=(-2, -1))
-    out = Tensor(value, requires_grad=y.requires_grad, _parents=(y,))
-
-    def backward(grad: np.ndarray) -> None:
-        g = np.fft.rfft2(grad, axes=(-2, -1))
-        scale = np.full(half, 2.0 / (height * width))
-        scale[0] = 1.0 / (height * width)
-        if width % 2 == 0:
-            scale[-1] = 1.0 / (height * width)
-        g = g * scale
-        _accumulate(y, np.stack([g.real, g.imag], axis=-1))
-
-    out._backward = backward
-    return out
-
-
 def conv2d(
     x: Tensor,
     weight: Tensor,

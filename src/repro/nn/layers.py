@@ -69,83 +69,6 @@ class Conv2d(Module):
         )
 
 
-class SpectralConv2d(Module):
-    """Band-limited spectral convolution (FNO-style) on ``(N, C, H, W)``.
-
-    Learns complex per-mode mixing weights on the lowest ``modes =
-    (m1, m2)`` block of the half-width spectrum — both the positive- and
-    negative-row halves, since a real-output spectral filter needs each.
-    Mode counts are typically sized from the optics pupil band
-    (``(b0 + 1, b1 + 1)`` covers every frequency the projection optics
-    pass, see ``OpticalKernelSet.band_spectra``).  The layer is
-    resolution-independent: one checkpoint applies to any raster with
-    ``2 * m1 <= H`` and ``m2 <= W // 2 + 1``.
-    """
-
-    def __init__(
-        self,
-        in_channels: int,
-        out_channels: int,
-        modes: tuple[int, int],
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
-        m1, m2 = int(modes[0]), int(modes[1])
-        if m1 <= 0 or m2 <= 0:
-            raise NNError(f"SpectralConv2d modes must be positive, got {modes!r}")
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.modes = (m1, m2)
-        scale = 1.0 / (in_channels * np.sqrt(m1 * m2))
-        shape = (out_channels, in_channels, m1, m2, 2)
-        self.weight_pos = Parameter(rng.normal(0.0, scale, size=shape))
-        self.weight_neg = Parameter(rng.normal(0.0, scale, size=shape))
-
-    def _mix(self, block: Tensor, weight: Parameter) -> Tensor:
-        """Complex contraction over input channels.
-
-        ``block`` is ``(N, C, m1, m2, 2)``, ``weight`` ``(O, C, m1, m2, 2)``;
-        the result is ``(N, O, m1, m2, 2)`` with the last axis ``[Re, Im]``.
-        """
-        n = block.shape[0]
-        o, c, m1, m2, _ = weight.shape
-        xr = block[..., 0].reshape(n, 1, c, m1, m2)
-        xi = block[..., 1].reshape(n, 1, c, m1, m2)
-        wr = weight[..., 0].reshape(1, o, c, m1, m2)
-        wi = weight[..., 1].reshape(1, o, c, m1, m2)
-        yr = (xr * wr - xi * wi).sum(axis=2)
-        yi = (xr * wi + xi * wr).sum(axis=2)
-        return F.stack([yr, yi], axis=-1)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4:
-            raise NNError(f"SpectralConv2d expects 4-D input, got {x.shape}")
-        n, c, h, w = x.shape
-        if c != self.in_channels:
-            raise NNError(f"channel mismatch: input {c}, layer {self.in_channels}")
-        m1, m2 = self.modes
-        half = w // 2 + 1
-        if 2 * m1 > h or m2 > half:
-            raise NNError(
-                f"modes {self.modes} exceed the {h}x{half} half spectrum of "
-                f"input {x.shape}"
-            )
-        spec = F.rfft2(x)
-        top = self._mix(spec[:, :, :m1, :m2, :], self.weight_pos)
-        bottom = self._mix(spec[:, :, h - m1 :, :m2, :], self.weight_neg)
-        o = self.out_channels
-        if m2 < half:
-            pad_cols = Tensor(np.zeros((n, o, m1, half - m2, 2)))
-            top = F.concat([top, pad_cols], axis=3)
-            bottom = F.concat([bottom, pad_cols], axis=3)
-        rows = [top]
-        if 2 * m1 < h:
-            rows.append(Tensor(np.zeros((n, o, h - 2 * m1, half, 2))))
-        rows.append(bottom)
-        return F.irfft2(F.concat(rows, axis=2), s=(h, w))
-
-
 class MaxPool2d(Module):
     def __init__(self, kernel: int = 2) -> None:
         super().__init__()

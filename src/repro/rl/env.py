@@ -36,8 +36,8 @@ from repro.metrology.epe import (
     EPEReport,
     measure_epe,
     measure_epe_batch,
-    measure_epe_grouped_sparse,
-    measure_stencil_plan,
+    measure_epe_grouped_sparse,  # perfbench's layer tracer hooks it here
+    measure_stencil_plan,  # perfbench's layer tracer hooks it here
     segment_epe,
     segment_epe_batch,
 )
@@ -86,8 +86,6 @@ class OPCEnvironment:
         self.reward_beta = reward_beta
         self.segments: list[Segment] = fragment_clip(clip)
         self.grid: Grid = simulator.grid_for(clip)
-        self._epe_plan_built = False
-        self._epe_plan = None
 
     @property
     def n_segments(self) -> int:
@@ -260,53 +258,17 @@ class OPCEnvironment:
         )
 
     def score_moves(
-        self,
-        state: EnvState,
-        candidate_actions: np.ndarray,
-        *,
-        screener=None,
-        screen_keep: int = 1,
-    ) -> list[tuple[EnvState, float] | None]:
+        self, state: EnvState, candidate_actions: np.ndarray
+    ) -> list[tuple[EnvState, float]]:
         """Evaluate A candidate action vectors in one batched litho call.
 
         ``candidate_actions`` is ``(A, n_segments)`` movement indices;
         returns one ``(next_state, reward)`` pair per candidate, each
         bit-for-bit identical to what :meth:`step` would have produced
         for that candidate.
-
-        ``screener`` opts into learned-surrogate pre-screening: an object
-        with ``score_candidates(env, state, candidates) -> (A,) totals``
-        (lower is better, e.g. :class:`~repro.surrogate.engine.
-        SurrogateScreener`) ranks the candidates cheaply, and only the
-        best ``screen_keep`` survivors get the exact batched evaluation.
-        The returned list still has one slot per candidate, with ``None``
-        at screened-out indices — every non-``None`` entry comes from the
-        exact engine, so reported metrology never depends on surrogate
-        numbers (the screening-vs-reporting discipline).
         """
         candidates = self._validate_candidates(candidate_actions)
-        if screener is None:
-            return self.step_batch([state] * len(candidates), candidates)
-        keep = int(screen_keep)
-        if keep < 1:
-            raise RLError(f"screen_keep must be >= 1, got {screen_keep}")
-        keep = min(keep, len(candidates))
-        totals = np.asarray(
-            screener.score_candidates(self, state, candidates), dtype=np.float64
-        )
-        if totals.shape != (len(candidates),):
-            raise RLError(
-                f"screener returned {totals.shape} scores for "
-                f"{len(candidates)} candidates"
-            )
-        survivors = np.argsort(totals, kind="stable")[:keep]
-        scored = self.step_batch(
-            [state] * len(survivors), candidates[survivors]
-        )
-        results: list[tuple[EnvState, float] | None] = [None] * len(candidates)
-        for index, pair in zip(survivors, scored):
-            results[int(index)] = pair
-        return results
+        return self.step_batch([state] * len(candidates), candidates)
 
     def _validate_candidates(self, candidate_actions: np.ndarray) -> np.ndarray:
         candidates = np.asarray(candidate_actions)
@@ -317,46 +279,3 @@ class OPCEnvironment:
             )
         self._validate_actions(candidates)
         return candidates
-
-    def measure_plan(self):
-        """The clip's cached measure-point stencil plan (``None`` when no
-        segment owns a measure point)."""
-        if not self._epe_plan_built:
-            self._epe_plan = measure_stencil_plan(
-                self.grid, self.segments, search_nm=self.epe_search_nm
-            )
-            self._epe_plan_built = True
-        return self._epe_plan
-
-    def score_moves_epe(
-        self, state: EnvState, candidate_actions: np.ndarray
-    ) -> list[EPEReport]:
-        """EPE-only screening of A candidate action vectors.
-
-        The cheap sibling of :meth:`score_moves` for callers that rank
-        candidates purely by measure-point EPE: lithography runs the
-        sparse band-spectrum gather at the clip's measure-point stencils
-        only (:meth:`~repro.litho.simulator.LithographySimulator.
-        simulate_epe_batch`) — no printed images, no PV band, no
-        full-grid intensity.  Returns one :class:`~repro.metrology.epe.
-        EPEReport` per candidate, agreeing with the corresponding
-        ``score_moves`` report to <= 1e-9 nm per measure point.  Use it
-        to cut a wide candidate set down before paying for full
-        :meth:`score_moves` evaluation of the survivors.
-
-        The whole batch rides the simulator's array backend: under
-        ``LithoConfig(backend="torch")`` the rfft/gather/GEMM pipeline
-        runs on the configured device and only sparse per-point values
-        return to host for EPE resolution.
-        """
-        candidates = self._validate_candidates(candidate_actions)
-        move_set = np.asarray(MOVE_SET_NM, dtype=np.float64)
-        images = np.stack([
-            rasterize(state.mask.moved(move_set[row]).mask_polygons(), self.grid)
-            for row in candidates
-        ])
-        plan = self.measure_plan()
-        sparse = self.simulator.simulate_epe_batch(images, self.grid, plan)
-        return measure_epe_grouped_sparse(
-            sparse, self.simulator.config.threshold
-        )

@@ -9,8 +9,8 @@ instead of importing config classes.  All built engines satisfy the
 
 Out of the box: ``camo`` (the paper's agent), ``mbopc`` (the
 Calibre-like model-based baseline, alias ``calibre``), ``rlopc``,
-``damo``, ``ilt``, and ``surrogate`` (CFNO-lite screening with exact
-verification).  Third-party engines join via :func:`register_engine`.
+``damo`` and ``ilt``.  Third-party engines join via
+:func:`register_engine`.
 """
 
 from __future__ import annotations
@@ -72,12 +72,6 @@ def _ilt(simulator: LithographySimulator, overrides: dict):
     return PixelILT(ILTConfig(**overrides), simulator)
 
 
-def _surrogate(simulator: LithographySimulator, overrides: dict):
-    from repro.surrogate.engine import SurrogateConfig, SurrogateOPC
-
-    return SurrogateOPC(SurrogateConfig(**overrides), simulator)
-
-
 _REGISTRY: dict[str, EngineFactory] = {
     "camo": _camo,
     "mbopc": _mbopc,
@@ -85,7 +79,6 @@ _REGISTRY: dict[str, EngineFactory] = {
     "rlopc": _rlopc,
     "damo": _damo,
     "ilt": _ilt,
-    "surrogate": _surrogate,
 }
 
 

@@ -5,9 +5,9 @@ Four contracts pinned here:
 * **Resolution semantics** — ``"auto"`` only ever picks a host backend;
   ``"torch"`` raises when torch is absent (never degrades silently);
   host backends reject device strings.
-* **Dtype policy** — every transform-derived artifact on the sparse and
-  surrogate GEMM paths is float64/complex128 under the numpy backend,
-  and the torch adapter pins the same dtypes so the process-global
+* **Dtype policy** — every transform-derived artifact on the sparse
+  gather path is float64/complex128 under the numpy backend, and the
+  torch adapter pins the same dtypes so the process-global
   ``torch.set_default_dtype`` (float32 out of the box) can never
   degrade parity.
 * **Cache identity** — caches of transform-derived artifacts key on
@@ -37,9 +37,6 @@ from repro.errors import LithoError
 from repro.geometry import Grid, Polygon, Rect, rasterize
 from repro.geometry.segmentation import fragment_clip
 from repro.litho.kernels import (
-    _BAND_DFT_CACHE,
-    _band_dft_matrices,
-    band_limited_mask_subgrid_direct,
     band_values_at_pixels,
     gather_band_rfft,
 )
@@ -171,29 +168,11 @@ class TestDtypePolicy:
         assert values.dtype == np.float64
         assert values.shape == (2, 4)
 
-    def test_band_dft_matrices_are_complex128_float64(self, band_geometry):
-        band, _ = band_geometry
-        left, right_ri = _band_dft_matrices(
-            (160, 160), band, resolve_backend("numpy", 1)
-        )
-        assert left.dtype == np.complex128
-        assert right_ri.dtype == np.float64
-
     def test_band_gather_promotes_to_complex128(self, band_geometry):
         band, kset = band_geometry
         masks = small_mask_stack()
         sub = gather_band_rfft(np.fft.rfft2(masks, axes=(-2, -1)), band)
         assert sub.dtype == np.complex128
-
-    def test_surrogate_gemm_path_is_float64(self, band_geometry):
-        band, _ = band_geometry
-        features = band_limited_mask_subgrid_direct(small_mask_stack(), band)
-        assert features.dtype == np.float64
-        from repro.surrogate.model import CFNOLite, pupil_modes
-
-        net = CFNOLite(pupil_modes(band), width=4)
-        out = net.forward_fast(features[:, None, :, :])
-        assert out.dtype == np.float64
 
     def test_sparse_values_are_float64(self, band_geometry):
         band, kset = band_geometry
@@ -224,11 +203,6 @@ class TestCacheIdentity:
             intensity, band, rows, cols, resolve_backend("scipy", 2)
         )
         np.testing.assert_array_equal(via_scipy, via_numpy)
-
-    def test_band_dft_cache_keys_carry_array_identity(self, band_geometry):
-        band, _ = band_geometry
-        _band_dft_matrices((160, 160), band, resolve_backend("numpy", 1))
-        assert ((160, 160), band.band, ("numpy", "cpu")) in _BAND_DFT_CACHE
 
     @requires_torch
     def test_torch_gather_runs_on_device_values_come_home(
@@ -322,21 +296,6 @@ class TestTorchParity:
         for r, g in zip(ref, got):
             assert isinstance(g.aerial, np.ndarray)
             assert np.abs(g.aerial - r.aerial).max() < 1e-12
-
-    def test_surrogate_forward_fast_parity(self, band_geometry):
-        from repro.surrogate.model import CFNOLite, pupil_modes
-
-        band, _ = band_geometry
-        net = CFNOLite(pupil_modes(band), width=4)
-        features = band_limited_mask_subgrid_direct(
-            small_mask_stack(), band
-        )[:, None, :, :]
-        host = net.forward_fast(features)
-        backend = resolve_backend("torch", device="cpu")
-        device_out = net.forward_fast(features, backend)
-        assert np.abs(
-            host - backend.to_host(device_out)
-        ).max() < 1e-12
 
     def test_default_dtype_float32_cannot_leak(
         self, numpy_sim, torch_sim, clip

@@ -477,40 +477,3 @@ class TestEndToEndParity:
         with pytest.raises(LithoError, match="does not match"):
             sim.simulate_epe_batch(mask[None], big, plan)
 
-
-class TestScoreMovesEpe:
-    def test_matches_dense_score_moves(self, sim):
-        from repro.geometry import Clip
-        from repro.rl.env import OPCEnvironment
-
-        clip = Clip(
-            name="sparse-env",
-            bbox=Rect(0, 0, 1280, 1280),
-            targets=(Polygon.from_rect(Rect.square(640, 640, 90)),),
-            layer="via",
-        )
-        env = OPCEnvironment(clip, sim, initial_bias_nm=3.0)
-        base = env.reset()
-        candidates = env.uniform_move_candidates()
-        dense = env.score_moves(base, candidates)
-        reports = env.score_moves_epe(base, candidates)
-        assert len(reports) == len(dense) == env.n_actions
-        for report, (state, _) in zip(reports, dense):
-            assert report.total_abs == pytest.approx(
-                state.total_epe, abs=EPE_TOLERANCE_NM * max(1, report.count)
-            )
-
-    def test_rejects_malformed_candidates(self, sim):
-        from repro.geometry import Clip
-        from repro.rl.env import OPCEnvironment
-
-        clip = Clip(
-            name="sparse-env-bad",
-            bbox=Rect(0, 0, 1280, 1280),
-            targets=(Polygon.from_rect(Rect.square(640, 640, 90)),),
-            layer="via",
-        )
-        env = OPCEnvironment(clip, sim, initial_bias_nm=3.0)
-        base = env.reset()
-        with pytest.raises(Exception):
-            env.score_moves_epe(base, np.zeros((0, env.n_segments)))

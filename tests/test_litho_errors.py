@@ -243,6 +243,11 @@ class TestEnvBatchErrors:
         with pytest.raises(RLError, match="matrix"):
             env.score_moves(state, np.zeros(env.n_segments, dtype=int))
 
+    def test_score_moves_rejects_empty(self, env):
+        state = env.reset()
+        with pytest.raises(RLError, match="non-empty"):
+            env.score_moves(state, np.zeros((0, env.n_segments), dtype=int))
+
     def test_score_moves_rejects_wrong_width(self, env):
         state = env.reset()
         with pytest.raises(RLError, match="actions"):

@@ -1,4 +1,7 @@
-"""Tests for Module system, layers, RNN, GraphSAGE, optimizers."""
+"""Tests for Module system, layers, RNN, GraphSAGE, optimizers, and the
+versioned checkpoint format."""
+
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from repro.errors import NNError
 from repro.geometry import Clip, Polygon, Rect, fragment_clip
 from repro.graphs import build_segment_graph
 from repro.nn import (
+    CHECKPOINT_FORMAT_VERSION,
     SGD,
     Adam,
     Conv2d,
@@ -22,6 +26,8 @@ from repro.nn import (
     Sequential,
     Tanh,
     Tensor,
+    load_checkpoint,
+    save_checkpoint,
 )
 from repro.nn.sage import mean_adjacency
 
@@ -274,3 +280,67 @@ class TestOptimizers:
         opt = Adam([p], lr=0.1)
         opt.step()  # no grads: must be a no-op
         assert np.all(p.data == 1.0)
+
+
+class TestCheckpointFormat:
+    def test_module_save_load_roundtrip(self, tmp_path):
+        model = Linear(4, 3, rng=np.random.default_rng(5))
+        path = str(tmp_path / "model.npz")
+        model.save(path)
+
+        other = Linear(4, 3, rng=np.random.default_rng(99))
+        other.load(path)
+        np.testing.assert_array_equal(other.weight.data, model.weight.data)
+        # No temp residue left next to the checkpoint.
+        assert os.listdir(tmp_path) == ["model.npz"]
+
+    def test_checkpoint_bytes_deterministic(self, tmp_path):
+        model = Linear(4, 3, rng=np.random.default_rng(5))
+        p1, p2 = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")
+        model.save(p1)
+        model.save(p2)
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
+
+    def test_extra_metadata_roundtrip(self, tmp_path):
+        path = str(tmp_path / "ckpt.npz")
+        state = {"w": rng.normal(size=(2, 2))}
+        save_checkpoint(path, state, extra={"width": 12, "modes": [3, 3]})
+        loaded, extra = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded["w"], state["w"])
+        assert int(extra["width"]) == 12
+        assert extra["modes"].tolist() == [3, 3]
+
+    def test_fingerprint_rejects_corruption(self, tmp_path):
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(path, {"w": np.ones((2, 2))})
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        payload["w"] = payload["w"] + 1.0  # corrupt a parameter, keep meta
+        np.savez_compressed(path, **payload)
+        with pytest.raises(NNError, match="fingerprint"):
+            load_checkpoint(path)
+
+    def test_version_mismatch_rejected(self, tmp_path):
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(path, {"w": np.ones(2)})
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        payload["__repro_ckpt_version"] = np.array(CHECKPOINT_FORMAT_VERSION + 1)
+        np.savez_compressed(path, **payload)
+        with pytest.raises(NNError, match="version"):
+            load_checkpoint(path)
+
+    def test_legacy_meta_free_npz_loads(self, tmp_path):
+        model = Linear(3, 2, rng=np.random.default_rng(6))
+        path = str(tmp_path / "legacy.npz")
+        np.savez_compressed(path, **model.state_dict())
+        other = Linear(3, 2, rng=np.random.default_rng(7))
+        other.load(path)
+        np.testing.assert_array_equal(other.weight.data, model.weight.data)
+
+    def test_meta_name_collision_rejected(self, tmp_path):
+        with pytest.raises(NNError, match="collides"):
+            save_checkpoint(
+                str(tmp_path / "x.npz"), {"__repro_ckpt_version": np.ones(1)}
+            )

@@ -309,10 +309,14 @@ def test_sigkilled_sweep_resumes_bit_for_bit(tmp_path):
             env.get("PYTHONPATH", ""),
         ) if p
     )
+    # A session of its own puts the sweep, its spawn workers and the
+    # resource tracker in one process group, so one killpg reaches all.
     proc = subprocess.Popen(
         [sys.executable, "-c", _KILLABLE_SWEEP, path],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        start_new_session=True,
     )
+    pgid = proc.pid
     try:
         deadline = time.monotonic() + 120.0
         killed = False
@@ -330,15 +334,25 @@ def test_sigkilled_sweep_resumes_bit_for_bit(tmp_path):
                 except JournalError:
                     results = 0  # racing the writer's first bytes
                 if results >= 1:
-                    proc.send_signal(signal.SIGKILL)
+                    os.killpg(pgid, signal.SIGKILL)
                     killed = True
                     break
             time.sleep(0.02)
         proc.wait(timeout=60)
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=60)
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=60)
+    deadline = time.monotonic() + 10.0
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "sweep process group outlived it"
+        time.sleep(0.05)
 
     reference = MaskOptService(
         litho_config=_litho_config()
