@@ -1,8 +1,8 @@
 """One array/device backend for the whole numerical core.
 
 Every hot-path array operation in the litho engine and the sparse EPE
-pipeline routes through a single :class:`ArrayBackend` — the array
-namespace (``xp``), the 2-D FFT entry points, host/device movement, and
+pipeline routes through a single :class:`ArrayBackend` — array
+construction, the 2-D FFT entry points, host/device movement, and
 the dtype policy all live here, so the entire screening/verification
 stack switches execution substrate behind one knob:
 
@@ -152,11 +152,6 @@ class ArrayBackend:
         """True when arrays are host numpy (numpy and scipy backends)."""
         return self.name in ("numpy", "scipy")
 
-    @property
-    def xp(self):
-        """The array namespace module (``numpy`` or ``torch``)."""
-        return _torch if self.name == "torch" else np
-
     # -- dtype policy (explicit everywhere; see module docstring) ------------
     @property
     def float64(self):
@@ -234,11 +229,6 @@ class ArrayBackend:
         if self.name == "torch":
             return _torch.cat(list(arrays), dim=axis)
         return np.concatenate(arrays, axis=axis)
-
-    def einsum(self, subscripts: str, *operands):
-        if self.name == "torch":
-            return _torch.einsum(subscripts, *operands)
-        return np.einsum(subscripts, *operands)
 
     # -- FFT entry points ----------------------------------------------------
     def fft2(self, a, axes: tuple[int, int] = (-2, -1)):

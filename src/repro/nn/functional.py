@@ -13,7 +13,7 @@ def relu(x: Tensor) -> Tensor:
     out = Tensor(x.data * mask, requires_grad=x.requires_grad, _parents=(x,))
 
     def backward(grad: np.ndarray) -> None:
-        _accumulate(x, grad * mask)
+        _accumulate(x, grad * mask, owned=True)
 
     out._backward = backward
     return out
@@ -24,7 +24,7 @@ def tanh(x: Tensor) -> Tensor:
     out = Tensor(value, requires_grad=x.requires_grad, _parents=(x,))
 
     def backward(grad: np.ndarray) -> None:
-        _accumulate(x, grad * (1.0 - value * value))
+        _accumulate(x, grad * (1.0 - value * value), owned=True)
 
     out._backward = backward
     return out
@@ -35,7 +35,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = Tensor(value, requires_grad=x.requires_grad, _parents=(x,))
 
     def backward(grad: np.ndarray) -> None:
-        _accumulate(x, grad * value * (1.0 - value))
+        _accumulate(x, grad * value * (1.0 - value), owned=True)
 
     out._backward = backward
     return out
@@ -101,6 +101,141 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
+def _matmul_transposed(a: np.ndarray, b: np.ndarray, shape: tuple) -> np.ndarray:
+    """A fresh C-ordered array of ``shape`` holding ``swapaxes(a @ b)``.
+
+    BLAS writes the product straight into the transposed layout, with
+    the same bits as computing ``a @ b`` and copying its transpose.
+    """
+    out = np.empty(shape)
+    np.matmul(a, b, out=np.swapaxes(out, -1, -2))
+    return out
+
+
+def _step_weight_grad(
+    inputs: np.ndarray, dz: np.ndarray, shape: tuple
+) -> np.ndarray:
+    """One recurrent step's weight gradient, ``swapaxes(inputs.T @ dz)``.
+
+    A single row makes it an outer product, whose entries are single
+    exact products however they are formed.
+    """
+    if inputs.shape[0] == 1:
+        return dz.T * inputs
+    return _matmul_transposed(inputs.T, dz, shape)
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Affine map ``x @ weight.T + bias`` as one graph node.
+
+    ``x`` is ``(..., in)`` and ``weight`` is ``(out, in)``.  The backward
+    pass does the matmul-transpose-add graph's arithmetic: the weight
+    gradient is ``swapaxes(x) @ grad`` per leading index, transposed,
+    then summed over the leading axes (one flattened ``grad.T @ x``
+    would round differently).
+    """
+    out_data = x.data @ weight.data.T
+    if bias is not None:
+        out_data += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = Tensor(
+        out_data,
+        requires_grad=any(t.requires_grad for t in parents),
+        _parents=parents,
+    )
+    if not out.requires_grad:
+        return out
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            _accumulate(x, grad @ weight.data, owned=True)
+        if weight.requires_grad:
+            grad_w = _matmul_transposed(
+                np.swapaxes(x.data, -1, -2), grad, x.shape[:-2] + weight.shape
+            )
+            _accumulate(weight, grad_w, owned=True)
+        if bias is not None:
+            _accumulate(bias, grad)
+
+    out._backward = backward
+    return out
+
+
+def elman(x: Tensor, layers: list[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
+    """A stacked Elman recurrence as one graph node.
+
+    ``x`` is one sequence ``(seq_len, in)`` or ``(seq_len, batch, in)``
+    independent ones; ``layers`` holds ``(u, w, b)`` per layer.  Step
+    ``t`` of a layer is ``h_t = tanh(x_t @ u.T + h_{t-1} @ w.T + b)``
+    with ``h_{-1} = 0``, and the output is the top layer's ``h``, shaped
+    like ``x`` with ``hidden`` features.  The backward pass is BPTT in
+    reverse time order that adds each step's ``u``/``w``/``b`` gradient
+    as it goes; that summation order is the per-step graph's, so the
+    gradients are too (one hoisted GEMM over all steps rounds
+    differently).
+    """
+    seq_len = x.shape[0]
+    hidden = layers[0][1].shape[0]
+    rows = 1 if x.ndim == 2 else x.shape[1]
+    if x.ndim == 2:  # one sequence steps on (1, in) rows
+        steps = [x.data[t : t + 1] for t in range(seq_len)]
+    else:
+        steps = x.data
+    zero = np.zeros((1, hidden))
+    states: list[np.ndarray] = []
+    layer_input = steps
+    for u, w, b in layers:
+        u_t, w_t = u.data.T, w.data.T
+        h = np.empty((seq_len, rows, hidden))
+        prev = zero
+        for t in range(seq_len):
+            prev = np.tanh(layer_input[t] @ u_t + prev @ w_t + b.data, out=h[t])
+        states.append(h)
+        layer_input = h
+
+    parents = (x, *(p for layer in layers for p in layer))
+    out = Tensor(
+        states[-1].reshape(x.shape[:-1] + (hidden,)),
+        requires_grad=any(t.requires_grad for t in parents),
+        _parents=parents,
+    )
+    if not out.requires_grad:
+        return out
+
+    def backward(grad: np.ndarray) -> None:
+        grad_steps = grad.reshape(seq_len, rows, hidden)
+        grad_x = (
+            np.empty((seq_len, rows, x.shape[-1])) if x.requires_grad else None
+        )
+        recurrent: list[np.ndarray | None] = [None] * len(layers)
+        for t in reversed(range(seq_len)):
+            carry = grad_steps[t]
+            for index in reversed(range(len(layers))):
+                u, w, b = layers[index]
+                h = states[index]
+                step_in = steps[t] if index == 0 else states[index - 1][t]
+                if recurrent[index] is not None:
+                    carry = carry + recurrent[index]
+                dz = carry * (1.0 - h[t] * h[t])
+                _accumulate(u, _step_weight_grad(step_in, dz, u.shape), owned=True)
+                if t:
+                    grad_w = _step_weight_grad(h[t - 1], dz, w.shape)
+                    _accumulate(w, grad_w, owned=True)
+                    recurrent[index] = dz @ w.data
+                else:  # h_{-1} = 0 adds exact zeros, as the per-step graph did
+                    _accumulate(w, np.zeros_like(w.data), owned=True)
+                _accumulate(b, dz)
+                if index or grad_x is not None:
+                    carry = dz @ u.data
+            if grad_x is not None:
+                grad_x[t] = carry
+        if grad_x is not None:
+            _accumulate(x, grad_x.reshape(x.shape), owned=True)
+
+    out._backward = backward
+    return out
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -126,11 +261,10 @@ def conv2d(
     if oh <= 0 or ow <= 0:
         raise NNError(f"conv2d output would be empty: ({oh}, {ow})")
 
-    padded = (
-        np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        if padding
-        else x.data
-    )
+    padded = x.data
+    if padding:
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+        padded[:, :, padding : padding + h, padding : padding + w] = x.data
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride, :, :]  # (N, C, OH, OW, KH, KW)
     cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
@@ -149,9 +283,9 @@ def conv2d(
         if weight.requires_grad:
             grad_w = np.tensordot(grad_flat, cols, ((0, 2), (0, 2)))
             grad_w = grad_w.reshape(weight.shape)
-            _accumulate(weight, grad_w)
+            _accumulate(weight, grad_w, owned=True)
         if bias is not None and bias.requires_grad:
-            _accumulate(bias, grad.sum(axis=(0, 2, 3)))
+            _accumulate(bias, grad.sum(axis=(0, 2, 3)), owned=True)
         if x.requires_grad:
             grad_cols = np.matmul(w_flat.T, grad_flat)
             grad_cols = grad_cols.reshape(n, c, kh, kw, oh, ow)
@@ -167,7 +301,7 @@ def conv2d(
                 grad_padded = grad_padded[
                     :, :, padding : padding + h, padding : padding + w
                 ]
-            _accumulate(x, grad_padded)
+            _accumulate(x, grad_padded, owned=True)
 
     out._backward = backward
     return out
@@ -195,7 +329,7 @@ def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
             .transpose(0, 1, 2, 4, 3, 5)
             .reshape(n, c, h, w)
         )
-        _accumulate(x, grad_x)
+        _accumulate(x, grad_x, owned=True)
 
     out._backward = backward
     return out

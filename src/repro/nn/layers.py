@@ -12,7 +12,7 @@ from repro.nn.tensor import Tensor
 
 
 class Linear(Module):
-    """Affine map ``y = x W^T + b`` on ``(n, in_features)`` inputs."""
+    """Affine map ``y = x W^T + b`` on ``(..., in_features)`` inputs."""
 
     def __init__(
         self,
@@ -33,10 +33,7 @@ class Linear(Module):
             raise NNError(
                 f"Linear expected last dim {self.in_features}, got {x.shape}"
             )
-        out = x @ self.weight.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.linear(x, self.weight, self.bias)
 
 
 class Conv2d(Module):

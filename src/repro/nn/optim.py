@@ -1,4 +1,12 @@
-"""Optimizers: SGD (the paper's choice, lr 3e-4) and Adam."""
+"""Optimizers: SGD (the paper's choice, lr 3e-4) and Adam.
+
+Each optimizer allocates its state (Adam moments, SGD velocity) and a
+scratch buffer once; ``step`` then runs the textbook elementwise update
+in place, one ``_BLOCK`` of a parameter at a time, and allocates
+nothing.  Parameters stay separate arrays rather than views into one
+flat buffer: two optimizers may drive one parameter set, and
+``Module.load_state_dict`` rebinds ``param.data``.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +14,9 @@ import numpy as np
 
 from repro.errors import NNError
 from repro.nn.module import Parameter
+
+_BLOCK = 16384
+"""Elements per in-place update block (the scratch blocks stay in cache)."""
 
 
 class Optimizer:
@@ -16,6 +27,8 @@ class Optimizer:
         if lr <= 0:
             raise NNError(f"learning rate must be positive, got {lr}")
         self.lr = lr
+        largest = max(p.size for p in self.parameters)
+        self._scratch = np.empty(max(largest, 2 * _BLOCK))
 
     def zero_grad(self) -> None:
         for param in self.parameters:
@@ -25,11 +38,16 @@ class Optimizer:
         raise NotImplementedError
 
     def clip_grad_norm(self, max_norm: float) -> float:
-        """Scale all gradients so their global L2 norm is at most max_norm."""
+        """Scale all gradients so their global L2 norm is at most max_norm.
+
+        Each gradient's squares are summed in row-major order.
+        """
         total = 0.0
         for param in self.parameters:
             if param.grad is not None:
-                total += float((param.grad**2).sum())
+                squares = self._scratch[: param.grad.size]
+                np.square(param.grad, out=squares.reshape(param.grad.shape))
+                total += float(squares.sum())
         norm = float(np.sqrt(total))
         if norm > max_norm > 0:
             scale = max_norm / (norm + 1e-12)
@@ -37,6 +55,23 @@ class Optimizer:
                 if param.grad is not None:
                     param.grad *= scale
         return norm
+
+    def _updates(self, *states: list[np.ndarray]):
+        """Yield ``(data, grad, *state, scratch)`` flat blocks of every
+        parameter that has a gradient; writes to ``data`` land in
+        ``param.data``."""
+        for index, param in enumerate(self.parameters):
+            if param.grad is None:
+                continue
+            data = param.data.reshape(-1, copy=False)
+            grad = param.grad.reshape(-1)
+            for start in range(0, data.size, _BLOCK):
+                block = slice(start, start + _BLOCK)
+                piece = data[block]
+                yield (
+                    piece, grad[block], *(s[index][block] for s in states),
+                    self._scratch[: piece.size],
+                )
 
 
 class SGD(Optimizer):
@@ -47,18 +82,19 @@ class SGD(Optimizer):
         if not 0 <= momentum < 1:
             raise NNError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
+        self._velocity = [np.zeros(p.size) for p in self.parameters]
 
     def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += param.grad
-                param.data -= self.lr * velocity
-            else:
-                param.data -= self.lr * param.grad
+        if not self.momentum:
+            for data, grad, step in self._updates():
+                np.multiply(grad, self.lr, out=step)
+                data -= step
+            return
+        for data, grad, velocity, step in self._updates(self._velocity):
+            velocity *= self.momentum
+            velocity += grad
+            np.multiply(velocity, self.lr, out=step)
+            data -= step
 
 
 class Adam(Optimizer):
@@ -74,19 +110,28 @@ class Adam(Optimizer):
         super().__init__(parameters, lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._m = [np.zeros(p.size) for p in self.parameters]
+        self._v = [np.zeros(p.size) for p in self.parameters]
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
-        for param, m, v in zip(self.parameters, self._m, self._v):
-            if param.grad is None:
-                continue
+        correction1 = 1 - self.beta1**self._t
+        correction2 = 1 - self.beta2**self._t
+        denom = self._scratch[_BLOCK : 2 * _BLOCK]
+        for data, grad, m, v, step in self._updates(self._m, self._v):
+            rms = denom[: data.size]
             m *= self.beta1
-            m += (1 - self.beta1) * param.grad
+            np.multiply(grad, 1 - self.beta1, out=step)
+            m += step
             v *= self.beta2
-            v += (1 - self.beta2) * param.grad**2
-            m_hat = m / (1 - self.beta1**self._t)
-            v_hat = v / (1 - self.beta2**self._t)
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.square(grad, out=step)
+            step *= 1 - self.beta2
+            v += step
+            np.divide(m, correction1, out=step)  # m_hat
+            step *= self.lr
+            np.divide(v, correction2, out=rms)  # v_hat
+            np.sqrt(rms, out=rms)
+            rms += self.eps
+            step /= rms
+            data -= step

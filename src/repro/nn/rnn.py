@@ -3,7 +3,10 @@
 Each layer computes ``h_t = tanh(U x_t + W h_{t-1} + b)``; the top layer's
 hidden states are the module output (CAMO adds a separate fully-connected
 head on top).  The forward pass consumes a whole node sequence, matching
-how CAMO walks segments in visit order.
+how CAMO walks segments in visit order, and the whole stack over the whole
+sequence is one autograd node (:func:`repro.nn.functional.elman`): the
+forward runs the per-step recurrence and the backward is BPTT, so a
+sequence costs one graph node instead of several per layer per step.
 """
 
 from __future__ import annotations
@@ -54,26 +57,12 @@ class ElmanRNN(Module):
             )
             setattr(self, f"b{layer}", Parameter(init.zeros((hidden_size,))))
 
-    def initial_state(self) -> list[Tensor]:
-        """Zero hidden state per layer (shape ``(1, hidden)``)."""
-        return [Tensor(np.zeros((1, self.hidden_size))) for _ in range(self.num_layers)]
-
-    def step(self, x: Tensor, state: list[Tensor]) -> tuple[Tensor, list[Tensor]]:
-        """One time step.  ``x`` is ``(batch, input_size)`` — every matmul
-        broadcasts over the batch axis, so one call advances any number of
-        independent sequences."""
-        if len(state) != self.num_layers:
-            raise NNError(f"state has {len(state)} layers, expected {self.num_layers}")
-        new_state: list[Tensor] = []
-        layer_input = x
-        for layer in range(self.num_layers):
-            u = getattr(self, f"u{layer}")
-            w = getattr(self, f"w{layer}")
-            b = getattr(self, f"b{layer}")
-            hidden = F.tanh(layer_input @ u.T + state[layer] @ w.T + b)
-            new_state.append(hidden)
-            layer_input = hidden
-        return layer_input, new_state
+    def _layers(self) -> list[tuple[Tensor, Tensor, Tensor]]:
+        return [
+            (getattr(self, f"u{layer}"), getattr(self, f"w{layer}"),
+             getattr(self, f"b{layer}"))
+            for layer in range(self.num_layers)
+        ]
 
     def forward(self, sequence: Tensor) -> Tensor:
         """Process ``(seq_len, input_size)``; return ``(seq_len, hidden)``."""
@@ -81,31 +70,20 @@ class ElmanRNN(Module):
             raise NNError(
                 f"expected (seq, {self.input_size}) input, got {sequence.shape}"
             )
-        state = self.initial_state()
-        outputs: list[Tensor] = []
-        for t in range(sequence.shape[0]):
-            out, state = self.step(sequence[t : t + 1], state)
-            outputs.append(out)
-        return F.concat(outputs, axis=0)
+        return F.elman(sequence, self._layers())
 
     def forward_batch(self, sequences: Tensor) -> Tensor:
         """Process ``(seq_len, batch, input_size)`` independent sequences.
 
         The recurrence runs once over time with a ``(batch, hidden)``
-        state, so P sequences cost ``seq_len`` graph steps instead of
-        ``P * seq_len``.  The hidden state never mixes columns; each
-        column evolves as :meth:`forward` would evolve it alone, up to
-        a few ulps of batched-matmul summation-order difference.
-        Returns ``(seq_len, batch, hidden)``.
+        state.  The hidden state never mixes columns; each column
+        evolves as :meth:`forward` would evolve it alone, up to a few
+        ulps of batched-matmul summation-order difference.  Returns
+        ``(seq_len, batch, hidden)``.
         """
         if sequences.ndim != 3 or sequences.shape[2] != self.input_size:
             raise NNError(
                 f"expected (seq, batch, {self.input_size}) input, "
                 f"got {sequences.shape}"
             )
-        state = self.initial_state()
-        outputs: list[Tensor] = []
-        for t in range(sequences.shape[0]):
-            out, state = self.step(sequences[t], state)
-            outputs.append(out)
-        return F.stack(outputs, axis=0)
+        return F.elman(sequences, self._layers())

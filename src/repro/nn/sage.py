@@ -4,7 +4,7 @@ Mean-aggregates neighbour features and combines them with the node's own
 feature by concatenation followed by a linear map — the classic GraphSAGE
 "mean" variant from Hamilton et al. (NeurIPS'17) that the paper cites.
 The graph topology enters as a fixed row-normalized adjacency matrix, so
-the whole layer is two matmuls and stays inside autograd.
+the whole layer is an aggregation matmul, a concat and one linear node.
 """
 
 from __future__ import annotations
@@ -67,4 +67,4 @@ class GraphSAGEConv(Module):
             )
         aggregated = Tensor(adjacency) @ x
         combined = F.concat([x, aggregated], axis=-1)
-        return F.relu(combined @ self.weight.T + self.bias)
+        return F.relu(F.linear(combined, self.weight, self.bias))

@@ -1,9 +1,15 @@
 """Reverse-mode autograd tensor over numpy arrays.
 
 Every differentiable operation builds a node in an implicit DAG; calling
-:meth:`Tensor.backward` on a scalar loss topologically sorts the graph and
-accumulates gradients into every tensor with ``requires_grad=True``.
-Broadcasting is supported everywhere via gradient "unbroadcasting".
+:meth:`Tensor.backward` on a scalar loss sorts the graph with an iterative
+post-order walk and runs each node's backward closure in reverse.  Only
+the root is seeded: a node's gradient is created by the first closure
+that writes to it (a C-ordered array of its own), later writes add in
+place, and a node nothing wrote to is skipped.  Layers fuse whole
+computations into one node each (``functional.linear``,
+``functional.elman``, ``functional.conv2d``), so a training step builds a
+few dozen nodes.  Broadcasting is supported everywhere via gradient
+"unbroadcasting".
 """
 
 from __future__ import annotations
@@ -102,23 +108,22 @@ class Tensor:
                 raise NNError("backward() without grad only valid for scalars")
             grad = np.ones_like(self.data)
 
+        # Iterative post-order: parents are pushed reversed, so nodes come
+        # out in the order a recursive walk over ``_parents`` gives.
         order: list[Tensor] = []
         seen: set[int] = set()
-
-        def visit(node: "Tensor") -> None:
-            if id(node) in seen or not node.requires_grad:
-                return
-            seen.add(id(node))
-            for parent in node._parents:
-                visit(parent)
-            order.append(node)
-
-        visit(self)
-        for node in order:
-            node.grad = np.zeros_like(node.data) if node.grad is None else node.grad
-        self.grad = self.grad + grad
+        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+            elif id(node) not in seen and node.requires_grad:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((parent, False) for parent in reversed(node._parents))
+        _accumulate(self, grad)
         for node in reversed(order):
-            if node._backward is not None:
+            if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
 
     def zero_grad(self) -> None:
@@ -151,8 +156,8 @@ class Tensor:
         )
 
         def backward(grad: np.ndarray) -> None:
-            _accumulate(self, grad * other.data)
-            _accumulate(other, grad * self.data)
+            _accumulate(self, grad * other.data, owned=True)
+            _accumulate(other, grad * self.data, owned=True)
 
         out._backward = backward
         return out
@@ -183,7 +188,9 @@ class Tensor:
         )
 
         def backward(grad: np.ndarray) -> None:
-            _accumulate(self, grad * exponent * self.data ** (exponent - 1.0))
+            _accumulate(
+                self, grad * exponent * self.data ** (exponent - 1.0), owned=True
+            )
 
         out._backward = backward
         return out
@@ -201,9 +208,13 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                _accumulate(self, grad @ np.swapaxes(other.data, -1, -2))
+                _accumulate(
+                    self, grad @ np.swapaxes(other.data, -1, -2), owned=True
+                )
             if other.requires_grad:
-                _accumulate(other, np.swapaxes(self.data, -1, -2) @ grad)
+                _accumulate(
+                    other, np.swapaxes(self.data, -1, -2) @ grad, owned=True
+                )
 
         out._backward = backward
         return out
@@ -214,7 +225,7 @@ class Tensor:
         out = Tensor(value, requires_grad=self.requires_grad, _parents=(self,))
 
         def backward(grad: np.ndarray) -> None:
-            _accumulate(self, grad * value)
+            _accumulate(self, grad * value, owned=True)
 
         out._backward = backward
         return out
@@ -225,7 +236,7 @@ class Tensor:
         )
 
         def backward(grad: np.ndarray) -> None:
-            _accumulate(self, grad / self.data)
+            _accumulate(self, grad / self.data, owned=True)
 
         out._backward = backward
         return out
@@ -301,7 +312,7 @@ class Tensor:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
                 np.add.at(full, key, grad)
-                _accumulate(self, full)
+                _accumulate(self, full, owned=True)
 
         out._backward = backward
         return out
@@ -311,14 +322,25 @@ def _ensure_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _accumulate(tensor: Tensor, grad: np.ndarray) -> None:
-    """Add ``grad`` into ``tensor.grad``, undoing numpy broadcasting."""
+def _accumulate(tensor: Tensor, grad: np.ndarray, owned: bool = False) -> None:
+    """Add ``grad`` into ``tensor.grad``, undoing numpy broadcasting.
+
+    The first write keeps a C-ordered array of the tensor's own: ``grad``
+    itself when the caller ``owned`` it (made it for this call and keeps
+    no other reference), else a copy.  So no two gradients share memory
+    and every gradient reduces in the same (row-major) order.
+    """
     if not tensor.requires_grad:
         return
     grad = _unbroadcast(grad, tensor.data.shape)
-    if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.data)
-    tensor.grad += grad
+    if tensor.grad is not None:
+        tensor.grad += grad
+    elif owned and grad.flags.c_contiguous and grad.shape == tensor.data.shape:
+        tensor.grad = grad
+    else:
+        tensor.grad = np.array(
+            np.broadcast_to(grad, tensor.data.shape), dtype=np.float64, order="C"
+        )
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -23,19 +23,31 @@ def numeric_gradient(fn, value: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return grad
 
 
-def check_gradient(build_loss, value: np.ndarray, atol=1e-6, rtol=1e-4) -> None:
+def check_gradient(
+    build_loss, value: np.ndarray, atol=1e-6, rtol=1e-4, param=None
+) -> None:
     """Assert autograd gradient matches finite differences.
 
     ``build_loss(tensor) -> Tensor`` must return a scalar loss given a leaf
-    tensor built from ``value``.
+    tensor built from ``value``.  The check is on that leaf's gradient, or,
+    given ``param`` (a parameter the loss reads), on ``param``'s gradient:
+    the finite differences then perturb ``param.data`` in place.
     """
     leaf = Tensor(value.copy(), requires_grad=True)
+    target = leaf if param is None else param
+    target.grad = None
     loss = build_loss(leaf)
     loss.backward()
-    analytic = leaf.grad.copy()
+    analytic = target.grad.copy()
 
-    def scalar_fn(arr: np.ndarray) -> float:
-        return float(build_loss(Tensor(arr)).data)
+    if param is None:
+        def scalar_fn(arr: np.ndarray) -> float:
+            return float(build_loss(Tensor(arr)).data)
 
-    numeric = numeric_gradient(scalar_fn, value.copy())
+        numeric = numeric_gradient(scalar_fn, value.copy())
+    else:
+        def scalar_fn(arr: np.ndarray) -> float:
+            return float(build_loss(Tensor(value)).data)
+
+        numeric = numeric_gradient(scalar_fn, param.data)
     np.testing.assert_allclose(analytic, numeric, atol=atol, rtol=rtol)

@@ -89,6 +89,19 @@ class TestLayers:
 
         check_gradient(loss, x)
 
+    def test_linear_population_grads(self):
+        """3-D input: the weight and bias gradients sum over the population."""
+        layer = Linear(6, 4, rng=rng)
+        layer.bias.data += rng.normal(size=4)
+        x = rng.normal(size=(3, 5, 6))
+
+        def loss(t):
+            return (layer(t) ** 2.0).sum()
+
+        check_gradient(loss, x)
+        for param in (layer.weight, layer.bias):
+            check_gradient(loss, x, param=param)
+
     def test_linear_validation(self):
         with pytest.raises(NNError):
             Linear(4, 2)(Tensor(np.zeros((3, 5))))
@@ -142,21 +155,47 @@ class TestElmanRNN:
         after = rnn(Tensor(changed)).numpy()
         assert not np.allclose(base[-1], after[-1])
 
-    def test_step_matches_forward(self):
-        rnn = ElmanRNN(4, 6, num_layers=2, rng=rng)
-        seq = rng.normal(size=(3, 4))
-        full = rnn(Tensor(seq)).numpy()
-        state = rnn.initial_state()
-        outs = []
-        for t in range(3):
-            out, state = rnn.step(Tensor(seq[t : t + 1]), state)
-            outs.append(out.numpy()[0])
-        assert np.allclose(np.stack(outs), full)
+    @staticmethod
+    def numpy_recurrence(rnn, steps):
+        """Plain-numpy stacked Elman recurrence over ``steps[t]`` rows."""
+        state = [np.zeros((1, rnn.hidden_size))] * rnn.num_layers
+        outputs = []
+        for x in steps:
+            for layer in range(rnn.num_layers):
+                u, w, b = (
+                    getattr(rnn, f"{name}{layer}").data for name in "uwb"
+                )
+                state[layer] = x = np.tanh(x @ u.T + state[layer] @ w.T + b)
+            outputs.append(x)
+        return outputs
+
+    def test_forward_matches_numpy_recurrence(self):
+        rnn = ElmanRNN(4, 6, num_layers=3, rng=rng)
+        seq = rng.normal(size=(5, 4))
+        steps = [seq[t : t + 1] for t in range(5)]
+        expected = np.concatenate(self.numpy_recurrence(rnn, steps))
+        assert np.array_equal(rnn(Tensor(seq)).numpy(), expected)
+
+        batch = rng.normal(size=(5, 3, 4))
+        expected = np.stack(self.numpy_recurrence(rnn, list(batch)))
+        assert np.array_equal(rnn.forward_batch(Tensor(batch)).numpy(), expected)
 
     def test_grad_through_time(self):
         rnn = ElmanRNN(3, 4, num_layers=1, rng=rng)
         seq = rng.normal(size=(4, 3))
         check_gradient(lambda t: (rnn(t) ** 2.0).sum(), seq, rtol=1e-3)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_parameter_grads_through_time(self, batched):
+        """Every layer's u/w/b gradient, through forward and forward_batch."""
+        rnn = ElmanRNN(3, 4, num_layers=3, rng=rng)
+        seq = rng.normal(size=(4, 2, 3) if batched else (4, 3))
+        forward = rnn.forward_batch if batched else rnn.forward
+        for param in rnn.parameters():
+            param.data += rng.normal(scale=0.1, size=param.shape)  # b != 0
+            check_gradient(
+                lambda t: (forward(t) ** 2.0).sum(), seq, rtol=1e-3, param=param
+            )
 
     def test_validation(self):
         with pytest.raises(NNError):
@@ -165,7 +204,7 @@ class TestElmanRNN:
         with pytest.raises(NNError):
             rnn(Tensor(np.zeros((3, 5))))
         with pytest.raises(NNError):
-            rnn.step(Tensor(np.zeros((1, 4))), [])
+            rnn.forward_batch(Tensor(np.zeros((3, 4))))
 
 
 def tiny_graph():
@@ -217,6 +256,17 @@ class TestGraphSAGE:
         adj = mean_adjacency(graph)
         x = rng.normal(size=(graph.n_nodes, 3))
         check_gradient(lambda t: (layer(t, adj) ** 2.0).sum(), x, rtol=1e-3)
+
+    def test_parameter_grads(self):
+        graph = tiny_graph()
+        layer = GraphSAGEConv(3, 2, rng=rng)
+        layer.bias.data += 0.5  # keep most ReLUs open
+        adj = mean_adjacency(graph)
+        x = rng.normal(size=(2, graph.n_nodes, 3))  # a population of two
+        for param in (layer.weight, layer.bias):
+            check_gradient(
+                lambda t: (layer(t, adj) ** 2.0).sum(), x, rtol=1e-3, param=param
+            )
 
     def test_validation(self):
         layer = GraphSAGEConv(3, 2)

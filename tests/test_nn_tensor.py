@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from nn_gradcheck import check_gradient
 from repro.errors import NNError
-from repro.nn import Tensor, no_grad
+from repro.nn import SGD, Parameter, Tensor, no_grad
+from repro.nn import functional as F
 from repro.nn.tensor import grad_enabled
 
 
@@ -138,6 +139,51 @@ class TestBackward:
         x = Tensor(np.arange(5.0), requires_grad=True)
         x[np.array([0, 0, 3])].sum().backward()
         assert x.grad.tolist() == [2.0, 0.0, 0.0, 1.0, 0.0]
+
+
+class TestGradientBuffers:
+    """Every gradient is an array of its own in row-major order, so an
+    in-place update of one never leaks into another and every norm
+    reduces in the same order."""
+
+    def run_backward(self):
+        r = np.random.default_rng(11)
+        x = Parameter(r.normal(size=(4, 3)))
+        y = Parameter(r.normal(size=(3, 4)))
+        w1 = Parameter(r.normal(size=(5, 3)))
+        w2 = Parameter(r.normal(size=(2, 3)))
+        doubled = x + x
+        squared = x * x
+        shared = doubled * squared
+        a = F.linear(shared, w1)  # one tensor feeding two linear nodes
+        b = F.linear(shared, w2)
+        flipped = y.T  # its gradient arrives transposed
+        loss = (a**2.0).sum() + (b * 3.0).sum() + (flipped * x).sum()
+        loss.backward()
+        nodes = [x, y, w1, w2, doubled, squared, shared, a, b, flipped, loss]
+        return nodes, [x, y, w1, w2]
+
+    def test_every_grad_is_c_ordered(self):
+        nodes, _ = self.run_backward()
+        for node in nodes:
+            assert node.grad is not None
+            assert node.grad.flags.c_contiguous
+
+    def test_no_two_grads_share_memory(self):
+        nodes, _ = self.run_backward()
+        for i, first in enumerate(nodes):
+            for second in nodes[i + 1 :]:
+                assert not np.shares_memory(first.grad, second.grad)
+
+    def test_clip_norm_matches_c_ordered_copies(self):
+        _, params = self.run_backward()
+        copies = [np.array(p.grad, order="C") for p in params]
+        expected = float(np.sqrt(sum(float((g**2).sum()) for g in copies)))
+        norm = SGD(params, lr=0.1).clip_grad_norm(1.0)
+        assert norm == expected
+        scale = 1.0 / (expected + 1e-12)
+        for param, copy in zip(params, copies):
+            assert np.array_equal(param.grad, copy * scale)
 
 
 class TestGradcheckPrimitives:
