@@ -8,8 +8,9 @@ Run from the repo root:
 Two sweeps of the same **deliberately skewed** suite (alternating large
 and small via clips, so per-clip cost varies several-fold):
 
-* ``sequential`` — ``MaskOptService.run_suite_sharded(workers=1)``, the
-  inline sweep: one engine, no worker processes, clips in order;
+* ``sequential`` — ``MaskOptService.run_suite(workers=1)``, the
+  in-process ``run_all`` loop: one engine, no worker processes, clips in
+  order;
 * ``daemon`` — :class:`repro.service.MaskOptDaemon` (the always-on
   serving front door behind ``python -m repro serve``) with a 2-worker
   pool pulling from one shared task queue, so neither worker idles
@@ -79,7 +80,7 @@ def sequential_sweep(clips, config) -> tuple[list, float]:
     """The baseline: the inline ``workers=1`` sweep, clips in order.
     Returns the results and the wall time of the call."""
     t0 = time.perf_counter()
-    results = MaskOptService(litho_config=config).run_suite_sharded(
+    results = MaskOptService(litho_config=config).run_suite(
         ENGINE, clips, workers=1, engine_overrides=ENGINE_OVERRIDES,
     )
     return results, time.perf_counter() - t0
@@ -156,7 +157,7 @@ def run(
         # Warm the shared store (one clip of each grid shape) so no
         # timed sweep pays a TCC build.
         warm = MaskOptService(litho_config=config)
-        warm.run_suite_sharded(
+        warm.run_suite(
             ENGINE, clips[:2], workers=1,
             engine_overrides=ENGINE_OVERRIDES,
         )

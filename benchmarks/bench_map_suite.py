@@ -1,21 +1,21 @@
-"""Benchmark gate: process-sharded suite execution vs the sequential sweep.
+"""Benchmark gate: the suite on worker processes vs the in-process sweep.
 
 Run from the repo root:
 
     PYTHONPATH=src python benchmarks/bench_map_suite.py          # full
     PYTHONPATH=src python benchmarks/bench_map_suite.py --smoke  # CI
 
-Two sweeps of the same via suite through
-:meth:`repro.service.MaskOptService.run_suite_sharded` (the engine room
-of ``map_suite(workers=N)`` and ``python -m repro optimize --workers N``):
+Three sweeps of the same via suite through
+:meth:`repro.service.MaskOptService.run_suite` (the engine room of
+``map_suite(workers=N)`` and ``python -m repro optimize --workers N``):
 
-* ``sequential`` — ``workers=1``: the engine is built from the same
-  picklable spec and sweeps the suite in-process, verification at the
-  end;
-* ``sharded``    — ``workers=N`` (default 4): N spawned worker processes
-  split the clip list, share one *warm* on-disk kernel-spectra store (so
-  no worker pays the TCC build), and stream outcomes back while the
-  parent drains full verification bins concurrently;
+* ``sequential`` — ``workers=1``: the in-process ``run_all`` loop builds
+  the engine once and sweeps the suite, verification at the end;
+* ``sharded``    — ``workers=N`` (default 4): a daemon's N spawned worker
+  processes pull clips from one shared queue, share one *warm* on-disk
+  kernel-spectra store (so no worker pays the TCC build), and stream
+  outcomes back while the daemon's verifier drains full shape bins
+  concurrently;
 * ``journaled``  — the sharded sweep again with ``journal=`` armed: every
   admission and verified result is CRC-framed and fsync'd to an
   append-only outcome journal, the durability layer behind
@@ -55,7 +55,7 @@ DEFAULT_JSON_PATH = "BENCH_map_suite.json"
 
 ENGINE = "mbopc"
 # No early exit: every clip runs the full update budget, so the suite is
-# homogeneous and the round-robin shards stay balanced.
+# homogeneous and no worker is left with an expensive tail.
 ENGINE_OVERRIDES = {
     "max_updates": 6,
     "initial_bias_nm": 3.0,
@@ -110,7 +110,7 @@ def run(
         # band spectra for the suite's single grid shape at both focus
         # settings) so neither timed sweep pays the TCC build.
         warm = MaskOptService(litho_config=config)
-        warm.run_suite_sharded(
+        warm.run_suite(
             ENGINE, clips[:1], workers=1, engine_overrides=ENGINE_OVERRIDES,
         )
         store = warm.simulator.spectra_store()
@@ -123,14 +123,14 @@ def run(
 
         sequential_service = MaskOptService(litho_config=config)
         t0 = time.perf_counter()
-        sequential = sequential_service.run_suite_sharded(
+        sequential = sequential_service.run_suite(
             ENGINE, clips, workers=1, engine_overrides=ENGINE_OVERRIDES,
         )
         t_seq = time.perf_counter() - t0
 
         sharded_service = MaskOptService(litho_config=config)
         t0 = time.perf_counter()
-        sharded = sharded_service.run_suite_sharded(
+        sharded = sharded_service.run_suite(
             ENGINE, clips, workers=workers,
             engine_overrides=ENGINE_OVERRIDES,
         )
@@ -139,7 +139,7 @@ def run(
         journal_path = os.path.join(tmp, "bench.journal")
         journaled_service = MaskOptService(litho_config=config)
         t0 = time.perf_counter()
-        journaled = journaled_service.run_suite_sharded(
+        journaled = journaled_service.run_suite(
             ENGINE, clips, workers=workers,
             engine_overrides=ENGINE_OVERRIDES, journal=journal_path,
         )

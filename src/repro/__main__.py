@@ -29,11 +29,12 @@ Examples::
     python -m repro table --which 1 --scale smoke
     python -m repro bench-info
 
-``optimize --workers N`` process-shards the suite: N spawned workers
-split the clip list, rebuild the engine from the same config, share the
+``optimize --workers N`` runs the suite on N spawned workers of a
+:class:`~repro.service.daemon.MaskOptDaemon`: they pull clips from one
+shared queue, rebuild the engine from the same config, share the
 kernel-spectra store, and stream results back while verification drains
-full shape bins concurrently (:mod:`repro.service.sharding`).  Sharded
-numbers are bit-for-bit identical to ``--workers 1``.
+full shape bins concurrently.  The numbers are bit-for-bit identical to
+``--workers 1``.
 
 Serving knobs: ``--retries N`` caps re-dispatch after infrastructure
 faults (worker crash, stall kill), ``--deadline S`` bounds each clip's
@@ -215,7 +216,7 @@ def _store_root(args) -> str | None:
 
 def cmd_optimize(args) -> int:
     from repro.litho.simulator import LithoConfig
-    from repro.service import MaskOptService, OptRequest
+    from repro.service import MaskOptService
 
     config = LithoConfig(
         pixel_nm=args.pixel_nm,
@@ -231,31 +232,16 @@ def cmd_optimize(args) -> int:
     if args.workers < 1:
         raise ReproError(f"--workers must be >= 1, got {args.workers}")
     overrides = dict(args.opt or [])
-    verify = not args.no_verify
-    shard_kwargs: dict[str, Any] = {}
+    delivery: dict[str, Any] = {}
     if args.retries is not None:
-        shard_kwargs["retries"] = args.retries
+        delivery["retries"] = args.retries
     if args.deadline is not None:
-        shard_kwargs["deadline_s"] = args.deadline
-    if args.workers > 1 or args.journal:
-        # Process-sharded sweep: N spawned workers share the spectra
-        # store and stream outcomes back for overlapped verification.
-        # --journal routes here even at --workers 1: journaling needs
-        # the spawnable EngineSpec whose fingerprint stamps each record.
-        results = service.run_suite_sharded(
-            args.engine, clips, workers=args.workers,
-            engine_overrides=overrides, verify=verify,
-            journal=args.journal, **shard_kwargs,
-        )
-    else:
-        for clip in clips:
-            service.submit(OptRequest(
-                clip=clip,
-                engine=args.engine,
-                engine_overrides=overrides,
-                verify=verify,
-            ))
-        results = service.run_all(verify=verify)
+        delivery["deadline_s"] = args.deadline
+    results = service.run_suite(
+        args.engine, clips, workers=args.workers,
+        engine_overrides=overrides, verify=not args.no_verify,
+        journal=args.journal or None, **delivery,
+    )
 
     header = (
         f"{'clip':12s} {'EPE (nm)':>10s} {'PVB (nm^2)':>12s} "
@@ -579,8 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="KEY=VALUE",
                      help="engine config override (repeatable)")
     opt.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="process-shard the suite across N spawned "
-                          "workers sharing one kernel-spectra store; "
+                     help="run the suite on N spawned worker processes "
+                          "sharing one kernel-spectra store; "
                           "verification streams while workers optimize "
                           "(default 1 = in-process)")
     opt.add_argument("--no-verify", action="store_true",

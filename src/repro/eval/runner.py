@@ -1,10 +1,11 @@
 """Run an OPC engine over a benchmark suite, collecting table rows.
 
-Since the service redesign this module is a thin adapter over
-:class:`repro.service.MaskOptService`: ``run_engine_on_suite`` submits
-one :class:`~repro.service.api.OptRequest` per clip and drains them with
-``run_all``, so the suite sweep and its verification ride the same
-blessed path as the CLI and the examples.
+This module is a thin adapter over
+:class:`repro.service.MaskOptService`: ``run_engine_on_suite`` is one
+:meth:`~repro.service.MaskOptService.run_suite` call (the in-process
+``run_all`` loop, or the daemon's worker processes at ``workers > 1``),
+so the suite sweep and its verification ride the same blessed path as
+the CLI and the examples.
 
 With a ``verify_simulator`` the service additionally re-simulates every
 engine's final mask through the batched lithography engine
@@ -93,52 +94,31 @@ def run_engine_on_suite(
     :class:`~repro.service.MaskOptService` — numbers are bit-for-bit
     identical to calling ``engine.optimize`` per clip directly.
 
-    ``workers > 1`` process-shards the sweep
-    (:meth:`~repro.service.MaskOptService.run_suite_sharded`): ``engine``
-    must then be a registry name or picklable factory (rebuilt with
+    ``workers > 1`` runs the sweep on worker processes
+    (:meth:`~repro.service.MaskOptService.run_suite`): ``engine`` must
+    then be a registry name or picklable factory (rebuilt with
     ``engine_overrides`` in each worker), not an instance, and a
-    ``verify_simulator`` is required so the shard spec carries a
-    concrete litho config.  Sharded rows are bit-for-bit identical to
-    the sequential sweep.
+    ``verify_simulator`` is required so the workers rebuild their
+    engines from a concrete litho config.  Their rows are bit-for-bit
+    identical to the sequential sweep.
     """
     from repro.errors import ServiceError
-    from repro.service import MaskOptService, OptRequest
+    from repro.service import MaskOptService
 
-    if workers > 1:
-        if verify_simulator is None:
-            raise ServiceError(
-                "workers>1 needs a verify_simulator: shard workers "
-                "rebuild their engines from its LithoConfig"
-            )
-        service = MaskOptService(simulator=verify_simulator)
-        result = SuiteResult(engine=engine_name)
-        for opt_result in service.run_suite_sharded(
-            engine, clips, workers=workers,
-            engine_overrides=engine_overrides, verify=True,
-            **optimize_kwargs,
-        ):
-            result.add(opt_result.to_row())
-        return result
-
-    if engine_overrides:
+    if workers > 1 and verify_simulator is None:
         raise ServiceError(
-            "engine_overrides only apply to the sharded path (workers>1); "
-            "configure the engine instance directly instead"
+            "workers>1 needs a verify_simulator: worker processes "
+            "rebuild their engines from its LithoConfig"
         )
     service = MaskOptService(
         simulator=verify_simulator
         if verify_simulator is not None
         else getattr(engine, "simulator", None),
     )
-    verify = verify_simulator is not None
-    for clip in clips:
-        service.submit(OptRequest(
-            clip=clip,
-            engine=engine,
-            optimize_kwargs=dict(optimize_kwargs),
-            verify=verify,
-        ))
     result = SuiteResult(engine=engine_name)
-    for opt_result in service.run_all(verify=verify):
+    for opt_result in service.run_suite(
+        engine, clips, workers=workers, engine_overrides=engine_overrides,
+        verify=verify_simulator is not None, **optimize_kwargs,
+    ):
         result.add(opt_result.to_row())
     return result

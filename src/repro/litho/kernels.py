@@ -206,6 +206,7 @@ def band_values_at_pixels(
     and the resolved ``(B, S)`` values always come back host-side (the
     metrology boundary).
     """
+    rows, cols = _validate_pixel_set(band.shape, rows, cols)
     height, width = band.shape
     m0, m1 = band.subgrid
     half_cols = 2 * band.band[1] + 1
@@ -499,8 +500,8 @@ class OpticalKernelSet:
         if not band.compact:
             raise LithoError(
                 f"{entry} needs a compact pupil band; the {shape} grid's "
-                "band covers it — use intensity_at_pixels on full spectra "
-                "instead"
+                "band covers it — use intensity_from_mask_ffts on full "
+                "spectra instead"
             )
         return band
 
@@ -646,76 +647,6 @@ class OpticalKernelSet:
         )
         return fft.to_host(fft.ifft2(full, axes=(-2, -1)).real)
 
-    def _sparse_band_values(
-        self,
-        sub: np.ndarray,
-        band: GridBandSpectra,
-        rows: np.ndarray,
-        cols: np.ndarray,
-    ) -> np.ndarray:
-        """Intensity at a pixel set from subgrid-scattered mask bands.
-
-        The subgrid convolution runs exactly as in :meth:`_band_intensity`;
-        the full-grid inverse FFT of the intensity is replaced by the
-        lattice gather of :func:`band_values_at_pixels` — two small GEMMs
-        over the pixel set's distinct rows x distinct columns.
-        """
-        intensity = self._subgrid_intensity(sub, band)
-        return band_values_at_pixels(intensity, band, rows, cols, self.fft)
-
-    def intensity_at_pixels(
-        self, mask_ffts: np.ndarray, rows: np.ndarray, cols: np.ndarray
-    ) -> np.ndarray:
-        """Aerial intensity of ``(B, H, W)`` mask spectra at S pixels.
-
-        Returns ``(B, S)`` values mathematically identical to
-        ``intensity_from_mask_ffts(mask_ffts)[:, rows, cols]`` (<= 1e-12
-        absolute — the exact zero-padded FFT resample and the direct DFT
-        gather are the same linear map evaluated in different summation
-        orders).  On the compact band path the full-grid inverse
-        transform never happens: cost drops from O(B H W log(H W)) to
-        two small lattice GEMMs after the subgrid convolution.  A
-        non-compact band's intensity already lives on the full grid, so
-        it is gathered directly, which is exact by construction.
-        """
-        if mask_ffts.ndim != 3:
-            raise LithoError(
-                f"mask spectra must be 3-D (B, H, W), got shape {mask_ffts.shape}"
-            )
-        shape = tuple(mask_ffts.shape[-2:])
-        self._validate_grid(shape)
-        rows, cols = _validate_pixel_set(shape, rows, cols)
-        band = self.band_spectra(shape)
-        if not band.compact:
-            return self._band_intensity(mask_ffts, band)[:, rows, cols]
-        sub = self._gather_band(mask_ffts, band)
-        return self._sparse_band_values(sub, band, rows, cols)
-
-    def sparse_intensity_from_rfft(
-        self,
-        mask_rffts: np.ndarray,
-        shape: tuple[int, int],
-        rows: np.ndarray,
-        cols: np.ndarray,
-    ) -> np.ndarray:
-        """Sparse intensity from half-width real-input spectra.
-
-        The fast path of the sparse EPE pipeline: callers forward-
-        transform their real mask stack once with
-        :meth:`~repro.backend.ArrayBackend.rfft2` (about half the cost of
-        the full ``fft2``) and share the result across the focus and
-        defocus kernel sets; the pupil band is reconstructed by Hermitian
-        symmetry.  Only available on the compact band path — callers
-        without a compact band should compute ``fft2`` and use
-        :meth:`intensity_at_pixels` instead.
-        """
-        shape = self._check_rfft_shape(mask_rffts, shape)
-        self._validate_grid(shape)
-        rows, cols = _validate_pixel_set(shape, rows, cols)
-        band = self._compact_band(shape, "sparse_intensity_from_rfft")
-        sub = gather_band_rfft(mask_rffts, band, self.fft)
-        return self._sparse_band_values(sub, band, rows, cols)
-
     def subgrid_intensity_from_rfft(
         self, mask_rffts: np.ndarray, shape: tuple[int, int]
     ) -> np.ndarray:
@@ -726,8 +657,7 @@ class OpticalKernelSet:
         representation of the aerial image — the imaging step of
         :meth:`~repro.litho.simulator.LithographySimulator.simulate_epe_batch`,
         whose contour pixels :func:`band_values_at_pixels` then lifts to
-        the full grid.  Requires a compact band, like
-        :meth:`sparse_intensity_from_rfft`.
+        the full grid.  Requires a compact band.
         """
         shape = self._check_rfft_shape(mask_rffts, shape)
         self._validate_grid(shape)

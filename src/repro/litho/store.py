@@ -88,7 +88,7 @@ def open_store(root: str) -> "KernelSpectraStore":
             created = False
     if created:
         # First open in this process: reclaim temp files abandoned by
-        # writers that died mid-save (concurrent shard workers make
+        # writers that died mid-save (concurrent pool workers make
         # those a real possibility, not a theoretical one).
         store.sweep_orphans()
     return store
@@ -212,7 +212,7 @@ class KernelSpectraStore:
 
         An atomic write holds its ``.tmp-spectra-*`` file for
         milliseconds; anything older than ``max_age_s`` is an orphan
-        (e.g. a shard worker killed between ``mkstemp`` and
+        (e.g. a pool worker killed between ``mkstemp`` and
         ``os.replace``).  Races are benign: a concurrent sweeper or the
         original writer finishing first just makes the unlink a no-op.
         Returns the number of files removed.

@@ -48,35 +48,33 @@ Components:
   ``measure_epe_grouped_sparse`` per (grid-shape, search-range) bin per
   verification pass.
 * :class:`~repro.service.service.MaskOptService` — queue, engine cache,
-  sync ``submit``/``run_all``, and ``map_suite`` for several engines
-  over one suite.  Without ``workers`` both run one sequential
-  in-process loop; multi-core hosts get their parallelism from
-  ``workers=N`` (below) and from ``LithoConfig(backend="scipy")``, whose
-  transforms split across the batch axis (``backend="torch"`` moves the
-  compact band path onto a device).
-* :class:`~repro.service.sharding.ShardedSuiteRunner` — process-based
-  sharding *within* one engine's suite (``map_suite(workers=N)``,
-  ``run_suite_sharded``, CLI ``--workers N``): N spawned workers rebuild
-  the engine from a picklable :class:`~repro.service.sharding.
-  EngineSpec`, share one on-disk kernel-spectra store, and stream
+  sync ``submit``/``run_all`` (the in-process loop), ``run_suite`` for
+  one engine over a suite, and ``map_suite`` for several engines over
+  one suite.  Multi-core hosts get their parallelism from ``workers=N``
+  (below) and from ``LithoConfig(backend="scipy")``, whose transforms
+  split across the batch axis (``backend="torch"`` moves the compact
+  band path onto a device).
+* :class:`~repro.service.daemon.MaskOptDaemon` — the one process-
+  parallel executor.  It is the always-on asyncio front door
+  (``python -m repro serve``): ``await submit(request, tenant=...)``
+  continuously, per-tenant bounded queues that shed load with
+  :class:`~repro.errors.ServiceBusy`, streaming verification on a
+  dedicated thread, crashed workers revived without dropping the
+  daemon, graceful drain-and-shutdown.  ``run_suite(workers=N)``,
+  ``map_suite(workers=N)``, any journaled sweep and CLI ``--workers N``
+  are blocking wrappers over it.  Workers rebuild the engine from a
+  picklable :class:`~repro.service.sharding.EngineSpec`, share one
+  on-disk kernel-spectra store, and stream
   :class:`~repro.service.sharding.OptOutcome` payloads back as clips
-  finish so verification (``flush_ready``) overlaps optimization.
-  Sharding reorders work, never numbers — sharded results are
-  bit-for-bit identical to the sequential sweep.
+  finish, so verification overlaps optimization.  Worker processes
+  reorder work, never numbers — results are bit-for-bit identical to
+  the in-process sweep.
 * :class:`~repro.service.workqueue.WorkStealingPool` — the persistent
-  warm worker fleet under both sharded sweeps and the daemon: one
-  shared task queue per engine spec, workers pull the next clip the
-  moment they free up.  It is also the one pool consumer:
+  warm worker fleet under the daemon: one shared task queue per engine
+  spec, workers pull the next clip the moment they free up.
   :func:`~repro.service.workqueue.poll_verdicts` turns worker messages
   and liveness ticks into per-task verdicts (done, or failed with a
-  typed error) under one retry/deadline/revive policy, which the sweep
-  and the daemon both consume.
-* :class:`~repro.service.daemon.MaskOptDaemon` — the always-on asyncio
-  front door (``python -m repro serve``): ``await submit(request,
-  tenant=...)`` continuously, per-tenant bounded queues that shed load
-  with :class:`~repro.errors.ServiceBusy`, streaming verification on a
-  dedicated thread, crashed workers revived without dropping the
-  daemon, graceful drain-and-shutdown.
+  typed error) under one retry/deadline/revive policy.
 
 The shared simulator inherits everything from
 :class:`~repro.litho.simulator.LithoConfig`, including
@@ -129,11 +127,7 @@ from repro.service.service import (
     MaskOptService,
     engine_epe_search_nm,
 )
-from repro.service.sharding import (
-    EngineSpec,
-    OptOutcome,
-    ShardedSuiteRunner,
-)
+from repro.service.sharding import EngineSpec, OptOutcome
 from repro.service.workqueue import Task, WorkStealingPool
 
 __all__ = [
@@ -166,7 +160,6 @@ __all__ = [
     "engine_epe_search_nm",
     "EngineSpec",
     "OptOutcome",
-    "ShardedSuiteRunner",
     "Task",
     "WorkStealingPool",
 ]

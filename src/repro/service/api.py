@@ -27,7 +27,7 @@ class OptRequest:
             ``"calibre"``, ``"rlopc"``, ``"damo"``, ``"ilt"`` — see
             :mod:`repro.service.registry`), a factory callable
             ``(simulator, overrides) -> engine`` (the picklable spec
-            process-sharded paths and the daemon need), or an
+            worker processes of the daemon need), or an
             already-constructed engine instance implementing the
             ``OPCEngine`` protocol (anything with
             ``optimize(clip, **kwargs)``).

@@ -1,15 +1,16 @@
 """Always-on async serving daemon over :class:`MaskOptService`.
 
-Every execution path before this module is a *sweep*: the caller hands
-over a batch, blocks until the batch is done, and the worker fleet dies
-with the call.  :class:`MaskOptDaemon` turns the service into a
-long-running process: an ``asyncio`` front door accepts
-:class:`~repro.service.api.OptRequest` records continuously
+:class:`MaskOptDaemon` turns the service into a long-running process
+and is its one process-parallel executor: an ``asyncio`` front door
+accepts :class:`~repro.service.api.OptRequest` records continuously
 (:meth:`~MaskOptDaemon.submit`), dispatches them to **persistent warm
 worker pools** (:class:`~repro.service.workqueue.WorkStealingPool`, one
 per engine spec, workers built once and reused across requests), and
 resolves each request's future as its verified result streams back
-(:meth:`~MaskOptDaemon.result` / :meth:`~MaskOptDaemon.results`).
+(:meth:`~MaskOptDaemon.result` / :meth:`~MaskOptDaemon.results`).  A
+process-parallel or journaled sweep
+(:meth:`~repro.service.service.MaskOptService.run_suite`) is a blocking
+wrapper over a daemon that lives for that one suite.
 
 Architecture — three threads around one event loop::
 
@@ -34,17 +35,19 @@ Architecture — three threads around one event loop::
   :func:`~repro.service.workqueue.poll_verdicts` turns that stream plus
   each pool's liveness tick into per-task verdicts — the same consumer
   policy (dedup, retry backoff, deadlines, stall kills, crash verdicts,
-  revive budget, error wording) a sweep uses.  A done verdict goes to
-  the verifier (or straight to assembly for ``verify=False`` requests);
-  a failed one fails only its ticket.  A crashed worker is **revived**
-  by its pool — the daemon keeps serving, one lost request does not
-  become an outage — and a pool that fails as a whole (engine build
-  failed, stream corrupted, revive budget spent) is retired.
+  revive budget, error wording) for every pool.  A done verdict goes to
+  the verifier (or straight to assembly for ``verify=False`` requests)
+  and frees its pool slot for the next queued request; a failed one
+  fails only its ticket.  A crashed worker is **revived** by its pool —
+  the daemon keeps serving, one lost request does not become an
+  outage — and a pool that fails as a whole (engine build failed,
+  stream corrupted, revive budget spent) is retired.
 * The **verifier** owns the service's shape-binned scheduler.  Outcomes
   join their bin as they arrive; any bin reaching ``stream_min_bin``
-  masks flushes immediately, and when the daemon goes quiescent (nothing
-  queued or in flight) stragglers are flushed after ``flush_idle_s`` —
-  or unconditionally once a mask has waited ``flush_max_wait_s``, so a
+  masks flushes immediately, and once the daemon is quiescent (nothing
+  queued or in flight) stragglers are flushed — at once when the last
+  mask arrives, else at the next ``flush_idle_s`` poll — or
+  unconditionally once a mask has waited ``flush_max_wait_s``, so a
   lone request on an idle daemon is never parked indefinitely waiting
   for bin-mates.  Drift checks run per result: a diverging engine fails
   *that* future with :class:`~repro.errors.MetrologyError` instead of
@@ -59,12 +62,12 @@ tenant cannot starve the others, and each pool accepts at most
 ``pool_backlog`` undone tasks — the rest wait in tenant queues where
 they can still be shed.
 
-Numerical contract: the daemon path is bit-for-bit identical to
-:meth:`~repro.service.service.MaskOptService.run_suite_sharded` (and
-therefore to the sequential sweep).  Work stealing moves clips between
-workers, never numbers; the batched verification is batch-composition
-independent, so *when* a bin flushes cannot change a measurement
-(``tests/test_service_daemon.py`` pins this).
+Numerical contract: the daemon path is bit-for-bit identical to the
+in-process sweep (:meth:`~repro.service.service.MaskOptService.run_all`).
+Work stealing moves clips between workers, never numbers; the batched
+verification is batch-composition independent, so *when* a bin flushes
+cannot change a measurement (``tests/test_service_daemon.py`` pins
+this).
 
 The daemon owns its service exclusively — do not drive ``run_all`` /
 ``map_suite`` on the same instance while the daemon is running (they
@@ -268,7 +271,8 @@ class MaskOptDaemon:
     async def shutdown(self, drain: bool = True) -> None:
         """Stop the daemon.  ``drain=True`` (the default) first waits for
         every accepted request to resolve; ``drain=False`` abandons the
-        backlog — unresolved futures fail with :class:`ServiceError`.
+        backlog — masks awaiting verification are discarded unmeasured
+        and unresolved futures fail with :class:`ServiceError`.
         Idempotent."""
         if self._state == "stopped":
             return
@@ -492,6 +496,13 @@ class MaskOptDaemon:
             self._resolve_soon(ticket, error=error)
         elif request.verify:
             self._verify_inbox.put((ticket, request, verdict.outcome))
+            # The task left its pool, but its ticket resolves only after
+            # verification: refill the slot now, or a pool whose masks
+            # all wait in bins of their own idles until flush_max_wait_s.
+            try:
+                self._loop.call_soon_threadsafe(self._dispatch)
+            except RuntimeError:
+                pass  # loop closed mid-shutdown
         else:
             self._finish(ticket, request, verdict.outcome, {}, False)
 
@@ -546,12 +557,9 @@ class MaskOptDaemon:
                         self._drain_waiting(waiting, measured)
                 continue
             if item is _VERIFIER_STOP:
-                if waiting:
-                    measured = self._flush_guard(
-                        waiting, lambda: scheduler.flush(simulator)
-                    )
-                    if measured:
-                        self._drain_waiting(waiting, measured)
+                # Only an abandoning shutdown stops with masks waiting:
+                # take them back unmeasured; shutdown fails their tickets.
+                scheduler.discard(tuple(waiting))
                 return
             ticket, request, payload = item
             search_nm = (
@@ -567,11 +575,13 @@ class MaskOptDaemon:
                 self._finish(ticket, request, payload, {}, True)
                 continue
             waiting[ticket] = (request, payload, time.monotonic())
+            # Once the last mask is in, nothing else can join a bin:
+            # flush every bin now instead of after an idle poll.
+            last = self._quiescent() and self._verify_inbox.empty()
+            min_bin = 1 if last else self.stream_min_bin
             measured = self._flush_guard(
                 waiting,
-                lambda: scheduler.flush_ready(
-                    simulator, min_bin=self.stream_min_bin
-                ),
+                lambda: scheduler.flush_ready(simulator, min_bin=min_bin),
             )
             if measured:
                 self._drain_waiting(waiting, measured)
@@ -692,7 +702,8 @@ class MaskOptDaemon:
     async def results(
         self, tickets: Iterable[int] | None = None
     ) -> AsyncIterator[OptResult]:
-        """Yield results in **completion order** as they resolve.
+        """Yield results in **completion order** as they resolve
+        (tickets that resolve together come in ticket order).
 
         ``tickets=None`` covers everything currently outstanding or
         resolved-but-unretrieved.  A failed ticket raises its error at
@@ -719,7 +730,7 @@ class MaskOptDaemon:
             done, pending = await asyncio.wait(
                 pending, return_when=asyncio.FIRST_COMPLETED
             )
-            for future in done:
+            for future in sorted(done, key=by_future.__getitem__):
                 self._done.pop(by_future[future], None)
                 yield future.result()
 

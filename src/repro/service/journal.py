@@ -1,7 +1,7 @@
 """Durable outcome journal: a write-ahead log that makes results survive
 process death.
 
-A killed daemon or sharded sweep used to forfeit everything in flight —
+A killed daemon or multi-worker sweep used to forfeit everything in flight —
 including clips that had already finished optimization *and* passed
 verification.  :class:`OutcomeJournal` is the fix: an append-only,
 CRC-framed log of request admissions and verified
@@ -31,8 +31,8 @@ the path is not a journal at all).
 Every record carries the :meth:`~repro.service.sharding.EngineSpec.
 fingerprint` of the spec that produced it.  Resume refuses a journal
 whose records were computed under a different fingerprint — merging
-results from a different engine, override set, litho config, or seed
-would silently mix incompatible numbers.
+results from a different engine, override set or litho config would
+silently mix incompatible numbers.
 
 Record types::
 
@@ -265,7 +265,7 @@ def resume_suite(
     Builds the same :class:`~repro.service.sharding.EngineSpec` the
     original sweep would, replays the journal's completed clips under
     that spec's fingerprint, and re-dispatches only the remainder via
-    ``service.run_suite_sharded(..., journal=...)`` (so the resumed run
+    ``service.run_suite(..., journal=...)`` (so the resumed run
     keeps journaling — resumable resumes).  Returns ``(results,
     replayed)``: one result per clip in suite order, and how many came
     from the journal instead of being recomputed.  Deterministic engines
@@ -273,7 +273,7 @@ def resume_suite(
 
     Raises :class:`~repro.errors.JournalError` if the journal's records
     were computed under a different fingerprint — results from another
-    engine, override set, litho config, or seed must never be merged.
+    engine, override set, or litho config must never be merged.
     """
     from repro.service.sharding import EngineSpec
 
@@ -295,7 +295,7 @@ def resume_suite(
                 f"fingerprint(s) {', '.join(recorded_fps)} but the "
                 f"requested spec ({spec.label}) fingerprints as "
                 f"{fingerprint}; refusing to merge results from a "
-                "different engine/overrides/litho-config/seed"
+                "different engine/overrides/litho-config"
             )
         recorded = opened.results_for(fingerprint)
         remaining = [
@@ -303,7 +303,7 @@ def resume_suite(
         ]
         fresh: dict[str, OptResult] = {}
         if remaining:
-            for result in service.run_suite_sharded(
+            for result in service.run_suite(
                 engine, remaining, workers=workers,
                 engine_overrides=engine_overrides, verify=verify,
                 journal=opened, **run_kwargs,

@@ -31,9 +31,9 @@ def engine_epe_search_nm(engine) -> float:
 
     Engines without the config knob fall back to the shared default,
     mirroring what their environments do internally.  Lives here (not in
-    the service module) so shard workers resolve the exact same range
-    the sequential verification path does — a drifting duplicate would
-    silently break the sharded-vs-sequential bit-for-bit pin.
+    the service module) so pool workers resolve the exact same range
+    the in-process verification path does — a drifting duplicate would
+    silently break the workers-vs-in-process bit-for-bit pin.
     """
     return float(
         getattr(getattr(engine, "config", None), "epe_search_nm",
@@ -137,7 +137,7 @@ def build_engine(
     """Build an engine from a *buildable spec*: a registry name or a
     factory callable with the :data:`EngineFactory` signature.
 
-    This is the constructor shard workers run — the spec (unlike an
+    This is the constructor pool workers run — the spec (unlike an
     engine instance) is picklable, so it can cross a process boundary
     and be rebuilt against the worker's own simulator.  Registrations
     made with :func:`register_engine` are per-process and do *not*

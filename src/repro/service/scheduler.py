@@ -156,10 +156,10 @@ class ShapeBinScheduler:
     ) -> dict[Hashable, float]:
         """Flush only the bins holding at least ``min_bin`` masks.
 
-        This is the streaming half of verification: while shard workers
-        are still optimizing, the service drains any shape bin that has
-        already filled up instead of waiting for the whole suite — see
-        :meth:`repro.service.service.MaskOptService.run_suite_sharded`.
+        This is the streaming half of verification: while pool workers
+        are still optimizing, the daemon's verifier drains any shape bin
+        that has already filled up instead of waiting for the whole
+        suite — see :class:`repro.service.daemon.MaskOptDaemon`.
         Bins below the threshold stay queued for a later ``flush_ready``
         or the terminal :meth:`flush`.  Because batched measurements are
         bit-for-bit independent of the batch composition, *when* a mask

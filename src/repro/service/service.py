@@ -10,25 +10,27 @@ Callers either queue :class:`~repro.service.api.OptRequest` records with
 suite in order through the same sequential loop as ``run_all`` and
 funnels *all* verification through one cross-engine batched pass.
 
-For throughput *within* one engine's suite,
-:meth:`~MaskOptService.run_suite_sharded` (also reachable as
-``map_suite(workers=N)`` and ``python -m repro optimize --workers N``)
-partitions the clip list across N spawned worker processes that share
-one on-disk kernel-spectra store and stream outcomes back as they
-finish; verification overlaps optimization by draining full shape bins
-early (:meth:`~repro.service.scheduler.ShapeBinScheduler.flush_ready`).
+One engine's suite goes through :meth:`~MaskOptService.run_suite`
+(also reachable as ``map_suite(workers=N)`` and ``python -m repro
+optimize --workers N``).  At ``workers=1`` it is ``submit`` + ``run_all``;
+with more workers, or a journal, it is a blocking wrapper over a
+:class:`~repro.service.daemon.MaskOptDaemon` whose spawned workers share
+one on-disk kernel-spectra store and whose verifier drains full shape
+bins while workers are still optimizing.  The in-process loop and the
+daemon are the only two executors.
 
 Numerical contract: results are bit-for-bit identical to calling each
 engine's ``optimize`` directly and re-measuring masks one at a time —
 engines run unmodified, the scheduler's batched re-simulation is
-batch-size independent by construction, and process sharding reorders
-no per-engine computation (shard workers rebuild their engines from a
+batch-size independent by construction, and worker processes reorder
+no per-engine computation (they rebuild their engines from a
 deterministic spec, and the litho caches they share are
 value-deterministic).
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -39,11 +41,10 @@ from repro.service.api import OptRequest, OptResult
 from repro.service.journal import open_journal
 from repro.service.registry import build_engine, engine_epe_search_nm
 from repro.service.scheduler import ShapeBinScheduler
-from repro.service.sharding import EngineSpec, ShardedSuiteRunner
 
 DEFAULT_RETRIES = 2
-"""Default per-request retry budget for infrastructure faults on the
-sharded/daemon paths (engine exceptions are never retried)."""
+"""Default per-request retry budget for infrastructure faults in worker
+processes (engine exceptions are never retried)."""
 
 _VERIFY_TOLERANCE_NM = 1e-6
 
@@ -53,8 +54,8 @@ class MaskOptService:
 
     Thread-safety: *submission* is concurrent-safe — ``submit`` (ticket
     minting and queueing) may be called from any number of threads.  The
-    *execution* methods (``run_all``, ``map_suite``,
-    ``run_suite_sharded``) drive the one shared verification scheduler
+    *execution* methods (``run_all``, ``map_suite``, ``run_suite``)
+    drive the one shared verification scheduler
     and must not overlap each other on the same service instance; give
     each driving thread its own service (they can share a simulator —
     its caches are value-deterministic).
@@ -202,14 +203,12 @@ class MaskOptService:
         engines share **one** terminal verification pass whose scheduler
         bins by grid shape across the whole suite-cross-engine matrix.
 
-        With ``workers=N > 1`` each engine's suite is *process-sharded*:
-        N spawned workers split the clip list, stream outcomes back as
-        they finish, and verification drains full shape bins while
-        optimization is still running (:meth:`run_suite_sharded`;
-        engines run one after another, each owning the whole worker
-        fleet).  Sharded specs must be buildable in a child process —
-        registry names or ``(name, overrides)`` pairs, not instances.
-        Sharding reorders work, never numbers: results are bit-for-bit
+        With ``workers=N > 1`` or a ``journal``, each engine's suite is
+        one :meth:`run_suite` call on N worker processes (engines run one
+        after another, each owning the whole worker fleet).  Such specs
+        must be buildable in a child process — registry names, factory
+        callables or ``(name, overrides)`` pairs, not instances.  Worker
+        processes reorder work, never numbers: results are bit-for-bit
         identical to the sequential path.
 
         Returns ``{label: :class:`~repro.eval.metrics.SuiteResult`}`` in
@@ -227,26 +226,22 @@ class MaskOptService:
         if not clip_list:
             raise ServiceError("map_suite needs at least one clip")
 
-        # A journal implies the sharded (spec-buildable) path even at
-        # workers=1: journal records are keyed by the EngineSpec
-        # fingerprint, which engine *instances* (in-process path)
-        # cannot provide.
         if (workers is not None and workers > 1) or journal is not None:
-            workers = max(1, int(workers or 1))
             journal_obj, journal_owned = open_journal(journal)
             try:
                 suites: dict[str, SuiteResult] = {}
                 for label, spec in specs.items():
-                    name, overrides = self._shardable_spec(label, spec)
-                    results = self.run_suite_sharded(
-                        name, clip_list, workers=workers,
-                        engine_overrides=overrides, verify=verify,
-                        stream_min_bin=stream_min_bin, retries=retries,
-                        deadline_s=deadline_s, journal=journal_obj,
-                        **optimize_kwargs,
+                    name, overrides = (
+                        spec if isinstance(spec, tuple) else (spec, {})
                     )
                     suite = SuiteResult(engine=label)
-                    for result in results:
+                    for result in self.run_suite(
+                        name, clip_list, workers=workers or 1,
+                        engine_overrides=overrides, verify=verify,
+                        journal=journal_obj, retries=retries,
+                        deadline_s=deadline_s,
+                        stream_min_bin=stream_min_bin, **optimize_kwargs,
+                    ):
                         suite.add(result.to_row())
                     suites[label] = suite
                 return suites
@@ -291,191 +286,111 @@ class MaskOptService:
             )
         return OptRequest(clip=clip, engine=spec)
 
-    @staticmethod
-    def _shardable_spec(label: str, spec) -> tuple[Any, dict]:
-        """Split a map_suite spec into (buildable engine, overrides) for
-        the sharded path, rejecting instances (which cannot cross a
-        process boundary)."""
-        if isinstance(spec, tuple):
-            name, overrides = spec
-            return name, dict(overrides)
-        if isinstance(spec, str) or callable(spec):
-            return spec, {}
-        raise ServiceError(
-            f"engine {label!r} is an instance; process-sharded map_suite "
-            "(workers>1) rebuilds engines in worker processes, so pass a "
-            "registry name, a (name, overrides) pair, or a factory callable"
-        )
-
-    # -- process-sharded execution ---------------------------------------------
-    def run_suite_sharded(
+    # -- one engine over one suite ---------------------------------------------
+    def run_suite(
         self,
         engine: Any,
         clips: Iterable[Clip],
-        workers: int,
+        workers: int = 1,
         engine_overrides: Mapping[str, Any] | None = None,
         verify: bool = True,
-        stream_min_bin: int | None = None,
+        journal: Any = None,
         retries: int = DEFAULT_RETRIES,
         deadline_s: float | None = None,
         stall_timeout_s: float | None = None,
-        journal: Any = None,
         fault_plan: Any = None,
+        stream_min_bin: int | None = None,
         **optimize_kwargs,
     ) -> list[OptResult]:
-        """Sweep one engine over a suite with N worker processes,
-        verifying full shape bins while workers are still optimizing.
+        """Sweep one engine over a suite; one result per clip, in clip
+        order.
 
-        ``engine`` must be buildable in a child process: a registry name
-        or a picklable factory callable, plus ``engine_overrides`` — each
-        worker rebuilds the engine from that spec against its own
-        simulator (sharing this service's
-        :class:`~repro.litho.simulator.LithoConfig`, including
-        ``spectra_store=``, so all workers warm one on-disk kernel-
-        spectra store).  Workers pull clips from a shared work-stealing
-        queue, so skewed suites load-balance.  As
-        outcomes stream back, every one joins the shape-binned scheduler
-        and any bin reaching ``stream_min_bin`` masks (default
-        ``max(4, 2 * workers)``) is flushed immediately — verification
-        overlaps optimization instead of serializing after it; a
-        terminal flush drains the remainder.  Results are bit-for-bit
-        identical to the sequential sweep: sharding and work stealing
-        reorder work, never numbers.  ``workers=1`` runs inline (no
-        processes) through the identical code path.
+        With ``workers=1`` and no ``journal`` the requests are queued and
+        drained by :meth:`run_all`, the in-process loop (anything already
+        queued runs too, and its results come first).  Otherwise the
+        sweep is a blocking wrapper over a
+        :class:`~repro.service.daemon.MaskOptDaemon` with
+        ``min(workers, len(clips))`` spawned workers: every clip is
+        submitted at once, the workers pull clips from one shared queue,
+        and the daemon's verifier drains shape bins of ``stream_min_bin``
+        masks while optimization is still running.  ``engine`` must
+        then be buildable in a child process (a registry name or a
+        picklable factory callable, plus ``engine_overrides``), and each
+        ``raw_outcome`` is the streamed
+        :class:`~repro.service.sharding.OptOutcome`.  Both executors
+        give bit-for-bit identical numbers.  The daemon path runs its own
+        event loop, so call it from synchronous code; async callers
+        drive a :class:`~repro.service.daemon.MaskOptDaemon` directly.
 
-        Returns one :class:`OptResult` per clip, in clip order; the
-        ``raw_outcome`` of each is the streamed picklable
-        :class:`~repro.service.sharding.OptOutcome`, not the engine's
-        in-process outcome object.
-
-        Delivery semantics: a worker that crashes (or is stall-killed)
-        mid-clip has its task re-dispatched up to ``retries`` times with
-        exponential backoff — deterministic engines make the retried
-        outcome bit-for-bit identical; out of budget the sweep fails
-        with :class:`~repro.errors.RetriesExhausted`.  Engine
-        *exceptions* are never retried (they would fail identically) and
-        surface immediately.  ``deadline_s`` bounds each clip's
-        wall-clock from submission (:class:`~repro.errors.
-        DeadlineExceeded`); ``stall_timeout_s`` kills a worker whose
-        claim sits unchanged that long, converting hangs into retriable
-        crashes.
+        The first failure, in completion order, abandons the sweep and
+        is raised: an engine exception, a crash that ran out of its
+        ``retries`` budget (:class:`~repro.errors.RetriesExhausted`), a
+        missed ``deadline_s`` (:class:`~repro.errors.DeadlineExceeded`),
+        or a drift (:class:`MetrologyError`).  ``stall_timeout_s`` kills
+        a worker whose claim sits unchanged that long, turning a hang
+        into a retriable crash, and ``fault_plan`` is handed to the
+        workers (:mod:`repro.service.faults`).
 
         ``journal`` (an :class:`~repro.service.journal.OutcomeJournal`
-        or a path) logs every admission up front and every clip's result
-        the moment its verification lands, fsync'd — a killed sweep
-        keeps its completed clips and
-        :func:`~repro.service.journal.resume_suite` re-runs only the
-        rest.
+        or a path) logs every admission and every clip's result the
+        moment it is verified, fsync'd — a killed sweep keeps its
+        completed clips, and :func:`~repro.service.journal.resume_suite`
+        re-runs only the rest.
 
-        Note that ``**optimize_kwargs`` shares the signature with the
-        named parameters above (as with ``map_suite``): an engine whose
-        ``optimize`` takes a kwarg literally named ``workers``, ``verify``,
-        ``engine_overrides``, or ``stream_min_bin`` cannot receive it
-        through this method — drive :class:`~repro.service.sharding.
-        ShardedSuiteRunner` directly for that.
+        ``**optimize_kwargs`` shares the signature with the named
+        parameters above, so an engine ``optimize`` kwarg literally
+        named like one of them cannot be passed through this method.
         """
         clip_list = list(clips)
         if not clip_list:
-            raise ServiceError("run_suite_sharded needs at least one clip")
+            raise ServiceError("run_suite needs at least one clip")
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
-        if stream_min_bin is None:
-            stream_min_bin = max(4, 2 * int(workers))
-        elif stream_min_bin < 1:
-            raise ServiceError(
-                f"stream_min_bin must be >= 1, got {stream_min_bin}"
-            )
-        # EngineSpec validates eagerly: instances (which cannot cross a
-        # process boundary) are rejected here, not at Process.start().
-        spec = EngineSpec(
-            engine=engine,
-            litho=self.simulator.config,
-            overrides=tuple(sorted((engine_overrides or {}).items())),
-        )
-        label = spec.label
-        tickets = self._allocate_tickets(len(clip_list))
         requests = [
             OptRequest(
                 clip=clip,
-                engine=label,
+                engine=engine,
                 engine_overrides=dict(engine_overrides or {}),
                 optimize_kwargs=dict(optimize_kwargs),
                 verify=verify,
             )
             for clip in clip_list
         ]
-        measured: dict[int, float] = {}
-        journal_obj, journal_owned = open_journal(journal)
-        fingerprint = spec.fingerprint() if journal_obj is not None else None
-        arrived: dict[int, Any] = {}
-        journaled: set[int] = set()
+        # A journal takes the daemon even at workers=1: its records are
+        # keyed by the EngineSpec fingerprint, which the daemon computes.
+        if workers == 1 and journal is None:
+            for request in requests:
+                self.submit(request)
+            return self.run_all(verify=verify)
+        return asyncio.run(self._run_on_daemon(
+            requests, workers=min(workers, len(requests)), journal=journal,
+            retries=retries, deadline_s=deadline_s,
+            stall_timeout_s=stall_timeout_s, fault_plan=fault_plan,
+            stream_min_bin=stream_min_bin,
+        ))
 
-        def journal_ready() -> None:
-            """Log every arrived clip whose result is final: verified
-            (measurement landed) or exempt (verify off).  Runs the same
-            single-result assembly (including the drift check) the
-            terminal pass will — a journaled record is a *certified*
-            record, durable the moment its verification flushes, so a
-            SIGKILL later in the sweep cannot take it back."""
-            if journal_obj is None:
-                return
-            for index, payload in arrived.items():
-                ticket = tickets[index]
-                if index in journaled or (verify and ticket not in measured):
-                    continue
-                (result,) = self._assemble(
-                    [(ticket, requests[index], payload)], measured, verify,
-                )
-                journal_obj.log_result(ticket, result, fingerprint)
-                journaled.add(index)
+    async def _run_on_daemon(
+        self, requests: list[OptRequest], **daemon_options,
+    ) -> list[OptResult]:
+        """Submit every request to a daemon built for this sweep and
+        collect the results in request order; the first failure shuts
+        the daemon down without draining and is raised."""
+        from repro.service.daemon import MaskOptDaemon  # imports this module
 
-        def on_outcome(index: int, payload) -> None:
-            arrived[index] = payload
-            if verify:
-                added = self.scheduler.add_outcome(
-                    tickets[index], clip_list[index], payload,
-                    self.simulator, payload.epe_search_nm,
-                )
-                if added:
-                    measured.update(
-                        self.scheduler.flush_ready(
-                            self.simulator, min_bin=stream_min_bin
-                        )
-                    )
-            journal_ready()
-
-        runner = ShardedSuiteRunner(
-            spec, workers, retries=retries,
-            deadline_s=deadline_s, stall_timeout_s=stall_timeout_s,
-            fault_plan=fault_plan,
+        daemon = MaskOptDaemon(
+            service=self, max_pending=len(requests), **daemon_options,
         )
+        await daemon.start()
         try:
-            if journal_obj is not None:
-                for ticket, clip in zip(tickets, clip_list):
-                    journal_obj.log_admit(ticket, clip, label, fingerprint)
-            payloads = runner.run(
-                clip_list, optimize_kwargs, on_outcome=on_outcome,
-                capture_masks=verify,
-            )
-            if verify:
-                measured.update(self.scheduler.flush(self.simulator))
-            journal_ready()
-            executed = [
-                (ticket, request, payload)
-                for ticket, request, payload
-                in zip(tickets, requests, payloads)
-            ]
-            return self._assemble(executed, measured, verify)
+            tickets = [await daemon.submit(request) for request in requests]
+            by_ticket = {}
+            async for result in daemon.results(tickets):
+                by_ticket[result.request_id] = result
         except BaseException:
-            # The sweep died mid-stream (or its terminal flush / drift
-            # check raised): take back whatever this run queued so a
-            # caller that catches the error and reuses the service
-            # doesn't re-simulate stale masks next pass.
-            self.scheduler.discard(tickets)
+            await daemon.shutdown(drain=False)
             raise
-        finally:
-            if journal_owned:
-                journal_obj.close()
+        await daemon.shutdown()
+        return [by_ticket[ticket] for ticket in tickets]
 
     # -- shared tail: verification + result assembly --------------------------
     def _finalize(
@@ -486,8 +401,8 @@ class MaskOptService:
         On *any* failure past the point where outcomes entered the
         shared scheduler — a flush that raises mid-way, a drift check
         that raises :class:`MetrologyError` — this run's tickets are
-        taken back out (``discard``), exactly as ``run_suite_sharded``
-        does: a caller that catches the error and reuses the service
+        taken back out (``discard``): a caller that catches the error
+        and reuses the service
         must not re-simulate (or mis-attribute) this run's stale masks
         on its next verification pass.
         """

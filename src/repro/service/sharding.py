@@ -1,51 +1,31 @@
-"""Process-sharded suite execution over the work-stealing pool.
+"""Picklable engine specs and outcomes: what crosses a process boundary.
 
-:meth:`~repro.service.service.MaskOptService.run_all` and
-``map_suite`` sweep a suite in one sequential in-process loop — the
-litho FFTs release the GIL under the scipy backend, yet the surrounding
-python (policy forwards, geometry, metrology) serializes.
-:class:`ShardedSuiteRunner` breaks that limit by fanning one engine's
-clip list out to N worker *processes* pulling from a shared
-:class:`~repro.service.workqueue.WorkStealingPool` queue:
+Process-parallel execution (:meth:`~repro.service.service.MaskOptService.
+run_suite` with ``workers > 1`` or a journal, ``map_suite(workers=N)``,
+and :class:`~repro.service.daemon.MaskOptDaemon`) runs engines in
+spawned worker processes of a :class:`~repro.service.workqueue.
+WorkStealingPool`.  Two records make that possible:
 
-* **Spawn-safe by construction.**  Workers are started with the
-  ``spawn`` method (the only start method that is safe everywhere and
-  identical across platforms), so nothing inherited matters: each worker
-  rebuilds its engine from a picklable :class:`EngineSpec` — litho
-  config + registry name (or factory callable) + overrides + seed —
-  never from a forked copy of live state.
-* **Shared warmup, not shared memory.**  The spec's
+* :class:`EngineSpec` — everything a worker needs to rebuild an engine:
+  litho config + registry name (or factory callable) + overrides.
+  Workers are started with the ``spawn`` method, so nothing inherited
+  matters; each rebuilds its engine from the spec, never from a forked
+  copy of live state.  The spec's
   :class:`~repro.litho.simulator.LithoConfig` carries ``spectra_store=``
-  (the CLI wires ``$REPRO_SPECTRA_STORE`` into it), so all workers read
-  and atomically write one on-disk kernel-spectra store: the first
-  worker to meet a grid shape persists its band spectra and every other
-  worker's build becomes one ``.npz`` read (:mod:`repro.litho.store`).
-* **Work-stealing dispatch.**  Clips sit on one shared task queue and
-  each worker pulls its next clip the moment it finishes the previous
-  one, so heterogeneous suites (mixed grid sizes, early-exiting clips)
-  load-balance themselves instead of leaving one round-robin shard with
-  the expensive tail.
-* **Streaming results.**  Each finished clip is flattened into a
-  picklable :class:`OptOutcome` (reported numbers + the rasterized final
-  mask) and put on a queue *immediately*, so the parent can verify full
-  shape bins while workers are still optimizing
-  (:meth:`~repro.service.scheduler.ShapeBinScheduler.flush_ready`).
-* **Numbers never change.**  Sharding reorders *work*, not computation:
-  each ``optimize(clip)`` runs against a freshly built engine/simulator
-  pair that is bit-for-bit deterministic from the spec, and the mask is
-  rasterized on the same per-clip grid the parent would use — so *which*
-  worker runs a clip is irrelevant and work stealing preserves the
-  bit-for-bit pin (``tests/test_service_sharding.py``).  (This requires
-  engines whose ``optimize`` is per-clip deterministic and stateless
-  across calls — true of every registry engine.)
-* **Crashes are retried, then fail loudly.**  A worker that dies
-  mid-suite (OOM kill, segfault, ``os._exit``) is detected by the
-  pool's liveness tick; its clip is retried while budget lasts, then
-  surfaces as a :class:`~repro.errors.ServiceError` (or
-  :class:`~repro.errors.RetriesExhausted`) naming the claimed clip.  The
-  sweep consumes the same per-task verdicts as the daemon
-  (:func:`~repro.service.workqueue.poll_verdicts`) and raises the first
-  failure; the queue can never hang and sibling workers are torn down.
+  (the CLI wires ``$REPRO_SPECTRA_STORE`` into it), so all workers share
+  one on-disk kernel-spectra store (:mod:`repro.litho.store`).  Its
+  :meth:`~EngineSpec.fingerprint` keys every journal record.
+* :class:`OptOutcome` — an engine's outcome flattened for the wire:
+  reported numbers plus the final mask rasterized on the clip's grid, so
+  the parent can verify it without the engine object.
+
+Numbers never change across processes: each ``optimize(clip)`` runs
+against an engine/simulator pair that is bit-for-bit deterministic from
+the spec, and the mask is rasterized on the same per-clip grid the
+parent would use — so *which* worker runs a clip is irrelevant
+(``tests/test_service_sharding.py`` pins this).  That requires engines
+whose ``optimize`` is per-clip deterministic and stateless across calls,
+which every registry engine is.
 """
 
 from __future__ import annotations
@@ -53,28 +33,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.errors import ServiceError
 from repro.geometry.layout import Clip
 from repro.litho.simulator import LithoConfig, LithographySimulator
-from repro.service.registry import (
-    build_engine,
-    engine_epe_search_nm,
-    overrides_key,
-    spec_label,
-)
+from repro.service.registry import build_engine, overrides_key, spec_label
 from repro.service.scheduler import final_mask_image
-from repro.service.workqueue import (
-    CRASH_GRACE_S,
-    DEFAULT_START_METHOD,
-    RETRY_BACKOFF_S,
-    Task,
-    WorkStealingPool,
-    poll_verdicts,
-)
 
 FINGERPRINT_EXCLUDED_LITHO_FIELDS = (
     "backend", "device", "fft_workers", "spectra_store",
@@ -149,21 +116,12 @@ class EngineSpec:
     ``(simulator, overrides) -> engine`` (picklable by qualified name —
     a module-level function, not a lambda or a bound method); engine
     *instances* are rejected here, eagerly, instead of dying later
-    inside ``Process.start`` with an opaque pickling error.  ``seed``,
-    when set, seeds numpy's global RNG before the build+sweep, exactly
-    once per worker — in each spawned worker, and on the inline
-    ``workers=1`` path under a save/restore so the caller's process-wide
-    RNG state is left untouched.  (Engines that draw from the global RNG
-    *during* ``optimize`` still see different streams at different
-    worker counts — per-clip determinism, which all registry engines
-    have via config-seeded private RNGs, is what the bit-for-bit
-    contract rests on.)
+    inside ``Process.start`` with an opaque pickling error.
     """
 
     engine: str | Callable
     litho: LithoConfig
     overrides: tuple[tuple[str, Any], ...] = ()
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.engine, str) and not callable(self.engine):
@@ -185,7 +143,7 @@ class EngineSpec:
 
     def fingerprint(self) -> str:
         """Stable 16-hex-digit identity of the *numbers* this spec
-        produces: engine label + overrides + litho physics + seed.
+        produces: engine label + overrides + litho physics.
 
         This is the key the outcome journal stamps on every record, so
         ``resume`` can refuse to merge results computed under a different
@@ -194,7 +152,9 @@ class EngineSpec:
         moving a journal between hosts with different FFT backends or
         store paths must not orphan it.
         """
-        parts = [f"engine={self.label}", f"seed={self.seed!r}"]
+        # "seed=None" is kept verbatim so journals written before specs
+        # lost their seed field still resume.
+        parts = [f"engine={self.label}", "seed=None"]
         parts.extend(
             f"opt.{name}={value!r}" for name, value in
             overrides_key(dict(self.overrides))
@@ -208,163 +168,7 @@ class EngineSpec:
         return digest.hexdigest()[:16]
 
     def build(self) -> tuple[Any, LithographySimulator]:
-        """Construct the (engine, simulator) pair this spec describes
-        (pure: seeding, when requested, is applied by the worker entry
-        point, not here)."""
+        """Construct the (engine, simulator) pair this spec describes."""
         simulator = LithographySimulator(self.litho)
         return build_engine(self.engine, simulator, dict(self.overrides)), \
             simulator
-
-
-class ShardedSuiteRunner:
-    """Fan one engine's clip sweep out to N worker processes.
-
-    Every worker pulls its next clip from one shared queue the moment it
-    frees up, so load balances even when clip costs are skewed.
-    :meth:`run` streams every finished clip through the ``on_outcome``
-    callback as it arrives (arrival order is nondeterministic) and
-    returns the full outcome list in suite order (which is not) —
-    outcomes are bit-for-bit identical to the inline ``workers=1``
-    sweep, because *which* worker runs a clip never enters the
-    computation.  Retry, deadline, stall and revive policy are the
-    pool's (:func:`~repro.service.workqueue.poll_verdicts`), shared with
-    the daemon.
-    """
-
-    def __init__(
-        self,
-        spec: EngineSpec,
-        workers: int,
-        start_method: str = DEFAULT_START_METHOD,
-        retries: int = 0,
-        deadline_s: float | None = None,
-        stall_timeout_s: float | None = None,
-        grace_s: float = CRASH_GRACE_S,
-        retry_backoff_s: float = RETRY_BACKOFF_S,
-        fault_plan=None,
-        max_revives: int | None = None,
-    ) -> None:
-        if not isinstance(spec, EngineSpec):
-            raise ServiceError(
-                f"ShardedSuiteRunner needs an EngineSpec, got "
-                f"{type(spec).__name__}"
-            )
-        if workers < 1:
-            raise ServiceError(f"workers must be >= 1, got {workers}")
-        if retries < 0:
-            raise ServiceError(f"retries must be >= 0, got {retries}")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ServiceError(
-                f"deadline_s must be > 0, got {deadline_s}"
-            )
-        self.spec = spec
-        self.workers = int(workers)
-        self.retries = int(retries)
-        self.deadline_s = deadline_s
-        # Everything else configures the pool each sharded run builds.
-        self._pool_options = dict(
-            start_method=start_method, grace_s=grace_s,
-            fault_plan=fault_plan, stall_timeout_s=stall_timeout_s,
-            retry_backoff_s=retry_backoff_s, max_revives=max_revives,
-        )
-        self.last_pool_stats: dict[str, Any] | None = None
-
-    # -- in-process fallback -------------------------------------------------
-    def _run_inline(
-        self,
-        clips: list[Clip],
-        optimize_kwargs: dict,
-        on_outcome,
-        capture_masks: bool,
-    ) -> list[OptOutcome]:
-        """workers=1: same spec-built engine and payloads, no processes
-        (also the zero-overhead baseline the shard benchmark times).
-        ``spec.seed`` is honored exactly as a single spawned worker
-        would honor it, but under save/restore — reseeding numpy's
-        global RNG in the caller's process as a lasting side effect
-        would corrupt unrelated code."""
-        saved_rng_state = None
-        if self.spec.seed is not None:
-            saved_rng_state = np.random.get_state()
-            np.random.seed(self.spec.seed)
-        try:
-            engine, simulator = self.spec.build()
-            search_nm = engine_epe_search_nm(engine)
-            outcomes = []
-            for index, clip in enumerate(clips):
-                payload = OptOutcome.from_raw(
-                    engine.optimize(clip, **optimize_kwargs),
-                    clip, simulator, search_nm, worker=0,
-                    capture_mask=capture_masks,
-                )
-                outcomes.append(payload)
-                if on_outcome is not None:
-                    on_outcome(index, payload)
-            return outcomes
-        finally:
-            if saved_rng_state is not None:
-                np.random.set_state(saved_rng_state)
-
-    # -- the sharded path ----------------------------------------------------
-    def run(
-        self,
-        clips: Sequence[Clip],
-        optimize_kwargs: dict | None = None,
-        on_outcome: Callable[[int, OptOutcome], None] | None = None,
-        capture_masks: bool = True,
-    ) -> list[OptOutcome]:
-        """Sweep ``clips``; returns outcomes in clip order.
-
-        ``on_outcome(index, outcome)`` fires in the parent as each clip
-        finishes — this is where the service hooks streaming
-        verification.  ``capture_masks=False`` tells workers not to
-        rasterize/ship final masks (for verification-free sweeps the
-        parent would discard them).  Raises the pool's first failed
-        verdict (:class:`ServiceError` or a typed subclass); sibling
-        workers are terminated before the raise, so the caller never
-        inherits a half-alive fleet.
-        """
-        clip_list = list(clips)
-        if not clip_list:
-            raise ServiceError("sharded run needs at least one clip")
-        kwargs = dict(optimize_kwargs or {})
-        workers = min(self.workers, len(clip_list))
-        if workers == 1:
-            return self._run_inline(
-                clip_list, kwargs, on_outcome, capture_masks
-            )
-
-        # The pool's relay thread owns all pipe reads: a worker
-        # SIGKILLed mid-payload-write (torn queue frame) can only wedge
-        # that abandonable daemon thread, while this loop polls the
-        # in-process relay with real timeouts and still reaches the
-        # liveness check — the sweep fails with ServiceError instead of
-        # hanging.
-        pool = WorkStealingPool(self.spec, workers, **self._pool_options)
-        outcomes: list[OptOutcome | None] = [None] * len(clip_list)
-        try:
-            pool.start()
-            for index, clip in enumerate(clip_list):
-                pool.submit(Task(
-                    task_id=index, clip=clip, optimize_kwargs=kwargs,
-                    capture_mask=capture_masks,
-                    retries=self.retries, deadline_s=self.deadline_s,
-                ))
-            pending = len(clip_list)
-            while pending > 0:
-                for verdict in poll_verdicts(pool.relay, [pool]):
-                    if verdict.error is not None:
-                        raise verdict.error
-                    index = verdict.task.task_id
-                    outcomes[index] = verdict.outcome
-                    pending -= 1
-                    if on_outcome is not None:
-                        on_outcome(index, verdict.outcome)
-        except BaseException:
-            self.last_pool_stats = pool.stats()
-            pool.shutdown(graceful=False)
-            raise
-        self.last_pool_stats = pool.stats()
-        pool.shutdown(graceful=True)
-        assert all(outcome is not None for outcome in outcomes)
-        return outcomes  # type: ignore[return-value]

@@ -1,27 +1,24 @@
 """Shared work-stealing task queue + persistent warm worker pools.
 
-PR 5's :class:`~repro.service.sharding.ShardedSuiteRunner` dealt clips
-round-robin at start-up: worker ``w`` owned ``clips[w::N]`` for the whole
-sweep.  That is perfectly balanced only when every clip costs the same;
-a heterogeneous suite (mixed grid sizes, early-exiting clips) leaves one
-worker grinding through the expensive tail while its siblings idle.
-:class:`WorkStealingPool` replaces the static deal with one **shared
-task queue**: every worker pulls its next :class:`Task` the moment it
-finishes the previous one, so load balances itself no matter how skewed
-the suite is.  Because the service's results are order-independent (each
-``optimize(clip)`` is deterministic from the spec alone, and
-verification measurements are batch-composition independent), moving a
-clip from one worker to another changes *wall-clock*, never a number —
-the bit-for-bit contract survives unchanged.
+:class:`WorkStealingPool` runs N spawned worker processes that pull
+from one **shared task queue**: every worker takes its next
+:class:`Task` the moment it finishes the previous one, so load balances
+itself no matter how skewed the suite is (mixed grid sizes,
+early-exiting clips).  Because the service's results are
+order-independent (each ``optimize(clip)`` is deterministic from the
+spec alone, and verification measurements are batch-composition
+independent), moving a clip from one worker to another changes
+*wall-clock*, never a number — the bit-for-bit contract holds.
 
-The pool is also **persistent**: unlike the per-sweep fleets of PR 5, a
-pool outlives any one suite.  Workers build their engine once (warming
-from the shared kernel-spectra store) and then block on the queue, so an
-always-on daemon (:mod:`repro.service.daemon`) keeps warm workers across
-requests instead of paying spawn + engine build per sweep.
+The pool is also **persistent**: workers build their engine once
+(warming from the shared kernel-spectra store) and then block on the
+queue, so the daemon (:mod:`repro.service.daemon`) keeps warm workers
+across requests instead of paying spawn + engine build per request.
+Process-parallel sweeps run on the daemon too, so the daemon's
+collector thread is the one consumer of every pool.
 
-Delivery semantics (PR 7)
--------------------------
+Delivery semantics
+------------------
 
 The pool is **at-least-once with exactly-once results**.  A task whose
 worker dies mid-run is *re-enqueued* (up to ``task.retries`` extra
@@ -42,10 +39,8 @@ Threading contract
 * ``submit`` may be called from any thread (it only touches the task
   registry under a lock and the queue's feeder thread).
 * Exactly **one** consumer thread drives :func:`poll_verdicts` (and so
-  every pool's ``advance``) and ``shutdown`` — the sweep loop in
-  :class:`~repro.service.sharding.ShardedSuiteRunner`, or the daemon's
-  collector thread.  All liveness, retry, and in-flight state is owned
-  by that thread.
+  every pool's ``advance``) — the daemon's collector thread.  All
+  liveness, retry, and in-flight state is owned by that thread.
 
 One consumer policy
 -------------------
@@ -60,9 +55,8 @@ worker death without retry budget), :class:`~repro.errors.
 RetriesExhausted`, or :class:`~repro.errors.DeadlineExceeded`.  A
 pool-level failure (engine build failed, result stream corrupted,
 revive budget spent) fails every task outstanding on that pool and
-marks the pool failed (``pool.failure``).  A sweep raises the first
-failed verdict; the daemon fails only that ticket and retires a failed
-pool.
+marks the pool failed (``pool.failure``).  The daemon fails only that
+ticket (a sweep then raises it) and retires a failed pool.
 
 Liveness
 --------
@@ -71,10 +65,9 @@ A worker whose process has an exit code but which never sent its clean
 ``exit`` message is *suspected* dead; because its final messages may
 still be buffered in the pipe, the suspicion only becomes a verdict
 after a grace window with no message from that worker.  **Any** message
-from the worker resets the window (PR 5 started the window at the first
-dry poll and never reset it, so a cleanly-finished worker whose large
-mask payloads took longer than the grace period to drain was declared
-crashed mid-sweep — the false positive this module fixes).  The grace
+from the worker resets the window, so a cleanly-finished worker whose
+large mask payloads take longer than the grace period to drain is not
+declared crashed.  The grace
 window also orders crash-after-result correctly: the completed payload
 drains off the pipe (and dedup-registers its task as finished) before
 the death verdict lands, so the verdict carries no task and triggers no
@@ -93,8 +86,6 @@ import time
 import traceback
 from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
-
-import numpy as np
 
 from repro.errors import DeadlineExceeded, RetriesExhausted, ServiceError
 from repro.geometry.layout import Clip
@@ -117,8 +108,8 @@ hot-loop the pool."""
 class Task:
     """One unit of pool work: optimize ``clip`` and stream the outcome.
 
-    ``task_id`` is the caller's correlation key (the sharded runner uses
-    the clip's suite index; the daemon uses the request ticket) — it
+    ``task_id`` is the caller's correlation key (the daemon uses the
+    request ticket) — it
     comes back verbatim on the ``ok``/``error`` message and is the dedup
     key for retries.  ``retries`` is the number of *extra* attempts the
     pool may make after an infrastructure fault (worker crash or stall
@@ -212,8 +203,6 @@ def _pool_worker(
         install_fault_plan(fault_plan)
     try:
         maybe_fault("worker.build", f"w{worker_id}g{generation}")
-        if spec.seed is not None:
-            np.random.seed(spec.seed)
         engine, simulator = spec.build()
         search_nm = engine_epe_search_nm(engine)
     except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
@@ -275,7 +264,6 @@ class WorkStealingPool:
         grace_s: float = CRASH_GRACE_S,
         fault_plan=None,
         stall_timeout_s: float | None = None,
-        retry_backoff_s: float = RETRY_BACKOFF_S,
         max_revives: int | None = None,
     ) -> None:
         from repro.service.sharding import EngineSpec
@@ -295,7 +283,6 @@ class WorkStealingPool:
         self.workers = int(workers)
         self.grace_s = float(grace_s)
         self.stall_timeout_s = stall_timeout_s
-        self.retry_backoff_s = float(retry_backoff_s)
         # A worker that keeps dying (e.g. during bootstrap, before it can
         # even send a "fatal") would otherwise be revived forever; past
         # this many revivals the whole pool fails.
@@ -600,7 +587,7 @@ class WorkStealingPool:
                         self._finish(claimed)
                         self._failed += 1
                 if requeued:
-                    delay = self.retry_backoff_s * (2 ** task.attempt)
+                    delay = RETRY_BACKOFF_S * (2 ** task.attempt)
                     self._retry_seq += 1
                     heapq.heappush(
                         self._retry_heap,

@@ -174,16 +174,18 @@ class TestDtypePolicy:
         sub = gather_band_rfft(np.fft.rfft2(masks, axes=(-2, -1)), band)
         assert sub.dtype == np.complex128
 
-    def test_sparse_values_are_float64(self, band_geometry):
-        band, kset = band_geometry
-        masks = small_mask_stack()
-        rows = np.array([12, 100], dtype=np.int64)
-        cols = np.array([30, 88], dtype=np.int64)
-        values = kset.intensity_at_pixels(
-            kset.fft.fft2(masks, axes=(-2, -1)), rows, cols
+    def test_sparse_values_are_float64(self, numpy_sim):
+        """The verifier's end-to-end sparse values, not just the gather."""
+        from repro.data.via_bench import generate_via_clip
+
+        clip = generate_via_clip("dt1", n_vias=2, seed=31, clip_nm=1280)
+        grid = numpy_sim.grid_for(clip)
+        plan = measure_stencil_plan(grid, fragment_clip(clip))
+        (sparse,) = numpy_sim.simulate_epe_batch(
+            rasterize(clip.targets, grid)[None], grid, plan
         )
-        assert isinstance(values, np.ndarray)
-        assert values.dtype == np.float64
+        assert isinstance(sparse.values, np.ndarray)
+        assert sparse.values.dtype == np.float64
 
 
 class TestCacheIdentity:

@@ -20,7 +20,7 @@ from repro.errors import LithoError, MetrologyError
 from repro.geometry import Grid, Polygon, Rect, rasterize
 from repro.geometry.raster import bilinear_sample_many, bilinear_sample_stack
 from repro.geometry.segmentation import fragment_clip
-from repro.litho import build_kernel_set
+from repro.litho.kernels import band_values_at_pixels
 from repro.backend import (
     _is_5_smooth,
     next_fast_len,
@@ -120,6 +120,19 @@ class TestNextFastLen:
 GRID = Grid(0, 0, 8.0, 160, 160)
 
 
+def lattice_values(kset, masks, rows, cols):
+    """The verifier's sparse intensity: image the stack once on the
+    pupil-band subgrid, then lift the pixel set with the lattice
+    gather."""
+    shape = masks.shape[-2:]
+    sub = kset.subgrid_intensity_from_rfft(
+        kset.fft.rfft2(masks, axes=(-2, -1)), shape
+    )
+    return band_values_at_pixels(
+        sub, kset.band_spectra(shape), rows, cols, kset.fft
+    )
+
+
 class TestSparseIntensity:
     def test_matches_dense_gather_on_compact_band(self, sim):
         kset = sim.kernel_set(0.0)
@@ -127,58 +140,59 @@ class TestSparseIntensity:
         spectra = kset.fft.fft2(masks, axes=(-2, -1))
         dense = kset.intensity_from_mask_ffts(spectra)
         rows, cols = random_pixel_set(GRID.shape, 200)
-        sparse = kset.intensity_at_pixels(spectra, rows, cols)
+        sparse = lattice_values(kset, masks, rows, cols)
         assert sparse.shape == (3, 200)
         assert np.abs(sparse - dense[:, rows, cols]).max() < INTENSITY_TOLERANCE
 
     def test_rfft_entry_matches_full_spectrum_entry(self, sim):
+        """The pupil band rebuilt from half-width spectra by Hermitian
+        symmetry lifts to the same pixel values as the band gathered
+        from the full spectra."""
         kset = sim.kernel_set(0.0)
+        band = kset.band_spectra(GRID.shape)
         masks = mask_stack(GRID, 2)
         rows, cols = random_pixel_set(GRID.shape, 150)
-        via_fft = kset.intensity_at_pixels(
-            kset.fft.fft2(masks, axes=(-2, -1)), rows, cols
+        full_band = kset._gather_band(kset.fft.fft2(masks, axes=(-2, -1)), band)
+        via_fft = band_values_at_pixels(
+            kset._subgrid_intensity(full_band, band), band, rows, cols,
+            kset.fft,
         )
-        via_rfft = kset.sparse_intensity_from_rfft(
-            kset.fft.rfft2(masks, axes=(-2, -1)), GRID.shape, rows, cols
-        )
+        via_rfft = lattice_values(kset, masks, rows, cols)
         assert np.abs(via_rfft - via_fft).max() < INTENSITY_TOLERANCE
 
     def test_non_compact_fallback_is_exact(self):
         """When the pupil band spans the grid there is no sparse fast
-        path; the fallback must be the dense engine plus a gather —
-        bit-for-bit, not merely close."""
-        kset = build_kernel_set(
-            pixel_nm=40.0, max_kernels=4,
-            backend="numpy",
+        path; simulate_epe_batch must fall back to the dense engine plus
+        a gather — bit-for-bit, not merely close."""
+        sim = LithographySimulator(LithoConfig(
+            pixel_nm=40.0, max_kernels=4, backend="numpy",
+        ))
+        clip = generate_via_clip("nc1", n_vias=2, seed=31, clip_nm=1280)
+        grid = sim.grid_for(clip)
+        assert not sim.kernel_set(0.0).band_spectra(grid.shape).compact
+        mask = rasterize(clip.targets, grid)
+        plan = measure_stencil_plan(grid, fragment_clip(clip))
+        (sparse,) = sim.simulate_epe_batch(mask[None], grid, plan)
+        dense = sim.simulate_batch(mask[None], grid)[0]
+        assert np.array_equal(
+            sparse.values, dense.aerial[plan.pixel_rows, plan.pixel_cols]
         )
-        assert not kset.band_spectra((32, 32)).compact
-        mask = np.zeros((32, 32))
-        mask[10:20, 10:20] = 1.0
-        spectra = kset.fft.fft2(mask[None], axes=(-2, -1))
-        dense = kset.intensity_from_mask_ffts(spectra)
-        rows, cols = random_pixel_set((32, 32), 40)
-        sparse = kset.intensity_at_pixels(spectra, rows, cols)
-        assert np.array_equal(sparse, dense[:, rows, cols])
 
     def test_out_of_range_pixels_rejected(self, sim):
         kset = sim.kernel_set(0.0)
-        spectra = kset.fft.fft2(mask_stack(GRID, 1), axes=(-2, -1))
+        masks = mask_stack(GRID, 1)
         with pytest.raises(LithoError, match="outside"):
-            kset.intensity_at_pixels(
-                spectra, np.array([0, GRID.rows]), np.array([0, 0])
+            lattice_values(
+                kset, masks, np.array([0, GRID.rows]), np.array([0, 0])
             )
         with pytest.raises(LithoError, match="1-D"):
-            kset.intensity_at_pixels(
-                spectra, np.array([0, 1]), np.array([0])
-            )
+            lattice_values(kset, masks, np.array([0, 1]), np.array([0]))
 
     def test_rfft_entry_rejects_full_width_spectra(self, sim):
         kset = sim.kernel_set(0.0)
         full = kset.fft.fft2(mask_stack(GRID, 1), axes=(-2, -1))
         with pytest.raises(LithoError, match="do not match grid"):
-            kset.sparse_intensity_from_rfft(
-                full, GRID.shape, np.array([0]), np.array([0])
-            )
+            kset.subgrid_intensity_from_rfft(full, GRID.shape)
 
     @pytest.mark.parametrize("case", [
         "duplicated_unsorted", "single_row", "single_col", "one_pixel",
@@ -200,7 +214,7 @@ class TestSparseIntensity:
         masks = mask_stack(GRID, 3)
         spectra = kset.fft.fft2(masks, axes=(-2, -1))
         dense = kset.intensity_from_mask_ffts(spectra)[:, rows, cols]
-        sparse = kset.intensity_at_pixels(spectra, rows, cols)
+        sparse = lattice_values(kset, masks, rows, cols)
         assert sparse.shape == dense.shape == (3, len(rows))
         assert np.abs(sparse - dense).max() < INTENSITY_TOLERANCE
 

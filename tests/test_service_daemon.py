@@ -3,7 +3,7 @@ the work-stealing pool's liveness fix (repro/service/workqueue.py).
 
 The acceptance pins:
 
-* The daemon path is **bit-for-bit identical** to ``run_suite_sharded``
+* The daemon path is **bit-for-bit identical** to the in-process sweep
   on a mixed via+metal suite — continuous submission, work stealing,
   and threaded streaming verification reorder work, never numbers.
 * Admission control sheds load with :class:`ServiceBusy` (per tenant).
@@ -61,10 +61,10 @@ def mixed_suite():
 
 
 @pytest.fixture(scope="module")
-def sharded_reference(sim, mixed_suite):
-    """The pinned reference: a work-stealing sharded sweep."""
-    return MaskOptService(simulator=sim).run_suite_sharded(
-        "mbopc", mixed_suite, workers=2, engine_overrides=OVERRIDES,
+def inline_reference(sim, mixed_suite):
+    """The pinned reference: the in-process sweep."""
+    return MaskOptService(simulator=sim).run_suite(
+        "mbopc", mixed_suite, engine_overrides=OVERRIDES,
     )
 
 
@@ -141,12 +141,12 @@ def unbuildable_factory(simulator, overrides):
 
 class TestDaemonBitForBit:
     def test_daemon_matches_sharded_sweep(
-        self, sim, mixed_suite, sharded_reference
+        self, sim, mixed_suite, inline_reference
     ):
         """Continuous async submission through warm work-stealing pools
         with threaded streaming verification: every reported and
-        verified number is bit-for-bit identical to run_suite_sharded
-        (and therefore to the sequential sweep)."""
+        verified number is bit-for-bit identical to the in-process sweep
+        (and so to every sweep run on worker processes)."""
         async def main():
             daemon = MaskOptDaemon(
                 service=MaskOptService(simulator=sim), workers=2,
@@ -158,7 +158,7 @@ class TestDaemonBitForBit:
                 return await gather_by_ticket(daemon, tickets)
 
         results = asyncio.run(main())
-        assert_matches_reference(results, sharded_reference)
+        assert_matches_reference(results, inline_reference)
         assert all(r.outcome == "verified" for r in results)
 
 
@@ -275,6 +275,36 @@ class TestDaemonLifecycle:
                     await daemon.result(9999)
 
         asyncio.run(main())
+
+
+class TestDaemonDispatch:
+    def test_finished_tasks_refill_their_pool(self, sim):
+        """A finished task frees its pool slot at once, even while its
+        mask waits for bin-mates: a suite of more distinct grid shapes
+        than ``pool_backlog`` must not wait out ``flush_max_wait_s``
+        with a queued request and an idle pool."""
+        clips = [
+            generate_via_clip(f"ds{i}", n_vias=1, seed=70 + i,
+                              clip_nm=1024.0 + 128.0 * i)
+            for i in range(3)
+        ]
+        assert len({sim.grid_for(clip).shape for clip in clips}) == 3
+
+        async def main():
+            daemon = MaskOptDaemon(
+                service=MaskOptService(simulator=sim), workers=2,
+                pool_backlog=2, flush_max_wait_s=60.0,
+            )
+            async with daemon:
+                tickets = await submit_suite(
+                    daemon, clips, engine_overrides=OVERRIDES,
+                )
+                return await gather_by_ticket(daemon, tickets)
+
+        start = time.monotonic()
+        results = asyncio.run(main())
+        assert time.monotonic() - start < 30.0
+        assert all(r.outcome == "verified" for r in results)
 
 
 class TestDaemonAdmission:

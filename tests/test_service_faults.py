@@ -1,7 +1,7 @@
 """Tests for the deterministic fault-injection harness and the
 at-least-once delivery semantics it exercises (repro/service/faults.py +
-the retry/deadline/stall machinery of workqueue.py, sharding.py,
-daemon.py).
+the retry/deadline/stall machinery of workqueue.py and daemon.py, which
+every process-parallel sweep runs on).
 
 The acceptance pins:
 
@@ -14,6 +14,7 @@ The acceptance pins:
   no sleeps, no races, no luck.
 """
 
+import asyncio
 import os
 import pickle
 
@@ -29,10 +30,11 @@ from repro.errors import (
 from repro.litho.simulator import LithoConfig
 from repro.data.via_bench import generate_via_clip
 from repro.service import (
-    EngineSpec,
     FaultPlan,
     FaultRule,
-    ShardedSuiteRunner,
+    MaskOptDaemon,
+    MaskOptService,
+    OptRequest,
     clear_fault_plan,
     install_fault_plan,
     maybe_fault,
@@ -50,14 +52,6 @@ def _litho_config(**extra):
     return LithoConfig(pixel_nm=8.0, max_kernels=4, **extra)
 
 
-def _spec():
-    return EngineSpec(
-        engine="mbopc",
-        litho=_litho_config(),
-        overrides=tuple(sorted(OVERRIDES.items())),
-    )
-
-
 def _suite():
     return [
         generate_via_clip("fv1", n_vias=2, seed=41, clip_nm=1024),
@@ -66,11 +60,37 @@ def _suite():
     ]
 
 
-def _runner(plan=None, **kwargs):
-    """Runner with fast recovery knobs so fault tests stay quick."""
-    kwargs.setdefault("grace_s", 0.3)
-    kwargs.setdefault("retry_backoff_s", 0.05)
-    return ShardedSuiteRunner(_spec(), 2, fault_plan=plan, **kwargs)
+def _sweep(plan=None, stats=None, **daemon_options):
+    """Sweep the suite on a 2-worker daemon with fast crash detection;
+    returns the outcome payloads in clip order, and raises the first
+    failure in completion order.  ``stats``, when given, is filled with
+    the pool's counters read before shutdown, whether or not the sweep
+    failed."""
+    daemon_options.setdefault("grace_s", 0.3)
+
+    async def main():
+        daemon = MaskOptDaemon(
+            litho_config=_litho_config(), workers=2, fault_plan=plan,
+            **daemon_options,
+        )
+        async with daemon:
+            tickets = [
+                await daemon.submit(OptRequest(
+                    clip=clip, engine="mbopc", engine_overrides=OVERRIDES,
+                ))
+                for clip in _suite()
+            ]
+            outcomes = {}
+            try:
+                async for result in daemon.results(tickets):
+                    outcomes[result.request_id] = result.raw_outcome
+            finally:
+                if stats is not None:
+                    for pool in daemon.stats()["pools"]:
+                        stats.update(pool)
+            return [outcomes[ticket] for ticket in tickets]
+
+    return asyncio.run(main())
 
 
 def assert_outcomes_identical(got, reference):
@@ -87,7 +107,7 @@ def assert_outcomes_identical(got, reference):
 @pytest.fixture(scope="module")
 def reference_outcomes():
     """The pinned reference: an uninterrupted work-stealing sweep."""
-    return _runner().run(_suite(), optimize_kwargs={})
+    return _sweep()
 
 
 @pytest.fixture(autouse=True)
@@ -229,10 +249,9 @@ def test_crash_retry_is_bit_for_bit(dispatch, reference_outcomes):
         FaultRule(point="worker.before_result", action="crash",
                   match="fv1@0"),
     ])
-    runner = _runner(plan, retries=2)
-    outcomes = runner.run(_suite(), optimize_kwargs={})
+    stats = {}
+    outcomes = _sweep(plan, stats, retries=2)
     assert_outcomes_identical(outcomes, reference_outcomes)
-    stats = runner.last_pool_stats
     assert stats["tasks_retried"] == 1
     assert stats["workers_revived"] >= 1
 
@@ -245,10 +264,9 @@ def test_crash_after_result_does_not_recompute(reference_outcomes):
         FaultRule(point="worker.after_result", action="crash",
                   match="fv1@0"),
     ])
-    runner = _runner(plan, retries=2)
-    outcomes = runner.run(_suite(), optimize_kwargs={})
+    stats = {}
+    outcomes = _sweep(plan, stats, retries=2)
     assert_outcomes_identical(outcomes, reference_outcomes)
-    stats = runner.last_pool_stats
     # The payload was already delivered, so whether or not the death is
     # even noticed before the sweep finishes, nothing recomputes and
     # nothing double-reports.
@@ -263,9 +281,8 @@ def test_retries_exhausted_is_typed():
         FaultRule(point="worker.before_result", action="crash",
                   match="fv1@", exit_code=41),
     ])
-    runner = _runner(plan, retries=1)
     with pytest.raises(RetriesExhausted, match="'fv1'") as err:
-        runner.run(_suite(), optimize_kwargs={})
+        _sweep(plan, retries=1)
     assert isinstance(err.value, ServiceError)
     assert "exit code 41" in str(err.value)
     assert "2 attempts" in str(err.value)
@@ -275,17 +292,17 @@ def test_retries_exhausted_same_through_sweep_and_daemon():
     """One consumer policy: the same crash-every-attempt fault surfaces
     as RetriesExhausted naming the clip, worded alike, through a sweep
     and through the daemon."""
-    import asyncio
     import re
-
-    from repro.service import MaskOptDaemon, OptRequest
 
     plan = FaultPlan([
         FaultRule(point="worker.before_result", action="crash",
                   match="fv1@", exit_code=41),
     ])
     with pytest.raises(RetriesExhausted, match="'fv1'") as swept:
-        _runner(plan, retries=1).run(_suite(), optimize_kwargs={})
+        MaskOptService(litho_config=_litho_config()).run_suite(
+            "mbopc", _suite(), workers=2, engine_overrides=OVERRIDES,
+            retries=1, fault_plan=plan,
+        )
 
     async def serve():
         daemon = MaskOptDaemon(
@@ -318,13 +335,13 @@ def test_deadline_exceeded_is_typed():
         FaultRule(point="worker.optimize", action="stall",
                   match="fv1@", stall_s=30.0),
     ])
-    runner = _runner(plan, retries=2, deadline_s=0.8)
+    stats = {}
     with pytest.raises(DeadlineExceeded, match="'fv1'"):
-        runner.run(_suite(), optimize_kwargs={})
+        _sweep(plan, stats, retries=2, deadline_s=0.8)
     # The deadline clock starts at dispatch, so clips queued behind the
     # stalled worker may blow the same budget — at least the stalled one
     # must be counted.
-    assert runner.last_pool_stats["tasks_deadline_failed"] >= 1
+    assert stats["tasks_deadline_failed"] >= 1
 
 
 def test_stall_detector_converts_hang_into_retry(reference_outcomes):
@@ -335,10 +352,9 @@ def test_stall_detector_converts_hang_into_retry(reference_outcomes):
         FaultRule(point="worker.optimize", action="stall",
                   match="fv1@0", stall_s=30.0),
     ])
-    runner = _runner(plan, retries=2, stall_timeout_s=0.4)
-    outcomes = runner.run(_suite(), optimize_kwargs={})
+    stats = {}
+    outcomes = _sweep(plan, stats, retries=2, stall_timeout_s=0.4)
     assert_outcomes_identical(outcomes, reference_outcomes)
-    stats = runner.last_pool_stats
     assert stats["workers_stalled"] == 1
     assert stats["tasks_retried"] == 1
 
@@ -349,15 +365,14 @@ def test_torn_pipe_frame_fails_sweep():
     plan = FaultPlan([
         FaultRule(point="pipe.frame", action="corrupt", match="fv1@0"),
     ])
-    runner = _runner(plan, retries=2)
     with pytest.raises(ServiceError, match="corrupt"):
-        runner.run(_suite(), optimize_kwargs={})
+        _sweep(plan, retries=2)
 
 
 def test_verifier_flush_fault_fails_cleanly():
     """An injected failure inside the batched verification flush raises
     FaultInjected out of the scheduler (the daemon converts this to
-    per-ticket failures; the sweep path aborts the run)."""
+    per-ticket failures, and a sweep raises the first of them)."""
     from repro.litho.simulator import LithographySimulator
     from repro.service import ShapeBinScheduler
 
@@ -388,9 +403,8 @@ def test_revive_cap_exhaustion_mid_backlog():
     plan = FaultPlan([
         FaultRule(point="worker.before_result", action="crash"),
     ])
-    runner = _runner(plan, retries=8, max_revives=1)
     with pytest.raises(ServiceError, match="lost its workers repeatedly"):
-        runner.run(_suite(), optimize_kwargs={})
+        _sweep(plan, retries=8, max_revives=1)
 
 
 def test_worker_dying_during_engine_build_on_revival(reference_outcomes):
@@ -406,34 +420,27 @@ def test_worker_dying_during_engine_build_on_revival(reference_outcomes):
                   match="@0"),
         FaultRule(point="worker.build", action="crash", match="g1"),
     ])
-    runner = _runner(plan, retries=2)
-    outcomes = runner.run(_suite(), optimize_kwargs={})
+    stats = {}
+    outcomes = _sweep(plan, stats, retries=2)
     assert_outcomes_identical(outcomes, reference_outcomes)
-    stats = runner.last_pool_stats
     assert stats["workers_revived"] >= 2
     assert stats["tasks_retried"] == len(_suite())
 
 
 # -- full service path (OptResults, verification, typed errors) ---------------
 
-def test_run_suite_sharded_retry_parity_with_verification():
+def test_run_suite_retry_parity_with_verification():
     """End-to-end service path: crash-retry under streaming verification
-    yields OptResults identical to an unfaulted sharded sweep."""
-    from repro.service import MaskOptService
-
+    yields OptResults identical to the in-process sweep."""
     suite = _suite()
-    reference = MaskOptService(
-        litho_config=_litho_config()
-    ).run_suite_sharded(
-        "mbopc", suite, workers=2, engine_overrides=OVERRIDES,
+    reference = MaskOptService(litho_config=_litho_config()).run_suite(
+        "mbopc", suite, engine_overrides=OVERRIDES,
     )
     plan = FaultPlan([
         FaultRule(point="worker.before_result", action="crash",
                   match="fv2@0"),
     ])
-    results = MaskOptService(
-        litho_config=_litho_config()
-    ).run_suite_sharded(
+    results = MaskOptService(litho_config=_litho_config()).run_suite(
         "mbopc", suite, workers=2, engine_overrides=OVERRIDES,
         fault_plan=plan,
     )
@@ -449,10 +456,6 @@ def test_run_suite_sharded_retry_parity_with_verification():
 def test_daemon_crash_retry_resolves_request():
     """Daemon path: a request whose worker crashes mid-clip is retried
     to success; the stats record the retry, not a failure."""
-    import asyncio
-
-    from repro.service import MaskOptDaemon, OptRequest
-
     clip = generate_via_clip("fv1", n_vias=2, seed=41, clip_nm=1024)
     plan = FaultPlan([
         FaultRule(point="worker.before_result", action="crash",
@@ -493,6 +496,5 @@ def test_chaos_seeded_faults_converge(reference_outcomes):
         FaultRule(point="worker.before_result", action="crash", rate=0.3),
         FaultRule(point="worker.optimize", action="crash", rate=0.15),
     ], seed=seed)
-    runner = _runner(plan, retries=6, max_revives=40)
-    outcomes = runner.run(_suite(), optimize_kwargs={})
+    outcomes = _sweep(plan, retries=6, max_revives=40)
     assert_outcomes_identical(outcomes, reference_outcomes)

@@ -151,10 +151,9 @@ def test_partial_journal_resume_is_bit_for_bit(tmp_path):
     killed mid-suite), resume: only the missing clips re-run and the
     merge equals the uninterrupted reference."""
     suite = _suite()
-    reference = MaskOptService(
-        litho_config=_litho_config()
-    ).run_suite_sharded("mbopc", suite, workers=2,
-                        engine_overrides=OVERRIDES)
+    reference = MaskOptService(litho_config=_litho_config()).run_suite(
+        "mbopc", suite, engine_overrides=OVERRIDES,
+    )
 
     # Build a journal holding admissions for all clips but the result of
     # only the first: exactly the state a kill after one verification
@@ -214,7 +213,7 @@ def test_resume_needs_clips(tmp_path):
 
 def test_fingerprint_tracks_identity_not_backend():
     """The engine fingerprint covers everything that changes numbers
-    (engine, overrides, litho optics, seed) and nothing that doesn't
+    (engine, overrides, litho optics) and nothing that doesn't
     (array backend, device, FFT worker counts, store path)."""
     base = EngineSpec(engine="mbopc", litho=_litho_config(),
                       overrides=tuple(sorted(OVERRIDES.items())))
@@ -287,7 +286,7 @@ _KILLABLE_SWEEP = textwrap.dedent("""
     from tests.test_service_journal import OVERRIDES, _litho_config, _suite
 
     service = MaskOptService(litho_config=_litho_config())
-    service.run_suite_sharded(
+    service.run_suite(
         "mbopc", _suite(), workers=2, engine_overrides=OVERRIDES,
         journal=sys.argv[1], stream_min_bin=1,
     )
@@ -296,7 +295,7 @@ _KILLABLE_SWEEP = textwrap.dedent("""
 
 
 def test_sigkilled_sweep_resumes_bit_for_bit(tmp_path):
-    """Run a journaled sharded sweep in a subprocess, SIGKILL it once the
+    """Run a journaled 2-worker sweep in a subprocess, SIGKILL it once the
     journal holds at least one verified result, resume in-process: only
     the unfinished clips re-run and the merge equals an uninterrupted
     reference run."""
@@ -354,10 +353,9 @@ def test_sigkilled_sweep_resumes_bit_for_bit(tmp_path):
         assert time.monotonic() < deadline, "sweep process group outlived it"
         time.sleep(0.05)
 
-    reference = MaskOptService(
-        litho_config=_litho_config()
-    ).run_suite_sharded("mbopc", _suite(), workers=2,
-                        engine_overrides=OVERRIDES)
+    reference = MaskOptService(litho_config=_litho_config()).run_suite(
+        "mbopc", _suite(), engine_overrides=OVERRIDES,
+    )
     service = MaskOptService(litho_config=_litho_config())
     results, replayed = resume_suite(
         service, "mbopc", _suite(), path, workers=2,

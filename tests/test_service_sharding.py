@@ -1,11 +1,11 @@
-"""Tests for process-sharded suite execution and streaming verification
-(repro/service/sharding.py + MaskOptService.run_suite_sharded).
+"""Tests for process-parallel suite execution and streaming verification
+(repro/service/sharding.py + MaskOptService.run_suite on the daemon).
 
-The acceptance pin: a sharded sweep (``workers=N``) over a mixed
-via+metal suite is bit-for-bit identical to the sequential sweep —
-sharding reorders work, never numbers.  Worker death and worker
-exceptions must fail the sweep loudly (naming the clip) instead of
-hanging the queue.
+The acceptance pin: a sweep on worker processes (``workers=N``, or a
+journal) over a mixed via+metal suite is bit-for-bit identical to the
+in-process sweep — worker processes reorder work, never numbers.
+Worker death and worker exceptions must fail the sweep loudly (naming
+the clip) instead of hanging the queue.
 
 The crashing/stub engines live at module level so ``spawn`` workers can
 rebuild them by qualified name.
@@ -27,8 +27,8 @@ from repro.service import (
     MaskOptService,
     OptOutcome,
     OptRequest,
-    ShardedSuiteRunner,
     ShapeBinScheduler,
+    WorkStealingPool,
 )
 
 OVERRIDES = {"max_updates": 3, "initial_bias_nm": 3.0}
@@ -128,7 +128,7 @@ class TestShardedBitForBit:
         verified number is bit-for-bit identical to the sequential
         sweep."""
         service = MaskOptService(simulator=sim)
-        results = service.run_suite_sharded(
+        results = service.run_suite(
             "mbopc", mixed_suite, workers=2, engine_overrides=OVERRIDES,
         )
         assert_results_identical(results, sequential_reference)
@@ -140,10 +140,30 @@ class TestShardedBitForBit:
     def test_workers_one_runs_inline_and_matches(
         self, sim, mixed_suite, sequential_reference
     ):
-        results = MaskOptService(simulator=sim).run_suite_sharded(
+        results = MaskOptService(simulator=sim).run_suite(
             "mbopc", mixed_suite, workers=1, engine_overrides=OVERRIDES,
         )
         assert_results_identical(results, sequential_reference)
+        # The in-process loop hands back the engines' own outcomes.
+        assert not any(isinstance(r.raw_outcome, OptOutcome) for r in results)
+
+    def test_journaled_sweep_matches_sequential(
+        self, sim, mixed_suite, sequential_reference, tmp_path
+    ):
+        """Journaling observes outcomes, never changes them; every clip's
+        verified result is on disk when the sweep returns."""
+        from repro.service import OutcomeJournal
+
+        path = str(tmp_path / "mixed.journal")
+        results = MaskOptService(simulator=sim).run_suite(
+            "mbopc", mixed_suite, workers=2, engine_overrides=OVERRIDES,
+            journal=path,
+        )
+        assert_results_identical(results, sequential_reference)
+        with OutcomeJournal(path) as journal:
+            (fingerprint,) = journal.fingerprints()
+            recorded = journal.results_for(fingerprint)
+        assert set(recorded) == {clip.name for clip in mixed_suite}
 
     def test_eager_streaming_never_changes_numbers(
         self, sim, mixed_suite, sequential_reference
@@ -151,7 +171,7 @@ class TestShardedBitForBit:
         """stream_min_bin=1 flushes every bin as soon as it has one mask
         — maximally different batching, identical measurements."""
         service = MaskOptService(simulator=sim)
-        results = service.run_suite_sharded(
+        results = service.run_suite(
             "mbopc", mixed_suite, workers=2, engine_overrides=OVERRIDES,
             stream_min_bin=1,
         )
@@ -172,7 +192,7 @@ class TestShardedBitForBit:
             assert row.pvband_nm2 == ref.pvband_nm2
 
     def test_engine_search_range_reaches_payloads(self, sim, mixed_suite):
-        results = MaskOptService(simulator=sim).run_suite_sharded(
+        results = MaskOptService(simulator=sim).run_suite(
             "mbopc", mixed_suite[:2], workers=2,
             engine_overrides={**OVERRIDES, "epe_search_nm": 30.0},
         )
@@ -188,7 +208,7 @@ class TestShardedStoreSharing:
         service = MaskOptService(
             litho_config=_litho_config(spectra_store=str(store_dir))
         )
-        results = service.run_suite_sharded(
+        results = service.run_suite(
             "mbopc", mixed_suite, workers=2, engine_overrides=OVERRIDES,
         )
         assert len(results) == len(mixed_suite)
@@ -214,7 +234,7 @@ class TestShardedFailures:
         suite = [boom, *mixed_suite[1:]]
         service = MaskOptService(simulator=sim)
         with pytest.raises(ServiceError, match="'boom'") as excinfo:
-            service.run_suite_sharded(
+            service.run_suite(
                 crashing_factory, suite, workers=2, verify=False,
             )
         assert "exit code 17" in str(excinfo.value)
@@ -228,41 +248,44 @@ class TestShardedFailures:
         suite = [mixed_suite[0], boom, *mixed_suite[2:]]
         service = MaskOptService(simulator=sim)
         with pytest.raises(ServiceError, match="'boom'") as excinfo:
-            service.run_suite_sharded(
+            service.run_suite(
                 raising_factory, suite, workers=2, verify=False,
             )
         assert "scripted engine failure" in str(excinfo.value)
 
     def test_aborted_sweep_leaves_scheduler_clean(self, sim, mixed_suite):
         """Outcomes streamed before a crash must not linger in the
-        service's shared scheduler — a retried or later verification
-        pass would re-simulate the stale masks."""
+        service's shared scheduler once the daemon behind the sweep is
+        shut down — a retried or later verification pass would
+        re-simulate the stale masks."""
         import dataclasses
 
-        # Worker 1 crashes on its first clip while worker 0's stub
-        # outcomes (with masks) stream into the scheduler.
+        # A worker crashes on "boom" while the other's stub outcomes
+        # (with masks) wait in the scheduler.  No retries: the crash must
+        # fail the sweep before the daemon's max-wait flush measures the
+        # stubs (whose fake EPE would fail first, as drift).
         boom = dataclasses.replace(mixed_suite[1], name="boom")
         suite = [mixed_suite[0], boom, *mixed_suite[2:]]
         service = MaskOptService(simulator=sim)
-        with pytest.raises(ServiceError):
-            service.run_suite_sharded(
+        with pytest.raises(ServiceError, match="'boom'"):
+            service.run_suite(
                 crashing_factory, suite, workers=2, verify=True,
-                stream_min_bin=100,
+                stream_min_bin=100, retries=0,
             )
         assert service.scheduler.pending == 0
 
-    def test_instance_rejected_eagerly_by_run_suite_sharded(
+    def test_instance_rejected_eagerly_by_run_suite(
         self, sim, mixed_suite
     ):
         engine = MBOPC(MBOPCConfig(**OVERRIDES), sim)
         service = MaskOptService(simulator=sim)
         with pytest.raises(ServiceError, match="registry name or a factory"):
-            service.run_suite_sharded(engine, mixed_suite, workers=2)
+            service.run_suite(engine, mixed_suite, workers=2)
 
     def test_engine_build_failure_is_clean(self, sim, mixed_suite):
         service = MaskOptService(simulator=sim)
         with pytest.raises(ServiceError, match="could not build"):
-            service.run_suite_sharded(
+            service.run_suite(
                 unbuildable_factory, mixed_suite, workers=2, verify=False,
             )
 
@@ -275,11 +298,11 @@ class TestShardedFailures:
     def test_bad_worker_counts_rejected(self, sim, mixed_suite):
         service = MaskOptService(simulator=sim)
         with pytest.raises(ServiceError, match="workers"):
-            service.run_suite_sharded("mbopc", mixed_suite, workers=0)
+            service.run_suite("mbopc", mixed_suite, workers=0)
         with pytest.raises(ServiceError, match="at least one clip"):
-            service.run_suite_sharded("mbopc", [], workers=2)
+            service.run_suite("mbopc", [], workers=2)
         with pytest.raises(ServiceError, match="stream_min_bin"):
-            service.run_suite_sharded(
+            service.run_suite(
                 "mbopc", mixed_suite, workers=2, stream_min_bin=0,
             )
 
@@ -352,35 +375,30 @@ class TestShardingComponents:
     def test_runner_validates_inputs(self, sim):
         spec = EngineSpec(engine="mbopc", litho=sim.config)
         with pytest.raises(ServiceError, match="workers"):
-            ShardedSuiteRunner(spec, workers=0)
+            WorkStealingPool(spec, workers=0)
         with pytest.raises(ServiceError, match="EngineSpec"):
-            ShardedSuiteRunner("mbopc", workers=2)
+            WorkStealingPool("mbopc", workers=2)
         with pytest.raises(ServiceError, match="at least one clip"):
-            ShardedSuiteRunner(spec, workers=2).run([])
+            MaskOptService(simulator=sim).run_suite("mbopc", [], workers=2)
+
+    def test_engine_spec_fingerprint_is_pinned(self):
+        """Journals written by earlier releases must keep resuming: the
+        fingerprint text, and so the digest, never changes."""
+        spec = EngineSpec(
+            "mbopc", LithoConfig(pixel_nm=8.0, max_kernels=4),
+            (("initial_bias_nm", 3.0), ("max_updates", 3)),
+        )
+        assert spec.fingerprint() == "9a2721c3a313484e"
 
     def test_unverified_sweeps_ship_no_masks(self, sim, mixed_suite):
         """verify=False must not rasterize + pickle masks the parent
         would immediately discard."""
-        results = MaskOptService(simulator=sim).run_suite_sharded(
+        results = MaskOptService(simulator=sim).run_suite(
             "mbopc", mixed_suite, workers=2, engine_overrides=OVERRIDES,
             verify=False,
         )
         assert all(r.raw_outcome.mask_image is None for r in results)
         assert all(r.outcome == "unverified" for r in results)
-
-    def test_inline_seed_does_not_touch_global_rng(self, sim, mixed_suite):
-        """workers=1 runs in the caller's process; spec.seed must be
-        honored worker-style but leave the caller's numpy RNG stream
-        exactly where it was."""
-        spec = EngineSpec(
-            engine="mbopc", litho=sim.config,
-            overrides=tuple(sorted(OVERRIDES.items())), seed=7,
-        )
-        np.random.seed(12345)
-        expected = np.random.RandomState(12345).random_sample(4)
-        outcomes = ShardedSuiteRunner(spec, workers=1).run(mixed_suite[:1])
-        assert len(outcomes) == 1
-        np.testing.assert_array_equal(np.random.random_sample(4), expected)
 
     def test_worker_clamp_to_clip_count(self, sim, mixed_suite, monkeypatch):
         """More workers than clips must not spawn idle processes (and
@@ -398,7 +416,7 @@ class TestShardingComponents:
 
         monkeypatch.setattr(WorkStealingPool, "_spawn", counting_spawn)
         service = MaskOptService(simulator=sim)
-        results = service.run_suite_sharded(
+        results = service.run_suite(
             "mbopc", mixed_suite[:2], workers=8,
             engine_overrides=OVERRIDES,
         )
