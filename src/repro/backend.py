@@ -258,6 +258,16 @@ class ArrayBackend:
             )
         return np.fft.rfft2(a, axes=axes)
 
+    def irfft2(self, a, s: tuple[int, int], axes: tuple[int, int] = (-2, -1)):
+        """Inverse of :meth:`rfft2`: a real ``s``-shaped image from its
+        half-width spectrum.  The dense intensity resample runs on it, so
+        a real aerial never passes through a complex inverse transform."""
+        if self.name == "scipy":
+            return _scipy_fft.irfft2(a, s=s, axes=axes, workers=self.workers)
+        if self.name == "torch":
+            return _torch.fft.irfft2(self.to_device(a), s=s, dim=axes)
+        return np.fft.irfft2(a, s=s, axes=axes)
+
 
 @lru_cache(maxsize=16)
 def resolve_backend(

@@ -7,11 +7,12 @@ loop on our substrate.  It doubles as the phase-1 imitation teacher (its
 per-step decision rule is :func:`repro.rl.imitation.greedy_teacher_actions`
 restricted to the +/-2 nm move set).
 
-Each iteration's corner sweep runs through the environment's simulator
-facade, which computes the focus and defocus aerials from one shared
-forward FFT feeding the exact pupil-band subgrid engine (the
-batched-corner path of
-:meth:`~repro.litho.simulator.LithographySimulator.simulate_batch`).
+Each iteration's corner sweep is one environment step: one
+:meth:`~repro.litho.simulator.LithographySimulator.simulate_batch` call
+whose shared real-input FFT feeds the exact pupil-band subgrid engine.
+Segment EPE comes from the nominal intensity lifted at the segments'
+stencil pixels; only the defocus corner is resampled to the full grid,
+for the PV band.
 """
 
 from __future__ import annotations

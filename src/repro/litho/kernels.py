@@ -10,28 +10,35 @@ spatial crop ever happens, the pupil-band subgrid engine is *exact*.
 Finished spectra persist across processes through
 :class:`repro.litho.store.KernelSpectraStore`.
 
-Convolution entry points:
+One imaging pipeline serves every batched entry point
+(``LithographySimulator.simulate_batch`` / ``simulate_epe_batch`` and
+:meth:`OpticalKernelSet.convolve_intensity_batch`):
 
-* :meth:`OpticalKernelSet.convolve_intensity` — the single-mask spatial
-  reference path: full-grid per-kernel inverse FFTs over the scattered
-  band spectra.  Everything else is tested against it.
-* :meth:`OpticalKernelSet.convolve_intensity_batch` /
-  :meth:`~OpticalKernelSet.intensity_from_mask_ffts` — the one engine
-  for ``(B, H, W)`` stacks: gather the pupil-band mask coefficients, run
-  the per-kernel inverse FFTs on an alias-free ``m x m`` subgrid
-  (``m >= 4b + 1`` so the *squared* field, band radius ``2b``, folds
-  nowhere), and resample the intensity to the full grid with one
-  zero-padded FFT interpolation.  Exact to FFT round-off (<= 1e-9
-  absolute intensity) against the reference path.  When the band covers
-  the grid the subgrid *is* the grid, so the same gather and
-  convolution run at full size and the resample is skipped — bit-for-bit
-  equal to the reference path.
+* front end, :meth:`OpticalKernelSet.subgrid_intensity` — ``rfft2`` of
+  the real mask stack, the Hermitian pupil-band gather
+  (:func:`gather_band_rfft`), and the per-kernel inverse FFTs on an
+  alias-free ``m x m`` subgrid (``m >= 4b + 1`` so the *squared* field,
+  band radius ``2b``, folds nowhere);
+* sparse back end, :func:`band_values_at_pixels` — the subgrid
+  intensity lifted to chosen full-grid pixels by a separable lattice
+  DFT (EPE metrology needs nothing else);
+* dense back end, :meth:`OpticalKernelSet.resample_intensity` — an
+  exact zero-padded resample in real arithmetic (subgrid ``rfft2``,
+  half spectrum, ``irfft2``).
 
-Lower-level helpers (:meth:`~OpticalKernelSet.kernel_spectra`,
+Both back ends agree with the reference path to FFT round-off (<= 1e-9
+absolute intensity).  When the band covers the grid the subgrid *is*
+the grid: the same gather and convolution run at full size, nothing is
+resampled, and the result is bit-for-bit the reference path's.
+
+:meth:`OpticalKernelSet.convolve_intensity` is the single-mask spatial
+reference: full-grid per-kernel inverse FFTs over the scattered band
+spectra.  Everything else is tested against it.  Lower-level helpers
+(:meth:`~OpticalKernelSet.kernel_spectra`,
 :meth:`~OpticalKernelSet.weights_for`,
 :meth:`~OpticalKernelSet.fields_from_mask_fft`) expose the cached
-full-grid transfer functions to callers that hold mask spectra already —
-the single-mask reference path and the pixel-ILT gradient loop.
+full-grid transfer functions to the reference path and the pixel-ILT
+gradient loop.
 """
 
 from __future__ import annotations
@@ -136,10 +143,10 @@ def gather_band_rfft(
     (-c) % W])``, so the negative-column half of the pupil band is
     recovered from the stored positive columns with flipped rows.  Values
     match the full-spectrum gather to FFT round-off (the rfft sums in a
-    different order — not bit-for-bit).  Both half-width entry points of
-    :class:`OpticalKernelSet` share it.  Runs on whatever arrays
-    ``backend`` holds — spectra on a device stay on that device (default:
-    host numpy, unchanged behavior).
+    different order — not bit-for-bit).  This is the gather of the one
+    imaging front end, :meth:`OpticalKernelSet.subgrid_intensity`.  Runs
+    on whatever arrays ``backend`` holds — spectra on a device stay on
+    that device (default: host numpy, unchanged behavior).
     """
     backend = backend or _host_backend()
     idx = backend.index
@@ -204,9 +211,12 @@ def band_values_at_pixels(
     non-DC columns count twice).  ``intensity_sub`` may be host or
     device resident; the GEMMs run wherever the backend's arrays live,
     and the resolved ``(B, S)`` values always come back host-side (the
-    metrology boundary).
+    metrology boundary).  A non-compact band's subgrid is the grid, so
+    its pixels are read off directly.
     """
     rows, cols = _validate_pixel_set(band.shape, rows, cols)
+    if not band.compact:
+        return fft.to_host(intensity_sub[:, fft.index(rows), fft.index(cols)])
     height, width = band.shape
     m0, m1 = band.subgrid
     half_cols = 2 * band.band[1] + 1
@@ -495,25 +505,18 @@ class OpticalKernelSet:
             )
         return shape
 
-    def _compact_band(self, shape: tuple[int, int], entry: str) -> GridBandSpectra:
-        band = self.band_spectra(shape)
-        if not band.compact:
-            raise LithoError(
-                f"{entry} needs a compact pupil band; the {shape} grid's "
-                "band covers it — use intensity_from_mask_ffts on full "
-                "spectra instead"
-            )
-        return band
-
     # -- convolution ---------------------------------------------------------
     def convolve_intensity(self, mask: np.ndarray) -> np.ndarray:
         """Aerial intensity ``sum_k w_k |h_k * mask|^2`` (circular conv).
 
         This is the retained *spatial reference path*: one full-grid
         inverse FFT per kernel over the scattered spectra.  ``mask`` is a
-        2-D real array (binary or graytone).  Always runs host-side —
-        it is the numerical reference the device paths are tested
-        against, so it must not depend on the device library.
+        2-D real array (binary or graytone); its full spectrum is the
+        Hermitian extension of ``rfft2``, so inside the pupil band it
+        holds the very coefficients :func:`gather_band_rfft` takes.
+        Always runs host-side — it is the numerical reference the device
+        paths are tested against, so it must not depend on the device
+        library.
         """
         mask = self.fft.to_host(mask)
         if mask.ndim != 2:
@@ -522,7 +525,12 @@ class OpticalKernelSet:
         kernel_ffts = self.kernel_spectra(mask.shape)
         weights = self.weights_for(mask.shape)
         fft = self._host_fft()
-        mask_fft = fft.fft2(mask.astype(np.float64), axes=(-2, -1))
+        rows, cols = mask.shape
+        half = fft.rfft2(mask.astype(np.float64), axes=(-2, -1))
+        mask_fft = np.empty(mask.shape, dtype=np.complex128)
+        mask_fft[:, : half.shape[1]] = half
+        tail = np.arange(half.shape[1], cols)
+        mask_fft[:, tail] = half[(-np.arange(rows)) % rows][:, cols - tail].conj()
         intensity = np.zeros(mask.shape, dtype=np.float64)
         for weight, kernel_fft in zip(weights, kernel_ffts):
             field_k = fft.ifft2(mask_fft * kernel_fft, axes=(-2, -1))
@@ -530,45 +538,16 @@ class OpticalKernelSet:
         return intensity
 
     def convolve_intensity_batch(self, masks: np.ndarray) -> np.ndarray:
-        """Aerial intensities of a ``(B, H, W)`` mask stack (band engine).
+        """Dense aerial intensities of a ``(B, H, W)`` mask stack.
 
-        One vectorized forward FFT over the batch axis feeds the
-        band-limited subgrid engine (exact: the spectra carry no energy
-        outside the gathered band).  Per-mask results are bit-for-bit
-        independent of the batch size.
+        The imaging front end (:meth:`subgrid_intensity`) followed by
+        the dense back end (:meth:`resample_intensity`).  Per-mask
+        results are bit-for-bit independent of the batch size.
         """
         stack = self.validate_mask_batch(masks)
-        mask_ffts = self.fft.fft2(stack, axes=(-2, -1))
-        return self.intensity_from_mask_ffts(mask_ffts)
-
-    def intensity_from_mask_ffts(self, mask_ffts: np.ndarray) -> np.ndarray:
-        """Intensities from precomputed ``(B, H, W)`` mask spectra.
-
-        Lets callers share one forward FFT across several kernel sets
-        (the simulator's focus + defocus corner sweep).
-        """
-        if mask_ffts.ndim != 3:
-            raise LithoError(
-                f"mask spectra must be 3-D (B, H, W), got shape {mask_ffts.shape}"
-            )
-        shape = tuple(mask_ffts.shape[-2:])
-        self._validate_grid(shape)
-        return self._band_intensity(mask_ffts, self.band_spectra(shape))
-
-    def _gather_band(
-        self, mask_ffts, band: GridBandSpectra
-    ):
-        """Pupil-band mask coefficients scattered onto the subgrid."""
-        backend = self.fft
-        idx = backend.index
-        m0, m1 = band.subgrid
-        sub = backend.zeros(
-            (mask_ffts.shape[0], m0, m1), backend.complex128
-        )
-        sub[:, idx(band.rows_dst[:, None]), idx(band.cols_dst[None, :])] = (
-            mask_ffts[:, idx(band.rows_src[:, None]), idx(band.cols_src[None, :])]
-        )
-        return sub
+        shape = tuple(stack.shape[1:])
+        sub = self.subgrid_intensity(self.fft.rfft2(stack, axes=(-2, -1)), shape)
+        return self.resample_intensity(sub, shape)
 
     def _device_band_arrays(self, band: GridBandSpectra):
         """``(weights, sub_spectra)`` resident where the backend computes.
@@ -601,16 +580,25 @@ class OpticalKernelSet:
                 self._fft_cache.popitem(last=False)
         return pair
 
-    def _subgrid_intensity(
-        self, sub, band: GridBandSpectra
-    ):
-        """Per-kernel subgrid convolution summed into one intensity.
+    def subgrid_intensity(self, mask_rffts, shape: tuple[int, int]):
+        """The imaging front end: exact intensity on the pupil-band subgrid.
 
-        Runs wherever ``sub`` lives: host numpy under numpy/scipy,
-        on-device under torch (with device-resident kernel spectra from
-        :meth:`_device_band_arrays`).
+        ``mask_rffts`` are the ``(B, H, W//2 + 1)`` half-width spectra of
+        a real mask stack on an ``(H, W)`` grid.  The pupil band is
+        gathered by Hermitian symmetry (:func:`gather_band_rfft`) and
+        convolved with every kernel on the alias-free ``(m0, m1)``
+        subgrid (``m >= 4b + 1``, so the squared field folds nowhere).
+        The band-limited intensity is fully determined by these samples;
+        :func:`band_values_at_pixels` lifts pixels from it and
+        :meth:`resample_intensity` rebuilds the dense image.  When the
+        band covers the grid the subgrid *is* the grid.  Returns the
+        backend's native array (device-resident under torch).
         """
+        shape = self._check_rfft_shape(mask_rffts, shape)
+        self._validate_grid(shape)
+        band = self.band_spectra(shape)
         fft = self.fft
+        sub = gather_band_rfft(mask_rffts, band, fft)
         weights, sub_spectra = self._device_band_arrays(band)
         intensity = fft.zeros(sub.shape, fft.float64)
         for weight, kernel_sub in zip(weights, sub_spectra):
@@ -618,52 +606,30 @@ class OpticalKernelSet:
             intensity += weight * (field_k.real**2 + field_k.imag**2)
         return intensity
 
-    def _band_intensity(
-        self, mask_ffts, band: GridBandSpectra
-    ) -> np.ndarray:
-        """The engine: gather band, convolve, resample intensity.
+    def resample_intensity(self, intensity_sub, shape: tuple[int, int]) -> np.ndarray:
+        """The dense back end: full-grid intensity from subgrid samples.
 
-        The gather, per-kernel convolution and zero-padded resample all
-        run backend-native; the dense full-grid aerial is the
-        host/device boundary, so the returned array is always host
-        numpy.  A non-compact band's subgrid is the full grid, so its
-        intensity needs no resample.
+        An exact zero-padded resample in real arithmetic: ``rfft2`` of
+        the ``(B, m0, m1)`` subgrid, the intensity band (radius ``2b``)
+        placed into the full grid's half spectrum, then ``irfft2``.  The
+        dense aerial is the host/device boundary, so the result is host
+        numpy.  A non-compact band's subgrid is the grid: no resample.
         """
+        band = self.band_spectra((int(shape[0]), int(shape[1])))
         fft = self.fft
-        sub = self._gather_band(mask_ffts, band)
-        intensity = self._subgrid_intensity(sub, band)
         if not band.compact:
-            return fft.to_host(intensity)
+            return fft.to_host(intensity_sub)
         rows, cols = band.shape
         m0, m1 = band.subgrid
-        idx = fft.index
-        # Exact zero-padded FFT resampling of the (band-limited) intensity.
-        spectrum = fft.fft2(intensity, axes=(-2, -1))
-        upscale = (rows * cols) / (m0 * m1)
-        full = fft.zeros((mask_ffts.shape[0], rows, cols), fft.complex128)
-        full[:, idx(band.up_rows_dst[:, None]), idx(band.up_cols_dst[None, :])] = (
-            spectrum[:, idx(band.up_rows_src[:, None]), idx(band.up_cols_src[None, :])]
-            * upscale
+        half_cols = 2 * band.band[1] + 1
+        spectrum = fft.rfft2(intensity_sub, axes=(-2, -1))
+        full = fft.zeros(
+            (spectrum.shape[0], rows, cols // 2 + 1), fft.complex128
         )
-        return fft.to_host(fft.ifft2(full, axes=(-2, -1)).real)
-
-    def subgrid_intensity_from_rfft(
-        self, mask_rffts: np.ndarray, shape: tuple[int, int]
-    ) -> np.ndarray:
-        """Exact aerial intensity on the pupil-band subgrid, ``(B, m0, m1)``.
-
-        The band-limited intensity is fully determined by its subgrid
-        samples (``m >= 4b + 1`` per axis), so this is the cheapest exact
-        representation of the aerial image — the imaging step of
-        :meth:`~repro.litho.simulator.LithographySimulator.simulate_epe_batch`,
-        whose contour pixels :func:`band_values_at_pixels` then lifts to
-        the full grid.  Requires a compact band.
-        """
-        shape = self._check_rfft_shape(mask_rffts, shape)
-        self._validate_grid(shape)
-        band = self._compact_band(shape, "subgrid_intensity_from_rfft")
-        sub = gather_band_rfft(mask_rffts, band, self.fft)
-        return self.fft.to_host(self._subgrid_intensity(sub, band))
+        full[:, fft.index(band.up_rows_dst), :half_cols] = spectrum[
+            :, fft.index(band.up_rows_src), :half_cols
+        ] * ((rows * cols) / (m0 * m1))
+        return fft.to_host(fft.irfft2(full, s=(rows, cols), axes=(-2, -1)))
 
     def fields_from_mask_fft(self, mask_fft: np.ndarray) -> np.ndarray:
         """Per-kernel coherent fields ``(K, H, W)`` for one mask spectrum.

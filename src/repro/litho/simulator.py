@@ -14,8 +14,8 @@ directly on that grid's DFT frequency lattice and eigendecomposed into
 SOCS spectra that are exactly zero outside the pupil band (no spatial
 ambit crop anywhere — see :mod:`repro.litho.kernels`).  Those band
 spectra are the only kernel representation, and the pupil-band subgrid
-engine is exact on them, so there is a single simulation engine with two
-entry points:
+engine is exact on them, so there is a single simulation engine with
+three entry points:
 
 * :meth:`LithographySimulator.simulate_mask` — the single-mask *spatial
   reference path*: one full-grid inverse FFT per kernel.  Slow, simple,
@@ -24,17 +24,25 @@ entry points:
   ``tests/test_litho_band.py``).
 
 * :meth:`LithographySimulator.simulate_batch` — the production engine.
-  It stacks B same-shape masks into a ``(B, H, W)`` array, computes a
-  single vectorized forward FFT, *shares those mask spectra across the
-  focus and defocus kernel sets* (all three process corners come from
-  one forward transform), and runs the per-kernel inverse FFTs on the
-  pupil-band subgrid with one exact zero-padded FFT resample of the
-  intensity per corner (none when the band covers the grid, where the
-  subgrid is the grid).  Results match :meth:`simulate_mask` to FFT
-  round-off (far below the 1e-9 golden tolerance) and are bit-for-bit
-  independent of the batch size, so they are legal for reported
-  EPE/PV-band metrology.  ``benchmarks/bench_batch_litho.py`` gates
-  >= 3x over the per-mask reference loop at B=8.
+  It stacks B same-shape masks into a ``(B, H, W)`` array and takes one
+  real-input forward FFT (``rfft2``) that *both* kernel sets share (all
+  three process corners come from one forward transform).  Each set's
+  imaging front end gathers its pupil band by Hermitian symmetry and
+  images the stack on the compact band subgrid
+  (:meth:`~repro.litho.kernels.OpticalKernelSet.subgrid_intensity`).
+  Two back ends read that subgrid intensity: the defocus corner is
+  resampled to the full grid by an exact real-arithmetic zero-padded
+  resample (``rfft2`` -> half spectrum -> ``irfft2``) because the PV
+  band needs it; the nominal corner is lifted only at the pixels of the
+  caller's stencil plans (EPE metrology), and its dense aerial is
+  resampled only when :attr:`LithoResult.aerial` is first read.  When
+  the band covers the grid the subgrid *is* the grid and nothing is
+  resampled.  Results match :meth:`simulate_mask` to FFT round-off (far
+  below the 1e-9 golden tolerance) and are bit-for-bit independent of
+  the batch size, so they are legal for reported EPE/PV-band metrology.
+
+* :meth:`LithographySimulator.simulate_epe_batch` — the verifier's
+  sparse sweep: the same front end, then only the pixel lift, per plan.
 
 Array/device backend
 --------------------
@@ -63,21 +71,22 @@ boundary.
 Batched metrology contract
 --------------------------
 
-Downstream measurement mirrors the litho batching: one
-``simulate_batch`` call is followed by one batched metrology call.
-:func:`repro.metrology.epe.measure_epe_batch` /
-:func:`~repro.metrology.epe.segment_epe_batch` resolve every ``(B,
-n_points)`` contour profile in a single vectorized pass and are
-bit-for-bit equal to mapping :func:`~repro.metrology.epe.measure_epe` /
-:func:`~repro.metrology.epe.segment_epe` over the batch;
-:func:`~repro.metrology.pvband.pvband_area_batch` does the same for PV
-bands.  ``OPCEnvironment.evaluate_batch`` / ``step_batch``, population
-RL training, and the suite verifier (:mod:`repro.eval.runner`) all
-follow this two-call pattern.
+Downstream measurement mirrors the litho batching: one litho call is
+followed by one batched metrology pass.  ``OPCEnvironment`` passes its
+measure-point and control-point stencil plans to ``simulate_batch`` and
+resolves EPE and segment EPE from the returned sparse aerials in one
+:func:`~repro.metrology.epe.measure_epe_grouped_sparse` call, then
+takes the PV band of the whole batch with
+:func:`~repro.metrology.pvband.pvband_area_batch`.  The suite verifier
+(:mod:`repro.service.scheduler`) pairs ``simulate_epe_batch`` with the
+same grouped sparse EPE.  The dense metrology
+(:func:`~repro.metrology.epe.measure_epe_batch` and friends) remains the
+reference the sparse path is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -141,23 +150,28 @@ class LithoConfig:
         resolve_backend(self.backend, self.fft_workers, self.device)
 
 
+def _read(source) -> np.ndarray:
+    """An aerial held directly, or built by its zero-argument getter."""
+    return source() if callable(source) else source
+
+
 class LazyPrinted(Mapping):
     """Per-corner printed images, thresholded on first access.
 
-    ``simulate_batch`` used to materialize three full-grid thresholded
-    images per mask eagerly; most callers (EPE metrology, the verify
-    scheduler) only ever read ``aerial``.  This mapping defers each
-    corner's :func:`~repro.litho.resist.printed_image` until it is
-    actually indexed, then caches it — a corner read twice returns the
-    same array object, and every value is bit-for-bit identical to the
-    eager construction (same function, same inputs, just later).
+    Most callers (EPE metrology, the PV band, the verify scheduler) read
+    one or two corners at most, so each corner's
+    :func:`~repro.litho.resist.printed_image` is deferred until it is
+    indexed, then cached — a corner read twice returns the same array
+    object, and every value is bit-for-bit identical to the eager
+    construction (same function, same inputs, just later).  The nominal
+    aerial itself may be lazy: reading ``"nominal"`` builds it.
     """
 
     __slots__ = ("_sources", "_threshold", "_cache")
 
     def __init__(
         self,
-        aerial: np.ndarray,
+        aerial,
         aerial_defocus: np.ndarray,
         threshold: float,
         corners: "tuple[ProcessCorner, ProcessCorner, ProcessCorner]",
@@ -175,7 +189,7 @@ class LazyPrinted(Mapping):
         cached = self._cache.get(corner)
         if cached is None:
             aerial, dose = self._sources[corner]
-            cached = printed_image(aerial, self._threshold, dose)
+            cached = printed_image(_read(aerial), self._threshold, dose)
             self._cache[corner] = cached
         return cached
 
@@ -192,20 +206,39 @@ class LazyPrinted(Mapping):
         )
 
 
-@dataclass
 class LithoResult:
-    """One full simulation: aerial image plus printed images per corner.
+    """One full simulation: aerial images plus printed images per corner.
 
+    ``aerial`` is the nominal-corner aerial.  On the batched path it is
+    built on first read from the retained subgrid intensity (most
+    callers need only its EPE, which comes from ``sparse``), so the
+    constructor takes the array or a zero-argument getter for it.
+    ``aerial_defocus`` is always dense: the PV band needs it.
     ``printed`` maps corner name to the thresholded image; on the
-    batched path it is a :class:`LazyPrinted` that computes each corner
-    on first access (identical values, deferred cost), while the
-    single-mask reference path keeps an eager dict.
+    batched path it is a :class:`LazyPrinted`.  ``sparse`` holds one
+    nominal-corner :class:`~repro.metrology.contour.SparseAerial` per
+    stencil plan passed to :meth:`LithographySimulator.simulate_batch`.
     """
 
-    grid: Grid
-    aerial: np.ndarray
-    aerial_defocus: np.ndarray
-    printed: Mapping[str, np.ndarray]
+    __slots__ = ("grid", "_aerial", "aerial_defocus", "printed", "sparse")
+
+    def __init__(
+        self,
+        grid: Grid,
+        aerial,
+        aerial_defocus: np.ndarray,
+        printed: Mapping[str, np.ndarray],
+        sparse: tuple = (),
+    ) -> None:
+        self.grid = grid
+        self._aerial = aerial
+        self.aerial_defocus = aerial_defocus
+        self.printed = printed
+        self.sparse = sparse
+
+    @property
+    def aerial(self) -> np.ndarray:
+        return _read(self._aerial)
 
     @property
     def nominal(self) -> np.ndarray:
@@ -218,6 +251,35 @@ class LithoResult:
     @property
     def outer(self) -> np.ndarray:
         return self.printed["outer"]
+
+
+def _dense_row(kernel_set: OpticalKernelSet, intensity_sub, shape) -> np.ndarray:
+    """The dense aerial of one ``(1, m0, m1)`` subgrid intensity."""
+    return kernel_set.resample_intensity(intensity_sub, shape)[0]
+
+
+def _lift_union(kernel_set: OpticalKernelSet, intensity_sub, shape, plans) -> list:
+    """For each plan, one :class:`~repro.metrology.contour.SparseAerial`
+    per mask of ``intensity_sub``; the intensity is lifted once, at the
+    union of the plans' pixel sets."""
+    if not plans:
+        return []
+    from repro.metrology.contour import SparseAerial
+
+    cols = shape[1]
+    union, inverse = np.unique(
+        np.concatenate([plan.pixel_rows * cols + plan.pixel_cols for plan in plans]),
+        return_inverse=True,
+    )
+    values = band_values_at_pixels(
+        intensity_sub, kernel_set.band_spectra(shape),
+        union // cols, union % cols, kernel_set.fft,
+    )
+    splits = np.cumsum([plan.n_pixels for plan in plans])[:-1]
+    return [
+        [SparseAerial(plan=plan, values=row) for row in values[:, picks]]
+        for plan, picks in zip(plans, np.split(inverse, splits))
+    ]
 
 
 @dataclass
@@ -305,24 +367,9 @@ class LithographySimulator:
             printed=printed,
         )
 
-    def simulate_batch(
-        self,
-        masks: Sequence[np.ndarray] | np.ndarray,
-        grid: Grid,
-    ) -> list[LithoResult]:
-        """Full corner sweep for a stack of same-shape rasterized masks.
-
-        ``masks`` is a ``(B, H, W)`` array or a sequence of B ``(H, W)``
-        masks on ``grid``.  One shared forward FFT feeds both the focus
-        and defocus kernel sets, so all three process corners come from a
-        single batched transform pipeline running the exact pupil-band
-        subgrid engine.  Results match :meth:`simulate_mask` to FFT
-        round-off and are bit-for-bit independent of the batch size.
-
-        Under a device backend ``masks`` may already be a device tensor
-        (``(B, H, W)``); host input is moved to the device once, and the
-        returned aerials are host numpy either way.
-        """
+    def _mask_stack(self, masks, grid: Grid):
+        """``masks`` as a validated backend-native ``(B, H, W)`` stack on
+        ``grid`` (a device tensor stays on its device)."""
         if hasattr(masks, "ndim"):
             stack = masks
         else:
@@ -335,30 +382,78 @@ class LithographySimulator:
                 raise LithoError(
                     f"masks in a batch must share one shape: {exc}"
                 ) from None
-        nominal, inner, outer = self.corners()
-        focus_set = self.kernel_set(nominal.defocus_nm)
-        defocus_set = self.kernel_set(inner.defocus_nm)
+        focus_set = self.kernel_set(self.corners()[0].defocus_nm)
         stack = focus_set.validate_mask_batch(stack)
         if stack.shape[1:] != grid.shape:
             raise LithoError(
                 f"mask batch shape {stack.shape[1:]} does not match grid "
                 f"{grid.shape}"
             )
-        mask_ffts = focus_set.fft.fft2(stack, axes=(-2, -1))
-        aerial_focus = focus_set.intensity_from_mask_ffts(mask_ffts)
-        aerial_defocus = defocus_set.intensity_from_mask_ffts(mask_ffts)
+        return stack
+
+    @staticmethod
+    def _check_plan_grids(plans, grid: Grid) -> None:
+        for plan in plans:
+            if plan is not None and plan.grid.shape != grid.shape:
+                raise LithoError(
+                    f"stencil plan grid {plan.grid.shape} does not match "
+                    f"the mask grid {grid.shape}"
+                )
+
+    def simulate_batch(
+        self,
+        masks: Sequence[np.ndarray] | np.ndarray,
+        grid: Grid,
+        plans: Sequence = (),
+    ) -> list[LithoResult]:
+        """Full corner sweep for a stack of same-shape rasterized masks.
+
+        ``masks`` is a ``(B, H, W)`` array or a sequence of B ``(H, W)``
+        masks on ``grid``.  One real-input forward FFT feeds the imaging
+        front end of both the focus and defocus kernel sets.  The defocus
+        corner is resampled to the full grid here (the PV band needs
+        it); the nominal aerial is resampled only when
+        :attr:`LithoResult.aerial` is first read.  Results match
+        :meth:`simulate_mask` to FFT round-off and are bit-for-bit
+        independent of the batch size.
+
+        ``plans`` are :class:`~repro.metrology.contour.ContourStencilPlan`
+        s shared by every mask (an OPC environment's measure and control
+        points).  The nominal intensity is lifted once at the union of
+        their pixel sets, and ``LithoResult.sparse`` holds one
+        :class:`~repro.metrology.contour.SparseAerial` per plan — EPE
+        without any dense nominal image.
+
+        Under a device backend ``masks`` may already be a device tensor
+        (``(B, H, W)``); host input is moved to the device once, and the
+        returned aerials are host numpy either way.
+        """
+        stack = self._mask_stack(masks, grid)
+        self._check_plan_grids(plans, grid)
+        nominal, inner, outer = self.corners()
+        focus_set = self.kernel_set(nominal.defocus_nm)
+        defocus_set = self.kernel_set(inner.defocus_nm)
+        shape = grid.shape
+        spectra = focus_set.fft.rfft2(stack, axes=(-2, -1))
+        focus_sub = focus_set.subgrid_intensity(spectra, shape)
+        aerial_defocus = defocus_set.resample_intensity(
+            defocus_set.subgrid_intensity(spectra, shape), shape
+        )
+        per_plan = _lift_union(focus_set, focus_sub, shape, plans)
         threshold = self.config.threshold
         corners = (nominal, inner, outer)
         results = []
-        for focus_b, defocus_b in zip(aerial_focus, aerial_defocus):
-            results.append(
-                LithoResult(
-                    grid=grid,
-                    aerial=focus_b,
-                    aerial_defocus=defocus_b,
-                    printed=LazyPrinted(focus_b, defocus_b, threshold, corners),
-                )
-            )
+        for index, defocus_b in enumerate(aerial_defocus):
+            aerial = functools.cache(functools.partial(
+                _dense_row, focus_set, focus_sub[index : index + 1], shape
+            ))
+            results.append(LithoResult(
+                grid=grid,
+                aerial=aerial,
+                aerial_defocus=defocus_b,
+                printed=LazyPrinted(aerial, defocus_b, threshold, corners),
+                sparse=tuple(aerials[index] for aerials in per_plan),
+            ))
         return results
 
     def simulate_epe_batch(
@@ -382,43 +477,22 @@ class LithographySimulator:
         when ``with_defocus`` is set (EPE itself is measured at the
         nominal corner only, so the default skips that work).
 
-        Neither ``printed_image`` nor any full-grid inverse FFT is
-        constructed: the stack is forward-transformed once with the
-        half-width real-input FFT, each kernel set gathers its pupil
-        band from it by Hermitian symmetry and images the whole stack
-        once on the alias-free subgrid, and each plan's pixel set is
-        lifted from that subgrid intensity by the lattice gather
-        (:func:`~repro.litho.kernels.band_values_at_pixels`).  Values
-        agree with gathering the dense :meth:`simulate_batch` aerials at
+        No dense image is built: the shared imaging front end images
+        the whole stack once per kernel set on the pupil-band subgrid,
+        and each plan's pixel set is lifted from it by the lattice
+        gather (:func:`~repro.litho.kernels.band_values_at_pixels`).
+        Values agree with the dense :meth:`simulate_batch` aerials at
         the same pixels to <= 1e-12 absolute intensity — resolved EPE
-        offsets agree to <= 1e-9 nm.  Grids whose pupil band is not
-        compact take the full spectrum and gather from the dense
-        intensity, which is exact.
+        offsets agree to <= 1e-9 nm.  On a grid whose pupil band is not
+        compact the subgrid is the grid, and the lift is a plain gather
+        from the very array the dense aerial is.
 
         Like :meth:`simulate_batch`, ``masks`` may be a device tensor
         under a device backend; the sparse values in each returned
         :class:`~repro.metrology.contour.SparseAerial` are host numpy.
         """
-        if hasattr(masks, "ndim"):
-            stack = masks
-        else:
-            items = list(masks)
-            if not items:
-                raise LithoError("mask batch is empty")
-            try:
-                stack = np.stack(items)
-            except ValueError as exc:
-                raise LithoError(
-                    f"masks in a batch must share one shape: {exc}"
-                ) from None
+        stack = self._mask_stack(masks, grid)
         nominal, inner, _ = self.corners()
-        focus_set = self.kernel_set(nominal.defocus_nm)
-        stack = focus_set.validate_mask_batch(stack)
-        if stack.shape[1:] != grid.shape:
-            raise LithoError(
-                f"mask batch shape {stack.shape[1:]} does not match grid "
-                f"{grid.shape}"
-            )
         batch = stack.shape[0]
         if plans is None or not isinstance(plans, (list, tuple)):
             plan_list = [plans] * batch
@@ -428,12 +502,7 @@ class LithographySimulator:
                 raise LithoError(
                     f"got {len(plan_list)} stencil plans for {batch} masks"
                 )
-        for plan in plan_list:
-            if plan is not None and plan.grid.shape != grid.shape:
-                raise LithoError(
-                    f"stencil plan grid {plan.grid.shape} does not match "
-                    f"the mask grid {grid.shape}"
-                )
+        self._check_plan_grids(plan_list, grid)
         results: list = [None] * batch
         groups: dict[int, tuple] = {}
         for index, plan in enumerate(plan_list):
@@ -444,39 +513,23 @@ class LithographySimulator:
             return results
 
         shape = grid.shape
-        kernel_sets = [focus_set] + (
+        kernel_sets = [self.kernel_set(nominal.defocus_nm)] + (
             [self.kernel_set(inner.defocus_nm)] if with_defocus else []
-        )
-        compact = all(
-            kset.band_spectra(shape).compact for kset in kernel_sets
         )
         # Each kernel set images the whole stack once; only the pixel
         # lift runs per plan.
-        if compact:
-            spectra = focus_set.fft.rfft2(stack, axes=(-2, -1))
-            intensities = [
-                kset.subgrid_intensity_from_rfft(spectra, shape)
-                for kset in kernel_sets
-            ]
-        else:
-            spectra = focus_set.fft.fft2(stack, axes=(-2, -1))
-            intensities = [
-                kset.intensity_from_mask_ffts(spectra) for kset in kernel_sets
-            ]
-
-        def lift(kset, intensity, plan):
-            rows, cols = plan.pixel_rows, plan.pixel_cols
-            if not compact:
-                return intensity[:, rows, cols]
-            return band_values_at_pixels(
-                intensity, kset.band_spectra(shape), rows, cols, kset.fft
-            )
-
+        spectra = kernel_sets[0].fft.rfft2(stack, axes=(-2, -1))
+        intensities = [
+            kset.subgrid_intensity(spectra, shape) for kset in kernel_sets
+        ]
         from repro.metrology.contour import SparseAerial
 
         for plan, indices in groups.values():
             values = [
-                lift(kset, intensity[indices], plan)
+                band_values_at_pixels(
+                    intensity[indices], kset.band_spectra(shape),
+                    plan.pixel_rows, plan.pixel_cols, kset.fft,
+                )
                 for kset, intensity in zip(kernel_sets, intensities)
             ]
             for row, index in enumerate(indices):
@@ -493,9 +546,9 @@ class LithographySimulator:
         """Rasterize + simulate through the batched engine (B = 1).
 
         Matches :meth:`simulate_mask` to FFT round-off while all three
-        corners share one forward FFT on the compact band subgrid — this
-        is the per-iteration corner sweep used by every OPC engine via
-        :meth:`simulate_state`.
+        corners share one forward FFT on the compact band subgrid.  (The
+        OPC engines step through ``OPCEnvironment``, which calls
+        :meth:`simulate_batch` with its stencil plans.)
         """
         mask = self.rasterize_mask(polygons, grid)
         return self.simulate_batch(mask[None], grid)[0]

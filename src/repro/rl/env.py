@@ -6,11 +6,18 @@ with its lithography evaluation.  An action moves every segment by one of
 {-2, -1, 0, +1, +2} nm; the environment re-simulates and returns the Eq. 3
 reward.
 
+Every evaluation is one :meth:`LithographySimulator.simulate_batch` call
+for the whole batch of masks.  The environment builds the stencil plans
+of its measure points and control points once per clip; inside the call
+the nominal corner is lifted only at those plans' pixels (EPE and
+segment EPE), and only the defocus corner is resampled to the full grid
+(the PV band).  The dense nominal aerial is built only if a caller reads
+``EnvState.litho.aerial``.
+
 Candidate-action batching: :meth:`OPCEnvironment.score_moves` evaluates a
 whole matrix of candidate action vectors — e.g. the five uniform segment
-moves from :meth:`OPCEnvironment.uniform_move_candidates` — through one
-batched lithography call (:meth:`LithographySimulator.simulate_batch`)
-instead of one simulator invocation per candidate.
+moves from :meth:`OPCEnvironment.uniform_move_candidates` — through that
+one batched call instead of one simulator invocation per candidate.
 """
 
 from __future__ import annotations
@@ -32,16 +39,20 @@ from repro.geometry.mask_edit import MaskState
 from repro.geometry.raster import Grid, rasterize
 from repro.geometry.segmentation import Segment, fragment_clip
 from repro.litho.simulator import LithographySimulator, LithoResult
+from repro.metrology.contour import plan_contour_stencils
 from repro.metrology.epe import (
     EPEReport,
-    measure_epe,
-    measure_epe_batch,
-    measure_epe_grouped_sparse,  # perfbench's layer tracer hooks it here
-    measure_stencil_plan,  # perfbench's layer tracer hooks it here
-    segment_epe,
-    segment_epe_batch,
+    measure_epe,  # perfbench's layer tracer hooks it here
+    measure_epe_batch,  # perfbench's layer tracer hooks it here
+    measure_epe_grouped_sparse,
+    measure_stencil_plan,
+    segment_epe,  # perfbench's layer tracer hooks it here
+    segment_epe_batch,  # perfbench's layer tracer hooks it here
 )
-from repro.metrology.pvband import pvband_area, pvband_area_batch
+from repro.metrology.pvband import (
+    pvband_area,  # perfbench's layer tracer hooks it here
+    pvband_area_batch,
+)
 from repro.rl.reward import compute_reward
 
 
@@ -86,6 +97,17 @@ class OPCEnvironment:
         self.reward_beta = reward_beta
         self.segments: list[Segment] = fragment_clip(clip)
         self.grid: Grid = simulator.grid_for(clip)
+        # Stencil plans of the measure points (EPE) and of every
+        # segment's control point (segment EPE); None when empty.
+        self._plans = (
+            measure_stencil_plan(self.grid, self.segments, epe_search_nm),
+            plan_contour_stencils(
+                self.grid,
+                np.asarray([s.control for s in self.segments], dtype=np.float64),
+                np.asarray([s.normal for s in self.segments], dtype=np.float64),
+                epe_search_nm,
+            ) if self.segments else None,
+        )
 
     @property
     def n_segments(self) -> int:
@@ -96,35 +118,38 @@ class OPCEnvironment:
         return len(MOVE_SET_NM)
 
     # -- state construction -----------------------------------------------------
-    def _metrology(self, mask: MaskState, litho: LithoResult) -> EnvState:
-        """EPE / PV-band measurement shared by all evaluation paths."""
-        threshold = self.simulator.config.threshold
-        epe = measure_epe(
-            litho.aerial, self.grid, self.segments, threshold,
-            search_nm=self.epe_search_nm,
-        )
-        seg = segment_epe(
-            litho.aerial, self.grid, self.segments, threshold,
-            search_nm=self.epe_search_nm,
-        )
-        pvb = pvband_area(litho.inner, litho.outer, self.grid.pixel_nm)
-        return EnvState(mask=mask, litho=litho, epe=epe, seg_epe=seg, pvband=pvb)
+    def evaluate(self, mask: MaskState) -> EnvState:
+        """Run lithography + metrology for a mask state."""
+        return self.evaluate_batch([mask])[0]
 
-    def _metrology_batch(
-        self, masks: Sequence[MaskState], lithos: list[LithoResult]
-    ) -> list[EnvState]:
-        """Batched metrology: one vectorized EPE/PV-band pass for all B
-        lithography results, bit-for-bit equal to mapping
-        :meth:`_metrology` over them."""
-        threshold = self.simulator.config.threshold
-        aerials = np.stack([litho.aerial for litho in lithos])
-        reports = measure_epe_batch(
-            aerials, self.grid, self.segments, threshold,
-            search_nm=self.epe_search_nm,
+    def evaluate_batch(self, masks: Sequence[MaskState]) -> list[EnvState]:
+        """Evaluate several mask states: one batched litho call followed
+        by one metrology pass.
+
+        The litho call lifts the nominal intensity at the measure and
+        control points' stencil pixels (EPE and segment EPE need nothing
+        else) and resamples only the defocus corner densely, for the PV
+        band.  Results are bit-for-bit identical to mapping
+        :meth:`evaluate` over ``masks``.
+        """
+        if not masks:
+            raise RLError("evaluate_batch needs at least one mask state")
+        images = np.stack(
+            [rasterize(mask.mask_polygons(), self.grid) for mask in masks]
         )
-        segs = segment_epe_batch(
-            aerials, self.grid, self.segments, threshold,
-            search_nm=self.epe_search_nm,
+        plans = [plan for plan in self._plans if plan is not None]
+        lithos = self.simulator.simulate_batch(images, self.grid, plans)
+        measured, controlled = (plan is not None for plan in self._plans)
+        # Both plans share one search window, so every profile of the
+        # batch resolves in one vectorized pass.
+        reports = measure_epe_grouped_sparse(
+            [litho.sparse[0] if measured else None for litho in lithos]
+            + [litho.sparse[-1] for litho in lithos if controlled],
+            self.simulator.config.threshold,
+        )
+        segs = (
+            np.stack([report.values for report in reports[len(masks):]])
+            if controlled else np.zeros((len(masks), 0))
         )
         pvbs = pvband_area_batch(
             np.stack([litho.inner for litho in lithos]),
@@ -137,25 +162,6 @@ class OPCEnvironment:
                 masks, lithos, reports, segs, pvbs
             )
         ]
-
-    def evaluate(self, mask: MaskState) -> EnvState:
-        """Run lithography + metrology for a mask state."""
-        return self._metrology(mask, self.simulator.simulate_state(mask, self.grid))
-
-    def evaluate_batch(self, masks: Sequence[MaskState]) -> list[EnvState]:
-        """Evaluate several mask states: one batched litho call followed
-        by one batched metrology call.
-
-        Results are bit-for-bit identical to mapping :meth:`evaluate`
-        over ``masks``.
-        """
-        if not masks:
-            raise RLError("evaluate_batch needs at least one mask state")
-        images = np.stack(
-            [rasterize(mask.mask_polygons(), self.grid) for mask in masks]
-        )
-        results = self.simulator.simulate_batch(images, self.grid)
-        return self._metrology_batch(masks, results)
 
     def _initial_mask(self, bias_nm: float | None = None) -> MaskState:
         return MaskState.initial(

@@ -98,6 +98,18 @@ CRASH_GRACE_S = 1.0
 """A dead worker's last messages may still be in the pipe; only after
 this long with *no* message from that worker is it declared crashed."""
 
+WORKER_BLAS_ENV = {"OPENBLAS_THREAD_TIMEOUT": "4"}
+"""Environment a spawned worker starts with, unless the parent set it.
+N workers each running OpenBLAS's default thread count oversubscribe
+the cores, and idle BLAS threads spin for ~2^28 cycles after every call,
+so a sweep's wall time swings by up to 10x between runs.  The minimum
+timeout (2^4 cycles) puts idle threads to sleep at once.  The thread
+*count* stays the library default: LAPACK's ``eigh`` in the kernel build
+gives different bits at different thread counts, and a worker must
+compute exactly what the parent would."""
+
+_SPAWN_ENV_LOCK = threading.Lock()
+
 RETRY_BACKOFF_S = 0.25
 """Base delay before a crashed task's first re-dispatch; doubles per
 attempt (0.25, 0.5, 1.0, ...) so a systematically-crashing clip cannot
@@ -363,7 +375,16 @@ class WorkStealingPool:
             daemon=True,
             name=f"repro-pool-{self.spec.label}-{wid}",
         )
-        proc.start()
+        # A spawned child reads its environment at exec, before it
+        # imports numpy, so the settings are in place only around start().
+        with _SPAWN_ENV_LOCK:
+            unset = {k: v for k, v in WORKER_BLAS_ENV.items() if k not in os.environ}
+            os.environ.update(unset)
+            try:
+                proc.start()
+            finally:
+                for name in unset:
+                    del os.environ[name]
         return proc
 
     def _drain(self) -> None:

@@ -81,7 +81,7 @@ def small_mask_stack(count=2, n=160, seed=3):
 def subgrid_intensity(kset, band, count=2):
     """Exact ``(count, m0, m1)`` subgrid intensity of a small mask stack."""
     masks = small_mask_stack(count)
-    return kset.subgrid_intensity_from_rfft(
+    return kset.subgrid_intensity(
         np.fft.rfft2(masks, axes=(-2, -1)), band.shape
     )
 
@@ -242,6 +242,40 @@ class TestCacheIdentity:
         first = plan_contour_stencils(grid, points, normals)
         second = plan_contour_stencils(grid, points.copy(), normals.copy())
         assert second is first
+
+
+class TestRealResample:
+    """``ArrayBackend.irfft2`` under the dense intensity resample."""
+
+    def _resample(self, band, intensity, backend, workers=1):
+        from repro.litho.kernels import build_kernel_set
+
+        kset = build_kernel_set(
+            pixel_nm=8.0, max_kernels=4, backend=backend,
+            fft_workers=workers,
+        )
+        return kset.fft.to_host(kset.resample_intensity(
+            kset.fft.to_device(intensity), band.shape
+        ))
+
+    def test_numpy_and_scipy_resample_agree(self, band_geometry):
+        if not scipy_fft_available():
+            pytest.skip("scipy not installed")
+        band, kset = band_geometry
+        intensity = subgrid_intensity(kset, band)
+        via_numpy = self._resample(band, intensity, "numpy")
+        via_scipy = self._resample(band, intensity, "scipy", workers=2)
+        assert via_numpy.shape == (2, *band.shape)
+        assert np.abs(via_scipy - via_numpy).max() < 1e-12
+
+    @requires_torch
+    def test_torch_resample_matches_numpy(self, band_geometry):
+        band, kset = band_geometry
+        intensity = subgrid_intensity(kset, band)
+        via_numpy = self._resample(band, intensity, "numpy")
+        via_torch = self._resample(band, intensity, "torch")
+        assert isinstance(via_torch, np.ndarray)
+        assert np.abs(via_torch - via_numpy).max() < 1e-12
 
 
 @requires_torch

@@ -68,7 +68,9 @@ class TestKernelSetErrors:
 
     def test_spectra_helper_rejects_2d(self):
         with pytest.raises(LithoError, match="3-D"):
-            native_kernel_set().intensity_from_mask_ffts(np.ones((16, 16), complex))
+            native_kernel_set().subgrid_intensity(
+                np.ones((16, 9), complex), (16, 16)
+            )
 
     def test_fields_helper_rejects_3d(self):
         with pytest.raises(LithoError, match="2-D"):
@@ -80,8 +82,8 @@ class TestKernelSetErrors:
 
     def test_spectra_helper_rejects_small_grid(self):
         with pytest.raises(LithoError, match="too coarse"):
-            native_kernel_set().intensity_from_mask_ffts(
-                np.ones((1, 16, 16), complex)
+            native_kernel_set().subgrid_intensity(
+                np.ones((1, 16, 9), complex), (16, 16)
             )
 
     def test_fields_helper_rejects_small_grid(self):

@@ -137,6 +137,22 @@ def unbuildable_factory(simulator, overrides):
     raise RuntimeError("no engine for you")
 
 
+class _EnvReportingEngine:
+    """Fails every clip with the worker's BLAS environment."""
+
+    def optimize(self, clip, **kwargs):
+        from repro.service.workqueue import WORKER_BLAS_ENV
+
+        raise RuntimeError("env=" + ",".join(
+            f"{name}:{os.environ.get(name, 'unset')}"
+            for name in sorted(WORKER_BLAS_ENV)
+        ))
+
+
+def env_reporting_factory(simulator, overrides):
+    return _EnvReportingEngine()
+
+
 # -- the acceptance pin -------------------------------------------------------
 
 class TestDaemonBitForBit:
@@ -619,3 +635,43 @@ class TestVerificationAbortCleanup:
         stats = service.stats()
         assert stats["verify_pending"] == 0
         assert stats["verify_batch_calls"] == 0
+
+
+class TestPoolWorkerEnvironment:
+    @pytest.mark.parametrize("parent_value", [None, "12"])
+    def test_workers_start_with_idle_blas_threads_asleep(
+        self, sim, mixed_suite, monkeypatch, parent_value,
+    ):
+        """A spawned worker sees OPENBLAS_THREAD_TIMEOUT=4 when the
+        parent left it unset, the parent's own value otherwise, and the
+        parent's environment is left as it was."""
+        import queue
+
+        from repro.service import Task
+
+        if parent_value is None:
+            monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_THREAD_TIMEOUT", parent_value)
+        pool = WorkStealingPool(
+            EngineSpec(engine=env_reporting_factory, litho=sim.config),
+            workers=1,
+        )
+        pool.start()
+        try:
+            assert os.environ.get("OPENBLAS_THREAD_TIMEOUT") == parent_value
+            pool.submit(Task(task_id=0, clip=mixed_suite[0]))
+            deadline = time.monotonic() + 60.0
+            while True:
+                _, (kind, _, _, payload) = pool.relay.get(
+                    timeout=max(deadline - time.monotonic(), 0.01)
+                )
+                if kind == "error":
+                    break
+                assert kind == "ready", payload
+        except queue.Empty:
+            pytest.fail("the worker never reported")
+        finally:
+            pool.shutdown(graceful=False)
+        expected = parent_value or "4"
+        assert f"env=OPENBLAS_THREAD_TIMEOUT:{expected}" in payload
