@@ -16,7 +16,7 @@ from repro.graphs import build_segment_graph, snake_order
 from repro.litho import LithoConfig, LithographySimulator
 from repro.metrology import segment_epe
 from repro.nn.sage import mean_adjacency
-from repro.rl.reinforce import select_log_probs
+from repro.rl.reinforce import select_log_probs_population
 from repro.squish import NodeFeatureEncoder
 
 
@@ -71,12 +71,12 @@ def test_bench_policy_forward(setup, benchmark):
     config = CamoConfig(encode_size=32)
     policy = CamoPolicy(config)
     encoder = NodeFeatureEncoder(window_nm=500, out_size=32, channels=6)
-    features = encoder.encode_all(state)
+    features = encoder.encode_all(state)[None]
     graph = build_segment_graph(segments)
     adjacency = mean_adjacency(graph)
     order = snake_order(graph)
     logits = benchmark(policy, features, adjacency, order)
-    assert logits.shape == (len(segments), 5)
+    assert logits.shape == (1, len(segments), 5)
 
 
 def test_bench_policy_backward(setup, benchmark):
@@ -84,15 +84,17 @@ def test_bench_policy_backward(setup, benchmark):
     config = CamoConfig(encode_size=32)
     policy = CamoPolicy(config)
     encoder = NodeFeatureEncoder(window_nm=500, out_size=32, channels=6)
-    features = encoder.encode_all(state)
+    features = encoder.encode_all(state)[None]
     graph = build_segment_graph(segments)
     adjacency = mean_adjacency(graph)
     order = snake_order(graph)
-    actions = np.zeros(len(segments), dtype=int)
+    actions = np.zeros((1, len(segments)), dtype=int)
 
     def step():
         policy.zero_grad()
-        log_prob = select_log_probs(policy(features, adjacency, order), actions)
+        log_prob = select_log_probs_population(
+            policy(features, adjacency, order), actions
+        ).sum()
         log_prob.backward()
         return log_prob
 

@@ -1,4 +1,4 @@
-"""Microbenchmark: population-batched phase-2 training vs the sequential loop.
+"""Microbenchmark: phase-2 training at population P=8 vs P=1.
 
 Run from the repo root:
 
@@ -11,20 +11,20 @@ Two workloads are timed, each self-checked before any number is printed:
   pixel — the scale the population refactor targets; coarse test grids
   make the *policy* the bottleneck and hide the litho batching):
 
-  - ``sequential``  — ``rl_population=1``, today's default loop: one
-    trajectory at a time, one litho call and one policy-gradient step
-    per trajectory step;
-  - ``population``  — P=8 lockstep trajectories: one batched policy
-    forward, one batched litho + metrology call, one shared-scanline-
-    union feature encode, and one accumulated gradient step per step.
-    This is the >= 2x acceptance path.
+  Both run the one lockstep population loop (``CAMO._train_rl``):
+
+  - ``P=1``  — ``rl_population=1``, the default: a population of one,
+    so one litho call and one policy-gradient step per trajectory step;
+  - ``P=8``  — eight lockstep trajectories: one batched policy forward,
+    one batched litho + metrology call, one shared-scanline-union
+    feature encode, and one accumulated gradient step per step.
 
   Gate re-baseline (PR 3): the former >= 2x gate compared *screening-
   mode* population litho against exact sequential litho.  The
   frequency-native refactor made the band engine exact and gave the
-  sequential baseline the same speed (its absolute steps/s roughly
+  P=1 baseline the same speed (its absolute steps/s roughly
   tripled — that win is gated by ``bench_batch_litho.py``'s >= 3x),
-  so the remaining population-vs-sequential margin is honest batching
+  so the remaining P=8-vs-P=1 margin is honest batching
   amortization: the batched policy forward, vectorized metrology, the
   shared-scanline-union feature encode and per-step Python overhead.
   That measures ~1.2x on one core (the policy and litho FLOPs scale
@@ -39,12 +39,10 @@ Two workloads are timed, each self-checked before any number is printed:
   is a regression guard on the crossing-resolution win, not the >= 2x
   acceptance gate (that one is the training comparison above).
 
-Correctness gates: batched environment transitions must equal sequential
-ones bit-for-bit, lockstep teacher rollouts must equal per-offset
-sequential collection bit-for-bit, and identically-seeded sequential
-(``rl_population=1``) training runs must reproduce identical histories —
-the invariants that let the population knob ship default-off without
-perturbing existing results.
+Correctness gates: batched environment transitions must equal single
+``step`` calls bit-for-bit, lockstep teacher rollouts must equal each
+start rolled alone through ``step`` bit-for-bit, and identically-seeded
+P=1 training runs must reproduce identical histories.
 
 The script exits non-zero if any parity gate fails or a speedup falls
 below its threshold.  A machine-readable record of every run is written
@@ -73,8 +71,8 @@ from repro.metrology.contour import (
     contour_offset_reference,
 )
 from repro.rl.imitation import (
-    collect_teacher_actions,
     collect_teacher_actions_population,
+    greedy_teacher_actions,
 )
 
 POPULATION = 8
@@ -97,7 +95,7 @@ def _smooth_aerial(seed: int, n: int) -> np.ndarray:
 
 
 def check_environment_parity(agent: CAMO, clip) -> bool:
-    """Batched transitions and lockstep rollouts vs their sequential twins."""
+    """Batched transitions and lockstep rollouts vs single ``step`` calls."""
     ctx = agent.context(clip)
     env = ctx.env
     start = env.reset()
@@ -115,14 +113,16 @@ def check_environment_parity(agent: CAMO, clip) -> bool:
     lockstep = collect_teacher_actions_population(
         env, steps=2, initial_states=starts
     )
-    for start_state, trajectory in zip(starts, lockstep):
-        reference = collect_teacher_actions(env, steps=2, initial_state=start_state)
-        for (s_a, a_a, r_a), (s_b, a_b, r_b) in zip(trajectory, reference):
+    for state, trajectory in zip(starts, lockstep):
+        for s_a, a_a, r_a in trajectory:
+            a_b = greedy_teacher_actions(state)
+            next_state, r_b = env.step(state, a_b)
             if r_a != r_b or not np.array_equal(a_a, a_b) or not np.array_equal(
-                s_a.seg_epe, s_b.seg_epe
+                s_a.seg_epe, state.seg_epe
             ):
-                print("FAIL: lockstep teacher rollout diverged from sequential")
+                print("FAIL: lockstep teacher rollout diverged from env.step")
                 return False
+            state = next_state
     return True
 
 
@@ -141,7 +141,7 @@ def check_population_encoding_parity(agent: CAMO, clip) -> bool:
 def check_sequential_reproducibility(
     config: CamoConfig, simulator: LithographySimulator, clip
 ) -> bool:
-    """Two identically-seeded rl_population=1 runs must match bit-for-bit."""
+    """Two identically-seeded P=1 runs must match bit-for-bit."""
     histories = []
     for _ in range(2):
         agent = CAMO(config, simulator)
@@ -149,7 +149,7 @@ def check_sequential_reproducibility(
         agent._train_rl([clip], history, verbose=False)
         histories.append(history["rl_reward"])
     if histories[0] != histories[1]:
-        print("FAIL: seeded sequential training is not reproducible")
+        print("FAIL: seeded P=1 training is not reproducible")
         return False
     return True
 
@@ -277,7 +277,7 @@ def run(
 
     # -- phase-2 training throughput ---------------------------------------
     seq = time_training(seq_cfg, simulator, clip, repeats)
-    print(f"  sequential (P=1)         : {seq:7.2f} traj-steps/s  [baseline]")
+    print(f"  population (P=1)        : {seq:7.2f} traj-steps/s  [baseline]")
     pop = time_training(pop_cfg, simulator, clip, repeats)
     speedup = pop / seq
     print(
@@ -309,7 +309,7 @@ def run(
         return 1
     print(
         f"PASS: population-batched phase-2 training reaches {speedup:.2f}x >= "
-        f"{min_speedup}x over the sequential loop at P={POPULATION}"
+        f"{min_speedup}x over P=1 at P={POPULATION}"
     )
     return 0
 

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.agent import OptimizeResult
+from repro.core.agent import OptimizeResult, run_episode
 from repro.errors import ConfigError
 from repro.geometry.layout import Clip
 from repro.litho.simulator import LithographySimulator
-from repro.rl.env import OPCEnvironment
+from repro.rl.env import EnvState, OPCEnvironment
 from repro.rl.imitation import quantize_to_move_set
-from repro.rl.trajectory import Trajectory, TrajectoryStep
 
 
 @dataclass(frozen=True)
@@ -71,40 +70,22 @@ class MBOPC:
         max_updates: int | None = None,
         early_exit: bool = True,
     ) -> OptimizeResult:
-        start = time.perf_counter()
+        # The timer starts before the environment is built: runtime_s
+        # includes fragmenting the clip and planning its stencils.
+        started = time.perf_counter()
         env = OPCEnvironment(
             clip,
             self.simulator,
             initial_bias_nm=self.config.initial_bias_nm,
             epe_search_nm=self.config.epe_search_nm,
         )
-        limit = max_updates if max_updates is not None else self.config.max_updates
-        state = env.reset()
-        trajectory = Trajectory(epe_initial=state.total_epe)
-        exited = False
-        steps = 0
-        for _ in range(limit):
-            if early_exit and self._early_exit(clip, state):
-                exited = True
-                break
-            actions = self._decide(state.seg_epe, steps)
-            state, reward = env.step(state, actions)
-            steps += 1
-            trajectory.append(
-                TrajectoryStep(
-                    actions=actions,
-                    reward=reward,
-                    epe_after=state.total_epe,
-                    pvband_after=state.pvband,
-                )
-            )
-        return OptimizeResult(
-            clip_name=clip.name,
-            final_state=state,
-            trajectory=trajectory,
-            steps=steps,
-            runtime_s=time.perf_counter() - start,
-            early_exited=exited,
+
+        def advance(state: EnvState, step: int):
+            actions = self._decide(state.seg_epe, step)
+            return (actions, *env.step(state, actions))
+
+        return run_episode(
+            clip, env, advance, self.config, started, max_updates, early_exit
         )
 
     def _decide(self, seg_epe: np.ndarray, step: int) -> np.ndarray:
@@ -118,8 +99,3 @@ class MBOPC:
         )
         moves[np.abs(seg_epe) < self.config.deadband_nm] = 0.0
         return quantize_to_move_set(moves)
-
-    def _early_exit(self, clip: Clip, state) -> bool:
-        if self.config.early_exit_mode == "per_target":
-            return state.total_epe / clip.target_count < self.config.early_exit_threshold
-        return state.mean_epe < self.config.early_exit_threshold

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.agent import OptimizeResult
-from repro.errors import RLError
+from repro.core.agent import OptimizeResult, run_episode
+from repro.errors import ConfigError, RLError
 from repro.geometry.layout import Clip
 from repro.litho.simulator import LithographySimulator
 from repro.nn import functional as F
@@ -25,9 +25,15 @@ from repro.nn.module import Module, Sequential
 from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor, no_grad
 from repro.rl.env import EnvState, OPCEnvironment
-from repro.rl.imitation import collect_teacher_actions, greedy_teacher_actions
-from repro.rl.reinforce import policy_gradient_step, select_log_probs
-from repro.rl.trajectory import Trajectory, TrajectoryStep
+from repro.rl.imitation import (
+    collect_teacher_actions_population,
+    greedy_teacher_actions,
+)
+from repro.rl.reinforce import (
+    population_gradient_step,
+    sample_actions,
+    select_log_probs_population,
+)
 from repro.squish.features import NodeFeatureEncoder
 
 
@@ -50,6 +56,16 @@ class RLOPCConfig:
     initial_bias_nm: float = 0.0
     max_grad_norm: float = 10.0
     seed: int = 77
+
+    def __post_init__(self) -> None:
+        if self.encode_size % 8:
+            raise ConfigError("encode_size must be divisible by 8 (CNN strides)")
+        if self.early_exit_mode not in ("per_target", "per_point"):
+            raise ConfigError(f"unknown early_exit_mode {self.early_exit_mode!r}")
+        if self.imitation_weighting not in ("unit", "reward"):
+            raise ConfigError(
+                f"unknown imitation_weighting {self.imitation_weighting!r}"
+            )
 
     @classmethod
     def metal(cls, **overrides) -> "RLOPCConfig":
@@ -82,7 +98,10 @@ class RlOpcPolicy(Module):
         )
 
     def forward(self, features: np.ndarray) -> Tensor:
-        return self.net(Tensor(features))
+        """Logits ``(P, n, 5)`` from ``(P, n, 3, s, s)`` node features."""
+        population, n = features.shape[:2]
+        flat = features.reshape(population * n, *features.shape[2:])
+        return self.net(Tensor(flat)).reshape(population, n, -1)
 
 
 class RLOPC:
@@ -115,7 +134,14 @@ class RLOPC:
         return env
 
     def _logits(self, state: EnvState) -> Tensor:
-        return self.policy(self.encoder.encode_all(state.mask))
+        """``(1, n, 5)`` logits: one state is a population of one."""
+        return self.policy(self.encoder.encode_all(state.mask)[None])
+
+    def _step(self, log_probs: Tensor, advantage: float) -> None:
+        population_gradient_step(
+            self.optimizer, log_probs, np.array([advantage]),
+            max_grad_norm=self.config.max_grad_norm,
+        )
 
     # -- training ----------------------------------------------------------
     def train(self, clips: list[Clip], verbose: bool = False) -> dict[str, list[float]]:
@@ -124,11 +150,11 @@ class RLOPC:
         history: dict[str, list[float]] = {"imitation_logp": [], "rl_reward": []}
         teacher_data = {
             clip.name: [
-                (self.encoder.encode_all(state.mask), actions, reward)
-                for state, actions, reward in collect_teacher_actions(
+                (self.encoder.encode_all(state.mask)[None], actions[None], reward)
+                for state, actions, reward in collect_teacher_actions_population(
                     self._env(clip), steps=self.config.imitation_steps,
                     teacher=greedy_teacher_actions,
-                )
+                )[0]
             ]
             for clip in clips
         }
@@ -137,14 +163,11 @@ class RLOPC:
             epoch_logp = 0.0
             for clip in clips:
                 for features, actions, reward in teacher_data[clip.name]:
-                    logits = self.policy(features)
-                    log_prob = select_log_probs(logits, actions)
-                    weight = 1.0 if unit_weight else reward
-                    policy_gradient_step(
-                        self.optimizer, log_prob, weight,
-                        max_grad_norm=self.config.max_grad_norm,
+                    log_probs = select_log_probs_population(
+                        self.policy(features), actions
                     )
-                    epoch_logp += log_prob.item()
+                    self._step(log_probs, 1.0 if unit_weight else reward)
+                    epoch_logp += float(log_probs.numpy()[0])
             history["imitation_logp"].append(epoch_logp)
         for _ in range(self.config.rl_epochs):
             epoch_reward = 0.0
@@ -153,23 +176,17 @@ class RLOPC:
                 state = env.reset()
                 for _ in range(self.config.max_updates):
                     logits = self._logits(state)
-                    probs = F.softmax(logits, axis=-1).numpy()
-                    actions = self._sample(probs)
-                    next_state, reward = env.step(state, actions)
-                    log_prob = select_log_probs(logits, actions)
-                    policy_gradient_step(
-                        self.optimizer, log_prob, reward,
-                        max_grad_norm=self.config.max_grad_norm,
+                    actions = sample_actions(
+                        F.softmax(logits, axis=-1).numpy(), self.rng
+                    )
+                    next_state, reward = env.step(state, actions[0])
+                    self._step(
+                        select_log_probs_population(logits, actions), reward
                     )
                     epoch_reward += reward
                     state = next_state
             history["rl_reward"].append(epoch_reward)
         return history
-
-    def _sample(self, distribution: np.ndarray) -> np.ndarray:
-        cumulative = distribution.cumsum(axis=1)
-        draws = self.rng.random((len(distribution), 1))
-        return (draws > cumulative).sum(axis=1)
 
     # -- inference ------------------------------------------------------------
     def optimize(
@@ -178,40 +195,14 @@ class RLOPC:
         max_updates: int | None = None,
         early_exit: bool = True,
     ) -> OptimizeResult:
-        start = time.perf_counter()
+        started = time.perf_counter()
         env = self._env(clip)
-        limit = max_updates if max_updates is not None else self.config.max_updates
-        state = env.reset()
-        trajectory = Trajectory(epe_initial=state.total_epe)
-        exited = False
-        steps = 0
-        for _ in range(limit):
-            if early_exit and self._early_exit(clip, state):
-                exited = True
-                break
-            with no_grad():
-                logits = self._logits(state)
-            actions = logits.numpy().argmax(axis=1)
-            state, reward = env.step(state, actions)
-            steps += 1
-            trajectory.append(
-                TrajectoryStep(
-                    actions=actions,
-                    reward=reward,
-                    epe_after=state.total_epe,
-                    pvband_after=state.pvband,
-                )
-            )
-        return OptimizeResult(
-            clip_name=clip.name,
-            final_state=state,
-            trajectory=trajectory,
-            steps=steps,
-            runtime_s=time.perf_counter() - start,
-            early_exited=exited,
-        )
 
-    def _early_exit(self, clip: Clip, state: EnvState) -> bool:
-        if self.config.early_exit_mode == "per_target":
-            return state.total_epe / clip.target_count < self.config.early_exit_threshold
-        return state.mean_epe < self.config.early_exit_threshold
+        def advance(state: EnvState, step: int):
+            with no_grad():
+                actions = self._logits(state).numpy()[0].argmax(axis=1)
+            return (actions, *env.step(state, actions))
+
+        return run_episode(
+            clip, env, advance, self.config, started, max_updates, early_exit
+        )

@@ -3,13 +3,22 @@ inference (Eq. 6).
 
 A :class:`CAMO` instance owns the policy network, the modulator and one
 optimization context per clip (environment + segment graph + visit order,
-all fixed for the clip's lifetime, as the paper prescribes).
+all fixed for the clip's lifetime, as the paper prescribes).  Training
+and inference both run the policy on populations of states; one state
+is a population of one.
+
+The optimize loop every edge-based engine (CAMO, RL-OPC, MB-OPC) runs
+lives here too: :func:`run_episode` drives an engine's per-step
+``advance`` callable under the shared :func:`early_exit_reached` rule
+and returns an :class:`OptimizeResult`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -32,9 +41,8 @@ from repro.rl.imitation import (
     greedy_teacher_actions,
 )
 from repro.rl.reinforce import (
-    policy_gradient_step,
     population_gradient_step,
-    select_log_probs,
+    sample_actions,
     select_log_probs_population,
 )
 from repro.rl.trajectory import Trajectory, TrajectoryStep
@@ -63,6 +71,68 @@ class OptimizeResult:
     @property
     def epe_curve(self) -> list[float]:
         return self.trajectory.epe_curve
+
+
+Advance = Callable[[EnvState, int], tuple[np.ndarray, EnvState, float]]
+"""One engine decision plus its transition: ``(state, step)`` ->
+``(actions, next_state, reward)``."""
+
+
+def early_exit_reached(config, clip: Clip, state: EnvState) -> bool:
+    """The convergence rule shared by every engine and by CAMO training.
+
+    ``config`` carries ``early_exit_threshold`` and ``early_exit_mode``:
+    the summed |EPE| per target pattern (``"per_target"``, via layers)
+    or the mean |EPE| per measure point (``"per_point"``, metal layers)
+    must fall below the threshold.
+    """
+    if config.early_exit_mode == "per_target":
+        return state.total_epe / clip.target_count < config.early_exit_threshold
+    return state.mean_epe < config.early_exit_threshold
+
+
+def run_episode(
+    clip: Clip,
+    env: OPCEnvironment,
+    advance: Advance,
+    config,
+    started: float,
+    max_updates: int | None = None,
+    early_exit: bool = True,
+) -> OptimizeResult:
+    """The optimize loop of every edge-based engine (CAMO, RL-OPC, MB-OPC).
+
+    From ``env.reset()``, calls ``advance`` up to ``max_updates`` times
+    (default ``config.max_updates``), checking :func:`early_exit_reached`
+    before each step when ``early_exit`` is set.  ``started`` is the
+    caller's ``time.perf_counter()`` reading, so ``runtime_s`` covers
+    whatever set-up the engine did before the loop.
+    """
+    limit = config.max_updates if max_updates is None else max_updates
+    state = env.reset()
+    trajectory = Trajectory(epe_initial=state.total_epe)
+    exited = False
+    for step in range(limit):
+        if early_exit and early_exit_reached(config, clip, state):
+            exited = True
+            break
+        actions, state, reward = advance(state, step)
+        trajectory.append(
+            TrajectoryStep(
+                actions=actions,
+                reward=reward,
+                epe_after=state.total_epe,
+                pvband_after=state.pvband,
+            )
+        )
+    return OptimizeResult(
+        clip_name=clip.name,
+        final_state=state,
+        trajectory=trajectory,
+        steps=trajectory.length,
+        runtime_s=time.perf_counter() - started,
+        early_exited=exited,
+    )
 
 
 @dataclass
@@ -133,38 +203,32 @@ class CAMO:
         return ctx
 
     # -- policy evaluation ------------------------------------------------------
-    def _logits(self, ctx: _ClipContext, state: EnvState) -> Tensor:
-        features = self.encoder.encode_all(state.mask)
+    def _population_logits(
+        self, ctx: _ClipContext, states: list[EnvState]
+    ) -> Tensor:
+        """``(P, n, 5)`` policy logits for P states of one clip."""
+        features = self.encoder.encode_all_population(
+            [state.mask for state in states]
+        )
         return self.policy(features, ctx.adjacency, ctx.order)
 
     def _gain(self, step: int) -> float:
         return 1.0 / (1.0 + self.config.modulator_gain_decay * step)
 
-    def _decision_distribution(
-        self, ctx: _ClipContext, state: EnvState, logits: Tensor, step: int = 0
+    def _population_distributions(
+        self, logits_data: np.ndarray, seg_epes: np.ndarray, step: int
     ) -> np.ndarray:
-        """Modulated (or raw) per-segment distributions for action choice."""
+        """Modulated (or raw) per-segment distributions for a ``(P, n, 5)``
+        stack: the Eq. 6 decision rule."""
         temperature = max(self.config.policy_temperature, 1e-6)
-        probs = softmax(logits * (1.0 / temperature), axis=-1).numpy()
+        probs = softmax(Tensor(logits_data * (1.0 / temperature)), axis=-1).numpy()
         if not self.config.use_modulator:
             return probs
-        return self.modulator.modulate(probs, state.seg_epe, gain=self._gain(step))
-
-    def _sample_actions(self, distribution: np.ndarray) -> np.ndarray:
-        cumulative = distribution.cumsum(axis=1)
-        draws = self.rng.random((len(distribution), 1))
-        # Float rounding can leave cumulative[-1] slightly below 1.0, in
-        # which case a draw above it would index past the move set.
-        return np.minimum(
-            (draws > cumulative).sum(axis=1), distribution.shape[1] - 1
-        )
-
-    # -- early exit ------------------------------------------------------------
-    def _early_exit(self, clip: Clip, state: EnvState) -> bool:
-        threshold = self.config.early_exit_threshold
-        if self.config.early_exit_mode == "per_target":
-            return state.total_epe / clip.target_count < threshold
-        return state.mean_epe < threshold
+        # The modulator works row by row, so the population flattens.
+        return self.modulator.modulate(
+            probs.reshape(-1, probs.shape[-1]), seg_epes.ravel(),
+            gain=self._gain(step),
+        ).reshape(probs.shape)
 
     # -- training (Algorithm 1) -----------------------------------------------
     def train(self, clips: list[Clip], verbose: bool = False) -> dict[str, list[float]]:
@@ -181,18 +245,18 @@ class CAMO:
     ) -> None:
         """Phase 1: mimic the model-based teacher (no modulator involved).
 
-        With ``imitation_weighting="unit"`` every teacher action gets unit
-        weight (behaviour cloning) — necessary so that the teacher's *hold*
-        decisions near convergence, whose environment reward is ~0, are
-        learned too.  ``"reward"`` reproduces Eq. 7 literally.
+        Each teacher sample is a population of one and gets its own
+        update.  With ``imitation_weighting="unit"`` every teacher action
+        gets unit weight (behaviour cloning) — necessary so that the
+        teacher's *hold* decisions near convergence, whose environment
+        reward is ~0, are learned too.  ``"reward"`` reproduces Eq. 7
+        literally.
         """
         for clip in clips:
             ctx = self.context(clip)
             if ctx.teacher_samples is None:
                 # All bias-offset trajectories roll in lockstep: one
-                # batched litho + metrology call per teacher step, with
-                # samples bit-for-bit equal to (and ordered like) the
-                # sequential per-offset rollouts.
+                # batched litho + metrology call per teacher step.
                 starts = [
                     ctx.env.reset(bias_nm=self.config.initial_bias_nm + offset)
                     for offset in self.config.imitation_bias_offsets
@@ -211,29 +275,31 @@ class CAMO:
                 # features (and the modulator's logit offset) once.
                 ctx.teacher_samples = [
                     (
-                        self.encoder.encode_all(state.mask),
-                        actions,
+                        self.encoder.encode_all(state.mask)[None],
+                        actions[None],
                         reward,
                         self.modulator.log_preference_batch(state.seg_epe),
                     )
                     for state, actions, reward in rollout
                 ]
         unit_weight = self.config.imitation_weighting == "unit"
+        modulated = self.config.use_modulator and self.config.train_on_modulated
         for epoch in range(self.config.imitation_epochs):
             epoch_logp = 0.0
             for clip in clips:
                 ctx = self.context(clip)
                 for features, actions, reward, log_pref in ctx.teacher_samples:
                     logits = self.policy(features, ctx.adjacency, ctx.order)
-                    if self.config.use_modulator and self.config.train_on_modulated:
+                    if modulated:
                         logits = logits + Tensor(log_pref)
-                    log_prob = select_log_probs(logits, actions)
-                    weight = 1.0 if unit_weight else reward
-                    policy_gradient_step(
-                        self.optimizer, log_prob, weight,
+                    log_probs = select_log_probs_population(logits, actions)
+                    population_gradient_step(
+                        self.optimizer,
+                        log_probs,
+                        np.array([1.0 if unit_weight else reward]),
                         max_grad_norm=self.config.max_grad_norm,
                     )
-                    epoch_logp += log_prob.item()
+                    epoch_logp += float(log_probs.numpy()[0])
             history["imitation_logp"].append(epoch_logp)
             if verbose:
                 print(f"[imitation] epoch {epoch}: sum log-prob {epoch_logp:.2f}")
@@ -249,103 +315,25 @@ class CAMO:
     def _train_rl(
         self, clips: list[Clip], history: dict[str, list[float]], verbose: bool
     ) -> None:
-        """Phase 2: modulated exploration with Eq. 7 updates.
-
-        ``rl_population == 1`` runs the original sequential loop
-        (bit-for-bit reproducible histories); a larger population routes
-        through the lockstep population loop.
-        """
-        if self.config.rl_population > 1:
-            self._train_rl_population(clips, history, verbose)
-        else:
-            self._train_rl_sequential(clips, history, verbose)
-
-    def _train_rl_sequential(
-        self, clips: list[Clip], history: dict[str, list[float]], verbose: bool
-    ) -> None:
-        """One trajectory at a time with per-step Eq. 7 updates.
-
-        An exponential-moving-average reward baseline turns the raw reward
-        into an advantage — plain REINFORCE with batch size 1 is otherwise
-        too noisy and can undo the imitation phase.
-        """
-        rl_optimizer = self._rl_optimizer()
-        baseline = 0.0
-        baseline_initialized = False
-        for epoch in range(self.config.rl_epochs):
-            epoch_reward = 0.0
-            for clip in clips:
-                ctx = self.context(clip)
-                state = ctx.env.reset()
-                for step in range(self.config.max_updates):
-                    logits = self._logits(ctx, state)
-                    distribution = self._decision_distribution(
-                        ctx, state, logits, step
-                    )
-                    actions = self._sample_actions(distribution)
-                    next_state, reward = ctx.env.step(state, actions)
-                    if not baseline_initialized:
-                        baseline = reward
-                        baseline_initialized = True
-                    advantage = reward - baseline
-                    baseline = 0.8 * baseline + 0.2 * reward
-                    # Eq. 7 uses the unmodulated policy output; with
-                    # train_on_modulated we instead differentiate through
-                    # the modulated distribution that was actually sampled.
-                    if self.config.use_modulator and self.config.train_on_modulated:
-                        log_pref = self.modulator.log_preference_batch(
-                            state.seg_epe, gain=self._gain(step)
-                        )
-                        log_prob = select_log_probs(logits + Tensor(log_pref), actions)
-                    else:
-                        log_prob = select_log_probs(logits, actions)
-                    policy_gradient_step(
-                        rl_optimizer, log_prob, advantage,
-                        max_grad_norm=self.config.max_grad_norm,
-                    )
-                    epoch_reward += reward
-                    state = next_state
-                    if self._early_exit(clip, state):
-                        break
-            history["rl_reward"].append(epoch_reward)
-            if verbose:
-                print(f"[rl] epoch {epoch}: total reward {epoch_reward:.3f}")
-
-    def _population_distributions(
-        self, logits_data: np.ndarray, seg_epes: np.ndarray, step: int
-    ) -> np.ndarray:
-        """Modulated per-segment distributions for a ``(P, n, 5)`` stack."""
-        temperature = max(self.config.policy_temperature, 1e-6)
-        probs = softmax(Tensor(logits_data * (1.0 / temperature)), axis=-1).numpy()
-        if not self.config.use_modulator:
-            return probs
-        gain = self._gain(step)
-        return np.stack(
-            [
-                self.modulator.modulate(member, seg_epe, gain=gain)
-                for member, seg_epe in zip(probs, seg_epes)
-            ]
-        )
-
-    def _train_rl_population(
-        self, clips: list[Clip], history: dict[str, list[float]], verbose: bool
-    ) -> None:
-        """Phase 2 over a lockstep population of P trajectories per clip.
+        """Phase 2: modulated exploration with Eq. 7 updates, over a
+        lockstep population of ``rl_population`` trajectories per clip.
 
         Per step: P modulated action samples from one batched policy
-        forward (:meth:`CamoPolicy.forward_population`), one batched
-        litho + metrology transition
+        forward, one batched litho + metrology transition
         (:meth:`~repro.rl.env.OPCEnvironment.step_batch`), and one
         accumulated policy-gradient step over the per-trajectory
-        EMA-baseline advantages.  Each baseline slot persists across
-        clips and epochs, mirroring the sequential loop's single EMA
-        baseline.  Trajectories that reach the early-exit criterion drop
-        out of the batch individually.  Node features for the whole
-        population are encoded through one shared scanline union per
-        segment (:meth:`NodeFeatureEncoder.encode_all_population`).
+        advantages.  An exponential-moving-average reward baseline per
+        trajectory slot turns the raw reward into an advantage — plain
+        REINFORCE with one sample is otherwise too noisy and can undo the
+        imitation phase; each slot persists across clips and epochs.
+        Trajectories that reach the early-exit criterion drop out of the
+        batch individually.  Node features for the whole population are
+        encoded through one shared scanline union per segment
+        (:meth:`NodeFeatureEncoder.encode_all_population`).
         """
         population = self.config.rl_population
         offsets = self.config.rl_population_bias_offsets
+        modulated = self.config.use_modulator and self.config.train_on_modulated
         rl_optimizer = self._rl_optimizer()
         baselines = np.zeros(population, dtype=np.float64)
         initialized = np.zeros(population, dtype=bool)
@@ -373,19 +361,15 @@ class CAMO:
                     states = [start] * population
                 active = list(range(population))
                 for step in range(self.config.max_updates):
-                    features = self.encoder.encode_all_population(
-                        [states[p].mask for p in active]
-                    )
-                    logits = self.policy.forward_population(
-                        features, ctx.adjacency, ctx.order
+                    logits = self._population_logits(
+                        ctx, [states[p] for p in active]
                     )
                     seg_epes = np.stack([states[p].seg_epe for p in active])
-                    distributions = self._population_distributions(
-                        logits.numpy(), seg_epes, step
-                    )
-                    flat = distributions.reshape(-1, self.config.n_actions)
-                    actions = self._sample_actions(flat).reshape(
-                        len(active), ctx.env.n_segments
+                    actions = sample_actions(
+                        self._population_distributions(
+                            logits.numpy(), seg_epes, step
+                        ),
+                        self.rng,
                     )
                     stepped = ctx.env.step_batch(
                         [states[p] for p in active], actions
@@ -397,40 +381,32 @@ class CAMO:
                     initialized[slots[fresh]] = True
                     advantages = rewards - baselines[slots]
                     baselines[slots] = 0.8 * baselines[slots] + 0.2 * rewards
-                    if self.config.use_modulator and self.config.train_on_modulated:
-                        gain = self._gain(step)
-                        log_pref = np.stack(
-                            [
-                                self.modulator.log_preference_batch(
-                                    seg_epe, gain=gain
-                                )
-                                for seg_epe in seg_epes
-                            ]
+                    # Eq. 7 uses the unmodulated policy output; with
+                    # train_on_modulated we instead differentiate through
+                    # the modulated distribution that was actually sampled.
+                    if modulated:
+                        log_pref = self.modulator.log_preference_batch(
+                            seg_epes.ravel(), gain=self._gain(step)
                         )
-                        log_probs = select_log_probs_population(
-                            logits + Tensor(log_pref), actions
-                        )
-                    else:
-                        log_probs = select_log_probs_population(logits, actions)
+                        logits = logits + Tensor(log_pref.reshape(logits.shape))
                     population_gradient_step(
-                        rl_optimizer, log_probs, advantages,
+                        rl_optimizer,
+                        select_log_probs_population(logits, actions),
+                        advantages,
                         max_grad_norm=self.config.max_grad_norm,
                     )
                     epoch_reward += float(rewards.sum())
                     survivors = []
                     for index, p in enumerate(active):
                         states[p] = stepped[index][0]
-                        if not self._early_exit(clip, states[p]):
+                        if not early_exit_reached(self.config, clip, states[p]):
                             survivors.append(p)
                     active = survivors
                     if not active:
                         break
             history["rl_reward"].append(epoch_reward)
             if verbose:
-                print(
-                    f"[rl/pop{population}] epoch {epoch}: "
-                    f"total reward {epoch_reward:.3f}"
-                )
+                print(f"[rl] epoch {epoch}: total reward {epoch_reward:.3f}")
 
     # -- inference (Eq. 6) -----------------------------------------------------
     def optimize(
@@ -440,62 +416,45 @@ class CAMO:
         early_exit: bool = True,
     ) -> OptimizeResult:
         """Run modulated greedy OPC on one clip."""
-        start = time.perf_counter()
+        started = time.perf_counter()
         ctx = self.context(clip)
-        limit = max_updates if max_updates is not None else self.config.max_updates
-        state = ctx.env.reset()
-        trajectory = Trajectory(epe_initial=state.total_epe)
-        exited = False
-        steps = 0
-        for _ in range(limit):
-            if early_exit and self._early_exit(clip, state):
-                exited = True
-                break
-            with no_grad():
-                logits = self._logits(ctx, state)
-            distribution = self._decision_distribution(ctx, state, logits, steps)
-            actions = distribution.argmax(axis=1)
-            if self.config.candidate_lookahead:
-                # Score the policy's move against the five uniform moves in
-                # ONE batched litho call and keep the best-reward candidate.
-                # Duplicate rows are scored once, and the all-hold candidate
-                # is a free no-op: its next state is the current one and its
-                # reward exactly 0, so it never needs a simulation.
-                hold_row = np.full(
-                    ctx.env.n_segments, MOVE_SET_NM.index(0), dtype=np.int64
-                )
-                seen = {hold_row.tobytes()}
-                rows = []
-                for row in (actions, *ctx.env.uniform_move_candidates()):
-                    key = row.tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        rows.append(row)
-                scored = ctx.env.score_moves(state, np.stack(rows))
-                # Hold goes last so reward ties keep the policy's move.
-                options = [
-                    (row, nxt, rew) for row, (nxt, rew) in zip(rows, scored)
-                ] + [(hold_row, state, 0.0)]
-                actions, state, reward = max(options, key=lambda o: o[2])
-            else:
-                state, reward = ctx.env.step(state, actions)
-            steps += 1
-            trajectory.append(
-                TrajectoryStep(
-                    actions=actions,
-                    reward=reward,
-                    epe_after=state.total_epe,
-                    pvband_after=state.pvband,
-                )
-            )
-        return OptimizeResult(
-            clip_name=clip.name,
-            final_state=state,
-            trajectory=trajectory,
-            steps=steps,
-            runtime_s=time.perf_counter() - start,
-            early_exited=exited,
+        return run_episode(
+            clip, ctx.env, partial(self._advance, ctx), self.config,
+            started, max_updates, early_exit,
         )
+
+    def _advance(
+        self, ctx: _ClipContext, state: EnvState, step: int
+    ) -> tuple[np.ndarray, EnvState, float]:
+        """One greedy Eq. 6 decision and its transition."""
+        with no_grad():
+            logits = self._population_logits(ctx, [state])
+        actions = self._population_distributions(
+            logits.numpy(), state.seg_epe[None], step
+        )[0].argmax(axis=1)
+        if not self.config.candidate_lookahead:
+            return (actions, *ctx.env.step(state, actions))
+        # Score the policy's move against the five uniform moves in ONE
+        # batched litho call and keep the best-reward candidate.
+        # Duplicate rows are scored once, and the all-hold candidate is a
+        # free no-op: its next state is the current one and its reward
+        # exactly 0, so it never needs a simulation.
+        hold_row = np.full(
+            ctx.env.n_segments, MOVE_SET_NM.index(0), dtype=np.int64
+        )
+        seen = {hold_row.tobytes()}
+        rows = []
+        for row in (actions, *ctx.env.uniform_move_candidates()):
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                rows.append(row)
+        scored = ctx.env.score_moves(state, np.stack(rows))
+        # Hold goes last so reward ties keep the policy's move.
+        options = [
+            (row, nxt, rew) for row, (nxt, rew) in zip(rows, scored)
+        ] + [(hold_row, state, 0.0)]
+        return max(options, key=lambda o: o[2])
 
     # -- persistence ------------------------------------------------------------
     def save(self, path: str) -> None:

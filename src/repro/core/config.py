@@ -99,19 +99,18 @@ class CamoConfig:
     sample REINFORCE is noisier than behaviour cloning)."""
     rl_population: int = 1
     """Number of phase-2 trajectories advanced in lockstep per clip.
-    ``1`` (the default) runs the original sequential loop and reproduces
-    its training histories bit-for-bit.  ``P > 1`` samples P action
-    vectors per step, evaluates them through one batched litho +
-    metrology call, and folds the per-trajectory EMA-baseline advantages
-    into one accumulated policy-gradient step — the population throughput
-    path (see ``benchmarks/bench_train_throughput.py``)."""
+    Every step samples P action vectors from one batched policy forward,
+    evaluates them through one batched litho + metrology call, and folds
+    the per-trajectory EMA-baseline advantages into one accumulated
+    policy-gradient step.  ``1`` (the default) is a population of one;
+    ``benchmarks/bench_train_throughput.py`` times P=1 against P=8."""
     rl_population_bias_offsets: tuple[float, ...] = ()
     """Deterministic per-trajectory initial-bias jitter for population
     training (satellite of the start-state diversification follow-up):
     trajectory ``p`` starts from ``initial_bias_nm + offsets[p % len]``,
-    mirroring how imitation diversifies its teacher rollouts.  The empty
-    default keeps every trajectory on the shared ``reset()`` start, so
-    existing population histories (and P=1 runs) are unchanged."""
+    mirroring how imitation diversifies its teacher rollouts (P=1
+    included).  The empty default keeps every trajectory on the shared
+    ``reset()`` start."""
     max_grad_norm: float = 10.0
     seed: int = 2024
 

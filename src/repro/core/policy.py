@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.config import CamoConfig
 from repro.errors import NNError
-from repro.nn import functional as F
 from repro.nn.layers import Conv2d, Flatten, GlobalAvgPool2d, Linear, ReLU
 from repro.nn.module import Module, Sequential
 from repro.nn.rnn import ElmanRNN
@@ -87,54 +86,26 @@ class CamoPolicy(Module):
         adjacency: np.ndarray,
         order: list[int],
     ) -> Tensor:
-        """Movement logits ``(n_segments, 5)`` in original segment order.
+        """Movement logits ``(P, n, 5)`` for P states of one clip, each in
+        original segment order.
 
-        Args:
-            features: ``(n, channels, s, s)`` node feature tensors.
-            adjacency: Row-normalized mean-aggregation matrix.
-            order: RNN visit order (a permutation of node indices).
-        """
-        n = features.shape[0]
-        if sorted(order) != list(range(n)):
-            raise NNError("order must be a permutation of node indices")
-        embeddings = self.encoder(Tensor(features))
-
-        if self.config.use_gnn:
-            for index in range(self.config.sage_layers):
-                embeddings = getattr(self, f"sage{index}")(embeddings, adjacency)
-
-        if self.config.use_rnn:
-            ordered = embeddings[np.asarray(order)]
-            hidden = self.rnn(ordered)
-            inverse = np.argsort(np.asarray(order))
-            hidden = hidden[inverse]
-        else:
-            hidden = self.node_mlp(embeddings)
-
-        return self.head(hidden)
-
-    def forward_population(
-        self,
-        features: np.ndarray,
-        adjacency: np.ndarray,
-        order: list[int],
-    ) -> Tensor:
-        """Movement logits ``(P, n, 5)`` for P independent states of one clip.
-
-        The population shares the clip's graph and visit order but owns
-        distinct masks (population-based RL training), so the whole
-        forward runs as one batched graph: the CNN sees ``(P * n)`` nodes
-        at once, GraphSAGE broadcasts the shared adjacency over the
-        population axis, and the RNN advances P sequences per time step
-        with a ``(P, hidden)`` state.  The batching never mixes rows;
-        each population row matches what :meth:`forward` computes for
-        that state alone to within a few ulps (batched matmuls may sum
-        in a different order — not bit-for-bit).  The graph holds ~P
-        times fewer ops, which is what makes the accumulated population
-        policy-gradient step cheap.
+        Every caller passes a population; a single state is a population
+        of one.  The population shares the clip's graph and visit order
+        but owns distinct masks, so the whole forward runs as one batched
+        graph: the CNN sees ``(P * n)`` nodes at once, GraphSAGE
+        broadcasts the shared adjacency over the population axis, and the
+        RNN advances P sequences per time step with a ``(P, hidden)``
+        state.  The batching never mixes rows.  At P=1 every op sees the
+        same operands as a single-state graph: logits and parameter
+        gradients equal the op-by-op single-state reference bit for bit
+        (``tests/test_nn_reference.py``).  For P > 1 a row matches that
+        state's P=1 logits to within a few ulps (batched matmuls may sum
+        in a different order).
 
         Args:
             features: ``(P, n, channels, s, s)`` node feature tensors.
+            adjacency: Row-normalized mean-aggregation matrix.
+            order: RNN visit order (a permutation of node indices).
         """
         if features.ndim != 5:
             raise NNError(
@@ -161,11 +132,12 @@ class CamoPolicy(Module):
 
         return self.head(hidden)
 
-    def probabilities(
+    def forward_population(
         self,
         features: np.ndarray,
         adjacency: np.ndarray,
         order: list[int],
     ) -> Tensor:
-        """Per-segment softmax distributions ``pi(a | s)``, ``(n, 5)``."""
-        return F.softmax(self.forward(features, adjacency, order), axis=-1)
+        """Another name for :meth:`forward`; no ``repro`` code calls it
+        (perfbench's layer tracer hooks it here)."""
+        return self.forward(features, adjacency, order)

@@ -76,9 +76,11 @@ class ElmanRNN(Module):
         """Process ``(seq_len, batch, input_size)`` independent sequences.
 
         The recurrence runs once over time with a ``(batch, hidden)``
-        state.  The hidden state never mixes columns; each column
-        evolves as :meth:`forward` would evolve it alone, up to a few
-        ulps of batched-matmul summation-order difference.  Returns
+        state.  The hidden state never mixes columns.  A batch of one
+        steps on the same ``(1, input_size)`` rows as :meth:`forward`
+        and is bit-for-bit identical to it, gradients included; in a
+        larger batch a column may differ from its solo run by a few ulps
+        of batched-matmul summation order.  Returns
         ``(seq_len, batch, hidden)``.
         """
         if sequences.ndim != 3 or sequences.shape[2] != self.input_size:

@@ -10,13 +10,11 @@ from repro.rl.env import EnvState, OPCEnvironment
 from repro.rl.reward import compute_reward
 from repro.rl.trajectory import Trajectory, TrajectoryStep, discounted_returns
 from repro.rl.reinforce import (
-    policy_gradient_step,
     population_gradient_step,
-    select_log_probs,
+    sample_actions,
     select_log_probs_population,
 )
 from repro.rl.imitation import (
-    collect_teacher_actions,
     collect_teacher_actions_population,
     greedy_teacher_actions,
 )
@@ -28,11 +26,9 @@ __all__ = [
     "Trajectory",
     "TrajectoryStep",
     "discounted_returns",
-    "policy_gradient_step",
     "population_gradient_step",
-    "select_log_probs",
+    "sample_actions",
     "select_log_probs_population",
-    "collect_teacher_actions",
     "collect_teacher_actions_population",
     "greedy_teacher_actions",
 ]

@@ -52,47 +52,27 @@ def greedy_teacher_actions(
     return quantize_to_move_set(moves)
 
 
-def collect_teacher_actions(
-    env: OPCEnvironment,
-    steps: int,
-    teacher: TeacherPolicy = greedy_teacher_actions,
-    initial_state: EnvState | None = None,
-) -> list[tuple[EnvState, np.ndarray, float]]:
-    """Roll the teacher for ``steps`` mask updates.
-
-    Returns ``(state, actions, reward)`` triples — everything phase-1
-    imitation needs to replay the trajectory through a policy network.
-    ``initial_state`` lets callers start from a perturbed mask so the
-    collected states cover both under- and over-sized masks.
-    """
-    if steps < 1:
-        raise RLError(f"need at least one step, got {steps}")
-    samples: list[tuple[EnvState, np.ndarray, float]] = []
-    state = env.reset() if initial_state is None else initial_state
-    for _ in range(steps):
-        actions = np.asarray(teacher(state))
-        next_state, reward = env.step(state, actions)
-        samples.append((state, actions, reward))
-        state = next_state
-    return samples
-
-
 def collect_teacher_actions_population(
     env: OPCEnvironment,
     steps: int,
     teacher: TeacherPolicy = greedy_teacher_actions,
     initial_states: list[EnvState] | None = None,
 ) -> list[list[tuple[EnvState, np.ndarray, float]]]:
-    """Roll P teacher trajectories in lockstep.
+    """Roll P teacher trajectories in lockstep for ``steps`` mask updates.
+
+    Returns one list of ``(state, actions, reward)`` triples per
+    trajectory — everything phase-1 imitation needs to replay it through
+    a policy network.  ``initial_states`` (default: one ``env.reset()``)
+    lets callers start from perturbed masks so the collected states
+    cover both under- and over-sized masks.
 
     Each step evaluates the whole population through one batched litho +
     metrology call (:meth:`~repro.rl.env.OPCEnvironment.step_batch`), so
     collecting the imitation corpus costs ``steps`` batched evaluations
     instead of ``P * steps`` sequential ones.  Trajectory ``p`` of the
-    result is bit-for-bit identical to
-    :func:`collect_teacher_actions(env, steps, teacher, initial_states[p])
-    <collect_teacher_actions>` because the batched transition itself is
-    bit-for-bit equal to :meth:`~repro.rl.env.OPCEnvironment.step`.
+    result is bit-for-bit identical to rolling ``initial_states[p]``
+    alone through :meth:`~repro.rl.env.OPCEnvironment.step`, because the
+    batched transition itself is bit-for-bit equal to it.
     """
     if steps < 1:
         raise RLError(f"need at least one step, got {steps}")

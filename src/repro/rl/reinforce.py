@@ -4,6 +4,9 @@
 
 The policy emits one 5-way distribution per segment; the joint
 log-probability of a batched action is the sum of per-segment log-probs.
+Every engine trains on populations of trajectories: a single trajectory
+is a population of one, so one selector, one update and one sampler
+serve CAMO and RL-OPC at every population size.
 Note (paper Section 3.3): the gradient always uses the *unmodulated*
 policy output — the modulator only shapes which action gets sampled.
 """
@@ -18,23 +21,20 @@ from repro.nn.optim import Optimizer
 from repro.nn.tensor import Tensor
 
 
-def select_log_probs(logits: Tensor, actions: np.ndarray) -> Tensor:
-    """Joint log-probability of the chosen per-segment actions.
+def sample_actions(
+    distributions: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """One action index per row of ``(..., n_actions)`` distributions.
 
-    Args:
-        logits: ``(n_segments, n_actions)`` unmodulated policy outputs.
-        actions: ``(n_segments,)`` chosen action indices.
-
-    Returns:
-        Scalar tensor ``sum_i log pi(a_i | s)``.
+    Float rounding can leave a row's cumulative sum slightly below 1.0,
+    in which case a draw above it would index past the move set; such a
+    draw takes the last action.
     """
-    actions = np.asarray(actions)
-    if logits.ndim != 2 or actions.shape != (logits.shape[0],):
-        raise RLError(
-            f"logits {logits.shape} incompatible with actions {actions.shape}"
-        )
-    logp = log_softmax(logits, axis=-1)
-    return logp[np.arange(len(actions)), actions].sum()
+    cumulative = distributions.cumsum(axis=-1)
+    draws = rng.random((*distributions.shape[:-1], 1))
+    return np.minimum(
+        (draws > cumulative).sum(axis=-1), distributions.shape[-1] - 1
+    )
 
 
 def select_log_probs_population(logits: Tensor, actions: np.ndarray) -> Tensor:
@@ -42,13 +42,11 @@ def select_log_probs_population(logits: Tensor, actions: np.ndarray) -> Tensor:
 
     Args:
         logits: ``(P, n_segments, n_actions)`` unmodulated policy outputs
-            (one row per population member, e.g. from
-            ``CamoPolicy.forward_population``).
+            (one row per population member).
         actions: ``(P, n_segments)`` chosen action indices.
 
     Returns:
-        ``(P,)`` tensor; entry ``p`` equals what :func:`select_log_probs`
-        returns for ``(logits[p], actions[p])``.
+        ``(P,)`` tensor; entry ``p`` is ``sum_i log pi(a_pi | s_p)``.
     """
     actions = np.asarray(actions)
     if logits.ndim != 3 or actions.shape != logits.shape[:2]:
@@ -61,21 +59,6 @@ def select_log_probs_population(logits: Tensor, actions: np.ndarray) -> Tensor:
         np.arange(population)[:, None], np.arange(n)[None, :], actions
     ]
     return picked.sum(axis=1)
-
-
-def policy_gradient_step(
-    optimizer: Optimizer,
-    log_prob: Tensor,
-    reward: float,
-    max_grad_norm: float = 10.0,
-) -> float:
-    """One Eq. 7 ascent step; returns the pre-clip gradient norm."""
-    optimizer.zero_grad()
-    loss = log_prob * (-float(reward))  # ascend reward = descend -r*logp
-    loss.backward()
-    norm = optimizer.clip_grad_norm(max_grad_norm)
-    optimizer.step()
-    return norm
 
 
 def population_gradient_step(

@@ -58,7 +58,7 @@ def encode(policy, x: Tensor) -> Tensor:
 
 
 def policy_forward(policy, features, adjacency, order) -> Tensor:
-    """``CamoPolicy.forward`` on the reference layers."""
+    """One state ``(n, c, s, s)`` through the reference layers."""
     embeddings = encode(policy, Tensor(features))
     for index in range(policy.config.sage_layers):
         embeddings = sage(getattr(policy, f"sage{index}"), embeddings, adjacency)
@@ -68,7 +68,7 @@ def policy_forward(policy, features, adjacency, order) -> Tensor:
 
 
 def policy_forward_population(policy, features, adjacency, order) -> Tensor:
-    """``CamoPolicy.forward_population`` on the reference layers."""
+    """``CamoPolicy.forward`` on the reference layers."""
     population, n = features.shape[:2]
     flat = features.reshape(population * n, *features.shape[2:])
     embeddings = encode(policy, Tensor(flat)).reshape(population, n, -1)

@@ -79,6 +79,19 @@ class TestRLOPC:
         assert config.max_updates == 15
         assert config.early_exit_mode == "per_point"
 
+    def test_config_validation(self):
+        """Unknown values fail loudly instead of silently selecting
+        per-point exit or reward-weighted imitation."""
+        with pytest.raises(ConfigError):
+            RLOPCConfig(early_exit_mode="per_pt")
+        with pytest.raises(ConfigError):
+            RLOPCConfig(imitation_weighting="soft")
+        with pytest.raises(ConfigError):
+            RLOPCConfig(encode_size=20)  # not divisible by 8
+        with pytest.raises(ConfigError):
+            RLOPCConfig.metal(early_exit_mode="never")
+        assert RLOPCConfig(imitation_weighting="reward").imitation_weighting == "reward"
+
     def test_env_cached(self, simulator, clip):
         engine = RLOPC(RLOPCConfig(encode_size=16), simulator)
         assert engine._env(clip) is engine._env(clip)

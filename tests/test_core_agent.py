@@ -5,13 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.baselines.rlopc import RLOPC, RLOPCConfig
 from repro.core import CAMO, CamoConfig, CamoPolicy
 from repro.data.via_bench import generate_via_clip
 from repro.errors import ConfigError, NNError
 from repro.geometry import MaskState, fragment_clip
 from repro.graphs import build_segment_graph, snake_order
 from repro.litho import LithoConfig, LithographySimulator
+from repro.nn import functional as F
 from repro.nn.sage import mean_adjacency
+from repro.rl import sample_actions
 from repro.squish import NodeFeatureEncoder
 
 
@@ -68,9 +71,10 @@ class TestPolicy:
             channels=config.channels,
         )
         graph = build_segment_graph(segments)
+        # A single state is a population of one: (1, n, c, s, s).
         return (
             CamoPolicy(config),
-            encoder.encode_all(state),
+            encoder.encode_all(state)[None],
             mean_adjacency(graph),
             snake_order(graph),
         )
@@ -78,12 +82,13 @@ class TestPolicy:
     def test_output_shape_and_order(self):
         policy, features, adjacency, order = self.build()
         logits = policy(features, adjacency, order)
-        assert logits.shape == (features.shape[0], 5)
+        assert logits.shape == (1, features.shape[1], 5)
 
     def test_probabilities_normalized(self):
         policy, features, adjacency, order = self.build()
-        probs = policy.probabilities(features, adjacency, order).numpy()
-        assert np.allclose(probs.sum(axis=1), 1.0)
+        logits = policy(features, adjacency, order)
+        probs = F.softmax(logits, axis=-1).numpy()
+        assert np.allclose(probs.sum(axis=-1), 1.0)
 
     def test_order_is_validated(self):
         policy, features, adjacency, _ = self.build()
@@ -93,20 +98,20 @@ class TestPolicy:
     def test_rnn_couples_nodes(self):
         """With the RNN, perturbing an earlier node changes later logits."""
         policy, features, adjacency, order = self.build(use_gnn=False)
-        base = policy(features, adjacency, order).numpy()
+        base = policy(features, adjacency, order).numpy()[0]
         bumped = features.copy()
-        bumped[order[0]] += 0.5
-        after = policy(bumped, adjacency, order).numpy()
+        bumped[0, order[0]] += 0.5
+        after = policy(bumped, adjacency, order).numpy()[0]
         assert not np.allclose(base[order[-1]], after[order[-1]])
 
     def test_no_rnn_keeps_nodes_independent(self):
         policy, features, adjacency, order = self.build(
             use_gnn=False, use_rnn=False
         )
-        base = policy(features, adjacency, order).numpy()
+        base = policy(features, adjacency, order).numpy()[0]
         bumped = features.copy()
-        bumped[order[0]] += 0.5
-        after = policy(bumped, adjacency, order).numpy()
+        bumped[0, order[0]] += 0.5
+        after = policy(bumped, adjacency, order).numpy()[0]
         assert np.allclose(base[order[-1]], after[order[-1]])
 
     def test_ablation_flags_change_param_count(self):
@@ -116,7 +121,7 @@ class TestPolicy:
 
     def test_flatten_tail(self):
         policy, features, adjacency, order = self.build(encoder_tail="flatten")
-        assert policy(features, adjacency, order).shape == (features.shape[0], 5)
+        assert policy(features, adjacency, order).shape == (1, features.shape[1], 5)
 
 
 class TestAgent:
@@ -163,7 +168,7 @@ class TestAgent:
         clone.load(path)
         ctx = agent.context(clip)
         state = ctx.env.reset()
-        feats = agent.encoder.encode_all(state.mask)
+        feats = agent.encoder.encode_all(state.mask)[None]
         a = agent.policy(feats, ctx.adjacency, ctx.order).numpy()
         b = clone.policy(feats, ctx.adjacency, ctx.order).numpy()
         assert np.allclose(a, b)
@@ -180,27 +185,48 @@ class TestAgent:
         assert agent._gain(0) == 1.0
         assert agent._gain(5) < 1.0
 
-    def test_sample_actions_clips_rounding_overflow(self, simulator):
+    def test_sample_actions_clips_rounding_overflow(self, simulator, clip):
         """cumsum of a distribution can end below 1.0 by a few ulps; a
         draw landing above it must clip to the last action instead of
-        indexing past MOVE_SET_NM."""
-        agent = CAMO(CamoConfig.smoke(), simulator)
+        indexing past MOVE_SET_NM — in the shared sampler and in RL-OPC
+        training, which samples through it."""
         short = np.full((3, 5), 0.2) - 1e-12  # cumulative[-1] < 1.0
 
         class AlwaysOne:
             def random(self, shape):
                 return np.ones(shape)
 
-        agent.rng = AlwaysOne()
-        actions = agent._sample_actions(short)
+        actions = sample_actions(short, AlwaysOne())
         assert np.all(actions == 4)
 
+        class AboveEveryRow:
+            """Draws above any row's cumulative sum, rounded up or down."""
+
+            def random(self, shape):
+                return np.full(shape, 1.0 + 1e-9)
+
+        rlopc = RLOPC(
+            RLOPCConfig(
+                encode_size=16, embed_dim=16, imitation_epochs=0,
+                rl_epochs=1, max_updates=2,
+            ),
+            simulator,
+        )
+        rlopc.rng = AboveEveryRow()
+        history = rlopc.train([clip])  # an action index of 5 would raise
+        assert len(history["rl_reward"]) == 1
+
     def test_sample_actions_follows_distribution(self, simulator):
-        agent = CAMO(CamoConfig.smoke(), simulator)
         one_hot = np.zeros((4, 5))
         one_hot[np.arange(4), [0, 2, 3, 4]] = 1.0
+        rng = np.random.default_rng(0)
         assert np.array_equal(
-            agent._sample_actions(one_hot), np.array([0, 2, 3, 4])
+            sample_actions(one_hot, rng), np.array([0, 2, 3, 4])
+        )
+        # A (P, n, 5) stack samples row by row, one action per segment.
+        assert np.array_equal(
+            sample_actions(np.stack([one_hot, one_hot[::-1]]), rng),
+            np.array([[0, 2, 3, 4], [4, 3, 2, 0]]),
         )
 
 
@@ -210,8 +236,9 @@ class TestPopulationTraining:
             CamoConfig(rl_population=0)
 
     def test_forward_population_matches_single(self, simulator, clip):
-        """Each population row must equal the single-state forward on
-        that state (batched graph, no row mixing)."""
+        """Each population row must equal the forward of that state alone
+        as a population of one (batched graph, no row mixing), and
+        ``forward_population`` is ``forward`` under another name."""
         from repro.nn.tensor import no_grad
 
         agent = CAMO(CamoConfig.smoke(), simulator)
@@ -224,14 +251,16 @@ class TestPopulationTraining:
             [agent.encoder.encode_all(s.mask) for s in (state_a, state_b)]
         )
         with no_grad():
-            pop = agent.policy.forward_population(
+            pop = agent.policy(feats, ctx.adjacency, ctx.order).numpy()
+            alias = agent.policy.forward_population(
                 feats, ctx.adjacency, ctx.order
             ).numpy()
             singles = [
-                agent.policy(f, ctx.adjacency, ctx.order).numpy()
+                agent.policy(f[None], ctx.adjacency, ctx.order).numpy()[0]
                 for f in feats
             ]
         assert pop.shape == (2, ctx.env.n_segments, 5)
+        assert np.array_equal(alias, pop)
         for row, single in zip(pop, singles):
             assert np.allclose(row, single, atol=1e-12)
 
@@ -254,17 +283,6 @@ class TestPopulationTraining:
         history = agent.train([clip])
         assert len(history["rl_reward"]) == 2
         assert all(np.isfinite(r) for r in history["rl_reward"])
-
-    def test_population_one_uses_sequential_loop(self, simulator, clip):
-        """rl_population=1 must take the original per-step loop — the
-        bit-for-bit reproducibility path."""
-        config = CamoConfig.smoke(imitation_epochs=0, rl_epochs=1, max_updates=2)
-        agent = CAMO(config, simulator)
-        called = []
-        agent._train_rl_sequential = lambda *a, **k: called.append("seq")
-        agent._train_rl_population = lambda *a, **k: called.append("pop")
-        agent._train_rl([clip], {"rl_reward": []}, False)
-        assert called == ["seq"]
 
     def test_population_bias_jitter_offsets(self, simulator, clip):
         """Deterministic start-state jitter: offsets cycle across the

@@ -43,7 +43,8 @@ def assert_same(fused_logits, fused_grads, ref_logits, ref_grads):
 
 
 def test_policy_forward_matches_reference():
-    """Via-sized policy (encode 32, embed 256), one clip of 11 segments."""
+    """Via-sized policy (encode 32, embed 256), one clip of 11 segments:
+    a population of one is bit-for-bit the single-state reference graph."""
     config = CamoConfig(encode_size=32, embed_dim=256)
     policy = CamoPolicy(config)
     rng = np.random.default_rng(4)
@@ -58,7 +59,8 @@ def test_policy_forward_matches_reference():
         return logits, gradients(policy, F.cross_entropy(logits, targets))
 
     assert_same(
-        *run(lambda pol, *args: pol(*args)), *run(ref.policy_forward)
+        *run(lambda pol, feats, *args: pol(feats[None], *args)[0]),
+        *run(ref.policy_forward),
     )
 
 
@@ -82,7 +84,7 @@ def test_population_forward_matches_reference():
         return logits, gradients(policy, loss)
 
     assert_same(
-        *run(lambda pol, *args: pol.forward_population(*args)),
+        *run(lambda pol, *args: pol(*args)),
         *run(ref.policy_forward_population),
     )
 

@@ -13,14 +13,11 @@ from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
 from repro.rl import (
     OPCEnvironment,
-    collect_teacher_actions,
     collect_teacher_actions_population,
     compute_reward,
     discounted_returns,
     greedy_teacher_actions,
-    policy_gradient_step,
     population_gradient_step,
-    select_log_probs,
     select_log_probs_population,
 )
 from repro.rl.trajectory import Trajectory, TrajectoryStep
@@ -104,6 +101,18 @@ def env():
     return OPCEnvironment(clip, simulator, initial_bias_nm=3.0)
 
 
+def teacher_step_loop(env, steps, start):
+    """The reference rollout: the greedy teacher alone through env.step."""
+    samples = []
+    state = start
+    for _ in range(steps):
+        actions = greedy_teacher_actions(state)
+        next_state, reward = env.step(state, actions)
+        samples.append((state, actions, reward))
+        state = next_state
+    return samples
+
+
 class TestEnvironment:
     def test_reset_state(self, env):
         state = env.reset()
@@ -168,9 +177,10 @@ class TestPopulationReinforce:
         actions = rng.integers(0, 5, size=(3, 4))
         joint = select_log_probs_population(Tensor(logits), actions)
         assert joint.shape == (3,)
-        for p in range(3):
-            single = select_log_probs(Tensor(logits[p]), actions[p])
-            assert joint.numpy()[p] == pytest.approx(single.item(), abs=1e-12)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        picked = np.take_along_axis(logp, actions[..., None], axis=-1)[..., 0]
+        assert np.allclose(joint.numpy(), picked.sum(axis=1), rtol=0, atol=1e-12)
 
     def test_population_shape_validation(self):
         with pytest.raises(RLError):
@@ -214,7 +224,7 @@ class TestLockstepImitation:
         )
         assert len(lockstep) == 2
         for start, trajectory in zip(starts, lockstep):
-            reference = collect_teacher_actions(env, steps=3, initial_state=start)
+            reference = teacher_step_loop(env, 3, start)
             assert len(trajectory) == len(reference)
             for (s_a, a_a, r_a), (s_b, a_b, r_b) in zip(trajectory, reference):
                 assert np.array_equal(a_a, a_b)
@@ -224,7 +234,7 @@ class TestLockstepImitation:
     def test_default_start_is_reset(self, env):
         trajectories = collect_teacher_actions_population(env, steps=2)
         assert len(trajectories) == 1
-        reference = collect_teacher_actions(env, steps=2)
+        reference = teacher_step_loop(env, 2, env.reset())
         for (s_a, a_a, r_a), (s_b, a_b, r_b) in zip(trajectories[0], reference):
             assert np.array_equal(a_a, a_b) and r_a == r_b
 
@@ -236,34 +246,50 @@ class TestLockstepImitation:
 
 
 class TestReinforce:
+    """A single trajectory is a population of one."""
+
     def test_select_log_probs_matches_manual(self):
-        logits = Tensor(np.log(np.array([[0.7, 0.3], [0.2, 0.8]])))
-        log_prob = select_log_probs(logits, np.array([0, 1]))
-        assert log_prob.item() == pytest.approx(np.log(0.7) + np.log(0.8))
+        logits = Tensor(np.log(np.array([[[0.7, 0.3], [0.2, 0.8]]])))
+        log_prob = select_log_probs_population(logits, np.array([[0, 1]]))
+        assert log_prob.shape == (1,)
+        assert log_prob.numpy()[0] == pytest.approx(np.log(0.7) + np.log(0.8))
 
     def test_shape_validation(self):
         with pytest.raises(RLError):
-            select_log_probs(Tensor(np.zeros((2, 5))), np.array([0, 1, 2]))
+            select_log_probs_population(
+                Tensor(np.zeros((1, 2, 5))), np.array([[0, 1, 2]])
+            )
+        with pytest.raises(RLError):  # one state without its population axis
+            select_log_probs_population(
+                Tensor(np.zeros((2, 5))), np.array([0, 1])
+            )
+
+    def joint(self, layer, x, actions) -> float:
+        return select_log_probs_population(layer(x), actions).numpy()[0]
 
     def test_positive_reward_increases_action_probability(self):
         layer = Linear(3, 5, rng=np.random.default_rng(0))
         optimizer = SGD(layer.parameters(), lr=0.1)
-        x = Tensor(np.ones((1, 3)))
-        actions = np.array([4])
-        before = select_log_probs(layer(x), actions).item()
-        policy_gradient_step(optimizer, select_log_probs(layer(x), actions), 1.0)
-        after = select_log_probs(layer(x), actions).item()
-        assert after > before
+        x = Tensor(np.ones((1, 1, 3)))
+        actions = np.array([[4]])
+        before = self.joint(layer, x, actions)
+        population_gradient_step(
+            optimizer, select_log_probs_population(layer(x), actions),
+            np.array([1.0]),
+        )
+        assert self.joint(layer, x, actions) > before
 
     def test_negative_reward_decreases_action_probability(self):
         layer = Linear(3, 5, rng=np.random.default_rng(0))
         optimizer = SGD(layer.parameters(), lr=0.1)
-        x = Tensor(np.ones((1, 3)))
-        actions = np.array([4])
-        before = select_log_probs(layer(x), actions).item()
-        policy_gradient_step(optimizer, select_log_probs(layer(x), actions), -1.0)
-        after = select_log_probs(layer(x), actions).item()
-        assert after < before
+        x = Tensor(np.ones((1, 1, 3)))
+        actions = np.array([[4]])
+        before = self.joint(layer, x, actions)
+        population_gradient_step(
+            optimizer, select_log_probs_population(layer(x), actions),
+            np.array([-1.0]),
+        )
+        assert self.joint(layer, x, actions) < before
 
 
 class TestImitation:
@@ -286,7 +312,7 @@ class TestImitation:
         assert np.all(greedy_teacher_actions(fake) == 2)
 
     def test_collect_trajectory(self, env):
-        samples = collect_teacher_actions(env, steps=3)
+        samples = collect_teacher_actions_population(env, steps=3)[0]
         assert len(samples) == 3
         for state, actions, reward in samples:
             assert actions.shape == (env.n_segments,)
@@ -295,6 +321,6 @@ class TestImitation:
 
     def test_collect_validation(self, env):
         with pytest.raises(RLError):
-            collect_teacher_actions(env, steps=0)
+            collect_teacher_actions_population(env, steps=0)
         with pytest.raises(RLError):
             greedy_teacher_actions(env.reset(), gain=-1)
