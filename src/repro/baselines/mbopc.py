@@ -9,10 +9,11 @@ restricted to the +/-2 nm move set).
 
 Each iteration's corner sweep is one environment step: one
 :meth:`~repro.litho.simulator.LithographySimulator.simulate_batch` call
-whose shared real-input FFT feeds the exact pupil-band subgrid engine.
-Segment EPE comes from the nominal intensity lifted at the segments'
-stencil pixels; only the defocus corner is resampled to the full grid,
-for the PV band.
+on the mask's polygons, whose pupil band (taken from the geometry, with
+no raster and no full-grid FFT) feeds the exact pupil-band subgrid
+engine.  Segment EPE comes from the nominal intensity lifted at the
+segments' stencil pixels; only the defocus corner is resampled to the
+full grid, for the PV band.
 """
 
 from __future__ import annotations

@@ -14,14 +14,21 @@ One imaging pipeline serves every batched entry point
 (``LithographySimulator.simulate_batch`` / ``simulate_epe_batch`` and
 :meth:`OpticalKernelSet.convolve_intensity_batch`):
 
-* front end, :meth:`OpticalKernelSet.subgrid_intensity` — ``rfft2`` of
-  the real mask stack, the Hermitian pupil-band gather
-  (:func:`gather_band_rfft`), and the per-kernel inverse FFTs on an
-  alias-free ``m x m`` subgrid (``m >= 4b + 1`` so the *squared* field,
-  band radius ``2b``, folds nowhere);
-* sparse back end, :func:`band_values_at_pixels` — the subgrid
-  intensity lifted to chosen full-grid pixels by a separable lattice
-  DFT (EPE metrology needs nothing else);
+* band source — the mask stack's pupil band on the subgrid, from one of
+  two sources, one per input kind: ``rfft2`` of rasterized masks and the
+  Hermitian gather (:func:`gather_band_rfft`), or, for polygon input,
+  the closed-form band of the polygons' slabs
+  (:func:`repro.litho.polygon_band.polygon_band_subgrid`), with no raster
+  and no full-grid FFT;
+* front end, :meth:`OpticalKernelSet.image_band` — every kernel's
+  coherent field from one inverse FFT over ``(B, K, m0, m1)`` on an
+  alias-free subgrid (``m >= 4b + 1`` so the *squared* field, band
+  radius ``2b``, folds nowhere), weighted magnitudes summed in kernel
+  order (:meth:`~OpticalKernelSet.subgrid_intensity` is the raster-input
+  entry: gather, then this);
+* sparse back end, :class:`PixelLift` — the subgrid intensity lifted to
+  chosen full-grid pixels by a separable lattice DFT (EPE metrology
+  needs nothing else), planned once per pixel set;
 * dense back end, :meth:`OpticalKernelSet.resample_intensity` — an
   exact zero-padded resample in real arithmetic (subgrid ``rfft2``,
   half spectrum, ``irfft2``).
@@ -123,9 +130,40 @@ class GridBandSpectra:
     rows_dst: np.ndarray
     cols_dst: np.ndarray
     up_rows_src: np.ndarray
-    up_cols_src: np.ndarray
     up_rows_dst: np.ndarray
-    up_cols_dst: np.ndarray
+
+    @classmethod
+    def assemble(
+        cls,
+        shape: tuple[int, int],
+        weights: np.ndarray,
+        band: tuple[int, int],
+        subgrid: tuple[int, int],
+        compact: bool,
+        sub_spectra: np.ndarray,
+    ) -> "GridBandSpectra":
+        """Band spectra with their index vectors, which are pure
+        functions of ``(shape, band, subgrid)``: band rows/columns on
+        the grid (``*_src``) and on the subgrid (``*_dst``), and the
+        intensity band's rows (radius ``2 b0``) on the subgrid
+        (``up_rows_src``) and on the grid (``up_rows_dst``)."""
+        rows, cols = shape
+        b0, b1 = band
+        m0, m1 = subgrid
+        return cls(
+            shape=shape,
+            weights=weights,
+            band=band,
+            subgrid=subgrid,
+            compact=compact,
+            sub_spectra=sub_spectra,
+            rows_src=_band_indices(rows, b0),
+            cols_src=_band_indices(cols, b1),
+            rows_dst=_band_indices(m0, b0),
+            cols_dst=_band_indices(m1, b1),
+            up_rows_src=_band_indices(m0, 2 * b0),
+            up_rows_dst=_band_indices(rows, 2 * b0),
+        )
 
     @property
     def count(self) -> int:
@@ -190,6 +228,81 @@ def _phases(n: int, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return roots[np.outer(left, right) % n]
 
 
+class PixelLift:
+    """The lift of one pixel set from band-limited subgrid intensities.
+
+    Evaluating the zero-padded resample of ``(B, m0, m1)`` subgrid
+    intensities at S full-grid pixels is the direct inverse DFT of their
+    intensity-band spectra.  That DFT is separable, so it is evaluated
+    on the small lattice of the pixel set's distinct rows x distinct
+    columns — ``P_rows @ spec_band @ P_cols``, two small GEMMs — and the
+    S values are gathered from the lattice.  The intensity is real, so
+    only the Hermitian half of the column band is contracted (the
+    non-DC columns count twice).
+
+    Construction plans everything that depends on the pixel set alone:
+    the lattice, each pixel's place in it, and both phase matrices.  A
+    caller that lifts the same pixels on every call (an OPC
+    environment's stencil plans) builds one ``PixelLift`` and keeps it;
+    :func:`band_values_at_pixels` plans per call.  A non-compact band's
+    subgrid is the grid, so its pixels are read off directly.
+    """
+
+    __slots__ = (
+        "band", "rows", "cols", "row_idx", "col_idx",
+        "phase_rows", "phase_cols",
+    )
+
+    def __init__(self, band: GridBandSpectra, rows, cols) -> None:
+        self.band = band
+        self.rows, self.cols = _validate_pixel_set(band.shape, rows, cols)
+        if not band.compact:
+            return
+        height, width = band.shape
+        m0, m1 = band.subgrid
+        half_cols = 2 * band.band[1] + 1
+        lattice_rows, self.row_idx = _lattice(self.rows, height)
+        lattice_cols, self.col_idx = _lattice(self.cols, width)
+        # upscale / (H W) == 1 / (m0 m1): the resample gain times the
+        # inverse-transform normalization.
+        self.phase_rows = _phases(height, lattice_rows, band.up_rows_dst) / (
+            m0 * m1
+        )
+        phase_cols = _phases(width, np.arange(half_cols), lattice_cols)
+        phase_cols[1:] *= 2.0
+        # Only the real part of the column contraction is needed: one
+        # real GEMM of [Re, Im] against [Re P_cols; -Im P_cols].
+        self.phase_cols = np.concatenate([phase_cols.real, -phase_cols.imag])
+
+    def __call__(self, intensity_sub, fft: ArrayBackend) -> np.ndarray:
+        """``(B, S)`` host values of ``(B, m0, m1)`` subgrid intensities.
+
+        ``intensity_sub`` may be host or device resident; the GEMMs run
+        wherever the backend's arrays live, and the resolved values
+        always come back host-side (the metrology boundary).
+        """
+        band = self.band
+        if not band.compact:
+            return fft.to_host(
+                intensity_sub[:, fft.index(self.rows), fft.index(self.cols)]
+            )
+        half_cols = 2 * band.band[1] + 1
+        if fft.is_numpy:
+            # The subgrid is small, so threading never pays, and np.fft
+            # keeps numpy and scipy bit-for-bit here.
+            spectrum = np.fft.rfft2(intensity_sub, axes=(-2, -1))
+        else:
+            spectrum = fft.rfft2(intensity_sub, axes=(-2, -1))
+        spec_band = spectrum[:, fft.index(band.up_rows_src), :half_cols]
+        partial = fft.to_device(self.phase_rows) @ spec_band
+        lattice = fft.concat([partial.real, partial.imag], axis=-1) @ (
+            fft.to_device(self.phase_cols)
+        )
+        return fft.to_host(
+            lattice[:, fft.index(self.row_idx), fft.index(self.col_idx)]
+        )
+
+
 def band_values_at_pixels(
     intensity_sub,
     band: GridBandSpectra,
@@ -197,50 +310,15 @@ def band_values_at_pixels(
     cols: np.ndarray,
     fft: ArrayBackend,
 ) -> np.ndarray:
-    """Full-grid pixel values of a band-limited subgrid intensity.
+    """Full-grid pixel values of band-limited subgrid intensities.
 
-    Evaluating the zero-padded resample of ``(B, m0, m1)`` subgrid
-    intensities at S full-grid pixels is
-    the direct inverse DFT of their intensity-band spectra.  That DFT is
-    separable, so it is evaluated on the small lattice of the pixel
-    set's distinct rows x distinct columns — ``P_rows @ spec_band @
-    P_cols``, two small GEMMs — and the S values are gathered from the
-    lattice.  The phases cost ``(R_u + C_u) F`` per call rather than
-    ``F S``, so there is nothing worth caching.  The intensity is real,
-    so only the Hermitian half of the column band is contracted (the
-    non-DC columns count twice).  ``intensity_sub`` may be host or
-    device resident; the GEMMs run wherever the backend's arrays live,
-    and the resolved ``(B, S)`` values always come back host-side (the
-    metrology boundary).  A non-compact band's subgrid is the grid, so
-    its pixels are read off directly.
+    One :class:`PixelLift`, planned for this call and applied: two
+    small GEMMs on the lattice of the pixel set's distinct rows x
+    columns, then a gather.  The phases cost ``(R_u + C_u) F`` per call
+    rather than ``F S``, so a pixel set seen once (the verifier's) has
+    nothing worth caching.  Returns ``(B, S)`` host values.
     """
-    rows, cols = _validate_pixel_set(band.shape, rows, cols)
-    if not band.compact:
-        return fft.to_host(intensity_sub[:, fft.index(rows), fft.index(cols)])
-    height, width = band.shape
-    m0, m1 = band.subgrid
-    half_cols = 2 * band.band[1] + 1
-    if fft.is_numpy:
-        # The subgrid is small, so threading never pays, and np.fft
-        # keeps numpy and scipy bit-for-bit here.
-        spectrum = np.fft.rfft2(intensity_sub, axes=(-2, -1))
-    else:
-        spectrum = fft.rfft2(intensity_sub, axes=(-2, -1))
-    spec_band = spectrum[:, fft.index(band.up_rows_src), :half_cols]
-    lattice_rows, row_idx = _lattice(rows, height)
-    lattice_cols, col_idx = _lattice(cols, width)
-    # upscale / (H W) == 1 / (m0 m1): the resample gain times the
-    # inverse-transform normalization.
-    phase_rows = _phases(height, lattice_rows, band.up_rows_dst) / (m0 * m1)
-    phase_cols = _phases(width, np.arange(half_cols), lattice_cols)
-    phase_cols[1:] *= 2.0
-    # Only the real part of the column contraction is needed: one real
-    # GEMM of [Re, Im] against [Re P_cols; -Im P_cols].
-    partial = fft.to_device(phase_rows) @ spec_band
-    lattice = fft.concat([partial.real, partial.imag], axis=-1) @ (
-        fft.to_device(np.concatenate([phase_cols.real, -phase_cols.imag]))
-    )
-    return fft.to_host(lattice[:, fft.index(row_idx), fft.index(col_idx)])
+    return PixelLift(band, rows, cols)(intensity_sub, fft)
 
 
 @dataclass
@@ -412,21 +490,8 @@ class OpticalKernelSet:
         sub_rows = tcc.shift_indices[:, 0] % m0
         sub_cols = tcc.shift_indices[:, 1] % m1
         sub_spectra[:, sub_rows, sub_cols] = coefficients * scale
-        return GridBandSpectra(
-            shape=shape,
-            weights=weights,
-            band=(b0, b1),
-            subgrid=(m0, m1),
-            compact=compact,
-            sub_spectra=sub_spectra,
-            rows_src=_band_indices(rows, b0),
-            cols_src=_band_indices(cols, b1),
-            rows_dst=_band_indices(m0, b0),
-            cols_dst=_band_indices(m1, b1),
-            up_rows_src=_band_indices(m0, 2 * b0),
-            up_cols_src=_band_indices(m1, 2 * b1),
-            up_rows_dst=_band_indices(rows, 2 * b0),
-            up_cols_dst=_band_indices(cols, 2 * b1),
+        return GridBandSpectra.assemble(
+            shape, weights, (b0, b1), (m0, m1), compact, sub_spectra
         )
 
     def weights_for(self, shape: tuple[int, int]) -> np.ndarray:
@@ -581,28 +646,41 @@ class OpticalKernelSet:
         return pair
 
     def subgrid_intensity(self, mask_rffts, shape: tuple[int, int]):
-        """The imaging front end: exact intensity on the pupil-band subgrid.
+        """The imaging front end for rasterized masks.
 
         ``mask_rffts`` are the ``(B, H, W//2 + 1)`` half-width spectra of
         a real mask stack on an ``(H, W)`` grid.  The pupil band is
         gathered by Hermitian symmetry (:func:`gather_band_rfft`) and
-        convolved with every kernel on the alias-free ``(m0, m1)``
-        subgrid (``m >= 4b + 1``, so the squared field folds nowhere).
-        The band-limited intensity is fully determined by these samples;
-        :func:`band_values_at_pixels` lifts pixels from it and
-        :meth:`resample_intensity` rebuilds the dense image.  When the
-        band covers the grid the subgrid *is* the grid.  Returns the
-        backend's native array (device-resident under torch).
+        imaged by :meth:`image_band`.  Returns the backend's native
+        array (device-resident under torch).
         """
         shape = self._check_rfft_shape(mask_rffts, shape)
         self._validate_grid(shape)
         band = self.band_spectra(shape)
+        return self.image_band(gather_band_rfft(mask_rffts, band, self.fft), band)
+
+    def image_band(self, mask_band, band: GridBandSpectra):
+        """Exact intensity on the pupil-band subgrid.
+
+        ``mask_band`` is a ``(B, m0, m1)`` stack of mask spectra on
+        ``band``'s subgrid, zero outside the pupil band — from
+        :func:`gather_band_rfft` (rasterized masks) or
+        :func:`repro.litho.polygon_band.polygon_band_subgrid` (polygons).
+        Every kernel convolves it on the alias-free subgrid (``m >= 4b +
+        1``, so the squared field folds nowhere): the K coherent fields
+        come from one inverse FFT over ``(B, K, m0, m1)``, and their
+        weighted magnitudes are summed in kernel order.  The band-limited
+        intensity is fully determined by these samples;
+        :class:`PixelLift` lifts pixels from it and
+        :meth:`resample_intensity` rebuilds the dense image.  When the
+        band covers the grid the subgrid *is* the grid.
+        """
         fft = self.fft
-        sub = gather_band_rfft(mask_rffts, band, fft)
         weights, sub_spectra = self._device_band_arrays(band)
-        intensity = fft.zeros(sub.shape, fft.float64)
-        for weight, kernel_sub in zip(weights, sub_spectra):
-            field_k = fft.ifft2(sub * kernel_sub, axes=(-2, -1))
+        fields = fft.ifft2(mask_band[:, None] * sub_spectra[None], axes=(-2, -1))
+        intensity = fft.zeros(mask_band.shape, fft.float64)
+        for k, weight in enumerate(weights):
+            field_k = fields[:, k]
             intensity += weight * (field_k.real**2 + field_k.imag**2)
         return intensity
 

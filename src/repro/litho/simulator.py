@@ -24,25 +24,33 @@ three entry points:
   ``tests/test_litho_band.py``).
 
 * :meth:`LithographySimulator.simulate_batch` — the production engine.
-  It stacks B same-shape masks into a ``(B, H, W)`` array and takes one
-  real-input forward FFT (``rfft2``) that *both* kernel sets share (all
-  three process corners come from one forward transform).  Each set's
-  imaging front end gathers its pupil band by Hermitian symmetry and
-  images the stack on the compact band subgrid
-  (:meth:`~repro.litho.kernels.OpticalKernelSet.subgrid_intensity`).
+  It takes B same-grid masks and derives their pupil bands once for
+  *both* kernel sets (all three process corners share one band).  The
+  band source depends on the input kind: polygon sets (the OPC
+  environment's masks, :meth:`simulate_polygons`) take it straight from
+  their slabs' closed-form interval DFTs (:mod:`repro.litho.polygon_band`,
+  no raster and no full-grid FFT); rasterized masks take one real-input
+  forward FFT (``rfft2``) and the Hermitian band gather.  Each set's
+  imaging front end then images the band on the compact subgrid, all
+  kernels in one inverse FFT
+  (:meth:`~repro.litho.kernels.OpticalKernelSet.image_band`).
   Two back ends read that subgrid intensity: the defocus corner is
   resampled to the full grid by an exact real-arithmetic zero-padded
   resample (``rfft2`` -> half spectrum -> ``irfft2``) because the PV
   band needs it; the nominal corner is lifted only at the pixels of the
-  caller's stencil plans (EPE metrology), and its dense aerial is
-  resampled only when :attr:`LithoResult.aerial` is first read.  When
-  the band covers the grid the subgrid *is* the grid and nothing is
-  resampled.  Results match :meth:`simulate_mask` to FFT round-off (far
-  below the 1e-9 golden tolerance) and are bit-for-bit independent of
-  the batch size, so they are legal for reported EPE/PV-band metrology.
+  caller's stencil plans (EPE metrology; :class:`NominalLift` plans
+  that lift once for callers whose plans never change), and its dense
+  aerial is resampled only when :attr:`LithoResult.aerial` is first
+  read.  When the band covers the grid the subgrid *is* the grid and
+  nothing is resampled.  Results match :meth:`simulate_mask` to FFT
+  round-off (far below the 1e-9 golden tolerance) and are bit-for-bit
+  independent of the batch size, so they are legal for reported
+  EPE/PV-band metrology.
 
 * :meth:`LithographySimulator.simulate_epe_batch` — the verifier's
-  sparse sweep: the same front end, then only the pixel lift, per plan.
+  sparse sweep on rasterized masks: ``rfft2``, the same front end, then
+  only the pixel lift, per plan.  Because the verifier rasterizes, it
+  stays an independent cross-check of the polygon band source.
 
 Array/device backend
 --------------------
@@ -63,8 +71,9 @@ device.
 Under a device backend, :meth:`LithographySimulator.simulate_batch` and
 :meth:`~LithographySimulator.simulate_epe_batch` accept host arrays *or*
 device tensors and run the forward transform, band convolution and
-sparse gathers on the device; the returned aerials / sparse values are
-always host numpy — downstream metrology and resist thresholding are
+sparse gathers on the device (a polygon batch's band is computed on the
+host and moved to the device once); the returned aerials / sparse values
+are always host numpy — downstream metrology and resist thresholding are
 host-side by contract, so conversion happens exactly once, at this
 boundary.
 
@@ -104,13 +113,19 @@ from repro.errors import LithoError
 from repro.geometry.layout import Clip
 from repro.geometry.mask_edit import MaskState
 from repro.geometry.polygon import Polygon
-from repro.geometry.raster import Grid, rasterize
+from repro.geometry.raster import (
+    Grid,
+    rasterize,  # perfbench's layer tracer hooks it here
+)
 from repro.backend import resolve_backend
 from repro.litho.kernels import (
     OpticalKernelSet,
+    PixelLift,
     band_values_at_pixels,
     build_kernel_set,
+    gather_band_rfft,
 )
+from repro.litho.polygon_band import polygon_band_subgrid
 from repro.litho.process import ProcessCorner, standard_corners
 from repro.litho.resist import printed_image
 from repro.litho.source import SourceSpec
@@ -258,28 +273,66 @@ def _dense_row(kernel_set: OpticalKernelSet, intensity_sub, shape) -> np.ndarray
     return kernel_set.resample_intensity(intensity_sub, shape)[0]
 
 
-def _lift_union(kernel_set: OpticalKernelSet, intensity_sub, shape, plans) -> list:
-    """For each plan, one :class:`~repro.metrology.contour.SparseAerial`
-    per mask of ``intensity_sub``; the intensity is lifted once, at the
-    union of the plans' pixel sets."""
-    if not plans:
-        return []
-    from repro.metrology.contour import SparseAerial
+def _check_plan_grids(plans, grid: Grid) -> None:
+    for plan in plans:
+        if plan is not None and plan.grid.shape != grid.shape:
+            raise LithoError(
+                f"stencil plan grid {plan.grid.shape} does not match "
+                f"the mask grid {grid.shape}"
+            )
 
-    cols = shape[1]
-    union, inverse = np.unique(
-        np.concatenate([plan.pixel_rows * cols + plan.pixel_cols for plan in plans]),
-        return_inverse=True,
-    )
-    values = band_values_at_pixels(
-        intensity_sub, kernel_set.band_spectra(shape),
-        union // cols, union % cols, kernel_set.fft,
-    )
-    splits = np.cumsum([plan.n_pixels for plan in plans])[:-1]
-    return [
-        [SparseAerial(plan=plan, values=row) for row in values[:, picks]]
-        for plan, picks in zip(plans, np.split(inverse, splits))
-    ]
+
+class NominalLift:
+    """The nominal corner's pixel lift for a fixed tuple of stencil plans.
+
+    The intensity is lifted once, at the union of the plans' pixel sets,
+    and split back per plan.  The union, each plan's positions in it and
+    the union's :class:`~repro.litho.kernels.PixelLift` (lattice and
+    phases) depend on the plans alone, so they are planned here once.
+    A caller that passes the same plans on every call (an OPC
+    environment) builds one with :meth:`LithographySimulator.nominal_lift`
+    and hands it to :meth:`LithographySimulator.simulate_batch` in place
+    of the plans; lifted values are bit-for-bit those of a per-call plan.
+    """
+
+    __slots__ = ("kernel_set", "grid", "plans", "_lift", "_picks")
+
+    def __init__(
+        self, kernel_set: OpticalKernelSet, grid: Grid, plans: Sequence
+    ) -> None:
+        self.kernel_set = kernel_set
+        self.grid = grid
+        self.plans = tuple(plans)
+        _check_plan_grids(self.plans, grid)
+        self._lift = None
+        self._picks: list = []
+        if not self.plans:
+            return
+        cols = grid.cols
+        union, inverse = np.unique(
+            np.concatenate([
+                plan.pixel_rows * cols + plan.pixel_cols for plan in self.plans
+            ]),
+            return_inverse=True,
+        )
+        self._lift = PixelLift(
+            kernel_set.band_spectra(grid.shape), union // cols, union % cols
+        )
+        splits = np.cumsum([plan.n_pixels for plan in self.plans])[:-1]
+        self._picks = np.split(inverse, splits)
+
+    def __call__(self, intensity_sub) -> list:
+        """For each plan, one :class:`~repro.metrology.contour.SparseAerial`
+        per mask of the ``(B, m0, m1)`` nominal subgrid intensity."""
+        if self._lift is None:
+            return []
+        from repro.metrology.contour import SparseAerial
+
+        values = self._lift(intensity_sub, self.kernel_set.fft)
+        return [
+            [SparseAerial(plan=plan, values=row) for row in values[:, picks]]
+            for plan, picks in zip(self.plans, self._picks)
+        ]
 
 
 @dataclass
@@ -337,11 +390,6 @@ class LithographySimulator:
     def grid_for(self, clip: Clip) -> Grid:
         return Grid.for_window(clip.bbox, self.config.pixel_nm)
 
-    def rasterize_mask(
-        self, polygons: Iterable[Polygon], grid: Grid
-    ) -> np.ndarray:
-        return rasterize(polygons, grid)
-
     # -- simulation -----------------------------------------------------------
     def aerial(self, mask: np.ndarray, defocus_nm: float = 0.0) -> np.ndarray:
         """Aerial intensity of a rasterized mask at one focus setting
@@ -391,36 +439,76 @@ class LithographySimulator:
             )
         return stack
 
-    @staticmethod
-    def _check_plan_grids(plans, grid: Grid) -> None:
-        for plan in plans:
-            if plan is not None and plan.grid.shape != grid.shape:
-                raise LithoError(
-                    f"stencil plan grid {plan.grid.shape} does not match "
-                    f"the mask grid {grid.shape}"
-                )
+    def nominal_lift(self, grid: Grid, plans: Sequence) -> NominalLift:
+        """Plan the nominal lift of fixed stencil plans on ``grid`` once,
+        for :meth:`simulate_batch` calls that all pass the same plans."""
+        return NominalLift(
+            self.kernel_set(self.corners()[0].defocus_nm), grid, plans
+        )
+
+    def _band_source(self, masks, grid: Grid):
+        """``band -> (B, m0, m1)`` pupil-band spectra of ``masks``.
+
+        One band source per input kind.  Rasterized masks take one
+        ``rfft2`` of the stack and the Hermitian band gather
+        (:func:`~repro.litho.kernels.gather_band_rfft`).  Polygon sets
+        take the analytic band of their slabs
+        (:func:`~repro.litho.polygon_band.polygon_band_subgrid`): no
+        raster and no full-grid FFT.  Each band layout is computed once,
+        so the focus and defocus sets, which share one, share it.
+        """
+        fft = self.kernel_set(self.corners()[0].defocus_nm).fft
+        if not hasattr(masks, "ndim"):
+            masks = list(masks)
+            if not masks:
+                raise LithoError("mask batch is empty")
+        if hasattr(masks, "ndim") or hasattr(masks[0], "ndim"):
+            spectra = fft.rfft2(self._mask_stack(masks, grid), axes=(-2, -1))
+
+            def source(band):
+                return gather_band_rfft(spectra, band, fft)
+        else:
+            polygon_sets = [tuple(polygons) for polygons in masks]
+
+            def source(band):
+                return fft.to_device(polygon_band_subgrid(polygon_sets, grid, band))
+
+        computed: dict = {}
+
+        def mask_band(band):
+            key = (band.band, band.subgrid)
+            if key not in computed:
+                computed[key] = source(band)
+            return computed[key]
+
+        return mask_band
 
     def simulate_batch(
         self,
-        masks: Sequence[np.ndarray] | np.ndarray,
+        masks: "np.ndarray | Sequence[np.ndarray] | Sequence[Iterable[Polygon]]",
         grid: Grid,
-        plans: Sequence = (),
+        plans: "Sequence | NominalLift" = (),
     ) -> list[LithoResult]:
-        """Full corner sweep for a stack of same-shape rasterized masks.
+        """Full corner sweep for a batch of same-grid masks.
 
-        ``masks`` is a ``(B, H, W)`` array or a sequence of B ``(H, W)``
-        masks on ``grid``.  One real-input forward FFT feeds the imaging
-        front end of both the focus and defocus kernel sets.  The defocus
-        corner is resampled to the full grid here (the PV band needs
-        it); the nominal aerial is resampled only when
-        :attr:`LithoResult.aerial` is first read.  Results match
-        :meth:`simulate_mask` to FFT round-off and are bit-for-bit
-        independent of the batch size.
+        ``masks`` is rasterized — a ``(B, H, W)`` array or a sequence of
+        B ``(H, W)`` masks on ``grid`` — or a sequence of B polygon sets
+        (each a collection of mutually disjoint rectilinear polygons).
+        Rasterized masks take one real-input forward FFT; polygon sets
+        take their pupil band straight from the geometry
+        (:mod:`repro.litho.polygon_band`), equal to rasterizing them to
+        float round-off.  Either band feeds the imaging front end of
+        both the focus and defocus kernel sets.  The defocus corner is
+        resampled to the full grid here (the PV band needs it); the
+        nominal aerial is resampled only when :attr:`LithoResult.aerial`
+        is first read.  Results match :meth:`simulate_mask` to FFT
+        round-off and are bit-for-bit independent of the batch size.
 
         ``plans`` are :class:`~repro.metrology.contour.ContourStencilPlan`
         s shared by every mask (an OPC environment's measure and control
-        points).  The nominal intensity is lifted once at the union of
-        their pixel sets, and ``LithoResult.sparse`` holds one
+        points), or their :class:`NominalLift` from :meth:`nominal_lift`.
+        The nominal intensity is lifted once at the union of their pixel
+        sets, and ``LithoResult.sparse`` holds one
         :class:`~repro.metrology.contour.SparseAerial` per plan — EPE
         without any dense nominal image.
 
@@ -428,18 +516,28 @@ class LithographySimulator:
         (``(B, H, W)``); host input is moved to the device once, and the
         returned aerials are host numpy either way.
         """
-        stack = self._mask_stack(masks, grid)
-        self._check_plan_grids(plans, grid)
         nominal, inner, outer = self.corners()
         focus_set = self.kernel_set(nominal.defocus_nm)
         defocus_set = self.kernel_set(inner.defocus_nm)
-        shape = grid.shape
-        spectra = focus_set.fft.rfft2(stack, axes=(-2, -1))
-        focus_sub = focus_set.subgrid_intensity(spectra, shape)
-        aerial_defocus = defocus_set.resample_intensity(
-            defocus_set.subgrid_intensity(spectra, shape), shape
+        mask_band = self._band_source(masks, grid)
+        lift = (
+            plans if isinstance(plans, NominalLift)
+            else NominalLift(focus_set, grid, plans)
         )
-        per_plan = _lift_union(focus_set, focus_sub, shape, plans)
+        if lift.grid.shape != grid.shape:
+            raise LithoError(
+                f"nominal lift grid {lift.grid.shape} does not match the "
+                f"mask grid {grid.shape}"
+            )
+        shape = grid.shape
+        focus_band = focus_set.band_spectra(shape)
+        defocus_band = defocus_set.band_spectra(shape)
+        focus_sub = focus_set.image_band(mask_band(focus_band), focus_band)
+        aerial_defocus = defocus_set.resample_intensity(
+            defocus_set.image_band(mask_band(defocus_band), defocus_band),
+            shape,
+        )
+        per_plan = lift(focus_sub)
         threshold = self.config.threshold
         corners = (nominal, inner, outer)
         results = []
@@ -502,7 +600,7 @@ class LithographySimulator:
                 raise LithoError(
                     f"got {len(plan_list)} stencil plans for {batch} masks"
                 )
-        self._check_plan_grids(plan_list, grid)
+        _check_plan_grids(plan_list, grid)
         results: list = [None] * batch
         groups: dict[int, tuple] = {}
         for index, plan in enumerate(plan_list):
@@ -543,15 +641,15 @@ class LithographySimulator:
     def simulate_polygons(
         self, polygons: Iterable[Polygon], grid: Grid
     ) -> LithoResult:
-        """Rasterize + simulate through the batched engine (B = 1).
+        """Simulate one polygon set through the batched engine (B = 1).
 
-        Matches :meth:`simulate_mask` to FFT round-off while all three
-        corners share one forward FFT on the compact band subgrid.  (The
-        OPC engines step through ``OPCEnvironment``, which calls
-        :meth:`simulate_batch` with its stencil plans.)
+        The pupil band comes straight from the polygons, with no raster
+        and no full-grid FFT; the result matches :meth:`simulate_mask`
+        of the rasterized polygons to FFT round-off.  (The OPC engines
+        step through ``OPCEnvironment``, which calls
+        :meth:`simulate_batch` with its planned nominal lift.)
         """
-        mask = self.rasterize_mask(polygons, grid)
-        return self.simulate_batch(mask[None], grid)[0]
+        return self.simulate_batch([tuple(polygons)], grid)[0]
 
     def simulate_state(self, state: MaskState, grid: Grid | None = None) -> LithoResult:
         """Simulate the current mask of an OPC state."""

@@ -287,7 +287,7 @@ class KernelSpectraStore:
         Any unreadable or inconsistent entry counts as a miss: the caller
         rebuilds and overwrites it.
         """
-        from repro.litho.kernels import GridBandSpectra, _band_indices
+        from repro.litho.kernels import GridBandSpectra
         from repro.service.faults import maybe_fault
 
         maybe_fault("store.load", fingerprint)
@@ -324,26 +324,8 @@ class KernelSpectraStore:
             with self._stats_lock:
                 self.misses += 1
             return None
-        rows, cols = key
-        b0, b1 = band
-        m0, m1 = subgrid
         with self._stats_lock:
             self.hits += 1
-        # The index vectors are pure functions of (shape, band, subgrid);
-        # rebuilding them here keeps the on-disk payload minimal.
-        return GridBandSpectra(
-            shape=key,
-            weights=weights,
-            band=(b0, b1),
-            subgrid=(m0, m1),
-            compact=compact,
-            sub_spectra=sub_spectra,
-            rows_src=_band_indices(rows, b0),
-            cols_src=_band_indices(cols, b1),
-            rows_dst=_band_indices(m0, b0),
-            cols_dst=_band_indices(m1, b1),
-            up_rows_src=_band_indices(m0, 2 * b0),
-            up_cols_src=_band_indices(m1, 2 * b1),
-            up_rows_dst=_band_indices(rows, 2 * b0),
-            up_cols_dst=_band_indices(cols, 2 * b1),
+        return GridBandSpectra.assemble(
+            key, weights, band, subgrid, compact, sub_spectra
         )

@@ -7,11 +7,14 @@ with its lithography evaluation.  An action moves every segment by one of
 reward.
 
 Every evaluation is one :meth:`LithographySimulator.simulate_batch` call
-for the whole batch of masks.  The environment builds the stencil plans
-of its measure points and control points once per clip; inside the call
-the nominal corner is lifted only at those plans' pixels (EPE and
-segment EPE), and only the defocus corner is resampled to the full grid
-(the PV band).  The dense nominal aerial is built only if a caller reads
+for the whole batch of masks, which takes the masks as polygons: their
+pupil band comes straight from the geometry, with no raster and no
+full-grid FFT.  The environment builds the stencil plans of its measure
+points and control points once per clip, and plans their nominal lift
+(pixel union, lattice, phases) once with them; inside the call the
+nominal corner is lifted only at those plans' pixels (EPE and segment
+EPE), and only the defocus corner is resampled to the full grid (the PV
+band).  The dense nominal aerial is built only if a caller reads
 ``EnvState.litho.aerial``.
 
 Candidate-action batching: :meth:`OPCEnvironment.score_moves` evaluates a
@@ -36,7 +39,10 @@ from repro.constants import (
 from repro.errors import RLError
 from repro.geometry.layout import Clip
 from repro.geometry.mask_edit import MaskState
-from repro.geometry.raster import Grid, rasterize
+from repro.geometry.raster import (
+    Grid,
+    rasterize,  # perfbench's layer tracer hooks it here
+)
 from repro.geometry.segmentation import Segment, fragment_clip
 from repro.litho.simulator import LithographySimulator, LithoResult
 from repro.metrology.contour import plan_contour_stencils
@@ -108,6 +114,10 @@ class OPCEnvironment:
                 epe_search_nm,
             ) if self.segments else None,
         )
+        # Their nominal lift (pixel union, lattice, phases), planned once.
+        self._lift = simulator.nominal_lift(
+            self.grid, [plan for plan in self._plans if plan is not None]
+        )
 
     @property
     def n_segments(self) -> int:
@@ -126,19 +136,18 @@ class OPCEnvironment:
         """Evaluate several mask states: one batched litho call followed
         by one metrology pass.
 
-        The litho call lifts the nominal intensity at the measure and
-        control points' stencil pixels (EPE and segment EPE need nothing
-        else) and resamples only the defocus corner densely, for the PV
-        band.  Results are bit-for-bit identical to mapping
+        The litho call takes the masks' polygons (the pupil band comes
+        from their slabs), lifts the nominal intensity at the measure
+        and control points' stencil pixels (EPE and segment EPE need
+        nothing else) and resamples only the defocus corner densely, for
+        the PV band.  Results are bit-for-bit identical to mapping
         :meth:`evaluate` over ``masks``.
         """
         if not masks:
             raise RLError("evaluate_batch needs at least one mask state")
-        images = np.stack(
-            [rasterize(mask.mask_polygons(), self.grid) for mask in masks]
+        lithos = self.simulator.simulate_batch(
+            [mask.mask_polygons() for mask in masks], self.grid, self._lift
         )
-        plans = [plan for plan in self._plans if plan is not None]
-        lithos = self.simulator.simulate_batch(images, self.grid, plans)
         measured, controlled = (plan is not None for plan in self._plans)
         # Both plans share one search window, so every profile of the
         # batch resolves in one vectorized pass.

@@ -25,9 +25,7 @@ _SPECTRA_FIELDS = (
     "rows_dst",
     "cols_dst",
     "up_rows_src",
-    "up_cols_src",
     "up_rows_dst",
-    "up_cols_dst",
 )
 
 
