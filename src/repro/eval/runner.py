@@ -7,16 +7,18 @@ This module is a thin adapter over
 so the suite sweep and its verification ride the same blessed path as
 the CLI and the examples.
 
-With a ``verify_simulator`` the service additionally re-simulates every
-engine's final mask through the batched lithography engine
-(:meth:`~repro.litho.simulator.LithographySimulator.simulate_batch`,
-grouped by grid shape so a whole suite becomes a handful of batched
-calls) and checks that the re-measured EPE matches what the engine
-reported.  Because batched results are bit-for-bit independent of the
-batch size, the engines' own per-iteration sweeps and this grouped
-re-simulation agree exactly, so any divergence means an engine
-mis-reported its own result — a cheap end-to-end invariant over the
-whole stack.
+With a ``verify_simulator`` the service additionally re-measures every
+engine's final mask and checks that the EPE matches what the engine
+reported.  :class:`~repro.service.scheduler.ShapeBinScheduler` bins the
+rasterized masks by grid shape and search range, and flushes each bin
+through one sparse
+:meth:`~repro.litho.simulator.LithographySimulator.simulate_epe_batch`
+call (intensity only at the measure-point stencil pixels) and one
+:func:`~repro.metrology.epe.measure_epe_grouped_sparse` call, so a whole
+suite becomes a handful of batched calls.  Because batched results are
+bit-for-bit independent of the batch size, any divergence means an
+engine mis-reported its own result — a cheap end-to-end invariant over
+the whole stack.
 """
 
 from __future__ import annotations
@@ -58,12 +60,13 @@ def batch_verify_epe(
 ) -> dict[str, float]:
     """Re-measure every outcome's EPE through the batched engines.
 
-    Clips are grouped by grid shape so each group is one
-    ``simulate_batch`` call followed by one batched metrology call
-    (:func:`~repro.metrology.epe.measure_epe_grouped` — the clips share a
-    shape but not geometry, so each carries its own grid and measure
-    points).  Returns ``{clip_name: epe_nm}`` for every outcome whose
-    final mask could be recovered.
+    A :class:`~repro.service.scheduler.ShapeBinScheduler` groups the
+    rasterized final masks by grid shape and search range; each bin is
+    one sparse ``simulate_epe_batch`` call followed by one
+    :func:`~repro.metrology.epe.measure_epe_grouped_sparse` call (the
+    clips share a shape but not geometry, so each carries its own grid
+    and measure points).  Returns ``{clip_name: epe_nm}`` for every
+    outcome whose final mask could be recovered.
     """
     scheduler = ShapeBinScheduler()
     for clip, outcome in zip(clips, outcomes):

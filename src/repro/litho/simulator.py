@@ -116,6 +116,7 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.raster import (
     Grid,
     rasterize,  # perfbench's layer tracer hooks it here
+    slab_decomposition,
 )
 from repro.backend import resolve_backend
 from repro.litho.kernels import (
@@ -648,11 +649,43 @@ class LithographySimulator:
         of the rasterized polygons to FFT round-off.  (The OPC engines
         step through ``OPCEnvironment``, which calls
         :meth:`simulate_batch` with its planned nominal lift.)
+
+        Raises:
+            LithoError: two of the polygons overlap with positive area.
+                The band sums polygons, where :func:`rasterize` clips
+                coverage at 1, so an overlap would be counted twice.
         """
-        return self.simulate_batch([tuple(polygons)], grid)[0]
+        polys = tuple(polygons)
+        _require_disjoint(polys)
+        return self.simulate_batch([polys], grid)[0]
 
     def simulate_state(self, state: MaskState, grid: Grid | None = None) -> LithoResult:
         """Simulate the current mask of an OPC state."""
         if grid is None:
             grid = self.grid_for(state.clip)
         return self.simulate_polygons(state.mask_polygons(), grid)
+
+
+def _require_disjoint(polygons: Sequence[Polygon]) -> None:
+    """Raise :class:`LithoError` if two polygons overlap with positive
+    area: an exact test of every pair of their disjoint slabs."""
+    slabs = np.array(
+        [
+            (index, *slab)
+            for index, polygon in enumerate(polygons)
+            for slab in slab_decomposition(polygon)
+        ],
+        dtype=np.float64,
+    ).reshape(-1, 5)
+    owner, x_lo, x_hi, y_lo, y_hi = (column[:, None] for column in slabs.T)
+    overlap = (
+        (owner < owner.T)
+        & (np.maximum(x_lo, x_lo.T) < np.minimum(x_hi, x_hi.T))
+        & (np.maximum(y_lo, y_lo.T) < np.minimum(y_hi, y_hi.T))
+    )
+    if overlap.any():
+        i, j = np.argwhere(overlap)[0]
+        raise LithoError(
+            f"polygons {int(slabs[i, 0])} and {int(slabs[j, 0])} overlap; "
+            "simulate_polygons needs disjoint polygons"
+        )

@@ -17,19 +17,17 @@ moved off the target shows up as an occupancy difference between channels
 0 and 3, which a small CNN can read directly.  Because both patterns share
 the scanline grid, their adaptive re-gridding stays cell-aligned.
 
-Population batching: :meth:`NodeFeatureEncoder.encode_all_population`
-encodes all P population members of a segment through *one* scanline
-union (the target edges plus every member's mask edges).  The union grid
-is a refinement of each member's own grid, so the encoded geometry is
-unchanged, and the target channels become identical across members — one
-target encode per segment replaces P.  With a single state the union
-degenerates to exactly the per-window grid, so P=1 encodings are
-bit-for-bit identical to :meth:`encode_all`.
-
-Every encode extracts the mask and target polygons' bounding boxes,
-vertices and vertical edges once per state (:class:`PolygonTable`); the
-per-window work is array arithmetic on those tables, and the patterns
-sharing a window's grid are re-gridded together.
+One pass per state: :meth:`NodeFeatureEncoder.encode_all` encodes every
+segment window of a state with one set of array operations, never a loop
+over windows (:class:`PolygonTable` flattens the polygons once; the
+scanlines, occupancy and re-gridding of all windows are batched; only a
+window more complex than the output shape merges in a per-window loop).
+:meth:`~NodeFeatureEncoder.encode_all_population` puts all P lockstep
+members of a segment on *one* grid (the target edges plus every member's
+mask edges).  The union grid refines each member's own grid, so the
+encoded geometry is unchanged and the target channels are encoded once
+per segment.  With a single state it is exactly the per-window grid, so
+P=1 is bit-for-bit :meth:`~NodeFeatureEncoder.encode_all`.
 
 RL-OPC's original 3-channel encoding (mask only) is exposed separately for
 the baseline.
@@ -45,11 +43,10 @@ import numpy as np
 from repro.constants import FEATURE_WINDOW_NM
 from repro.errors import SquishError
 from repro.geometry.mask_edit import MaskState
-from repro.geometry.rect import Rect
 from repro.geometry.segmentation import Segment
-from repro.squish.adaptive import adaptive_squish_tensors
-from repro.squish.scanlines import window_scanlines
-from repro.squish.squish import PolygonTable
+from repro.squish.adaptive import fit_squish
+from repro.squish.scanlines import axis_scanlines
+from repro.squish.squish import PolygonTable, squish_occupancy
 
 
 @dataclass(frozen=True)
@@ -74,54 +71,62 @@ class NodeFeatureEncoder:
         if self.channels not in (3, 6):
             raise SquishError("channels must be 3 (mask only) or 6 (CAMO)")
 
-    def _window(self, segment: Segment) -> Rect:
-        cx, cy = segment.control
-        return Rect.from_center(cx, cy, self.window_nm, self.window_nm)
-
-    def _encode_window(
-        self, window: Rect, masks: list[PolygonTable], targets: PolygonTable
+    def _encode(
+        self, states: Sequence[MaskState], segments: Sequence[Segment]
     ) -> np.ndarray:
-        """``(len(masks), channels, s, s)`` tensors for one window.
+        """``(P, n, channels, s, s)`` tensors: every segment window of
+        every state in one pass.
 
-        Every mask (and, for 6 channels, the targets) is encoded on one
-        scanline grid: the window borders plus every vertex of every
-        polygon overlapping the window.  For a single mask this is the
-        mask grid refined by the target edges, and vice versa.
+        A 6-channel encode has one grid per window, shared by every
+        member's mask and the targets: the window borders plus every
+        vertex of every polygon overlapping the window.  A 3-channel
+        encode has one grid per (member, window), from that member's
+        mask alone.
         """
-        mask_ids = [table.overlapping(window) for table in masks]
-        tables = list(zip(masks, mask_ids))
+        n_members, n, size = len(states), len(segments), self.out_size
+        sources = [state.mask_polygons() for state in states]
         if self.channels == 6:
-            tables.append((targets, targets.overlapping(window)))
-        vertices = [table.vertices[i] for table, ids in tables for i in ids]
-        xs, ys = _grid(window, vertices)
-        matrices = np.stack(
-            [table.occupancy(ids, xs, ys) for table, ids in tables]
+            sources.append(states[0].clip.targets)
+        table = PolygonTable.of(sources)
+        half = self.window_nm / 2
+        centres = np.array([seg.control for seg in segments], dtype=np.float64)
+        bounds = np.concatenate([centres - half, centres + half], axis=1)
+        if self.channels == 6:
+            n_layers, layer_of = len(sources), table.source[None]
+        else:
+            bounds = np.tile(bounds, (n_members, 1))
+            member = np.repeat(np.arange(n_members), n)[:, None]
+            n_layers, layer_of = 1, np.where(member == table.source, 0, -1)
+        x0, y0, x1, y1 = table.bboxes.T
+        wx0, wy0, wx1, wy1 = (column[:, None] for column in bounds.T)
+        overlap = (x0 < wx1) & (wx0 < x1) & (y0 < wy1) & (wy0 < y1)
+        layer_of = np.where(overlap, layer_of, -1)
+        seen = (layer_of >= 0)[:, table.owner]
+        xs, nx = axis_scanlines(wx0[:, 0], wx1[:, 0], table.vertices[:, 0], seen)
+        ys, ny = axis_scanlines(wy0[:, 0], wy1[:, 0], table.vertices[:, 1], seen)
+        occupancy, spacing_x, spacing_y = fit_squish(
+            squish_occupancy(xs, ys, table.edges, layer_of, n_layers),
+            np.diff(xs, axis=1), nx - 1, np.diff(ys, axis=1), ny - 1,
+            size, size,
         )
-        tensors = adaptive_squish_tensors(
-            matrices, np.diff(xs), np.diff(ys), self.out_size, self.out_size
-        )
+        grids = (n_members, n) if self.channels == 3 else (1, n)
+        out = np.empty((n_members, n, self.channels // 3, 3, size, size))
         if self.channels == 3:
-            return tensors
-        return np.concatenate(
-            [tensors[:-1], np.broadcast_to(tensors[-1:], tensors[:-1].shape)],
-            axis=1,
-        )
+            out[:, :, 0, 0] = occupancy.reshape(n_members, n, size, size)
+        else:
+            out[:, :, 0, 0] = occupancy[:, :-1].swapaxes(0, 1)
+            out[:, :, 1, 0] = occupancy[:, -1]
+        out[:, :, :, 1] = spacing_x.reshape(*grids, 1, 1, size)
+        out[:, :, :, 2] = spacing_y.reshape(*grids, 1, size, 1)
+        return out.reshape(n_members, n, self.channels, size, size)
 
     def encode_segment(self, state: MaskState, segment: Segment) -> np.ndarray:
         """Feature tensor ``(channels, out_size, out_size)`` for one node."""
-        return self._encode_window(
-            self._window(segment), [_mask_table(state)], _target_table(state)
-        )[0]
+        return self._encode([state], [segment])[0, 0]
 
     def encode_all(self, state: MaskState) -> np.ndarray:
         """Feature tensors for every segment: ``(n, channels, s, s)``."""
-        masks, targets = [_mask_table(state)], _target_table(state)
-        return np.stack(
-            [
-                self._encode_window(self._window(seg), masks, targets)[0]
-                for seg in state.segments
-            ]
-        )
+        return self._encode([state], state.segments)[0]
 
     # -- population batching -------------------------------------------------
     def encode_all_population(
@@ -130,43 +135,15 @@ class NodeFeatureEncoder:
         """Feature tensors for P lockstep states: ``(P, n, channels, s, s)``.
 
         The population members must share one clip (the lockstep training
-        invariant); each segment is encoded through one scanline union
-        (target edges + every member's mask edges), so its target
-        channels are encoded once and broadcast.  3-channel encoders have
-        no cross-member sharing to exploit and fall back to per-state
-        :meth:`encode_all`.
+        invariant).  A 6-channel encode puts every member on one grid per
+        window, so the target channels are encoded once and broadcast; a
+        3-channel encode gives every member its own grids.
         """
         if not states:
             raise SquishError("population encoding needs at least one state")
-        if self.channels == 3:
-            return np.stack([self.encode_all(state) for state in states])
         segments = states[0].segments
         if any(len(state.segments) != len(segments) for state in states[1:]):
             raise SquishError(
                 "population members must share one clip's segments"
             )
-        masks = [_mask_table(state) for state in states]
-        targets = _target_table(states[0])
-        return np.stack(
-            [
-                self._encode_window(self._window(seg), masks, targets)
-                for seg in segments
-            ],
-            axis=1,
-        )
-
-
-def _mask_table(state: MaskState) -> PolygonTable:
-    return PolygonTable.of(state.mask_polygons())
-
-
-def _target_table(state: MaskState) -> PolygonTable:
-    return PolygonTable.of(state.clip.targets)
-
-
-def _grid(
-    window: Rect, vertices: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scanlines at the window borders and every given vertex inside it."""
-    points = np.concatenate(vertices) if vertices else np.empty((0, 2))
-    return window_scanlines(window, points[:, 0], points[:, 1])
+        return self._encode(states, segments)

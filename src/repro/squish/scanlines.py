@@ -28,38 +28,55 @@ def scanline_positions(
         ``(xs, ys)`` strictly increasing coordinate arrays, both starting
         at the window's low edge and ending at its high edge.
     """
-    polys = list(polygons)
-    vertex_x = [x for polygon in polys for x, _ in polygon.vertices]
-    vertex_y = [y for polygon in polys for _, y in polygon.vertices]
-    return window_scanlines(
-        window,
-        np.asarray(vertex_x + list(extra_x), dtype=np.float64),
-        np.asarray(vertex_y + list(extra_y), dtype=np.float64),
-        tolerance,
+    points = np.array(
+        [v for polygon in polygons for v in polygon.vertices], dtype=np.float64
+    ).reshape(-1, 2)
+    return tuple(
+        axis_scanlines(
+            np.array([lo]), np.array([hi]),
+            np.concatenate([points[:, axis], np.asarray(extra, dtype=np.float64)]),
+            tolerance=tolerance,
+        )[0][0]
+        for axis, lo, hi, extra in (
+            (0, window.x0, window.x1, extra_x), (1, window.y0, window.y1, extra_y)
+        )
     )
 
 
-def window_scanlines(
-    window: Rect, xs: np.ndarray, ys: np.ndarray, tolerance: float = 1e-9
+def axis_scanlines(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    values: np.ndarray,
+    valid: np.ndarray | None = None,
+    tolerance: float = 1e-9,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`scanline_positions` from candidate coordinate arrays.
+    """Scanlines along one axis of R windows at once.
 
-    Keeps the candidates strictly inside the window, adds its borders,
-    then sorts and merges coordinates closer than ``tolerance``.
+    Row ``r`` keeps the candidates ``values`` (``(V,)`` shared by every
+    row, or ``(R, V)``) that ``valid`` selects for it and that lie
+    strictly inside ``(lo[r], hi[r])``, adds the two borders, then sorts
+    and drops every coordinate within ``tolerance`` of its predecessor.
+
+    Returns:
+        ``(lines, counts)``: ``(R, L)`` scanlines, row ``r`` strictly
+        increasing over its first ``counts[r]`` entries and padded with
+        its last scanline, so padded cells have zero width.
     """
-    xs_arr = _axis_scanlines(xs, window.x0, window.x1, tolerance)
-    ys_arr = _axis_scanlines(ys, window.y0, window.y1, tolerance)
-    if len(xs_arr) < 2 or len(ys_arr) < 2:
+    lo, hi = lo[:, None], hi[:, None]
+    inside = (lo < values) & (values < hi)
+    if valid is not None:
+        inside &= valid
+    # Rejected candidates become copies of ``hi``: they sort to the end
+    # and fall to the tolerance rule, leaving each row's kept lines as
+    # they would be without them.
+    candidates = np.where(inside, values, hi)
+    ordered = np.sort(np.concatenate([lo, hi, candidates], axis=1), axis=1)
+    keep = np.empty(ordered.shape, dtype=bool)
+    keep[:, 0] = True
+    keep[:, 1:] = np.diff(ordered, axis=1) > tolerance
+    counts = keep.sum(axis=1)
+    if counts.min() < 2:
         raise SquishError("window degenerated to fewer than two scanlines")
-    return xs_arr, ys_arr
-
-
-def _axis_scanlines(
-    values: np.ndarray, lo: float, hi: float, tolerance: float
-) -> np.ndarray:
-    inside = values[(lo < values) & (values < hi)]
-    ordered = np.sort(np.concatenate(([lo, hi], inside)))
-    keep = np.empty(len(ordered), dtype=bool)
-    keep[0] = True
-    keep[1:] = np.diff(ordered) > tolerance
-    return ordered[keep]
+    starts = np.cumsum(counts) - counts
+    slot = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+    return ordered[keep][starts[:, None] + slot], counts

@@ -79,9 +79,10 @@ def encode_squish(
     """
     polys = list(polygons)
     xs, ys = scanline_positions(polys, window, extra_x=extra_x, extra_y=extra_y)
-    matrix = _occupancy([vertical_edges(p.vertices) for p in polys], xs, ys)
+    edges = PolygonTable.of([polys]).edges if polys else np.empty((0, 0, 3))
+    layer_of = np.zeros((1, len(polys)), dtype=np.intp)
     return SquishPattern(
-        matrix=matrix,
+        matrix=squish_occupancy(xs[None], ys[None], edges, layer_of, 1)[0, 0],
         delta_x=np.diff(xs),
         delta_y=np.diff(ys),
         origin=(window.x0, window.y0),
@@ -90,79 +91,84 @@ def encode_squish(
 
 @dataclass(frozen=True)
 class PolygonTable:
-    """Bounding boxes, vertices and vertical edges of a polygon list.
+    """Bounding boxes, vertices and vertical edges of polygon lists.
 
-    Extracted once so that many windows can be encoded from the same
-    geometry without touching the ``Polygon`` objects again.
+    Extracted once per encode, so that every window is encoded from flat
+    arrays without touching the ``Polygon`` objects again.  The lists
+    (one per population member's mask, plus the targets) are
+    concatenated; polygon ``g`` came from list ``source[g]``.
 
     Attributes:
-        bboxes: ``(P, 4)`` rows of ``(x0, y0, x1, y1)``.
-        vertices: Per polygon, its ``(V, 2)`` vertex array.
-        edges: Per polygon, its :func:`vertical_edges`.
+        bboxes: ``(G, 4)`` rows of ``(x0, y0, x1, y1)``.
+        source: ``(G,)`` list index of each polygon.
+        vertices: ``(V, 2)`` every polygon's vertices, polygon by polygon.
+        owner: ``(V,)`` polygon index of each vertex.
+        edges: ``(G, E, 3)`` rows of ``(x, y_lo, y_hi)``, one per vertical
+            edge of each closed vertex loop, padded with NaN edges, which
+            cross nothing.
     """
 
     bboxes: np.ndarray
-    vertices: tuple[np.ndarray, ...]
-    edges: tuple[np.ndarray, ...]
+    source: np.ndarray
+    vertices: np.ndarray
+    owner: np.ndarray
+    edges: np.ndarray
 
     @classmethod
-    def of(cls, polygons: Sequence[Polygon]) -> "PolygonTable":
-        vertices = tuple(
-            np.asarray(p.vertices, dtype=np.float64) for p in polygons
+    def of(cls, sources: Sequence[Sequence[Polygon]]) -> "PolygonTable":
+        polygons = [p for polys in sources for p in polys]
+        source = np.repeat(np.arange(len(sources)), [len(p) for p in sources])
+        counts = np.array([len(p.vertices) for p in polygons])
+        vertices = np.array(
+            [v for p in polygons for v in p.vertices], dtype=np.float64
         )
-        bboxes = np.array(
-            [[*v.min(axis=0), *v.max(axis=0)] for v in vertices],
-            dtype=np.float64,
-        ).reshape(-1, 4)
-        return cls(bboxes, vertices, tuple(vertical_edges(v) for v in vertices))
-
-    def overlapping(self, window: Rect) -> np.ndarray:
-        """Indices of the polygons whose bbox overlaps the window with
-        positive area (:meth:`Rect.intersects`)."""
-        x0, y0, x1, y1 = self.bboxes.T
-        return np.flatnonzero(
-            (x0 < window.x1) & (window.x0 < x1) & (y0 < window.y1) & (window.y0 < y1)
+        owner = np.repeat(np.arange(len(polygons)), counts)
+        starts = np.cumsum(counts) - counts
+        low, high = np.minimum.reduceat, np.maximum.reduceat
+        bboxes = np.hstack([low(vertices, starts), high(vertices, starts)])
+        # Each vertex with the next one around its own loop.
+        after = np.arange(1, len(vertices) + 1)
+        after[starts + counts - 1] = starts
+        vertical = np.flatnonzero(vertices[:, 0] == vertices[after, 0])
+        a, b = vertices[vertical, 1], vertices[after[vertical], 1]
+        edge_owner = owner[vertical]
+        rank = np.arange(len(vertical)) - np.searchsorted(edge_owner, edge_owner)
+        edges = np.full((len(polygons), rank.max() + 1, 3), np.nan)
+        edges[edge_owner, rank] = np.stack(
+            [vertices[vertical, 0], np.minimum(a, b), np.maximum(a, b)], axis=1
         )
-
-    def occupancy(
-        self, ids: np.ndarray, xs: np.ndarray, ys: np.ndarray
-    ) -> np.ndarray:
-        """Occupancy matrix of the polygons ``ids`` on a scanline grid."""
-        return _occupancy([self.edges[i] for i in ids], xs, ys)
+        return cls(bboxes, source, vertices, owner, edges)
 
 
-def vertical_edges(
-    vertices: Sequence[tuple[float, float]] | np.ndarray,
+def squish_occupancy(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    edges: np.ndarray,
+    layer_of: np.ndarray,
+    n_layers: int,
 ) -> np.ndarray:
-    """``(E, 3)`` rows of ``(x, y_lo, y_hi)``, one per vertical edge of
-    the closed vertex loop."""
-    verts = np.asarray(vertices, dtype=np.float64)
-    a, b = verts, np.roll(verts, -1, axis=0)
-    vertical = a[:, 0] == b[:, 0]
-    a, b = a[vertical], b[vertical]
-    return np.stack(
-        [a[:, 0], np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1])],
-        axis=1,
-    )
+    """Occupancy of R scanline grids: ``(R, n_layers, Ly - 1, Lx - 1)``.
 
-
-def _occupancy(
-    edge_sets: Sequence[np.ndarray], xs: np.ndarray, ys: np.ndarray
-) -> np.ndarray:
-    """Even-odd test of every cell centre against every polygon.
-
-    A centre is inside a polygon when an odd number of its vertical edges
-    lie to the right of it within their ``[y_lo, y_hi)`` span; the count
-    over all edges of one polygon is one ``(rows x E) @ (E x cols)``
-    product.  Polygons are OR-ed.
+    ``xs`` ``(R, Lx)`` and ``ys`` ``(R, Ly)`` are the (padded) scanline
+    grids.  Polygon ``g`` (row ``g`` of ``edges``) is drawn into layer
+    ``layer_of[r, g]`` of grid ``r``, or left out where that is -1.  A
+    cell centre is inside a polygon when an odd number of its vertical
+    edges lie to the right of it within their ``[y_lo, y_hi)`` span; the
+    count for one (grid, polygon) pair is a ``(Ly - 1, E) @ (E, Lx - 1)``
+    product, all pairs in one batched ``matmul``.  The polygons of one
+    layer are OR-ed.
     """
-    cx = (xs[:-1] + xs[1:]) / 2
-    cy = (ys[:-1] + ys[1:]) / 2
-    occupied = np.zeros((len(cy), len(cx)), dtype=np.uint8)
-    for edges in edge_sets:
-        x, y_lo, y_hi = edges.T
-        row_hit = (y_lo[:, None] <= cy) & (cy < y_hi[:, None])
-        col_hit = cx < x[:, None]
-        crossings = row_hit.T.astype(np.int64) @ col_hit.astype(np.int64)
-        occupied |= (crossings & 1).astype(np.uint8)
-    return occupied
+    cx = (xs[:, :-1] + xs[:, 1:]) / 2
+    cy = (ys[:, :-1] + ys[:, 1:]) / 2
+    occupied = np.zeros((len(xs) * n_layers, cy.shape[1], cx.shape[1]), np.uint8)
+    rows, polygons = np.nonzero(layer_of >= 0)
+    x, y_lo, y_hi = np.moveaxis(edges[polygons], -1, 0)
+    cy_q = cy[rows][:, :, None]
+    row_hit = (y_lo[:, None, :] <= cy_q) & (cy_q < y_hi[:, None, :])
+    col_hit = cx[rows][:, None, :] < x[:, :, None]
+    # Crossing counts are small integers: exact in float32, at half the memory.
+    crossings = np.matmul(row_hit.astype(np.float32), col_hit.astype(np.float32))
+    odd = (crossings.astype(np.int64) & 1).astype(np.uint8)
+    group = rows * n_layers + layer_of[rows, polygons]
+    np.bitwise_or.at(occupied, group, odd)
+    return occupied.reshape(len(xs), n_layers, *occupied.shape[1:])

@@ -9,6 +9,7 @@ on batch size alone."""
 import numpy as np
 import pytest
 
+from repro.errors import LithoError
 from repro.geometry import Clip, Grid, Polygon, Rect, rasterize
 from repro.geometry.mask_edit import MaskState
 from repro.geometry.segmentation import fragment_clip
@@ -108,6 +109,22 @@ class TestBatchParity:
         via_batch = sim.simulate_polygons([poly], SQUARE)
         via_reference = sim.simulate_mask(rasterize([poly], SQUARE), SQUARE)
         assert_results_close(via_batch, via_reference)
+
+    def test_simulate_polygons_rejects_overlapping_polygons(self, sim):
+        """The polygon band sums polygons where the raster clips coverage
+        at 1, so an overlapping pair is refused rather than counted
+        twice; polygons that only share an edge are disjoint."""
+        left = Polygon.from_rect(Rect(500, 500, 640, 700))
+        touching = Polygon.from_rect(Rect(640, 550, 760, 650))
+        l_shape = Polygon(
+            ((700, 400), (900, 400), (900, 800), (860, 800), (860, 440), (700, 440))
+        )
+        # Inside the L's bounding box but off its arms: still disjoint.
+        pocket = Polygon.from_rect(Rect(760, 500, 840, 560))
+        sim.simulate_polygons([left, touching, l_shape, pocket], SQUARE)
+        notch = Polygon.from_rect(Rect(840, 700, 870, 760))
+        with pytest.raises(LithoError, match="overlap"):
+            sim.simulate_polygons([left, l_shape, notch], SQUARE)
 
 
 class TestUnifiedBandEngine:

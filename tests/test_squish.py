@@ -1,5 +1,7 @@
 """Tests for squish encoding, adaptive re-gridding and node features."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from repro.geometry import (
     Rect,
     fragment_clip,
 )
+from repro.constants import FEATURE_WINDOW_NM
 from repro.data import metal_test_suite
 from repro.squish import (
     NodeFeatureEncoder,
@@ -21,9 +24,10 @@ from repro.squish import (
     encode_squish,
     scanline_positions,
 )
-from repro.squish.adaptive import _fit_axis
-from repro.squish.scanlines import window_scanlines
-from repro.squish.squish import _occupancy, vertical_edges
+from repro.data import via_test_suite
+from repro.squish.adaptive import _split
+from repro.squish.scanlines import axis_scanlines
+from repro.squish.squish import PolygonTable, squish_occupancy
 
 
 WINDOW = Rect(0, 0, 100, 100)
@@ -158,6 +162,11 @@ def _in_window(polygons, window):
     return [p for p in polygons if p.bbox.intersects(window)]
 
 
+def _window(encoder, segment):
+    cx, cy = segment.control
+    return Rect.from_center(cx, cy, encoder.window_nm, encoder.window_nm)
+
+
 def _vertex_coords(polygons):
     return (
         [x for p in polygons for x, _ in p.vertices],
@@ -169,7 +178,7 @@ def _reference_encode_segment(encoder, state, segment):
     """CAMO's two encodings of one window, one squish pattern each: the
     mask with extra scanlines at the target vertices, and the targets
     with extra scanlines at the mask vertices."""
-    window = encoder._window(segment)
+    window = _window(encoder, segment)
     mask_polys = _in_window(state.mask_polygons(), window)
     target_polys = _in_window(state.clip.targets, window)
     mask_x, mask_y = _vertex_coords(mask_polys)
@@ -307,7 +316,7 @@ class TestPopulationEncoding:
         feats = encoder.encode_all_population(states)
         assert feats.shape == (3, 8, 6, 32, 32)
         for j, segment in enumerate(states[0].segments):
-            window = encoder._window(segment)
+            window = _window(encoder, segment)
             target_polys = _in_window(states[0].clip.targets, window)
             union_x, union_y = _vertex_coords(target_polys)
             for state in states:
@@ -428,7 +437,9 @@ def test_closed_form_split_matches_iterative(widths, growth, axis, seed):
         expected_matrix, expected_deltas = _split_widest_reference(
             expected_matrix, expected_deltas, axis
         )
-    got_matrix, got_deltas = _fit_axis(matrix, deltas, target, axis)
+    source, got_deltas = _split(deltas[None], np.array([len(deltas)]), target)
+    got_matrix = np.take(matrix, source[0], axis=axis)
+    got_deltas = got_deltas[0]
     assert np.array_equal(got_matrix, expected_matrix)
     assert np.array_equal(got_deltas, expected_deltas)
     if target == len(deltas):
@@ -475,17 +486,278 @@ COLLINEAR = [(15, 15), (40, 15), (70, 15), (70, 45), (70, 75), (15, 75), (15, 40
     ids=["L", "U", "overlapping", "clipped-by-border", "collinear"],
 )
 def test_vectorized_occupancy_matches_per_edge_loop(loops):
-    """The ``(rows x E) @ (E x cols)`` crossing count gives the same
-    occupancy as XOR-ing one edge at a time, on the polygons' own grid
-    and on a refined one."""
+    """The batched ``(rows x E) @ (E x cols)`` crossing count gives the
+    same occupancy as XOR-ing one edge at a time, on the polygons' own
+    grid and on a refined one."""
     coords = np.asarray([v for loop in loops for v in loop], dtype=np.float64)
+    table = PolygonTable.of([[SimpleNamespace(vertices=loop) for loop in loops]])
+    layer_of = np.zeros((1, len(loops)), dtype=np.intp)
     refine = np.linspace(3.0, 97.0, 11)
+    lo, hi = np.array([0.0]), np.array([100.0])
     for extra in (np.empty(0), refine):
-        xs, ys = window_scanlines(
-            WINDOW,
-            np.concatenate([coords[:, 0], extra]),
-            np.concatenate([coords[:, 1], extra]),
-        )
-        got = _occupancy([vertical_edges(loop) for loop in loops], xs, ys)
-        assert np.array_equal(got, _occupancy_reference(loops, xs, ys))
+        xs, _ = axis_scanlines(lo, hi, np.concatenate([coords[:, 0], extra]))
+        ys, _ = axis_scanlines(lo, hi, np.concatenate([coords[:, 1], extra]))
+        got = squish_occupancy(xs, ys, table.edges, layer_of, 1)
+        assert np.array_equal(got[0, 0], _occupancy_reference(loops, xs[0], ys[0]))
         assert got.any()
+
+
+# -- Parity corpus -------------------------------------------------------
+# An independent reference for the batched encoder: the one-window-at-a-
+# time encoding it replaced (scanlines, occupancy and re-gridding of one
+# window per call, the closed-form split on one grid).  ``encode_squish``
+# and ``adaptive_squish_tensor`` share the batched core, so they cannot
+# serve as the reference.
+
+
+def _ref_axis_scanlines(values, lo, hi, tolerance=1e-9):
+    inside = values[(lo < values) & (values < hi)]
+    ordered = np.sort(np.concatenate(([lo, hi], inside)))
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[0] = True
+    keep[1:] = np.diff(ordered) > tolerance
+    return ordered[keep]
+
+
+def _ref_vertical_edges(vertices):
+    verts = np.asarray(vertices, dtype=np.float64)
+    a, b = verts, np.roll(verts, -1, axis=0)
+    vertical = a[:, 0] == b[:, 0]
+    a, b = a[vertical], b[vertical]
+    return np.stack(
+        [a[:, 0], np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1])],
+        axis=1,
+    )
+
+
+def _ref_occupancy(edge_sets, xs, ys):
+    cx = (xs[:-1] + xs[1:]) / 2
+    cy = (ys[:-1] + ys[1:]) / 2
+    occupied = np.zeros((len(cy), len(cx)), dtype=np.uint8)
+    for edges in edge_sets:
+        x, y_lo, y_hi = edges.T
+        row_hit = (y_lo[:, None] <= cy) & (cy < y_hi[:, None])
+        col_hit = cx < x[:, None]
+        crossings = row_hit.T.astype(np.int64) @ col_hit.astype(np.int64)
+        occupied |= (crossings & 1).astype(np.uint8)
+    return occupied
+
+
+def _ref_merge_narrowest(matrix, deltas, axis):
+    pair_widths = deltas[:-1] + deltas[1:]
+    k = int(np.argmin(pair_widths))
+    new_deltas = np.concatenate([deltas[:k], [pair_widths[k]], deltas[k + 2 :]])
+    merged = np.take(matrix, k, axis=axis) | np.take(matrix, k + 1, axis=axis)
+    matrix = np.delete(matrix, k + 1, axis=axis)
+    np.moveaxis(matrix, axis, 0)[k] = merged
+    return matrix, new_deltas
+
+
+def _ref_fit_axis(matrix, deltas, target, axis):
+    splits = target - len(deltas)
+    if splits > 0:
+        n, n_levels = len(deltas), splits.bit_length()
+        owner, level = np.divmod(np.arange(n * n_levels), n_levels)
+        order = np.lexsort((owner, -np.ldexp(deltas[owner], -level)))
+        available = (1 << level)[order]
+        before = np.cumsum(available) - available
+        taken = np.empty_like(available)
+        taken[order] = np.minimum(np.maximum(splits - before, 0), available)
+        pieces = 1 + taken.reshape(n, n_levels).sum(axis=1)
+        k = np.frexp(pieces)[1] - 1
+        reps = np.empty(2 * n, dtype=np.int64)
+        reps[0::2] = 2 * (pieces - (1 << k))
+        reps[1::2] = pieces - reps[0::2]
+        exps = np.repeat(-k, 2)
+        exps[0::2] -= 1
+        deltas = np.repeat(np.ldexp(np.repeat(deltas, 2), exps), reps)
+        matrix = np.repeat(matrix, pieces, axis=axis)
+    while len(deltas) > target:
+        matrix, deltas = _ref_merge_narrowest(matrix, deltas, axis)
+    return matrix, deltas
+
+
+def _ref_tensors(matrices, delta_x, delta_y, size):
+    """``(K, 3, size, size)`` tensors of K patterns on one grid."""
+    matrix, dx = _ref_fit_axis(matrices.astype(np.uint8), delta_x, size, -1)
+    matrix, dy = _ref_fit_axis(matrix, delta_y, size, -2)
+    tensor = np.empty((len(matrix), 3, size, size), dtype=np.float64)
+    tensor[:, 0] = matrix
+    tensor[:, 1] = np.log1p(dx / (dx.sum() / size))[None, :]
+    tensor[:, 2] = np.log1p(dy / (dy.sum() / size))[:, None]
+    return tensor
+
+
+def _ref_window(window, seen, size):
+    """Tensors of every polygon layer on one shared window grid, from
+    the vertices of all of them."""
+    points = np.asarray(
+        [v for polys in seen for p in polys for v in p.vertices],
+        dtype=np.float64,
+    ).reshape(-1, 2)
+    xs = _ref_axis_scanlines(points[:, 0], window.x0, window.x1)
+    ys = _ref_axis_scanlines(points[:, 1], window.y0, window.y1)
+    matrices = np.stack(
+        [
+            _ref_occupancy([_ref_vertical_edges(p.vertices) for p in polys], xs, ys)
+            for polys in seen
+        ]
+    )
+    return _ref_tensors(matrices, np.diff(xs), np.diff(ys), size)
+
+
+def _ref_encode(encoder, states, segments=None):
+    """``(P, n, channels, s, s)``: one window at a time, the 6-channel
+    grid shared by every member and the targets, the 3-channel grid
+    per member."""
+    segments = states[0].segments if segments is None else segments
+    size = encoder.out_size
+    masks = [state.mask_polygons() for state in states]
+    rows = []
+    for segment in segments:
+        window = _window(encoder, segment)
+        if encoder.channels == 3:
+            rows.append(
+                np.concatenate(
+                    [_ref_window(window, [_in_window(m, window)], size) for m in masks]
+                )
+            )
+            continue
+        layers = [*masks, states[0].clip.targets]
+        tensors = _ref_window(
+            window, [_in_window(polys, window) for polys in layers], size
+        )
+        rows.append(
+            np.concatenate(
+                [tensors[:-1], np.broadcast_to(tensors[-1:], tensors[:-1].shape)],
+                axis=1,
+            )
+        )
+    return np.stack(rows, axis=1)
+
+
+def _assert_identical(got, expected):
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()
+
+
+def _corpus_states(clip):
+    """Start state, three seeded random move sets, every segment at
+    +24 nm and every segment at -24 nm."""
+    segments = fragment_clip(clip)
+    start = MaskState.initial(clip, segments)
+    rng = np.random.default_rng(sum(map(ord, clip.name)))
+    moved = [
+        start.moved(rng.integers(-8, 9, len(segments)).astype(float))
+        for _ in range(3)
+    ]
+    bound = float(start.max_offset)
+    return [
+        start,
+        *moved,
+        start.moved(np.full(len(segments), bound)),
+        start.moved(np.full(len(segments), -bound)),
+    ]
+
+
+CORPUS = via_test_suite() + metal_test_suite()
+
+
+@pytest.mark.parametrize("clip", CORPUS, ids=[clip.name for clip in CORPUS])
+def test_batched_encoder_matches_per_window_reference(clip):
+    """Every test clip, six states each, channels 6 and 3: ``encode_all``
+    (P=1) and ``encode_all_population`` (P=3) are bit-for-bit the
+    one-window-at-a-time encoding, at the layer's own output size and at
+    sizes 4 and 8, which force merges."""
+    states = _corpus_states(clip)
+    layer_size = 32 if clip.layer == "via" else 24
+    for channels in (6, 3):
+        for size in (4, layer_size):
+            encoder = NodeFeatureEncoder(out_size=size, channels=channels)
+            for state in states:
+                _assert_identical(
+                    encoder.encode_all(state), _ref_encode(encoder, [state])[0]
+                )
+        for size in (8, layer_size):
+            encoder = NodeFeatureEncoder(out_size=size, channels=channels)
+            for population in (states[1:4], [states[0], states[4], states[5]]):
+                _assert_identical(
+                    encoder.encode_all_population(population),
+                    _ref_encode(encoder, population),
+                )
+
+
+@pytest.mark.parametrize("channels", [6, 3])
+def test_batched_encoder_matches_reference_at_paper_size(channels):
+    """Output size 128 (the paper's via encoding): every via test clip,
+    P=1 and P=3, and one metal clip."""
+    encoder = NodeFeatureEncoder(out_size=128, channels=channels)
+    for clip in [*via_test_suite(), metal_test_suite()[7]]:
+        states = _corpus_states(clip)
+        _assert_identical(
+            encoder.encode_all(states[1]), _ref_encode(encoder, states[1:2])[0]
+        )
+        _assert_identical(
+            encoder.encode_all_population(states[1:4]),
+            _ref_encode(encoder, states[1:4]),
+        )
+
+
+def test_encode_segment_matches_reference():
+    state = _corpus_states(metal_test_suite()[3])[2]
+    for channels in (6, 3):
+        encoder = NodeFeatureEncoder(out_size=24, channels=channels)
+        for segment in state.segments[::7]:
+            _assert_identical(
+                encoder.encode_segment(state, segment),
+                _ref_encode(encoder, [state], [segment])[0, 0],
+            )
+
+
+def test_polygons_touching_the_window_border_match_reference():
+    """Polygons whose edge lies exactly on a window border (left out of
+    the window) and one straddling it, next to a window's own via."""
+    via = Polygon.from_rect(Rect.square(500, 500, 70))
+    probe = Clip("probe", Rect(0, 0, 2000, 2000), (via,), layer="via")
+    cx, cy = fragment_clip(probe)[0].control
+    half = FEATURE_WINDOW_NM / 2
+    clip = Clip(
+        "border",
+        Rect(0, 0, 2000, 2000),
+        (
+            via,
+            Polygon.from_rect(Rect(cx + half, cy - 20, cx + half + 70, cy + 50)),
+            Polygon.from_rect(Rect(cx - 60, cy + half, cx + 10, cy + half + 70)),
+            Polygon.from_rect(Rect(cx - half - 30, cy - 90, cx - half + 40, cy - 20)),
+        ),
+        layer="via",
+    )
+    states = _corpus_states(clip)
+    for channels in (6, 3):
+        encoder = NodeFeatureEncoder(out_size=32, channels=channels)
+        for state in states:
+            _assert_identical(
+                encoder.encode_all(state), _ref_encode(encoder, [state])[0]
+            )
+        _assert_identical(
+            encoder.encode_all_population(states[1:4]),
+            _ref_encode(encoder, states[1:4]),
+        )
+
+
+@pytest.mark.parametrize("size", [4, 8, 32])
+def test_single_pattern_tensor_matches_reference(size):
+    """``adaptive_squish_tensor(encode_squish(...))`` for a window with no
+    polygons, a polygon touching the border and a merge-heavy window.
+    Unlike a node window, a single pattern takes scanlines from every
+    polygon it is given, overlapping the window or not."""
+    cases = [
+        [],
+        squares(Rect(100, 20, 160, 80)),
+        squares(Rect(-30, 40, 0, 60), Rect(20, 30, 60, 70)),
+        squares(*[Rect(5 + 10 * i, 5 + i, 12 + 10 * i, 95) for i in range(9)]),
+    ]
+    for polys in cases:
+        got = adaptive_squish_tensor(encode_squish(polys, WINDOW), size, size)
+        _assert_identical(got, _ref_window(WINDOW, [polys], size)[0])
