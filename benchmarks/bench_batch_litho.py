@@ -16,9 +16,10 @@ each other before any number is reported:
   run on the compact pupil-band subgrid, and
   each corner's dense intensity comes back through a real-arithmetic
   zero-padded resample (subgrid ``rfft2`` -> half spectrum ->
-  ``irfft2``).  The nominal aerial is resampled lazily, on first read;
-  the timed call reads every nominal aerial, so both pipelines build
-  the same dense images.
+  ``irfft2``).  Both dense aerials are built lazily, on first read (the
+  defocus corner is not even imaged until then); the timed call reads
+  every nominal and defocus aerial, so both pipelines build the same
+  dense images.
   The kernels are frequency-native (built on each grid's own frequency
   lattice, no spatial ambit crop), so this path is *exact*: it must
   match the reference to <= 1e-9 max absolute intensity and produce
@@ -26,9 +27,10 @@ each other before any number is reported:
   EPE/PV-band metrology;
 * ``polygons``     — one ``simulate_batch`` call on the masks' polygon
   sets: the pupil band comes straight from the polygons' slabs (no
-  raster, no full-grid FFT), then the same imaging.  It must match the
-  ``batch`` leg to <= 1e-9 max absolute intensity with identical printed
-  corners.  Its time is recorded, not gated.
+  raster, no full-grid FFT), then the same imaging, and its timed call
+  reads the same aerials.  It must match the ``batch`` leg to <= 1e-9
+  max absolute intensity with identical printed corners.  Its time is
+  recorded, not gated.
 
 The script exits non-zero if exactness fails, if per-mask results depend
 on the batch size, or if the batched speedup falls below the acceptance
@@ -138,7 +140,9 @@ def run(
               f"{EXACTNESS_TOLERANCE} vs the spatial reference")
         return 1
     alone = simulator.simulate_batch(stack[:1], grid)[0]
-    if not np.array_equal(alone.aerial, batched[0].aerial):
+    if not np.array_equal(alone.aerial, batched[0].aerial) or not (
+        np.array_equal(alone.aerial_defocus, batched[0].aerial_defocus)
+    ):
         print("FAIL: per-mask results depend on the batch size")
         return 1
     polygon_error = 0.0
@@ -165,15 +169,21 @@ def run(
     t_seq = best_of(
         lambda: [simulator.simulate_mask(m, grid) for m in masks], repeats
     )
+    # Each batched leg reads both dense aerials of every mask: the
+    # corners the reference builds.
     t_batch = best_of(
-        lambda: [r.aerial for r in simulator.simulate_batch(stack, grid)],
+        lambda: [
+            (r.aerial, r.aerial_defocus)
+            for r in simulator.simulate_batch(stack, grid)
+        ],
         repeats,
     )
     # The raster build is part of the raster leg's input, so the
     # polygon leg is timed from the polygons.
     t_polygons = best_of(
         lambda: [
-            r.aerial for r in simulator.simulate_batch(polygon_sets, grid)
+            (r.aerial, r.aerial_defocus)
+            for r in simulator.simulate_batch(polygon_sets, grid)
         ],
         repeats,
     )

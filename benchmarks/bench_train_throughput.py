@@ -102,11 +102,11 @@ def check_environment_parity(agent: CAMO, clip) -> bool:
     rng = np.random.default_rng(5)
     actions = rng.integers(0, env.n_actions, size=(3, env.n_segments))
     batched = env.step_batch([start] * 3, actions)
-    for row, (state, reward) in zip(actions, batched):
-        ref_state, ref_reward = env.step(start, row)
-        if reward != ref_reward or not np.array_equal(
-            state.seg_epe, ref_state.seg_epe
-        ):
+    for row, state in zip(actions, batched):
+        ref_state = env.step(start, row)
+        if env.reward(start, state) != env.reward(
+            start, ref_state
+        ) or not np.array_equal(state.seg_epe, ref_state.seg_epe):
             print("FAIL: step_batch is not bit-for-bit equal to step")
             return False
     starts = [env.reset(bias_nm=b) for b in (0.0, 3.0)]
@@ -114,10 +114,12 @@ def check_environment_parity(agent: CAMO, clip) -> bool:
         env, steps=2, initial_states=starts
     )
     for state, trajectory in zip(starts, lockstep):
-        for s_a, a_a, r_a in trajectory:
+        for s_a, a_a, n_a in trajectory:
             a_b = greedy_teacher_actions(state)
-            next_state, r_b = env.step(state, a_b)
-            if r_a != r_b or not np.array_equal(a_a, a_b) or not np.array_equal(
+            next_state = env.step(state, a_b)
+            if env.reward(s_a, n_a) != env.reward(
+                state, next_state
+            ) or not np.array_equal(a_a, a_b) or not np.array_equal(
                 s_a.seg_epe, state.seg_epe
             ):
                 print("FAIL: lockstep teacher rollout diverged from env.step")

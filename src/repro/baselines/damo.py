@@ -141,9 +141,7 @@ class DamoLikeOPC:
         trajectory.append(
             TrajectoryStep(
                 actions=np.round(offsets).astype(int),
-                reward=0.0,
                 epe_after=state.total_epe,
-                pvband_after=state.pvband,
             )
         )
         return OptimizeResult(

@@ -106,9 +106,7 @@ class PixelILT:
             trajectory.append(
                 TrajectoryStep(
                     actions=np.zeros(0, dtype=int),
-                    reward=0.0,
                     epe_after=float(np.abs(error).sum()),
-                    pvband_after=0.0,
                 )
             )
 

@@ -12,8 +12,9 @@ Each iteration's corner sweep is one environment step: one
 on the mask's polygons, whose pupil band (taken from the geometry, with
 no raster and no full-grid FFT) feeds the exact pupil-band subgrid
 engine.  Segment EPE comes from the nominal intensity lifted at the
-segments' stencil pixels; only the defocus corner is resampled to the
-full grid, for the PV band.
+segments' stencil pixels, and the feedback rule reads nothing else: the
+defocus corner is imaged only for the final state, when the caller
+reads its PV band.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class MBOPC:
 
         def advance(state: EnvState, step: int):
             actions = self._decide(state.seg_epe, step)
-            return (actions, *env.step(state, actions))
+            return actions, env.step(state, actions)
 
         return run_episode(
             clip, env, advance, self.config, started, max_updates, early_exit

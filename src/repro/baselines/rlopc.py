@@ -148,25 +148,30 @@ class RLOPC:
         if not clips:
             raise RLError("training requires at least one clip")
         history: dict[str, list[float]] = {"imitation_logp": [], "rl_reward": []}
-        teacher_data = {
-            clip.name: [
-                (self.encoder.encode_all(state.mask)[None], actions[None], reward)
-                for state, actions, reward in collect_teacher_actions_population(
-                    self._env(clip), steps=self.config.imitation_steps,
-                    teacher=greedy_teacher_actions,
-                )[0]
-            ]
-            for clip in clips
-        }
         unit_weight = self.config.imitation_weighting == "unit"
+        teacher_data = {}
+        for clip in clips:
+            env = self._env(clip)
+            rollout = collect_teacher_actions_population(
+                env, steps=self.config.imitation_steps,
+                teacher=greedy_teacher_actions,
+            )[0]
+            teacher_data[clip.name] = [
+                (
+                    self.encoder.encode_all(state.mask)[None],
+                    actions[None],
+                    1.0 if unit_weight else env.reward(state, next_state),
+                )
+                for state, actions, next_state in rollout
+            ]
         for _ in range(self.config.imitation_epochs):
             epoch_logp = 0.0
             for clip in clips:
-                for features, actions, reward in teacher_data[clip.name]:
+                for features, actions, weight in teacher_data[clip.name]:
                     log_probs = select_log_probs_population(
                         self.policy(features), actions
                     )
-                    self._step(log_probs, 1.0 if unit_weight else reward)
+                    self._step(log_probs, weight)
                     epoch_logp += float(log_probs.numpy()[0])
             history["imitation_logp"].append(epoch_logp)
         for _ in range(self.config.rl_epochs):
@@ -179,7 +184,8 @@ class RLOPC:
                     actions = sample_actions(
                         F.softmax(logits, axis=-1).numpy(), self.rng
                     )
-                    next_state, reward = env.step(state, actions[0])
+                    next_state = env.step(state, actions[0])
+                    reward = env.reward(state, next_state)
                     self._step(
                         select_log_probs_population(logits, actions), reward
                     )
@@ -201,7 +207,7 @@ class RLOPC:
         def advance(state: EnvState, step: int):
             with no_grad():
                 actions = self._logits(state).numpy()[0].argmax(axis=1)
-            return (actions, *env.step(state, actions))
+            return actions, env.step(state, actions)
 
         return run_episode(
             clip, env, advance, self.config, started, max_updates, early_exit

@@ -73,9 +73,9 @@ class OptimizeResult:
         return self.trajectory.epe_curve
 
 
-Advance = Callable[[EnvState, int], tuple[np.ndarray, EnvState, float]]
+Advance = Callable[[EnvState, int], tuple[np.ndarray, EnvState]]
 """One engine decision plus its transition: ``(state, step)`` ->
-``(actions, next_state, reward)``."""
+``(actions, next_state)``."""
 
 
 def early_exit_reached(config, clip: Clip, state: EnvState) -> bool:
@@ -116,14 +116,9 @@ def run_episode(
         if early_exit and early_exit_reached(config, clip, state):
             exited = True
             break
-        actions, state, reward = advance(state, step)
+        actions, state = advance(state, step)
         trajectory.append(
-            TrajectoryStep(
-                actions=actions,
-                reward=reward,
-                epe_after=state.total_epe,
-                pvband_after=state.pvband,
-            )
+            TrajectoryStep(actions=actions, epe_after=state.total_epe)
         )
     return OptimizeResult(
         clip_name=clip.name,
@@ -252,6 +247,7 @@ class CAMO:
         reward is ~0, are learned too.  ``"reward"`` reproduces Eq. 7
         literally.
         """
+        unit_weight = self.config.imitation_weighting == "unit"
         for clip in clips:
             ctx = self.context(clip)
             if ctx.teacher_samples is None:
@@ -272,23 +268,24 @@ class CAMO:
                     for sample in trajectory
                 ]
                 # Teacher states never change across epochs: encode the
-                # features (and the modulator's logit offset) once.
+                # features (and the modulator's logit offset) and weigh
+                # each sample once.
                 ctx.teacher_samples = [
                     (
                         self.encoder.encode_all(state.mask)[None],
                         actions[None],
-                        reward,
+                        1.0 if unit_weight
+                        else ctx.env.reward(state, next_state),
                         self.modulator.log_preference_batch(state.seg_epe),
                     )
-                    for state, actions, reward in rollout
+                    for state, actions, next_state in rollout
                 ]
-        unit_weight = self.config.imitation_weighting == "unit"
         modulated = self.config.use_modulator and self.config.train_on_modulated
         for epoch in range(self.config.imitation_epochs):
             epoch_logp = 0.0
             for clip in clips:
                 ctx = self.context(clip)
-                for features, actions, reward, log_pref in ctx.teacher_samples:
+                for features, actions, weight, log_pref in ctx.teacher_samples:
                     logits = self.policy(features, ctx.adjacency, ctx.order)
                     if modulated:
                         logits = logits + Tensor(log_pref)
@@ -296,7 +293,7 @@ class CAMO:
                     population_gradient_step(
                         self.optimizer,
                         log_probs,
-                        np.array([1.0 if unit_weight else reward]),
+                        np.array([weight]),
                         max_grad_norm=self.config.max_grad_norm,
                     )
                     epoch_logp += float(log_probs.numpy()[0])
@@ -374,7 +371,10 @@ class CAMO:
                     stepped = ctx.env.step_batch(
                         [states[p] for p in active], actions
                     )
-                    rewards = np.asarray([reward for _, reward in stepped])
+                    rewards = np.asarray([
+                        ctx.env.reward(states[p], nxt)
+                        for p, nxt in zip(active, stepped)
+                    ])
                     slots = np.asarray(active)
                     fresh = ~initialized[slots]
                     baselines[slots[fresh]] = rewards[fresh]
@@ -398,7 +398,7 @@ class CAMO:
                     epoch_reward += float(rewards.sum())
                     survivors = []
                     for index, p in enumerate(active):
-                        states[p] = stepped[index][0]
+                        states[p] = stepped[index]
                         if not early_exit_reached(self.config, clip, states[p]):
                             survivors.append(p)
                     active = survivors
@@ -425,7 +425,7 @@ class CAMO:
 
     def _advance(
         self, ctx: _ClipContext, state: EnvState, step: int
-    ) -> tuple[np.ndarray, EnvState, float]:
+    ) -> tuple[np.ndarray, EnvState]:
         """One greedy Eq. 6 decision and its transition."""
         with no_grad():
             logits = self._population_logits(ctx, [state])
@@ -433,7 +433,7 @@ class CAMO:
             logits.numpy(), state.seg_epe[None], step
         )[0].argmax(axis=1)
         if not self.config.candidate_lookahead:
-            return (actions, *ctx.env.step(state, actions))
+            return actions, ctx.env.step(state, actions)
         # Score the policy's move against the five uniform moves in ONE
         # batched litho call and keep the best-reward candidate.
         # Duplicate rows are scored once, and the all-hold candidate is a
@@ -454,7 +454,8 @@ class CAMO:
         options = [
             (row, nxt, rew) for row, (nxt, rew) in zip(rows, scored)
         ] + [(hold_row, state, 0.0)]
-        return max(options, key=lambda o: o[2])
+        row, nxt, _ = max(options, key=lambda o: o[2])
+        return row, nxt
 
     # -- persistence ------------------------------------------------------------
     def save(self, path: str) -> None:

@@ -34,18 +34,20 @@ three entry points:
   imaging front end then images the band on the compact subgrid, all
   kernels in one inverse FFT
   (:meth:`~repro.litho.kernels.OpticalKernelSet.image_band`).
-  Two back ends read that subgrid intensity: the defocus corner is
-  resampled to the full grid by an exact real-arithmetic zero-padded
-  resample (``rfft2`` -> half spectrum -> ``irfft2``) because the PV
-  band needs it; the nominal corner is lifted only at the pixels of the
-  caller's stencil plans (EPE metrology; :class:`NominalLift` plans
-  that lift once for callers whose plans never change), and its dense
-  aerial is resampled only when :attr:`LithoResult.aerial` is first
-  read.  When the band covers the grid the subgrid *is* the grid and
-  nothing is resampled.  Results match :meth:`simulate_mask` to FFT
-  round-off (far below the 1e-9 golden tolerance) and are bit-for-bit
-  independent of the batch size, so they are legal for reported
-  EPE/PV-band metrology.
+  Two back ends read that subgrid intensity: the nominal corner is
+  lifted only at the pixels of the caller's stencil plans (EPE
+  metrology; :class:`NominalLift` plans that lift once for callers
+  whose plans never change); a dense aerial is rebuilt by an exact
+  real-arithmetic zero-padded resample (``rfft2`` -> half spectrum ->
+  ``irfft2``) only when it is read.  The defocus corner, which feeds
+  nothing but the PV band, is not even imaged until a row's
+  :attr:`LithoResult.aerial_defocus` (or its printed ``inner`` /
+  ``outer`` image) is first read; that read images the whole batch
+  once and resamples that row only.  When the band covers the grid the
+  subgrid *is* the grid and nothing is resampled.  Results match
+  :meth:`simulate_mask` to FFT round-off (far below the 1e-9 golden
+  tolerance) and are bit-for-bit independent of the batch size, so
+  they are legal for reported EPE/PV-band metrology.
 
 * :meth:`LithographySimulator.simulate_epe_batch` — the verifier's
   sparse sweep on rasterized masks: ``rfft2``, the same front end, then
@@ -84,9 +86,9 @@ Downstream measurement mirrors the litho batching: one litho call is
 followed by one batched metrology pass.  ``OPCEnvironment`` passes its
 measure-point and control-point stencil plans to ``simulate_batch`` and
 resolves EPE and segment EPE from the returned sparse aerials in one
-:func:`~repro.metrology.epe.measure_epe_grouped_sparse` call, then
-takes the PV band of the whole batch with
-:func:`~repro.metrology.pvband.pvband_area_batch`.  The suite verifier
+:func:`~repro.metrology.epe.measure_epe_grouped_sparse` call; a state's
+PV band (:func:`~repro.metrology.pvband.pvband_area_batch`) is taken
+only when it is first read.  The suite verifier
 (:mod:`repro.service.scheduler`) pairs ``simulate_epe_batch`` with the
 same grouped sparse EPE.  The dense metrology
 (:func:`~repro.metrology.epe.measure_epe_batch` and friends) remains the
@@ -179,8 +181,9 @@ class LazyPrinted(Mapping):
     :func:`~repro.litho.resist.printed_image` is deferred until it is
     indexed, then cached — a corner read twice returns the same array
     object, and every value is bit-for-bit identical to the eager
-    construction (same function, same inputs, just later).  The nominal
-    aerial itself may be lazy: reading ``"nominal"`` builds it.
+    construction (same function, same inputs, just later).  Either
+    aerial itself may be lazy: reading ``"nominal"`` builds the nominal
+    one, reading ``"inner"`` or ``"outer"`` the defocus one.
     """
 
     __slots__ = ("_sources", "_threshold", "_cache")
@@ -188,7 +191,7 @@ class LazyPrinted(Mapping):
     def __init__(
         self,
         aerial,
-        aerial_defocus: np.ndarray,
+        aerial_defocus,
         threshold: float,
         corners: "tuple[ProcessCorner, ProcessCorner, ProcessCorner]",
     ) -> None:
@@ -225,36 +228,40 @@ class LazyPrinted(Mapping):
 class LithoResult:
     """One full simulation: aerial images plus printed images per corner.
 
-    ``aerial`` is the nominal-corner aerial.  On the batched path it is
-    built on first read from the retained subgrid intensity (most
-    callers need only its EPE, which comes from ``sparse``), so the
-    constructor takes the array or a zero-argument getter for it.
-    ``aerial_defocus`` is always dense: the PV band needs it.
+    ``aerial`` is the nominal-corner aerial and ``aerial_defocus`` the
+    defocus corner's.  On the batched path each is built on first read
+    (most callers need only the nominal EPE, which comes from
+    ``sparse``, and the defocus corner feeds nothing but the PV band),
+    so the constructor takes each as an array or a zero-argument getter.
     ``printed`` maps corner name to the thresholded image; on the
     batched path it is a :class:`LazyPrinted`.  ``sparse`` holds one
     nominal-corner :class:`~repro.metrology.contour.SparseAerial` per
     stencil plan passed to :meth:`LithographySimulator.simulate_batch`.
     """
 
-    __slots__ = ("grid", "_aerial", "aerial_defocus", "printed", "sparse")
+    __slots__ = ("grid", "_aerial", "_aerial_defocus", "printed", "sparse")
 
     def __init__(
         self,
         grid: Grid,
         aerial,
-        aerial_defocus: np.ndarray,
+        aerial_defocus,
         printed: Mapping[str, np.ndarray],
         sparse: tuple = (),
     ) -> None:
         self.grid = grid
         self._aerial = aerial
-        self.aerial_defocus = aerial_defocus
+        self._aerial_defocus = aerial_defocus
         self.printed = printed
         self.sparse = sparse
 
     @property
     def aerial(self) -> np.ndarray:
         return _read(self._aerial)
+
+    @property
+    def aerial_defocus(self) -> np.ndarray:
+        return _read(self._aerial_defocus)
 
     @property
     def nominal(self) -> np.ndarray:
@@ -269,9 +276,12 @@ class LithoResult:
         return self.printed["outer"]
 
 
-def _dense_row(kernel_set: OpticalKernelSet, intensity_sub, shape) -> np.ndarray:
-    """The dense aerial of one ``(1, m0, m1)`` subgrid intensity."""
-    return kernel_set.resample_intensity(intensity_sub, shape)[0]
+def _dense_row(kernel_set: OpticalKernelSet, intensity_sub, index: int, shape):
+    """The dense aerial of row ``index`` of a ``(B, m0, m1)`` subgrid
+    intensity, held directly or built by its zero-argument getter."""
+    return kernel_set.resample_intensity(
+        _read(intensity_sub)[index : index + 1], shape
+    )[0]
 
 
 def _check_plan_grids(plans, grid: Grid) -> None:
@@ -499,11 +509,13 @@ class LithographySimulator:
         take their pupil band straight from the geometry
         (:mod:`repro.litho.polygon_band`), equal to rasterizing them to
         float round-off.  Either band feeds the imaging front end of
-        both the focus and defocus kernel sets.  The defocus corner is
-        resampled to the full grid here (the PV band needs it); the
-        nominal aerial is resampled only when :attr:`LithoResult.aerial`
-        is first read.  Results match :meth:`simulate_mask` to FFT
-        round-off and are bit-for-bit independent of the batch size.
+        both the focus and defocus kernel sets.  The focus corner is
+        imaged here; the defocus corner is imaged, for the whole batch
+        at once, when the first row's ``aerial_defocus`` (or its
+        ``inner`` / ``outer`` printed image) is read.  Each dense aerial
+        — nominal or defocus — is resampled per row, on its first read.
+        Results match :meth:`simulate_mask` to FFT round-off and are
+        bit-for-bit independent of the batch size.
 
         ``plans`` are :class:`~repro.metrology.contour.ContourStencilPlan`
         s shared by every mask (an OPC environment's measure and control
@@ -534,23 +546,27 @@ class LithographySimulator:
         focus_band = focus_set.band_spectra(shape)
         defocus_band = defocus_set.band_spectra(shape)
         focus_sub = focus_set.image_band(mask_band(focus_band), focus_band)
-        aerial_defocus = defocus_set.resample_intensity(
-            defocus_set.image_band(mask_band(defocus_band), defocus_band),
-            shape,
-        )
+        # The defocus corner feeds only the PV band: the first read of
+        # any row's defocus aerial images the whole batch.
+        defocus_sub = functools.cache(functools.partial(
+            defocus_set.image_band, mask_band(defocus_band), defocus_band
+        ))
         per_plan = lift(focus_sub)
         threshold = self.config.threshold
         corners = (nominal, inner, outer)
         results = []
-        for index, defocus_b in enumerate(aerial_defocus):
+        for index in range(len(focus_sub)):
             aerial = functools.cache(functools.partial(
-                _dense_row, focus_set, focus_sub[index : index + 1], shape
+                _dense_row, focus_set, focus_sub, index, shape
+            ))
+            aerial_defocus = functools.cache(functools.partial(
+                _dense_row, defocus_set, defocus_sub, index, shape
             ))
             results.append(LithoResult(
                 grid=grid,
                 aerial=aerial,
-                aerial_defocus=defocus_b,
-                printed=LazyPrinted(aerial, defocus_b, threshold, corners),
+                aerial_defocus=aerial_defocus,
+                printed=LazyPrinted(aerial, aerial_defocus, threshold, corners),
                 sparse=tuple(aerials[index] for aerials in per_plan),
             ))
         return results

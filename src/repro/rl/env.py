@@ -3,8 +3,10 @@
 State: the up-to-date mask plus the target patterns (paper Section 3.1),
 materialized as a :class:`~repro.geometry.mask_edit.MaskState` together
 with its lithography evaluation.  An action moves every segment by one of
-{-2, -1, 0, +1, +2} nm; the environment re-simulates and returns the Eq. 3
-reward.
+{-2, -1, 0, +1, +2} nm; the environment re-simulates and returns the next
+state.  The Eq. 3 reward of a transition, :meth:`OPCEnvironment.reward`,
+is computed only where it is consumed (RL updates, lookahead scoring,
+reward-weighted imitation).
 
 Every evaluation is one :meth:`LithographySimulator.simulate_batch` call
 for the whole batch of masks, which takes the masks as polygons: their
@@ -13,9 +15,12 @@ full-grid FFT.  The environment builds the stencil plans of its measure
 points and control points once per clip, and plans their nominal lift
 (pixel union, lattice, phases) once with them; inside the call the
 nominal corner is lifted only at those plans' pixels (EPE and segment
-EPE), and only the defocus corner is resampled to the full grid (the PV
-band).  The dense nominal aerial is built only if a caller reads
-``EnvState.litho.aerial``.
+EPE).  Nothing else is imaged up front: the PV band
+(:attr:`EnvState.pvband`) images the batch's defocus corner and
+resamples that state's row to the full grid on its first read, and the
+dense nominal aerial is built only if a caller reads
+``EnvState.litho.aerial``.  A state whose PV band nobody reads — an
+MB-OPC step, a greedy CAMO step — never pays for the defocus corner.
 
 Candidate-action batching: :meth:`OPCEnvironment.score_moves` evaluates a
 whole matrix of candidate action vectors — e.g. the five uniform segment
@@ -26,6 +31,7 @@ one batched call instead of one simulator invocation per candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -70,7 +76,15 @@ class EnvState:
     litho: LithoResult
     epe: EPEReport
     seg_epe: np.ndarray
-    pvband: float
+
+    @cached_property
+    def pvband(self) -> float:
+        """PV-band area (nm^2), measured on first read: reading it images
+        the defocus corner of this state's litho batch."""
+        return float(pvband_area_batch(
+            self.litho.inner[None], self.litho.outer[None],
+            self.litho.grid.pixel_nm,
+        )[0])
 
     @property
     def total_epe(self) -> float:
@@ -137,11 +151,11 @@ class OPCEnvironment:
         by one metrology pass.
 
         The litho call takes the masks' polygons (the pupil band comes
-        from their slabs), lifts the nominal intensity at the measure
+        from their slabs) and lifts the nominal intensity at the measure
         and control points' stencil pixels (EPE and segment EPE need
-        nothing else) and resamples only the defocus corner densely, for
-        the PV band.  Results are bit-for-bit identical to mapping
-        :meth:`evaluate` over ``masks``.
+        nothing else); the defocus corner waits for a PV-band read.
+        Results are bit-for-bit identical to mapping :meth:`evaluate`
+        over ``masks``.
         """
         if not masks:
             raise RLError("evaluate_batch needs at least one mask state")
@@ -160,16 +174,9 @@ class OPCEnvironment:
             np.stack([report.values for report in reports[len(masks):]])
             if controlled else np.zeros((len(masks), 0))
         )
-        pvbs = pvband_area_batch(
-            np.stack([litho.inner for litho in lithos]),
-            np.stack([litho.outer for litho in lithos]),
-            self.grid.pixel_nm,
-        )
         return [
-            EnvState(mask=mask, litho=litho, epe=epe, seg_epe=seg, pvband=float(pvb))
-            for mask, litho, epe, seg, pvb in zip(
-                masks, lithos, reports, segs, pvbs
-            )
+            EnvState(mask=mask, litho=litho, epe=epe, seg_epe=seg)
+            for mask, litho, epe, seg in zip(masks, lithos, reports, segs)
         ]
 
     def _initial_mask(self, bias_nm: float | None = None) -> MaskState:
@@ -208,7 +215,11 @@ class OPCEnvironment:
             raise RLError("action indices must be in [0, 5)")
         return actions
 
-    def _reward(self, state: EnvState, next_state: EnvState) -> float:
+    def reward(self, state: EnvState, next_state: EnvState) -> float:
+        """The Eq. 3 reward of the transition ``state -> next_state``.
+
+        It reads both states' PV band, so the first reward of a state
+        images its defocus corner."""
         return compute_reward(
             epe_before=state.total_epe,
             epe_after=next_state.total_epe,
@@ -218,11 +229,9 @@ class OPCEnvironment:
             beta=self.reward_beta,
         )
 
-    def step(
-        self, state: EnvState, action_indices: np.ndarray
-    ) -> tuple[EnvState, float]:
-        """Apply one movement index (0..4) per segment; return next state
-        and the Eq. 3 reward."""
+    def step(self, state: EnvState, action_indices: np.ndarray) -> EnvState:
+        """Apply one movement index (0..4) per segment; return the next
+        state (its reward is :meth:`reward`)."""
         actions = np.asarray(action_indices)
         if actions.ndim != 1:
             raise RLError(
@@ -230,22 +239,21 @@ class OPCEnvironment:
             )
         self._validate_actions(actions)
         deltas = np.asarray(MOVE_SET_NM, dtype=np.float64)[actions]
-        next_state = self.evaluate(state.mask.moved(deltas))
-        return next_state, self._reward(state, next_state)
+        return self.evaluate(state.mask.moved(deltas))
 
     def step_batch(
         self,
         states: Sequence[EnvState],
         action_indices: np.ndarray,
-    ) -> list[tuple[EnvState, float]]:
+    ) -> list[EnvState]:
         """Advance P states by one action vector each, in lockstep.
 
         ``action_indices`` is ``(P, n_segments)``; row ``p`` is applied to
         ``states[p]``.  One batched litho call plus one batched metrology
-        call cover the whole population, and every ``(next_state,
-        reward)`` pair is bit-for-bit identical to :meth:`step` on that
-        state alone.  This is the transition primitive of
-        population-based training and lockstep teacher rollouts.
+        call cover the whole population, and every next state is
+        bit-for-bit identical to :meth:`step` on that state alone.  This
+        is the transition primitive of population-based training and
+        lockstep teacher rollouts.
         """
         actions = np.asarray(action_indices)
         if actions.ndim != 2 or actions.shape[0] != len(states) or not len(states):
@@ -258,11 +266,7 @@ class OPCEnvironment:
         masks = [
             state.mask.moved(move_set[row]) for state, row in zip(states, actions)
         ]
-        next_states = self.evaluate_batch(masks)
-        return [
-            (nxt, self._reward(state, nxt))
-            for state, nxt in zip(states, next_states)
-        ]
+        return self.evaluate_batch(masks)
 
     # -- batched candidate scoring ----------------------------------------------
     def uniform_move_candidates(self) -> np.ndarray:
@@ -279,11 +283,14 @@ class OPCEnvironment:
 
         ``candidate_actions`` is ``(A, n_segments)`` movement indices;
         returns one ``(next_state, reward)`` pair per candidate, each
-        bit-for-bit identical to what :meth:`step` would have produced
-        for that candidate.
+        bit-for-bit identical to :meth:`step` for that candidate and its
+        :meth:`reward`.
         """
         candidates = self._validate_candidates(candidate_actions)
-        return self.step_batch([state] * len(candidates), candidates)
+        return [
+            (nxt, self.reward(state, nxt))
+            for nxt in self.step_batch([state] * len(candidates), candidates)
+        ]
 
     def _validate_candidates(self, candidate_actions: np.ndarray) -> np.ndarray:
         candidates = np.asarray(candidate_actions)

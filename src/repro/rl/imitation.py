@@ -4,8 +4,10 @@ The teacher is any function mapping an environment state to action indices
 (in practice the model-based engine standing in for Calibre).  We roll the
 teacher forward for a limited number of steps and record the visited
 states' actions; phase-1 training replays these actions through the policy
-with the same Eq. 7 update, using the environment reward actually obtained
-by the teacher's move.
+with the same Eq. 7 update.  Under reward weighting the update uses the
+environment reward actually obtained by the teacher's move, which the
+caller computes from the recorded next state
+(:meth:`~repro.rl.env.OPCEnvironment.reward`).
 """
 
 from __future__ import annotations
@@ -57,12 +59,14 @@ def collect_teacher_actions_population(
     steps: int,
     teacher: TeacherPolicy = greedy_teacher_actions,
     initial_states: list[EnvState] | None = None,
-) -> list[list[tuple[EnvState, np.ndarray, float]]]:
+) -> list[list[tuple[EnvState, np.ndarray, EnvState]]]:
     """Roll P teacher trajectories in lockstep for ``steps`` mask updates.
 
-    Returns one list of ``(state, actions, reward)`` triples per
+    Returns one list of ``(state, actions, next_state)`` triples per
     trajectory — everything phase-1 imitation needs to replay it through
-    a policy network.  ``initial_states`` (default: one ``env.reset()``)
+    a policy network (and, under reward weighting, the pair whose
+    :meth:`~repro.rl.env.OPCEnvironment.reward` weights it; nothing here
+    reads a PV band).  ``initial_states`` (default: one ``env.reset()``)
     lets callers start from perturbed masks so the collected states
     cover both under- and over-sized masks.
 
@@ -79,13 +83,13 @@ def collect_teacher_actions_population(
     states = [env.reset()] if initial_states is None else list(initial_states)
     if not states:
         raise RLError("need at least one initial state")
-    samples: list[list[tuple[EnvState, np.ndarray, float]]] = [
+    samples: list[list[tuple[EnvState, np.ndarray, EnvState]]] = [
         [] for _ in states
     ]
     for _ in range(steps):
         actions = np.stack([np.asarray(teacher(state)) for state in states])
-        stepped = env.step_batch(states, actions)
-        for p, (next_state, reward) in enumerate(stepped):
-            samples[p].append((states[p], actions[p], reward))
-        states = [next_state for next_state, _ in stepped]
+        next_states = env.step_batch(states, actions)
+        for p, next_state in enumerate(next_states):
+            samples[p].append((states[p], actions[p], next_state))
+        states = next_states
     return samples

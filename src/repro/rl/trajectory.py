@@ -12,18 +12,17 @@ from repro.errors import RLError
 
 @dataclass(frozen=True)
 class TrajectoryStep:
-    """One transition: the chosen action indices, the obtained reward and
-    the layout EPE after the step (for Fig. 5-style curves)."""
+    """One transition: the chosen action indices and the layout EPE after
+    the step (for Fig. 5-style curves)."""
 
     actions: np.ndarray
-    reward: float
     epe_after: float
-    pvband_after: float
 
 
 @dataclass
 class Trajectory:
-    """An episode ``s0 -a0-> (s1, r1) -a1-> ...`` (Eq. 1)."""
+    """An episode ``s0 -a0-> s1 -a1-> ...`` (Eq. 1), as the actions taken
+    and the EPE they reached."""
 
     epe_initial: float
     steps: list[TrajectoryStep] = field(default_factory=list)
@@ -36,21 +35,14 @@ class Trajectory:
         return len(self.steps)
 
     @property
-    def total_reward(self) -> float:
-        return sum(s.reward for s in self.steps)
-
-    @property
     def epe_curve(self) -> list[float]:
         """EPE-vs-step series starting at the initial mask (Fig. 5)."""
         return [self.epe_initial, *(s.epe_after for s in self.steps)]
 
-    def returns(self, gamma: float = DISCOUNT_GAMMA) -> np.ndarray:
-        """Discounted return-to-go for each step (Eq. 2)."""
-        return discounted_returns([s.reward for s in self.steps], gamma)
-
 
 def discounted_returns(rewards: list[float], gamma: float = DISCOUNT_GAMMA) -> np.ndarray:
-    """``G_t = sum_k gamma^k r_{t+k}`` computed backwards in O(n)."""
+    """Discounted return-to-go of a reward sequence (Eq. 2):
+    ``G_t = sum_k gamma^k r_{t+k}`` computed backwards in O(n)."""
     if not 0 <= gamma <= 1:
         raise RLError(f"gamma must be in [0, 1], got {gamma}")
     out = np.zeros(len(rewards), dtype=np.float64)

@@ -20,10 +20,11 @@ with the dense ``simulate_batch`` + ``measure_epe_grouped`` pipeline
 (2-core host).
 
 Verification can also *stream*: :meth:`ShapeBinScheduler.flush_ready`
-drains only the bins that have already accumulated ``min_bin`` masks, so
-the process-sharded suite path (:mod:`repro.service.sharding`) verifies
-full bins while workers are still optimizing and leaves stragglers for
-the terminal :meth:`~ShapeBinScheduler.flush`.
+drains only the bins that have already accumulated ``min_bin`` masks.
+Its one caller is the always-on daemon's verifier thread
+(:mod:`repro.service.daemon`), which verifies full bins while workers
+are still optimizing and leaves stragglers for the terminal
+:meth:`~ShapeBinScheduler.flush`.
 
 The scheduler is thread-safe: the always-on daemon
 (:mod:`repro.service.daemon`) adds outcomes and flushes from a dedicated

@@ -115,6 +115,11 @@ class TestRewardConsistency:
         agent = CAMO(config, simulator)
         outcome = agent.optimize(clip, early_exit=False)
         curve = outcome.epe_curve
+        env = agent.context(clip).env
+        state = env.reset()
         for step, record in enumerate(outcome.trajectory.steps):
+            next_state = env.step(state, record.actions)
+            assert next_state.total_epe == curve[step + 1]
             decreased = curve[step + 1] < curve[step]
-            assert (record.reward > 0) == decreased
+            assert (env.reward(state, next_state) > 0) == decreased
+            state = next_state

@@ -305,8 +305,8 @@ class TestPolygonInput:
         ])
         scored = env.score_moves(state, candidates)
         for row, (batched, reward) in zip(candidates, scored):
-            alone, alone_reward = env.step(state, row)
-            assert reward == alone_reward
+            alone = env.step(state, row)
+            assert reward == env.reward(state, alone)
             assert np.array_equal(batched.epe.values, alone.epe.values)
             assert np.array_equal(batched.seg_epe, alone.seg_epe)
             assert batched.pvband == alone.pvband
