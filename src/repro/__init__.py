@@ -26,6 +26,7 @@ or, equivalently, from a shell::
     python -m repro optimize --suite tiny
 """
 
+import repro._malloc  # noqa: F401  (fixes glibc's malloc thresholds)
 from repro.version import __version__
 
 __all__ = ["__version__", "quick_opc"]

@@ -203,10 +203,15 @@ class RLOPC:
     ) -> OptimizeResult:
         started = time.perf_counter()
         env = self._env(clip)
+        # The last state the policy ran on and its logits; a hold hands
+        # the same state object back, so its logits are reused.
+        last: list = [None, None]
 
         def advance(state: EnvState, step: int):
-            with no_grad():
-                actions = self._logits(state).numpy()[0].argmax(axis=1)
+            if last[0] is not state:
+                with no_grad():
+                    last[:] = state, self._logits(state).numpy()[0]
+            actions = last[1].argmax(axis=1)
             return actions, env.step(state, actions)
 
         return run_episode(

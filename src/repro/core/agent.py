@@ -418,27 +418,37 @@ class CAMO:
         """Run modulated greedy OPC on one clip."""
         started = time.perf_counter()
         ctx = self.context(clip)
+        # The last state this run encoded and its logits; a hold hands
+        # the same state object back, so its logits are reused.
+        last: list = [None, None]
         return run_episode(
-            clip, ctx.env, partial(self._advance, ctx), self.config,
+            clip, ctx.env, partial(self._advance, ctx, last), self.config,
             started, max_updates, early_exit,
         )
 
     def _advance(
-        self, ctx: _ClipContext, state: EnvState, step: int
+        self, ctx: _ClipContext, last: list, state: EnvState, step: int
     ) -> tuple[np.ndarray, EnvState]:
-        """One greedy Eq. 6 decision and its transition."""
-        with no_grad():
-            logits = self._population_logits(ctx, [state])
+        """One greedy Eq. 6 decision and its transition.
+
+        ``last`` is ``[state, logits]`` of the previous decision; the
+        policy runs only on a state object it has not seen.  The
+        modulated distribution is recomputed every step: its gain
+        depends on ``step``.
+        """
+        if last[0] is not state:
+            with no_grad():
+                last[:] = state, self._population_logits(ctx, [state]).numpy()
         actions = self._population_distributions(
-            logits.numpy(), state.seg_epe[None], step
+            last[1], state.seg_epe[None], step
         )[0].argmax(axis=1)
         if not self.config.candidate_lookahead:
             return actions, ctx.env.step(state, actions)
         # Score the policy's move against the five uniform moves in ONE
         # batched litho call and keep the best-reward candidate.
-        # Duplicate rows are scored once, and the all-hold candidate is a
-        # free no-op: its next state is the current one and its reward
-        # exactly 0, so it never needs a simulation.
+        # Duplicate rows are scored once.  The all-hold candidate costs no
+        # simulation (its next state is the current one, reward exactly
+        # 0) and goes last, so reward ties keep the policy's move.
         hold_row = np.full(
             ctx.env.n_segments, MOVE_SET_NM.index(0), dtype=np.int64
         )
@@ -449,13 +459,10 @@ class CAMO:
             if key not in seen:
                 seen.add(key)
                 rows.append(row)
+        rows.append(hold_row)
         scored = ctx.env.score_moves(state, np.stack(rows))
-        # Hold goes last so reward ties keep the policy's move.
-        options = [
-            (row, nxt, rew) for row, (nxt, rew) in zip(rows, scored)
-        ] + [(hold_row, state, 0.0)]
-        row, nxt, _ = max(options, key=lambda o: o[2])
-        return row, nxt
+        best = max(range(len(rows)), key=lambda index: scored[index][1])
+        return rows[best], scored[best][0]
 
     # -- persistence ------------------------------------------------------------
     def save(self, path: str) -> None:

@@ -137,6 +137,39 @@ def _subset(clips: list, limit: int) -> list:
 # Engine construction + training (cached per scale and layer)
 # --------------------------------------------------------------------------
 
+def camo_config(scale: str | Scale | None, layer: str) -> CamoConfig:
+    """The CAMO config a scale trains on ``layer`` (``"via"`` or
+    ``"metal"``).  Paper scale trains with the paper's optimizer and
+    learning rate, taken from :meth:`CamoConfig.paper_via` /
+    :meth:`CamoConfig.paper_metal` (SGD at ``LEARNING_RATE``)."""
+    resolved = get_scale(scale)
+    if layer == "via":
+        config = CamoConfig(
+            encode_size=resolved.encode_size_via,
+            imitation_epochs=resolved.imitation_epochs_via,
+            rl_epochs=resolved.rl_epochs,
+            policy_temperature=2.5,
+            initial_bias_nm=VIA_INITIAL_BIAS_NM,
+        )
+        paper = CamoConfig.paper_via()
+    elif layer == "metal":
+        config = CamoConfig.repro_metal(
+            encode_size=resolved.encode_size_metal,
+            embed_dim=resolved.embed_dim_metal,
+            imitation_epochs=resolved.imitation_epochs_metal,
+            rl_epochs=resolved.rl_epochs,
+            policy_temperature=2.5,
+        )
+        paper = CamoConfig.paper_metal()
+    else:
+        raise ConfigError(f"unknown layer {layer!r}; choose 'via' or 'metal'")
+    if resolved.name != "paper":
+        return config
+    return dataclasses.replace(
+        config, optimizer=paper.optimizer, learning_rate=paper.learning_rate
+    )
+
+
 def trained_via_engines(scale: str | Scale | None = None) -> dict:
     """Simulator, suites and the four trained/configured via engines."""
     resolved = get_scale(scale)
@@ -148,14 +181,7 @@ def trained_via_engines(scale: str | Scale | None = None) -> dict:
     train_clips = _subset(via_train_suite(), resolved.n_train_clips)
     test_clips = _subset(via_test_suite(), resolved.n_test_clips)
 
-    camo_cfg = CamoConfig(
-        encode_size=resolved.encode_size_via,
-        imitation_epochs=resolved.imitation_epochs_via,
-        rl_epochs=resolved.rl_epochs,
-        policy_temperature=2.5,
-        initial_bias_nm=VIA_INITIAL_BIAS_NM,
-    )
-    camo = CAMO(camo_cfg, simulator)
+    camo = CAMO(camo_config(resolved, "via"), simulator)
     camo.train(train_clips)
 
     rlopc_cfg = RLOPCConfig(
@@ -203,14 +229,7 @@ def trained_metal_engines(scale: str | Scale | None = None) -> dict:
     train_clips = _subset(metal_train_suite(), resolved.n_train_clips)
     test_clips = _subset(metal_test_suite(), resolved.n_test_clips)
 
-    camo_cfg = CamoConfig.repro_metal(
-        encode_size=resolved.encode_size_metal,
-        embed_dim=resolved.embed_dim_metal,
-        imitation_epochs=resolved.imitation_epochs_metal,
-        rl_epochs=resolved.rl_epochs,
-        policy_temperature=2.5,
-    )
-    camo = CAMO(camo_cfg, simulator)
+    camo = CAMO(camo_config(resolved, "metal"), simulator)
     camo.train(train_clips)
 
     rlopc_cfg = RLOPCConfig.metal(

@@ -177,19 +177,23 @@ def elman(x: Tensor, layers: list[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
     seq_len = x.shape[0]
     hidden = layers[0][1].shape[0]
     rows = 1 if x.ndim == 2 else x.shape[1]
-    if x.ndim == 2:  # one sequence steps on (1, in) rows
-        steps = [x.data[t : t + 1] for t in range(seq_len)]
-    else:
-        steps = x.data
+    # One sequence steps on (1, in) rows.
+    steps = x.data.reshape(seq_len, rows, x.shape[-1])
     zero = np.zeros((1, hidden))
     states: list[np.ndarray] = []
     layer_input = steps
     for u, w, b in layers:
-        u_t, w_t = u.data.T, w.data.T
-        h = np.empty((seq_len, rows, hidden))
+        w_t = w.data.T
+        # Every step's input projection in one stacked matmul: the same
+        # per-step GEMM, so the same bits (a flattened (seq * rows, in)
+        # GEMM rounds differently).  Each step then adds its recurrent
+        # term and bias in the (x u + h w) + b order.
+        h = np.matmul(layer_input, u.data.T)
         prev = zero
         for t in range(seq_len):
-            prev = np.tanh(layer_input[t] @ u_t + prev @ w_t + b.data, out=h[t])
+            h[t] += prev @ w_t
+            h[t] += b.data
+            prev = np.tanh(h[t], out=h[t])
         states.append(h)
         layer_input = h
 

@@ -22,6 +22,12 @@ dense nominal aerial is built only if a caller reads
 ``EnvState.litho.aerial``.  A state whose PV band nobody reads — an
 MB-OPC step, a greedy CAMO step — never pays for the defocus corner.
 
+A hold is free: a transition whose clamped offsets equal the current
+ones (every segment holds, or pushes against ``max_offset``) returns the
+input :class:`EnvState` object itself, with no litho or metrology call.
+Evaluation is deterministic, so the reused state is bit for bit what a
+re-evaluation would give, and its cached PV band is not imaged again.
+
 Candidate-action batching: :meth:`OPCEnvironment.score_moves` evaluates a
 whole matrix of candidate action vectors — e.g. the five uniform segment
 moves from :meth:`OPCEnvironment.uniform_move_candidates` — through that
@@ -231,15 +237,14 @@ class OPCEnvironment:
 
     def step(self, state: EnvState, action_indices: np.ndarray) -> EnvState:
         """Apply one movement index (0..4) per segment; return the next
-        state (its reward is :meth:`reward`)."""
+        state (its reward is :meth:`reward`).  A move that leaves every
+        offset unchanged returns ``state`` itself."""
         actions = np.asarray(action_indices)
         if actions.ndim != 1:
             raise RLError(
                 f"expected {self.n_segments} actions, got shape {actions.shape}"
             )
-        self._validate_actions(actions)
-        deltas = np.asarray(MOVE_SET_NM, dtype=np.float64)[actions]
-        return self.evaluate(state.mask.moved(deltas))
+        return self._transition([state], actions[None])[0]
 
     def step_batch(
         self,
@@ -251,9 +256,10 @@ class OPCEnvironment:
         ``action_indices`` is ``(P, n_segments)``; row ``p`` is applied to
         ``states[p]``.  One batched litho call plus one batched metrology
         call cover the whole population, and every next state is
-        bit-for-bit identical to :meth:`step` on that state alone.  This
-        is the transition primitive of population-based training and
-        lockstep teacher rollouts.
+        bit-for-bit identical to :meth:`step` on that state alone.  A row
+        that leaves every offset unchanged returns its input state object
+        and is left out of the batch.  This is the transition primitive of
+        population-based training and lockstep teacher rollouts.
         """
         actions = np.asarray(action_indices)
         if actions.ndim != 2 or actions.shape[0] != len(states) or not len(states):
@@ -261,12 +267,29 @@ class OPCEnvironment:
                 f"expected ({len(states)}, {self.n_segments}) actions, "
                 f"got shape {actions.shape}"
             )
+        return self._transition(states, actions)
+
+    def _transition(
+        self, states: Sequence[EnvState], actions: np.ndarray
+    ) -> list[EnvState]:
+        """Next states of ``states`` under ``(P, n_segments)`` movement
+        indices: the rows that move any offset are evaluated in one
+        batch, and every other row returns its input state.  ``step``
+        calls this, not :meth:`step_batch`, so perfbench's layer tracer
+        counts each env step once."""
         self._validate_actions(actions)
         move_set = np.asarray(MOVE_SET_NM, dtype=np.float64)
-        masks = [
-            state.mask.moved(move_set[row]) for state, row in zip(states, actions)
-        ]
-        return self.evaluate_batch(masks)
+        next_states = list(states)
+        moved = {}
+        for index, (state, row) in enumerate(zip(states, actions)):
+            mask = state.mask.moved(move_set[row])
+            if not np.array_equal(mask.offsets, state.mask.offsets):
+                moved[index] = mask
+        if moved:
+            evaluated = self.evaluate_batch(list(moved.values()))
+            for index, next_state in zip(moved, evaluated):
+                next_states[index] = next_state
+        return next_states
 
     # -- batched candidate scoring ----------------------------------------------
     def uniform_move_candidates(self) -> np.ndarray:
@@ -284,7 +307,8 @@ class OPCEnvironment:
         ``candidate_actions`` is ``(A, n_segments)`` movement indices;
         returns one ``(next_state, reward)`` pair per candidate, each
         bit-for-bit identical to :meth:`step` for that candidate and its
-        :meth:`reward`.
+        :meth:`reward`.  A candidate that leaves every offset unchanged
+        returns ``state`` itself, with reward exactly 0.
         """
         candidates = self._validate_candidates(candidate_actions)
         return [

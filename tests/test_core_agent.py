@@ -7,13 +7,17 @@ import pytest
 
 from repro.baselines.rlopc import RLOPC, RLOPCConfig
 from repro.core import CAMO, CamoConfig, CamoPolicy
-from repro.data.via_bench import generate_via_clip
+from repro.data.metal_bench import metal_test_suite
+from repro.data.via_bench import generate_via_clip, via_test_suite
 from repro.errors import ConfigError, NNError
 from repro.geometry import MaskState, fragment_clip
 from repro.graphs import build_segment_graph, snake_order
 from repro.litho import LithoConfig, LithographySimulator
 from repro.nn import functional as F
+from repro.nn.layers import GlobalAvgPool2d
+from repro.nn.module import Sequential
 from repro.nn.sage import mean_adjacency
+from repro.nn.tensor import Tensor, no_grad
 from repro.rl import sample_actions
 from repro.squish import NodeFeatureEncoder
 
@@ -122,6 +126,36 @@ class TestPolicy:
     def test_flatten_tail(self):
         policy, features, adjacency, order = self.build(encoder_tail="flatten")
         assert policy(features, adjacency, order).shape == (1, features.shape[1], 5)
+
+    @pytest.mark.parametrize("name, config", [
+        ("M5", CamoConfig.repro_metal(encode_size=24, embed_dim=128)),
+        ("V10", CamoConfig(encode_size=32)),
+    ])
+    def test_conv_stack_is_per_node_invariant(self, name, config):
+        """The encoder's conv stack, up to and including its global
+        average pool, gives any subset of nodes the same bits as the
+        full batch: a per-node cache of it would be exact.  The tail
+        ``Linear`` does not (its GEMM rounds by batch size), so it is the
+        small-batch layer."""
+        suite = via_test_suite() if name.startswith("V") else metal_test_suite()
+        clip = next(c for c in suite if c.name == name)
+        mask = MaskState.initial(clip, fragment_clip(clip))
+        features = NodeFeatureEncoder(
+            window_nm=config.window_nm, out_size=config.encode_size,
+            channels=config.channels,
+        ).encode_all(mask)
+        layers = CamoPolicy(config).encoder.layers
+        gap = next(
+            index for index, layer in enumerate(layers)
+            if isinstance(layer, GlobalAvgPool2d)
+        )
+        conv_stack = Sequential(*layers[: gap + 1])
+        n = features.shape[0]
+        with no_grad():
+            full = conv_stack(Tensor(features)).numpy()
+            for rows in ([0], [0, 1], list(range(0, n, 3)), list(range(7))):
+                part = conv_stack(Tensor(features[rows])).numpy()
+                assert np.array_equal(part, full[rows])
 
 
 class TestAgent:

@@ -18,6 +18,13 @@ The defocus corner is imaged only when a PV band is read.  The laziness
 pins count its dense resamples through a whole MB-OPC and greedy CAMO
 run (one, for the final state), and hold PV bands read row by row, in
 reverse order, to the eager whole-batch pipeline bit for bit.
+
+A hold is free.  The no-op transition pins check that a move leaving
+every offset unchanged (all holds, or a push against ``max_offset``)
+returns the input state object, that ``step_batch`` evaluates only its
+moved rows, that MB-OPC simulates one mask per moving step and still
+reports what a re-evaluation of its final mask gives, and that greedy
+CAMO runs the policy once per distinct state.
 """
 
 import numpy as np
@@ -25,8 +32,10 @@ import pytest
 
 from repro.backend import scipy_fft_available, torch_available
 from repro.baselines.mbopc import MBOPC, MBOPCConfig
+from repro.constants import MOVE_SET_NM
 from repro.core.agent import CAMO
 from repro.core.config import CamoConfig
+from repro.core.policy import CamoPolicy
 from repro.data.metal_bench import metal_test_suite
 from repro.data.via_bench import via_test_suite
 from repro.geometry import rasterize
@@ -39,6 +48,7 @@ from repro.metrology.pvband import pvband_area_batch, pvband_image
 from repro.rl.env import OPCEnvironment
 
 EPE_TOLERANCE_NM = 1e-9
+HOLD = MOVE_SET_NM.index(0)
 
 BACKENDS = (
     ["numpy"]
@@ -169,3 +179,149 @@ def test_lazy_pv_band_read_in_reverse_is_the_eager_batch(sim, name):
             assert np.array_equal(
                 states[index].litho.aerial_defocus, aerials[index]
             )
+
+
+def _assert_same_evaluation(state, reference):
+    assert np.array_equal(state.mask.offsets, reference.mask.offsets)
+    assert np.array_equal(state.epe.values, reference.epe.values)
+    assert np.array_equal(state.seg_epe, reference.seg_epe)
+    assert state.pvband == reference.pvband
+
+
+@pytest.mark.parametrize("name", ["V1", "M1"])
+def test_all_hold_step_returns_the_state_itself(sim, name):
+    env = OPCEnvironment(_clip(name), sim, initial_bias_nm=3.0)
+    start = env.reset()
+    hold = np.full(env.n_segments, HOLD)
+    assert env.step(start, hold) is start
+    assert env.step_batch([start, start], np.stack([hold, hold])) == [
+        start, start,
+    ]
+    [(nxt, reward)] = env.score_moves(start, hold[None])
+    assert nxt is start and reward == 0.0
+
+
+@pytest.mark.parametrize("name", ["V1", "M1"])
+def test_push_against_max_offset_is_a_no_op(sim, name):
+    env = OPCEnvironment(_clip(name), sim, initial_bias_nm=3.0)
+    start = env.reset()
+    push = np.zeros(env.n_segments)
+    push[0] = 4 * env.max_offset_nm
+    clamped = env.evaluate(start.mask.moved(push))
+    assert clamped.mask.offsets[0] == env.max_offset_nm
+    actions = np.full(env.n_segments, HOLD)
+    actions[0] = MOVE_SET_NM.index(2)
+    assert env.step(clamped, actions) is clamped
+    actions[0] = MOVE_SET_NM.index(-2)
+    moved = env.step(clamped, actions)
+    assert moved is not clamped
+    assert moved.mask.offsets[0] == env.max_offset_nm - 2
+
+
+@pytest.mark.parametrize("name", ["V1", "M1"])
+def test_mixed_step_batch_evaluates_only_the_moved_rows(
+    sim, name, monkeypatch
+):
+    env = OPCEnvironment(_clip(name), sim, initial_bias_nm=3.0)
+    start = env.reset()
+    other = env.step(start, np.full(env.n_segments, MOVE_SET_NM.index(1)))
+    rng = np.random.default_rng(sum(map(ord, name)))
+    hold = np.full(env.n_segments, HOLD)
+    actions = np.stack([
+        hold,
+        rng.integers(0, env.n_actions, size=env.n_segments),
+        hold,
+        rng.integers(0, env.n_actions, size=env.n_segments),
+    ])
+    states = [start, start, other, other]
+    expected = [env.step(state, row) for state, row in zip(states, actions)]
+    batches = _count_simulated_masks(monkeypatch)
+    stepped = env.step_batch(states, actions)
+    assert batches == [2]
+    assert stepped[0] is start and stepped[2] is other
+    for index in (1, 3):
+        assert stepped[index] is not states[index]
+        _assert_same_evaluation(stepped[index], expected[index])
+
+
+def _count_simulated_masks(monkeypatch):
+    """A list that grows by each ``simulate_batch`` call's mask count."""
+    simulate = LithographySimulator.simulate_batch
+    calls = []
+
+    def counting(self, masks, *args, **kwargs):
+        calls.append(len(masks))
+        return simulate(self, masks, *args, **kwargs)
+
+    monkeypatch.setattr(LithographySimulator, "simulate_batch", counting)
+    return calls
+
+
+def _record_steps(monkeypatch):
+    """A list that grows by ``(state, next_state)`` per ``env.step``."""
+    step = OPCEnvironment.step
+    transitions = []
+
+    def recording(self, state, actions):
+        nxt = step(self, state, actions)
+        transitions.append((state, nxt))
+        return nxt
+
+    monkeypatch.setattr(OPCEnvironment, "step", recording)
+    return transitions
+
+
+@pytest.mark.parametrize("name", ["V1", "M1"])
+def test_mbopc_simulates_one_mask_per_moving_step(sim, name, monkeypatch):
+    simulated = _count_simulated_masks(monkeypatch)
+    transitions = _record_steps(monkeypatch)
+    result = MBOPC(
+        MBOPCConfig(max_updates=10, initial_bias_nm=3.0), sim
+    ).optimize(_clip(name), early_exit=False)
+    assert result.steps == len(transitions) == 10
+    moving = 0
+    for state, nxt in transitions:
+        if np.array_equal(state.mask.offsets, nxt.mask.offsets):
+            assert nxt is state
+        else:
+            moving += 1
+    assert 0 < moving < 10
+    assert sum(simulated) == 1 + moving
+    env = OPCEnvironment(_clip(name), sim, initial_bias_nm=3.0)
+    final = result.final_state
+    _assert_same_evaluation(final, env.evaluate(final.mask.moved(
+        np.zeros(env.n_segments)
+    )))
+
+
+@pytest.mark.parametrize("name", ["V1", "M1"])
+def test_greedy_camo_runs_the_policy_once_per_distinct_state(
+    sim, name, monkeypatch
+):
+    transitions = _record_steps(monkeypatch)
+    forward = CamoPolicy.forward
+    forwards = []
+
+    def counting(self, features, *args):
+        forwards.append(features.shape[0])
+        return forward(self, features, *args)
+
+    monkeypatch.setattr(CamoPolicy, "forward", counting)
+    camo = CAMO(CamoConfig.smoke(max_updates=10, initial_bias_nm=3.0), sim)
+    result = camo.optimize(_clip(name), early_exit=False)
+    assert len(transitions) == result.steps == 10
+    distinct = 1 + sum(nxt is not state for state, nxt in transitions)
+    assert distinct < 1 + result.steps
+    assert forwards == [1] * distinct
+    # Every decision still equals a fresh policy run on its state.
+    ctx = camo.context(_clip(name))
+    for step, ((state, _), taken) in enumerate(
+        zip(transitions, result.trajectory.steps)
+    ):
+        logits = camo._population_logits(ctx, [state]).numpy()
+        assert np.array_equal(
+            taken.actions,
+            camo._population_distributions(
+                logits, state.seg_epe[None], step
+            )[0].argmax(axis=1),
+        )

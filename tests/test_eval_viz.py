@@ -108,6 +108,26 @@ class TestExperimentScales:
         with pytest.raises(ConfigError):
             get_scale("gigantic")
 
+    @pytest.mark.parametrize("layer", ["via", "metal"])
+    def test_paper_scale_trains_with_the_paper_optimizer(self, layer):
+        from repro.constants import LEARNING_RATE
+        from repro.core.config import CamoConfig
+        from repro.eval.experiments import camo_config
+
+        paper = camo_config("paper", layer)
+        profile = {
+            "via": CamoConfig.paper_via, "metal": CamoConfig.paper_metal,
+        }[layer]()
+        assert (paper.optimizer, paper.learning_rate) == (
+            profile.optimizer, profile.learning_rate,
+        ) == ("sgd", LEARNING_RATE)
+        defaults = CamoConfig()
+        for name in ("smoke", "repro"):
+            config = camo_config(name, layer)
+            assert (config.optimizer, config.learning_rate) == (
+                defaults.optimizer, defaults.learning_rate,
+            )
+
     def test_figure4_text(self):
         from repro.eval.experiments import figure4
 

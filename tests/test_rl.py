@@ -136,8 +136,9 @@ class TestEnvironment:
     def test_noop_step_zero_reward(self, env):
         state = env.reset()
         hold = np.full(env.n_segments, 2)  # all 0 nm
-        reward = env.reward(state, env.step(state, hold))
-        assert reward == pytest.approx(0.0, abs=1e-9)
+        nxt = env.step(state, hold)
+        assert nxt is state
+        assert env.reward(state, nxt) == 0.0
 
     def test_action_validation(self, env):
         state = env.reset()
