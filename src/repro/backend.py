@@ -23,6 +23,14 @@ stack switches execution substrate behind one knob:
   than one core is available, numpy otherwise.  ``auto`` never picks a
   device backend: device execution is an explicit opt-in.
 
+scipy and torch are imported when their backend is first resolved
+(``"scipy"``, ``"torch"``, or ``"auto"`` with more than one worker),
+never at ``import repro``.  A process that runs only the numpy backend
+loads neither (``scipy.fft`` alone cost ~0.15 s and ~18 MB of a
+perfbench worker's start-up on a 2-core host).  No tensor exists
+before torch is imported, so :meth:`ArrayBackend.to_host` never
+imports it.
+
 Backends are resolved once per ``(name, workers, device)`` triple and
 shared.  Cached artifacts downstream (device-resident kernel spectra)
 key on :attr:`ArrayBackend.identity` /
@@ -44,24 +52,37 @@ no effect on any value this package computes.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from repro.errors import LithoError
 
-try:  # scipy is optional; everything falls back to np.fft without it.
-    import scipy.fft as _scipy_fft
-except ImportError:  # pragma: no cover - depends on the environment
-    _scipy_fft = None
-
-try:  # torch is optional; the torch backend resolves only when importable.
-    import torch as _torch
-except ImportError:  # pragma: no cover - depends on the environment
-    _torch = None
-
 BACKEND_NAMES = ("auto", "numpy", "scipy", "torch")
+
+
+@cache
+def _scipy_fft():
+    """``scipy.fft``, imported on the first call; ``None`` without scipy
+    (everything then falls back to ``np.fft``)."""
+    try:
+        import scipy.fft
+    except ImportError:  # pragma: no cover - depends on the environment
+        return None
+    return scipy.fft
+
+
+@cache
+def _torch():
+    """``torch``, imported on the first call; ``None`` without torch (the
+    torch backend then refuses to resolve)."""
+    try:
+        import torch
+    except ImportError:  # pragma: no cover - depends on the environment
+        return None
+    return torch
 
 
 def _is_5_smooth(n: int) -> bool:
@@ -72,37 +93,31 @@ def _is_5_smooth(n: int) -> bool:
 
 
 def next_fast_len(n: int) -> int:
-    """Smallest 5-smooth integer >= ``n`` (fast FFT length).
+    """Smallest 5-smooth integer >= ``n`` (fast FFT length), by an
+    upward scan.
 
-    When scipy is importable its C implementation drives the search;
-    scipy's notion of "fast" admits factors of 7 and 11, so its answer is
-    a *lower bound* that we re-check and advance past until it lands on a
-    5-smooth value (subgrid sizes are part of the numerical contract —
-    the chosen length must not depend on whether scipy is installed).
-    The pure-python upward scan is the fallback and the reference.
+    Subgrid sizes are part of the numerical contract, so the answer is
+    the same with or without scipy installed (``scipy.fft``'s own
+    ``next_fast_len`` also admits factors of 7 and 11).  The kernel
+    build calls it once per band axis, on lengths of a few dozen.
     """
     if n < 1:
         raise LithoError(f"FFT length must be positive, got {n}")
-    best = n
-    while True:
-        if _scipy_fft is not None:
-            # next_fast_len(m) == m for any 7/11-smooth m, so each miss
-            # strictly advances `best` and the loop terminates at the
-            # first 5-smooth value, identical to the naive scan.
-            best = _scipy_fft.next_fast_len(best)
-        if _is_5_smooth(best):
-            return best
-        best += 1
+    while not _is_5_smooth(n):
+        n += 1
+    return n
 
 
 def scipy_fft_available() -> bool:
-    """Whether the scipy backend can actually be constructed."""
-    return _scipy_fft is not None
+    """Whether the scipy backend can actually be constructed (imports
+    scipy on the first call)."""
+    return _scipy_fft() is not None
 
 
 def torch_available() -> bool:
-    """Whether the torch backend can actually be constructed."""
-    return _torch is not None
+    """Whether the torch backend can actually be constructed (imports
+    torch on the first call)."""
+    return _torch() is not None
 
 
 @dataclass(frozen=True)
@@ -155,15 +170,15 @@ class ArrayBackend:
     # -- dtype policy (explicit everywhere; see module docstring) ------------
     @property
     def float64(self):
-        return _torch.float64 if self.name == "torch" else np.float64
+        return _torch().float64 if self.name == "torch" else np.float64
 
     @property
     def complex128(self):
-        return _torch.complex128 if self.name == "torch" else np.complex128
+        return _torch().complex128 if self.name == "torch" else np.complex128
 
     @property
     def int64(self):
-        return _torch.int64 if self.name == "torch" else np.int64
+        return _torch().int64 if self.name == "torch" else np.int64
 
     # -- host/device movement ------------------------------------------------
     def to_device(self, a):
@@ -175,20 +190,23 @@ class ArrayBackend:
         torch.complex128).
         """
         if self.name == "torch":
-            if isinstance(a, _torch.Tensor):
+            torch = _torch()
+            if isinstance(a, torch.Tensor):
                 return a if str(a.device) == self.device else a.to(self.device)
-            return _torch.as_tensor(
-                np.ascontiguousarray(a), device=self.device
-            )
+            return torch.as_tensor(np.ascontiguousarray(a), device=self.device)
         if isinstance(a, np.ndarray):
             return a
         return np.asarray(self.to_host(a))
 
     def to_host(self, a):
-        """The host-numpy view/copy of an array (ndarray passthrough)."""
+        """The host-numpy view/copy of an array (ndarray passthrough).
+
+        A tensor can only exist once torch is imported, so torch is
+        looked up in ``sys.modules`` rather than imported here."""
         if isinstance(a, np.ndarray):
             return a
-        if _torch is not None and isinstance(a, _torch.Tensor):
+        torch = sys.modules.get("torch")
+        if torch is not None and isinstance(a, torch.Tensor):
             return a.detach().cpu().numpy()
         return np.asarray(a)
 
@@ -200,9 +218,8 @@ class ArrayBackend:
         arrays).
         """
         if self.name == "torch":
-            return _torch.as_tensor(
-                np.ascontiguousarray(a), dtype=_torch.int64,
-                device=self.device,
+            return _torch().as_tensor(
+                np.ascontiguousarray(a), dtype=self.int64, device=self.device,
             )
         return a
 
@@ -211,38 +228,38 @@ class ArrayBackend:
         already native float64)."""
         if self.name == "torch":
             t = self.to_device(a)
-            return t if t.dtype == _torch.float64 else t.to(_torch.float64)
+            return t if t.dtype == self.float64 else t.to(self.float64)
         return np.asarray(self.to_host(a), dtype=np.float64)
 
     # -- construction / namespace ops ---------------------------------------
     def zeros(self, shape, dtype):
         if self.name == "torch":
-            return _torch.zeros(tuple(shape), dtype=dtype, device=self.device)
+            return _torch().zeros(tuple(shape), dtype=dtype, device=self.device)
         return np.zeros(shape, dtype)
 
     def empty(self, shape, dtype):
         if self.name == "torch":
-            return _torch.empty(tuple(shape), dtype=dtype, device=self.device)
+            return _torch().empty(tuple(shape), dtype=dtype, device=self.device)
         return np.empty(shape, dtype)
 
     def concat(self, arrays, axis: int = 0):
         if self.name == "torch":
-            return _torch.cat(list(arrays), dim=axis)
+            return _torch().cat(list(arrays), dim=axis)
         return np.concatenate(arrays, axis=axis)
 
     # -- FFT entry points ----------------------------------------------------
     def fft2(self, a, axes: tuple[int, int] = (-2, -1)):
         if self.name == "scipy":
-            return _scipy_fft.fft2(a, axes=axes, workers=self.workers)
+            return _scipy_fft().fft2(a, axes=axes, workers=self.workers)
         if self.name == "torch":
-            return _torch.fft.fft2(self.to_device(a), dim=axes)
+            return _torch().fft.fft2(self.to_device(a), dim=axes)
         return np.fft.fft2(a, axes=axes)
 
     def ifft2(self, a, axes: tuple[int, int] = (-2, -1)):
         if self.name == "scipy":
-            return _scipy_fft.ifft2(a, axes=axes, workers=self.workers)
+            return _scipy_fft().ifft2(a, axes=axes, workers=self.workers)
         if self.name == "torch":
-            return _torch.fft.ifft2(self.to_device(a), dim=axes)
+            return _torch().fft.ifft2(self.to_device(a), dim=axes)
         return np.fft.ifft2(a, axes=axes)
 
     def rfft2(self, a, axes: tuple[int, int] = (-2, -1)):
@@ -251,9 +268,9 @@ class ArrayBackend:
         band gather — roughly halving the forward-transform cost that
         dominates its runtime."""
         if self.name == "scipy":
-            return _scipy_fft.rfft2(a, axes=axes, workers=self.workers)
+            return _scipy_fft().rfft2(a, axes=axes, workers=self.workers)
         if self.name == "torch":
-            return _torch.fft.rfft2(
+            return _torch().fft.rfft2(
                 self.asarray_f64(a), dim=axes
             )
         return np.fft.rfft2(a, axes=axes)
@@ -263,9 +280,9 @@ class ArrayBackend:
         half-width spectrum.  The dense intensity resample runs on it, so
         a real aerial never passes through a complex inverse transform."""
         if self.name == "scipy":
-            return _scipy_fft.irfft2(a, s=s, axes=axes, workers=self.workers)
+            return _scipy_fft().irfft2(a, s=s, axes=axes, workers=self.workers)
         if self.name == "torch":
-            return _torch.fft.irfft2(self.to_device(a), s=s, dim=axes)
+            return _torch().fft.irfft2(self.to_device(a), s=s, dim=axes)
         return np.fft.irfft2(a, s=s, axes=axes)
 
 
@@ -300,20 +317,21 @@ def resolve_backend(
     if name == "auto":
         name = (
             "scipy"
-            if scipy_fft_available() and resolved_workers > 1 and cores > 1
+            if resolved_workers > 1 and cores > 1 and scipy_fft_available()
             else "numpy"
         )
     elif name == "scipy" and not scipy_fft_available():
         name = "numpy"
     if name == "torch":
-        if _torch is None:
+        torch = _torch()
+        if torch is None:
             raise LithoError(
                 "backend 'torch' requested but torch is not importable; "
                 "install CPU torch or choose a host backend"
             )
         if device is None:
-            device = "cuda" if _torch.cuda.is_available() else "cpu"
-        if device.startswith("cuda") and not _torch.cuda.is_available():
+            device = "cuda" if torch.cuda.is_available() else "cpu"
+        if device.startswith("cuda") and not torch.cuda.is_available():
             raise LithoError(
                 f"torch device {device!r} requested but CUDA is not available"
             )

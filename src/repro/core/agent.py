@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.constants import MOVE_SET_NM
 from repro.core.config import CamoConfig
 from repro.core.modulator import Modulator
 from repro.core.policy import CamoPolicy
@@ -442,27 +441,7 @@ class CAMO:
         actions = self._population_distributions(
             last[1], state.seg_epe[None], step
         )[0].argmax(axis=1)
-        if not self.config.candidate_lookahead:
-            return actions, ctx.env.step(state, actions)
-        # Score the policy's move against the five uniform moves in ONE
-        # batched litho call and keep the best-reward candidate.
-        # Duplicate rows are scored once.  The all-hold candidate costs no
-        # simulation (its next state is the current one, reward exactly
-        # 0) and goes last, so reward ties keep the policy's move.
-        hold_row = np.full(
-            ctx.env.n_segments, MOVE_SET_NM.index(0), dtype=np.int64
-        )
-        seen = {hold_row.tobytes()}
-        rows = []
-        for row in (actions, *ctx.env.uniform_move_candidates()):
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                rows.append(row)
-        rows.append(hold_row)
-        scored = ctx.env.score_moves(state, np.stack(rows))
-        best = max(range(len(rows)), key=lambda index: scored[index][1])
-        return rows[best], scored[best][0]
+        return actions, ctx.env.step(state, actions)
 
     # -- persistence ------------------------------------------------------------
     def save(self, path: str) -> None:

@@ -120,11 +120,6 @@ class CamoConfig:
     early_exit_mode: str = "per_target"        # "per_target" | "per_point"
     initial_bias_nm: float = VIA_INITIAL_BIAS_NM
     epe_search_nm: float = 40.0
-    candidate_lookahead: bool = False
-    """At inference, score the policy's action vector against the five
-    uniform segment moves in one batched litho call and take the best
-    reward (one-step lookahead through
-    :meth:`~repro.rl.env.OPCEnvironment.score_moves`)."""
 
     def __post_init__(self) -> None:
         if self.encode_size % 8:

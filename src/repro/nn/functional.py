@@ -285,8 +285,26 @@ def conv2d(
     def backward(grad: np.ndarray) -> None:
         grad_flat = grad.reshape(n, f, oh * ow)
         if weight.requires_grad:
-            grad_w = np.tensordot(grad_flat, cols, ((0, 2), (0, 2)))
-            grad_w = grad_w.reshape(weight.shape)
+            # ``np.tensordot(grad_flat, cols, ((0, 2), (0, 2)))``: the same
+            # GEMM on the same operands, so the same bits, but for n > 1
+            # ``cols`` is copied transposed to (n, L, C·k²) eight rows at
+            # a time.  tensordot's whole-array copy reads all C·k² rows at
+            # once, L·8 bytes apart; at power-of-two encode sizes they
+            # evict each other from one cache set (at encode 128 that copy
+            # was 3/4 of an imitation epoch).  At n = 1 tensordot passes
+            # the transposed view itself, and so does this.
+            k = c * kh * kw
+            cols_t = cols.transpose(0, 2, 1)
+            if n > 1:
+                cols_t = np.empty((n, oh * ow, k))
+                for k0 in range(0, k, 8):
+                    cols_t[:, :, k0 : k0 + 8] = cols[:, k0 : k0 + 8].transpose(
+                        0, 2, 1
+                    )
+            grad_w = np.dot(
+                grad_flat.transpose(1, 0, 2).reshape(f, n * oh * ow),
+                cols_t.reshape(n * oh * ow, k),
+            ).reshape(weight.shape)
             _accumulate(weight, grad_w, owned=True)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, grad.sum(axis=(0, 2, 3)), owned=True)

@@ -5,8 +5,8 @@ materialized as a :class:`~repro.geometry.mask_edit.MaskState` together
 with its lithography evaluation.  An action moves every segment by one of
 {-2, -1, 0, +1, +2} nm; the environment re-simulates and returns the next
 state.  The Eq. 3 reward of a transition, :meth:`OPCEnvironment.reward`,
-is computed only where it is consumed (RL updates, lookahead scoring,
-reward-weighted imitation).
+is computed only where it is consumed (RL updates, reward-weighted
+imitation, :meth:`OPCEnvironment.score_moves`).
 
 Every evaluation is one :meth:`LithographySimulator.simulate_batch` call
 for the whole batch of masks, which takes the masks as polygons: their

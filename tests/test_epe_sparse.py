@@ -1,5 +1,5 @@
 """Sparse contour-point EPE path: stencil planning, band-spectrum
-gather, lazy printed images and the scipy ``next_fast_len`` delegation.
+gather, lazy printed images and the 5-smooth ``next_fast_len`` scan.
 
 The contract under test, end to end: ``simulate_epe_batch`` +
 ``measure_epe_grouped_sparse`` must reproduce the dense
@@ -98,8 +98,8 @@ def random_pixel_set(shape, count, seed=11):
 class TestNextFastLen:
     def test_is_smallest_5_smooth_bound(self):
         """Over 1..4096: the result is 5-smooth, >= n, and nothing
-        5-smooth lies between — whether or not scipy (whose own notion
-        of "fast" admits factors of 7 and 11) drives the search."""
+        5-smooth lies between (the subgrid sizes do not depend on
+        whether scipy is installed)."""
         for n in range(1, 4097):
             m = next_fast_len(n)
             assert m >= n
@@ -109,7 +109,7 @@ class TestNextFastLen:
     def test_fixed_points(self):
         # 5-smooth inputs are their own answer; 7-smooth ones are not.
         assert next_fast_len(120) == 120
-        assert next_fast_len(49) == 50  # 49 = 7^2 is fast for scipy only
+        assert next_fast_len(49) == 50  # 49 = 7^2 is fast for scipy.fft only
         assert next_fast_len(121) == 125  # 121 = 11^2 likewise
 
     def test_rejects_nonpositive(self):

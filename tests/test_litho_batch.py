@@ -332,35 +332,3 @@ class TestRunnerBatchVerification:
             early_exit=False,
         )
         assert len(result.rows) == 1
-
-
-class TestAgentLookahead:
-    def test_lookahead_first_step_never_worse(self, sim):
-        """With candidate_lookahead the agent picks the best of {policy
-        action, five uniform moves} per step, so its first-step reward is
-        >= the plain policy's (both runs are deterministic at inference)."""
-        from repro.core.agent import CAMO
-        from repro.core.config import CamoConfig
-
-        clip = Clip(
-            name="lookahead",
-            bbox=Rect(0, 0, 1280, 1280),
-            targets=(Polygon.from_rect(Rect.square(640, 640, 90)),),
-            layer="via",
-        )
-        def first_reward(agent):
-            result = agent.optimize(clip, early_exit=False)
-            assert result.steps == 2
-            env = agent.context(clip).env
-            start = env.reset()
-            actions = result.trajectory.steps[0].actions
-            return env.reward(start, env.step(start, actions))
-
-        plain = CAMO(CamoConfig.smoke(initial_bias_nm=3.0, max_updates=2), sim)
-        ahead = CAMO(
-            CamoConfig.smoke(
-                initial_bias_nm=3.0, max_updates=2, candidate_lookahead=True
-            ),
-            sim,
-        )
-        assert first_reward(ahead) >= first_reward(plain)

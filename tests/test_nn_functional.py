@@ -215,6 +215,42 @@ class TestConv2d:
             rng.normal(size=(4,)),
         )
 
+    # The CAMO encoder's three convs (C -> 16 -> 32 -> 64, 3x3, stride 2,
+    # padding 1) at via encode 32, metal encode 24 and the paper's via
+    # encode 128, over node counts of the policy's batches.
+    ENCODER = [(6, 16, 1), (16, 32, 2), (32, 64, 4)]  # (C, F, size / 2^k)
+
+    @pytest.mark.parametrize(
+        "encode, n",
+        [(32, n) for n in (1, 7, 17, 110)]
+        + [(24, n) for n in (1, 7, 17, 110)]
+        + [(128, n) for n in (1, 3)],
+    )
+    def test_weight_grad_is_bit_for_bit_tensordot(self, encode, n):
+        """The weight gradient equals ``np.tensordot(grad, cols, ((0, 2),
+        (0, 2)))`` over the forward's im2col ``cols``, bit for bit."""
+        local = np.random.default_rng(encode * 1000 + n)
+        for c, f, div in self.ENCODER:
+            size = encode // div
+            x = local.normal(size=(n, c, size, size))
+            w = Tensor(local.normal(size=(f, c, 3, 3)), requires_grad=True)
+            out = conv2d(Tensor(x), w, stride=2, padding=1)
+            grad = local.normal(size=out.shape)
+            out.backward(grad)
+
+            padded = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+            windows = np.lib.stride_tricks.sliding_window_view(
+                padded, (3, 3), axis=(2, 3)
+            )[:, :, ::2, ::2]
+            oh, ow = out.shape[2:]
+            cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(
+                n, c * 9, oh * ow
+            )
+            reference = np.tensordot(
+                grad.reshape(n, f, oh * ow), cols, ((0, 2), (0, 2))
+            ).reshape(w.shape)
+            assert np.array_equal(w.grad, reference), (c, f, size)
+
     def test_validation(self):
         with pytest.raises(NNError):
             conv2d(Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 1, 3, 3))))
