@@ -6,8 +6,8 @@ Run from the repo root:
     PYTHONPATH=src python benchmarks/bench_map_suite.py --smoke  # CI
 
 Three sweeps of the same via suite through
-:meth:`repro.service.MaskOptService.run_suite` (the engine room of
-``map_suite(workers=N)`` and ``python -m repro optimize --workers N``):
+:meth:`repro.service.MaskOptService.run_suite`, the one way to reach a
+worker fleet (``python -m repro optimize --workers N`` calls it):
 
 * ``sequential`` — ``workers=1``: the in-process ``run_all`` loop builds
   the engine once and sweeps the suite, verification at the end;

@@ -214,55 +214,82 @@ def _store_root(args) -> str | None:
     return store.root if store is not None else None
 
 
-def cmd_optimize(args) -> int:
+def _litho_config(args):
+    """The ``LithoConfig`` of the ``add_litho_knobs`` flags."""
     from repro.litho.simulator import LithoConfig
-    from repro.service import MaskOptService
 
-    config = LithoConfig(
+    return LithoConfig(
         pixel_nm=args.pixel_nm,
         max_kernels=args.max_kernels,
         backend=args.backend,
         device=args.device,
         spectra_store=_store_root(args),
     )
-    service = MaskOptService(litho_config=config)
+
+
+def _suite_clips(args) -> list:
+    """The selected clips of a suite run, after checking that there are
+    some and that ``--workers`` is at least 1."""
     clips = _build_clips(args)
     if not clips:
         raise ReproError("no clips selected")
     if args.workers < 1:
         raise ReproError(f"--workers must be >= 1, got {args.workers}")
-    overrides = dict(args.opt or [])
-    delivery: dict[str, Any] = {}
-    if args.retries is not None:
-        delivery["retries"] = args.retries
-    if args.deadline is not None:
-        delivery["deadline_s"] = args.deadline
-    results = service.run_suite(
-        args.engine, clips, workers=args.workers,
-        engine_overrides=overrides, verify=not args.no_verify,
-        journal=args.journal or None, **delivery,
-    )
+    return clips
 
-    header = (
-        f"{'clip':12s} {'EPE (nm)':>10s} {'PVB (nm^2)':>12s} "
-        f"{'RT (s)':>8s} {'steps':>5s}  verified"
-    )
-    print(f"repro optimize: engine={args.engine} suite={args.suite} "
-          f"clips={len(clips)} pixel={args.pixel_nm} nm "
-          f"workers={args.workers}")
-    print(header)
-    verified_marks = {"verified": "ok", "unverified": "-",
-                      "unverifiable": "n/a"}
+
+def _budgets(args) -> dict[str, Any]:
+    """``retries`` / ``deadline_s`` keyword arguments for the flags that
+    were given; an absent flag leaves the service's default."""
+    budgets: dict[str, Any] = {}
+    if args.retries is not None:
+        budgets["retries"] = args.retries
+    if args.deadline is not None:
+        budgets["deadline_s"] = args.deadline
+    return budgets
+
+
+def _print_results(results) -> None:
+    """The per-clip results table."""
+    print(f"{'clip':12s} {'EPE (nm)':>10s} {'PVB (nm^2)':>12s} "
+          f"{'RT (s)':>8s} {'steps':>5s}  verified")
+    marks = {"verified": "ok", "unverified": "-", "unverifiable": "n/a"}
     for result in results:
-        verified = verified_marks.get(result.outcome, result.outcome)
         print(
             f"{result.clip_name:12s} {result.epe_nm:10.3f} "
             f"{result.pvband_nm2:12.1f} {result.runtime_s:8.2f} "
-            f"{result.steps:5d}  {verified}"
+            f"{result.steps:5d}  {marks.get(result.outcome, result.outcome)}"
         )
-    total_epe = sum(result.epe_nm for result in results)
-    total_rt = sum(result.runtime_s for result in results)
-    print(f"{'total':12s} {total_epe:10.3f} {'':12s} {total_rt:8.2f}")
+
+
+def _print_totals(results) -> dict[str, float]:
+    """Print and return the summed EPE and runtime of a suite run."""
+    totals = {
+        "epe_nm": sum(result.epe_nm for result in results),
+        "runtime_s": sum(result.runtime_s for result in results),
+    }
+    print(f"{'total':12s} {totals['epe_nm']:10.3f} {'':12s} "
+          f"{totals['runtime_s']:8.2f}")
+    return totals
+
+
+def cmd_optimize(args) -> int:
+    from repro.service import MaskOptService
+
+    service = MaskOptService(litho_config=_litho_config(args))
+    clips = _suite_clips(args)
+    overrides = dict(args.opt or [])
+    results = service.run_suite(
+        args.engine, clips, workers=args.workers,
+        engine_overrides=overrides, verify=not args.no_verify,
+        journal=args.journal or None, **_budgets(args),
+    )
+
+    print(f"repro optimize: engine={args.engine} suite={args.suite} "
+          f"clips={len(clips)} pixel={args.pixel_nm} nm "
+          f"workers={args.workers}")
+    _print_results(results)
+    totals = _print_totals(results)
     stats = service.stats()
     print(f"verification: {stats['verify_items']} masks in "
           f"{stats['verify_batch_calls']} batched litho calls")
@@ -282,7 +309,7 @@ def cmd_optimize(args) -> int:
             "workers": args.workers,
             "engine_overrides": overrides,
             "results": [result.to_dict() for result in results],
-            "totals": {"epe_nm": total_epe, "runtime_s": total_rt},
+            "totals": totals,
             "service_stats": stats,
             "version": __version__,
         }
@@ -295,52 +322,23 @@ def cmd_resume(args) -> int:
     """Finish an interrupted journaled run: replay completed clips from
     the journal, re-dispatch only the remainder, print the merged
     suite."""
-    from repro.litho.simulator import LithoConfig
     from repro.service import MaskOptService, resume_suite
 
-    config = LithoConfig(
-        pixel_nm=args.pixel_nm,
-        max_kernels=args.max_kernels,
-        backend=args.backend,
-        device=args.device,
-        spectra_store=_store_root(args),
-    )
-    service = MaskOptService(litho_config=config)
-    clips = _build_clips(args)
-    if not clips:
-        raise ReproError("no clips selected")
-    if args.workers < 1:
-        raise ReproError(f"--workers must be >= 1, got {args.workers}")
+    service = MaskOptService(litho_config=_litho_config(args))
+    clips = _suite_clips(args)
     overrides = dict(args.opt or [])
-    run_kwargs: dict[str, Any] = {}
-    if args.retries is not None:
-        run_kwargs["retries"] = args.retries
-    if args.deadline is not None:
-        run_kwargs["deadline_s"] = args.deadline
     results, replayed = resume_suite(
         service, args.engine, clips, args.journal,
         workers=args.workers, engine_overrides=overrides,
-        verify=not args.no_verify, **run_kwargs,
+        verify=not args.no_verify, **_budgets(args),
     )
     print(f"repro resume: engine={args.engine} suite={args.suite} "
           f"clips={len(clips)} workers={args.workers} "
           f"journal={args.journal}")
     print(f"replayed {replayed} completed clip(s) from the journal, "
           f"re-ran {len(clips) - replayed}")
-    print(f"{'clip':12s} {'EPE (nm)':>10s} {'PVB (nm^2)':>12s} "
-          f"{'RT (s)':>8s} {'steps':>5s}  verified")
-    verified_marks = {"verified": "ok", "unverified": "-",
-                      "unverifiable": "n/a"}
-    for result in results:
-        verified = verified_marks.get(result.outcome, result.outcome)
-        print(
-            f"{result.clip_name:12s} {result.epe_nm:10.3f} "
-            f"{result.pvband_nm2:12.1f} {result.runtime_s:8.2f} "
-            f"{result.steps:5d}  {verified}"
-        )
-    total_epe = sum(result.epe_nm for result in results)
-    total_rt = sum(result.runtime_s for result in results)
-    print(f"{'total':12s} {total_epe:10.3f} {'':12s} {total_rt:8.2f}")
+    _print_results(results)
+    totals = _print_totals(results)
     if args.json:
         payload = {
             "command": "resume",
@@ -351,7 +349,7 @@ def cmd_resume(args) -> int:
             "journal": args.journal,
             "replayed": replayed,
             "results": [result.to_dict() for result in results],
-            "totals": {"epe_nm": total_epe, "runtime_s": total_rt},
+            "totals": totals,
             "version": __version__,
         }
         _write_json(args.json, payload)
@@ -366,29 +364,12 @@ def cmd_serve(args) -> int:
     import asyncio
 
     from repro.errors import ServiceBusy
-    from repro.litho.simulator import LithoConfig
     from repro.service import MaskOptDaemon, OptRequest
 
-    config = LithoConfig(
-        pixel_nm=args.pixel_nm,
-        max_kernels=args.max_kernels,
-        backend=args.backend,
-        device=args.device,
-        spectra_store=_store_root(args),
-    )
-    clips = _build_clips(args)
-    if not clips:
-        raise ReproError("no clips selected")
-    if args.workers < 1:
-        raise ReproError(f"--workers must be >= 1, got {args.workers}")
+    config = _litho_config(args)
+    clips = _suite_clips(args)
     overrides = dict(args.opt or [])
     verify = not args.no_verify
-
-    daemon_kwargs: dict[str, Any] = {}
-    if args.retries is not None:
-        daemon_kwargs["retries"] = args.retries
-    if args.deadline is not None:
-        daemon_kwargs["deadline_s"] = args.deadline
 
     async def run():
         daemon = MaskOptDaemon(
@@ -396,7 +377,7 @@ def cmd_serve(args) -> int:
             workers=args.workers,
             max_pending=args.max_pending,
             journal=args.journal,
-            **daemon_kwargs,
+            **_budgets(args),
         )
         async with daemon:
             tickets = []
@@ -421,17 +402,7 @@ def cmd_serve(args) -> int:
     results, stats = asyncio.run(run())
     print(f"repro serve: engine={args.engine} suite={args.suite} "
           f"clips={len(clips)} workers={args.workers}")
-    print(f"{'clip':12s} {'EPE (nm)':>10s} {'PVB (nm^2)':>12s} "
-          f"{'RT (s)':>8s} {'steps':>5s}  verified")
-    verified_marks = {"verified": "ok", "unverified": "-",
-                      "unverifiable": "n/a"}
-    for result in sorted(results, key=lambda r: r.request_id):
-        verified = verified_marks.get(result.outcome, result.outcome)
-        print(
-            f"{result.clip_name:12s} {result.epe_nm:10.3f} "
-            f"{result.pvband_nm2:12.1f} {result.runtime_s:8.2f} "
-            f"{result.steps:5d}  {verified}"
-        )
+    _print_results(sorted(results, key=lambda r: r.request_id))
     service_stats = stats["service"]
     print(f"daemon: {stats['submitted']} submitted, "
           f"{stats['completed']} completed, {stats['failed']} failed, "
@@ -472,7 +443,7 @@ def cmd_bench_info(args) -> int:
         scipy_fft_available,
         torch_available,
     )
-    from repro.litho.simulator import LithoConfig, LithographySimulator
+    from repro.litho.simulator import LithographySimulator
     from repro.litho.store import SPECTRA_STORE_ENV, open_store
     from repro.service import available_engines
 
@@ -494,10 +465,7 @@ def cmd_bench_info(args) -> int:
         print(f"spectra store : disabled (set --store or "
               f"${SPECTRA_STORE_ENV})")
 
-    config = LithoConfig(
-        pixel_nm=args.pixel_nm, max_kernels=args.max_kernels,
-        backend=args.backend, device=args.device, spectra_store=root,
-    )
+    config = _litho_config(args)
     simulator = LithographySimulator(config)
     n = int(args.window_nm / config.pixel_nm)
     band = simulator.kernel_set(0.0).band_spectra((n, n))

@@ -72,9 +72,6 @@ REWARD_BETA: float = 1.0
 LEARNING_RATE: float = 3e-4
 """SGD learning rate used by the paper."""
 
-DISCOUNT_GAMMA: float = 0.99
-"""Trajectory discount factor."""
-
 MODULATOR_K: float = 0.02
 MODULATOR_N: int = 4
 MODULATOR_B: float = 1.0

@@ -152,15 +152,11 @@ class CAMO:
             n=config.modulator_n,
             b=config.modulator_b,
             epe_scale=config.modulator_epe_scale,
-            hold_bias=config.modulator_hold_bias,
-            hold_width_nm=config.modulator_hold_width_nm,
             mode=config.modulator_mode,
             sigma=config.modulator_sigma,
         )
         self.encoder = NodeFeatureEncoder(
-            window_nm=config.window_nm,
-            out_size=config.encode_size,
-            channels=config.channels,
+            window_nm=config.window_nm, out_size=config.encode_size,
         )
         self.optimizer = self._make_optimizer(config.learning_rate)
         self.rng = np.random.default_rng(config.seed)
@@ -237,14 +233,17 @@ class CAMO:
     def _train_imitation(
         self, clips: list[Clip], history: dict[str, list[float]], verbose: bool
     ) -> None:
-        """Phase 1: mimic the model-based teacher (no modulator involved).
+        """Phase 1: mimic the model-based teacher.
 
-        Each teacher sample is a population of one and gets its own
-        update.  With ``imitation_weighting="unit"`` every teacher action
-        gets unit weight (behaviour cloning) — necessary so that the
-        teacher's *hold* decisions near convergence, whose environment
-        reward is ~0, are learned too.  ``"reward"`` reproduces Eq. 7
-        literally.
+        With ``use_modulator`` the loss is taken on the *modulated*
+        logits (the policy's plus the modulator's log-preference), so the
+        policy learns the residual the modulator does not already provide
+        and training matches the Eq. 6 decision rule.  Each teacher
+        sample is a population of one and gets its own update.  With
+        ``imitation_weighting="unit"`` every teacher action gets unit
+        weight (behaviour cloning) — necessary so that the teacher's
+        *hold* decisions near convergence, whose environment reward is
+        ~0, are learned too.  ``"reward"`` reproduces Eq. 7 literally.
         """
         unit_weight = self.config.imitation_weighting == "unit"
         for clip in clips:
@@ -279,14 +278,13 @@ class CAMO:
                     )
                     for state, actions, next_state in rollout
                 ]
-        modulated = self.config.use_modulator and self.config.train_on_modulated
         for epoch in range(self.config.imitation_epochs):
             epoch_logp = 0.0
             for clip in clips:
                 ctx = self.context(clip)
                 for features, actions, weight, log_pref in ctx.teacher_samples:
                     logits = self.policy(features, ctx.adjacency, ctx.order)
-                    if modulated:
+                    if self.config.use_modulator:
                         logits = logits + Tensor(log_pref)
                     log_probs = select_log_probs_population(logits, actions)
                     population_gradient_step(
@@ -299,14 +297,6 @@ class CAMO:
             history["imitation_logp"].append(epoch_logp)
             if verbose:
                 print(f"[imitation] epoch {epoch}: sum log-prob {epoch_logp:.2f}")
-
-    def _rl_optimizer(self):
-        rl_lr = (
-            self.config.rl_learning_rate
-            if self.config.rl_learning_rate is not None
-            else 0.3 * self.config.learning_rate
-        )
-        return self._make_optimizer(rl_lr)
 
     def _train_rl(
         self, clips: list[Clip], history: dict[str, list[float]], verbose: bool
@@ -328,33 +318,18 @@ class CAMO:
         (:meth:`NodeFeatureEncoder.encode_all_population`).
         """
         population = self.config.rl_population
-        offsets = self.config.rl_population_bias_offsets
-        modulated = self.config.use_modulator and self.config.train_on_modulated
-        rl_optimizer = self._rl_optimizer()
+        # Single-sample REINFORCE is noisier than behaviour cloning.
+        rl_optimizer = self._make_optimizer(0.3 * self.config.learning_rate)
         baselines = np.zeros(population, dtype=np.float64)
         initialized = np.zeros(population, dtype=bool)
         for epoch in range(self.config.rl_epochs):
             epoch_reward = 0.0
             for clip in clips:
                 ctx = self.context(clip)
-                if offsets:
-                    # Deterministic per-trajectory bias jitter decorrelates
-                    # the population; all P starts are evaluated through
-                    # one batched litho + metrology call.
-                    states = ctx.env.reset_population(
-                        [
-                            self.config.initial_bias_nm
-                            + offsets[p % len(offsets)]
-                            for p in range(population)
-                        ]
-                    )
-                else:
-                    # reset() is deterministic, so the population shares
-                    # one evaluated start state (EnvState is immutable);
-                    # the trajectories diverge at the first sampled
-                    # actions.
-                    start = ctx.env.reset()
-                    states = [start] * population
+                # reset() is deterministic, so the population shares one
+                # evaluated start state (EnvState is immutable); the
+                # trajectories diverge at the first sampled actions.
+                states = [ctx.env.reset()] * population
                 active = list(range(population))
                 for step in range(self.config.max_updates):
                     logits = self._population_logits(
@@ -380,10 +355,10 @@ class CAMO:
                     initialized[slots[fresh]] = True
                     advantages = rewards - baselines[slots]
                     baselines[slots] = 0.8 * baselines[slots] + 0.2 * rewards
-                    # Eq. 7 uses the unmodulated policy output; with
-                    # train_on_modulated we instead differentiate through
-                    # the modulated distribution that was actually sampled.
-                    if modulated:
+                    # Eq. 7 uses the unmodulated policy output; we instead
+                    # differentiate through the modulated distribution
+                    # that was actually sampled.
+                    if self.config.use_modulator:
                         log_pref = self.modulator.log_preference_batch(
                             seg_epes.ravel(), gain=self._gain(step)
                         )

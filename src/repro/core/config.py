@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.constants import (
-    DISCOUNT_GAMMA,
     FEATURE_WINDOW_NM,
     GRAPH_EDGE_THRESHOLD_NM,
     LEARNING_RATE,
@@ -37,7 +36,6 @@ class CamoConfig:
     # -- feature encoding ----------------------------------------------------
     window_nm: float = FEATURE_WINDOW_NM       # paper: 500
     encode_size: int = 32                      # paper: 128 (via) / 64 (metal)
-    channels: int = 6
 
     # -- graph -----------------------------------------------------------------
     graph_threshold_nm: float = GRAPH_EDGE_THRESHOLD_NM  # paper: 250
@@ -45,8 +43,6 @@ class CamoConfig:
 
     # -- policy network --------------------------------------------------------
     embed_dim: int = 256                       # paper: RNN input size 256
-    encoder_tail: str = "gap"                  # "gap" (translation-robust)
-                                               # or "flatten"
     sage_layers: int = 2
     rnn_hidden: int = 64                       # paper: hidden state 64
     rnn_layers: int = 3                        # paper: 3 recurrent layers
@@ -69,17 +65,12 @@ class CamoConfig:
     """Per-iteration damping of the modulator's effective EPE (the classic
     decaying-feedback schedule; 0 disables)."""
     modulator_epe_scale: float = 0.5           # 1 / MEEF of our simulator
-    modulator_hold_bias: float = 0.75
-    modulator_hold_width_nm: float = 1.2
-    """Preference bump on the zero movement for converged segments (the
-    model-based deadband principle in modulator form; polynomial mode)."""
 
     # -- training -------------------------------------------------------------
     learning_rate: float = 1e-3
     optimizer: str = "adam"                    # repro profile; paper: "sgd"
     momentum: float = 0.9                      # sgd only; compensates the
                                                # reduced epoch budget
-    gamma: float = DISCOUNT_GAMMA
     reward_epsilon: float = REWARD_EPSILON     # paper: 0.1
     reward_beta: float = REWARD_BETA           # paper: 1
     imitation_epochs: int = 40                 # paper: 500
@@ -89,14 +80,7 @@ class CamoConfig:
     imitation_bias_offsets: tuple[float, ...] = (0.0, 5.0, -4.0)
     """Extra initial-bias offsets for teacher rollouts: covers under- and
     over-sized starting masks so the policy sees both EPE signs."""
-    train_on_modulated: bool = True
-    """Apply the modulator's log-preference offset to the logits inside the
-    training loss, so the policy learns the *residual* the modulator does
-    not already provide and training matches the Eq. 6 decision rule."""
     rl_epochs: int = 3
-    rl_learning_rate: float | None = None
-    """Phase-2 learning rate; defaults to 0.3x the phase-1 rate (single-
-    sample REINFORCE is noisier than behaviour cloning)."""
     rl_population: int = 1
     """Number of phase-2 trajectories advanced in lockstep per clip.
     Every step samples P action vectors from one batched policy forward,
@@ -104,13 +88,6 @@ class CamoConfig:
     the per-trajectory EMA-baseline advantages into one accumulated
     policy-gradient step.  ``1`` (the default) is a population of one;
     ``benchmarks/bench_train_throughput.py`` times P=1 against P=8."""
-    rl_population_bias_offsets: tuple[float, ...] = ()
-    """Deterministic per-trajectory initial-bias jitter for population
-    training (satellite of the start-state diversification follow-up):
-    trajectory ``p`` starts from ``initial_bias_nm + offsets[p % len]``,
-    mirroring how imitation diversifies its teacher rollouts (P=1
-    included).  The empty default keeps every trajectory on the shared
-    ``reset()`` start."""
     max_grad_norm: float = 10.0
     seed: int = 2024
 
@@ -136,13 +113,6 @@ class CamoConfig:
             raise ConfigError(
                 f"rl_population must be >= 1, got {self.rl_population}"
             )
-        if not all(
-            isinstance(offset, (int, float)) for offset in
-            self.rl_population_bias_offsets
-        ):
-            raise ConfigError("rl_population_bias_offsets must be numbers")
-        if self.encoder_tail not in ("gap", "flatten"):
-            raise ConfigError(f"unknown encoder_tail {self.encoder_tail!r}")
         if self.sage_layers < 1:
             raise ConfigError("need at least one GraphSAGE layer")
         if self.n_actions != 5:

@@ -40,8 +40,6 @@ class Modulator:
     n: int = MODULATOR_N
     b: float = MODULATOR_B
     epe_scale: float = 1.0
-    hold_bias: float = 0.0
-    hold_width_nm: float = 1.0
     mode: str = "polynomial"
     sigma: float = 0.75
     """``mode="polynomial"`` is the paper's construction (five samples of
@@ -60,12 +58,6 @@ class Modulator:
             raise ConfigError(f"n must be a positive even integer, got {self.n}")
         if self.epe_scale <= 0:
             raise ConfigError(f"epe_scale must be positive, got {self.epe_scale}")
-        if self.hold_bias < 0:
-            raise ConfigError(f"hold_bias must be non-negative, got {self.hold_bias}")
-        if self.hold_width_nm <= 0:
-            raise ConfigError(
-                f"hold_width_nm must be positive, got {self.hold_width_nm}"
-            )
         if self.mode not in ("polynomial", "matched"):
             raise ConfigError(f"unknown modulator mode {self.mode!r}")
         if self.sigma <= 0:
@@ -87,8 +79,7 @@ class Modulator:
         ``gain`` damps the effective EPE (standard decaying-feedback OPC
         iteration schedules pass ``1 / (1 + decay * step)``).
         """
-        raw = np.asarray(epe_nm, dtype=np.float64)
-        epe = raw * self.epe_scale * gain
+        epe = np.asarray(epe_nm, dtype=np.float64) * self.epe_scale * gain
         if self.mode == "matched":
             return self._matched_preferences(epe)
         # Five evenly spaced samples across [0, EPE], descending:
@@ -101,18 +92,7 @@ class Modulator:
         projected = self.projection(samples)
         shifted = projected - projected.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
-        prefs = exp / exp.sum(axis=1, keepdims=True)
-        if self.hold_bias > 0:
-            # Converged segments should prefer holding still: a small bump
-            # on the zero movement that fades as |EPE| grows past the
-            # deadband width.  This is the deadband principle of
-            # conventional model-based OPC in the modulator's
-            # multiplicative form (uses *raw* EPE — the deadband is a
-            # printed-edge tolerance, independent of MEEF scaling).
-            bump = 1.0 + self.hold_bias * np.exp(-((raw / self.hold_width_nm) ** 2))
-            prefs[:, 2] *= bump
-            prefs /= prefs.sum(axis=1, keepdims=True)
-        return prefs
+        return exp / exp.sum(axis=1, keepdims=True)
 
     def _matched_preferences(self, scaled_epe: np.ndarray) -> np.ndarray:
         """Gaussian preference around the error-cancelling movement.

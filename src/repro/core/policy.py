@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.config import CamoConfig
 from repro.errors import NNError
-from repro.nn.layers import Conv2d, Flatten, GlobalAvgPool2d, Linear, ReLU
+from repro.nn.layers import Conv2d, GlobalAvgPool2d, Linear, ReLU
 from repro.nn.module import Module, Sequential
 from repro.nn.rnn import ElmanRNN
 from repro.nn.sage import GraphSAGEConv
@@ -35,27 +35,21 @@ class CamoPolicy(Module):
         self.config = config
         rng = np.random.default_rng(config.seed)
 
-        if config.encoder_tail == "gap":
-            tail: tuple = (
-                GlobalAvgPool2d(),
-                Linear(64, config.embed_dim, rng=rng),
-                ReLU(),
-            )
-        else:
-            final_spatial = config.encode_size // 8
-            tail = (
-                Flatten(),
-                Linear(64 * final_spatial * final_spatial, config.embed_dim, rng=rng),
-                ReLU(),
-            )
+        # The global-average-pool tail keeps the node feature robust to
+        # where the geometry sits inside its window.  Its Linear draws
+        # from ``rng`` before the convolutions do: that order fixes every
+        # initial weight.
+        tail = Linear(64, config.embed_dim, rng=rng)
         self.encoder = Sequential(
-            Conv2d(config.channels, 16, 3, stride=2, padding=1, rng=rng),
+            Conv2d(6, 16, 3, stride=2, padding=1, rng=rng),
             ReLU(),
             Conv2d(16, 32, 3, stride=2, padding=1, rng=rng),
             ReLU(),
             Conv2d(32, 64, 3, stride=2, padding=1, rng=rng),
             ReLU(),
-            *tail,
+            GlobalAvgPool2d(),
+            tail,
+            ReLU(),
         )
 
         if config.use_gnn:

@@ -3,13 +3,11 @@ regenerate every table and figure of the paper's evaluation section."""
 
 from repro.eval.metrics import EngineRow, SuiteResult
 from repro.eval.tables import format_comparison_table
-from repro.eval.runner import run_engine_on_suite
 from repro.eval import experiments
 
 __all__ = [
     "EngineRow",
     "SuiteResult",
     "format_comparison_table",
-    "run_engine_on_suite",
     "experiments",
 ]

@@ -1,7 +1,7 @@
 """Lithography simulator facade.
 
 :class:`LithographySimulator` is what the OPC engines talk to: it turns a
-mask (polygons or a :class:`~repro.geometry.mask_edit.MaskState`) into
+mask (polygons or a raster) into
 aerial and printed images at every process corner, reusing optical kernels
 and cached per-grid band spectra across the thousands of evaluations an
 OPC run makes.
@@ -113,7 +113,6 @@ from repro.constants import (
 )
 from repro.errors import LithoError
 from repro.geometry.layout import Clip
-from repro.geometry.mask_edit import MaskState
 from repro.geometry.polygon import Polygon
 from repro.geometry.raster import (
     Grid,
@@ -576,7 +575,6 @@ class LithographySimulator:
         masks: Sequence[np.ndarray] | np.ndarray,
         grid: Grid,
         plans,
-        with_defocus: bool = False,
     ) -> list:
         """Sparse corner sweep: intensity only where EPE metrology looks.
 
@@ -588,12 +586,11 @@ class LithographySimulator:
         geometry; ``None`` entries mean "no measure points").  Returns
         one :class:`~repro.metrology.contour.SparseAerial` per mask
         (``None`` where the plan was), holding the nominal-corner
-        intensity at the plan's pixel set — and the defocus corner too
-        when ``with_defocus`` is set (EPE itself is measured at the
-        nominal corner only, so the default skips that work).
+        intensity at the plan's pixel set (EPE is measured at the
+        nominal corner only).
 
         No dense image is built: the shared imaging front end images
-        the whole stack once per kernel set on the pupil-band subgrid,
+        the whole stack once on the pupil-band subgrid,
         and each plan's pixel set is lifted from it by the lattice
         gather (:func:`~repro.litho.kernels.band_values_at_pixels`).
         Values agree with the dense :meth:`simulate_batch` aerials at
@@ -607,7 +604,6 @@ class LithographySimulator:
         :class:`~repro.metrology.contour.SparseAerial` are host numpy.
         """
         stack = self._mask_stack(masks, grid)
-        nominal, inner, _ = self.corners()
         batch = stack.shape[0]
         if plans is None or not isinstance(plans, (list, tuple)):
             plan_list = [plans] * batch
@@ -628,31 +624,22 @@ class LithographySimulator:
             return results
 
         shape = grid.shape
-        kernel_sets = [self.kernel_set(nominal.defocus_nm)] + (
-            [self.kernel_set(inner.defocus_nm)] if with_defocus else []
+        nominal, _, _ = self.corners()
+        kset = self.kernel_set(nominal.defocus_nm)
+        # The whole stack is imaged once; only the pixel lift runs per
+        # plan.
+        intensity = kset.subgrid_intensity(
+            kset.fft.rfft2(stack, axes=(-2, -1)), shape
         )
-        # Each kernel set images the whole stack once; only the pixel
-        # lift runs per plan.
-        spectra = kernel_sets[0].fft.rfft2(stack, axes=(-2, -1))
-        intensities = [
-            kset.subgrid_intensity(spectra, shape) for kset in kernel_sets
-        ]
         from repro.metrology.contour import SparseAerial
 
         for plan, indices in groups.values():
-            values = [
-                band_values_at_pixels(
-                    intensity[indices], kset.band_spectra(shape),
-                    plan.pixel_rows, plan.pixel_cols, kset.fft,
-                )
-                for kset, intensity in zip(kernel_sets, intensities)
-            ]
+            values = band_values_at_pixels(
+                intensity[indices], kset.band_spectra(shape),
+                plan.pixel_rows, plan.pixel_cols, kset.fft,
+            )
             for row, index in enumerate(indices):
-                results[index] = SparseAerial(
-                    plan=plan,
-                    values=values[0][row],
-                    values_defocus=values[1][row] if with_defocus else None,
-                )
+                results[index] = SparseAerial(plan=plan, values=values[row])
         return results
 
     def simulate_polygons(
@@ -674,12 +661,6 @@ class LithographySimulator:
         polys = tuple(polygons)
         _require_disjoint(polys)
         return self.simulate_batch([polys], grid)[0]
-
-    def simulate_state(self, state: MaskState, grid: Grid | None = None) -> LithoResult:
-        """Simulate the current mask of an OPC state."""
-        if grid is None:
-            grid = self.grid_for(state.clip)
-        return self.simulate_polygons(state.mask_polygons(), grid)
 
 
 def _require_disjoint(polygons: Sequence[Polygon]) -> None:

@@ -289,8 +289,7 @@ class SparseAerial:
     """Aerial intensity evaluated only at a stencil plan's pixel set.
 
     ``values`` is the nominal-corner intensity, ``(S,)`` (or a leading
-    batch shape); ``values_defocus`` optionally carries the defocus
-    corner for process-window sweeps.  Produced by
+    batch shape).  Produced by
     :meth:`repro.litho.simulator.LithographySimulator.simulate_epe_batch`
     and consumed by :func:`contour_offsets_sparse` /
     :func:`repro.metrology.epe.measure_epe_sparse`.
@@ -298,7 +297,6 @@ class SparseAerial:
 
     plan: ContourStencilPlan
     values: np.ndarray
-    values_defocus: np.ndarray | None = None
 
 
 # Stencil plans are pure geometry — gather indices and bilinear blend

@@ -8,7 +8,7 @@ provides the paper's phase-1 "mimic another OPC engine" training.
 
 from repro.rl.env import EnvState, OPCEnvironment
 from repro.rl.reward import compute_reward
-from repro.rl.trajectory import Trajectory, TrajectoryStep, discounted_returns
+from repro.rl.trajectory import Trajectory, TrajectoryStep
 from repro.rl.reinforce import (
     population_gradient_step,
     sample_actions,
@@ -25,7 +25,6 @@ __all__ = [
     "compute_reward",
     "Trajectory",
     "TrajectoryStep",
-    "discounted_returns",
     "population_gradient_step",
     "sample_actions",
     "select_log_probs_population",

@@ -1,4 +1,4 @@
-"""Trajectory bookkeeping and discounted returns (paper Eq. 1-2)."""
+"""Trajectory bookkeeping (paper Eq. 1)."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.constants import DISCOUNT_GAMMA
-from repro.errors import RLError
 
 
 @dataclass(frozen=True)
@@ -38,16 +36,3 @@ class Trajectory:
     def epe_curve(self) -> list[float]:
         """EPE-vs-step series starting at the initial mask (Fig. 5)."""
         return [self.epe_initial, *(s.epe_after for s in self.steps)]
-
-
-def discounted_returns(rewards: list[float], gamma: float = DISCOUNT_GAMMA) -> np.ndarray:
-    """Discounted return-to-go of a reward sequence (Eq. 2):
-    ``G_t = sum_k gamma^k r_{t+k}`` computed backwards in O(n)."""
-    if not 0 <= gamma <= 1:
-        raise RLError(f"gamma must be in [0, 1], got {gamma}")
-    out = np.zeros(len(rewards), dtype=np.float64)
-    running = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        running = rewards[t] + gamma * running
-        out[t] = running
-    return out

@@ -19,7 +19,7 @@ Request lifecycle
                                │
                  run_all() / map_suite()
                                │
-                     engine_for(request) ── registry build + train
+                     engine_for(request) ── registry build
                                │              (cached per name/overrides)
                      engine.optimize(clip)  ── per-clip OPC loop
                                │                (engines unchanged)
@@ -49,8 +49,9 @@ Components:
   verification pass.
 * :class:`~repro.service.service.MaskOptService` — queue, engine cache,
   sync ``submit``/``run_all`` (the in-process loop), ``run_suite`` for
-  one engine over a suite, and ``map_suite`` for several engines over
-  one suite.  Multi-core hosts get their parallelism from ``workers=N``
+  one engine over a suite (in process or on worker processes), and
+  ``map_suite`` for several engines over one suite in process.
+  Multi-core hosts get their parallelism from ``run_suite(workers=N)``
   (below) and from ``LithoConfig(backend="scipy")``, whose transforms
   split across the batch axis (``backend="torch"`` moves the compact
   band path onto a device).
@@ -60,9 +61,9 @@ Components:
   continuously, per-tenant bounded queues that shed load with
   :class:`~repro.errors.ServiceBusy`, streaming verification on a
   dedicated thread, crashed workers revived without dropping the
-  daemon, graceful drain-and-shutdown.  ``run_suite(workers=N)``,
-  ``map_suite(workers=N)``, any journaled sweep and CLI ``--workers N``
-  are blocking wrappers over it.  Workers rebuild the engine from a
+  daemon, graceful drain-and-shutdown.  ``run_suite(workers=N)``, any
+  journaled sweep and CLI ``--workers N`` are blocking wrappers over
+  it.  Workers rebuild the engine from a
   picklable :class:`~repro.service.sharding.EngineSpec`, share one
   on-disk kernel-spectra store, and stream
   :class:`~repro.service.sharding.OptOutcome` payloads back as clips

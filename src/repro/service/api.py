@@ -28,8 +28,7 @@ class OptRequest:
             :mod:`repro.service.registry`), a factory callable
             ``(simulator, overrides) -> engine`` (the picklable spec
             worker processes of the daemon need), or an
-            already-constructed engine instance implementing the
-            ``OPCEngine`` protocol (anything with
+            already-constructed engine instance (anything with
             ``optimize(clip, **kwargs)``).
         engine_overrides: Config-field overrides applied when the engine
             is built from a registry name or factory (rejected for
@@ -37,14 +36,11 @@ class OptRequest:
         optimize_kwargs: Extra keyword arguments forwarded to
             ``engine.optimize`` (e.g. ``max_updates=``).
         verify: Whether this request participates in the shape-binned
-            batched re-simulation cross-check after optimization.
-        epe_search_nm: Contour search range for the verification
-            metrology; ``None`` resolves to the engine config's
-            ``epe_search_nm`` (falling back to the shared 40 nm default)
-            so a correctly-reporting engine is never flagged as drifting.
-        train_clips: Clips to train a registry-built engine on before its
-            first optimization (engines without a ``train`` method, like
-            MB-OPC and pixel ILT, reject non-empty values).
+            batched re-simulation cross-check after optimization.  The
+            re-measurement uses the contour search range of the engine's
+            own config (``epe_search_nm``, else the shared 40 nm
+            default), so a correctly-reporting engine is never flagged
+            as drifting.
         retries: Extra attempts the daemon may make after an
             infrastructure fault (worker crash, stall kill) on this
             request; ``None`` uses the daemon's default.  Engine
@@ -61,8 +57,6 @@ class OptRequest:
     engine_overrides: Mapping[str, Any] = field(default_factory=dict)
     optimize_kwargs: Mapping[str, Any] = field(default_factory=dict)
     verify: bool = True
-    epe_search_nm: float | None = None
-    train_clips: tuple[Clip, ...] = ()
     retries: int | None = None
     deadline_s: float | None = None
 
@@ -85,10 +79,6 @@ class OptRequest:
                     "engine_overrides only apply to registry- or factory-"
                     "built engines; configure the instance directly instead"
                 )
-        if self.epe_search_nm is not None and self.epe_search_nm <= 0:
-            raise ServiceError(
-                f"epe_search_nm must be positive, got {self.epe_search_nm}"
-            )
         if self.retries is not None and (
             not isinstance(self.retries, int) or self.retries < 0
         ):
@@ -159,7 +149,8 @@ class OptResult:
         """Project onto the comparison-table record
         (:class:`repro.eval.metrics.EngineRow`) used by the tables."""
         # Imported lazily: repro.eval's package __init__ pulls in the
-        # runner, which itself builds on this service package.
+        # experiment drivers, which themselves build on this service
+        # package.
         from repro.eval.metrics import EngineRow
 
         return EngineRow(

@@ -46,7 +46,8 @@ Architecture — three threads around one event loop::
   join their bin as they arrive; any bin reaching ``stream_min_bin``
   masks flushes immediately, and once the daemon is quiescent (nothing
   queued or in flight) stragglers are flushed — at once when the last
-  mask arrives, else at the next ``flush_idle_s`` poll — or
+  mask arrives, else at the next idle poll (every
+  :data:`FLUSH_IDLE_S`) — or
   unconditionally once a mask has waited ``flush_max_wait_s``, so a
   lone request on an idle daemon is never parked indefinitely waiting
   for bin-mates.  Drift checks run per result: a diverging engine fails
@@ -94,11 +95,11 @@ from repro.errors import (
 from repro.litho.simulator import LithoConfig
 from repro.service.api import OptRequest, OptResult
 from repro.service.journal import open_journal
+from repro.service.registry import overrides_key
 from repro.service.service import DEFAULT_RETRIES, MaskOptService
 from repro.service.sharding import EngineSpec
 from repro.service.workqueue import (
     CRASH_GRACE_S,
-    DEFAULT_START_METHOD,
     Task,
     TaskVerdict,
     WorkStealingPool,
@@ -106,7 +107,8 @@ from repro.service.workqueue import (
 )
 
 DEFAULT_MAX_PENDING = 32
-DEFAULT_FLUSH_IDLE_S = 0.2
+FLUSH_IDLE_S = 0.2
+"""How often the verifier polls for stragglers while no mask arrives."""
 DEFAULT_FLUSH_MAX_WAIT_S = 2.0
 
 _VERIFIER_STOP = object()
@@ -150,9 +152,7 @@ class MaskOptDaemon:
         max_pending: int = DEFAULT_MAX_PENDING,
         pool_backlog: int | None = None,
         stream_min_bin: int | None = None,
-        flush_idle_s: float = DEFAULT_FLUSH_IDLE_S,
         flush_max_wait_s: float = DEFAULT_FLUSH_MAX_WAIT_S,
-        start_method: str = DEFAULT_START_METHOD,
         grace_s: float = CRASH_GRACE_S,
         max_revives: int | None = None,
         retries: int = DEFAULT_RETRIES,
@@ -188,7 +188,6 @@ class MaskOptDaemon:
         self.max_pending = int(max_pending)
         self.pool_backlog = int(pool_backlog)
         self.stream_min_bin = int(stream_min_bin)
-        self.flush_idle_s = float(flush_idle_s)
         self.flush_max_wait_s = float(flush_max_wait_s)
         if retries < 0:
             raise ServiceError(f"retries must be >= 0, got {retries}")
@@ -200,7 +199,7 @@ class MaskOptDaemon:
         self.deadline_s = deadline_s
         # Everything else configures the warm pool of each engine spec.
         self._pool_options = dict(
-            start_method=start_method, grace_s=grace_s,
+            grace_s=grace_s,
             stall_timeout_s=stall_timeout_s, fault_plan=fault_plan,
             max_revives=max_revives,
         )
@@ -326,8 +325,8 @@ class MaskOptDaemon:
         ``max_pending`` requests outstanding — admission control sheds
         load explicitly instead of buffering without bound.  The request
         must be *spawnable* (registry name or factory callable; engine
-        instances and ``train_clips`` cannot cross the process boundary
-        into the warm pool).
+        instances cannot cross the process boundary into the warm
+        pool).
         """
         self._require_running()
         if not isinstance(request, OptRequest):
@@ -336,12 +335,6 @@ class MaskOptDaemon:
             )
         if not isinstance(tenant, str) or not tenant:
             raise ServiceError("tenant must be a non-empty string")
-        if request.train_clips:
-            raise ServiceError(
-                "train_clips cannot cross into the daemon's worker "
-                "processes; train ahead of time and register a factory "
-                "callable that builds the trained engine"
-            )
         # EngineSpec validates eagerly: an engine instance is rejected
         # here with a clear error, not later inside Process.start().
         spec = EngineSpec(
@@ -374,22 +367,13 @@ class MaskOptDaemon:
         if tenant not in self._tenant_queues:
             self._tenant_queues[tenant] = deque()
             self._tenant_rr.append(tenant)
-        key = self._spec_key(request)
+        key = (request.engine, overrides_key(request.engine_overrides))
         self._tenant_queues[tenant].append((ticket, request, key, spec))
         self._queued_count += 1
         self._idle.clear()
         self._count("submitted")
         self._dispatch()
         return ticket
-
-    @staticmethod
-    def _spec_key(request: OptRequest) -> tuple:
-        return (
-            request.engine,
-            tuple(sorted(
-                (k, repr(v)) for k, v in request.engine_overrides.items()
-            )),
-        )
 
     def _dispatch(self) -> None:
         """Move queued requests into pool queues, round-robin across
@@ -541,7 +525,7 @@ class MaskOptDaemon:
         waiting: dict[int, tuple[OptRequest, Any, float]] = {}
         while True:
             try:
-                item = self._verify_inbox.get(timeout=self.flush_idle_s)
+                item = self._verify_inbox.get(timeout=FLUSH_IDLE_S)
             except queue_mod.Empty:
                 if not waiting:
                     continue
@@ -562,13 +546,9 @@ class MaskOptDaemon:
                 scheduler.discard(tuple(waiting))
                 return
             ticket, request, payload = item
-            search_nm = (
-                float(request.epe_search_nm)
-                if request.epe_search_nm is not None
-                else float(payload.epe_search_nm)
-            )
             added = scheduler.add_outcome(
-                ticket, request.clip, payload, simulator, search_nm
+                ticket, request.clip, payload, simulator,
+                payload.epe_search_nm,
             )
             if not added:
                 # No recoverable final mask: resolve as "unverifiable".

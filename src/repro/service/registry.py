@@ -4,8 +4,9 @@ The service (and the ``python -m repro`` CLI) refer to engines by short
 names; each name maps to a factory ``(simulator, overrides) -> engine``
 building the engine's config dataclass from the override mapping, so a
 request can carry plain ``{"max_updates": 5}``-style dictionaries
-instead of importing config classes.  All built engines satisfy the
-:class:`repro.eval.runner.OPCEngine` protocol.
+instead of importing config classes.  Every built engine has an
+``optimize(clip, **kwargs)`` method whose result exposes ``epe_total``,
+``pvband``, ``runtime_s``, ``steps`` and ``early_exited``.
 
 Out of the box: ``camo`` (the paper's agent), ``mbopc`` (the
 Calibre-like model-based baseline, alias ``calibre``), ``rlopc``,
@@ -166,9 +167,11 @@ def overrides_key(
     """Canonical hashable key for an override mapping: sorted
     ``(name, repr(value))`` pairs.
 
-    One definition for every identity built on overrides — the daemon's
-    pool cache key, :class:`~repro.service.sharding.EngineSpec`
-    normalization, and the journal's engine fingerprint all must agree,
+    One definition for every identity built on overrides — the
+    service's engine cache key, the daemon's pool cache key, and the
+    journal's engine fingerprint
+    (:meth:`~repro.service.sharding.EngineSpec.fingerprint`) all must
+    agree,
     or "same spec" would mean different things to different layers.
     """
     return tuple(

@@ -11,9 +11,10 @@ suite in order through the same sequential loop as ``run_all`` and
 funnels *all* verification through one cross-engine batched pass.
 
 One engine's suite goes through :meth:`~MaskOptService.run_suite`
-(also reachable as ``map_suite(workers=N)`` and ``python -m repro
-optimize --workers N``).  At ``workers=1`` it is ``submit`` + ``run_all``;
-with more workers, or a journal, it is a blocking wrapper over a
+(also reachable as ``python -m repro optimize --workers N``), the one
+way to reach a worker fleet.  At ``workers=1`` it is ``submit`` +
+``run_all``; with more workers, or a journal, it is a blocking wrapper
+over a
 :class:`~repro.service.daemon.MaskOptDaemon` whose spawned workers share
 one on-disk kernel-spectra store and whose verifier drains full shape
 bins while workers are still optimizing.  The in-process loop and the
@@ -38,8 +39,11 @@ from repro.errors import MetrologyError, ServiceError
 from repro.geometry.layout import Clip
 from repro.litho.simulator import LithoConfig, LithographySimulator
 from repro.service.api import OptRequest, OptResult
-from repro.service.journal import open_journal
-from repro.service.registry import build_engine, engine_epe_search_nm
+from repro.service.registry import (
+    build_engine,
+    engine_epe_search_nm,
+    overrides_key,
+)
 from repro.service.scheduler import ShapeBinScheduler
 
 DEFAULT_RETRIES = 2
@@ -93,46 +97,26 @@ class MaskOptService:
     # -- engine management ---------------------------------------------------
     def engine_for(self, request: OptRequest):
         """Resolve a request's engine (instances pass through; registry-
-        name and factory builds are cached per (spec, overrides,
-        training suite) so a suite of requests shares one engine — and
-        one training run).
+        name and factory builds are cached per (spec, overrides) so a
+        suite of requests shares one engine).
 
         The get/build/insert runs under the service lock: two threads
         resolving the same key concurrently would otherwise both build
-        (and both *train*) an engine, with one winning the cache and the
-        other silently producing numbers from a duplicate — the build
-        cost is paid once, holding submitters out for its duration.
+        an engine, with one winning the cache and the other silently
+        producing numbers from a duplicate — the build cost is paid
+        once, holding submitters out for its duration.
         """
         if not isinstance(request.engine, str) and callable(
             getattr(request.engine, "optimize", None)
         ):
-            if request.train_clips:
-                raise ServiceError(
-                    "train_clips only applies to registry- or factory-"
-                    "built engines; train the instance before submitting"
-                )
             return request.engine
-        key = (
-            request.engine,
-            tuple(sorted(
-                (k, repr(v)) for k, v in request.engine_overrides.items()
-            )),
-            tuple(clip.name for clip in request.train_clips),
-        )
+        key = (request.engine, overrides_key(request.engine_overrides))
         with self._lock:
             engine = self._engines.get(key)
             if engine is None:
                 engine = build_engine(
                     request.engine, self.simulator, request.engine_overrides
                 )
-                if request.train_clips:
-                    train = getattr(engine, "train", None)
-                    if not callable(train):
-                        raise ServiceError(
-                            f"engine {request.engine!r} has no train() "
-                            "method but the request carries train_clips"
-                        )
-                    train(list(request.train_clips))
                 self._engines[key] = engine
         return engine
 
@@ -184,32 +168,20 @@ class MaskOptService:
         engines: Mapping[str, Any] | Sequence[str],
         clips: Iterable[Clip],
         verify: bool = True,
-        workers: int | None = None,
-        stream_min_bin: int | None = None,
-        retries: int = DEFAULT_RETRIES,
-        deadline_s: float | None = None,
-        journal: Any = None,
         **optimize_kwargs,
     ) -> dict:
-        """Run several engines over one suite.
+        """Run several engines over one suite, in process.
 
         ``engines`` maps display labels to engine specs (registry names,
         ``(name, overrides)`` pairs, or instances); a bare sequence of
         names labels each engine by its name.
 
-        With the default ``workers=None`` each engine sweeps the full
-        suite in clip order, one engine after another, through the same
-        in-process loop as :meth:`run_all`, and all outcomes from all
-        engines share **one** terminal verification pass whose scheduler
-        bins by grid shape across the whole suite-cross-engine matrix.
-
-        With ``workers=N > 1`` or a ``journal``, each engine's suite is
-        one :meth:`run_suite` call on N worker processes (engines run one
-        after another, each owning the whole worker fleet).  Such specs
-        must be buildable in a child process — registry names, factory
-        callables or ``(name, overrides)`` pairs, not instances.  Worker
-        processes reorder work, never numbers: results are bit-for-bit
-        identical to the sequential path.
+        Each engine sweeps the full suite in clip order, one engine
+        after another, through the same in-process loop as
+        :meth:`run_all`, and all outcomes from all engines share **one**
+        terminal verification pass whose scheduler bins by grid shape
+        across the whole suite-cross-engine matrix.  A sweep on worker
+        processes is :meth:`run_suite`, one engine at a time.
 
         Returns ``{label: :class:`~repro.eval.metrics.SuiteResult`}`` in
         ``engines`` order.
@@ -225,32 +197,8 @@ class MaskOptService:
         clip_list = list(clips)
         if not clip_list:
             raise ServiceError("map_suite needs at least one clip")
-
-        if (workers is not None and workers > 1) or journal is not None:
-            journal_obj, journal_owned = open_journal(journal)
-            try:
-                suites: dict[str, SuiteResult] = {}
-                for label, spec in specs.items():
-                    name, overrides = (
-                        spec if isinstance(spec, tuple) else (spec, {})
-                    )
-                    suite = SuiteResult(engine=label)
-                    for result in self.run_suite(
-                        name, clip_list, workers=workers or 1,
-                        engine_overrides=overrides, verify=verify,
-                        journal=journal_obj, retries=retries,
-                        deadline_s=deadline_s,
-                        stream_min_bin=stream_min_bin, **optimize_kwargs,
-                    ):
-                        suite.add(result.to_row())
-                    suites[label] = suite
-                return suites
-            finally:
-                if journal_owned:
-                    journal_obj.close()
-
-        # Resolve (and train) engines up front, in label order —
-        # construction order stays deterministic.
+        # Resolve engines up front, in label order — construction order
+        # stays deterministic.
         resolved = {
             label: self.engine_for(self._spec_request(spec, clip_list[0]))
             for label, spec in specs.items()
@@ -413,14 +361,9 @@ class MaskOptService:
                 for ticket, request, engine, outcome in executed:
                     if not request.verify:
                         continue
-                    search_nm = (
-                        float(request.epe_search_nm)
-                        if request.epe_search_nm is not None
-                        else engine_epe_search_nm(engine)
-                    )
                     self.scheduler.add_outcome(
                         ticket, request.clip, outcome, self.simulator,
-                        search_nm,
+                        engine_epe_search_nm(engine),
                     )
                 measured = self.scheduler.flush(self.simulator)
             return self._assemble(

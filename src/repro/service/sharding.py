@@ -1,8 +1,8 @@
 """Picklable engine specs and outcomes: what crosses a process boundary.
 
 Process-parallel execution (:meth:`~repro.service.service.MaskOptService.
-run_suite` with ``workers > 1`` or a journal, ``map_suite(workers=N)``,
-and :class:`~repro.service.daemon.MaskOptDaemon`) runs engines in
+run_suite` with ``workers > 1`` or a journal, and
+:class:`~repro.service.daemon.MaskOptDaemon`) runs engines in
 spawned worker processes of a :class:`~repro.service.workqueue.
 WorkStealingPool`.  Two records make that possible:
 

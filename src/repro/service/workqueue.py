@@ -91,7 +91,9 @@ from repro.errors import DeadlineExceeded, RetriesExhausted, ServiceError
 from repro.geometry.layout import Clip
 from repro.service.faults import install_fault_plan, maybe_fault
 
-DEFAULT_START_METHOD = "spawn"
+START_METHOD = "spawn"
+"""Workers rebuild their engine from its spec, never from a forked copy
+of the parent's live state (threads, locks, caches)."""
 
 POLL_INTERVAL_S = 0.05
 CRASH_GRACE_S = 1.0
@@ -271,7 +273,6 @@ class WorkStealingPool:
         self,
         spec,
         workers: int,
-        start_method: str = DEFAULT_START_METHOD,
         relay: queue_mod.Queue | None = None,
         grace_s: float = CRASH_GRACE_S,
         fault_plan=None,
@@ -302,7 +303,7 @@ class WorkStealingPool:
             3 * self.workers if max_revives is None else int(max_revives)
         )
         self._fault_plan = fault_plan
-        self._ctx = mp.get_context(start_method)
+        self._ctx = mp.get_context(START_METHOD)
         self.relay: queue_mod.Queue = relay if relay is not None \
             else queue_mod.Queue()
         # SimpleQueue, not Queue, for the worker->parent channel: its

@@ -29,10 +29,6 @@ class TestProjection:
             Modulator(mode="bang")
         with pytest.raises(ConfigError):
             Modulator(sigma=0)
-        with pytest.raises(ConfigError):
-            Modulator(hold_bias=-0.5)
-        with pytest.raises(ConfigError):
-            Modulator(hold_width_nm=0)
 
 
 class TestPolynomialPreferences:
@@ -69,19 +65,46 @@ class TestPolynomialPreferences:
         scaled = Modulator(epe_scale=0.5).preference(8.0)
         assert np.allclose(unscaled, scaled)
 
-    def test_hold_bias_peaks_zero_move(self):
-        mod = Modulator(hold_bias=1.0, hold_width_nm=1.0)
-        pref = mod.preference(0.3)
-        assert pref.argmax() == 2
-        # Far from zero the bump has no effect.
-        far = mod.preference(-9.0)
-        assert far.argmax() == 4
-
     def test_gain_damps_preference(self):
         mod = Modulator()
         sharp = mod.preference_batch(np.array([6.0]), gain=1.0)[0]
         damped = mod.preference_batch(np.array([6.0]), gain=0.25)[0]
         assert sharp.max() > damped.max()
+
+
+class TestCamoPolynomialMode:
+    """Under ``modulator_mode="polynomial"`` CAMO's modulator is the
+    paper's construction and nothing else: five samples of
+    ``f(x) = k x^n + b`` across [0, x], softmax-normalized."""
+
+    @staticmethod
+    def paper_preference(x, k, n, b):
+        fractions = (
+            (1.0, 0.75, 0.5, 0.25, 0.0) if x >= 0
+            else (0.0, 0.25, 0.5, 0.75, 1.0)
+        )
+        f = np.array([k * (x * t) ** n + b for t in fractions])
+        e = np.exp(f - f.max())
+        return e / e.sum()
+
+    @pytest.mark.parametrize("gain", [1.0, 0.5])
+    def test_matches_softmax_of_five_samples_bit_for_bit(self, gain):
+        from repro.core import CAMO, CamoConfig
+        from repro.litho import LithoConfig, LithographySimulator
+
+        config = CamoConfig.smoke(modulator_mode="polynomial")
+        camo = CAMO(
+            config, LithographySimulator(LithoConfig(pixel_nm=8.0))
+        )
+        epes = np.array([-30.0, -7.5, -1.0, -0.2, 0.0, 0.3, 1.2, 6.0, 25.0])
+        got = camo.modulator.preference_batch(epes, gain=gain)
+        for epe, row in zip(epes, got):
+            x = epe * config.modulator_epe_scale * gain
+            expected = self.paper_preference(
+                x, config.modulator_k, config.modulator_n,
+                config.modulator_b,
+            )
+            assert np.array_equal(row, expected), epe
 
 
 class TestMatchedPreferences:
@@ -138,7 +161,7 @@ class TestModulate:
 @given(epe=st.floats(min_value=-40, max_value=40, allow_nan=False))
 def test_property_rows_sum_to_one_both_modes(epe):
     for mode in ("polynomial", "matched"):
-        pref = Modulator(mode=mode, hold_bias=0.5).preference(epe)
+        pref = Modulator(mode=mode).preference(epe)
         assert pref.sum() == pytest.approx(1.0)
         assert np.all(pref >= 0)
 

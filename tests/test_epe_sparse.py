@@ -444,26 +444,6 @@ class TestEndToEndParity:
             assert got.count == ref.count
             assert np.abs(got.values - ref.values).max() < EPE_TOLERANCE_NM
 
-    def test_with_defocus_gathers_the_defocus_corner(self, sim, mixed_suite):
-        clip = mixed_suite[0]
-        grid = sim.grid_for(clip)
-        mask = rasterize(clip.targets, grid)
-        plan = measure_stencil_plan(grid, fragment_clip(clip))
-        (aerial,) = sim.simulate_epe_batch(
-            mask[None], grid, plan, with_defocus=True
-        )
-        dense = sim.simulate_batch(mask[None], grid)[0]
-        px = (plan.pixel_rows, plan.pixel_cols)
-        assert np.abs(
-            aerial.values - dense.aerial[px]
-        ).max() < INTENSITY_TOLERANCE
-        assert np.abs(
-            aerial.values_defocus - dense.aerial_defocus[px]
-        ).max() < INTENSITY_TOLERANCE
-        # Default sweep skips the defocus corner entirely.
-        (nominal_only,) = sim.simulate_epe_batch(mask[None], grid, plan)
-        assert nominal_only.values_defocus is None
-
     def test_shared_plan_broadcasts_across_the_batch(self, sim, mixed_suite):
         """Candidate screening shape: one plan, B mask variants."""
         clip = mixed_suite[0]

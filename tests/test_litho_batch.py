@@ -260,10 +260,13 @@ class TestEnvBatching:
 
 
 class TestRunnerBatchVerification:
+    """The suite sweep (``MaskOptService.run_suite``) re-measures every
+    final mask through the shape-binned scheduler."""
+
     def test_suite_recheck_passes_and_raises_on_drift(self, sim):
         from repro.baselines.mbopc import MBOPC, MBOPCConfig
         from repro.errors import MetrologyError
-        from repro.eval.runner import batch_verify_epe, run_engine_on_suite
+        from repro.service import MaskOptService, ShapeBinScheduler
 
         clip = Clip(
             name="runner-clip",
@@ -272,14 +275,14 @@ class TestRunnerBatchVerification:
             layer="via",
         )
         engine = MBOPC(MBOPCConfig(max_updates=2, initial_bias_nm=3.0), sim)
-        result = run_engine_on_suite(
-            engine, [clip], "MB-OPC", verify_simulator=sim
-        )
-        assert len(result.rows) == 1
+        (result,) = MaskOptService(simulator=sim).run_suite(engine, [clip])
+        assert result.outcome == "verified"
 
         # A corrupted self-report must be caught by the batched recheck.
         outcome = engine.optimize(clip)
-        measured = batch_verify_epe(sim, [clip], [outcome])
+        scheduler = ShapeBinScheduler()
+        assert scheduler.add_outcome("runner-clip", clip, outcome, sim, 40.0)
+        measured = scheduler.flush(sim)
         assert measured["runner-clip"] == pytest.approx(outcome.epe_total)
 
         class LyingEngine:
@@ -295,18 +298,14 @@ class TestRunnerBatchVerification:
                 return Fake()
 
         with pytest.raises(MetrologyError, match="re-simulation"):
-            run_engine_on_suite(
-                LyingEngine(), [clip], "liar", verify_simulator=sim
-            )
+            MaskOptService(simulator=sim).run_suite(LyingEngine(), [clip])
 
     def test_recheck_honours_engine_search_range(self, sim):
         """The verifier must re-measure with the engine's configured
         contour-search range, not the 40 nm default — otherwise engines
         with a custom epe_search_nm are falsely flagged as drifting."""
         from repro.baselines.mbopc import MBOPC, MBOPCConfig
-        from repro.eval.runner import run_engine_on_suite
-
-        from repro.eval.runner import batch_verify_epe
+        from repro.service import MaskOptService, ShapeBinScheduler
 
         clip = Clip(
             name="search-clip",
@@ -322,13 +321,11 @@ class TestRunnerBatchVerification:
             sim,
         )
         outcome = engine.optimize(clip, early_exit=False)
-        wide = batch_verify_epe(sim, [clip], [outcome], epe_search_nm=40.0)
+        scheduler = ShapeBinScheduler()
+        scheduler.add_outcome("search-clip", clip, outcome, sim, 40.0)
+        wide = scheduler.flush(sim)
         assert abs(wide["search-clip"] - outcome.epe_total) > 1.0  # sanity
-        result = run_engine_on_suite(
-            engine,
-            [clip],
-            "narrow-search",
-            verify_simulator=sim,
-            early_exit=False,
+        (result,) = MaskOptService(simulator=sim).run_suite(
+            engine, [clip], early_exit=False,
         )
-        assert len(result.rows) == 1
+        assert result.outcome == "verified"

@@ -89,20 +89,6 @@ class TestSimulator:
         from_mask = sim.simulate_mask(rasterize([poly], grid), grid)
         assert np.array_equal(from_polys.nominal, from_mask.nominal)
 
-    def test_simulate_state(self, sim):
-        from repro.geometry import MaskState, fragment_clip
-
-        clip = Clip(
-            name="t",
-            bbox=Rect(0, 0, 1280, 1280),
-            targets=(Polygon.from_rect(Rect.square(640, 640, 70)),),
-            layer="via",
-        )
-        segments = fragment_clip(clip)
-        state = MaskState.initial(clip, segments, bias_nm=15.0)
-        result = sim.simulate_state(state)
-        assert result.nominal.sum() > 0
-
     def test_grid_for_clip(self, sim):
         clip = Clip(
             name="t",

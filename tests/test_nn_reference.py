@@ -49,7 +49,7 @@ def test_policy_forward_matches_reference():
     policy = CamoPolicy(config)
     rng = np.random.default_rng(4)
     n = 11
-    features = rng.normal(size=(n, config.channels, 32, 32))
+    features = rng.normal(size=(n, 6, 32, 32))
     adjacency = random_graph(n, rng)
     order = list(rng.permutation(n))
     targets = rng.integers(0, config.n_actions, n)
@@ -70,7 +70,7 @@ def test_population_forward_matches_reference():
     policy = CamoPolicy(config)
     rng = np.random.default_rng(5)
     population, n = 3, 17
-    features = rng.normal(size=(population, n, config.channels, 24, 24))
+    features = rng.normal(size=(population, n, 6, 24, 24))
     adjacency = random_graph(n, rng)
     order = list(rng.permutation(n))
     actions = rng.integers(0, config.n_actions, (population, n))

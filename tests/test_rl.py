@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.errors import RLError
 from repro.data.via_bench import generate_via_clip
@@ -15,7 +13,6 @@ from repro.rl import (
     OPCEnvironment,
     collect_teacher_actions_population,
     compute_reward,
-    discounted_returns,
     greedy_teacher_actions,
     population_gradient_step,
     select_log_probs_population,
@@ -51,8 +48,6 @@ class TestReward:
 
 
 class TestTrajectory:
-    REWARDS = [1.0, 0.5, -0.2]
-
     def make(self):
         traj = Trajectory(epe_initial=100.0)
         for e in (80.0, 60.0, 65.0):
@@ -63,33 +58,6 @@ class TestTrajectory:
 
     def test_epe_curve(self):
         assert self.make().epe_curve == [100.0, 80.0, 60.0, 65.0]
-
-    def test_total_reward(self):
-        """The undiscounted return of the first step is the episode's
-        total reward."""
-        returns = discounted_returns(self.REWARDS, gamma=1.0)
-        assert returns[0] == pytest.approx(1.3)
-
-    def test_returns_discounting(self):
-        returns = discounted_returns(self.REWARDS, gamma=0.5)
-        assert returns[2] == pytest.approx(-0.2)
-        assert returns[1] == pytest.approx(0.5 + 0.5 * -0.2)
-        assert returns[0] == pytest.approx(1.0 + 0.5 * returns[1])
-
-    def test_discounted_returns_validation(self):
-        with pytest.raises(RLError):
-            discounted_returns([1.0], gamma=1.5)
-
-    @given(
-        rewards=st.lists(
-            st.floats(min_value=-5, max_value=5, allow_nan=False),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    def test_property_gamma1_is_suffix_sum(self, rewards):
-        returns = discounted_returns(rewards, gamma=1.0)
-        assert returns[0] == pytest.approx(sum(rewards))
 
 
 @pytest.fixture(scope="module")

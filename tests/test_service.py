@@ -78,10 +78,6 @@ class TestRequestValidation:
                 engine_overrides={"max_updates": 1},
             )
 
-    def test_rejects_bad_search_range(self, mixed_suite):
-        with pytest.raises(ServiceError, match="positive"):
-            OptRequest(clip=mixed_suite[0], epe_search_nm=0.0)
-
     def test_engine_label(self, sim, mixed_suite):
         assert OptRequest(clip=mixed_suite[0], engine="camo").engine_label == "camo"
         instance = OptRequest(clip=mixed_suite[0], engine=make_engine(sim))
@@ -446,42 +442,28 @@ class TestServiceConstruction:
 
 
 class TestRunnerStillBitForBit:
-    def test_run_engine_on_suite_routes_through_service(
-        self, sim, mixed_suite
-    ):
-        """The re-routed runner returns the same rows as driving the
-        engine directly (pre-redesign semantics preserved)."""
-        from repro.eval.runner import run_engine_on_suite
-
+    def test_run_suite_routes_through_service(self, sim, mixed_suite):
+        """``run_suite`` returns the same numbers as driving the engine
+        directly."""
         expected = [make_engine(sim).optimize(clip) for clip in mixed_suite]
-        suite = run_engine_on_suite(
-            make_engine(sim), mixed_suite, "MB-OPC", verify_simulator=sim
+        results = MaskOptService(simulator=sim).run_suite(
+            make_engine(sim), mixed_suite
         )
-        assert suite.engine == "MB-OPC"
-        for row, outcome in zip(suite.rows, expected):
-            assert row.epe_nm == outcome.epe_total
-            assert row.pvband_nm2 == outcome.pvband
+        for result, outcome in zip(results, expected):
+            assert result.epe_nm == outcome.epe_total
+            assert result.pvband_nm2 == outcome.pvband
 
     def test_sharded_runner_path_matches(self, sim, mixed_suite):
-        """run_engine_on_suite(workers=2) shards through the service and
-        still returns the sequential rows bit-for-bit."""
-        from repro.eval.runner import run_engine_on_suite
-
+        """``run_suite(workers=2)`` shards through the daemon and still
+        returns the direct-engine numbers bit-for-bit."""
         overrides = {"max_updates": 3, "initial_bias_nm": 3.0}
         expected = [make_engine(sim).optimize(clip) for clip in mixed_suite]
-        suite = run_engine_on_suite(
-            "mbopc", mixed_suite, "MB-OPC", verify_simulator=sim,
-            workers=2, engine_overrides=overrides,
+        results = MaskOptService(simulator=sim).run_suite(
+            "mbopc", mixed_suite, workers=2, engine_overrides=overrides,
         )
-        for row, outcome in zip(suite.rows, expected):
-            assert row.epe_nm == outcome.epe_total
-            assert row.pvband_nm2 == outcome.pvband
-
-    def test_sharded_runner_requires_simulator(self, mixed_suite):
-        from repro.eval.runner import run_engine_on_suite
-
-        with pytest.raises(ServiceError, match="verify_simulator"):
-            run_engine_on_suite("mbopc", mixed_suite, "MB-OPC", workers=2)
+        for result, outcome in zip(results, expected):
+            assert result.epe_nm == outcome.epe_total
+            assert result.pvband_nm2 == outcome.pvband
 
 
 class TestOverrideParser:

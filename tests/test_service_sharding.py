@@ -177,20 +177,6 @@ class TestShardedBitForBit:
         )
         assert_results_identical(results, sequential_reference)
 
-    def test_map_suite_workers_matches_threaded_path(
-        self, sim, mixed_suite, sequential_reference
-    ):
-        suites = MaskOptService(simulator=sim).map_suite(
-            {"MB": ("mbopc", OVERRIDES)}, mixed_suite, workers=2,
-        )
-        rows = suites["MB"].rows
-        assert [row.clip_name for row in rows] == [
-            r.clip_name for r in sequential_reference
-        ]
-        for row, ref in zip(rows, sequential_reference):
-            assert row.epe_nm == ref.epe_nm
-            assert row.pvband_nm2 == ref.pvband_nm2
-
     def test_engine_search_range_reaches_payloads(self, sim, mixed_suite):
         results = MaskOptService(simulator=sim).run_suite(
             "mbopc", mixed_suite[:2], workers=2,
@@ -288,12 +274,6 @@ class TestShardedFailures:
             service.run_suite(
                 unbuildable_factory, mixed_suite, workers=2, verify=False,
             )
-
-    def test_instances_rejected_by_sharded_map_suite(self, sim, mixed_suite):
-        engine = MBOPC(MBOPCConfig(**OVERRIDES), sim)
-        service = MaskOptService(simulator=sim)
-        with pytest.raises(ServiceError, match="instance"):
-            service.map_suite({"MB": engine}, mixed_suite, workers=2)
 
     def test_bad_worker_counts_rejected(self, sim, mixed_suite):
         service = MaskOptService(simulator=sim)
