@@ -1,5 +1,6 @@
-"""Micro-benchmarks of the substrates: litho imaging, squish encoding,
-policy forward/backward, segment EPE metrology.
+"""Micro-benchmarks of the substrates: mask geometry (offsets to slabs
+to pupil band, rasterization), litho imaging, squish encoding, policy
+forward/backward, segment EPE metrology.
 
 These are the per-iteration costs that dominate every OPC engine's
 runtime column in Tables 1 and 2.
@@ -14,6 +15,7 @@ from repro.data.via_bench import generate_via_clip
 from repro.geometry import MaskState, fragment_clip, rasterize
 from repro.graphs import build_segment_graph, snake_order
 from repro.litho import LithoConfig, LithographySimulator
+from repro.litho.polygon_band import polygon_band_coeffs
 from repro.metrology import segment_epe
 from repro.nn.sage import mean_adjacency
 from repro.rl.reinforce import select_log_probs_population
@@ -48,6 +50,33 @@ def test_bench_rasterize(setup, benchmark):
     _, _, _, state, grid, _ = setup
     image = benchmark(rasterize, state.mask_polygons(), grid)
     assert image.sum() > 0
+
+
+def test_bench_offsets_to_band(setup, benchmark):
+    """One OPC step's mask geometry: offsets -> cleaned vertex loops ->
+    slabs -> Hermitian-half pupil band, with no Polygon built."""
+    simulator, _, segments, state, grid, _ = setup
+    band = simulator.kernel_set(0.0).band_spectra(grid.shape)
+    deltas = np.random.default_rng(0).integers(-2, 3, size=len(segments))
+
+    def step():
+        moved = state.moved(deltas)
+        return moved.slabs, polygon_band_coeffs([moved.slabs], grid, band)
+
+    slabs, coeffs = benchmark(step)
+    assert slabs.bounds.shape == (len(slabs.owner), 4)
+    assert coeffs.shape == (1, len(band.rows_src), band.band[1] + 1)
+
+
+def test_bench_rasterize_moved(setup, benchmark):
+    """The verifier's raster of a moved mask (slabs from its polygons)."""
+    _, _, segments, state, grid, _ = setup
+    moved = state.moved(np.random.default_rng(1).integers(-2, 3, size=len(segments)))
+    image = benchmark(rasterize, moved.mask_polygons(), grid)
+    assert 0.0 < image.max() <= 1.0
+    assert image.sum() * grid.pixel_nm**2 == pytest.approx(
+        sum(polygon.area for polygon in moved.mask_polygons())
+    )
 
 
 def test_bench_node_feature_encoding(setup, benchmark):

@@ -9,7 +9,7 @@ reduced-but-faithful "repro" profile used by tests and benches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.constants import (
     FEATURE_WINDOW_NM,

@@ -1,6 +1,10 @@
 """Pupil-band mask spectra straight from rectilinear polygons.
 
-The antialiased raster of a rectilinear mask is a sum of per-slab
+A mask arrives as polygons or as their slabs
+(:class:`~repro.geometry.raster.Slabs`, the disjoint rectangles of one
+array pass over the vertex loops; the OPC environment hands over the
+slabs its mask states cache, see :mod:`repro.geometry.mask_edit`).  The
+antialiased raster of a rectilinear mask is a sum of per-slab
 pixel-coverage outer products (see :func:`repro.geometry.raster.rasterize`),
 so every DFT coefficient of the raster factorizes per slab into a
 product of two one-dimensional coverage transforms:
@@ -9,11 +13,13 @@ product of two one-dimensional coverage transforms:
                          * (sum_c wx[c] e^{-2 pi i kc c / W})
 
 Each one-dimensional sum has a closed form: the two fringe pixels plus a
-geometric series over the fully covered interior.  The pupil band holds
-only ``(2 b0 + 1) x (b1 + 1)`` Hermitian-half coefficients, so a mask's
-band comes from its slabs by one small GEMM, with no ``H x W`` image and
-no full-grid FFT.  This is the band source of the imaging front end for
-polygon input (:meth:`~repro.litho.simulator.LithographySimulator.simulate_batch`);
+geometric series over the fully covered interior, computed for every
+slab of a batch at once from a table of the powers of the axis's roots
+of unity.  The pupil band holds only ``(2 b0 + 1) x (b1 + 1)``
+Hermitian-half coefficients, so a mask's band comes from its slabs by
+one small GEMM, with no ``H x W`` image and no full-grid FFT.  This is
+the band source of the imaging front end for polygon input
+(:meth:`~repro.litho.simulator.LithographySimulator.simulate_batch`);
 rasterized input keeps ``rfft2`` followed by
 :func:`~repro.litho.kernels.gather_band_rfft`.
 
@@ -26,14 +32,31 @@ so no pixel's coverage sums past 1 and ``rasterize``'s final clip to
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import LithoError
 from repro.geometry.polygon import Polygon
-from repro.geometry.raster import Grid, slab_decomposition
+from repro.geometry.raster import Grid, Slabs
 from repro.litho.kernels import GridBandSpectra
+
+
+@functools.lru_cache(maxsize=32)
+def _power_table(n_pixels: int, freqs: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """``table[p, j] = z_j^p`` for ``p = 0..n`` with ``z_j = exp(-2 pi i
+    f_j / n)``, each looked up in the n roots of unity at exponent
+    ``p f_j mod n``; and the geometric-series denominators ``1 - z_j``
+    (1 at the zero frequency).  ``freqs`` are the bytes of the reduced
+    int64 frequencies.  Both read-only."""
+    reduced = np.frombuffer(freqs, dtype=np.int64)
+    roots = np.exp((-2j * np.pi / n_pixels) * np.arange(n_pixels))
+    table = roots[np.outer(np.arange(n_pixels + 1), reduced) % n_pixels]
+    denom = np.where(reduced == 0, 1.0, 1.0 - roots[reduced])
+    table.setflags(write=False)
+    denom.setflags(write=False)
+    return table, denom
 
 
 def interval_coverage_dft(
@@ -43,11 +66,15 @@ def interval_coverage_dft(
 
     ``w_p = |[p, p + 1] ∩ [lo, hi]|`` (pixel units) and ``z = exp(-2 pi
     i f / n_pixels)``: the 1-D DFT of the antialiased coverage of one
-    interval, at frequencies ``freqs``, for a batch of intervals.  Every
-    power of ``z`` is looked up in the n roots of unity with its integer
-    exponent reduced mod n, so it is exact to one rounding.  The zero
-    frequency takes the exact branch (the interior count), tested as
-    ``f == 0`` after that reduction.
+    interval, at frequencies ``freqs``, for a batch of intervals.  It is
+    the first fringe pixel's term, plus the last fringe pixel's when the
+    interval spans more than one pixel, plus the geometric series over
+    the fully covered interior.  Every power of ``z`` is looked up in the
+    n roots of unity with its integer exponent reduced mod n, so it is
+    exact to one rounding; the powers at every pixel index are tabulated
+    once per ``(n_pixels, freqs)``, so a batch reads whole rows of them.
+    The zero frequency takes the exact branch (the interior count),
+    tested as ``f == 0`` after that reduction.
 
     Args:
         lo, hi: ``(S,)`` interval bounds in pixel units, already clipped
@@ -59,82 +86,78 @@ def interval_coverage_dft(
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    freqs = np.asarray(freqs, dtype=np.int64) % n_pixels
-    roots = np.exp((-2j * np.pi / n_pixels) * np.arange(n_pixels))
+    reduced = np.asarray(freqs, dtype=np.int64) % n_pixels
+    table, denom = _power_table(n_pixels, reduced.tobytes())
     first = np.floor(lo).astype(np.int64)
     last = np.ceil(hi).astype(np.int64) - 1
-    z_first = roots[np.outer(first, freqs) % n_pixels]
-    z_last = roots[np.outer(last, freqs) % n_pixels]
+    z_last = table[last]
     single = first == last
-    head = np.where(single, hi - lo, first + 1 - lo)
-    out = head[:, None] * z_first
-    multi = ~single
-    if np.any(multi):
-        out[multi] += (hi - last)[multi, None] * z_last[multi]
+    out = np.where(single, hi - lo, first + 1 - lo)[:, None] * table[first]
+    out += np.where(single, 0.0, hi - last)[:, None] * z_last
+    # sum_{p = first + 1}^{last - 1} z^p  (geometric series), where
+    # there is an interior
     interior = last - first - 1
-    inner = interior > 0
-    if np.any(inner):
-        dc = freqs == 0
-        denom = 1.0 - roots[freqs]
-        denom[dc] = 1.0
-        # sum_{p = first + 1}^{last - 1} z^p  (geometric series)
-        z_next = roots[np.outer(first[inner] + 1, freqs) % n_pixels]
-        geo = (z_next - z_last[inner]) / denom
-        geo[:, dc] = interior[inner, None].astype(np.float64)
-        out[inner] += geo
+    geo = table[first + 1]
+    geo -= z_last
+    geo /= denom
+    geo[:, reduced == 0] = interior[:, None]
+    geo[interior <= 0] = 0.0
+    out += geo
     return out
 
 
 def collect_slabs(
-    polygon_sets: Sequence[Iterable[Polygon]], grid: Grid
+    masks: Sequence["Slabs | Iterable[Polygon]"], grid: Grid
 ) -> tuple[np.ndarray, np.ndarray]:
     """Window-clipped slabs of every mask, in pixel units.
 
-    Returns ``(bounds, counts)``: ``bounds`` is ``(S, 4)`` rows of
-    ``(x_lo, x_hi, y_lo, y_hi)`` over all masks in order, and ``counts``
-    the number of slabs of each mask.  Slabs are clipped to the grid
-    window exactly as ``rasterize`` clips them; slabs outside it vanish.
+    ``masks`` holds one :class:`~repro.geometry.raster.Slabs` or one
+    collection of polygons per mask.  Returns ``(bounds, counts)``:
+    ``bounds`` is ``(S, 4)`` rows of ``(x_lo, x_hi, y_lo, y_hi)`` over
+    all masks in order, and ``counts`` the number of slabs of each mask.
+    Slabs are clipped to the grid window exactly as ``rasterize`` clips
+    them; slabs outside it vanish.
     """
-    x_max = grid.cols * grid.pixel_nm
-    y_max = grid.rows * grid.pixel_nm
-    rows: list[tuple[float, float, float, float]] = []
-    counts = np.zeros(len(polygon_sets), dtype=np.int64)
-    for index, polygons in enumerate(polygon_sets):
-        start = len(rows)
-        for polygon in polygons:
-            for x_lo, x_hi, y_lo, y_hi in slab_decomposition(polygon):
-                rows.append((
-                    max(x_lo - grid.x0, 0.0), min(x_hi - grid.x0, x_max),
-                    max(y_lo - grid.y0, 0.0), min(y_hi - grid.y0, y_max),
-                ))
-        counts[index] = len(rows) - start
-    bounds = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    slab_sets = [
+        mask if isinstance(mask, Slabs) else Slabs.of(mask) for mask in masks
+    ]
+    counts = np.array([len(slabs) for slabs in slab_sets], dtype=np.int64)
+    bounds = np.concatenate(
+        [slabs.bounds for slabs in slab_sets] or [np.zeros((0, 4))]
+    ) - (grid.x0, grid.x0, grid.y0, grid.y0)
+    np.maximum(bounds[:, 0::2], 0.0, out=bounds[:, 0::2])
+    np.minimum(
+        bounds[:, 1::2],
+        (grid.cols * grid.pixel_nm, grid.rows * grid.pixel_nm),
+        out=bounds[:, 1::2],
+    )
     kept = (bounds[:, 0] < bounds[:, 1]) & (bounds[:, 2] < bounds[:, 3])
     if not kept.all():
-        owner = np.repeat(np.arange(len(polygon_sets)), counts)
-        counts = np.bincount(owner[kept], minlength=len(polygon_sets))
+        owner = np.repeat(np.arange(len(slab_sets)), counts)
+        counts = np.bincount(owner[kept], minlength=len(slab_sets))
         bounds = bounds[kept]
     return bounds / grid.pixel_nm, counts
 
 
 def polygon_band_coeffs(
-    polygon_sets: Sequence[Iterable[Polygon]],
+    masks: Sequence["Slabs | Iterable[Polygon]"],
     grid: Grid,
     band: GridBandSpectra,
 ) -> np.ndarray:
     """Hermitian-half pupil-band DFT coefficients of each mask's raster.
 
-    ``polygon_sets`` holds one collection of rectilinear polygons per
-    mask, mutually disjoint within a mask.  Returns ``(B, 2 b0 + 1,
-    b1 + 1)`` complex coefficients: rows at the band's row frequencies
-    (``band.rows_src`` order), columns ``0..b1``, equal to ``rasterize``
-    -> ``rfft2`` at those frequencies to float round-off.  Each mask's
-    block is one ``(2 b0 + 1, S) @ (S, b1 + 1)`` GEMM over its slabs.
+    ``masks`` holds, per mask, a collection of mutually disjoint
+    rectilinear polygons or their :class:`~repro.geometry.raster.Slabs`.
+    Returns ``(B, 2 b0 + 1, b1 + 1)`` complex coefficients: rows at the
+    band's row frequencies (``band.rows_src`` order), columns ``0..b1``,
+    equal to ``rasterize`` -> ``rfft2`` at those frequencies to float
+    round-off.  Each mask's block is one ``(2 b0 + 1, S) @ (S, b1 + 1)``
+    GEMM over its slabs.
     """
-    bounds, counts = collect_slabs(polygon_sets, grid)
+    bounds, counts = collect_slabs(masks, grid)
     b1 = band.band[1]
     coeffs = np.zeros(
-        (len(polygon_sets), len(band.rows_src), b1 + 1), dtype=np.complex128
+        (len(counts), len(band.rows_src), b1 + 1), dtype=np.complex128
     )
     if not len(bounds):
         return coeffs
@@ -149,11 +172,12 @@ def polygon_band_coeffs(
 
 
 def polygon_band_subgrid(
-    polygon_sets: Sequence[Iterable[Polygon]],
+    masks: Sequence["Slabs | Iterable[Polygon]"],
     grid: Grid,
     band: GridBandSpectra,
 ) -> np.ndarray:
-    """``(B, m0, m1)`` pupil-band mask spectra on the subgrid, from polygons.
+    """``(B, m0, m1)`` pupil-band mask spectra on the subgrid, from
+    polygons or their slabs.
 
     The polygon-input counterpart of
     :func:`~repro.litho.kernels.gather_band_rfft`, laid out identically:
@@ -166,7 +190,7 @@ def polygon_band_subgrid(
         raise LithoError(
             f"grid shape {grid.shape} does not match band shape {band.shape}"
         )
-    half = polygon_band_coeffs(polygon_sets, grid, band)
+    half = polygon_band_coeffs(masks, grid, band)
     b1 = band.band[1]
     m0, m1 = band.subgrid
     n_rows = len(band.rows_src)

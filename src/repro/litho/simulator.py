@@ -26,10 +26,11 @@ three entry points:
 * :meth:`LithographySimulator.simulate_batch` — the production engine.
   It takes B same-grid masks and derives their pupil bands once for
   *both* kernel sets (all three process corners share one band).  The
-  band source depends on the input kind: polygon sets (the OPC
-  environment's masks, :meth:`simulate_polygons`) take it straight from
-  their slabs' closed-form interval DFTs (:mod:`repro.litho.polygon_band`,
-  no raster and no full-grid FFT); rasterized masks take one real-input
+  band source depends on the input kind: polygon sets
+  (:meth:`simulate_polygons`) and the OPC environment's cached slabs
+  take it straight from their slabs' closed-form interval DFTs
+  (:mod:`repro.litho.polygon_band`, no raster and no full-grid FFT);
+  rasterized masks take one real-input
   forward FFT (``rfft2``) and the Hermitian band gather.  Each set's
   imaging front end then images the band on the compact subgrid, all
   kernels in one inverse FFT
@@ -116,8 +117,8 @@ from repro.geometry.layout import Clip
 from repro.geometry.polygon import Polygon
 from repro.geometry.raster import (
     Grid,
+    Slabs,
     rasterize,  # perfbench's layer tracer hooks it here
-    slab_decomposition,
 )
 from repro.backend import resolve_backend
 from repro.litho.kernels import (
@@ -462,10 +463,13 @@ class LithographySimulator:
         One band source per input kind.  Rasterized masks take one
         ``rfft2`` of the stack and the Hermitian band gather
         (:func:`~repro.litho.kernels.gather_band_rfft`).  Polygon sets
-        take the analytic band of their slabs
+        and :class:`~repro.geometry.raster.Slabs` take the analytic band
+        of their slabs
         (:func:`~repro.litho.polygon_band.polygon_band_subgrid`): no
-        raster and no full-grid FFT.  Each band layout is computed once,
-        so the focus and defocus sets, which share one, share it.
+        raster and no full-grid FFT.  A polygon set is decomposed here
+        and must be mutually disjoint (:func:`_require_disjoint`); slabs
+        are taken as given.  Each band layout is computed once, so the
+        focus and defocus sets, which share one, share it.
         """
         fft = self.kernel_set(self.corners()[0].defocus_nm).fft
         if not hasattr(masks, "ndim"):
@@ -478,10 +482,14 @@ class LithographySimulator:
             def source(band):
                 return gather_band_rfft(spectra, band, fft)
         else:
-            polygon_sets = [tuple(polygons) for polygons in masks]
+            slab_sets = [
+                mask if isinstance(mask, Slabs)
+                else _require_disjoint(Slabs.of(mask))
+                for mask in masks
+            ]
 
             def source(band):
-                return fft.to_device(polygon_band_subgrid(polygon_sets, grid, band))
+                return fft.to_device(polygon_band_subgrid(slab_sets, grid, band))
 
         computed: dict = {}
 
@@ -495,7 +503,7 @@ class LithographySimulator:
 
     def simulate_batch(
         self,
-        masks: "np.ndarray | Sequence[np.ndarray] | Sequence[Iterable[Polygon]]",
+        masks: "np.ndarray | Sequence[np.ndarray] | Sequence[Iterable[Polygon] | Slabs]",
         grid: Grid,
         plans: "Sequence | NominalLift" = (),
     ) -> list[LithoResult]:
@@ -503,9 +511,11 @@ class LithographySimulator:
 
         ``masks`` is rasterized — a ``(B, H, W)`` array or a sequence of
         B ``(H, W)`` masks on ``grid`` — or a sequence of B polygon sets
-        (each a collection of mutually disjoint rectilinear polygons).
+        (each a collection of mutually disjoint rectilinear polygons,
+        else :class:`~repro.errors.LithoError`) or their
+        :class:`~repro.geometry.raster.Slabs`.
         Rasterized masks take one real-input forward FFT; polygon sets
-        take their pupil band straight from the geometry
+        and slabs take their pupil band straight from the geometry
         (:mod:`repro.litho.polygon_band`), equal to rasterizing them to
         float round-off.  Either band feeds the imaging front end of
         both the focus and defocus kernel sets.  The focus corner is
@@ -651,30 +661,22 @@ class LithographySimulator:
         and no full-grid FFT; the result matches :meth:`simulate_mask`
         of the rasterized polygons to FFT round-off.  (The OPC engines
         step through ``OPCEnvironment``, which calls
-        :meth:`simulate_batch` with its planned nominal lift.)
+        :meth:`simulate_batch` with its mask states' slabs and its
+        planned nominal lift.)
 
         Raises:
             LithoError: two of the polygons overlap with positive area.
                 The band sums polygons, where :func:`rasterize` clips
                 coverage at 1, so an overlap would be counted twice.
         """
-        polys = tuple(polygons)
-        _require_disjoint(polys)
-        return self.simulate_batch([polys], grid)[0]
+        return self.simulate_batch([tuple(polygons)], grid)[0]
 
 
-def _require_disjoint(polygons: Sequence[Polygon]) -> None:
-    """Raise :class:`LithoError` if two polygons overlap with positive
-    area: an exact test of every pair of their disjoint slabs."""
-    slabs = np.array(
-        [
-            (index, *slab)
-            for index, polygon in enumerate(polygons)
-            for slab in slab_decomposition(polygon)
-        ],
-        dtype=np.float64,
-    ).reshape(-1, 5)
-    owner, x_lo, x_hi, y_lo, y_hi = (column[:, None] for column in slabs.T)
+def _require_disjoint(slabs: Slabs) -> Slabs:
+    """``slabs``, after an exact test of every pair of them: raise
+    :class:`LithoError` if two polygons overlap with positive area."""
+    owner = slabs.owner[:, None]
+    x_lo, x_hi, y_lo, y_hi = (column[:, None] for column in slabs.bounds.T)
     overlap = (
         (owner < owner.T)
         & (np.maximum(x_lo, x_lo.T) < np.minimum(x_hi, x_hi.T))
@@ -683,6 +685,7 @@ def _require_disjoint(polygons: Sequence[Polygon]) -> None:
     if overlap.any():
         i, j = np.argwhere(overlap)[0]
         raise LithoError(
-            f"polygons {int(slabs[i, 0])} and {int(slabs[j, 0])} overlap; "
-            "simulate_polygons needs disjoint polygons"
+            f"polygons {int(slabs.owner[i])} and {int(slabs.owner[j])} "
+            "overlap; polygon input must be mutually disjoint"
         )
+    return slabs

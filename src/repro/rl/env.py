@@ -9,13 +9,16 @@ is computed only where it is consumed (RL updates, reward-weighted
 imitation, :meth:`OPCEnvironment.score_moves`).
 
 Every evaluation is one :meth:`LithographySimulator.simulate_batch` call
-for the whole batch of masks, which takes the masks as polygons: their
-pupil band comes straight from the geometry, with no raster and no
-full-grid FFT.  The environment builds the stencil plans of its measure
-points and control points once per clip, and plans their nominal lift
-(pixel union, lattice, phases) once with them; inside the call the
-nominal corner is lifted only at those plans' pixels (EPE and segment
-EPE).  Nothing else is imaged up front: the PV band
+for the whole batch of masks, which takes each mask state's slabs
+(:attr:`~repro.geometry.mask_edit.MaskState.slabs`, computed from its
+offsets by array operations over the clip's
+:class:`~repro.geometry.mask_edit.FragmentArrays`, built once): their
+pupil band comes straight from the geometry, with no ``Polygon``
+object, no raster and no full-grid FFT.  The environment builds the
+stencil plans of its measure points and control points once per clip,
+and plans their nominal lift (pixel union, lattice, phases) once with
+them; inside the call the nominal corner is lifted only at those plans'
+pixels (EPE and segment EPE).  Nothing else is imaged up front: the PV band
 (:attr:`EnvState.pvband`) images the batch's defocus corner and
 resamples that state's row to the full grid on its first read, and the
 dense nominal aerial is built only if a caller reads
@@ -50,7 +53,7 @@ from repro.constants import (
 )
 from repro.errors import RLError
 from repro.geometry.layout import Clip
-from repro.geometry.mask_edit import MaskState
+from repro.geometry.mask_edit import FragmentArrays, MaskState
 from repro.geometry.raster import (
     Grid,
     rasterize,  # perfbench's layer tracer hooks it here
@@ -122,6 +125,7 @@ class OPCEnvironment:
         self.reward_epsilon = reward_epsilon
         self.reward_beta = reward_beta
         self.segments: list[Segment] = fragment_clip(clip)
+        self.fragments = FragmentArrays.of(clip, self.segments)
         self.grid: Grid = simulator.grid_for(clip)
         # Stencil plans of the measure points (EPE) and of every
         # segment's control point (segment EPE); None when empty.
@@ -156,8 +160,8 @@ class OPCEnvironment:
         """Evaluate several mask states: one batched litho call followed
         by one metrology pass.
 
-        The litho call takes the masks' polygons (the pupil band comes
-        from their slabs) and lifts the nominal intensity at the measure
+        The litho call takes the masks' cached slabs (the pupil band
+        comes straight from them, and no ``Polygon`` is built) and lifts the nominal intensity at the measure
         and control points' stencil pixels (EPE and segment EPE need
         nothing else); the defocus corner waits for a PV-band read.
         Results are bit-for-bit identical to mapping :meth:`evaluate`
@@ -166,7 +170,7 @@ class OPCEnvironment:
         if not masks:
             raise RLError("evaluate_batch needs at least one mask state")
         lithos = self.simulator.simulate_batch(
-            [mask.mask_polygons() for mask in masks], self.grid, self._lift
+            [mask.slabs for mask in masks], self.grid, self._lift
         )
         measured, controlled = (plan is not None for plan in self._plans)
         # Both plans share one search window, so every profile of the
@@ -191,6 +195,7 @@ class OPCEnvironment:
             self.segments,
             bias_nm=self.initial_bias_nm if bias_nm is None else bias_nm,
             max_offset=self.max_offset_nm,
+            fragments=self.fragments,
         )
 
     def reset(self, bias_nm: float | None = None) -> EnvState:

@@ -11,8 +11,7 @@ import pytest
 
 from repro.errors import LithoError
 from repro.geometry import Clip, Grid, Polygon, Rect, rasterize
-from repro.geometry.mask_edit import MaskState
-from repro.geometry.segmentation import fragment_clip
+from repro.geometry.raster import Slabs
 from repro.litho import LithoConfig, LithographySimulator
 from repro.rl.env import OPCEnvironment
 
@@ -125,6 +124,21 @@ class TestBatchParity:
         notch = Polygon.from_rect(Rect(840, 700, 870, 760))
         with pytest.raises(LithoError, match="overlap"):
             sim.simulate_polygons([left, l_shape, notch], SQUARE)
+
+    def test_simulate_batch_rejects_overlapping_polygon_sets(self, sim):
+        """Polygon-set input to simulate_batch is checked like
+        simulate_polygons, mask by mask; a mask's slabs are taken as
+        given (the OPC environment's own input)."""
+        left = Polygon.from_rect(Rect(500, 500, 640, 700))
+        right = Polygon.from_rect(Rect(700, 500, 800, 700))
+        across = Polygon.from_rect(Rect(600, 600, 720, 640))
+        sim.simulate_batch([[left, right], [across]], SQUARE)
+        with pytest.raises(LithoError, match="polygons 0 and 2 overlap"):
+            sim.simulate_batch([[left], [left, right, across]], SQUARE)
+        overlapping = Slabs.of([left, across])
+        (from_slabs,) = sim.simulate_batch([overlapping], SQUARE)
+        raster = rasterize([left], SQUARE) + rasterize([across], SQUARE)
+        assert_results_close(from_slabs, sim.simulate_mask(raster, SQUARE))
 
 
 class TestUnifiedBandEngine:
