@@ -1,6 +1,7 @@
 """Micro-benchmarks of the substrates: mask geometry (offsets to slabs
-to pupil band, rasterization), litho imaging, squish encoding, policy
-forward/backward, segment EPE metrology.
+to pupil band, rasterization), the cold SOCS kernel build, litho
+imaging, squish encoding, policy forward/backward, segment EPE
+metrology.
 
 These are the per-iteration costs that dominate every OPC engine's
 runtime column in Tables 1 and 2.
@@ -11,10 +12,12 @@ import pytest
 
 from repro.core.config import CamoConfig
 from repro.core.policy import CamoPolicy
+from repro.data import metal_test_suite, via_test_suite
 from repro.data.via_bench import generate_via_clip
 from repro.geometry import MaskState, fragment_clip, rasterize
 from repro.graphs import build_segment_graph, snake_order
 from repro.litho import LithoConfig, LithographySimulator
+from repro.litho.kernels import OpticalKernelSet
 from repro.litho.polygon_band import polygon_band_coeffs
 from repro.metrology import segment_epe
 from repro.nn.sage import mean_adjacency
@@ -44,6 +47,33 @@ def test_bench_full_corner_sweep(setup, benchmark):
     simulator, _, _, _, grid, mask = setup
     result = benchmark(simulator.simulate_mask, mask, grid)
     assert result.nominal.shape == mask.shape
+
+
+@pytest.mark.parametrize("focus", ["nominal", "defocus"])
+def test_bench_kernel_build(benchmark, focus):
+    """Cold band-spectra build of the via and metal benchmark grids at
+    the default optics: the TCC's source factor and the eigenpairs of
+    its small Gram, with no cache and no spectra store."""
+    config = LithoConfig()
+    simulator = LithographySimulator(config)
+    shapes = [
+        simulator.grid_for(suite()[0]).shape
+        for suite in (via_test_suite, metal_test_suite)
+    ]
+
+    def build():
+        kernel_set = OpticalKernelSet(
+            pixel_nm=config.pixel_nm,
+            defocus_nm=config.defocus_nm if focus == "defocus" else 0.0,
+            source=config.source,
+            max_kernels=config.max_kernels,
+            energy_fraction=config.energy_fraction,
+        )
+        return [kernel_set.band_spectra(shape) for shape in shapes]
+
+    spectra = benchmark(build)
+    assert [band.shape for band in spectra] == shapes
+    assert all(0 < len(band.weights) <= config.max_kernels for band in spectra)
 
 
 def test_bench_rasterize(setup, benchmark):

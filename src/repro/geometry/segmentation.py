@@ -13,10 +13,16 @@ Follows the paper's conventions:
 Segments are emitted in counter-clockwise boundary order per polygon, which
 is what :mod:`repro.geometry.mask_edit` needs to rebuild mask polygons from
 per-segment offsets.
+
+:func:`fragment_clip` remembers the fragmentation of the last
+:data:`FRAGMENTED_CLIPS_KEPT` clip objects, so an engine's environment and
+the service's verifier, which both fragment a request's clip, do the work
+once; each still derives the segments from the clip alone.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from repro.constants import MEASURE_SPACING_NM
@@ -96,8 +102,31 @@ def fragment_polygon(
     return segments
 
 
+FRAGMENTED_CLIPS_KEPT = 64
+_fragmented: dict[tuple[int, float], tuple[Clip, tuple[Segment, ...]]] = {}
+_fragmented_lock = threading.Lock()
+
+
 def fragment_clip(clip: Clip, spacing: float = MEASURE_SPACING_NM) -> list[Segment]:
-    """Fragment every target polygon of a clip (SRAFs are never fragmented)."""
+    """Fragment every target polygon of a clip (SRAFs are never fragmented).
+
+    The result is memoized per clip object and spacing; every call gets
+    its own list.
+    """
+    # An entry holds its clip, so no other object can take its id.
+    key = (id(clip), spacing)
+    with _fragmented_lock:
+        entry = _fragmented.get(key)
+    if entry is None:
+        entry = (clip, tuple(_fragment_clip(clip, spacing)))
+        with _fragmented_lock:
+            _fragmented[key] = entry
+            if len(_fragmented) > FRAGMENTED_CLIPS_KEPT:
+                del _fragmented[next(iter(_fragmented))]
+    return list(entry[1])
+
+
+def _fragment_clip(clip: Clip, spacing: float) -> list[Segment]:
     segments: list[Segment] = []
     for poly_index, polygon in enumerate(clip.targets):
         segments.extend(

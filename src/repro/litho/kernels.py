@@ -3,8 +3,9 @@
 A :class:`OpticalKernelSet` owns the optics of one process condition
 (focus setting).  Its only kernel representation is *per-grid band
 spectra* (:class:`GridBandSpectra`): for every raster shape it simulates
-on, the TCC is built directly on that grid's DFT frequency lattice
-(:func:`repro.litho.tcc.build_tcc_grid`) and eigendecomposed into SOCS
+on, the TCC's source factor is built directly on that grid's DFT
+frequency lattice (:func:`repro.litho.tcc.build_tcc_grid`) and its small
+Gram eigendecomposed (:func:`repro.litho.tcc.socs_spectra`) into SOCS
 kernel spectra that are exactly zero outside the pupil band.  Because no
 spatial crop ever happens, the pupil-band subgrid engine is *exact*.
 Finished spectra persist across processes through
@@ -351,8 +352,8 @@ class OpticalKernelSet:
         spectra_store: Optional disk-persistent store
             (:class:`repro.litho.store.KernelSpectraStore`) consulted on
             band-spectra misses before building, and written after every
-            build — a warm store turns the ~20-50 ms per-shape TCC warmup
-            into one ``.npz`` read on fresh processes.  The build is
+            build — a warm store turns the ~10-70 ms per-shape kernel
+            build into one ``.npz`` read on fresh processes.  The build is
             FFT-free, so stored entries are backend-independent and
             bit-for-bit equal to an in-process build.
     """

@@ -2,9 +2,10 @@
 
 Frequency-native kernel sets build their band-limited SOCS spectra per
 grid shape (:meth:`repro.litho.kernels.OpticalKernelSet.band_spectra`).
-The build — a per-grid TCC assembly plus an eigendecomposition — costs
-~20-50 ms per shape, which is cached in-process but paid again by every
-fresh worker.  :class:`KernelSpectraStore` persists the finished
+The build — a per-grid TCC factor plus an eigendecomposition of its
+small Gram — costs ~10-70 ms per shape (2-core host), which is cached
+in-process but paid again by every fresh worker.
+:class:`KernelSpectraStore` persists the finished
 :class:`~repro.litho.kernels.GridBandSpectra` to disk, keyed by an
 *optics fingerprint* (every input of the build: pixel pitch, focus,
 source, wavelength, NA, SOCS truncation knobs) plus the grid shape, so a
@@ -13,8 +14,8 @@ warm store turns the per-shape warmup into one ``.npz`` read.
 Correctness properties:
 
 * The spectra build is FFT-free (pure ``numpy.linalg.eigh`` over the
-  TCC), so stored spectra are independent of the configured FFT backend
-  and a store can be shared across backends without keying on them.
+  TCC factor's Gram), so stored spectra are independent of the
+  configured FFT backend and a store can be shared across backends without keying on them.
 * Stored arrays are persisted bit-for-bit (``savez``, no compression of
   the float payload semantics), so a warm load reproduces the in-process
   build exactly — simulation results do not depend on store state.
@@ -44,14 +45,18 @@ import numpy as np
 
 from repro.errors import LithoError
 
-STORE_FORMAT_VERSION = 3
+STORE_FORMAT_VERSION = 4
 """Bump when the on-disk layout or the spectra semantics change; entries
 with another version are ignored (treated as cold).  Version 2 added a
 content checksum over the array payloads — a bit-flipped entry (disk
 rot, foreign tools) is detected on load and rebuilt instead of silently
 corrupting every simulation that warms from it.  Version 3 truncates
 SOCS only at eigenvalue-cluster boundaries, which can lower the stored
-kernel count (the ``weights`` length) for the same optics."""
+kernel count (the ``weights`` length) for the same optics.  Version 4
+builds the kernels from the small Gram of the TCC's source factor
+(:func:`repro.litho.tcc.socs_spectra`), which moves their bits at
+round-off level, so equal fingerprints still mean bit-identical
+spectra."""
 
 ORPHAN_TMP_MAX_AGE_S = 3600.0
 """Temp files older than this are presumed orphaned by a killed writer

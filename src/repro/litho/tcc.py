@@ -22,8 +22,16 @@ Two lattice conventions are supported:
 * :func:`build_tcc` — a square lattice of spacing ``1 / period_nm``,
   kept as an independent reference for the grid build.
 
-Either way the TCC is a Gram matrix ``A^H A`` with
-``A[s, a] = sqrt(J_s) * P(f_s + f_a)``, which keeps it exactly PSD.
+Either way the TCC is a Gram matrix ``F^H F`` of the ``(S, n)`` source
+factor ``F[s, a] = sqrt(J_s) * P(f_s + f_a) / sqrt(sum J)``, which keeps
+it exactly PSD and of rank at most ``S``, the number of active source
+points.  The builds return that factor and never form the ``(n, n)``
+TCC: :func:`socs_spectra` eigendecomposes the ``S x S`` Gram ``F F^H``
+— the benchmark grids have ``S = 293, n = 609`` (via) and
+``S = 177, n = 349`` (metal); ``S < n`` whenever the Nyquist limit does
+not clip the shift lattice — and maps its eigenvectors back through
+``F^H``.  At nominal focus the factor is real and so is the whole
+decomposition.
 """
 
 from __future__ import annotations
@@ -40,18 +48,26 @@ from repro.litho.source import SourceSpec, source_weights
 
 @dataclass(frozen=True)
 class TCCResult:
-    """Discretized TCC plus the lattice metadata needed to invert it.
+    """Discretized TCC, as its source factor, plus the lattice metadata
+    needed to invert it.
 
     Attributes:
-        matrix: ``(n, n)`` Hermitian TCC over pupil-shift samples.
+        factor: ``(S, n)`` source factor ``F`` with ``TCC = F^H F``; real
+            when every pupil sample is (nominal focus), else complex.
         shift_indices: ``(n, 2)`` integer lattice coordinates of each sample.
         lattice_spacing_rc: Per-axis frequency-lattice pitch (cycles/nm),
             ``(row, col)``; equal for square lattices.
     """
 
-    matrix: np.ndarray
+    factor: np.ndarray
     shift_indices: np.ndarray
     lattice_spacing_rc: tuple[float, float]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The ``(n, n)`` Hermitian TCC ``F^H F`` (a reference; the
+        kernel build never forms it)."""
+        return self.factor.conj().T @ self.factor
 
     @property
     def lattice_spacing(self) -> float:
@@ -109,7 +125,7 @@ def _assemble_tcc(
     wavelength_nm: float,
     numerical_aperture: float,
 ) -> TCCResult:
-    """Gram-matrix TCC over the given pupil-shift lattice.
+    """Source factor of the TCC over the given pupil-shift lattice.
 
     The source is discretized on the same lattice spacing (quadrature of
     the Hopkins source integral; refining it further moves intensities by
@@ -132,7 +148,7 @@ def _assemble_tcc(
     source_freqs = source_freqs[active]
     weights = weights[active]
 
-    # A[s, a] = sqrt(J_s) * P(f_s + f_a); TCC = A^H A / sum(J).
+    # F[s, a] = sqrt(J_s / sum(J)) * P(f_s + f_a); TCC = F^H F.
     sample_freqs = source_freqs[:, None, :] + shifts[None, :, :]
     flat = sample_freqs.reshape(-1, 2)
     pupil = pupil_function(
@@ -141,10 +157,12 @@ def _assemble_tcc(
         wavelength_nm=wavelength_nm,
         numerical_aperture=numerical_aperture,
     ).reshape(len(source_freqs), len(shifts))
-    amplitude = np.sqrt(weights)[:, None] * pupil
-    tcc = amplitude.conj().T @ amplitude / weights.sum()
+    factor = np.sqrt(weights / weights.sum())[:, None] * pupil
+    if not factor.imag.any():
+        factor = np.ascontiguousarray(factor.real)
     return TCCResult(
-        matrix=tcc, shift_indices=shift_indices, lattice_spacing_rc=(df_r, df_c)
+        factor=factor, shift_indices=shift_indices,
+        lattice_spacing_rc=(df_r, df_c),
     )
 
 
@@ -237,12 +255,21 @@ def socs_spectra(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a TCC into SOCS kernel *spectra*.
 
+    The TCC ``F^H F`` has rank at most ``S``, the factor's row count, and
+    its non-zero eigenpairs are those of ``F F^H``: the same eigenvalues,
+    with eigenvectors ``v_k = F^H u_k / sqrt(lambda_k)``.  So the
+    ``S x S`` Gram ``F F^H`` is decomposed, in real arithmetic when the
+    factor is real (nominal focus), never the ``n x n`` TCC.  The TCC's
+    other ``n - S`` eigenvalues are zero: they add nothing to the energy
+    and end no kept cluster, so neither cut needs them.
+
     The kernel count is the smallest one holding ``energy_fraction`` of
     the eigenvalue sum, capped at ``max_kernels``; both cuts fall only
     on eigenvalue-cluster boundaries (:data:`CLUSTER_RTOL`).  The energy
     cut rounds up to the end of its cluster and the cap rounds down to
     the start of the cluster it would split, so the truncated image is
     invariant to the basis LAPACK picks inside any kept eigenspace.
+    Zero eigenvalues image nothing and are never kept.
 
     Returns:
         ``(weights, coefficients)``: weights ``(K,)`` (eigenvalues,
@@ -253,7 +280,8 @@ def socs_spectra(
     """
     if not 0 < energy_fraction <= 1:
         raise LithoError(f"energy_fraction must be in (0, 1], got {energy_fraction}")
-    eigvals, eigvecs = np.linalg.eigh(tcc.matrix)
+    factor = tcc.factor
+    eigvals, eigvecs = np.linalg.eigh(factor @ factor.conj().T)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.maximum(eigvals[order], 0.0)
     eigvecs = eigvecs[:, order]
@@ -278,4 +306,9 @@ def socs_spectra(
                 f"cluster of {int(cuts[0])} kernels"
             )
         count = int(fitting[-1])
-    return eigvals[:count], np.ascontiguousarray(eigvecs[:, :count].T)
+    # The last positive eigenvalue always ends a cluster, and a zero one
+    # of F F^H maps back to the zero vector.
+    count = min(count, int(np.count_nonzero(eigvals)))
+    kept = factor.conj().T @ eigvecs[:, :count]
+    kept /= np.linalg.norm(kept, axis=0)
+    return eigvals[:count], np.ascontiguousarray(kept.T, dtype=np.complex128)

@@ -19,9 +19,11 @@ the scanline grid, their adaptive re-gridding stays cell-aligned.
 
 One pass per state: :meth:`NodeFeatureEncoder.encode_all` encodes every
 segment window of a state with one set of array operations, never a loop
-over windows (:class:`PolygonTable` flattens the polygons once; the
-scanlines, occupancy and re-gridding of all windows are batched; only a
-window more complex than the output shape merges in a per-window loop).
+over windows (:class:`PolygonTable` flattens the mask's cleaned vertex
+loops, :meth:`~repro.geometry.mask_edit.MaskState.mask_vertices`, once,
+and builds no ``Polygon``; the scanlines, occupancy and re-gridding of
+all windows are batched; only a window more complex than the output
+shape merges in a per-window loop).
 :meth:`~NodeFeatureEncoder.encode_all_population` puts all P lockstep
 members of a segment on *one* grid (the target edges plus every member's
 mask edges).  The union grid refines each member's own grid, so the
@@ -42,7 +44,7 @@ import numpy as np
 
 from repro.constants import FEATURE_WINDOW_NM
 from repro.errors import SquishError
-from repro.geometry.mask_edit import MaskState
+from repro.geometry.mask_edit import MaskState, vertex_loops
 from repro.geometry.segmentation import Segment
 from repro.squish.adaptive import fit_squish
 from repro.squish.scanlines import axis_scanlines
@@ -84,9 +86,9 @@ class NodeFeatureEncoder:
         mask alone.
         """
         n_members, n, size = len(states), len(segments), self.out_size
-        sources = [state.mask_polygons() for state in states]
+        sources = [state.mask_vertices() for state in states]
         if self.channels == 6:
-            sources.append(states[0].clip.targets)
+            sources.append(vertex_loops(states[0].clip.targets))
         table = PolygonTable.of(sources)
         half = self.window_nm / 2
         centres = np.array([seg.control for seg in segments], dtype=np.float64)

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import SquishError
+from repro.geometry.mask_edit import vertex_loops
 from repro.geometry.polygon import Polygon
 from repro.geometry.rect import Rect
 from repro.squish.scanlines import scanline_positions
@@ -79,7 +80,10 @@ def encode_squish(
     """
     polys = list(polygons)
     xs, ys = scanline_positions(polys, window, extra_x=extra_x, extra_y=extra_y)
-    edges = PolygonTable.of([polys]).edges if polys else np.empty((0, 0, 3))
+    edges = (
+        PolygonTable.of([vertex_loops(polys)]).edges
+        if polys else np.empty((0, 0, 3))
+    )
     layer_of = np.zeros((1, len(polys)), dtype=np.intp)
     return SquishPattern(
         matrix=squish_occupancy(xs[None], ys[None], edges, layer_of, 1)[0, 0],
@@ -94,9 +98,9 @@ class PolygonTable:
     """Bounding boxes, vertices and vertical edges of polygon lists.
 
     Extracted once per encode, so that every window is encoded from flat
-    arrays without touching the ``Polygon`` objects again.  The lists
-    (one per population member's mask, plus the targets) are
-    concatenated; polygon ``g`` came from list ``source[g]``.
+    arrays.  The lists (one per population member's mask, plus the
+    targets), each given as vertex loops, are concatenated; polygon
+    ``g`` came from list ``source[g]``.
 
     Attributes:
         bboxes: ``(G, 4)`` rows of ``(x0, y0, x1, y1)``.
@@ -115,14 +119,19 @@ class PolygonTable:
     edges: np.ndarray
 
     @classmethod
-    def of(cls, sources: Sequence[Sequence[Polygon]]) -> "PolygonTable":
-        polygons = [p for polys in sources for p in polys]
-        source = np.repeat(np.arange(len(sources)), [len(p) for p in sources])
-        counts = np.array([len(p.vertices) for p in polygons])
-        vertices = np.array(
-            [v for p in polygons for v in p.vertices], dtype=np.float64
+    def of(
+        cls, sources: Sequence[tuple[np.ndarray, np.ndarray]]
+    ) -> "PolygonTable":
+        """Table of vertex loops: each source is ``(vertices, counts)``,
+        ``(V, 2)`` vertices loop by loop and each loop's vertex count
+        (as :meth:`repro.geometry.mask_edit.MaskState.mask_vertices` and
+        :func:`repro.geometry.mask_edit.vertex_loops` give them)."""
+        source = np.repeat(
+            np.arange(len(sources)), [len(counts) for _, counts in sources]
         )
-        owner = np.repeat(np.arange(len(polygons)), counts)
+        counts = np.concatenate([counts for _, counts in sources])
+        vertices = np.concatenate([vertices for vertices, _ in sources])
+        owner = np.repeat(np.arange(len(counts)), counts)
         starts = np.cumsum(counts) - counts
         low, high = np.minimum.reduceat, np.maximum.reduceat
         bboxes = np.hstack([low(vertices, starts), high(vertices, starts)])
@@ -133,7 +142,7 @@ class PolygonTable:
         a, b = vertices[vertical, 1], vertices[after[vertical], 1]
         edge_owner = owner[vertical]
         rank = np.arange(len(vertical)) - np.searchsorted(edge_owner, edge_owner)
-        edges = np.full((len(polygons), rank.max() + 1, 3), np.nan)
+        edges = np.full((len(counts), rank.max() + 1, 3), np.nan)
         edges[edge_owner, rank] = np.stack(
             [vertices[vertical, 0], np.minimum(a, b), np.maximum(a, b)], axis=1
         )

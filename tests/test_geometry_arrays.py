@@ -133,10 +133,11 @@ def test_degenerate_offsets_raise_as_the_reference(layer, data):
     expected = reference_outcome(clip, segments, offsets)
     if isinstance(expected, str):
         with pytest.raises(GeometryError) as caught:
-            fragments.slabs(offsets)
+            fragments.loops(offsets)
         assert str(caught.value) == expected
     else:
-        assert np.array_equal(fragments.slabs(offsets).bounds, expected)
+        slabs = fragments.slabs(fragments.loops(offsets))
+        assert np.array_equal(slabs.bounds, expected)
 
 
 def test_a_collapsed_via_raises():
@@ -146,7 +147,7 @@ def test_a_collapsed_via_raises():
     offsets[:4] = [-8.0, 0.0, -8.0, 0.0]  # bottom and top meet
     fragments = FragmentArrays.of(clip, segments)
     with pytest.raises(GeometryError, match="degenerates after vertex cleanup"):
-        fragments.slabs(offsets)
+        fragments.loops(offsets)
     assert reference_outcome(clip, segments, offsets) == (
         "polygon degenerates after vertex cleanup"
     )
@@ -162,7 +163,7 @@ def test_a_bow_tie_raises_zero_area():
     assert [s.axis for s in segments] == ["h", "h", "v", "h", "h", "v"]
     offsets = np.array([0.0, -20.0, 0.0, 0.0, 0.0, 0.0])
     with pytest.raises(GeometryError, match="zero-area polygon"):
-        FragmentArrays.of(clip, segments).slabs(offsets)
+        FragmentArrays.of(clip, segments).loops(offsets)
     assert reference_outcome(clip, segments, offsets) == "zero-area polygon"
 
 

@@ -131,3 +131,27 @@ class TestHelpers:
             measure_point=(5, 5),
         )
         assert s.level == 5
+
+
+class TestFragmentMemo:
+    def test_each_call_gets_its_own_list_of_the_same_segments(self):
+        clip = metal_clip()
+        first = fragment_clip(clip)
+        first.clear()
+        again = fragment_clip(clip)
+        assert again and again == fragment_clip(clip)
+        assert again is not fragment_clip(clip)
+        assert fragment_clip(clip, spacing=30.0) != again
+
+    def test_memo_keeps_the_last_clips_only(self):
+        import repro.geometry.segmentation as segmentation
+
+        clips = [
+            via_clip(1) for _ in range(segmentation.FRAGMENTED_CLIPS_KEPT + 1)
+        ]
+        for clip in clips:
+            fragment_clip(clip)
+        kept = [entry[0] for entry in segmentation._fragmented.values()]
+        assert len(kept) == segmentation.FRAGMENTED_CLIPS_KEPT
+        assert all(any(c is clip for c in kept) for clip in clips[1:])
+        assert not any(c is clips[0] for c in kept)

@@ -90,6 +90,37 @@ class TestStoreRoundTrip:
         )
 
 
+    def test_entry_of_the_previous_format_is_rebuilt(
+        self, tmp_path, monkeypatch
+    ):
+        """Version 3 spectra came from the dense TCC eigendecomposition
+        and differ from today's in the last bits: an entry written under
+        it loads as cold, whether found under its own fingerprint or
+        copied to the current one, and is rebuilt."""
+        import repro.litho.store as store_module
+
+        store = KernelSpectraStore(str(tmp_path))
+        monkeypatch.setattr(store_module, "STORE_FORMAT_VERSION", 3)
+        stale_set = fresh_set(store)
+        stale_set.band_spectra(SHAPE)
+        stale_path = store.entry_path(optics_fingerprint(stale_set), SHAPE)
+        monkeypatch.undo()
+        assert store_module.STORE_FORMAT_VERSION == 4
+
+        current = fresh_set(store)
+        path = store.entry_path(optics_fingerprint(current), SHAPE)
+        assert path != stale_path
+        built = current.band_spectra(SHAPE)
+        assert (store.hits, store.misses, store.writes) == (0, 2, 2)
+
+        os.replace(stale_path, path)
+        rebuilt = fresh_set(store).band_spectra(SHAPE)
+        assert_spectra_equal(built, rebuilt)
+        assert (store.hits, store.misses, store.writes) == (0, 3, 3)
+        assert_spectra_equal(built, fresh_set(store).band_spectra(SHAPE))
+        assert store.hits == 1
+
+
 class TestStoreRobustness:
     def test_corrupt_entry_is_rebuilt(self, tmp_path):
         store = KernelSpectraStore(str(tmp_path))

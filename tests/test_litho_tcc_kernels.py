@@ -1,5 +1,7 @@
 """Tests for TCC construction and SOCS spectra generation."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -95,15 +97,16 @@ class TestSOCS:
 
 
 def synthetic_tcc(eigenvalues) -> TCCResult:
-    """A TCC with the given spectrum in a random orthonormal basis."""
+    """A TCC with the given spectrum in a random orthonormal basis, as
+    its square factor ``diag(sqrt(lambda)) basis^H``."""
     rng = np.random.default_rng(0)
     n = len(eigenvalues)
     basis, _ = np.linalg.qr(
         rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     )
-    matrix = (basis * np.asarray(eigenvalues, dtype=float)) @ basis.conj().T
+    root = np.sqrt(np.asarray(eigenvalues, dtype=float))
     return TCCResult(
-        matrix=(matrix + matrix.conj().T) / 2,
+        factor=root[:, None] * basis.conj().T,
         shift_indices=np.zeros((n, 2), dtype=np.int64),
         lattice_spacing_rc=(1.0, 1.0),
     )
@@ -175,7 +178,7 @@ class TestClusterAwareTruncation:
         groups = clusters(eigvals[: len(weights) + 1])
         assert any(group.stop - group.start > 1 for group in groups)
         rng = np.random.default_rng(5)
-        mixed = eigvecs.copy()
+        mixed = eigvecs.astype(np.complex128)
         for group in groups:
             size = group.stop - group.start
             unitary, _ = np.linalg.qr(
@@ -191,6 +194,100 @@ class TestClusterAwareTruncation:
             mask, tcc, weights, mixed[:, : len(weights)].T
         )
         assert np.abs(remixed - reference).max() < 1e-12
+
+
+GRAM_CASES = {
+    # name: (pixel_nm, grid shape, max_kernels) — the via and metal
+    # benchmark grids at the default optics, and the golden grid.
+    "via": (4.0, (500, 500), 12),
+    "metal": (4.0, (375, 375), 12),
+    "golden": (8.0, (188, 188), 8),
+}
+
+
+def padded(tcc: TCCResult) -> TCCResult:
+    """The same TCC with zero rows appended to its factor until it is
+    square: its Gram ``F F^H`` is ``n x n`` with ``n - S`` exact zero
+    eigenvalues, as a Nyquist-clipped lattice would give."""
+    sources, n = tcc.factor.shape
+    factor = np.vstack([tcc.factor, np.zeros((n - sources, n))])
+    return TCCResult(factor, tcc.shift_indices, tcc.lattice_spacing_rc)
+
+
+@pytest.fixture(scope="module")
+def golden_mask():
+    path = os.path.join(os.path.dirname(__file__), "golden", "metal_m1.npz")
+    with np.load(path) as data:
+        return data["mask"]
+
+
+class TestFactorGramParity:
+    """The kernel build decomposes the Gram ``F F^H`` of the TCC's
+    source factor; it must give the dense ``eigh(F^H F)`` kernels, also
+    when the factor has zero rows."""
+
+    @pytest.mark.parametrize("defocus_nm", [0.0, 25.0])
+    @pytest.mark.parametrize("case", sorted(GRAM_CASES))
+    def test_factor_gram_matches_dense_eigh(self, case, defocus_nm, golden_mask):
+        pixel_nm, shape, max_kernels = GRAM_CASES[case]
+        source = build_kernel_set(pixel_nm=pixel_nm, backend="numpy").source
+        tcc = build_tcc_grid(source, shape, pixel_nm, defocus_nm=defocus_nm)
+        sources, n = tcc.factor.shape
+        assert sources < n
+        assert np.iscomplexobj(tcc.factor) == (defocus_nm != 0.0)
+
+        eigvals, eigvecs = np.linalg.eigh(tcc.matrix)
+        eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+        weights, coefficients = socs_spectra(tcc, max_kernels=max_kernels)
+        padded_weights, padded_coefficients = socs_spectra(
+            padded(tcc), max_kernels=max_kernels
+        )
+        count = len(weights)
+        assert count == len(padded_weights)
+        assert coefficients.shape == (count, n)
+        assert np.abs(weights - eigvals[:count]).max() <= 1e-12 * eigvals[0]
+        assert (
+            np.abs(padded_weights - eigvals[:count]).max() <= 1e-12 * eigvals[0]
+        )
+
+        reference = (eigvecs[:, :count] * eigvals[:count]) @ (
+            eigvecs[:, :count].conj().T
+        )
+        for w, v in ((weights, coefficients),
+                     (padded_weights, padded_coefficients)):
+            operator = (v.T * w) @ v.conj()
+            assert np.abs(operator - reference).max() <= 1e-12
+
+        mask = np.zeros(shape)
+        mask[: golden_mask.shape[0], : golden_mask.shape[1]] = golden_mask
+        image = socs_image(
+            mask, tcc, eigvals[:count], eigvecs[:, :count].T
+        )
+        for w, v in ((weights, coefficients),
+                     (padded_weights, padded_coefficients)):
+            assert np.abs(socs_image(mask, tcc, w, v) - image).max() <= 1e-12
+
+    def test_zero_eigenvalues_are_never_kept(self):
+        """A factor of 12 source rows over 20 lattice points, one row
+        zero: ``F F^H`` has an exact zero eigenvalue, whose eigenvector
+        maps back to the zero vector.  The full-energy cut, whose
+        cumulative sum falls short of 1 by round-off, still keeps only
+        the 11 positive ones — and they are the whole TCC."""
+        rng = np.random.default_rng(0)
+        factor = rng.normal(size=(12, 20)) + 1j * rng.normal(size=(12, 20))
+        factor[-1] = 0.0
+        tcc = TCCResult(
+            factor, np.zeros((20, 2), dtype=np.int64), (1.0, 1.0)
+        )
+        weights, coefficients = socs_spectra(
+            tcc, max_kernels=20, energy_fraction=1.0
+        )
+        assert len(weights) == len(coefficients) == 11
+        assert np.isfinite(coefficients).all()
+        eigvals = np.linalg.eigvalsh(tcc.matrix)[::-1]
+        assert np.allclose(weights, eigvals[:11], rtol=1e-12)
+        operator = (coefficients.T * weights) @ coefficients.conj()
+        assert np.allclose(operator, tcc.matrix, atol=1e-12)
 
 
 class TestKernelSet:

@@ -244,6 +244,56 @@ class TestRunAllBitForBit:
         assert set(measured) == set(range(len(mixed_suite)))
         assert scheduler.pending == 0  # queue drained
 
+    def test_verifier_reuses_the_environment_fragmentation(
+        self, sim, mixed_suite, monkeypatch
+    ):
+        """The engine's environment fragmented each request clip; the
+        flush fragments the same clip objects and gets the remembered
+        segments, with the same bits as fragmenting them afresh."""
+        import repro.geometry.segmentation as segmentation_module
+        from repro.service.scheduler import ShapeBinScheduler
+
+        engine = make_engine(sim)
+        outcomes = [engine.optimize(clip) for clip in mixed_suite]
+
+        def no_fragmenting(polygon, *args, **kwargs):
+            raise AssertionError("fragmented a request clip again")
+
+        monkeypatch.setattr(
+            segmentation_module, "fragment_polygon", no_fragmenting
+        )
+        reusing = ShapeBinScheduler()
+        for ticket, (clip, outcome) in enumerate(zip(mixed_suite, outcomes)):
+            assert reusing.add_outcome(ticket, clip, outcome, sim, 40.0)
+        measured = reusing.flush(sim)
+        monkeypatch.undo()
+
+        segmentation_module._fragmented.clear()
+        fresh = ShapeBinScheduler()
+        for ticket, (clip, outcome) in enumerate(zip(mixed_suite, outcomes)):
+            assert fresh.add_outcome(ticket, clip, outcome, sim, 40.0)
+        assert fresh.flush(sim) == measured
+
+    def test_outcome_of_another_clip_caught(self, sim, mixed_suite):
+        """An engine answers a request with the outcome of another clip
+        on the same grid, its EPE claim true for that clip: the verifier
+        measures the request's own clip and refuses it."""
+        other = make_engine(sim).optimize(mixed_suite[0])
+
+        class SwappingEngine:
+            simulator = sim
+
+            def optimize(self, clip, **kwargs):
+                return other
+
+        assert sim.grid_for(mixed_suite[0]) == sim.grid_for(mixed_suite[1])
+        service = MaskOptService(simulator=sim)
+        service.submit(
+            OptRequest(clip=mixed_suite[1], engine=SwappingEngine())
+        )
+        with pytest.raises(MetrologyError, match="re-simulation"):
+            service.run_all()
+
     def test_lying_engine_caught(self, sim, mixed_suite):
         truthful = make_engine(sim).optimize(mixed_suite[0])
 

@@ -1,5 +1,6 @@
 """Tests for squish encoding, adaptive re-gridding and node features."""
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.geometry import (
     Rect,
     fragment_clip,
 )
+from repro.geometry.mask_edit import vertex_loops
 from repro.constants import FEATURE_WINDOW_NM
 from repro.data import metal_test_suite
 from repro.squish import (
@@ -490,7 +492,9 @@ def test_vectorized_occupancy_matches_per_edge_loop(loops):
     same occupancy as XOR-ing one edge at a time, on the polygons' own
     grid and on a refined one."""
     coords = np.asarray([v for loop in loops for v in loop], dtype=np.float64)
-    table = PolygonTable.of([[SimpleNamespace(vertices=loop) for loop in loops]])
+    table = PolygonTable.of(
+        [vertex_loops([SimpleNamespace(vertices=loop) for loop in loops])]
+    )
     layer_of = np.zeros((1, len(loops)), dtype=np.intp)
     refine = np.linspace(3.0, 97.0, 11)
     lo, hi = np.array([0.0]), np.array([100.0])
@@ -761,3 +765,50 @@ def test_single_pattern_tensor_matches_reference(size):
     for polys in cases:
         got = adaptive_squish_tensor(encode_squish(polys, WINDOW), size, size)
         _assert_identical(got, _ref_window(WINDOW, [polys], size)[0])
+
+
+class _PolygonPath:
+    """A mask state whose encoder input is read off its ``Polygon``
+    objects, as the encoder read it before it took the state's vertex
+    loops."""
+
+    def __init__(self, state):
+        self.clip = state.clip
+        self._state = state
+
+    def mask_vertices(self):
+        return vertex_loops(self._state.mask_polygons())
+
+
+@functools.cache
+def _corpus_start(index):
+    clip = CORPUS[index]
+    return MaskState.initial(clip, fragment_clip(clip))
+
+
+@settings(max_examples=60, deadline=None)
+@given(index=st.integers(0, len(CORPUS) - 1), data=st.data())
+def test_vertex_loops_encode_as_the_polygons(index, data):
+    """Random suite states: features from the states' cleaned vertex
+    loops are bit for bit (signed zeros too) those from their polygons,
+    for one state and for a population of two, at 6 and 3 channels."""
+    start = _corpus_start(index)
+    bound = start.max_offset
+    states = []
+    for _ in range(2):
+        pool = data.draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=4))
+        picks = data.draw(st.lists(
+            st.integers(0, len(pool) - 1),
+            min_size=start.n_segments, max_size=start.n_segments,
+        ))
+        offsets = np.asarray([pool[k] for k in picks], dtype=np.float64)
+        states.append(start.moved(offsets - start.offsets))
+    size = 32 if start.clip.layer == "via" else 24
+    for channels in (6, 3):
+        encoder = NodeFeatureEncoder(out_size=size, channels=channels)
+        for population in (states[:1], states):
+            got = encoder.encode_all_population(population)
+            expected = encoder._encode(
+                [_PolygonPath(state) for state in population], start.segments
+            )
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
