@@ -5,14 +5,11 @@
 * :class:`~repro.baselines.rlopc.RLOPC` — reimplementation of RL-OPC [12]:
   per-segment independent decisions, no GNN/RNN, no modulator;
 * :class:`~repro.baselines.damo.DamoLikeOPC` — DAMO-profile one-shot
-  generative surrogate: single-inference correction, no exploration;
-* :class:`~repro.baselines.ilt.PixelILT` — pixel-based inverse lithography
-  (MOSAIC-style gradient descent), provided as an extension baseline.
+  generative surrogate: single-inference correction, no exploration.
 """
 
 from repro.baselines.mbopc import MBOPC
 from repro.baselines.rlopc import RLOPC
 from repro.baselines.damo import DamoLikeOPC
-from repro.baselines.ilt import PixelILT
 
-__all__ = ["MBOPC", "RLOPC", "DamoLikeOPC", "PixelILT"]
+__all__ = ["MBOPC", "RLOPC", "DamoLikeOPC"]

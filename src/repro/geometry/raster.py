@@ -301,27 +301,3 @@ def bilinear_sample_many(
     top = image[r0, c0] * (1 - fc) + image[r0, c1] * fc
     bottom = image[r1, c0] * (1 - fc) + image[r1, c1] * fc
     return top * (1 - fr) + bottom * fr
-
-
-def bilinear_sample_stack(
-    images: np.ndarray, grid: Grid, xs: Sequence[float], ys: Sequence[float]
-) -> np.ndarray:
-    """Sample the *same* nm points on a ``(B, H, W)`` image stack.
-
-    One gather per corner covers the whole batch; each row is bit-for-bit
-    identical to :func:`bilinear_sample_many` on that image (the per-point
-    index/weight arithmetic is shared and the blend broadcasts the same
-    elementwise operations).
-
-    Returns:
-        ``(B, n)`` sampled values.
-    """
-    stack = np.asarray(images)
-    if stack.ndim != 3:
-        raise RasterError(
-            f"image stack must be 3-D (B, H, W), got shape {stack.shape}"
-        )
-    r0, c0, r1, c1, fr, fc = _bilinear_weights(grid, xs, ys)
-    top = stack[:, r0, c0] * (1 - fc) + stack[:, r0, c1] * fc
-    bottom = stack[:, r1, c0] * (1 - fc) + stack[:, r1, c1] * fc
-    return top * (1 - fr) + bottom * fr

@@ -12,8 +12,7 @@ Finished spectra persist across processes through
 :class:`repro.litho.store.KernelSpectraStore`.
 
 One imaging pipeline serves every batched entry point
-(``LithographySimulator.simulate_batch`` / ``simulate_epe_batch`` and
-:meth:`OpticalKernelSet.convolve_intensity_batch`):
+(``LithographySimulator.simulate_batch`` / ``simulate_epe_batch``):
 
 * band source — the mask stack's pupil band on the subgrid, from one of
   two sources, one per input kind: ``rfft2`` of rasterized masks and the
@@ -40,13 +39,9 @@ the grid: the same gather and convolution run at full size, nothing is
 resampled, and the result is bit-for-bit the reference path's.
 
 :meth:`OpticalKernelSet.convolve_intensity` is the single-mask spatial
-reference: full-grid per-kernel inverse FFTs over the scattered band
-spectra.  Everything else is tested against it.  Lower-level helpers
-(:meth:`~OpticalKernelSet.kernel_spectra`,
-:meth:`~OpticalKernelSet.weights_for`,
-:meth:`~OpticalKernelSet.fields_from_mask_fft`) expose the cached
-full-grid transfer functions to the reference path and the pixel-ILT
-gradient loop.
+reference: full-grid per-kernel inverse FFTs over the band spectra
+scattered onto the grid (:meth:`~OpticalKernelSet.kernel_spectra`).
+Everything else is tested against it.
 """
 
 from __future__ import annotations
@@ -347,8 +342,8 @@ class OpticalKernelSet:
             of the spectra are keyed by backend array identity, so
             swapping the backend can never serve wrong-device spectra.
             The batched band engine and the sparse gathers run on the
-            device; the single-mask reference path and the pixel-ILT
-            field helper always run host-side.
+            device; the single-mask reference path always runs
+            host-side.
         spectra_store: Optional disk-persistent store
             (:class:`repro.litho.store.KernelSpectraStore`) consulted on
             band-spectra misses before building, and written after every
@@ -404,10 +399,9 @@ class OpticalKernelSet:
         return resolve_backend(self.backend, self.fft_workers, self.device)
 
     def _host_fft(self) -> ArrayBackend:
-        """The host-side backend for paths that are host-only by design
-        (single-mask reference, ILT field gradients).  Numpy/scipy
-        backends pass through; a device backend degrades to
-        single-threaded numpy."""
+        """The host-side backend of the single-mask reference path,
+        which is host-only by design.  Numpy/scipy backends pass
+        through; a device backend degrades to single-threaded numpy."""
         fft = self.fft
         return fft if fft.is_numpy else resolve_backend("numpy", 1)
 
@@ -494,10 +488,6 @@ class OpticalKernelSet:
         return GridBandSpectra.assemble(
             shape, weights, (b0, b1), (m0, m1), compact, sub_spectra
         )
-
-    def weights_for(self, shape: tuple[int, int]) -> np.ndarray:
-        """Kernel weights matching :meth:`kernel_spectra` for one shape."""
-        return self.band_spectra((int(shape[0]), int(shape[1]))).weights
 
     # -- full-grid transfer functions ---------------------------------------
     def kernel_spectra(self, shape: tuple[int, int]) -> np.ndarray:
@@ -589,7 +579,7 @@ class OpticalKernelSet:
             raise LithoError(f"mask must be 2-D, got shape {mask.shape}")
         self._validate_grid(mask.shape)
         kernel_ffts = self.kernel_spectra(mask.shape)
-        weights = self.weights_for(mask.shape)
+        weights = self.band_spectra(mask.shape).weights
         fft = self._host_fft()
         rows, cols = mask.shape
         half = fft.rfft2(mask.astype(np.float64), axes=(-2, -1))
@@ -602,18 +592,6 @@ class OpticalKernelSet:
             field_k = fft.ifft2(mask_fft * kernel_fft, axes=(-2, -1))
             intensity += weight * (field_k.real**2 + field_k.imag**2)
         return intensity
-
-    def convolve_intensity_batch(self, masks: np.ndarray) -> np.ndarray:
-        """Dense aerial intensities of a ``(B, H, W)`` mask stack.
-
-        The imaging front end (:meth:`subgrid_intensity`) followed by
-        the dense back end (:meth:`resample_intensity`).  Per-mask
-        results are bit-for-bit independent of the batch size.
-        """
-        stack = self.validate_mask_batch(masks)
-        shape = tuple(stack.shape[1:])
-        sub = self.subgrid_intensity(self.fft.rfft2(stack, axes=(-2, -1)), shape)
-        return self.resample_intensity(sub, shape)
 
     def _device_band_arrays(self, band: GridBandSpectra):
         """``(weights, sub_spectra)`` resident where the backend computes.
@@ -709,22 +687,6 @@ class OpticalKernelSet:
             :, fft.index(band.up_rows_src), :half_cols
         ] * ((rows * cols) / (m0 * m1))
         return fft.to_host(fft.irfft2(full, s=(rows, cols), axes=(-2, -1)))
-
-    def fields_from_mask_fft(self, mask_fft: np.ndarray) -> np.ndarray:
-        """Per-kernel coherent fields ``(K, H, W)`` for one mask spectrum.
-
-        Used by gradient-based optimizers (pixel ILT) that need the
-        fields themselves, not just the summed intensity; pair with
-        :meth:`weights_for` on the same shape.  Host-side always (the
-        pixel-ILT gradient loop is numpy-native).
-        """
-        mask_fft = self.fft.to_host(mask_fft)
-        if mask_fft.ndim != 2:
-            raise LithoError(
-                f"mask spectrum must be 2-D, got shape {mask_fft.shape}"
-            )
-        kernel_ffts = self.kernel_spectra(mask_fft.shape)
-        return self._host_fft().ifft2(mask_fft[None] * kernel_ffts, axes=(-2, -1))
 
 
 @lru_cache(maxsize=8)

@@ -91,9 +91,10 @@ resolves EPE and segment EPE from the returned sparse aerials in one
 PV band (:func:`~repro.metrology.pvband.pvband_area_batch`) is taken
 only when it is first read.  The suite verifier
 (:mod:`repro.service.scheduler`) pairs ``simulate_epe_batch`` with the
-same grouped sparse EPE.  The dense metrology
-(:func:`~repro.metrology.epe.measure_epe_batch` and friends) remains the
-reference the sparse path is tested against.
+same grouped sparse EPE.  A dense aerial is measured through the same
+stencil plans: :func:`~repro.metrology.epe.measure_epe` and friends
+gather the plan's pixels from it, so dense and sparse EPE differ only
+by the band engine's intensity round-off.
 """
 
 from __future__ import annotations

@@ -299,7 +299,10 @@ class KernelSpectraStore:
         key = (int(shape[0]), int(shape[1]))
         path = self.entry_path(fingerprint, key)
         try:
-            with np.load(path) as data:
+            # np.load is handed an open file, not the path: a truncated
+            # zip raises inside np.load, which would leave a file it
+            # opened itself unclosed.
+            with open(path, "rb") as handle, np.load(handle) as data:
                 if int(data["version"]) != STORE_FORMAT_VERSION:
                     raise ValueError("store format version mismatch")
                 stored_shape = tuple(int(v) for v in data["shape"])

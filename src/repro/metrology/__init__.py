@@ -6,19 +6,21 @@ contour lies outside the target edge** (intensity overflow — the segment
 should move inward), negative EPE means the contour is inside (lack of
 intensity — move outward).
 
-Every measurement has a batched companion (``*_batch`` for ``(B, H, W)``
-stacks sharing one clip, :func:`measure_epe_grouped` for heterogeneous
-groups) that resolves all profiles in one vectorized pass and is
-bit-for-bit equal to mapping the scalar entry point over the stack, so
-one batched lithography call can be followed by one batched metrology
-call.
+Every EPE measurement samples the aerial through one
+:class:`~repro.metrology.contour.ContourStencilPlan` per geometry: the
+litho engine evaluates intensity at the plan's pixels only
+(:func:`~repro.metrology.epe.measure_epe_grouped_sparse`), or a dense
+``(..., H, W)`` aerial is gathered at them
+(:func:`contour_offset_along_normal`, :func:`measure_epe` and the
+``*_batch`` / grouped forms).  Either way all profiles resolve in one
+vectorized pass, so one batched lithography call is followed by one
+batched metrology call.  :func:`contour_offset_reference` is the
+independent scalar reference.
 """
 
 from repro.metrology.contour import (
     contour_offset_along_normal,
-    contour_offset_along_normal_batch,
     contour_offset_reference,
-    contour_offsets_grouped,
 )
 from repro.metrology.epe import (
     EPEReport,
@@ -32,9 +34,7 @@ from repro.metrology.pvband import pvband_area, pvband_area_batch, pvband_image
 
 __all__ = [
     "contour_offset_along_normal",
-    "contour_offset_along_normal_batch",
     "contour_offset_reference",
-    "contour_offsets_grouped",
     "EPEReport",
     "measure_epe",
     "measure_epe_batch",

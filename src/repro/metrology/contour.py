@@ -6,28 +6,25 @@ locate the threshold crossing that bounds the printed region containing
 (or nearest to) the target edge, with linear interpolation between samples
 for sub-nanometre resolution.
 
-Two resolution engines share the crossing semantics:
+There is one sampling path.  A :class:`ContourStencilPlan` enumerates,
+once per (clip geometry, search window), the unique grid pixels every
+bilinear stencil of every search sample touches: typically a few hundred
+of the grid's ~10^5 pixels.  Intensities at that pixel set come either
+from the lithography engine, which evaluates nothing else
+(:meth:`repro.litho.simulator.LithographySimulator.simulate_epe_batch`
+returns a :class:`SparseAerial`), or from a dense ``(..., H, W)`` image,
+from which :func:`contour_offset_along_normal` gathers them.
+:meth:`ContourStencilPlan.profiles` rebuilds the search profiles with
+*exactly* the arithmetic of
+:func:`~repro.geometry.raster.bilinear_sample_many`, and
+:func:`_resolve_profiles` resolves every ``(..., n_offsets)`` profile at
+once with numpy mask/argmax logic.  Dense and sparse EPE therefore differ
+only by the engine's <= 1e-12 intensity round-off.
 
-* :func:`_resolve_profiles` — the production path: all ``(..., n_offsets)``
-  intensity profiles are resolved at once with numpy mask/argmax logic.
-  It accepts any leading shape, so one call serves a single aerial's
-  ``(n,)`` points or a ``(B, n)`` batch of aerials.
-* :func:`contour_offset_reference` — the retained scalar reference: one
-  Python-loop :func:`_locate_crossing` per point.  It is kept (and
-  tested bit-for-bit against the vectorized path) as the executable
-  specification of the crossing rule.
-
-Sparse evaluation: a :class:`ContourStencilPlan` enumerates, once per
-(clip geometry, search window), the unique grid pixels every bilinear
-stencil of every search sample touches — typically a few hundred of the
-grid's ~10^5 pixels.  The lithography engine evaluates intensity at just
-that pixel set (:meth:`repro.litho.simulator.LithographySimulator.
-simulate_epe_batch`), and :meth:`ContourStencilPlan.profiles` rebuilds
-the search profiles with *exactly* the arithmetic of
-:func:`~repro.geometry.raster.bilinear_sample_many` — given identical
-pixel values the profiles are bit-for-bit identical, so the whole sparse
-path differs from the dense one only by the engine's <= 1e-12 intensity
-round-off.
+:func:`contour_offset_reference` is the independent scalar reference:
+dense bilinear samples and one Python-loop :func:`_locate_crossing` per
+point.  It is the executable specification of the crossing rule, and the
+plan path is tested bit for bit against it.
 """
 
 from __future__ import annotations
@@ -39,12 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import MetrologyError
-from repro.geometry.raster import (
-    Grid,
-    _bilinear_weights,
-    bilinear_sample_many,
-    bilinear_sample_stack,
-)
+from repro.geometry.raster import Grid, _bilinear_weights, bilinear_sample_many
 
 
 def _validate_inputs(
@@ -79,10 +71,15 @@ def contour_offset_along_normal(
     search_nm: float = 40.0,
     step_nm: float = 1.0,
 ) -> np.ndarray:
-    """Signed contour offsets for a batch of measure points.
+    """Signed contour offsets of measure points on dense aerials.
+
+    The stencil plan's pixels are gathered from the image and resolved
+    exactly as a sparse aerial would be, so dense and sparse
+    measurements share one sampling path.
 
     Args:
-        aerial: Aerial-intensity image on ``grid``.
+        aerial: ``(..., H, W)`` aerial intensity on ``grid``: one image
+            or any stack of them.
         points: ``(n, 2)`` measure-point coordinates (on target edges).
         normals: ``(n, 2)`` unit outward normals.
         threshold: Resist threshold.
@@ -90,107 +87,13 @@ def contour_offset_along_normal(
         step_nm: Sampling pitch before interpolation.
 
     Returns:
-        ``(n,)`` signed offsets (nm): positive = contour outside the target
-        edge, negative = inside.  Clamped to ``+/- search_nm`` when the
-        contour is not found within the window (e.g. unprinted feature).
+        ``(..., n)`` signed offsets (nm): positive = contour outside the
+        target edge, negative = inside.  Clamped to ``+/- search_nm``
+        when the contour is not found within the window (e.g. unprinted
+        feature).
     """
-    points, normals = _validate_inputs(points, normals, search_nm, step_nm)
-    offsets = np.arange(-search_nm, search_nm + step_nm / 2, step_nm)
-    xs, ys = _sample_coordinates(points, normals, offsets)
-    samples = bilinear_sample_many(aerial, grid, xs, ys).reshape(
-        len(points), len(offsets)
-    )
-    return _resolve_profiles(samples, offsets, len(offsets) // 2, threshold, search_nm)
-
-
-def contour_offset_along_normal_batch(
-    aerials: np.ndarray,
-    grid: Grid,
-    points: np.ndarray,
-    normals: np.ndarray,
-    threshold: float,
-    search_nm: float = 40.0,
-    step_nm: float = 1.0,
-) -> np.ndarray:
-    """Contour offsets of the *same* measure points on a stack of aerials.
-
-    One gather plus one vectorized crossing resolution covers all ``(B,
-    n)`` profiles; the result is bit-for-bit equal to mapping
-    :func:`contour_offset_along_normal` over the stack.
-
-    Args:
-        aerials: ``(B, H, W)`` aerial-intensity stack on ``grid``.
-
-    Returns:
-        ``(B, n)`` signed offsets (nm), row ``b`` for ``aerials[b]``.
-    """
-    stack = np.asarray(aerials, dtype=np.float64)
-    if stack.ndim != 3:
-        raise MetrologyError(
-            f"aerial stack must be 3-D (B, H, W), got shape {stack.shape}"
-        )
-    points, normals = _validate_inputs(points, normals, search_nm, step_nm)
-    offsets = np.arange(-search_nm, search_nm + step_nm / 2, step_nm)
-    xs, ys = _sample_coordinates(points, normals, offsets)
-    samples = bilinear_sample_stack(stack, grid, xs, ys).reshape(
-        len(stack), len(points), len(offsets)
-    )
-    return _resolve_profiles(samples, offsets, len(offsets) // 2, threshold, search_nm)
-
-
-def contour_offsets_grouped(
-    aerials: np.ndarray,
-    grids: list[Grid],
-    points_list: list[np.ndarray],
-    normals_list: list[np.ndarray],
-    threshold: float,
-    search_nm: float = 40.0,
-    step_nm: float = 1.0,
-) -> list[np.ndarray]:
-    """Contour offsets for *heterogeneous* aerial/point groups.
-
-    Unlike :func:`contour_offset_along_normal_batch`, every aerial may
-    carry its own grid and measure points (the suite verifier's case:
-    same-shape clips with different geometry).  Profiles are sampled per
-    aerial but resolved in one vectorized pass; each returned array is
-    bit-for-bit equal to calling :func:`contour_offset_along_normal` on
-    that aerial alone.
-    """
-    if not (len(aerials) == len(grids) == len(points_list) == len(normals_list)):
-        raise MetrologyError(
-            "aerials, grids, points and normals lists must have equal length"
-        )
-    if search_nm <= 0 or step_nm <= 0:
-        raise MetrologyError("search_nm and step_nm must be positive")
-    offsets = np.arange(-search_nm, search_nm + step_nm / 2, step_nm)
-    profiles: list[np.ndarray] = []
-    counts: list[int] = []
-    for aerial, grid, points, normals in zip(
-        aerials, grids, points_list, normals_list
-    ):
-        points, normals = _validate_inputs(points, normals, search_nm, step_nm)
-        counts.append(len(points))
-        if not len(points):
-            continue
-        xs, ys = _sample_coordinates(points, normals, offsets)
-        profiles.append(
-            bilinear_sample_many(aerial, grid, xs, ys).reshape(
-                len(points), len(offsets)
-            )
-        )
-    if profiles:
-        resolved = _resolve_profiles(
-            np.concatenate(profiles), offsets, len(offsets) // 2,
-            threshold, search_nm,
-        )
-    else:
-        resolved = np.zeros(0, dtype=np.float64)
-    out: list[np.ndarray] = []
-    start = 0
-    for count in counts:
-        out.append(resolved[start : start + count])
-        start += count
-    return out
+    plan = plan_contour_stencils(grid, points, normals, search_nm, step_nm)
+    return plan.resolve(plan.gather(aerial), threshold)
 
 
 @dataclass(frozen=True)
@@ -235,6 +138,17 @@ class ContourStencilPlan:
     def n_pixels(self) -> int:
         return len(self.pixel_rows)
 
+    def gather(self, aerial: np.ndarray) -> np.ndarray:
+        """The pixel set's ``(..., S)`` values from ``(..., H, W)``
+        dense aerials on the plan's grid."""
+        aerial = np.asarray(aerial, dtype=np.float64)
+        if aerial.shape[-2:] != self.grid.shape:
+            raise MetrologyError(
+                f"aerial of shape {aerial.shape} is not on the "
+                f"{self.grid.shape} grid"
+            )
+        return aerial[..., self.pixel_rows, self.pixel_cols]
+
     def profiles(self, values: np.ndarray) -> np.ndarray:
         """Search profiles from intensities at the plan's pixel set.
 
@@ -275,8 +189,8 @@ class ContourStencilPlan:
         """Signed contour offsets from sparse intensities (``(..., n)``).
 
         The crossing rule is the shared :func:`_resolve_profiles`, so
-        given bit-identical profiles the result is bit-identical to the
-        dense :func:`contour_offset_along_normal`.
+        given bit-identical profiles the result is bit-identical to
+        :func:`contour_offset_reference`'s scalar walk.
         """
         return _resolve_profiles(
             self.profiles(values), self.offsets, len(self.offsets) // 2,
@@ -377,8 +291,7 @@ def contour_offsets_sparse(
 ) -> list[np.ndarray]:
     """Resolve contour offsets for a group of sparse aerials at once.
 
-    The sparse counterpart of :func:`contour_offsets_grouped`: profiles
-    from every aerial concatenate into one vectorized
+    Profiles from every aerial concatenate into one vectorized
     :func:`_resolve_profiles` pass.  All plans must share one search
     window (the grouped verifier bins by it).
     """
@@ -425,10 +338,12 @@ def contour_offset_reference(
 ) -> np.ndarray:
     """Scalar-loop reference implementation (executable specification).
 
-    Same contract as :func:`contour_offset_along_normal`; resolves every
-    profile with the per-point :func:`_locate_crossing` walk.  Kept for
+    Same contract as :func:`contour_offset_along_normal` on one ``(H,
+    W)`` aerial, computed independently of the stencil plans: every
+    sample by :func:`~repro.geometry.raster.bilinear_sample_many`, every
+    profile by the per-point :func:`_locate_crossing` walk.  Kept for
     parity testing and as the baseline of the metrology throughput
-    benchmark — production callers use the vectorized path.
+    benchmark; production callers use the plan.
     """
     points, normals = _validate_inputs(points, normals, search_nm, step_nm)
     offsets = np.arange(-search_nm, search_nm + step_nm / 2, step_nm)

@@ -2,11 +2,19 @@
 
 Two granularities are used by the OPC engines:
 
-* :func:`measure_epe` — EPE at the official measure points only; this is
-  what the paper's tables report (summed absolute EPE per clip).
-* :func:`segment_epe` — signed EPE at *every* segment control point; this
+* measure points — EPE at the official measure points only; this is
+  what the paper's tables report (summed absolute EPE per clip);
+* control points — signed EPE at *every* segment control point; this
   drives the CAMO modulator and the per-segment corrections of the
   model-based baseline, including unmeasured line-end segments.
+
+Both are read through one :class:`~repro.metrology.contour.
+ContourStencilPlan` per geometry.  The sparse entry points
+(:func:`measure_epe_sparse`, :func:`measure_epe_grouped_sparse`) take the
+plan's pixel values from the litho engine; the dense ones
+(:func:`measure_epe`, :func:`segment_epe`, their ``_batch`` forms and
+:func:`measure_epe_grouped`) gather the same pixels from ``(H, W)`` or
+``(B, H, W)`` aerials.
 
 EPE is always resolved host-side in float64: whichever array backend
 produced the aerial intensity (numpy, scipy-threaded, or a torch device
@@ -21,14 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import MetrologyError
 from repro.geometry.raster import Grid
 from repro.geometry.segmentation import Segment
 from repro.metrology.contour import (
     ContourStencilPlan,
     SparseAerial,
     contour_offset_along_normal,
-    contour_offset_along_normal_batch,
-    contour_offsets_grouped,
     contour_offsets_sparse,
     plan_contour_stencils,
 )
@@ -70,7 +77,7 @@ def _measured_points(
     """``(n, 2)`` measure points and normals of the measured segments.
 
     The one extraction rule shared by every measure-point entry point,
-    so the scalar/batched/grouped paths can never filter differently.
+    so the dense and sparse paths can never filter differently.
     """
     measured = [s for s in segments if s.measure_point is not None]
     points = np.asarray(
@@ -91,11 +98,9 @@ def measure_epe(
     step_nm: float = 1.0,
 ) -> EPEReport:
     """EPE at every segment that owns a measure point."""
-    points, normals = _measured_points(segments)
-    if not len(points):
-        return EPEReport(values=np.zeros(0))
     values = contour_offset_along_normal(
-        aerial, grid, points, normals, threshold, search_nm, step_nm
+        aerial, grid, *_measured_points(segments), threshold, search_nm,
+        step_nm,
     )
     return EPEReport(values=values)
 
@@ -108,18 +113,11 @@ def measure_epe_batch(
     search_nm: float = 40.0,
     step_nm: float = 1.0,
 ) -> list[EPEReport]:
-    """Measure-point EPE of ``(B, H, W)`` aerials sharing one clip.
-
-    The batched companion of :func:`measure_epe`: all ``B * n`` contour
-    profiles resolve in one vectorized pass, bit-for-bit equal to mapping
-    :func:`measure_epe` over the stack.  This is what
-    ``OPCEnvironment.evaluate_batch`` pairs with one batched litho call.
-    """
-    points, normals = _measured_points(segments)
-    if not len(points):
-        return [EPEReport(values=np.zeros(0)) for _ in range(len(aerials))]
-    values = contour_offset_along_normal_batch(
-        aerials, grid, points, normals, threshold, search_nm, step_nm
+    """Measure-point EPE of ``(B, H, W)`` aerials sharing one clip,
+    bit-for-bit equal to mapping :func:`measure_epe` over the stack."""
+    values = contour_offset_along_normal(
+        aerials, grid, *_measured_points(segments), threshold, search_nm,
+        step_nm,
     )
     return [EPEReport(values=row) for row in values]
 
@@ -136,14 +134,14 @@ def segment_epe(
 
     Measured against the *target* control point, so it reflects how far the
     printed contour is from where the design wants the edge — independent
-    of the segment's current mask offset.
+    of the segment's current mask offset.  A ``(B, H, W)`` stack gives
+    ``(B, n_segments)`` offsets.
     """
-    if not segments:
-        return np.zeros(0)
     points = np.asarray([s.control for s in segments], dtype=np.float64)
     normals = np.asarray([s.normal for s in segments], dtype=np.float64)
     return contour_offset_along_normal(
-        aerial, grid, points, normals, threshold, search_nm, step_nm
+        aerial, grid, points.reshape(-1, 2), normals.reshape(-1, 2),
+        threshold, search_nm, step_nm,
     )
 
 
@@ -155,18 +153,9 @@ def segment_epe_batch(
     search_nm: float = 40.0,
     step_nm: float = 1.0,
 ) -> np.ndarray:
-    """Control-point EPE of ``(B, H, W)`` aerials sharing one clip.
-
-    Returns ``(B, n_segments)`` signed offsets, bit-for-bit equal to
-    mapping :func:`segment_epe` over the stack.
-    """
-    if not segments:
-        return np.zeros((len(aerials), 0))
-    points = np.asarray([s.control for s in segments], dtype=np.float64)
-    normals = np.asarray([s.normal for s in segments], dtype=np.float64)
-    return contour_offset_along_normal_batch(
-        aerials, grid, points, normals, threshold, search_nm, step_nm
-    )
+    """Control-point EPE of ``(B, H, W)`` aerials sharing one clip:
+    :func:`segment_epe` on the stack, ``(B, n_segments)``."""
+    return segment_epe(aerials, grid, segments, threshold, search_nm, step_nm)
 
 
 def measure_stencil_plan(
@@ -191,12 +180,11 @@ def measure_stencil_plan(
 def measure_epe_sparse(aerial: SparseAerial, threshold: float) -> EPEReport:
     """Measure-point EPE from a sparsely evaluated aerial.
 
-    The sparse counterpart of :func:`measure_epe`: ``aerial.values``
-    holds the nominal-corner intensity at the plan's pixel set (from
-    :meth:`repro.litho.simulator.LithographySimulator.
-    simulate_epe_batch`); profiles and the crossing rule are shared with
-    the dense path, so the resolved offsets agree with it to the litho
-    engine's <= 1e-12 intensity round-off (<= 1e-9 nm).
+    ``aerial.values`` holds the nominal-corner intensity at the plan's
+    pixel set (from :meth:`repro.litho.simulator.LithographySimulator.
+    simulate_epe_batch`); profiles and the crossing rule are the dense
+    path's, so the resolved offsets agree with it to the litho engine's
+    <= 1e-12 intensity round-off (<= 1e-9 nm).
     """
     return EPEReport(
         values=aerial.plan.resolve(aerial.values, threshold)
@@ -208,10 +196,8 @@ def measure_epe_grouped_sparse(
 ) -> list[EPEReport]:
     """Grouped sparse EPE: one vectorized crossing pass for many clips.
 
-    The sparse counterpart of :func:`measure_epe_grouped` (the shape-
-    binned verifier's entry point).  ``None`` entries — clips without
-    measure points — come back as empty reports, mirroring the dense
-    path's behaviour for empty point sets.
+    The shape-binned verifier's entry point.  ``None`` entries (clips
+    without measure points) come back as empty reports.
     """
     populated = [aerial for aerial in aerials if aerial is not None]
     resolved = iter(contour_offsets_sparse(populated, threshold))
@@ -232,15 +218,19 @@ def measure_epe_grouped(
 ) -> list[EPEReport]:
     """Measure-point EPE for heterogeneous (aerial, grid, segments) items.
 
-    The suite verifier's entry point: clips grouped by grid *shape* still
-    differ in geometry, so each item carries its own grid and segments.
-    All profiles resolve in one vectorized pass
-    (:func:`~repro.metrology.contour.contour_offsets_grouped`).
+    Each dense aerial's stencil pixels are gathered into a
+    :class:`SparseAerial`, and all of them resolve in one
+    :func:`measure_epe_grouped_sparse` pass.
     """
-    extracted = [_measured_points(segments) for segments in segments_list]
-    points_list = [points for points, _ in extracted]
-    normals_list = [normals for _, normals in extracted]
-    values = contour_offsets_grouped(
-        aerials, grids, points_list, normals_list, threshold, search_nm, step_nm
-    )
-    return [EPEReport(values=row) for row in values]
+    if not len(aerials) == len(grids) == len(segments_list):
+        raise MetrologyError(
+            "aerials, grids and segments lists must have equal length"
+        )
+    sparse: list[SparseAerial | None] = []
+    for aerial, grid, segments in zip(aerials, grids, segments_list):
+        plan = measure_stencil_plan(grid, segments, search_nm, step_nm)
+        sparse.append(
+            None if plan is None
+            else SparseAerial(plan=plan, values=plan.gather(aerial))
+        )
+    return measure_epe_grouped_sparse(sparse, threshold)

@@ -7,8 +7,13 @@ log-probability of a batched action is the sum of per-segment log-probs.
 Every engine trains on populations of trajectories: a single trajectory
 is a population of one, so one selector, one update and one sampler
 serve CAMO and RL-OPC at every population size.
-Note (paper Section 3.3): the gradient always uses the *unmodulated*
-policy output — the modulator only shapes which action gets sampled.
+
+The gradient is taken on whatever logits the caller passes.  Paper
+Section 3.3 uses the *unmodulated* policy output; CAMO's RL phase
+(with ``use_modulator``) instead passes the *modulated* logits, the
+policy's logits plus the modulator's log-preference, so it
+differentiates through the distribution it actually sampled from.
+RL-OPC has no modulator and passes its policy's own logits.
 """
 
 from __future__ import annotations
@@ -41,8 +46,8 @@ def select_log_probs_population(logits: Tensor, actions: np.ndarray) -> Tensor:
     """Per-trajectory joint log-probabilities for a population.
 
     Args:
-        logits: ``(P, n_segments, n_actions)`` unmodulated policy outputs
-            (one row per population member).
+        logits: ``(P, n_segments, n_actions)`` logits of the sampled
+            distribution (one row per population member).
         actions: ``(P, n_segments)`` chosen action indices.
 
     Returns:

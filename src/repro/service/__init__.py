@@ -40,7 +40,7 @@ Components:
 * :class:`~repro.service.api.OptRequest` / :class:`~repro.service.api.
   OptResult` — typed, JSON-friendly request/response records.
 * :mod:`repro.service.registry` — engines by name (``camo``, ``mbopc`` /
-  ``calibre``, ``rlopc``, ``damo``, ``ilt``), extensible via
+  ``calibre``, ``rlopc``, ``damo``), extensible via
   :func:`~repro.service.registry.register_engine`.
 * :class:`~repro.service.scheduler.ShapeBinScheduler` — the cross-clip
   batching heart: at most one ``simulate_epe_batch`` (intensity only

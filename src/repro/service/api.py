@@ -24,7 +24,7 @@ class OptRequest:
     Attributes:
         clip: The layout window to correct.
         engine: A registry name (``"camo"``, ``"mbopc"`` /
-            ``"calibre"``, ``"rlopc"``, ``"damo"``, ``"ilt"`` — see
+            ``"calibre"``, ``"rlopc"``, ``"damo"`` — see
             :mod:`repro.service.registry`), a factory callable
             ``(simulator, overrides) -> engine`` (the picklable spec
             worker processes of the daemon need), or an

@@ -9,9 +9,8 @@ instead of importing config classes.  Every built engine has an
 ``pvband``, ``runtime_s``, ``steps`` and ``early_exited``.
 
 Out of the box: ``camo`` (the paper's agent), ``mbopc`` (the
-Calibre-like model-based baseline, alias ``calibre``), ``rlopc``,
-``damo`` and ``ilt``.  Third-party engines join via
-:func:`register_engine`.
+Calibre-like model-based baseline, alias ``calibre``), ``rlopc`` and
+``damo``.  Third-party engines join via :func:`register_engine`.
 """
 
 from __future__ import annotations
@@ -67,19 +66,12 @@ def _damo(simulator: LithographySimulator, overrides: dict):
     return DamoLikeOPC(DamoConfig(**overrides), simulator)
 
 
-def _ilt(simulator: LithographySimulator, overrides: dict):
-    from repro.baselines.ilt import ILTConfig, PixelILT
-
-    return PixelILT(ILTConfig(**overrides), simulator)
-
-
 _REGISTRY: dict[str, EngineFactory] = {
     "camo": _camo,
     "mbopc": _mbopc,
     "calibre": _mbopc,
     "rlopc": _rlopc,
     "damo": _damo,
-    "ilt": _ilt,
 }
 
 

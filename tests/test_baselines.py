@@ -1,11 +1,10 @@
-"""Tests for the baseline OPC engines (MB-OPC, RL-OPC, DAMO-like, ILT)."""
+"""Tests for the baseline OPC engines (MB-OPC, RL-OPC, DAMO-like)."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import MBOPC, RLOPC, DamoLikeOPC, PixelILT
+from repro.baselines import MBOPC, RLOPC, DamoLikeOPC
 from repro.baselines.damo import DamoConfig
-from repro.baselines.ilt import ILTConfig
 from repro.baselines.mbopc import MBOPCConfig
 from repro.baselines.rlopc import RLOPCConfig
 from repro.data.via_bench import generate_via_clip
@@ -118,22 +117,3 @@ class TestDamoLike:
         moved = outcome.final_state.mask.offsets
         assert np.all(np.abs(moved) <= config.max_offset_nm + 1)
 
-
-class TestPixelILT:
-    def test_objective_decreases(self, simulator, clip):
-        engine = PixelILT(ILTConfig(iterations=5), simulator)
-        outcome = engine.optimize(clip)
-        assert outcome.epe_curve[-1] < outcome.epe_curve[0]
-        assert outcome.mask_image.dtype == np.uint8
-
-    def test_mask_prints_targets(self, simulator, clip):
-        engine = PixelILT(ILTConfig(iterations=8), simulator)
-        outcome = engine.optimize(clip)
-        assert outcome.mask_image.sum() > 0
-        assert outcome.epe_total < 8 * 40  # better than fully unprinted
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            ILTConfig(iterations=0)
-        with pytest.raises(ConfigError):
-            ILTConfig(step_size=-1)

@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from repro.baselines.damo import DamoConfig
-from repro.baselines.ilt import ILTConfig
 from repro.baselines.mbopc import MBOPCConfig
 from repro.baselines.rlopc import RLOPCConfig
 from repro.core.config import CamoConfig
@@ -24,7 +23,7 @@ from repro.litho.simulator import LithoConfig
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 CONFIGS = [
-    CamoConfig, RLOPCConfig, MBOPCConfig, DamoConfig, ILTConfig, LithoConfig,
+    CamoConfig, RLOPCConfig, MBOPCConfig, DamoConfig, LithoConfig,
 ]
 
 

@@ -18,7 +18,7 @@ from repro.data.stdcell import stdcell_metal_clip
 from repro.data.via_bench import generate_via_clip
 from repro.errors import LithoError, MetrologyError
 from repro.geometry import Grid, Polygon, Rect, rasterize
-from repro.geometry.raster import bilinear_sample_many, bilinear_sample_stack
+from repro.geometry.raster import bilinear_sample_many
 from repro.geometry.segmentation import fragment_clip
 from repro.litho.kernels import band_values_at_pixels
 from repro.backend import (
@@ -31,7 +31,7 @@ from repro.litho.simulator import LithoConfig, LithographySimulator
 from repro.metrology.contour import (
     SparseAerial,
     _sample_coordinates,
-    contour_offset_along_normal,
+    contour_offset_reference,
     contour_offsets_sparse,
     plan_contour_stencils,
 )
@@ -120,6 +120,11 @@ class TestNextFastLen:
 GRID = Grid(0, 0, 8.0, 160, 160)
 
 
+def dense_aerials(sim, masks):
+    """The dense band-engine aerials of a rasterized mask stack."""
+    return np.stack([litho.aerial for litho in sim.simulate_batch(masks, GRID)])
+
+
 def lattice_values(kset, masks, rows, cols):
     """The verifier's sparse intensity: image the stack once on the
     pupil-band subgrid, then lift the pixel set with the lattice
@@ -137,7 +142,7 @@ class TestSparseIntensity:
     def test_matches_dense_gather_on_compact_band(self, sim):
         kset = sim.kernel_set(0.0)
         masks = mask_stack(GRID, 3)
-        dense = kset.convolve_intensity_batch(masks)
+        dense = dense_aerials(sim, masks)
         rows, cols = random_pixel_set(GRID.shape, 200)
         sparse = lattice_values(kset, masks, rows, cols)
         assert sparse.shape == (3, 200)
@@ -218,7 +223,7 @@ class TestSparseIntensity:
         }[case]
         kset = sim.kernel_set(0.0)
         masks = mask_stack(GRID, 3)
-        dense = kset.convolve_intensity_batch(masks)[:, rows, cols]
+        dense = dense_aerials(sim, masks)[:, rows, cols]
         sparse = lattice_values(kset, masks, rows, cols)
         assert sparse.shape == dense.shape == (3, len(rows))
         assert np.abs(sparse - dense).max() < INTENSITY_TOLERANCE
@@ -281,6 +286,8 @@ class TestStencilPlan:
         assert np.array_equal(plan.profiles(values), dense)
 
     def test_resolve_bit_for_bit_vs_dense_contour(self):
+        """The plan resolves exactly like the independent scalar
+        reference: dense bilinear samples, one crossing walk per point."""
         grid = Grid(0, 0, 8.0, 64, 64)
         points, normals = self._geometry(grid, seed=13)
         plan = plan_contour_stencils(grid, points, normals)
@@ -288,7 +295,7 @@ class TestStencilPlan:
         yy, xx = np.mgrid[0:64, 0:64]
         image = np.exp(-((xx - 32) ** 2 + (yy - 32) ** 2) / 300.0)
         values = image[plan.pixel_rows, plan.pixel_cols]
-        dense = contour_offset_along_normal(
+        dense = contour_offset_reference(
             image, grid, points, normals, threshold=0.4
         )
         assert np.array_equal(plan.resolve(values, 0.4), dense)
@@ -317,16 +324,14 @@ class TestStencilPlan:
         assert plan.pixel_rows.min() >= 0 and plan.pixel_rows.max() < 32
         assert plan.pixel_cols.min() >= 0 and plan.pixel_cols.max() < 32
         xs, ys = _sample_coordinates(points, normals, plan.offsets)
-        stacked = bilinear_sample_stack(images, grid, xs, ys)
-        for image, stack_row in zip(images, stacked):
+        for image in images:
             many = bilinear_sample_many(image, grid, xs, ys)
-            assert np.array_equal(stack_row, many)  # stack vs scalar path
             sparse = plan.profiles(image[plan.pixel_rows, plan.pixel_cols])
             assert np.array_equal(
                 sparse, many.reshape(len(points), len(plan.offsets))
             )
             # And the resolved offsets agree bit-for-bit too.
-            dense_offsets = contour_offset_along_normal(
+            dense_offsets = contour_offset_reference(
                 image, grid, points, normals, threshold=0.5
             )
             assert np.array_equal(

@@ -173,21 +173,3 @@ class TestBandCaches:
         assert np.array_equal(rebuilt.sub_spectra, fresh.sub_spectra)
         assert np.array_equal(rebuilt.weights, fresh.weights)
 
-
-class TestIltBandContract:
-    def test_weights_and_spectra_share_shape_decomposition(self, simulator):
-        """The pixel-ILT contract: weights_for and kernel_spectra come
-        from the same per-grid band decomposition, and the reconstructed
-        intensity matches the engine."""
-        kernel_set = simulator.kernel_set(0.0)
-        grid = Grid(0, 0, 8.0, 160, 160)
-        mask = pattern_masks(grid, count=1)[0]
-        weights = kernel_set.weights_for(mask.shape)
-        mask_fft = kernel_set.fft.fft2(mask)
-        fields = kernel_set.fields_from_mask_fft(mask_fft)
-        assert len(weights) == len(fields)
-        intensity = np.zeros(mask.shape)
-        for w, ck in zip(weights, fields):
-            intensity += w * (ck.real**2 + ck.imag**2)
-        reference = kernel_set.convolve_intensity(mask)
-        assert np.abs(intensity - reference).max() < 1e-12

@@ -52,29 +52,25 @@ class TestKernelSetErrors:
 
     def test_batch_rejects_2d(self):
         with pytest.raises(LithoError, match="3-D"):
-            native_kernel_set().convolve_intensity_batch(np.ones((16, 16)))
+            native_kernel_set().validate_mask_batch(np.ones((16, 16)))
 
     def test_batch_rejects_4d(self):
         with pytest.raises(LithoError, match="3-D"):
-            native_kernel_set().convolve_intensity_batch(np.ones((2, 2, 16, 16)))
+            native_kernel_set().validate_mask_batch(np.ones((2, 2, 16, 16)))
 
     def test_batch_rejects_empty(self):
         with pytest.raises(LithoError, match="empty"):
-            native_kernel_set().convolve_intensity_batch(np.empty((0, 16, 16)))
+            native_kernel_set().validate_mask_batch(np.empty((0, 16, 16)))
 
     def test_batch_rejects_small_masks(self):
         with pytest.raises(LithoError, match="too coarse"):
-            native_kernel_set().convolve_intensity_batch(np.ones((2, 16, 16)))
+            native_kernel_set().validate_mask_batch(np.ones((2, 16, 16)))
 
     def test_spectra_helper_rejects_2d(self):
         with pytest.raises(LithoError, match="3-D"):
             native_kernel_set().subgrid_intensity(
                 np.ones((16, 9), complex), (16, 16)
             )
-
-    def test_fields_helper_rejects_3d(self):
-        with pytest.raises(LithoError, match="2-D"):
-            native_kernel_set().fields_from_mask_fft(np.ones((2, 16, 16), complex))
 
     def test_kernel_spectra_rejects_small_grid(self):
         with pytest.raises(LithoError, match="too coarse"):
@@ -85,10 +81,6 @@ class TestKernelSetErrors:
             native_kernel_set().subgrid_intensity(
                 np.ones((1, 16, 9), complex), (16, 16)
             )
-
-    def test_fields_helper_rejects_small_grid(self):
-        with pytest.raises(LithoError, match="too coarse"):
-            native_kernel_set().fields_from_mask_fft(np.ones((16, 16), complex))
 
     def test_bad_cache_capacity(self):
         with pytest.raises(LithoError, match="fft_cache_capacity"):
@@ -153,7 +145,11 @@ class TestFFTCacheLRU:
         kernel_set = native_kernel_set()
         kernel_set.convolve_intensity(np.ones((SMALL, SMALL)))
         assert list(kernel_set._fft_cache) == [cache_key((SMALL, SMALL))]
-        kernel_set.convolve_intensity_batch(np.ones((4, SMALL, SMALL)))
+        shape = (SMALL, SMALL)
+        spectra = kernel_set.fft.rfft2(np.ones((4, *shape)), axes=(-2, -1))
+        kernel_set.resample_intensity(
+            kernel_set.subgrid_intensity(spectra, shape), shape
+        )
         # no new entry
         assert list(kernel_set._fft_cache) == [cache_key((SMALL, SMALL))]
 

@@ -8,9 +8,7 @@ from repro.geometry import Clip, Grid, Polygon, Rect, fragment_clip, rasterize
 from repro.litho import LithoConfig, LithographySimulator
 from repro.metrology import (
     contour_offset_along_normal,
-    contour_offset_along_normal_batch,
     contour_offset_reference,
-    contour_offsets_grouped,
     measure_epe,
     measure_epe_batch,
     measure_epe_grouped,
@@ -19,6 +17,11 @@ from repro.metrology import (
     pvband_image,
     segment_epe,
     segment_epe_batch,
+)
+from repro.metrology.contour import (
+    SparseAerial,
+    contour_offsets_sparse,
+    plan_contour_stencils,
 )
 
 
@@ -159,18 +162,23 @@ def _smooth_random_aerial(seed: int, n: int = 96) -> np.ndarray:
             + np.roll(aerial, 1, 0) + np.roll(aerial, -1, 0)
             + np.roll(aerial, 1, 1) + np.roll(aerial, -1, 1)
         ) / 5.0
-    return aerial
+    # Smoothing squeezes the values towards 0.5; stretched back to
+    # [0, 1], profiles cross every tested threshold instead of clamping.
+    return (aerial - aerial.min()) / (aerial.max() - aerial.min())
 
 
 class TestVectorizedParity:
-    """The vectorized resolver is the production path; the retained scalar
-    reference is its executable specification."""
+    """The stencil-plan path is the production path; the retained scalar
+    reference (dense bilinear samples, one crossing walk per point) is
+    its executable specification."""
 
     GRID = Grid(0, 0, 2.0, 96, 96)
 
     def _points(self, seed, count=64):
+        # The raster spans 0..192 nm: about a third of the points, and
+        # more of their search windows, fall outside it.
         rng = np.random.default_rng(seed)
-        points = rng.uniform(10.0, 182.0, size=(count, 2))
+        points = rng.uniform(-40.0, 232.0, size=(count, 2))
         angles = rng.uniform(0.0, 2.0 * np.pi, count)
         normals = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         return points, normals
@@ -178,62 +186,59 @@ class TestVectorizedParity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.7])
     def test_bitwise_equal_to_reference_on_random_aerials(self, seed, threshold):
-        aerial = _smooth_random_aerial(seed)
+        """One aerial, a 3-aerial stack, and per-aerial point sets
+        resolved as one group of sparse aerials all equal the reference
+        bit for bit."""
+        window = dict(search_nm=30, step_nm=1.5)
+        aerials = np.stack(
+            [_smooth_random_aerial(seed + 10 * k) for k in range(3)]
+        )
         points, normals = self._points(seed + 100)
-        vectorized = contour_offset_along_normal(
-            aerial, self.GRID, points, normals, threshold,
-            search_nm=30, step_nm=1.5,
-        )
-        reference = contour_offset_reference(
-            aerial, self.GRID, points, normals, threshold,
-            search_nm=30, step_nm=1.5,
-        )
-        assert np.array_equal(vectorized, reference)
 
-    def test_batch_matches_per_aerial(self):
-        aerials = np.stack([_smooth_random_aerial(s) for s in range(4)])
-        points, normals = self._points(7)
-        batched = contour_offset_along_normal_batch(
-            aerials, self.GRID, points, normals, 0.5
-        )
-        assert batched.shape == (4, len(points))
-        for aerial, row in zip(aerials, batched):
-            single = contour_offset_along_normal(
-                aerial, self.GRID, points, normals, 0.5
+        def reference(aerial, points, normals):
+            return contour_offset_reference(
+                aerial, self.GRID, points, normals, threshold, **window
             )
-            assert np.array_equal(row, single)
 
-    def test_grouped_matches_per_item(self):
-        aerials = np.stack([_smooth_random_aerial(s + 10) for s in range(3)])
-        groups = [self._points(s, count=8 * (s + 1)) for s in range(3)]
-        results = contour_offsets_grouped(
-            aerials,
-            [self.GRID] * 3,
-            [g[0] for g in groups],
-            [g[1] for g in groups],
-            0.5,
+        single = contour_offset_along_normal(
+            aerials[0], self.GRID, points, normals, threshold, **window
         )
-        for aerial, (points, normals), row in zip(aerials, groups, results):
-            assert np.array_equal(
-                row,
-                contour_offset_along_normal(
-                    aerial, self.GRID, points, normals, 0.5
-                ),
-            )
+        assert single.shape == (len(points),)
+        assert np.array_equal(single, reference(aerials[0], points, normals))
+
+        stacked = contour_offset_along_normal(
+            aerials, self.GRID, points, normals, threshold, **window
+        )
+        assert stacked.shape == (3, len(points))
+        for aerial, row in zip(aerials, stacked):
+            assert np.array_equal(row, reference(aerial, points, normals))
+
+        groups = [self._points(seed + k, count=8 * (k + 1)) for k in range(3)]
+        plans = [
+            plan_contour_stencils(self.GRID, p, n, **window) for p, n in groups
+        ]
+        grouped = contour_offsets_sparse(
+            [
+                SparseAerial(plan=plan, values=plan.gather(aerial))
+                for plan, aerial in zip(plans, aerials)
+            ],
+            threshold,
+        )
+        for aerial, (p, n), row in zip(aerials, groups, grouped):
+            assert np.array_equal(row, reference(aerial, p, n))
 
     def test_batch_validates_stack_shape(self):
+        """An aerial (or stack) that is not on the grid is refused."""
         points, normals = self._points(1, count=2)
-        with pytest.raises(MetrologyError):
-            contour_offset_along_normal_batch(
-                np.ones((8, 8)), self.GRID, points, normals, 0.5
-            )
+        for aerial in (np.ones((8, 8)), np.ones((2, 8, 8)), np.ones(96)):
+            with pytest.raises(MetrologyError, match="not on the"):
+                contour_offset_along_normal(
+                    aerial, self.GRID, points, normals, 0.5
+                )
 
     def test_grouped_validates_lengths(self):
-        with pytest.raises(MetrologyError):
-            contour_offsets_grouped(
-                np.ones((2, 8, 8)), [self.GRID], [np.zeros((1, 2))],
-                [np.zeros((1, 2))], 0.5,
-            )
+        with pytest.raises(MetrologyError, match="equal length"):
+            measure_epe_grouped(np.ones((2, 96, 96)), [self.GRID], [[]], 0.5)
 
 
 class TestEPESign:

@@ -94,6 +94,13 @@ class TestRegistry:
         with pytest.raises(ServiceError, match="unknown engine"):
             create_engine("resolve-by-vibes", sim)
 
+    def test_pixel_ilt_is_retired(self, sim):
+        """Pixel ILT is outside the paper's comparison and is gone: the
+        registry neither lists nor builds it."""
+        assert "ilt" not in available_engines()
+        with pytest.raises(ServiceError, match="unknown engine"):
+            create_engine("ilt", sim)
+
     def test_overrides_reach_config(self, sim):
         engine = create_engine("mbopc", sim, {"max_updates": 7})
         assert engine.config.max_updates == 7

@@ -98,7 +98,8 @@ class TestJournalFile:
         # ...and the truncated journal keeps accepting appends.
         recovered.log_admit(2, "jv2", "mbopc", "fp00")
         recovered.close()
-        assert OutcomeJournal(path).records[-1]["clip"] == "jv2"
+        with OutcomeJournal(path) as reopened:
+            assert reopened.records[-1]["clip"] == "jv2"
 
     def test_bad_crc_stops_the_scan(self, tmp_path):
         path = str(tmp_path / "crc.journal")
@@ -225,7 +226,7 @@ def test_fingerprint_tracks_identity_not_backend():
                               litho=_litho_config(backend="scipy"),
                               overrides=tuple(sorted(OVERRIDES.items())))
     assert base.fingerprint() == same_backend.fingerprint()
-    other_engine = EngineSpec(engine="ilt", litho=_litho_config(),
+    other_engine = EngineSpec(engine="damo", litho=_litho_config(),
                               overrides=())
     assert base.fingerprint() != other_engine.fingerprint()
     other_overrides = EngineSpec(
@@ -344,6 +345,7 @@ def test_sigkilled_sweep_resumes_bit_for_bit(tmp_path):
         except ProcessLookupError:
             pass
         proc.wait(timeout=60)
+        proc.stdout.close()
     deadline = time.monotonic() + 10.0
     while True:
         try:
