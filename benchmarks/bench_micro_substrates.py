@@ -1,7 +1,8 @@
 """Micro-benchmarks of the substrates: mask geometry (offsets to slabs
 to pupil band, rasterization), the cold SOCS kernel build, litho
-imaging, squish encoding, policy forward/backward, segment EPE
-metrology.
+imaging, squish encoding, policy forward/backward (and the no-grad
+forward of CAMO metal inference), the convolution backward, segment
+EPE metrology.
 
 These are the per-iteration costs that dominate every OPC engine's
 runtime column in Tables 1 and 2.
@@ -20,6 +21,7 @@ from repro.litho import LithoConfig, LithographySimulator
 from repro.litho.kernels import OpticalKernelSet
 from repro.litho.polygon_band import polygon_band_coeffs
 from repro.metrology import segment_epe
+from repro.nn import Tensor, conv2d, no_grad
 from repro.nn.sage import mean_adjacency
 from repro.rl.reinforce import select_log_probs_population
 from repro.squish import NodeFeatureEncoder
@@ -159,3 +161,47 @@ def test_bench_policy_backward(setup, benchmark):
 
     result = benchmark(step)
     assert result.size == 1
+
+
+def test_bench_policy_forward_inference(benchmark):
+    """CAMO's no-grad policy forward on a metal clip at the metal_opt
+    shape: encode 24, embed 128, a population of one."""
+    clip = metal_test_suite()[0]
+    segments = fragment_clip(clip)
+    state = MaskState.initial(clip, segments, bias_nm=0.0)
+    config = CamoConfig.repro_metal(encode_size=24, embed_dim=128)
+    policy = CamoPolicy(config)
+    encoder = NodeFeatureEncoder(window_nm=config.window_nm, out_size=24)
+    features = encoder.encode_all(state)[None]
+    graph = build_segment_graph(segments)
+    adjacency = mean_adjacency(graph)
+    order = snake_order(graph)
+
+    def forward():
+        with no_grad():
+            return policy(features, adjacency, order)
+
+    logits = benchmark(forward)
+    assert logits.shape == (1, len(segments), 5)
+    assert not logits.requires_grad
+
+
+def test_bench_conv_backward(benchmark):
+    """Weight and input gradients of the encoder's middle convolution
+    (16 -> 32 channels, 3x3, stride 2, padding 1) over 106 nodes at
+    metal encode 24."""
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(106, 16, 12, 12)), requires_grad=True)
+    weight = Tensor(rng.normal(size=(32, 16, 3, 3)), requires_grad=True)
+    bias = Tensor(np.zeros(32), requires_grad=True)
+    out = conv2d(x, weight, bias, stride=2, padding=1)
+    grad = rng.normal(size=out.shape)
+
+    def backward():
+        for tensor in (x, weight, bias):
+            tensor.grad = None
+        out.backward(grad)
+        return x.grad
+
+    grad_x = benchmark(backward)
+    assert grad_x.shape == x.shape

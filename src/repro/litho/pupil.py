@@ -15,6 +15,19 @@ from repro.constants import NUMERICAL_APERTURE, WAVELENGTH_NM
 from repro.errors import LithoError
 
 
+def pupil_support(
+    freqs: np.ndarray,
+    wavelength_nm: float = WAVELENGTH_NM,
+    numerical_aperture: float = NUMERICAL_APERTURE,
+) -> np.ndarray:
+    """``(n,)`` bool: which ``(n, 2)`` frequency samples (cycles/nm) lie
+    inside the pupil disk ``|f| <= NA / wavelength``."""
+    if wavelength_nm <= 0 or numerical_aperture <= 0:
+        raise LithoError("wavelength and NA must be positive")
+    cutoff = numerical_aperture / wavelength_nm
+    return freqs[:, 0] ** 2 + freqs[:, 1] ** 2 <= cutoff * cutoff
+
+
 def pupil_function(
     freqs: np.ndarray,
     defocus_nm: float = 0.0,
@@ -33,10 +46,7 @@ def pupil_function(
         ``(n,)`` complex array: 0 outside the pupil disk, unit-magnitude
         (defocus phase only) inside.
     """
-    if wavelength_nm <= 0 or numerical_aperture <= 0:
-        raise LithoError("wavelength and NA must be positive")
-    cutoff = numerical_aperture / wavelength_nm
+    inside = pupil_support(freqs, wavelength_nm, numerical_aperture)
     f_sq = freqs[:, 0] ** 2 + freqs[:, 1] ** 2
-    inside = f_sq <= cutoff * cutoff
     phase = np.exp(-1j * np.pi * wavelength_nm * defocus_nm * f_sq)
     return np.where(inside, phase, 0.0 + 0.0j)

@@ -30,7 +30,8 @@ TCC: :func:`socs_spectra` eigendecomposes the ``S x S`` Gram ``F F^H``
 — the benchmark grids have ``S = 293, n = 609`` (via) and
 ``S = 177, n = 349`` (metal); ``S < n`` whenever the Nyquist limit does
 not clip the shift lattice — and maps its eigenvectors back through
-``F^H``.  At nominal focus the factor is real and so is the whole
+``F^H``.  At nominal focus every pupil phase is exactly 1, so the factor
+is built real, with no complex ``exp``, and so is the whole
 decomposition.
 """
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from repro.constants import NUMERICAL_APERTURE, WAVELENGTH_NM
 from repro.errors import LithoError
-from repro.litho.pupil import pupil_function
+from repro.litho.pupil import pupil_function, pupil_support
 from repro.litho.source import SourceSpec, source_weights
 
 
@@ -151,15 +152,19 @@ def _assemble_tcc(
     # F[s, a] = sqrt(J_s / sum(J)) * P(f_s + f_a); TCC = F^H F.
     sample_freqs = source_freqs[:, None, :] + shifts[None, :, :]
     flat = sample_freqs.reshape(-1, 2)
-    pupil = pupil_function(
-        flat,
-        defocus_nm=defocus_nm,
-        wavelength_nm=wavelength_nm,
-        numerical_aperture=numerical_aperture,
-    ).reshape(len(source_freqs), len(shifts))
-    factor = np.sqrt(weights / weights.sum())[:, None] * pupil
-    if not factor.imag.any():
-        factor = np.ascontiguousarray(factor.real)
+    amplitude = np.sqrt(weights / weights.sum())[:, None]
+    if defocus_nm == 0:
+        # Every phase is exactly 1 + 0j at nominal focus: the factor is the
+        # real part of the complex product, with no S x n complex exp.
+        inside = pupil_support(flat, wavelength_nm, numerical_aperture)
+        factor = amplitude * inside.reshape(len(source_freqs), len(shifts))
+    else:
+        factor = amplitude * pupil_function(
+            flat,
+            defocus_nm=defocus_nm,
+            wavelength_nm=wavelength_nm,
+            numerical_aperture=numerical_aperture,
+        ).reshape(len(source_freqs), len(shifts))
     return TCCResult(
         factor=factor, shift_indices=shift_indices,
         lattice_spacing_rc=(df_r, df_c),

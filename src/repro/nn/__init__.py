@@ -13,7 +13,6 @@ from repro.nn.functional import (
     conv2d,
     cross_entropy,
     log_softmax,
-    max_pool2d,
     relu,
     sigmoid,
     softmax,
@@ -32,7 +31,6 @@ from repro.nn.layers import (
     Conv2d,
     Flatten,
     Linear,
-    MaxPool2d,
     ReLU,
     Tanh,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "conv2d",
     "cross_entropy",
     "log_softmax",
-    "max_pool2d",
     "relu",
     "sigmoid",
     "softmax",
@@ -63,7 +60,6 @@ __all__ = [
     "Conv2d",
     "Flatten",
     "Linear",
-    "MaxPool2d",
     "ReLU",
     "Tanh",
     "ElmanRNN",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.errors import NNError
@@ -9,8 +11,12 @@ from repro.nn.tensor import Tensor, _accumulate
 
 
 def relu(x: Tensor) -> Tensor:
+    """``max(x, 0)``; the ``x > 0`` mask of the backward pass is built
+    only when a graph is recorded."""
+    out = Tensor(np.maximum(x.data, 0.0), requires_grad=x.requires_grad, _parents=(x,))
+    if not out.requires_grad:
+        return out
     mask = x.data > 0
-    out = Tensor(x.data * mask, requires_grad=x.requires_grad, _parents=(x,))
 
     def backward(grad: np.ndarray) -> None:
         _accumulate(x, grad * mask, owned=True)
@@ -168,34 +174,55 @@ def elman(x: Tensor, layers: list[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
     independent ones; ``layers`` holds ``(u, w, b)`` per layer.  Step
     ``t`` of a layer is ``h_t = tanh(x_t @ u.T + h_{t-1} @ w.T + b)``
     with ``h_{-1} = 0``, and the output is the top layer's ``h``, shaped
-    like ``x`` with ``hidden`` features.  The backward pass is BPTT in
-    reverse time order that adds each step's ``u``/``w``/``b`` gradient
-    as it goes; that summation order is the per-step graph's, so the
-    gradients are too (one hoisted GEMM over all steps rounds
-    differently).
+    like ``x`` with ``hidden`` features.
+
+    The forward pass runs the stack as a wavefront: wave ``s`` advances
+    layer ``l`` to step ``s - l`` for every layer at once, so a sequence
+    costs ``seq_len + layers - 1`` waves of a few batched numpy calls
+    rather than ``seq_len * layers`` steps.  Each wave does one stacked
+    input-projection matmul for the layers above the first (the first
+    layer's projection is one stacked matmul over all steps up front),
+    one stacked recurrent matmul, the bias add and tanh, in the per-step
+    ``(x u + h w) + b`` order; a stacked matmul is the same per-slice
+    GEMM, so the states are the per-step recurrence's bits.  The
+    backward pass is BPTT in reverse time order that adds each step's
+    ``u``/``w``/``b`` gradient as it goes; that summation order is the
+    per-step graph's, so the gradients are too (one hoisted GEMM over all
+    steps rounds differently).
     """
     seq_len = x.shape[0]
+    depth = len(layers)
     hidden = layers[0][1].shape[0]
     rows = 1 if x.ndim == 2 else x.shape[1]
     # One sequence steps on (1, in) rows.
     steps = x.data.reshape(seq_len, rows, x.shape[-1])
-    zero = np.zeros((1, hidden))
-    states: list[np.ndarray] = []
-    layer_input = steps
-    for u, w, b in layers:
-        w_t = w.data.T
-        # Every step's input projection in one stacked matmul: the same
-        # per-step GEMM, so the same bits (a flattened (seq * rows, in)
-        # GEMM rounds differently).  Each step then adds its recurrent
-        # term and bias in the (x u + h w) + b order.
-        h = np.matmul(layer_input, u.data.T)
-        prev = zero
-        for t in range(seq_len):
-            h[t] += prev @ w_t
-            h[t] += b.data
-            prev = np.tanh(h[t], out=h[t])
-        states.append(h)
-        layer_input = h
+    # ``waves[s + 1, l]`` is layer l's state at step s - l.  ``waves[0]``
+    # and a layer's slots before its first step stay 0: its h_{-1}.
+    waves = np.zeros((seq_len + depth, depth, rows, hidden))
+    np.matmul(steps, layers[0][0].data.T, out=waves[1 : seq_len + 1, 0])
+    # Stacked transposed views, laid out as each ``u.T`` / ``w.T`` is.
+    u_t = (
+        np.stack([u.data for u, _, _ in layers[1:]]).swapaxes(1, 2)
+        if depth > 1 else None
+    )
+    w_t = np.stack([w.data for _, w, _ in layers]).swapaxes(1, 2)
+    biases = np.stack([b.data for _, _, b in layers])[:, None, :]
+    for wave in range(seq_len + depth - 1):
+        # Layers lo..hi - 1 are inside their sequence on this wave.
+        lo, hi = max(0, wave - seq_len + 1), min(wave, depth - 1) + 1
+        prev, active = waves[wave, lo:hi], waves[wave + 1, lo:hi]
+        above = max(lo, 1)
+        if above < hi:
+            np.matmul(
+                waves[wave, above - 1 : hi - 1],
+                u_t[above - 1 : hi - 1],
+                out=waves[wave + 1, above:hi],
+            )
+        active += np.matmul(prev, w_t[lo:hi])
+        active += biases[lo:hi]
+        np.tanh(active, out=active)
+    # Layer l's states over the whole sequence, as strided views.
+    states = [waves[l + 1 : l + 1 + seq_len, l] for l in range(depth)]
 
     parents = (x, *(p for layer in layers for p in layer))
     out = Tensor(
@@ -240,6 +267,32 @@ def elman(x: Tensor, layers: list[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
     return out
 
 
+@lru_cache(maxsize=64)
+def _im2col_map(
+    c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int
+) -> np.ndarray:
+    """Flat input index of every im2col entry, ``(C·KH·KW, OH·OW)``.
+
+    Row ``(c, i, j)``, column ``(y, x)`` holds the index of input pixel
+    ``(c, y·stride + i − padding, x·stride + j − padding)`` in one node's
+    flattened ``(C, H, W)`` image; a tap that lands in the padding holds
+    ``C·H·W``, a zero slot one past the image.  Read-only and shared.
+    """
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    rows = np.arange(kh)[:, None] + stride * np.arange(oh) - padding  # (KH, OH)
+    cols = np.arange(kw)[:, None] + stride * np.arange(ow) - padding  # (KW, OW)
+    inside = ((rows >= 0) & (rows < h))[:, None, :, None] & (
+        (cols >= 0) & (cols < w)
+    )[None, :, None, :]
+    pixel = rows[:, None, :, None] * w + cols[None, :, None, :]
+    index = np.where(
+        inside, np.arange(c)[:, None, None, None, None] * (h * w) + pixel, c * h * w
+    ).reshape(c * kh * kw, oh * ow)
+    index.flags.writeable = False
+    return index
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -252,7 +305,12 @@ def conv2d(
     ``weight`` is ``(F, C, KH, KW)``; output is ``(N, F, OH, OW)``.
     Implemented with im2col so the heavy lifting is one BLAS matmul per
     pass: ``(F, C*KH*KW) @ (N, C*KH*KW, OH*OW)`` forward, and its
-    transposes for the weight and input gradients.
+    transposes for the weight and input gradients.  im2col is one
+    ``np.take`` through a cached index map (:func:`_im2col_map`) from the
+    input copied once into ``(N, C*H*W + 1)`` rows whose last entry is
+    the padding's zero; col2im is one ``np.bincount`` through the same
+    map, which adds each input pixel's taps in ``(KH, KW)`` order
+    starting from 0.0, as a strided add per tap would.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise NNError(f"conv2d expects 4-D input/weight, got {x.shape}/{weight.shape}")
@@ -265,13 +323,13 @@ def conv2d(
     if oh <= 0 or ow <= 0:
         raise NNError(f"conv2d output would be empty: ({oh}, {ow})")
 
-    padded = x.data
-    if padding:
-        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
-        padded[:, :, padding : padding + h, padding : padding + w] = x.data
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]  # (N, C, OH, OW, KH, KW)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
+    taps = _im2col_map(c, h, w, kh, kw, stride, padding)
+    size = c * h * w
+    flat = np.empty((n, size + 1))
+    flat[:, :size] = x.data.reshape(n, size)
+    flat[:, size] = 0.0
+    cols = np.take(flat, taps, axis=1)  # (N, C*KH*KW, OH*OW)
+    del flat
 
     w_flat = weight.data.reshape(f, c * kh * kw)
     out_data = np.matmul(w_flat, cols).reshape(n, f, oh, ow)
@@ -281,6 +339,8 @@ def conv2d(
     parents = (x, weight) if bias is None else (x, weight, bias)
     requires = any(t.requires_grad for t in parents)
     out = Tensor(out_data, requires_grad=requires, _parents=parents)
+    if not out.requires_grad:
+        return out
 
     def backward(grad: np.ndarray) -> None:
         grad_flat = grad.reshape(n, f, oh * ow)
@@ -309,49 +369,15 @@ def conv2d(
         if bias is not None and bias.requires_grad:
             _accumulate(bias, grad.sum(axis=(0, 2, 3)), owned=True)
         if x.requires_grad:
-            grad_cols = np.matmul(w_flat.T, grad_flat)
-            grad_cols = grad_cols.reshape(n, c, kh, kw, oh, ow)
-            grad_padded = np.zeros(
-                (n, c, h + 2 * padding, w + 2 * padding), dtype=np.float64
+            # Node ``i``'s taps land in its own ``size + 1`` slots, the
+            # last of which collects (and drops) the padding's.
+            slots = taps + np.arange(0, n * (size + 1), size + 1)[:, None, None]
+            grad_x = np.bincount(
+                slots.ravel(),
+                weights=np.matmul(w_flat.T, grad_flat).ravel(),
+                minlength=n * (size + 1),
             )
-            for i in range(kh):
-                for j in range(kw):
-                    grad_padded[
-                        :, :, i : i + stride * oh : stride, j : j + stride * ow : stride
-                    ] += grad_cols[:, :, i, j, :, :]
-            if padding:
-                grad_padded = grad_padded[
-                    :, :, padding : padding + h, padding : padding + w
-                ]
-            _accumulate(x, grad_padded, owned=True)
-
-    out._backward = backward
-    return out
-
-
-def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
-    """Non-overlapping max pooling (stride = kernel) on ``(N, C, H, W)``."""
-    if x.ndim != 4:
-        raise NNError(f"max_pool2d expects 4-D input, got {x.shape}")
-    n, c, h, w = x.shape
-    if h % kernel or w % kernel:
-        raise NNError(f"spatial dims {h}x{w} not divisible by kernel {kernel}")
-    oh, ow = h // kernel, w // kernel
-    blocks = x.data.reshape(n, c, oh, kernel, ow, kernel)
-    flat = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, kernel * kernel)
-    arg = flat.argmax(axis=-1)
-    out_data = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    out = Tensor(out_data, requires_grad=x.requires_grad, _parents=(x,))
-
-    def backward(grad: np.ndarray) -> None:
-        grad_flat = np.zeros_like(flat)
-        np.put_along_axis(grad_flat, arg[..., None], grad[..., None], axis=-1)
-        grad_x = (
-            grad_flat.reshape(n, c, oh, ow, kernel, kernel)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
-        _accumulate(x, grad_x, owned=True)
+            _accumulate(x, grad_x.reshape(n, size + 1)[:, :size].reshape(x.shape))
 
     out._backward = backward
     return out

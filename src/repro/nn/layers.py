@@ -1,4 +1,4 @@
-"""Standard layers: Linear, Conv2d, pooling, activations."""
+"""Standard layers: Linear, Conv2d, global average pooling, activations."""
 
 from __future__ import annotations
 
@@ -64,15 +64,6 @@ class Conv2d(Module):
         return F.conv2d(
             x, self.weight, self.bias, stride=self.stride, padding=self.padding
         )
-
-
-class MaxPool2d(Module):
-    def __init__(self, kernel: int = 2) -> None:
-        super().__init__()
-        self.kernel = kernel
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, kernel=self.kernel)
 
 
 class Flatten(Module):

@@ -5,8 +5,10 @@ hidden states are the module output (CAMO adds a separate fully-connected
 head on top).  The forward pass consumes a whole node sequence, matching
 how CAMO walks segments in visit order, and the whole stack over the whole
 sequence is one autograd node (:func:`repro.nn.functional.elman`): the
-forward runs the per-step recurrence and the backward is BPTT, so a
-sequence costs one graph node instead of several per layer per step.
+forward runs the stack as a layer wavefront (layer ``l`` at step ``t``
+alongside layer ``l + 1`` at step ``t - 1``) with the per-step
+recurrence's bits, and the backward is BPTT, so a sequence costs one
+graph node instead of several per layer per step.
 """
 
 from __future__ import annotations
@@ -76,7 +78,9 @@ class ElmanRNN(Module):
         """Process ``(seq_len, batch, input_size)`` independent sequences.
 
         The recurrence runs once over time with a ``(batch, hidden)``
-        state.  The hidden state never mixes columns.  A batch of one
+        state per layer, all layers advancing together as a wavefront
+        (``seq_len + num_layers - 1`` waves).  The hidden state never
+        mixes columns.  A batch of one
         steps on the same ``(1, input_size)`` rows as :meth:`forward`
         and is bit-for-bit identical to it, gradients included; in a
         larger batch a column may differ from its solo run by a few ulps

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import LithoError
+from repro.litho import tcc as tcc_module
 from repro.litho.kernels import build_kernel_set
+from repro.litho.pupil import pupil_support
 from repro.litho.source import SourceSpec
 from repro.litho.tcc import (
     CLUSTER_RTOL,
@@ -288,6 +290,50 @@ class TestFactorGramParity:
         assert np.allclose(weights, eigvals[:11], rtol=1e-12)
         operator = (coefficients.T * weights) @ coefficients.conj()
         assert np.allclose(operator, tcc.matrix, atol=1e-12)
+
+
+def exp_path_pupil(freqs, wavelength_nm, numerical_aperture, defocus_nm=0.0):
+    """The complex nominal-focus pupil through ``exp``, as a defocused
+    pupil is evaluated: ``exp(-i pi lambda 0 |f|^2)`` on the disk.  It
+    ignores ``defocus_nm``, so a build asked for a defocus runs the
+    complex factor path on nominal-focus phases."""
+    f_sq = freqs[:, 0] ** 2 + freqs[:, 1] ** 2
+    phase = np.exp(-1j * np.pi * wavelength_nm * 0.0 * f_sq)
+    inside = pupil_support(freqs, wavelength_nm, numerical_aperture)
+    return np.where(inside, phase, 0.0 + 0.0j)
+
+
+class TestNominalPupilPhase:
+    """At nominal focus the factor skips the complex ``exp`` (every phase
+    is exactly 1 + 0j); factor and kernel spectra keep the ``exp``
+    path's bits, signs of zeros included."""
+
+    @pytest.mark.parametrize("case", sorted(GRAM_CASES))
+    def test_factor_and_spectra_equal_the_exp_path(self, case, monkeypatch):
+        pixel_nm, shape, max_kernels = GRAM_CASES[case]
+        source = build_kernel_set(pixel_nm=pixel_nm, backend="numpy").source
+        tcc = build_tcc_grid(source, shape, pixel_nm)
+        monkeypatch.setattr(tcc_module, "pupil_function", exp_path_pupil)
+        complex_factor = build_tcc_grid(
+            source, shape, pixel_nm, defocus_nm=1.0
+        ).factor
+        monkeypatch.undo()
+
+        assert np.iscomplexobj(complex_factor) and not complex_factor.imag.any()
+        reference = TCCResult(
+            np.ascontiguousarray(complex_factor.real),
+            tcc.shift_indices,
+            tcc.lattice_spacing_rc,
+        )
+        assert tcc.factor.dtype == np.float64
+        assert np.array_equal(
+            tcc.factor.view(np.int64), reference.factor.view(np.int64)
+        )
+        for got, want in zip(
+            socs_spectra(tcc, max_kernels=max_kernels),
+            socs_spectra(reference, max_kernels=max_kernels),
+        ):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestKernelSet:

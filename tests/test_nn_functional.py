@@ -11,7 +11,6 @@ from repro.nn import (
     conv2d,
     cross_entropy,
     log_softmax,
-    max_pool2d,
     relu,
     sigmoid,
     softmax,
@@ -262,31 +261,3 @@ class TestConv2d:
             conv2d(
                 Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 5, 5)))
             )
-
-
-class TestMaxPool:
-    def test_values(self):
-        x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
-        assert max_pool2d(x, 2).numpy().tolist() == [[[[4.0]]]]
-
-    def test_shape(self):
-        x = Tensor(rng.normal(size=(2, 3, 8, 8)))
-        assert max_pool2d(x, 2).shape == (2, 3, 4, 4)
-
-    def test_grad_routes_to_max(self):
-        data = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        x = Tensor(data, requires_grad=True)
-        max_pool2d(x, 2).sum().backward()
-        assert x.grad.tolist() == [[[[0.0, 0.0], [0.0, 1.0]]]]
-
-    def test_gradcheck(self):
-        value = rng.normal(size=(1, 2, 4, 4))
-        # Perturb away from ties so the max is stable under eps.
-        value += np.arange(value.size).reshape(value.shape) * 0.01
-        check_gradient(lambda t: (max_pool2d(t, 2) ** 2.0).sum(), value)
-
-    def test_validation(self):
-        with pytest.raises(NNError):
-            max_pool2d(Tensor(np.zeros((2, 2))), 2)
-        with pytest.raises(NNError):
-            max_pool2d(Tensor(np.zeros((1, 1, 5, 5))), 2)

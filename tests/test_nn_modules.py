@@ -19,7 +19,6 @@ from repro.nn import (
     Flatten,
     GraphSAGEConv,
     Linear,
-    MaxPool2d,
     Module,
     Parameter,
     ReLU,
@@ -115,7 +114,7 @@ class TestLayers:
         model = Sequential(
             Conv2d(6, 4, 3, stride=2, padding=1, rng=rng),
             ReLU(),
-            MaxPool2d(2),
+            Conv2d(4, 4, 3, stride=2, padding=1, rng=rng),
             Flatten(),
             Linear(4 * 4 * 4, 10, rng=rng),
         )

@@ -1,10 +1,11 @@
 """The fused nn path is bit-for-bit the op-by-op graph and textbook optimizers.
 
-``nn_reference`` rebuilds Linear, GraphSAGEConv and the Elman RNN from
-plain tensor ops; these tests run CAMO's policy through both and demand
-``np.array_equal`` on logits and on every parameter gradient, then run
-the in-place optimizers against the textbook updates with clipping
-active.
+``nn_reference`` rebuilds Linear, ReLU, GraphSAGEConv and the Elman RNN
+from plain tensor ops and keeps the sliding-window im2col convolution;
+these tests run CAMO's policy through both and demand ``np.array_equal``
+on logits and on every parameter gradient, hold ``conv2d`` to the
+reference convolution as bit patterns, then run the in-place optimizers
+against the textbook updates with clipping active.
 """
 
 import numpy as np
@@ -29,6 +30,15 @@ def random_graph(n: int, rng) -> np.ndarray:
     return adj / adj.sum(axis=1, keepdims=True)
 
 
+def with_random_biases(policy, rng):
+    """The policy with every bias drawn non-zero: zero biases (as
+    initialised) cannot tell ``(x u + h w) + b`` from ``(x u + b) + h w``."""
+    for param in policy.parameters():
+        if param.ndim == 1:
+            param.data[:] = rng.normal(scale=0.1, size=param.shape)
+    return policy
+
+
 def gradients(policy, loss) -> dict[str, np.ndarray]:
     policy.zero_grad()
     loss.backward()
@@ -46,8 +56,8 @@ def test_policy_forward_matches_reference():
     """Via-sized policy (encode 32, embed 256), one clip of 11 segments:
     a population of one is bit-for-bit the single-state reference graph."""
     config = CamoConfig(encode_size=32, embed_dim=256)
-    policy = CamoPolicy(config)
     rng = np.random.default_rng(4)
+    policy = with_random_biases(CamoPolicy(config), rng)
     n = 11
     features = rng.normal(size=(n, 6, 32, 32))
     adjacency = random_graph(n, rng)
@@ -67,8 +77,8 @@ def test_policy_forward_matches_reference():
 def test_population_forward_matches_reference():
     """Metal-sized policy (encode 24, embed 128), a population of three."""
     config = CamoConfig.repro_metal(encode_size=24, embed_dim=128)
-    policy = CamoPolicy(config)
     rng = np.random.default_rng(5)
+    policy = with_random_biases(CamoPolicy(config), rng)
     population, n = 3, 17
     features = rng.normal(size=(population, n, 6, 24, 24))
     adjacency = random_graph(n, rng)
@@ -87,6 +97,43 @@ def test_population_forward_matches_reference():
         *run(lambda pol, *args: pol(*args)),
         *run(ref.policy_forward_population),
     )
+
+
+def bits(array: np.ndarray) -> np.ndarray:
+    """The array's float64 bit patterns, so a zero's sign counts too."""
+    return np.ascontiguousarray(array).view(np.int64)
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 7, 9), (3, 3, 6, 5)], ids=["n1", "n3"])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+def test_conv2d_matches_reference(kernel, stride, padding, shape):
+    """Output and x, weight and bias gradients equal the sliding-window
+    im2col and strided-add col2im as bit patterns, on odd, non-square
+    inputs holding exact and negative zeros."""
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + padding + shape[0])
+    n, c, h, w = shape
+    x = rng.normal(size=shape)
+    x[rng.random(shape) < 0.2] = 0.0
+    x[rng.random(shape) < 0.2] = -0.0
+    weight = rng.normal(size=(4, c, kernel, kernel))
+    weight[rng.random(weight.shape) < 0.2] = -0.0
+    bias = rng.normal(size=4)
+    oh = (h + 2 * padding - kernel) // stride + 1
+    ow = (w + 2 * padding - kernel) // stride + 1
+    grad = rng.normal(size=(n, 4, oh, ow))
+    grad[rng.random(grad.shape) < 0.2] = -0.0
+
+    def run(conv):
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in (x, weight, bias)]
+        out = conv(*tensors, stride=stride, padding=padding)
+        out.backward(grad)
+        return [out.data] + [t.grad for t in tensors]
+
+    for fused, reference in zip(run(F.conv2d), run(ref.conv2d)):
+        assert fused.shape == reference.shape
+        assert np.array_equal(bits(fused), bits(reference))
 
 
 @pytest.mark.parametrize(
