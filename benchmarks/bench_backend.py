@@ -11,14 +11,13 @@ pupil-band subgrid convolution, direct band-spectrum gather), the hot
 loop of the service's batched verifier.  The same workload runs once per
 available backend:
 
-* ``numpy``  — single-threaded host reference (bit-for-bit with the
-  committed goldens); always available, always the parity baseline.
-* ``scipy``  — threaded host transforms (recorded when installed).
+* ``numpy``  — the host reference (bit-for-bit with the committed
+  goldens); always available, always the parity baseline.
 * ``torch``  — device execution (CPU always when torch is installed;
   CUDA when available).  Parity against numpy is gated unconditionally
   at <= 1e-9 nm per resolved EPE offset whenever torch is importable;
   the throughput gate requires torch CPU to be no slower than
-  ``--max-slowdown`` x single-threaded numpy (device adapters that
+  ``--max-slowdown`` x numpy (device adapters that
   shuttle arrays across the boundary mid-pipeline fail this fast).
 
 When torch is not installed the benchmark records that fact in
@@ -38,7 +37,7 @@ import numpy as np
 
 from bench_common import write_json
 
-from repro.backend import resolve_backend, scipy_fft_available, torch_available
+from repro.backend import resolve_backend, torch_available
 from repro.data.via_bench import generate_via_clip
 from repro.geometry.raster import rasterize
 from repro.geometry.segmentation import fragment_clip
@@ -47,7 +46,7 @@ from repro.metrology.epe import measure_epe_grouped_sparse, measure_stencil_plan
 
 BATCH = 8
 PARITY_TOLERANCE_NM = 1e-9
-#: torch CPU must hold at least 1/MAX_SLOWDOWN of single-thread numpy
+#: torch CPU must hold at least 1/MAX_SLOWDOWN of numpy
 #: throughput on the B=8 screening workload.
 MAX_SLOWDOWN = 1.0
 SEARCH_NM = 40.0
@@ -66,18 +65,15 @@ def best_of(fn, repeats: int) -> float:
 
 def backend_configs() -> list[dict]:
     """One litho-config override set per backend worth measuring here."""
-    entries = [{"label": "numpy", "backend": "numpy", "fft_workers": 1}]
-    if scipy_fft_available() and (os.cpu_count() or 1) > 1:
-        entries.append({"label": "scipy", "backend": "scipy",
-                        "fft_workers": None})
+    entries = [{"label": "numpy", "backend": "numpy"}]
     if torch_available():
         entries.append({"label": "torch-cpu", "backend": "torch",
-                        "fft_workers": 1, "device": "cpu"})
+                        "device": "cpu"})
         import torch
 
         if torch.cuda.is_available():
             entries.append({"label": "torch-cuda", "backend": "torch",
-                            "fft_workers": 1, "device": "cuda"})
+                            "device": "cuda"})
     return entries
 
 
@@ -99,7 +95,7 @@ def run(
         for i in range(BATCH)
     ]
     reference_sim = LithographySimulator(
-        LithoConfig(backend="numpy", fft_workers=1, **base)
+        LithoConfig(backend="numpy", **base)
     )
     grids = [reference_sim.grid_for(clip) for clip in clips]
     segments = [fragment_clip(clip) for clip in clips]
@@ -136,9 +132,7 @@ def run(
             reference_sim if entry["label"] == "numpy"
             else LithographySimulator(LithoConfig(**base, **overrides))
         )
-        resolved = resolve_backend(
-            entry["backend"], entry.get("fft_workers"), entry.get("device")
-        )
+        resolved = resolve_backend(entry["backend"], entry.get("device"))
         # Parity gate before any timing, against the numpy reference.
         parity = 0.0
         for ref, got in zip(reference_reports, screening_run(simulator)):
@@ -157,7 +151,6 @@ def run(
         results.append({
             "label": entry["label"],
             "backend": resolved.name,
-            "workers": resolved.workers,
             "device": resolved.device,
             "t_screening_s": elapsed,
             "clips_per_s": BATCH / elapsed,
@@ -179,7 +172,7 @@ def run(
         slowdown = torch_cpu["t_screening_s"] / t_numpy
         if slowdown > max_slowdown:
             print(f"FAIL: torch-cpu is {slowdown:.2f}x slower than "
-                  f"single-thread numpy (gate: <= {max_slowdown:.2f}x) — "
+                  f"numpy (gate: <= {max_slowdown:.2f}x) — "
                   "device adapters are leaking host round-trips")
             failed = True
 
@@ -193,7 +186,6 @@ def run(
         "search_nm": SEARCH_NM,
         "cores": cores,
         "torch_available": torch_available(),
-        "scipy_available": scipy_fft_available(),
         "parity_tolerance_nm": PARITY_TOLERANCE_NM,
         "max_slowdown_vs_numpy": max_slowdown,
         "gate_enforced": gate_enforced,
@@ -203,9 +195,8 @@ def run(
     if failed:
         return 1
     if not gate_enforced:
-        print("PASS (torch not installed: numpy"
-              + ("/scipy" if len(results) > 1 else "")
-              + " recorded, device gate not applicable)")
+        print("PASS (torch not installed: numpy recorded, device gate "
+              "not applicable)")
         return 0
     print(f"PASS: every installed backend holds <= {PARITY_TOLERANCE_NM} nm "
           f"EPE parity; torch-cpu at "
@@ -219,7 +210,7 @@ def main() -> int:
                         help="tiny-grid CI mode (seconds, not minutes)")
     parser.add_argument("--max-slowdown", type=float, default=MAX_SLOWDOWN,
                         help="fail when torch-cpu exceeds this multiple of "
-                             "the single-thread numpy time (use a looser "
+                             "the numpy time (use a looser "
                              "value on noisy shared CI runners)")
     parser.add_argument("--json", default=DEFAULT_JSON_PATH, metavar="PATH",
                         help="machine-readable result file ('' disables; "

@@ -28,9 +28,8 @@ Two workloads are timed, each self-checked before any number is printed:
   amortization: the batched policy forward, vectorized metrology, the
   shared-scanline-union feature encode and per-step Python overhead.
   That measures ~1.2x on one core (the policy and litho FLOPs scale
-  with P) and widens with cores under ``backend="scipy"``, where
-  the batched transforms split across the batch axis.  The gate is a
-  regression guard on that margin, not the old accuracy-trade ratio.
+  with P).  The gate is a regression guard on that margin, not the old
+  accuracy-trade ratio.
 
 * **Metrology**: the vectorized ``contour_offset_along_normal`` vs the
   retained scalar-loop reference on the same random aerials, after a

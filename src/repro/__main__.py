@@ -438,11 +438,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_bench_info(args) -> int:
-    from repro.backend import (
-        resolve_backend,
-        scipy_fft_available,
-        torch_available,
-    )
+    from repro.backend import resolve_backend, torch_available
     from repro.litho.simulator import LithographySimulator
     from repro.litho.store import SPECTRA_STORE_ENV, open_store
     from repro.service import available_engines
@@ -451,10 +447,8 @@ def cmd_bench_info(args) -> int:
     print(f"repro {__version__}")
     print(f"python        : {sys.version.split()[0]}")
     print(f"cpu cores     : {os.cpu_count()}")
-    print(f"scipy fft     : {'available' if scipy_fft_available() else 'absent'}")
     print(f"torch         : {'available' if torch_available() else 'absent'}")
-    print(f"array backend : {args.backend!r} -> {backend.name} "
-          f"(workers={backend.workers}, device={backend.device})")
+    print(f"array backend : {backend.name} (device={backend.device})")
     print(f"engines       : {', '.join(available_engines())}")
 
     root = _store_root(args)
@@ -484,16 +478,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_litho_knobs(p, max_kernels_default: int) -> None:
+    def add_run_knobs(p, journaled: bool = False) -> None:
+        # resume rebuilds the journaled run, so it must be given the
+        # same engine, suite and overrides.
+        must_match = " (must match the journaled run)"
+        p.add_argument("--engine", default="mbopc",
+                       help="registry engine name" + (
+                           must_match if journaled else
+                           " (default mbopc; see bench-info for the list)"))
+        p.add_argument("--suite", default="tiny",
+                       choices=["tiny", "via", "metal"],
+                       help="clip source" + (
+                           must_match if journaled else
+                           " (default: one tiny generated via clip)"))
+        p.add_argument("--count", type=int, default=0,
+                       help="limit the number of clips (0 = suite default)")
+        p.add_argument("--names", default=None,
+                       help="comma-separated clip names to keep (via/metal)")
+        p.add_argument("--opt", action="append", type=_parse_override,
+                       metavar="KEY=VALUE",
+                       help="engine config override" + (
+                           must_match if journaled else " (repeatable)"))
+        p.add_argument("--no-verify", action="store_true",
+                       help="skip the batched re-simulation cross-check")
+
+    def add_litho_knobs(p) -> None:
         p.add_argument("--pixel-nm", type=float, default=4.0,
                        help="raster pitch (default 4 nm)")
-        p.add_argument("--max-kernels", type=int, default=max_kernels_default,
-                       help="SOCS kernel cap per corner")
-        p.add_argument("--backend", default="auto",
-                       choices=["auto", "numpy", "scipy", "torch"],
-                       help="array/device backend (default auto: scipy "
-                            "threads when available, else numpy; torch "
-                            "must be requested explicitly)")
+        p.add_argument("--max-kernels", type=int, default=6,
+                       help="SOCS kernel cap per corner (default 6)")
+        p.add_argument("--backend", default="numpy",
+                       choices=["numpy", "torch"],
+                       help="array/device backend (default numpy; torch "
+                            "runs the band engine on a device)")
         p.add_argument("--device", default=None, metavar="DEV",
                        help="device for the torch backend (cpu, cuda, "
                             "cuda:N; default: cuda when available)")
@@ -519,56 +536,26 @@ def build_parser() -> argparse.ArgumentParser:
     opt = sub.add_parser(
         "optimize", help="optimize a clip suite through the service"
     )
-    opt.add_argument("--engine", default="mbopc",
-                     help="registry engine name (default mbopc; see "
-                          "bench-info for the list)")
-    opt.add_argument("--suite", default="tiny",
-                     choices=["tiny", "via", "metal"],
-                     help="clip source (default: one tiny generated via clip)")
-    opt.add_argument("--count", type=int, default=0,
-                     help="limit the number of clips (0 = suite default)")
-    opt.add_argument("--names", default=None,
-                     help="comma-separated clip names to keep (via/metal)")
-    opt.add_argument("--opt", action="append", type=_parse_override,
-                     metavar="KEY=VALUE",
-                     help="engine config override (repeatable)")
+    add_run_knobs(opt)
     opt.add_argument("--workers", type=int, default=1, metavar="N",
                      help="run the suite on N spawned worker processes "
                           "sharing one kernel-spectra store; "
                           "verification streams while workers optimize "
                           "(default 1 = in-process)")
-    opt.add_argument("--no-verify", action="store_true",
-                     help="skip the batched re-simulation cross-check")
     opt.add_argument("--json", default=None, metavar="PATH",
                      help="write machine-readable results to PATH "
                           "(atomic write)")
     add_delivery_knobs(opt)
-    add_litho_knobs(opt, max_kernels_default=6)
+    add_litho_knobs(opt)
     opt.set_defaults(func=cmd_optimize)
 
     resume = sub.add_parser(
         "resume",
         help="finish an interrupted --journal run from its journal",
     )
-    resume.add_argument("--engine", default="mbopc",
-                        help="registry engine name (must match the "
-                             "journaled run)")
-    resume.add_argument("--suite", default="tiny",
-                        choices=["tiny", "via", "metal"],
-                        help="clip source (must match the journaled run)")
-    resume.add_argument("--count", type=int, default=0,
-                        help="limit the number of clips (0 = suite default)")
-    resume.add_argument("--names", default=None,
-                        help="comma-separated clip names to keep "
-                             "(via/metal)")
-    resume.add_argument("--opt", action="append", type=_parse_override,
-                        metavar="KEY=VALUE",
-                        help="engine config override (must match the "
-                             "journaled run)")
+    add_run_knobs(resume, journaled=True)
     resume.add_argument("--workers", type=int, default=1, metavar="N",
                         help="workers for the re-dispatched remainder")
-    resume.add_argument("--no-verify", action="store_true",
-                        help="skip the batched re-simulation cross-check")
     resume.add_argument("--json", default=None, metavar="PATH",
                         help="write machine-readable results to PATH "
                              "(atomic write)")
@@ -581,38 +568,24 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--deadline", type=_positive_float, default=None,
                         metavar="SECONDS",
                         help="per-clip wall-clock budget (default: none)")
-    add_litho_knobs(resume, max_kernels_default=6)
+    add_litho_knobs(resume)
     resume.set_defaults(func=cmd_resume)
 
     serve = sub.add_parser(
         "serve", help="run the suite through the always-on async daemon"
     )
-    serve.add_argument("--engine", default="mbopc",
-                       help="registry engine name (default mbopc)")
-    serve.add_argument("--suite", default="tiny",
-                       choices=["tiny", "via", "metal"],
-                       help="clip source (default: one tiny generated "
-                            "via clip)")
-    serve.add_argument("--count", type=int, default=0,
-                       help="limit the number of clips (0 = suite default)")
-    serve.add_argument("--names", default=None,
-                       help="comma-separated clip names to keep (via/metal)")
-    serve.add_argument("--opt", action="append", type=_parse_override,
-                       metavar="KEY=VALUE",
-                       help="engine config override (repeatable)")
+    add_run_knobs(serve)
     serve.add_argument("--workers", type=int, default=2, metavar="N",
                        help="persistent warm workers per engine pool "
                             "(default 2)")
     serve.add_argument("--max-pending", type=int, default=32, metavar="N",
                        help="per-tenant admission bound before requests "
                             "are shed with ServiceBusy (default 32)")
-    serve.add_argument("--no-verify", action="store_true",
-                       help="skip the batched re-simulation cross-check")
     serve.add_argument("--stats-json", default=None, metavar="PATH",
                        help="write results + serving metrics JSON to PATH "
                             "(atomic write)")
     add_delivery_knobs(serve)
-    add_litho_knobs(serve, max_kernels_default=6)
+    add_litho_knobs(serve)
     serve.set_defaults(func=cmd_serve)
 
     table = sub.add_parser(
@@ -629,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     info.add_argument("--window-nm", type=float, default=1024.0,
                       help="sample window for the band summary")
-    add_litho_knobs(info, max_kernels_default=6)
+    add_litho_knobs(info)
     info.set_defaults(func=cmd_bench_info)
     return parser
 

@@ -120,11 +120,6 @@ class CamoConfig:
 
     # -- profiles ----------------------------------------------------------------
     @classmethod
-    def repro_via(cls, **overrides) -> "CamoConfig":
-        """Fast profile for via layers (default scale)."""
-        return cls(**overrides)
-
-    @classmethod
     def repro_metal(cls, **overrides) -> "CamoConfig":
         """Fast profile for metal layers."""
         base = cls(

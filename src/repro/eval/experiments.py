@@ -187,7 +187,7 @@ def trained_via_engines(scale: str | Scale | None = None) -> dict:
     rlopc_cfg = RLOPCConfig(
         encode_size=resolved.encode_size_via,
         imitation_epochs=resolved.rlopc_imitation_epochs,
-        rl_epochs=max(resolved.rl_epochs, 1) if resolved.rl_epochs else 0,
+        rl_epochs=resolved.rl_epochs,
         initial_bias_nm=VIA_INITIAL_BIAS_NM,
     )
     rlopc = RLOPC(rlopc_cfg, simulator)
@@ -235,7 +235,7 @@ def trained_metal_engines(scale: str | Scale | None = None) -> dict:
     rlopc_cfg = RLOPCConfig.metal(
         encode_size=resolved.encode_size_metal,
         imitation_epochs=resolved.rlopc_imitation_epochs,
-        rl_epochs=max(resolved.rl_epochs, 1) if resolved.rl_epochs else 0,
+        rl_epochs=resolved.rl_epochs,
     )
     rlopc = RLOPC(rlopc_cfg, simulator)
     rlopc.train(train_clips)

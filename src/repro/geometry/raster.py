@@ -80,9 +80,6 @@ class Grid:
         row = (y - self.y0) / self.pixel_nm - 0.5
         return (row, col)
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.window.contains_point(x, y)
-
 
 @dataclass(frozen=True, eq=False)
 class Slabs:

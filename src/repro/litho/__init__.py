@@ -17,7 +17,6 @@ from repro.backend import (
     ArrayBackend,
     next_fast_len,
     resolve_backend,
-    scipy_fft_available,
     torch_available,
 )
 from repro.litho.source import SourceSpec, source_weights
@@ -37,7 +36,6 @@ __all__ = [
     "ArrayBackend",
     "next_fast_len",
     "resolve_backend",
-    "scipy_fft_available",
     "torch_available",
     "SourceSpec",
     "source_weights",

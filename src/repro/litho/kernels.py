@@ -66,16 +66,6 @@ def _band_indices(n: int, radius: int) -> np.ndarray:
     return np.r_[0 : radius + 1, n - radius : n]
 
 
-_HOST_BACKEND_ARGS = ("numpy", 1)
-"""``resolve_backend`` arguments of the single-threaded host backend the
-module-level helpers default to when no backend is passed — numerically
-identical to the pre-array-API behavior (bare ``np.*`` calls)."""
-
-
-def _host_backend() -> ArrayBackend:
-    return resolve_backend(*_HOST_BACKEND_ARGS)
-
-
 def _validate_pixel_set(
     shape: tuple[int, int], rows, cols
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +172,7 @@ def gather_band_rfft(
     on whatever arrays ``backend`` holds — spectra on a device stay on
     that device (default: host numpy, unchanged behavior).
     """
-    backend = backend or _host_backend()
+    backend = backend or resolve_backend("numpy")
     idx = backend.index
     rows, _ = band.shape
     b1 = band.band[1]
@@ -283,12 +273,7 @@ class PixelLift:
                 intensity_sub[:, fft.index(self.rows), fft.index(self.cols)]
             )
         half_cols = 2 * band.band[1] + 1
-        if fft.is_numpy:
-            # The subgrid is small, so threading never pays, and np.fft
-            # keeps numpy and scipy bit-for-bit here.
-            spectrum = np.fft.rfft2(intensity_sub, axes=(-2, -1))
-        else:
-            spectrum = fft.rfft2(intensity_sub, axes=(-2, -1))
+        spectrum = fft.rfft2(intensity_sub, axes=(-2, -1))
         spec_band = spectrum[:, fft.index(band.up_rows_src), :half_cols]
         partial = fft.to_device(self.phase_rows) @ spec_band
         lattice = fft.concat([partial.real, partial.imag], axis=-1) @ (
@@ -333,13 +318,13 @@ class OpticalKernelSet:
         max_kernels / energy_fraction: SOCS truncation knobs.
         fft_cache_capacity: Max distinct grid shapes kept resident in
             each bounded LRU (band spectra, full-grid transfer stacks).
-        backend / fft_workers / device: Array/transform backend
-            selection (see :mod:`repro.backend`) — ``backend`` accepts
-            every :data:`~repro.backend.BACKEND_NAMES` spelling, and
-            ``device`` picks the torch device (``None`` = CUDA when
-            available).  All entry points share the one resolved
+        backend / device: Array/transform backend selection (see
+            :mod:`repro.backend`) — ``backend`` is one of
+            :data:`~repro.backend.BACKEND_NAMES`, and ``device`` picks
+            the torch device (``None`` = CUDA when available).  All
+            entry points share the one resolved
             :class:`~repro.backend.ArrayBackend`; device-resident copies
-            of the spectra are keyed by backend array identity, so
+            of the spectra are keyed by backend identity, so
             swapping the backend can never serve wrong-device spectra.
             The batched band engine and the sparse gathers run on the
             device; the single-mask reference path always runs
@@ -361,8 +346,7 @@ class OpticalKernelSet:
     max_kernels: int = 12
     energy_fraction: float = 0.995
     fft_cache_capacity: int = 6
-    backend: str = "auto"
-    fft_workers: int | None = None
+    backend: str = "numpy"
     device: str | None = None
     spectra_store: object | None = None
     _band_cache: "OrderedDict[tuple[int, int], GridBandSpectra]" = field(
@@ -385,7 +369,7 @@ class OpticalKernelSet:
                 f"fft_cache_capacity must be >= 1, got {self.fft_cache_capacity}"
             )
         # Resolve eagerly so a bad backend name fails at construction.
-        resolve_backend(self.backend, self.fft_workers, self.device)
+        resolve_backend(self.backend, self.device)
 
     # -- backend ---------------------------------------------------------------
     @property
@@ -396,14 +380,7 @@ class OpticalKernelSet:
         backend — but it now carries the full array namespace, device
         policy and dtype policy (:class:`repro.backend.ArrayBackend`).
         """
-        return resolve_backend(self.backend, self.fft_workers, self.device)
-
-    def _host_fft(self) -> ArrayBackend:
-        """The host-side backend of the single-mask reference path,
-        which is host-only by design.  Numpy/scipy backends pass
-        through; a device backend degrades to single-threaded numpy."""
-        fft = self.fft
-        return fft if fft.is_numpy else resolve_backend("numpy", 1)
+        return resolve_backend(self.backend, self.device)
 
     # -- per-grid band spectra -------------------------------------------------
     def band_spectra(self, shape: tuple[int, int]) -> GridBandSpectra:
@@ -530,7 +507,7 @@ class OpticalKernelSet:
         """Check and coerce a ``(B, H, W)`` stack of rasterized masks.
 
         Returns the stack as the backend's native float64 array: a host
-        numpy array under numpy/scipy (no-copy for float64 input, bit
+        numpy array under numpy (no-copy for float64 input, bit
         for bit as before), a device tensor under torch — host masks are
         moved to the device here, device masks stay put.
         """
@@ -580,7 +557,7 @@ class OpticalKernelSet:
         self._validate_grid(mask.shape)
         kernel_ffts = self.kernel_spectra(mask.shape)
         weights = self.band_spectra(mask.shape).weights
-        fft = self._host_fft()
+        fft = resolve_backend("numpy")
         rows, cols = mask.shape
         half = fft.rfft2(mask.astype(np.float64), axes=(-2, -1))
         mask_fft = np.empty(mask.shape, dtype=np.complex128)
@@ -596,9 +573,9 @@ class OpticalKernelSet:
     def _device_band_arrays(self, band: GridBandSpectra):
         """``(weights, sub_spectra)`` resident where the backend computes.
 
-        Host backends return the band's own arrays (no copy); the torch
+        numpy returns the band's own arrays (no copy); the torch
         backend lazily materializes device copies, cached in the
-        bounded ``_fft_cache`` under the backend's array identity so a
+        bounded ``_fft_cache`` under the backend's identity so a
         backend/device swap can never serve wrong-residency spectra.
         This is what "GridBandSpectra held device-side" means: the
         frozen dataclass stays host-canonical (it is what the spectra
@@ -608,7 +585,7 @@ class OpticalKernelSet:
         backend = self.fft
         if backend.is_numpy:
             return band.weights, band.sub_spectra
-        cache_key = (band.shape, "device-spectra", backend.array_identity)
+        cache_key = (band.shape, "device-spectra", backend.identity)
         with self._cache_lock:
             cached = self._fft_cache.get(cache_key)
             if cached is not None:
@@ -698,8 +675,7 @@ def build_kernel_set(
     energy_fraction: float = 0.995,
     wavelength_nm: float = WAVELENGTH_NM,
     numerical_aperture: float = NUMERICAL_APERTURE,
-    backend: str = "auto",
-    fft_workers: int | None = None,
+    backend: str = "numpy",
     device: str | None = None,
     spectra_store: object | None = None,
 ) -> OpticalKernelSet:
@@ -720,7 +696,6 @@ def build_kernel_set(
         max_kernels=max_kernels,
         energy_fraction=energy_fraction,
         backend=backend,
-        fft_workers=fft_workers,
         device=device,
         spectra_store=spectra_store,
     )

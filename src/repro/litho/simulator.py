@@ -60,16 +60,13 @@ Array/device backend
 
 Every array operation and transform runs through the pluggable array
 backend of :mod:`repro.backend`, selected by ``LithoConfig.backend``:
-``"numpy"`` (single-threaded, the backend the committed goldens were
-generated with), ``"scipy"`` (threaded via ``workers=``, ~1e-12 from
-numpy — inside the 1e-9 golden tolerance but not bit-for-bit),
+``"numpy"`` (the default: ``np.fft``, bit-for-bit the same numbers on
+any host, the backend the committed goldens were generated with) or
 ``"torch"`` (device execution of the band engine on ``device``; CPU
-parity ~1e-12, never chosen implicitly), or ``"auto"`` (scipy with
-threads on multi-core hosts when scipy is importable, numpy otherwise —
-never a device backend).  Batch-vs-single-mask parity within the
-batched engine is bit-for-bit under any one backend because every path
-shares it, and all FFT-derived caches are keyed by backend identity and
-device.
+parity ~1e-12, an explicit opt-in).  Batch-vs-single-mask parity within
+the batched engine is bit-for-bit under either backend because every
+path shares it, and device-resident caches are keyed by backend
+identity.
 
 Under a device backend, :meth:`LithographySimulator.simulate_batch` and
 :meth:`~LithographySimulator.simulate_epe_batch` accept host arrays *or*
@@ -146,16 +143,14 @@ class LithoConfig:
     source: SourceSpec = SourceSpec()
     max_kernels: int = 12
     energy_fraction: float = 0.995
-    backend: str = "auto"
+    backend: str = "numpy"
     """Array/transform backend for every array op in the simulate path:
-    ``"numpy"``, ``"scipy"`` (threaded transforms), ``"torch"`` (device
-    execution) or ``"auto"`` (host-only; see :mod:`repro.backend`)."""
+    ``"numpy"`` or ``"torch"`` (device execution; see
+    :mod:`repro.backend`)."""
     device: str | None = None
     """Torch device (``"cpu"``, ``"cuda"``, ``"cuda:N"``); ``None``
-    picks CUDA when available.  Host backends ignore it (must be
+    picks CUDA when available.  numpy ignores it (must be
     ``None``/``"cpu"``)."""
-    fft_workers: int | None = None
-    """Thread count for the scipy backend; ``None`` uses every core."""
     spectra_store: str | None = None
     """Directory of the disk-persistent kernel-spectra store
     (:mod:`repro.litho.store`); ``None`` disables persistence.  A warm
@@ -166,7 +161,7 @@ class LithoConfig:
     def __post_init__(self) -> None:
         if self.pixel_nm <= 0:
             raise LithoError("pixel_nm must be positive")
-        resolve_backend(self.backend, self.fft_workers, self.device)
+        resolve_backend(self.backend, self.device)
 
 
 def _read(source) -> np.ndarray:
@@ -389,7 +384,6 @@ class LithographySimulator:
                     max_kernels=cfg.max_kernels,
                     energy_fraction=cfg.energy_fraction,
                     backend=cfg.backend,
-                    fft_workers=cfg.fft_workers,
                     device=cfg.device,
                     spectra_store=store,
                 )

@@ -17,8 +17,8 @@ plan's pixel values from the litho engine; the dense ones
 ``(B, H, W)`` aerials.
 
 EPE is always resolved host-side in float64: whichever array backend
-produced the aerial intensity (numpy, scipy-threaded, or a torch device
-backend), sparse pixel values cross to host numpy at the
+produced the aerial intensity (numpy or a torch device backend),
+sparse pixel values cross to host numpy at the
 :class:`~repro.metrology.contour.ContourStencilPlan` boundary, so the
 reported numbers are backend-independent by construction.
 """

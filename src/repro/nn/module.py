@@ -79,9 +79,9 @@ def save_checkpoint(
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
     """Load ``(state, extra)`` from a checkpoint written by :func:`save_checkpoint`.
 
-    Verifies the format version and the parameter fingerprint when the
-    meta entries are present; a plain meta-free npz (the legacy
-    ``Module.save`` output) still loads, with no verification to offer.
+    Verifies the format version and the parameter fingerprint.  An npz
+    without them (not written by :func:`save_checkpoint`) is refused:
+    there is nothing to check its contents against.
     """
     with np.load(path) as data:
         state: dict[str, np.ndarray] = {}
@@ -94,19 +94,22 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict[str, np.ndar
                 meta[key[len(_META_PREFIX) :]] = data[key]
             else:
                 state[key] = data[key]
-    if meta:
-        version = int(meta["version"])
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise NNError(
-                f"checkpoint format version {version} unsupported "
-                f"(expected {CHECKPOINT_FORMAT_VERSION}): {path}"
-            )
-        expected = str(meta["fingerprint"][()])
-        actual = _state_fingerprint(state)
-        if actual != expected:
-            raise NNError(
-                f"checkpoint fingerprint mismatch (corrupt or tampered): {path}"
-            )
+    if "version" not in meta or "fingerprint" not in meta:
+        raise NNError(
+            f"not a checkpoint: no format version or fingerprint: {path}"
+        )
+    version = int(meta["version"])
+    if version != CHECKPOINT_FORMAT_VERSION:
+        raise NNError(
+            f"checkpoint format version {version} unsupported "
+            f"(expected {CHECKPOINT_FORMAT_VERSION}): {path}"
+        )
+    expected = str(meta["fingerprint"][()])
+    actual = _state_fingerprint(state)
+    if actual != expected:
+        raise NNError(
+            f"checkpoint fingerprint mismatch (corrupt or tampered): {path}"
+        )
     return state, extra
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -358,7 +358,3 @@ def as_tensor(value, requires_grad: bool = False) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(value, requires_grad=requires_grad)
-
-
-def tensors_require_grad(tensors: Iterable[Tensor]) -> bool:
-    return any(t.requires_grad for t in tensors)

@@ -52,9 +52,8 @@ Components:
   one engine over a suite (in process or on worker processes), and
   ``map_suite`` for several engines over one suite in process.
   Multi-core hosts get their parallelism from ``run_suite(workers=N)``
-  (below) and from ``LithoConfig(backend="scipy")``, whose transforms
-  split across the batch axis (``backend="torch"`` moves the compact
-  band path onto a device).
+  (below); ``LithoConfig(backend="torch")`` moves the compact band path
+  onto a device.
 * :class:`~repro.service.daemon.MaskOptDaemon` — the one process-
   parallel executor.  It is the always-on asyncio front door
   (``python -m repro serve``): ``await submit(request, tenant=...)``

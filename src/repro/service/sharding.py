@@ -43,14 +43,12 @@ from repro.litho.simulator import LithoConfig, LithographySimulator
 from repro.service.registry import build_engine, overrides_key, spec_label
 from repro.service.scheduler import final_mask_image
 
-FINGERPRINT_EXCLUDED_LITHO_FIELDS = (
-    "backend", "device", "fft_workers", "spectra_store",
-)
+FINGERPRINT_EXCLUDED_LITHO_FIELDS = ("backend", "device", "spectra_store")
 """Deployment knobs that change *where/how fast* the numbers are
-computed, never the numbers themselves (to far inside every acceptance
-tolerance) — two specs differing only here produce equivalent results
-and must share a fingerprint, so a journal written on a numpy host
-resumes on a scipy-threaded or torch-device one and vice versa."""
+computed.  The spectra store changes no bit; the torch backend differs
+from numpy at ~1e-12, not bit for bit, but far inside every acceptance
+tolerance.  Two specs differing only here share a fingerprint, so a
+journal written under numpy resumes under torch and vice versa."""
 
 
 @dataclass(frozen=True)
@@ -147,10 +145,9 @@ class EngineSpec:
 
         This is the key the outcome journal stamps on every record, so
         ``resume`` can refuse to merge results computed under a different
-        spec.  Deployment knobs that cannot change a result
-        (:data:`FINGERPRINT_EXCLUDED_LITHO_FIELDS`) are excluded —
-        moving a journal between hosts with different FFT backends or
-        store paths must not orphan it.
+        spec.  Deployment knobs (:data:`FINGERPRINT_EXCLUDED_LITHO_FIELDS`)
+        are excluded — moving a journal between a numpy and a torch host,
+        or between store paths, must not orphan it.
         """
         # "seed=None" is kept verbatim so journals written before specs
         # lost their seed field still resume.

@@ -2,25 +2,25 @@
 
 Four contracts pinned here:
 
-* **Resolution semantics** — ``"auto"`` only ever picks a host backend;
-  ``"torch"`` raises when torch is absent (never degrades silently);
-  host backends reject device strings.
+* **Resolution semantics** — numpy is the default on every host and
+  the only host backend; ``"torch"`` raises when torch is absent (never
+  degrades silently); numpy rejects device strings.
 * **Dtype policy** — every transform-derived artifact on the sparse
   gather path is float64/complex128 under the numpy backend, and the
   torch adapter pins the same dtypes so the process-global
   ``torch.set_default_dtype`` (float32 out of the box) can never
   degrade parity.
-* **Cache identity** — caches of transform-derived artifacts key on
-  backend identity + device: numpy and scipy share one host copy
-  (same ``array_identity``), a device backend always gets its own
-  entry, and a backend swap can never serve wrong-residency arrays.
-  The sparse pixel gather caches nothing: numpy and scipy compute it
-  bit-for-bit alike, and a device backend gets host float64 values.
+* **Cache identity** — caches of backend-resident arrays key on
+  ``(name, device)``, so a backend swap can never serve wrong-residency
+  arrays.  The sparse pixel gather caches nothing, and a device backend
+  gets host float64 values.
 * **Torch parity** — the torch CPU backend agrees with numpy to <= 1e-9
   nm EPE on the sparse screening path (skipped when torch is not
   installed).
 """
 
+import dataclasses
+import os
 import warnings
 
 import numpy as np
@@ -30,7 +30,6 @@ from repro.backend import (
     BACKEND_NAMES,
     ArrayBackend,
     resolve_backend,
-    scipy_fft_available,
     torch_available,
 )
 from repro.errors import LithoError
@@ -88,13 +87,24 @@ def subgrid_intensity(kset, band, count=2):
 
 class TestResolution:
     def test_backend_names_are_the_public_contract(self):
-        assert BACKEND_NAMES == ("auto", "numpy", "scipy", "torch")
+        assert BACKEND_NAMES == ("numpy", "torch")
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_auto_never_picks_a_device_backend(self, workers):
-        """Device execution is explicit opt-in: whatever is installed,
-        ``auto`` resolves to a host backend."""
-        assert resolve_backend("auto", workers).name in ("numpy", "scipy")
+    def test_default_is_numpy_on_any_host(self, monkeypatch):
+        """The host's core count and installed libraries never pick the
+        transform: the default resolves to numpy on an 8-core host."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        resolve_backend.cache_clear()
+        cfg = LithoConfig(pixel_nm=8.0)
+        assert cfg.backend == "numpy"
+        assert resolve_backend(cfg.backend, cfg.device).name == "numpy"
+        assert LithographySimulator(cfg).kernel_set(0.0).fft.name == "numpy"
+
+    @pytest.mark.parametrize("name", ["auto", "scipy"])
+    def test_retired_spellings_are_rejected(self, name):
+        with pytest.raises(LithoError, match="choose one of"):
+            resolve_backend(name)
+        with pytest.raises(LithoError, match="choose one of"):
+            LithoConfig(pixel_nm=8.0, backend=name)
 
     @pytest.mark.skipif(torch_available(), reason="torch is installed")
     def test_torch_raises_when_absent(self):
@@ -113,22 +123,13 @@ class TestResolution:
         with pytest.raises(LithoError, match="host-only"):
             resolve_backend("numpy", device="cuda")
 
-    def test_identity_vs_array_identity(self):
-        """numpy and scipy differ in transform identity but share the
-        array representation (host numpy) — residency-only caches key
-        on ``array_identity`` so the two share one copy."""
-        np1 = resolve_backend("numpy", 1)
-        np2 = resolve_backend("numpy", 2)
-        assert np1.identity != np2.identity
-        assert np1.array_identity == np2.array_identity == ("numpy", "cpu")
-        if scipy_fft_available():
-            sp = resolve_backend("scipy", 2)
-            assert sp.identity != np1.identity
-            assert sp.array_identity == ("numpy", "cpu")
-        # array_identity is a pure function of (name, device): true for
-        # the torch spelling whether or not torch is importable.
-        torch_cuda = ArrayBackend(name="torch", workers=1, device="cuda:1")
-        assert torch_cuda.array_identity == ("torch", "cuda:1")
+    def test_identity_is_name_and_device(self):
+        """Residency caches key on ``(name, device)``: a pure function of
+        the two, true for the torch spelling whether or not torch is
+        importable."""
+        assert resolve_backend("numpy").identity == ("numpy", "cpu")
+        torch_cuda = ArrayBackend(name="torch", device="cuda:1")
+        assert torch_cuda.identity == ("torch", "cuda:1")
 
 
 class TestDeprecatedConfigKnob:
@@ -149,10 +150,13 @@ class TestDeprecatedConfigKnob:
 
 class TestFingerprintExclusion:
     def test_backend_and_device_are_deployment_knobs(self):
-        """Journals written under one backend must resume under any
+        """Journals written under one backend must resume under the
         other: backend/device never enter the engine fingerprint."""
-        for field in ("backend", "device", "fft_workers"):
-            assert field in FINGERPRINT_EXCLUDED_LITHO_FIELDS
+        assert FINGERPRINT_EXCLUDED_LITHO_FIELDS == (
+            "backend", "device", "spectra_store",
+        )
+        config_fields = {f.name for f in dataclasses.fields(LithoConfig)}
+        assert set(FINGERPRINT_EXCLUDED_LITHO_FIELDS) <= config_fields
 
 
 class TestDtypePolicy:
@@ -162,7 +166,7 @@ class TestDtypePolicy:
         rows = np.array([5, 80, 120, 80], dtype=np.int64)
         cols = np.array([7, 40, 150, 7], dtype=np.int64)
         values = band_values_at_pixels(
-            intensity, band, rows, cols, resolve_backend("numpy", 1)
+            intensity, band, rows, cols, resolve_backend("numpy")
         )
         assert isinstance(values, np.ndarray)
         assert values.dtype == np.float64
@@ -189,23 +193,6 @@ class TestDtypePolicy:
 
 
 class TestCacheIdentity:
-    def test_numpy_and_scipy_gather_bit_for_bit(self, band_geometry):
-        """The gather caches nothing per backend; on the same subgrid
-        intensity numpy and scipy produce identical bits."""
-        if not scipy_fft_available():
-            pytest.skip("scipy not installed")
-        band, kset = band_geometry
-        intensity = subgrid_intensity(kset, band)
-        rows = np.array([3, 9, 3, 150], dtype=np.int64)
-        cols = np.array([4, 11, 100, 4], dtype=np.int64)
-        via_numpy = band_values_at_pixels(
-            intensity, band, rows, cols, resolve_backend("numpy", 1)
-        )
-        via_scipy = band_values_at_pixels(
-            intensity, band, rows, cols, resolve_backend("scipy", 2)
-        )
-        np.testing.assert_array_equal(via_scipy, via_numpy)
-
     @requires_torch
     def test_torch_gather_runs_on_device_values_come_home(
         self, band_geometry
@@ -219,7 +206,7 @@ class TestCacheIdentity:
         rows = np.array([3, 9, 3], dtype=np.int64)
         cols = np.array([4, 11, 100], dtype=np.int64)
         host = band_values_at_pixels(
-            intensity, band, rows, cols, resolve_backend("numpy", 1)
+            intensity, band, rows, cols, resolve_backend("numpy")
         )
         backend = resolve_backend("torch", device="cpu")
         device_intensity = backend.to_device(intensity)
@@ -247,26 +234,13 @@ class TestCacheIdentity:
 class TestRealResample:
     """``ArrayBackend.irfft2`` under the dense intensity resample."""
 
-    def _resample(self, band, intensity, backend, workers=1):
+    def _resample(self, band, intensity, backend):
         from repro.litho.kernels import build_kernel_set
 
-        kset = build_kernel_set(
-            pixel_nm=8.0, max_kernels=4, backend=backend,
-            fft_workers=workers,
-        )
+        kset = build_kernel_set(pixel_nm=8.0, max_kernels=4, backend=backend)
         return kset.fft.to_host(kset.resample_intensity(
             kset.fft.to_device(intensity), band.shape
         ))
-
-    def test_numpy_and_scipy_resample_agree(self, band_geometry):
-        if not scipy_fft_available():
-            pytest.skip("scipy not installed")
-        band, kset = band_geometry
-        intensity = subgrid_intensity(kset, band)
-        via_numpy = self._resample(band, intensity, "numpy")
-        via_scipy = self._resample(band, intensity, "scipy", workers=2)
-        assert via_numpy.shape == (2, *band.shape)
-        assert np.abs(via_scipy - via_numpy).max() < 1e-12
 
     @requires_torch
     def test_torch_resample_matches_numpy(self, band_geometry):
@@ -356,11 +330,11 @@ class TestTorchParity:
 
 
 class TestAdapterSemantics:
-    """ArrayBackend method contracts that the numpy family must honor
+    """ArrayBackend method contracts that the numpy backend must honor
     bit-for-bit (the torch legs live in TestTorchParity)."""
 
     def test_host_movement_is_passthrough(self):
-        backend = resolve_backend("numpy", 1)
+        backend = resolve_backend("numpy")
         a = np.arange(6.0).reshape(2, 3)
         assert backend.to_device(a) is a
         assert backend.to_host(a) is a
@@ -368,7 +342,7 @@ class TestAdapterSemantics:
         assert backend.asarray_f64(a) is a  # already float64: no copy
 
     def test_numpy_ops_match_np_exactly(self):
-        backend = resolve_backend("numpy", 1)
+        backend = resolve_backend("numpy")
         rng = np.random.default_rng(9)
         stack = rng.random((2, 8, 8))
         assert np.array_equal(

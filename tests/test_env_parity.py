@@ -30,7 +30,7 @@ CAMO runs the policy once per distinct state.
 import numpy as np
 import pytest
 
-from repro.backend import scipy_fft_available, torch_available
+from repro.backend import torch_available
 from repro.baselines.mbopc import MBOPC, MBOPCConfig
 from repro.constants import MOVE_SET_NM
 from repro.core.agent import CAMO
@@ -50,19 +50,12 @@ from repro.rl.env import OPCEnvironment
 EPE_TOLERANCE_NM = 1e-9
 HOLD = MOVE_SET_NM.index(0)
 
-BACKENDS = (
-    ["numpy"]
-    + (["scipy"] if scipy_fft_available() else [])
-    + (["torch"] if torch_available() else [])
-)
+BACKENDS = ["numpy"] + (["torch"] if torch_available() else [])
 
 
 @pytest.fixture(scope="module", params=BACKENDS)
 def sim(request):
-    return LithographySimulator(LithoConfig(
-        backend=request.param,
-        fft_workers=2 if request.param == "scipy" else 1,
-    ))
+    return LithographySimulator(LithoConfig(backend=request.param))
 
 
 def _clip(name):

@@ -24,7 +24,6 @@ from repro.litho.kernels import band_values_at_pixels
 from repro.backend import (
     _is_5_smooth,
     next_fast_len,
-    scipy_fft_available,
     torch_available,
 )
 from repro.litho.simulator import LithoConfig, LithographySimulator
@@ -45,22 +44,17 @@ from repro.metrology.epe import (
 EPE_TOLERANCE_NM = 1e-9
 INTENSITY_TOLERANCE = 1e-12
 
-BACKENDS = (
-    ["numpy"]
-    + (["scipy"] if scipy_fft_available() else [])
-    + (["torch"] if torch_available() else [])
-)
+BACKENDS = ["numpy"] + (["torch"] if torch_available() else [])
 
 
 @pytest.fixture(scope="module", params=BACKENDS)
 def sim(request):
     """One simulator per array backend — the parity suite runs under
-    every installed backend (numpy always; scipy and CPU/CUDA torch
-    when importable)."""
+    every installed backend (numpy always; CPU/CUDA torch when
+    importable)."""
     return LithographySimulator(LithoConfig(
         pixel_nm=8.0, max_kernels=4,
         backend=request.param,
-        fft_workers=2 if request.param == "scipy" else 1,
     ))
 
 
@@ -98,8 +92,8 @@ def random_pixel_set(shape, count, seed=11):
 class TestNextFastLen:
     def test_is_smallest_5_smooth_bound(self):
         """Over 1..4096: the result is 5-smooth, >= n, and nothing
-        5-smooth lies between (the subgrid sizes do not depend on
-        whether scipy is installed)."""
+        5-smooth lies between (the subgrid sizes depend on ``n``
+        alone)."""
         for n in range(1, 4097):
             m = next_fast_len(n)
             assert m >= n
@@ -109,7 +103,7 @@ class TestNextFastLen:
     def test_fixed_points(self):
         # 5-smooth inputs are their own answer; 7-smooth ones are not.
         assert next_fast_len(120) == 120
-        assert next_fast_len(49) == 50  # 49 = 7^2 is fast for scipy.fft only
+        assert next_fast_len(49) == 50  # 49 = 7^2 is not 5-smooth
         assert next_fast_len(121) == 125  # 121 = 11^2 likewise
 
     def test_rejects_nonpositive(self):

@@ -1,11 +1,13 @@
 """Cold start pays only for the backend it runs.
 
-``repro.backend`` imports ``scipy.fft`` and ``torch`` on the first use
-of their backend, not at ``import repro``: a numpy-only process loads
-neither.  Each check runs in a fresh interpreter, because the test
-process itself may already hold either module.
+``repro.backend`` imports ``torch`` on the first use of the torch
+backend, not at ``import repro``, and no module of the package imports
+scipy: a numpy-only process loads neither.  The runtime checks use a
+fresh interpreter, because the test process itself may already hold
+either module.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -48,7 +50,7 @@ import json, sys
 from repro.backend import resolve_backend
 
 before = {NAME!r} in sys.modules
-backend = resolve_backend({NAME!r}, workers=1)
+backend = resolve_backend({NAME!r})
 print(json.dumps({{
     "before": before,
     "after": {NAME!r} in sys.modules,
@@ -73,9 +75,29 @@ def test_numpy_process_never_imports_scipy_or_torch():
     assert report["loaded"] == []
 
 
-@pytest.mark.parametrize("name", ["scipy", "torch"])
+@pytest.mark.parametrize("name", ["torch"])
 def test_resolving_a_backend_imports_its_library(name):
     if importlib.util.find_spec(name) is None:
         pytest.skip(f"{name} not installed")
     report = _run(RESOLVE.format(NAME=name))
     assert report == {"before": False, "after": True, "name": name}
+
+
+def test_no_module_imports_scipy():
+    """numpy is the one host transform: a scipy import anywhere in the
+    package would make its numbers depend on what the host installed."""
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(SRC)}:{node.lineno} {name}"
+                for name in names
+                if name == "scipy" or name.startswith("scipy.")
+            ]
+    assert offenders == []

@@ -12,7 +12,6 @@ from repro.litho import (
     LithographySimulator,
     build_kernel_set,
     build_tcc_grid,
-    scipy_fft_available,
     socs_spectra,
 )
 from repro.litho.source import SourceSpec
@@ -116,23 +115,6 @@ class TestExactness:
                 assert np.array_equal(
                     result.printed[corner], reference.printed[corner]
                 )
-
-    @pytest.mark.skipif(
-        not scipy_fft_available(), reason="scipy not installed"
-    )
-    def test_band_engine_matches_reference_scipy(self):
-        sim = LithographySimulator(
-            LithoConfig(pixel_nm=8.0, max_kernels=8, backend="scipy",
-                        fft_workers=2)
-        )
-        grid = Grid(0, 0, 8.0, 160, 160)
-        masks = pattern_masks(grid)
-        batched = sim.simulate_batch(np.stack(masks), grid)
-        for mask, result in zip(masks, batched):
-            reference = sim.simulate_mask(mask, grid)
-            assert (
-                np.abs(result.aerial - reference.aerial).max() < MAX_ABS_ERROR
-            )
 
     def test_open_frame_images_to_unity(self, simulator):
         grid = Grid(0, 0, 8.0, 160, 160)

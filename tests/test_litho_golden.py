@@ -6,7 +6,7 @@ refactor — batching, caching, array-backend changes — that shifts an
 intensity by more than 1e-9 fails here, and both the single-mask spatial
 reference and the unified band-limited batched engine are held to the
 same references, under the numpy backend and (where installed) the
-threaded scipy and CPU/CUDA torch backends.
+CPU/CUDA torch backend.
 """
 
 import os
@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.litho import scipy_fft_available, torch_available
+from repro.litho import torch_available
 from repro.litho.simulator import LithoConfig, LithographySimulator
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -27,14 +27,6 @@ def simulator():
     # Must match tests/golden/generate.py: GOLDEN_CONFIG.
     return LithographySimulator(
         LithoConfig(pixel_nm=8.0, max_kernels=8, backend="numpy")
-    )
-
-
-@pytest.fixture(scope="module")
-def scipy_simulator():
-    return LithographySimulator(
-        LithoConfig(pixel_nm=8.0, max_kernels=8, backend="scipy",
-                    fft_workers=2)
     )
 
 
@@ -92,26 +84,6 @@ class TestGoldenImages:
         for corner in ("nominal", "inner", "outer"):
             assert np.array_equal(
                 result.printed[corner], data[f"printed_{corner}"]
-            )
-
-    @pytest.mark.skipif(
-        not scipy_fft_available(), reason="scipy not installed"
-    )
-    def test_scipy_backend_paths(self, scipy_simulator, case):
-        """Both engines stay inside the golden tolerance under the
-        threaded scipy backend (~1e-12 from numpy, not bit-for-bit —
-        printed corners are checked against the same-backend reference
-        rather than the numpy-thresholded goldens)."""
-        data = load_golden(case)
-        mask = data["mask"]
-        grid = grid_for(scipy_simulator, mask)
-        single = scipy_simulator.simulate_mask(mask, grid)
-        batched = scipy_simulator.simulate_batch(mask[None], grid)[0]
-        assert_aerials_match(single, data)
-        assert_aerials_match(batched, data)
-        for corner in ("nominal", "inner", "outer"):
-            assert np.array_equal(
-                single.printed[corner], batched.printed[corner]
             )
 
     @pytest.mark.skipif(

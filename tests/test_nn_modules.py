@@ -380,13 +380,17 @@ class TestCheckpointFormat:
         with pytest.raises(NNError, match="version"):
             load_checkpoint(path)
 
-    def test_legacy_meta_free_npz_loads(self, tmp_path):
+    def test_legacy_meta_free_npz_refused(self, tmp_path):
+        """A bare state-dict npz carries no version or fingerprint, so its
+        corruption cannot be checked: it is refused, not loaded."""
         model = Linear(3, 2, rng=np.random.default_rng(6))
         path = str(tmp_path / "legacy.npz")
         np.savez_compressed(path, **model.state_dict())
         other = Linear(3, 2, rng=np.random.default_rng(7))
-        other.load(path)
-        np.testing.assert_array_equal(other.weight.data, model.weight.data)
+        before = other.weight.data.copy()
+        with pytest.raises(NNError, match="no format version or fingerprint"):
+            other.load(path)
+        np.testing.assert_array_equal(other.weight.data, before)
 
     def test_meta_name_collision_rejected(self, tmp_path):
         with pytest.raises(NNError, match="collides"):

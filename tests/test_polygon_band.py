@@ -16,7 +16,6 @@ the simulator and environment entry points that take polygons.
 import numpy as np
 import pytest
 
-from repro.backend import scipy_fft_available
 from repro.constants import MAX_SEGMENT_OFFSET_NM
 from repro.data.metal_bench import metal_test_suite
 from repro.data.via_bench import via_test_suite
@@ -203,16 +202,8 @@ def per_kernel_intensity(kernel_set, mask_band, band):
     return intensity
 
 
-HOST_BACKENDS = [("numpy", 1)] + (
-    [("scipy", 1), ("scipy", 2)] if scipy_fft_available() else []
-)
-
-
-@pytest.mark.parametrize("backend, workers", HOST_BACKENDS)
-def test_one_transform_imaging_is_bit_for_bit(backend, workers):
-    sim = LithographySimulator(LithoConfig(
-        pixel_nm=8.0, max_kernels=8, backend=backend, fft_workers=workers,
-    ))
+def test_one_transform_imaging_is_bit_for_bit():
+    sim = LithographySimulator(LithoConfig(pixel_nm=8.0, max_kernels=8))
     clip = CLIPS[0]
     grid = sim.grid_for(clip)
     kernel_set = sim.kernel_set(0.0)

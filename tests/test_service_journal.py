@@ -212,20 +212,16 @@ def test_resume_needs_clips(tmp_path):
         )
 
 
-def test_fingerprint_tracks_identity_not_backend():
+def test_fingerprint_tracks_identity_not_backend(tmp_path):
     """The engine fingerprint covers everything that changes numbers
     (engine, overrides, litho optics) and nothing that doesn't
-    (array backend, device, FFT worker counts, store path)."""
+    (array backend, device, store path)."""
     base = EngineSpec(engine="mbopc", litho=_litho_config(),
                       overrides=tuple(sorted(OVERRIDES.items())))
-    same_workers = EngineSpec(engine="mbopc",
-                              litho=_litho_config(fft_workers=2),
-                              overrides=tuple(sorted(OVERRIDES.items())))
-    assert base.fingerprint() == same_workers.fingerprint()
-    same_backend = EngineSpec(engine="mbopc",
-                              litho=_litho_config(backend="scipy"),
-                              overrides=tuple(sorted(OVERRIDES.items())))
-    assert base.fingerprint() == same_backend.fingerprint()
+    for deployment in ({"device": "cpu"}, {"spectra_store": str(tmp_path)}):
+        same = EngineSpec(engine="mbopc", litho=_litho_config(**deployment),
+                          overrides=tuple(sorted(OVERRIDES.items())))
+        assert base.fingerprint() == same.fingerprint()
     other_engine = EngineSpec(engine="damo", litho=_litho_config(),
                               overrides=())
     assert base.fingerprint() != other_engine.fingerprint()
@@ -242,7 +238,6 @@ def test_fingerprint_tracks_identity_not_backend():
 
 
 @pytest.mark.parametrize("resume_backend", [
-    "scipy",
     pytest.param("torch", marks=pytest.mark.skipif(
         not torch_available(), reason="torch not installed")),
 ])
@@ -250,7 +245,7 @@ def test_journal_written_under_numpy_resumes_under_other_backend(
     tmp_path, resume_backend
 ):
     """Array backend is a deployment knob: a journal written on a numpy
-    host replays in full on a scipy-threaded or torch-device host (same
+    host replays in full on a torch-device host (same
     fingerprint), with zero clips re-run."""
     suite = _suite()
     numpy_spec = EngineSpec(
