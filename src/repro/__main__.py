@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="kernel-spectra store directory "
                             "(default: $REPRO_SPECTRA_STORE)")
 
-    def add_delivery_knobs(p) -> None:
+    def add_delivery_knobs(p, journaled: bool = False) -> None:
         p.add_argument("--retries", type=_nonneg_int, default=None,
                        metavar="N",
                        help="re-dispatch attempts after an infrastructure "
@@ -528,10 +528,15 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="per-clip wall-clock budget from dispatch "
                             "(default: none)")
-        p.add_argument("--journal", default=None, metavar="PATH",
-                       help="append admissions and verified results to a "
-                            "crash-safe journal; finish an interrupted "
-                            "run with `python -m repro resume`")
+        if journaled:
+            p.add_argument("--journal", required=True, metavar="PATH",
+                           help="outcome journal of the interrupted run")
+        else:
+            p.add_argument("--journal", default=None, metavar="PATH",
+                           help="append admissions and verified results "
+                                "to a crash-safe journal; finish an "
+                                "interrupted run with `python -m repro "
+                                "resume`")
 
     opt = sub.add_parser(
         "optimize", help="optimize a clip suite through the service"
@@ -559,15 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("--json", default=None, metavar="PATH",
                         help="write machine-readable results to PATH "
                              "(atomic write)")
-    resume.add_argument("--journal", required=True, metavar="PATH",
-                        help="outcome journal of the interrupted run")
-    resume.add_argument("--retries", type=_nonneg_int, default=None,
-                        metavar="N",
-                        help="re-dispatch attempts after an "
-                             "infrastructure fault (default 2)")
-    resume.add_argument("--deadline", type=_positive_float, default=None,
-                        metavar="SECONDS",
-                        help="per-clip wall-clock budget (default: none)")
+    add_delivery_knobs(resume, journaled=True)
     add_litho_knobs(resume)
     resume.set_defaults(func=cmd_resume)
 

@@ -19,13 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.mbopc import MBOPC, MBOPCConfig
+from repro.baselines.segment_cnn import segment_cnn
 from repro.core.agent import OptimizeResult
 from repro.errors import RLError
 from repro.geometry.layout import Clip
 from repro.litho.simulator import LithographySimulator
 from repro.nn import functional as F
-from repro.nn.layers import Conv2d, Flatten, Linear, ReLU
-from repro.nn.module import Module, Sequential
+from repro.nn.module import Module
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor, no_grad
 from repro.rl.env import OPCEnvironment
@@ -53,21 +53,8 @@ class _OffsetRegressor(Module):
 
     def __init__(self, config: DamoConfig) -> None:
         super().__init__()
-        rng = np.random.default_rng(config.seed)
-        final_spatial = config.encode_size // 8
         self.max_offset = config.max_offset_nm
-        self.net = Sequential(
-            Conv2d(3, 8, 3, stride=2, padding=1, rng=rng),
-            ReLU(),
-            Conv2d(8, 16, 3, stride=2, padding=1, rng=rng),
-            ReLU(),
-            Conv2d(16, 32, 3, stride=2, padding=1, rng=rng),
-            ReLU(),
-            Flatten(),
-            Linear(32 * final_spatial * final_spatial, config.embed_dim, rng=rng),
-            ReLU(),
-            Linear(config.embed_dim, 1, rng=rng),
-        )
+        self.net = segment_cnn(config, 1)
 
     def forward(self, features: np.ndarray) -> Tensor:
         raw = self.net(Tensor(features))

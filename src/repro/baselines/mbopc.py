@@ -3,9 +3,10 @@
 Commercial OPC engines iterate: simulate, measure per-segment EPE, move
 each segment against its error with a damped feedback gain, repeat until
 convergence or the iteration budget runs out.  This module implements that
-loop on our substrate.  It doubles as the phase-1 imitation teacher (its
-per-step decision rule is :func:`repro.rl.imitation.greedy_teacher_actions`
-restricted to the +/-2 nm move set).
+loop on our substrate.  It doubles as the phase-1 imitation teacher: both
+decide through :func:`repro.rl.imitation.feedback_actions`, and the
+teacher (:func:`~repro.rl.imitation.greedy_teacher_actions`) is this
+engine's first iteration under the default config.
 
 Each iteration's corner sweep is one environment step: one
 :meth:`~repro.litho.simulator.LithographySimulator.simulate_batch` call
@@ -29,16 +30,20 @@ from repro.errors import ConfigError
 from repro.geometry.layout import Clip
 from repro.litho.simulator import LithographySimulator
 from repro.rl.env import EnvState, OPCEnvironment
-from repro.rl.imitation import quantize_to_move_set
+from repro.rl.imitation import (
+    FEEDBACK_DEADBAND_NM,
+    FEEDBACK_GAIN,
+    feedback_actions,
+)
 
 
 @dataclass(frozen=True)
 class MBOPCConfig:
     """Feedback-loop settings."""
 
-    gain: float = 0.5
+    gain: float = FEEDBACK_GAIN
     gain_decay: float = 0.15
-    deadband_nm: float = 1.2
+    deadband_nm: float = FEEDBACK_DEADBAND_NM
     max_updates: int = 10
     early_exit_threshold: float = 4.0
     early_exit_mode: str = "per_target"
@@ -94,10 +99,6 @@ class MBOPC:
         """Damped feedback: the gain decays with the iteration count and a
         deadband holds converged segments still (prevents limit cycles)."""
         gain = self.config.gain / (1.0 + self.config.gain_decay * step)
-        moves = np.clip(
-            np.round(-gain * seg_epe),
-            -self.config.max_step_nm,
-            self.config.max_step_nm,
+        return feedback_actions(
+            seg_epe, gain, self.config.deadband_nm, self.config.max_step_nm
         )
-        moves[np.abs(seg_epe) < self.config.deadband_nm] = 0.0
-        return quantize_to_move_set(moves)

@@ -5,7 +5,10 @@ A :class:`CAMO` instance owns the policy network, the modulator and one
 optimization context per clip (environment + segment graph + visit order,
 all fixed for the clip's lifetime, as the paper prescribes).  Training
 and inference both run the policy on populations of states; one state
-is a population of one.
+is a population of one.  RL-OPC (:class:`repro.baselines.rlopc.RLOPC`)
+is a subclass that swaps in its own policy and features and runs without
+the modulator, so both learned engines train and infer through the
+same loops.
 
 The optimize loop every edge-based engine (CAMO, RL-OPC, MB-OPC) runs
 lives here too: :func:`run_episode` drives an engine's per-step
@@ -35,10 +38,7 @@ from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import Tensor, no_grad
 from repro.nn.sage import mean_adjacency
 from repro.rl.env import EnvState, OPCEnvironment
-from repro.rl.imitation import (
-    collect_teacher_actions_population,
-    greedy_teacher_actions,
-)
+from repro.rl.imitation import collect_teacher_actions_population
 from repro.rl.reinforce import (
     population_gradient_step,
     sample_actions,
@@ -46,6 +46,12 @@ from repro.rl.reinforce import (
 )
 from repro.rl.trajectory import Trajectory, TrajectoryStep
 from repro.squish.features import NodeFeatureEncoder
+
+IMITATION_BIAS_OFFSETS_NM = (0.0, 5.0, -4.0)
+"""Initial-bias offsets of the teacher rollouts: under- and over-sized
+starting masks, so the policy sees both EPE signs."""
+IMITATION_STEPS = 5
+"""Teacher steps per rollout (paper: five-step trajectories)."""
 
 
 @dataclass
@@ -141,12 +147,17 @@ class _ClipContext:
 class CAMO:
     """Correlation-aware mask optimization with modulated RL."""
 
+    # What a subclass swaps: the policy built from the config and the
+    # squish channels it reads.
+    policy_class = CamoPolicy
+    feature_channels = 6
+
     def __init__(
         self, config: CamoConfig, simulator: LithographySimulator
     ) -> None:
         self.config = config
         self.simulator = simulator
-        self.policy = CamoPolicy(config)
+        self.policy = self.policy_class(config)
         self.modulator = Modulator(
             k=config.modulator_k,
             n=config.modulator_n,
@@ -154,9 +165,10 @@ class CAMO:
             epe_scale=config.modulator_epe_scale,
             mode=config.modulator_mode,
             sigma=config.modulator_sigma,
-        )
+        ) if config.use_modulator else None
         self.encoder = NodeFeatureEncoder(
             window_nm=config.window_nm, out_size=config.encode_size,
+            channels=self.feature_channels,
         )
         self.optimizer = self._make_optimizer(config.learning_rate)
         self.rng = np.random.default_rng(config.seed)
@@ -253,15 +265,12 @@ class CAMO:
                 # batched litho + metrology call per teacher step.
                 starts = [
                     ctx.env.reset(bias_nm=self.config.initial_bias_nm + offset)
-                    for offset in self.config.imitation_bias_offsets
+                    for offset in IMITATION_BIAS_OFFSETS_NM
                 ]
                 rollout = [
                     sample
                     for trajectory in collect_teacher_actions_population(
-                        ctx.env,
-                        steps=self.config.imitation_steps,
-                        teacher=greedy_teacher_actions,
-                        initial_states=starts,
+                        ctx.env, steps=IMITATION_STEPS, initial_states=starts,
                     )
                     for sample in trajectory
                 ]
@@ -274,7 +283,8 @@ class CAMO:
                         actions[None],
                         1.0 if unit_weight
                         else ctx.env.reward(state, next_state),
-                        self.modulator.log_preference_batch(state.seg_epe),
+                        self.modulator.log_preference_batch(state.seg_epe)
+                        if self.config.use_modulator else None,
                     )
                     for state, actions, next_state in rollout
                 ]
@@ -288,10 +298,7 @@ class CAMO:
                         logits = logits + Tensor(log_pref)
                     log_probs = select_log_probs_population(logits, actions)
                     population_gradient_step(
-                        self.optimizer,
-                        log_probs,
-                        np.array([weight]),
-                        max_grad_norm=self.config.max_grad_norm,
+                        self.optimizer, log_probs, np.array([weight])
                     )
                     epoch_logp += float(log_probs.numpy()[0])
             history["imitation_logp"].append(epoch_logp)
@@ -367,7 +374,6 @@ class CAMO:
                         rl_optimizer,
                         select_log_probs_population(logits, actions),
                         advantages,
-                        max_grad_norm=self.config.max_grad_norm,
                     )
                     epoch_reward += float(rewards.sum())
                     survivors = []

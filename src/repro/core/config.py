@@ -1,7 +1,11 @@
 """CAMO configuration.
 
 One dataclass holds every hyper-parameter of the paper plus the scale
-knobs that keep a numpy implementation tractable.  The paper-fidelity
+knobs that keep a numpy implementation tractable.  The few that no
+profile varies are module constants shared with RL-OPC: the teacher
+rollouts' shape (:data:`repro.core.agent.IMITATION_STEPS`,
+:data:`~repro.core.agent.IMITATION_BIAS_OFFSETS_NM`) and the gradient
+clip (:data:`repro.rl.reinforce.MAX_GRAD_NORM`).  The paper-fidelity
 values are noted next to each field; ``CamoConfig.paper_via()`` /
 ``paper_metal()`` build them, while the default constructor is the
 reduced-but-faithful "repro" profile used by tests and benches.
@@ -74,12 +78,8 @@ class CamoConfig:
     reward_epsilon: float = REWARD_EPSILON     # paper: 0.1
     reward_beta: float = REWARD_BETA           # paper: 1
     imitation_epochs: int = 40                 # paper: 500
-    imitation_steps: int = 5                   # paper: five-step trajectories
     imitation_weighting: str = "unit"          # "unit" (behaviour cloning) or
                                                # "reward" (Eq. 7 literal)
-    imitation_bias_offsets: tuple[float, ...] = (0.0, 5.0, -4.0)
-    """Extra initial-bias offsets for teacher rollouts: covers under- and
-    over-sized starting masks so the policy sees both EPE signs."""
     rl_epochs: int = 3
     rl_population: int = 1
     """Number of phase-2 trajectories advanced in lockstep per clip.
@@ -88,7 +88,6 @@ class CamoConfig:
     the per-trajectory EMA-baseline advantages into one accumulated
     policy-gradient step.  ``1`` (the default) is a population of one;
     ``benchmarks/bench_train_throughput.py`` times P=1 against P=8."""
-    max_grad_norm: float = 10.0
     seed: int = 2024
 
     # -- optimization loop ------------------------------------------------------

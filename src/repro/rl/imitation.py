@@ -1,9 +1,10 @@
 """Phase-1 training support: mimic another OPC engine (paper Section 3.3).
 
-The teacher is any function mapping an environment state to action indices
-(in practice the model-based engine standing in for Calibre).  We roll the
-teacher forward for a limited number of steps and record the visited
-states' actions; phase-1 training replays these actions through the policy
+The teacher is the model-based engine standing in for Calibre: its
+EPE-feedback rule (:func:`feedback_actions`, which MB-OPC runs every
+iteration) taken at its first, undamped step.  We roll the teacher
+forward for a limited number of steps and record the visited states'
+actions; phase-1 training replays these actions through the policy
 with the same Eq. 7 update.  Under reward weighting the update uses the
 environment reward actually obtained by the teacher's move, which the
 caller computes from the recorded next state
@@ -12,55 +13,53 @@ caller computes from the recorded next state
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.constants import MOVE_SET_NM
 from repro.errors import RLError
 from repro.rl.env import EnvState, OPCEnvironment
 
-TeacherPolicy = Callable[[EnvState], np.ndarray]
+FEEDBACK_GAIN = 0.5
+"""EPE-to-move gain of the model-based rule at its first iteration."""
+FEEDBACK_DEADBAND_NM = 1.2
+"""|EPE| below which the model-based rule holds a segment still."""
 
 
-def quantize_to_move_set(moves_nm: np.ndarray) -> np.ndarray:
-    """Map nm movements to the nearest index of ``MOVE_SET_NM``.
-
-    Shared by the imitation teacher and the model-based baseline so their
-    decision rules quantize identically (first match wins on ties, as
-    ``argmin`` guarantees).
-    """
-    move_set = np.asarray(MOVE_SET_NM, dtype=np.float64)
-    moves = np.asarray(moves_nm, dtype=np.float64)
-    return np.abs(moves[:, None] - move_set[None, :]).argmin(axis=1)
-
-
-def greedy_teacher_actions(
-    state: EnvState, gain: float = 0.5, deadband_nm: float = 1.2
+def feedback_actions(
+    seg_epe: np.ndarray, gain: float, deadband_nm: float, max_step_nm: float
 ) -> np.ndarray:
     """EPE-proportional feedback correction, quantized to the move set.
 
     This is the per-iteration behaviour of conventional model-based OPC:
-    move each segment against its EPE, at most 2 nm per step.  Positive
-    EPE (contour outside the target) pulls the segment inward.  Segments
-    whose |EPE| is inside the deadband hold still — without it the high
-    mask-error-enhancement factor of small patterns turns the quantized
-    +/-1 nm moves into a limit cycle around the optimum.
+    move each segment against its EPE, at most ``max_step_nm`` per step.
+    Positive EPE (contour outside the target) pulls the segment inward.
+    Segments whose |EPE| is inside the deadband hold still — without it
+    the high mask-error-enhancement factor of small patterns turns the
+    quantized +/-1 nm moves into a limit cycle around the optimum.
+    Returns the index of each move in ``MOVE_SET_NM`` (the nearest one;
+    the first on a tie, as ``argmin`` guarantees).
     """
-    if gain <= 0:
-        raise RLError(f"gain must be positive, got {gain}")
-    moves = np.clip(np.round(-gain * state.seg_epe), MOVE_SET_NM[0], MOVE_SET_NM[-1])
-    moves[np.abs(state.seg_epe) < deadband_nm] = 0.0
-    return quantize_to_move_set(moves)
+    moves = np.clip(np.round(-gain * seg_epe), -max_step_nm, max_step_nm)
+    moves[np.abs(seg_epe) < deadband_nm] = 0.0
+    move_set = np.asarray(MOVE_SET_NM, dtype=np.float64)
+    return np.abs(moves[:, None] - move_set[None, :]).argmin(axis=1)
+
+
+def greedy_teacher_actions(state: EnvState) -> np.ndarray:
+    """The imitation teacher: :func:`feedback_actions` on the state's
+    segment EPE, capped at the move set's largest step."""
+    return feedback_actions(
+        state.seg_epe, FEEDBACK_GAIN, FEEDBACK_DEADBAND_NM, MOVE_SET_NM[-1]
+    )
 
 
 def collect_teacher_actions_population(
     env: OPCEnvironment,
     steps: int,
-    teacher: TeacherPolicy = greedy_teacher_actions,
     initial_states: list[EnvState] | None = None,
 ) -> list[list[tuple[EnvState, np.ndarray, EnvState]]]:
-    """Roll P teacher trajectories in lockstep for ``steps`` mask updates.
+    """Roll P :func:`greedy_teacher_actions` trajectories in lockstep for
+    ``steps`` mask updates.
 
     Returns one list of ``(state, actions, next_state)`` triples per
     trajectory — everything phase-1 imitation needs to replay it through
@@ -87,7 +86,7 @@ def collect_teacher_actions_population(
         [] for _ in states
     ]
     for _ in range(steps):
-        actions = np.stack([np.asarray(teacher(state)) for state in states])
+        actions = np.stack([greedy_teacher_actions(state) for state in states])
         next_states = env.step_batch(states, actions)
         for p, next_state in enumerate(next_states):
             samples[p].append((states[p], actions[p], next_state))

@@ -6,7 +6,8 @@ The policy emits one 5-way distribution per segment; the joint
 log-probability of a batched action is the sum of per-segment log-probs.
 Every engine trains on populations of trajectories: a single trajectory
 is a population of one, so one selector, one update and one sampler
-serve CAMO and RL-OPC at every population size.
+serve both learned engines (CAMO and its subclass RL-OPC) at every
+population size.
 
 The gradient is taken on whatever logits the caller passes.  Paper
 Section 3.3 uses the *unmodulated* policy output; CAMO's RL phase
@@ -24,6 +25,9 @@ from repro.errors import RLError
 from repro.nn.functional import log_softmax
 from repro.nn.optim import Optimizer
 from repro.nn.tensor import Tensor
+
+MAX_GRAD_NORM = 10.0
+"""Global gradient-norm clip of every imitation and RL update."""
 
 
 def sample_actions(
@@ -70,7 +74,7 @@ def population_gradient_step(
     optimizer: Optimizer,
     log_probs: Tensor,
     advantages: np.ndarray,
-    max_grad_norm: float = 10.0,
+    max_grad_norm: float = MAX_GRAD_NORM,
 ) -> float:
     """One *accumulated* Eq. 7 step over a population of trajectories.
 

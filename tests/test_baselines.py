@@ -7,9 +7,11 @@ from repro.baselines import MBOPC, RLOPC, DamoLikeOPC
 from repro.baselines.damo import DamoConfig
 from repro.baselines.mbopc import MBOPCConfig
 from repro.baselines.rlopc import RLOPCConfig
+from repro.core.agent import IMITATION_BIAS_OFFSETS_NM, IMITATION_STEPS
 from repro.data.via_bench import generate_via_clip
 from repro.errors import ConfigError
 from repro.litho import LithoConfig, LithographySimulator
+from repro.rl.imitation import greedy_teacher_actions
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,22 @@ class TestMBOPC:
         )
         outcome = engine.optimize(clip)
         assert outcome.early_exited and outcome.steps == 0
+
+    def test_teacher_is_first_iteration(self, simulator):
+        """The imitation teacher is MB-OPC's decision at step 0 under the
+        default config, on rounding ties and at the deadband edges too."""
+        engine = MBOPC(MBOPCConfig(), simulator)
+        rng = np.random.default_rng(3)
+        edges = [1.2, np.nextafter(1.2, 0.0), np.nextafter(1.2, 2.0)]
+        ties = [1.0, 3.0, 5.0, 7.0, 9.0]  # -0.5 * epe lands on k + 0.5
+        special = np.array(edges + ties)
+        seg_epe = np.concatenate(
+            [special, -special, [0.0], rng.uniform(-12.0, 12.0, 200)]
+        )
+        state = type("State", (), {"seg_epe": seg_epe})()
+        assert np.array_equal(
+            greedy_teacher_actions(state), engine._decide(seg_epe, 0)
+        )
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -92,8 +110,34 @@ class TestRLOPC:
         assert RLOPCConfig(imitation_weighting="reward").imitation_weighting == "reward"
 
     def test_env_cached(self, simulator, clip):
+        """RL-OPC keeps one context (environment, graph, order) per clip,
+        like CAMO."""
         engine = RLOPC(RLOPCConfig(encode_size=16), simulator)
-        assert engine._env(clip) is engine._env(clip)
+        assert engine.context(clip) is engine.context(clip)
+
+    def test_runs_through_camo_loops(self):
+        """RL-OPC trains and infers through CAMO's code, not its own."""
+        assert "train" not in vars(RLOPC)
+        assert "optimize" not in vars(RLOPC)
+
+    def test_imitation_corpus_matches_camo(self, simulator, clip):
+        """The teacher data is CAMO's: one rollout of IMITATION_STEPS from
+        each of CAMO's bias offsets around the configured start."""
+        config = RLOPCConfig(
+            encode_size=16, imitation_epochs=1, rl_epochs=0,
+            initial_bias_nm=3.0,
+        )
+        engine = RLOPC(config, simulator)
+        engine.train([clip])
+        ctx = engine.context(clip)
+        samples = ctx.teacher_samples
+        assert len(samples) == len(IMITATION_BIAS_OFFSETS_NM) * IMITATION_STEPS
+        for index, offset in enumerate(IMITATION_BIAS_OFFSETS_NM):
+            start = ctx.env.reset(bias_nm=config.initial_bias_nm + offset)
+            features = samples[index * IMITATION_STEPS][0]
+            assert np.array_equal(
+                features, engine.encoder.encode_all(start.mask)[None]
+            )
 
 
 class TestDamoLike:

@@ -297,5 +297,3 @@ class TestImitation:
     def test_collect_validation(self, env):
         with pytest.raises(RLError):
             collect_teacher_actions_population(env, steps=0)
-        with pytest.raises(RLError):
-            greedy_teacher_actions(env.reset(), gain=-1)
