@@ -186,14 +186,20 @@ def test_bench_policy_forward_inference(benchmark):
     assert not logits.requires_grad
 
 
-def test_bench_conv_backward(benchmark):
-    """Weight and input gradients of the encoder's middle convolution
-    (16 -> 32 channels, 3x3, stride 2, padding 1) over 106 nodes at
-    metal encode 24."""
+@pytest.mark.parametrize(
+    "n, c, size, f",
+    [(106, 16, 12, 32), (12, 6, 128, 16)],
+    ids=["metal-encode24-middle", "paper-via-encode128-first"],
+)
+def test_bench_conv_backward(benchmark, n, c, size, f):
+    """Weight and input gradients of one encoder convolution (3x3,
+    stride 2, padding 1): the middle one (16 -> 32 channels) over 106
+    nodes at metal encode 24, and the first one (6 -> 16) over a
+    12-node sample at the paper's via encode 128."""
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(106, 16, 12, 12)), requires_grad=True)
-    weight = Tensor(rng.normal(size=(32, 16, 3, 3)), requires_grad=True)
-    bias = Tensor(np.zeros(32), requires_grad=True)
+    x = Tensor(rng.normal(size=(n, c, size, size)), requires_grad=True)
+    weight = Tensor(rng.normal(size=(f, c, 3, 3)), requires_grad=True)
+    bias = Tensor(np.zeros(f), requires_grad=True)
     out = conv2d(x, weight, bias, stride=2, padding=1)
     grad = rng.normal(size=out.shape)
 

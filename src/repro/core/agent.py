@@ -19,7 +19,7 @@ and returns an :class:`OptimizeResult`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -137,11 +137,17 @@ def run_episode(
 
 @dataclass
 class _ClipContext:
+    """What stays fixed for a clip across training and inference: its
+    environment, segment graph, mean adjacency and visit order.
+
+    Training artefacts are not kept here: the teacher corpus lives only
+    for the imitation phase that builds it (:meth:`CAMO._teacher_corpus`).
+    """
+
     env: OPCEnvironment
     graph: SegmentGraph
     adjacency: np.ndarray
     order: list[int]
-    teacher_samples: list | None = field(default=None, repr=False)
 
 
 class CAMO:
@@ -170,7 +176,6 @@ class CAMO:
             window_nm=config.window_nm, out_size=config.encode_size,
             channels=self.feature_channels,
         )
-        self.optimizer = self._make_optimizer(config.learning_rate)
         self.rng = np.random.default_rng(config.seed)
         self._contexts: dict[str, _ClipContext] = {}
 
@@ -242,6 +247,39 @@ class CAMO:
         self._train_rl(clips, history, verbose)
         return history
 
+    def _teacher_corpus(self, ctx: _ClipContext) -> list[tuple]:
+        """One clip's imitation samples: ``(features, actions, weight,
+        log_pref)`` per teacher step, from one rollout of
+        ``IMITATION_STEPS`` per bias offset.
+
+        The trajectories roll in lockstep (one batched litho + metrology
+        call per teacher step).  Teacher states never change across
+        epochs, so each sample's features (and the modulator's logit
+        offset) are encoded and its weight taken once, here.
+        """
+        unit_weight = self.config.imitation_weighting == "unit"
+        starts = [
+            ctx.env.reset(bias_nm=self.config.initial_bias_nm + offset)
+            for offset in IMITATION_BIAS_OFFSETS_NM
+        ]
+        rollout = [
+            sample
+            for trajectory in collect_teacher_actions_population(
+                ctx.env, steps=IMITATION_STEPS, initial_states=starts,
+            )
+            for sample in trajectory
+        ]
+        return [
+            (
+                self.encoder.encode_all(state.mask)[None],
+                actions[None],
+                1.0 if unit_weight else ctx.env.reward(state, next_state),
+                self.modulator.log_preference_batch(state.seg_epe)
+                if self.config.use_modulator else None,
+            )
+            for state, actions, next_state in rollout
+        ]
+
     def _train_imitation(
         self, clips: list[Clip], history: dict[str, list[float]], verbose: bool
     ) -> None:
@@ -256,49 +294,27 @@ class CAMO:
         weight (behaviour cloning) — necessary so that the teacher's
         *hold* decisions near convergence, whose environment reward is
         ~0, are learned too.  ``"reward"`` reproduces Eq. 7 literally.
+
+        The teacher corpus and the optimizer are locals: both are
+        dropped when the phase ends, and every call starts from fresh
+        optimizer moments, as :meth:`_train_rl` does.
         """
-        unit_weight = self.config.imitation_weighting == "unit"
+        corpus: dict[str, list[tuple]] = {}
         for clip in clips:
-            ctx = self.context(clip)
-            if ctx.teacher_samples is None:
-                # All bias-offset trajectories roll in lockstep: one
-                # batched litho + metrology call per teacher step.
-                starts = [
-                    ctx.env.reset(bias_nm=self.config.initial_bias_nm + offset)
-                    for offset in IMITATION_BIAS_OFFSETS_NM
-                ]
-                rollout = [
-                    sample
-                    for trajectory in collect_teacher_actions_population(
-                        ctx.env, steps=IMITATION_STEPS, initial_states=starts,
-                    )
-                    for sample in trajectory
-                ]
-                # Teacher states never change across epochs: encode the
-                # features (and the modulator's logit offset) and weigh
-                # each sample once.
-                ctx.teacher_samples = [
-                    (
-                        self.encoder.encode_all(state.mask)[None],
-                        actions[None],
-                        1.0 if unit_weight
-                        else ctx.env.reward(state, next_state),
-                        self.modulator.log_preference_batch(state.seg_epe)
-                        if self.config.use_modulator else None,
-                    )
-                    for state, actions, next_state in rollout
-                ]
+            if clip.name not in corpus:
+                corpus[clip.name] = self._teacher_corpus(self.context(clip))
+        optimizer = self._make_optimizer(self.config.learning_rate)
         for epoch in range(self.config.imitation_epochs):
             epoch_logp = 0.0
             for clip in clips:
                 ctx = self.context(clip)
-                for features, actions, weight, log_pref in ctx.teacher_samples:
+                for features, actions, weight, log_pref in corpus[clip.name]:
                     logits = self.policy(features, ctx.adjacency, ctx.order)
                     if self.config.use_modulator:
                         logits = logits + Tensor(log_pref)
                     log_probs = select_log_probs_population(logits, actions)
                     population_gradient_step(
-                        self.optimizer, log_probs, np.array([weight])
+                        optimizer, log_probs, np.array([weight])
                     )
                     epoch_logp += float(log_probs.numpy()[0])
             history["imitation_logp"].append(epoch_logp)

@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.errors import NNError
-from repro.nn.tensor import Tensor, _accumulate
+from repro.nn.tensor import Tensor, _accumulate, grad_enabled
 
 
 def relu(x: Tensor) -> Tensor:
@@ -269,15 +269,23 @@ def elman(x: Tensor, layers: list[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
 
 @lru_cache(maxsize=64)
 def _im2col_map(
-    c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int
+    c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int,
+    transposed: bool = False,
 ) -> np.ndarray:
     """Flat input index of every im2col entry, ``(C·KH·KW, OH·OW)``.
 
     Row ``(c, i, j)``, column ``(y, x)`` holds the index of input pixel
     ``(c, y·stride + i − padding, x·stride + j − padding)`` in one node's
     flattened ``(C, H, W)`` image; a tap that lands in the padding holds
-    ``C·H·W``, a zero slot one past the image.  Read-only and shared.
+    ``C·H·W``, a zero slot one past the image.  ``transposed`` gives the
+    same map C-ordered as ``(OH·OW, C·KH·KW)``.  Read-only and shared.
     """
+    if transposed:
+        index = np.ascontiguousarray(
+            _im2col_map(c, h, w, kh, kw, stride, padding).T
+        )
+        index.flags.writeable = False
+        return index
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     rows = np.arange(kh)[:, None] + stride * np.arange(oh) - padding  # (KH, OH)
@@ -311,6 +319,11 @@ def conv2d(
     the padding's zero; col2im is one ``np.bincount`` through the same
     map, which adds each input pixel's taps in ``(KH, KW)`` order
     starting from 0.0, as a strided add per tap would.
+
+    A recorded graph keeps those input rows, not the im2col matrix
+    (about ``KH*KW / stride**2`` times larger): the matrix is freed right
+    after the forward GEMM, and the backward pass gathers the weight
+    gradient's operand afresh from the rows.
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise NNError(f"conv2d expects 4-D input/weight, got {x.shape}/{weight.shape}")
@@ -329,10 +342,12 @@ def conv2d(
     flat[:, :size] = x.data.reshape(n, size)
     flat[:, size] = 0.0
     cols = np.take(flat, taps, axis=1)  # (N, C*KH*KW, OH*OW)
-    del flat
+    if not (weight.requires_grad and grad_enabled()):
+        del flat  # only the weight gradient reads the rows again
 
     w_flat = weight.data.reshape(f, c * kh * kw)
     out_data = np.matmul(w_flat, cols).reshape(n, f, oh, ow)
+    del cols
     if bias is not None:
         out_data += bias.data.reshape(1, f, 1, 1)
 
@@ -346,25 +361,28 @@ def conv2d(
         grad_flat = grad.reshape(n, f, oh * ow)
         if weight.requires_grad:
             # ``np.tensordot(grad_flat, cols, ((0, 2), (0, 2)))``: the same
-            # GEMM on the same operands, so the same bits, but for n > 1
-            # ``cols`` is copied transposed to (n, L, C·k²) eight rows at
-            # a time.  tensordot's whole-array copy reads all C·k² rows at
-            # once, L·8 bytes apart; at power-of-two encode sizes they
-            # evict each other from one cache set (at encode 128 that copy
-            # was 3/4 of an imitation epoch).  At n = 1 tensordot passes
-            # the transposed view itself, and so does this.
+            # GEMM on the same operands, so the same bits.  For n > 1
+            # tensordot copies ``cols`` transposed to (n, L, C·k²); that
+            # operand is gathered here straight from the input rows
+            # through the transposed map (a whole-array transpose reads
+            # all C·k² rows at once, L·8 bytes apart, and at power-of-two
+            # encode sizes they evict each other from one cache set).  At
+            # n = 1 tensordot passes the transposed view itself, and so
+            # does this: a contiguous operand rounds differently there.
             k = c * kh * kw
-            cols_t = cols.transpose(0, 2, 1)
             if n > 1:
-                cols_t = np.empty((n, oh * ow, k))
-                for k0 in range(0, k, 8):
-                    cols_t[:, :, k0 : k0 + 8] = cols[:, k0 : k0 + 8].transpose(
-                        0, 2, 1
-                    )
+                cols_t = np.take(
+                    flat,
+                    _im2col_map(c, h, w, kh, kw, stride, padding, True),
+                    axis=1,
+                )
+            else:
+                cols_t = np.take(flat, taps, axis=1).transpose(0, 2, 1)
             grad_w = np.dot(
                 grad_flat.transpose(1, 0, 2).reshape(f, n * oh * ow),
                 cols_t.reshape(n * oh * ow, k),
             ).reshape(weight.shape)
+            del cols_t
             _accumulate(weight, grad_w, owned=True)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, grad.sum(axis=(0, 2, 3)), owned=True)

@@ -62,7 +62,8 @@ Components:
   dedicated thread, crashed workers revived without dropping the
   daemon, graceful drain-and-shutdown.  ``run_suite(workers=N)``, any
   journaled sweep and CLI ``--workers N`` are blocking wrappers over
-  it.  Workers rebuild the engine from a
+  it.  It loads on first use, so a process that never serves imports
+  no asyncio.  Workers rebuild the engine from a
   picklable :class:`~repro.service.sharding.EngineSpec`, share one
   on-disk kernel-spectra store, and stream
   :class:`~repro.service.sharding.OptOutcome` payloads back as clips
@@ -98,7 +99,6 @@ from repro.errors import (
     ServiceError,
 )
 from repro.service.api import OptRequest, OptResult
-from repro.service.daemon import MaskOptDaemon
 from repro.service.faults import (
     FaultPlan,
     FaultRule,
@@ -129,6 +129,17 @@ from repro.service.service import (
 )
 from repro.service.sharding import EngineSpec, OptOutcome
 from repro.service.workqueue import Task, WorkStealingPool
+
+
+def __getattr__(name: str):
+    """Load the daemon, and asyncio with it, on first use (PEP 562): a
+    process that never serves does not import them."""
+    if name == "MaskOptDaemon":
+        from repro.service.daemon import MaskOptDaemon
+
+        return MaskOptDaemon
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "OptRequest",

@@ -31,7 +31,6 @@ value-deterministic).
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -310,6 +309,8 @@ class MaskOptService:
             for request in requests:
                 self.submit(request)
             return self.run_all(verify=verify)
+        import asyncio  # only the daemon path runs an event loop
+
         return asyncio.run(self._run_on_daemon(
             requests, workers=min(workers, len(requests)), journal=journal,
             retries=retries, deadline_s=deadline_s,

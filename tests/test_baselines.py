@@ -130,7 +130,7 @@ class TestRLOPC:
         engine = RLOPC(config, simulator)
         engine.train([clip])
         ctx = engine.context(clip)
-        samples = ctx.teacher_samples
+        samples = engine._teacher_corpus(ctx)
         assert len(samples) == len(IMITATION_BIAS_OFFSETS_NM) * IMITATION_STEPS
         for index, offset in enumerate(IMITATION_BIAS_OFFSETS_NM):
             start = ctx.env.reset(bias_nm=config.initial_bias_nm + offset)

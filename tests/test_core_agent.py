@@ -170,6 +170,24 @@ class TestAgent:
         # Behaviour cloning must improve the teacher-action likelihood.
         assert history["imitation_logp"][-1] >= history["imitation_logp"][0]
 
+    def test_second_train_starts_fresh(self, simulator, clip):
+        """A train() call holds no optimizer state over from the last one:
+        training twice gives the bits of a fresh engine that loads the
+        first call's weights and trains once."""
+        config = CamoConfig.smoke(imitation_epochs=2, rl_epochs=0)
+        agent = CAMO(config, simulator)
+        agent.train([clip])
+        first = agent.policy.state_dict()
+        agent.train([clip])
+        fresh = CAMO(config, simulator)
+        fresh.policy.load_state_dict(first)
+        fresh.train([clip])
+        expected = fresh.policy.state_dict()
+        for name, value in agent.policy.state_dict().items():
+            assert np.array_equal(
+                value.view(np.int64), expected[name].view(np.int64)
+            ), name
+
     def test_early_exit(self, simulator, clip):
         config = CamoConfig.smoke(max_updates=10, policy_temperature=1e6)
         config = dataclasses.replace(

@@ -2,7 +2,8 @@
 
 ``repro.backend`` imports ``torch`` on the first use of the torch
 backend, not at ``import repro``, and no module of the package imports
-scipy: a numpy-only process loads neither.  The runtime checks use a
+scipy: a numpy-only process loads neither.  Nor does it load asyncio,
+which only the daemon uses.  The runtime checks use a
 fresh interpreter, because the test process itself may already hold
 either module.
 """
@@ -41,7 +42,9 @@ for engine, overrides in (
 outcomes = [result.outcome for result in service.run_all()]
 print(json.dumps({
     "outcomes": outcomes,
-    "loaded": sorted(m for m in ("scipy", "torch") if m in sys.modules),
+    "loaded": sorted(
+        m for m in ("asyncio", "scipy", "torch") if m in sys.modules
+    ),
 }))
 """
 
@@ -70,6 +73,8 @@ def _run(script: str) -> dict:
 
 
 def test_numpy_process_never_imports_scipy_or_torch():
+    """An in-process sweep runs no event loop: ``repro.service`` loads
+    the daemon, and asyncio with it, only when it is asked for."""
     report = _run(NUMPY_ONLY)
     assert report["outcomes"] == ["verified", "verified"]
     assert report["loaded"] == []

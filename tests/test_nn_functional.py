@@ -1,5 +1,7 @@
 """Gradient checks and behaviour tests for nn.functional ops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,24 @@ class TestConv2d:
                 grad.reshape(n, f, oh * ow), cols, ((0, 2), (0, 2))
             ).reshape(w.shape)
             assert np.array_equal(w.grad, reference), (c, f, size)
+
+    def test_graph_keeps_less_than_its_im2col_matrix(self):
+        """A recorded conv2d keeps its input rows, not the im2col matrix:
+        the output and everything its backward holds come to less than
+        that matrix (N = 8, 6x32x32 -> 16, 3x3, stride 2, padding 1)."""
+        x = Tensor(rng.normal(size=(8, 6, 32, 32)), requires_grad=True)
+        w = Tensor(rng.normal(size=(16, 6, 3, 3)), requires_grad=True)
+        cols_bytes = 8 * (6 * 9) * (16 * 16) * 8
+        conv2d(x, w, stride=2, padding=1)  # warms the cached index map
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, w, stride=2, padding=1)
+            alive = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert alive < cols_bytes
 
     def test_validation(self):
         with pytest.raises(NNError):
