@@ -45,7 +45,7 @@ from repro.rl.reinforce import (
     select_log_probs_population,
 )
 from repro.rl.trajectory import Trajectory, TrajectoryStep
-from repro.squish.features import NodeFeatureEncoder
+from repro.squish.features import NodeFeatureEncoder, PackedFeatures
 
 IMITATION_BIAS_OFFSETS_NM = (0.0, 5.0, -4.0)
 """Initial-bias offsets of the teacher rollouts: under- and over-sized
@@ -255,7 +255,10 @@ class CAMO:
         The trajectories roll in lockstep (one batched litho + metrology
         call per teacher step).  Teacher states never change across
         epochs, so each sample's features (and the modulator's logit
-        offset) are encoded and its weight taken once, here.
+        offset) are encoded and its weight taken once, here.  The
+        features are kept as :class:`PackedFeatures` of the ``(n,
+        channels, s, s)`` encode, about 1/20 of its bytes, and unpacked
+        bit for bit right before each forward.
         """
         unit_weight = self.config.imitation_weighting == "unit"
         starts = [
@@ -271,7 +274,7 @@ class CAMO:
         ]
         return [
             (
-                self.encoder.encode_all(state.mask)[None],
+                PackedFeatures.of(self.encoder.encode_all(state.mask)),
                 actions[None],
                 1.0 if unit_weight else ctx.env.reward(state, next_state),
                 self.modulator.log_preference_batch(state.seg_epe)
@@ -309,7 +312,9 @@ class CAMO:
             for clip in clips:
                 ctx = self.context(clip)
                 for features, actions, weight, log_pref in corpus[clip.name]:
-                    logits = self.policy(features, ctx.adjacency, ctx.order)
+                    logits = self.policy(
+                        features.dense()[None], ctx.adjacency, ctx.order
+                    )
                     if self.config.use_modulator:
                         logits = logits + Tensor(log_pref)
                     log_probs = select_log_probs_population(logits, actions)

@@ -51,9 +51,11 @@ three entry points:
   they are legal for reported EPE/PV-band metrology.
 
 * :meth:`LithographySimulator.simulate_epe_batch` — the verifier's
-  sparse sweep on rasterized masks: ``rfft2``, the same front end, then
-  only the pixel lift, per plan.  Because the verifier rasterizes, it
-  stays an independent cross-check of the polygon band source.
+  sparse sweep on rasterized masks: one mask at a time, raster,
+  ``rfft2`` and the same front end, keeping only the subgrid
+  intensity; then only the pixel lift, per plan.  Because the verifier
+  rasterizes, it stays an independent cross-check of the polygon band
+  source.
 
 Array/device backend
 --------------------
@@ -116,7 +118,7 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.raster import (
     Grid,
     Slabs,
-    rasterize,  # perfbench's layer tracer hooks it here
+    rasterize,
 )
 from repro.backend import resolve_backend
 from repro.litho.kernels import (
@@ -577,7 +579,7 @@ class LithographySimulator:
 
     def simulate_epe_batch(
         self,
-        masks: Sequence[np.ndarray] | np.ndarray,
+        masks: "np.ndarray | Sequence[np.ndarray | Iterable[Polygon]]",
         grid: Grid,
         plans,
     ) -> list:
@@ -594,22 +596,38 @@ class LithographySimulator:
         intensity at the plan's pixel set (EPE is measured at the
         nominal corner only).
 
-        No dense image is built: the shared imaging front end images
-        the whole stack once on the pupil-band subgrid,
-        and each plan's pixel set is lifted from it by the lattice
-        gather (:func:`~repro.litho.kernels.band_values_at_pixels`).
-        Values agree with the dense :meth:`simulate_batch` aerials at
-        the same pixels to <= 1e-12 absolute intensity — resolved EPE
-        offsets agree to <= 1e-9 nm.  On a grid whose pupil band is not
-        compact the subgrid is the grid, and the lift is a plain gather
-        from the very array the dense aerial is.
+        ``masks`` is a ``(B, H, W)`` raster stack or a sequence of B
+        masks, each an ``(H, W)`` raster or a polygon set that is
+        rasterized on ``grid`` here.  Masks are taken one at a time
+        through the imaging front end for rasters
+        (:meth:`~repro.litho.kernels.OpticalKernelSet.subgrid_intensity`:
+        ``rfft2`` of that one mask, the Hermitian band gather, the
+        image on the pupil-band subgrid), and only its subgrid intensity
+        is kept, so a sequence never holds more than one full-grid
+        raster and spectrum, and the K kernel fields of one mask.  Each
+        plan's pixel set is then lifted from the stacked intensities by
+        the lattice gather
+        (:func:`~repro.litho.kernels.band_values_at_pixels`).  A mask
+        whose plan is ``None`` is validated but not imaged.  Values are
+        bit-for-bit those of one call per mask, and agree with the
+        dense :meth:`simulate_batch` aerials at the same pixels to
+        <= 1e-12 absolute intensity — resolved EPE offsets agree to
+        <= 1e-9 nm.  On a grid whose pupil band is not compact the
+        subgrid is the grid, and the lift is a plain gather from the
+        very array the dense aerial is.
 
         Like :meth:`simulate_batch`, ``masks`` may be a device tensor
         under a device backend; the sparse values in each returned
         :class:`~repro.metrology.contour.SparseAerial` are host numpy.
         """
-        stack = self._mask_stack(masks, grid)
-        batch = stack.shape[0]
+        kset = self.kernel_set(self.corners()[0].defocus_nm)
+        if hasattr(masks, "ndim"):
+            masks = kset.validate_mask_batch(masks)
+        else:
+            masks = list(masks)
+            if not masks:
+                raise LithoError("mask batch is empty")
+        batch = len(masks)
         if plans is None or not isinstance(plans, (list, tuple)):
             plan_list = [plans] * batch
         else:
@@ -619,32 +637,41 @@ class LithographySimulator:
                     f"got {len(plan_list)} stencil plans for {batch} masks"
                 )
         _check_plan_grids(plan_list, grid)
-        results: list = [None] * batch
+        shape = grid.shape
+        fft = kset.fft
+        # One entry per imaged mask: its subgrid intensity and its batch
+        # index; each plan groups the imaged rows it measures.
+        imaged, owners = [], []
         groups: dict[int, tuple] = {}
-        for index, plan in enumerate(plan_list):
+        for index, (mask, plan) in enumerate(zip(masks, plan_list)):
+            if not hasattr(mask, "ndim"):
+                mask = rasterize(mask, grid)
+            row = kset.validate_mask_batch(mask[None])
+            if row.shape[1:] != shape:
+                raise LithoError(
+                    f"mask {index} shape {tuple(row.shape[1:])} does not "
+                    f"match grid {shape}"
+                )
             if plan is None or not plan.n_points:
                 continue
-            groups.setdefault(id(plan), (plan, []))[1].append(index)
-        if not groups:
+            groups.setdefault(id(plan), (plan, []))[1].append(len(imaged))
+            imaged.append(kset.subgrid_intensity(
+                fft.rfft2(row, axes=(-2, -1)), shape
+            ))
+            owners.append(index)
+        results: list = [None] * batch
+        if not imaged:
             return results
-
-        shape = grid.shape
-        nominal, _, _ = self.corners()
-        kset = self.kernel_set(nominal.defocus_nm)
-        # The whole stack is imaged once; only the pixel lift runs per
-        # plan.
-        intensity = kset.subgrid_intensity(
-            kset.fft.rfft2(stack, axes=(-2, -1)), shape
-        )
+        intensity = fft.concat(imaged)
+        band = kset.band_spectra(shape)
         from repro.metrology.contour import SparseAerial
 
-        for plan, indices in groups.values():
+        for plan, rows in groups.values():
             values = band_values_at_pixels(
-                intensity[indices], kset.band_spectra(shape),
-                plan.pixel_rows, plan.pixel_cols, kset.fft,
+                intensity[rows], band, plan.pixel_rows, plan.pixel_cols, fft,
             )
-            for row, index in enumerate(indices):
-                results[index] = SparseAerial(plan=plan, values=values[row])
+            for row, row_values in zip(rows, values):
+                results[owners[row]] = SparseAerial(plan=plan, values=row_values)
         return results
 
     def simulate_polygons(

@@ -11,6 +11,14 @@ from four engines collapses into a handful of batched litho calls — and
 because batched results are bit-for-bit independent of the batch size,
 the measurements are identical to re-measuring each mask alone.
 
+The queue holds geometry, not rasters: an in-process outcome's item
+keeps its final mask's polygons (:func:`final_mask`), and only a shard
+payload's mask arrives as the raster its worker made.  A flush hands
+its bin to ``simulate_epe_batch`` as a sequence, which rasterizes,
+transforms and images one mask at a time and keeps only its band-limited
+subgrid intensity, so a flush holds at most one full-grid raster (and
+its spectrum) at a time.
+
 Verification is EPE-only, so the flush evaluates intensity solely at the
 pixels under each clip's measure-point stencils: no ``printed_image``
 and no full-grid inverse FFT is ever built.  The measured EPE agrees
@@ -46,6 +54,7 @@ from typing import Hashable
 import numpy as np
 
 from repro.geometry.layout import Clip
+from repro.geometry.polygon import Polygon
 from repro.geometry.raster import Grid, rasterize
 from repro.geometry.segmentation import fragment_clip
 from repro.litho.simulator import LithographySimulator
@@ -57,29 +66,39 @@ from repro.metrology.epe import (  # noqa: F401
 from repro.service.faults import maybe_fault
 
 
-def final_mask_image(outcome, grid: Grid) -> np.ndarray | None:
-    """Rasterized final mask of an optimization outcome, if recoverable.
+def final_mask(outcome) -> "tuple[Polygon, ...] | np.ndarray | None":
+    """Final mask of an optimization outcome, if recoverable.
 
-    Edge-based engines carry a ``final_state`` (a mask state rebuilt into
-    polygons); pixel engines carry a ``mask_image`` directly.
+    Edge-based engines carry a ``final_state``, whose mask is returned
+    as its polygons; a shard payload (or a pixel engine) carries a
+    rasterized ``mask_image``, returned as float64.
     """
     state = getattr(outcome, "final_state", None)
     if state is not None:
-        return rasterize(state.mask.mask_polygons(), grid)
+        return tuple(state.mask.mask_polygons())
     image = getattr(outcome, "mask_image", None)
     if image is not None:
         return np.asarray(image, dtype=np.float64)
     return None
 
 
+def final_mask_image(outcome, grid: Grid) -> np.ndarray | None:
+    """:func:`final_mask`, rasterized on ``grid``."""
+    mask = final_mask(outcome)
+    if mask is None or isinstance(mask, np.ndarray):
+        return mask
+    return rasterize(mask, grid)
+
+
 @dataclass(frozen=True)
 class VerifyItem:
-    """One final mask queued for batched re-measurement."""
+    """One final mask queued for batched re-measurement: its polygons,
+    or an ``(H, W)`` raster on ``grid``."""
 
     key: Hashable
     clip: Clip
     grid: Grid
-    mask: np.ndarray
+    mask: "tuple[Polygon, ...] | np.ndarray"
     epe_search_nm: float
 
 
@@ -109,12 +128,11 @@ class ShapeBinScheduler:
     ) -> bool:
         """Queue an optimization outcome; ``False`` if its final mask is
         not recoverable (nothing to verify)."""
-        grid = simulator.grid_for(clip)
-        mask = final_mask_image(outcome, grid)
+        mask = final_mask(outcome)
         if mask is None:
             return False
         self.add(VerifyItem(
-            key=key, clip=clip, grid=grid, mask=mask,
+            key=key, clip=clip, grid=simulator.grid_for(clip), mask=mask,
             epe_search_nm=epe_search_nm,
         ))
         return True
@@ -215,7 +233,6 @@ class ShapeBinScheduler:
             if not members:
                 continue
             (_, search_nm) = key
-            stack = np.stack([item.mask for item in members])
             # Per-item stencil plans (cached by clip geometry) drive the
             # sparse gather; clips without measure points plan to None
             # and come back as empty reports.
@@ -226,7 +243,7 @@ class ShapeBinScheduler:
                 for item in members
             ]
             sparse = simulator.simulate_epe_batch(
-                stack, members[0].grid, plans
+                [item.mask for item in members], members[0].grid, plans
             )
             reports = measure_epe_grouped_sparse(sparse, threshold)
             for item, report in zip(members, reports):

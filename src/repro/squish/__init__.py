@@ -12,7 +12,7 @@ edge movements — six channels in total.
 from repro.squish.scanlines import scanline_positions
 from repro.squish.squish import SquishPattern, encode_squish
 from repro.squish.adaptive import adaptive_squish_tensor
-from repro.squish.features import NodeFeatureEncoder
+from repro.squish.features import NodeFeatureEncoder, PackedFeatures
 
 __all__ = [
     "scanline_positions",
@@ -20,4 +20,5 @@ __all__ = [
     "encode_squish",
     "adaptive_squish_tensor",
     "NodeFeatureEncoder",
+    "PackedFeatures",
 ]

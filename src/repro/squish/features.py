@@ -33,6 +33,11 @@ P=1 is bit-for-bit :meth:`~NodeFeatureEncoder.encode_all`.
 
 RL-OPC's original 3-channel encoding (mask only) is exposed separately for
 the baseline.
+
+:class:`PackedFeatures` holds an encoded tensor in what it carries: the
+uint8 occupancy planes plus one x and one y spacing vector per grid.
+CAMO's imitation corpus keeps its samples that way, ~20x smaller than
+the float64 tensor, and unpacks each bit for bit before its forward.
 """
 
 from __future__ import annotations
@@ -80,10 +85,16 @@ class NodeFeatureEncoder:
         every state in one pass.
 
         A 6-channel encode has one grid per window, shared by every
-        member's mask and the targets: the window borders plus every
-        vertex of every polygon overlapping the window.  A 3-channel
-        encode has one grid per (member, window), from that member's
-        mask alone.
+        member's mask and the targets; a 3-channel encode has one grid
+        per (member, window), from that member's mask alone.  A grid's
+        scanlines are the window borders plus, on each axis, every
+        vertex coordinate of every polygon overlapping the window that
+        lies strictly inside the window's span on that axis, wherever
+        the vertex lies on the other axis.  So a jog vertex outside the
+        window still places a line when its polygon reaches into the
+        window elsewhere (one line in six on the metal test clips, none
+        on the via clips).  Such a line refines the grid; the geometry
+        it encodes is the same.
         """
         n_members, n, size = len(states), len(segments), self.out_size
         sources = [state.mask_vertices() for state in states]
@@ -149,3 +160,44 @@ class NodeFeatureEncoder:
                 "population members must share one clip's segments"
             )
         return self._encode(states, segments)
+
+
+@dataclass(frozen=True)
+class PackedFeatures:
+    """An encoded feature tensor ``(..., channels, s, s)``, packed.
+
+    Each group of three channels is occupancy, the column widths (the
+    same in every row) and the row heights (the same in every column),
+    as :meth:`NodeFeatureEncoder.encode_all` writes them.  The groups of
+    one window share its grid, so a window packs to ``channels // 3``
+    uint8 occupancy planes and one pair of spacing vectors.
+
+    Attributes:
+        occupancy: ``(..., channels // 3, s, s)`` uint8 occupancy.
+        spacing_x: ``(..., s)`` column widths.
+        spacing_y: ``(..., s)`` row heights.
+    """
+
+    occupancy: np.ndarray
+    spacing_x: np.ndarray
+    spacing_y: np.ndarray
+
+    @classmethod
+    def of(cls, dense: np.ndarray) -> "PackedFeatures":
+        """Pack an encoder's output tensor."""
+        *lead, channels, rows, cols = dense.shape
+        groups = dense.reshape(*lead, channels // 3, 3, rows, cols)
+        return cls(
+            occupancy=groups[..., 0, :, :].astype(np.uint8),
+            spacing_x=groups[..., 0, 1, 0, :].copy(),
+            spacing_y=groups[..., 0, 2, :, 0].copy(),
+        )
+
+    def dense(self) -> np.ndarray:
+        """The float64 tensor :meth:`of` packed, bit for bit."""
+        *lead, n_groups, rows, cols = self.occupancy.shape
+        out = np.empty((*lead, n_groups, 3, rows, cols))
+        out[..., 0, :, :] = self.occupancy
+        out[..., 1, :, :] = self.spacing_x[..., None, None, :]
+        out[..., 2, :, :] = self.spacing_y[..., None, :, None]
+        return out.reshape(*lead, n_groups * 3, rows, cols)

@@ -20,9 +20,15 @@ def scanline_positions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted unique scanline coordinates covering a window.
 
-    Scanlines are placed at the window borders and at every polygon edge
-    coordinate that falls inside the window; callers can force additional
-    scanlines (CAMO adds the *target* edges when encoding the mask).
+    Scanlines are placed at the window borders and, on each axis, at
+    every vertex coordinate of ``polygons`` that lies strictly inside the
+    window's span on that axis, wherever the vertex lies on the other
+    axis: a polygon that reaches into the window places lines at all its
+    vertices in the span, also at jog vertices outside the window.
+    ``NodeFeatureEncoder`` applies the same rule to the polygons
+    overlapping each window.
+    Callers can force additional scanlines (CAMO adds the *target* edges
+    when encoding the mask).
 
     Returns:
         ``(xs, ys)`` strictly increasing coordinate arrays, both starting

@@ -134,7 +134,7 @@ class TestRLOPC:
         assert len(samples) == len(IMITATION_BIAS_OFFSETS_NM) * IMITATION_STEPS
         for index, offset in enumerate(IMITATION_BIAS_OFFSETS_NM):
             start = ctx.env.reset(bias_nm=config.initial_bias_nm + offset)
-            features = samples[index * IMITATION_STEPS][0]
+            features = samples[index * IMITATION_STEPS][0].dense()[None]
             assert np.array_equal(
                 features, engine.encoder.encode_all(start.mask)[None]
             )

@@ -30,3 +30,27 @@ def test_write_json_stamps_provenance(tmp_path):
     assert stamp["nproc"] >= 1
     assert stamp["numpy"] and stamp["python"]
     assert stamp["timestamp_utc"].endswith("+00:00")
+
+
+def _backend_names(node):
+    """Every ``fft_backend`` value anywhere in a JSON record."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key == "fft_backend":
+                yield value
+            yield from _backend_names(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _backend_names(value)
+
+
+def test_committed_records_name_a_live_backend():
+    """A committed ``BENCH_*.json`` that records an FFT backend names one
+    the repo still has, so no record describes a retired path."""
+    from repro.backend import BACKEND_NAMES
+
+    records = sorted(BENCH_COMMON.parent.parent.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        for name in _backend_names(json.loads(path.read_text())):
+            assert name in BACKEND_NAMES, f"{path.name}: {name!r}"

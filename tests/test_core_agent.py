@@ -188,6 +188,30 @@ class TestAgent:
                 value.view(np.int64), expected[name].view(np.int64)
             ), name
 
+    def test_teacher_corpus_is_packed(self, simulator, clip):
+        """One via clip's corpus keeps under 1/10 of the bytes of its
+        samples' float64 features, and each sample unpacks to the encode
+        of its teacher state."""
+        import tracemalloc
+
+        agent = CAMO(CamoConfig.smoke(encode_size=32), simulator)
+        ctx = agent.context(clip)
+        agent._teacher_corpus(ctx)  # band spectra, plans and env caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            corpus = agent._teacher_corpus(ctx)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        dense = [sample[0].dense() for sample in corpus]
+        assert held < sum(features.nbytes for features in dense) / 10
+        start = ctx.env.reset(bias_nm=agent.config.initial_bias_nm)
+        assert np.array_equal(
+            dense[0].view(np.int64),
+            agent.encoder.encode_all(start.mask).view(np.int64),
+        )
+
     def test_early_exit(self, simulator, clip):
         config = CamoConfig.smoke(max_updates=10, policy_temperature=1e6)
         config = dataclasses.replace(

@@ -443,6 +443,49 @@ class TestEndToEndParity:
             assert got.count == ref.count
             assert np.abs(got.values - ref.values).max() < EPE_TOLERANCE_NM
 
+    def test_batch_is_bit_for_bit_single_mask_calls(self, sim, mixed_suite):
+        """B masks in one call, as a stack, as rasters, as polygon sets
+        and mixed, give each mask's single-mask values as int64 bits; a
+        ``None`` plan gives ``None``."""
+        same_shape = [c for c in mixed_suite if c.name != "ev3"]
+        grid = sim.grid_for(same_shape[0])
+        polygons = [tuple(clip.targets) for clip in same_shape]
+        polygons.append((Polygon.from_rect(Rect.square(640, 640, 90)),))
+        rasters = [rasterize(polys, grid) for polys in polygons]
+        plans = [
+            measure_stencil_plan(grid, fragment_clip(clip))
+            for clip in same_shape
+        ] + [None]
+        singles = [
+            sim.simulate_epe_batch(raster[None], grid, [plan])[0]
+            for raster, plan in zip(rasters, plans)
+        ]
+        mixed = [rasters[0], *polygons[1:]]
+        for masks in (np.stack(rasters), rasters, polygons, mixed):
+            got = sim.simulate_epe_batch(masks, grid, plans)
+            assert got[-1] is singles[-1] is None
+            for aerial, single in zip(got[:-1], singles):
+                assert aerial.plan is single.plan
+                assert np.array_equal(
+                    aerial.values.view(np.int64), single.values.view(np.int64)
+                )
+
+    def test_stack_and_sequence_raise_alike(self, sim, mixed_suite):
+        clip = mixed_suite[0]
+        grid = sim.grid_for(clip)
+        plan = measure_stencil_plan(grid, fragment_clip(clip))
+        mask = rasterize(clip.targets, grid)
+        with pytest.raises(LithoError, match="empty"):
+            sim.simulate_epe_batch([], grid, plan)
+        with pytest.raises(LithoError, match="empty"):
+            sim.simulate_epe_batch(np.empty((0, *grid.shape)), grid, plan)
+        with pytest.raises(LithoError, match="grid"):
+            sim.simulate_epe_batch([mask, mask[:-8]], grid, plan)
+        with pytest.raises(LithoError, match="grid"):
+            sim.simulate_epe_batch(mask[None, :-8], grid, plan)
+        with pytest.raises(LithoError, match="2 masks"):
+            sim.simulate_epe_batch([mask, clip.targets], grid, [plan])
+
     def test_shared_plan_broadcasts_across_the_batch(self, sim, mixed_suite):
         """Candidate screening shape: one plan, B mask variants."""
         clip = mixed_suite[0]

@@ -341,6 +341,82 @@ class TestRunAllBitForBit:
         assert service.stats()["engines_cached"] == 1
 
 
+class TestStreamingFlush:
+    """The queue holds geometry, and a flush holds one full-grid raster
+    at a time."""
+
+    def test_queue_holds_polygons_and_measures_as_rasters(
+        self, sim, mixed_suite
+    ):
+        """An in-process outcome queues its final mask's polygons; the
+        flush measures them bit for bit as their raster queued by hand."""
+        from repro.service.scheduler import ShapeBinScheduler, VerifyItem
+
+        engine = make_engine(sim)
+        outcomes = [engine.optimize(clip) for clip in mixed_suite]
+        queued, by_hand = ShapeBinScheduler(), ShapeBinScheduler()
+        for ticket, (clip, outcome) in enumerate(zip(mixed_suite, outcomes)):
+            queued.add_outcome(ticket, clip, outcome, sim, 40.0)
+            grid = sim.grid_for(clip)
+            by_hand.add(VerifyItem(
+                key=ticket, clip=clip, grid=grid,
+                mask=final_mask_image(outcome, grid), epe_search_nm=40.0,
+            ))
+        items = [item for bin_ in queued._bins.values() for item in bin_]
+        assert all(isinstance(item.mask, tuple) for item in items)
+        got, expected = queued.flush(sim), by_hand.flush(sim)
+        assert got.keys() == expected.keys()
+        for key, value in expected.items():
+            assert float(got[key]).hex() == float(value).hex()
+
+    def test_flush_peak_is_one_raster_deep(self):
+        """Eight same-shape masks flush within 3.5 full-grid rasters of
+        traced memory (the mask's raster and its ``rfft2``, whose row
+        pass and output are a raster each), and one mask more or less
+        moves the peak by far less than a raster."""
+        import tracemalloc
+        from types import SimpleNamespace
+
+        from repro.geometry import MaskState
+        from repro.service.scheduler import ShapeBinScheduler
+
+        simulator = LithographySimulator(
+            LithoConfig(pixel_nm=4.0, max_kernels=4)
+        )
+        clips = [
+            generate_via_clip(f"fp{i}", n_vias=3, seed=70 + i, clip_nm=1280)
+            for i in range(8)
+        ]
+        outcomes = [
+            SimpleNamespace(final_state=SimpleNamespace(mask=MaskState.initial(
+                clip, fragment_clip(clip), bias_nm=2.0,
+            )))
+            for clip in clips
+        ]
+        grid = simulator.grid_for(clips[0])
+        raster_bytes = grid.rows * grid.cols * 8
+
+        def flush_peak(count):
+            scheduler = ShapeBinScheduler()
+            for ticket in range(count):
+                scheduler.add_outcome(
+                    ticket, clips[ticket], outcomes[ticket], simulator, 40.0
+                )
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                scheduler.flush(simulator)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return (peak - start) / raster_bytes
+
+        flush_peak(8)  # band spectra and stencil plans, cached
+        one, eight = flush_peak(1), flush_peak(8)
+        assert eight < 3.5
+        assert eight - one < 0.5
+
+
 class TestMapSuite:
     def test_matches_run_all_and_shares_one_verify_pass(
         self, sim, mixed_suite

@@ -21,6 +21,7 @@ from repro.constants import FEATURE_WINDOW_NM
 from repro.data import metal_test_suite
 from repro.squish import (
     NodeFeatureEncoder,
+    PackedFeatures,
     SquishPattern,
     adaptive_squish_tensor,
     encode_squish,
@@ -812,3 +813,38 @@ def test_vertex_loops_encode_as_the_polygons(index, data):
                 [_PolygonPath(state) for state in population], start.segments
             )
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.integers(0, len(CORPUS) - 1), data=st.data())
+def test_packed_features_unpack_bit_for_bit(index, data):
+    """Random via and metal suite states: ``PackedFeatures.of(t).dense()``
+    is ``t`` as int64 bits, for ``encode_all`` and for
+    ``encode_all_population`` at P = 1 and 2, at 6 and 3 channels; the
+    packed planes are uint8 with one spacing pair per tensor row."""
+    start = _corpus_start(index)
+    bound = start.max_offset
+    states = [
+        start.moved(np.asarray(data.draw(st.lists(
+            st.integers(-bound, bound),
+            min_size=start.n_segments, max_size=start.n_segments,
+        )), dtype=np.float64) - start.offsets)
+        for _ in range(2)
+    ]
+    size = 32 if start.clip.layer == "via" else 24
+    for channels in (6, 3):
+        encoder = NodeFeatureEncoder(out_size=size, channels=channels)
+        tensors = [
+            encoder.encode_all(states[0]),
+            encoder.encode_all_population(states[:1]),
+            encoder.encode_all_population(states),
+        ]
+        for dense in tensors:
+            packed = PackedFeatures.of(dense)
+            lead = dense.shape[:-3]
+            assert packed.occupancy.dtype == np.uint8
+            assert packed.occupancy.shape == (*lead, channels // 3, size, size)
+            assert packed.spacing_x.shape == packed.spacing_y.shape == (*lead, size)
+            unpacked = packed.dense()
+            assert unpacked.dtype == dense.dtype
+            assert np.array_equal(unpacked.view(np.int64), dense.view(np.int64))
