@@ -208,7 +208,7 @@ def run(
         "pupil_band": list(band.band),
         "subgrid": list(band.subgrid),
         "batch": BATCH,
-        "fft_backend": simulator.kernel_set(0.0).fft.name,
+        "fft_backend": "numpy",
         "t_sequential_s": t_seq,
         "t_batch_s": t_batch,
         "t_batch_polygons_s": t_polygons,

@@ -159,7 +159,7 @@ def run(
         "measure_points": n_points,
         "stencil_pixels": n_pixels,
         "search_nm": SEARCH_NM,
-        "fft_backend": simulator.kernel_set(0.0).fft.name,
+        "fft_backend": "numpy",
         "cores": cores,
         "t_dense_s": t_dense,
         "t_sparse_s": t_sparse,

@@ -12,8 +12,8 @@ Five subcommands, all built on :class:`repro.service.MaskOptService`:
   from disk, only the unfinished ones are re-dispatched.
 * ``table``     — regenerate the paper's Table 1 / Table 2 through the
   service-routed experiment drivers.
-* ``bench-info``— show the serving environment: version, array backend,
-  engine registry, kernel-spectra store state.
+* ``bench-info``— show the serving environment: version, engine
+  registry, kernel-spectra store state.
 
 Examples::
 
@@ -221,8 +221,6 @@ def _litho_config(args):
     return LithoConfig(
         pixel_nm=args.pixel_nm,
         max_kernels=args.max_kernels,
-        backend=args.backend,
-        device=args.device,
         spectra_store=_store_root(args),
     )
 
@@ -438,17 +436,13 @@ def cmd_table(args) -> int:
 
 
 def cmd_bench_info(args) -> int:
-    from repro.backend import resolve_backend, torch_available
     from repro.litho.simulator import LithographySimulator
     from repro.litho.store import SPECTRA_STORE_ENV, open_store
     from repro.service import available_engines
 
-    backend = resolve_backend(args.backend, device=args.device)
     print(f"repro {__version__}")
     print(f"python        : {sys.version.split()[0]}")
     print(f"cpu cores     : {os.cpu_count()}")
-    print(f"torch         : {'available' if torch_available() else 'absent'}")
-    print(f"array backend : {backend.name} (device={backend.device})")
     print(f"engines       : {', '.join(available_engines())}")
 
     root = _store_root(args)
@@ -507,13 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="raster pitch (default 4 nm)")
         p.add_argument("--max-kernels", type=int, default=6,
                        help="SOCS kernel cap per corner (default 6)")
-        p.add_argument("--backend", default="numpy",
-                       choices=["numpy", "torch"],
-                       help="array/device backend (default numpy; torch "
-                            "runs the band engine on a device)")
-        p.add_argument("--device", default=None, metavar="DEV",
-                       help="device for the torch backend (cpu, cuda, "
-                            "cuda:N; default: cuda when available)")
         p.add_argument("--store", default=None, metavar="DIR",
                        help="kernel-spectra store directory "
                             "(default: $REPRO_SPECTRA_STORE)")

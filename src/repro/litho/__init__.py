@@ -13,12 +13,6 @@ subgrid is the grid itself.  A constant-threshold resist model with
 dose/defocus process corners yields printed contours and the PV band.
 """
 
-from repro.backend import (
-    ArrayBackend,
-    next_fast_len,
-    resolve_backend,
-    torch_available,
-)
 from repro.litho.source import SourceSpec, source_weights
 from repro.litho.pupil import pupil_function
 from repro.litho.tcc import build_tcc, build_tcc_grid, socs_spectra
@@ -26,6 +20,7 @@ from repro.litho.kernels import (
     GridBandSpectra,
     OpticalKernelSet,
     build_kernel_set,
+    next_fast_len,
 )
 from repro.litho.resist import printed_image
 from repro.litho.process import ProcessCorner, nominal_corner, standard_corners
@@ -33,10 +28,7 @@ from repro.litho.simulator import LithographySimulator, LithoConfig, LithoResult
 from repro.litho.store import KernelSpectraStore, open_store, optics_fingerprint
 
 __all__ = [
-    "ArrayBackend",
     "next_fast_len",
-    "resolve_backend",
-    "torch_available",
     "SourceSpec",
     "source_weights",
     "pupil_function",

@@ -56,9 +56,30 @@ import numpy as np
 
 from repro.constants import NUMERICAL_APERTURE, WAVELENGTH_NM
 from repro.errors import LithoError
-from repro.backend import ArrayBackend, next_fast_len, resolve_backend
 from repro.litho.source import SourceSpec
 from repro.litho.tcc import build_tcc_grid, socs_spectra
+
+
+def _is_5_smooth(n: int) -> bool:
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= ``n`` (fast FFT length), by an
+    upward scan.
+
+    Subgrid sizes are part of the numerical contract, so the answer
+    depends on ``n`` alone.  The kernel build calls it once per band
+    axis, on lengths of a few dozen.
+    """
+    if n < 1:
+        raise LithoError(f"FFT length must be positive, got {n}")
+    while not _is_5_smooth(n):
+        n += 1
+    return n
 
 
 def _band_indices(n: int, radius: int) -> np.ndarray:
@@ -156,11 +177,7 @@ class GridBandSpectra:
         return len(self.weights)
 
 
-def gather_band_rfft(
-    mask_rffts,
-    band: GridBandSpectra,
-    backend: ArrayBackend | None = None,
-):
+def gather_band_rfft(mask_rffts: np.ndarray, band: GridBandSpectra) -> np.ndarray:
     """Pupil-band gather from half-width ``rfft2`` spectra onto the subgrid.
 
     A real mask's spectrum is Hermitian, ``F[r, c] = conj(F[(-r) % H,
@@ -168,31 +185,25 @@ def gather_band_rfft(
     recovered from the stored positive columns with flipped rows.  Values
     match the full-spectrum gather to FFT round-off (the rfft sums in a
     different order — not bit-for-bit).  This is the gather of the one
-    imaging front end, :meth:`OpticalKernelSet.subgrid_intensity`.  Runs
-    on whatever arrays ``backend`` holds — spectra on a device stay on
-    that device (default: host numpy, unchanged behavior).
+    imaging front end, :meth:`OpticalKernelSet.subgrid_intensity`.
     """
-    backend = backend or resolve_backend("numpy")
-    idx = backend.index
     rows, _ = band.shape
     b1 = band.band[1]
     m0, m1 = band.subgrid
     rows_src = band.rows_src
-    gathered = backend.empty(
+    gathered = np.empty(
         (mask_rffts.shape[0], len(rows_src), len(band.cols_src)),
-        backend.complex128,
+        np.complex128,
     )
     gathered[..., : b1 + 1] = mask_rffts[
-        :, idx(rows_src[:, None]), idx(np.arange(b1 + 1)[None, :])
+        :, rows_src[:, None], np.arange(b1 + 1)[None, :]
     ]
     flipped = (rows - rows_src) % rows
     gathered[..., b1 + 1 :] = mask_rffts[
-        :, idx(flipped[:, None]), idx(np.arange(b1, 0, -1)[None, :])
+        :, flipped[:, None], np.arange(b1, 0, -1)[None, :]
     ].conj()
-    sub = backend.zeros(
-        (mask_rffts.shape[0], m0, m1), backend.complex128
-    )
-    sub[:, idx(band.rows_dst[:, None]), idx(band.cols_dst[None, :])] = gathered
+    sub = np.zeros((mask_rffts.shape[0], m0, m1), np.complex128)
+    sub[:, band.rows_dst[:, None], band.cols_dst[None, :]] = gathered
     return sub
 
 
@@ -260,36 +271,26 @@ class PixelLift:
         # real GEMM of [Re, Im] against [Re P_cols; -Im P_cols].
         self.phase_cols = np.concatenate([phase_cols.real, -phase_cols.imag])
 
-    def __call__(self, intensity_sub, fft: ArrayBackend) -> np.ndarray:
-        """``(B, S)`` host values of ``(B, m0, m1)`` subgrid intensities.
-
-        ``intensity_sub`` may be host or device resident; the GEMMs run
-        wherever the backend's arrays live, and the resolved values
-        always come back host-side (the metrology boundary).
-        """
+    def __call__(self, intensity_sub: np.ndarray) -> np.ndarray:
+        """``(B, S)`` values of ``(B, m0, m1)`` subgrid intensities."""
         band = self.band
         if not band.compact:
-            return fft.to_host(
-                intensity_sub[:, fft.index(self.rows), fft.index(self.cols)]
-            )
+            return intensity_sub[:, self.rows, self.cols]
         half_cols = 2 * band.band[1] + 1
-        spectrum = fft.rfft2(intensity_sub, axes=(-2, -1))
-        spec_band = spectrum[:, fft.index(band.up_rows_src), :half_cols]
-        partial = fft.to_device(self.phase_rows) @ spec_band
-        lattice = fft.concat([partial.real, partial.imag], axis=-1) @ (
-            fft.to_device(self.phase_cols)
+        spectrum = np.fft.rfft2(intensity_sub, axes=(-2, -1))
+        spec_band = spectrum[:, band.up_rows_src, :half_cols]
+        partial = self.phase_rows @ spec_band
+        lattice = np.concatenate([partial.real, partial.imag], axis=-1) @ (
+            self.phase_cols
         )
-        return fft.to_host(
-            lattice[:, fft.index(self.row_idx), fft.index(self.col_idx)]
-        )
+        return lattice[:, self.row_idx, self.col_idx]
 
 
 def band_values_at_pixels(
-    intensity_sub,
+    intensity_sub: np.ndarray,
     band: GridBandSpectra,
     rows: np.ndarray,
     cols: np.ndarray,
-    fft: ArrayBackend,
 ) -> np.ndarray:
     """Full-grid pixel values of band-limited subgrid intensities.
 
@@ -297,9 +298,9 @@ def band_values_at_pixels(
     small GEMMs on the lattice of the pixel set's distinct rows x
     columns, then a gather.  The phases cost ``(R_u + C_u) F`` per call
     rather than ``F S``, so a pixel set seen once (the verifier's) has
-    nothing worth caching.  Returns ``(B, S)`` host values.
+    nothing worth caching.  Returns ``(B, S)`` values.
     """
-    return PixelLift(band, rows, cols)(intensity_sub, fft)
+    return PixelLift(band, rows, cols)(intensity_sub)
 
 
 @dataclass
@@ -318,24 +319,13 @@ class OpticalKernelSet:
         max_kernels / energy_fraction: SOCS truncation knobs.
         fft_cache_capacity: Max distinct grid shapes kept resident in
             each bounded LRU (band spectra, full-grid transfer stacks).
-        backend / device: Array/transform backend selection (see
-            :mod:`repro.backend`) — ``backend`` is one of
-            :data:`~repro.backend.BACKEND_NAMES`, and ``device`` picks
-            the torch device (``None`` = CUDA when available).  All
-            entry points share the one resolved
-            :class:`~repro.backend.ArrayBackend`; device-resident copies
-            of the spectra are keyed by backend identity, so
-            swapping the backend can never serve wrong-device spectra.
-            The batched band engine and the sparse gathers run on the
-            device; the single-mask reference path always runs
-            host-side.
         spectra_store: Optional disk-persistent store
             (:class:`repro.litho.store.KernelSpectraStore`) consulted on
             band-spectra misses before building, and written after every
             build — a warm store turns the ~10-70 ms per-shape kernel
             build into one ``.npz`` read on fresh processes.  The build is
-            FFT-free, so stored entries are backend-independent and
-            bit-for-bit equal to an in-process build.
+            FFT-free, so stored entries are bit-for-bit equal to an
+            in-process build.
     """
 
     pixel_nm: float
@@ -346,13 +336,11 @@ class OpticalKernelSet:
     max_kernels: int = 12
     energy_fraction: float = 0.995
     fft_cache_capacity: int = 6
-    backend: str = "numpy"
-    device: str | None = None
     spectra_store: object | None = None
     _band_cache: "OrderedDict[tuple[int, int], GridBandSpectra]" = field(
         default_factory=OrderedDict, repr=False
     )
-    _fft_cache: "OrderedDict[tuple, np.ndarray]" = field(
+    _fft_cache: "OrderedDict[tuple[int, int], np.ndarray]" = field(
         default_factory=OrderedDict, repr=False
     )
     _fingerprint: str | None = field(default=None, repr=False)
@@ -368,19 +356,6 @@ class OpticalKernelSet:
             raise LithoError(
                 f"fft_cache_capacity must be >= 1, got {self.fft_cache_capacity}"
             )
-        # Resolve eagerly so a bad backend name fails at construction.
-        resolve_backend(self.backend, self.device)
-
-    # -- backend ---------------------------------------------------------------
-    @property
-    def fft(self) -> ArrayBackend:
-        """The resolved array backend shared by every entry point.
-
-        Kept under its historical name — it began as an FFT-only
-        backend — but it now carries the full array namespace, device
-        policy and dtype policy (:class:`repro.backend.ArrayBackend`).
-        """
-        return resolve_backend(self.backend, self.device)
 
     # -- per-grid band spectra -------------------------------------------------
     def band_spectra(self, shape: tuple[int, int]) -> GridBandSpectra:
@@ -471,16 +446,14 @@ class OpticalKernelSet:
         """Cached ``(K, H, W)`` full-grid kernel spectra (read-only).
 
         The band coefficients scattered onto the full grid: exactly zero
-        outside the pupil band and backend-independent (no transform is
-        involved).
+        outside the pupil band (no transform is involved).
         """
         key = (int(shape[0]), int(shape[1]))
         self._validate_grid(key)
-        cache_key = (key, "band")
         with self._cache_lock:
-            cached = self._fft_cache.get(cache_key)
+            cached = self._fft_cache.get(key)
             if cached is not None:
-                self._fft_cache.move_to_end(cache_key)
+                self._fft_cache.move_to_end(key)
                 return cached
             band = self.band_spectra(key)
             m0, m1 = band.subgrid
@@ -491,7 +464,7 @@ class OpticalKernelSet:
             ] = band.sub_spectra[
                 :, band.rows_dst[:, None], band.cols_dst[None, :]
             ] * scale
-            self._fft_cache[cache_key] = stack
+            self._fft_cache[key] = stack
             while len(self._fft_cache) > self.fft_cache_capacity:
                 self._fft_cache.popitem(last=False)
             return stack
@@ -503,16 +476,12 @@ class OpticalKernelSet:
         # Raises "frequency lattice too coarse" for unusably small grids.
         self.band_spectra(shape)
 
-    def validate_mask_batch(self, masks):
+    def validate_mask_batch(self, masks) -> np.ndarray:
         """Check and coerce a ``(B, H, W)`` stack of rasterized masks.
 
-        Returns the stack as the backend's native float64 array: a host
-        numpy array under numpy (no-copy for float64 input, bit
-        for bit as before), a device tensor under torch — host masks are
-        moved to the device here, device masks stay put.
+        Returns the stack as float64 (no copy for float64 input).
         """
-        backend = self.fft
-        stack = backend.asarray_f64(masks)
+        stack = np.asarray(masks, dtype=np.float64)
         if stack.ndim != 3:
             raise LithoError(
                 f"mask batch must be 3-D (B, H, W), got shape "
@@ -547,75 +516,43 @@ class OpticalKernelSet:
         2-D real array (binary or graytone); its full spectrum is the
         Hermitian extension of ``rfft2``, so inside the pupil band it
         holds the very coefficients :func:`gather_band_rfft` takes.
-        Always runs host-side — it is the numerical reference the device
-        paths are tested against, so it must not depend on the device
-        library.
         """
-        mask = self.fft.to_host(mask)
+        mask = np.asarray(mask)
         if mask.ndim != 2:
             raise LithoError(f"mask must be 2-D, got shape {mask.shape}")
         self._validate_grid(mask.shape)
         kernel_ffts = self.kernel_spectra(mask.shape)
         weights = self.band_spectra(mask.shape).weights
-        fft = resolve_backend("numpy")
         rows, cols = mask.shape
-        half = fft.rfft2(mask.astype(np.float64), axes=(-2, -1))
+        half = np.fft.rfft2(mask.astype(np.float64), axes=(-2, -1))
         mask_fft = np.empty(mask.shape, dtype=np.complex128)
         mask_fft[:, : half.shape[1]] = half
         tail = np.arange(half.shape[1], cols)
         mask_fft[:, tail] = half[(-np.arange(rows)) % rows][:, cols - tail].conj()
         intensity = np.zeros(mask.shape, dtype=np.float64)
         for weight, kernel_fft in zip(weights, kernel_ffts):
-            field_k = fft.ifft2(mask_fft * kernel_fft, axes=(-2, -1))
+            field_k = np.fft.ifft2(mask_fft * kernel_fft, axes=(-2, -1))
             intensity += weight * (field_k.real**2 + field_k.imag**2)
         return intensity
 
-    def _device_band_arrays(self, band: GridBandSpectra):
-        """``(weights, sub_spectra)`` resident where the backend computes.
-
-        numpy returns the band's own arrays (no copy); the torch
-        backend lazily materializes device copies, cached in the
-        bounded ``_fft_cache`` under the backend's identity so a
-        backend/device swap can never serve wrong-residency spectra.
-        This is what "GridBandSpectra held device-side" means: the
-        frozen dataclass stays host-canonical (it is what the spectra
-        store persists), and the per-device views hang off the kernel
-        set that owns them.
-        """
-        backend = self.fft
-        if backend.is_numpy:
-            return band.weights, band.sub_spectra
-        cache_key = (band.shape, "device-spectra", backend.identity)
-        with self._cache_lock:
-            cached = self._fft_cache.get(cache_key)
-            if cached is not None:
-                self._fft_cache.move_to_end(cache_key)
-                return cached
-        pair = (
-            backend.to_device(band.weights),
-            backend.to_device(band.sub_spectra),
-        )
-        with self._cache_lock:
-            self._fft_cache[cache_key] = pair
-            while len(self._fft_cache) > self.fft_cache_capacity:
-                self._fft_cache.popitem(last=False)
-        return pair
-
-    def subgrid_intensity(self, mask_rffts, shape: tuple[int, int]):
+    def subgrid_intensity(
+        self, mask_rffts: np.ndarray, shape: tuple[int, int]
+    ) -> np.ndarray:
         """The imaging front end for rasterized masks.
 
         ``mask_rffts`` are the ``(B, H, W//2 + 1)`` half-width spectra of
         a real mask stack on an ``(H, W)`` grid.  The pupil band is
         gathered by Hermitian symmetry (:func:`gather_band_rfft`) and
-        imaged by :meth:`image_band`.  Returns the backend's native
-        array (device-resident under torch).
+        imaged by :meth:`image_band`.
         """
         shape = self._check_rfft_shape(mask_rffts, shape)
         self._validate_grid(shape)
         band = self.band_spectra(shape)
-        return self.image_band(gather_band_rfft(mask_rffts, band, self.fft), band)
+        return self.image_band(gather_band_rfft(mask_rffts, band), band)
 
-    def image_band(self, mask_band, band: GridBandSpectra):
+    def image_band(
+        self, mask_band: np.ndarray, band: GridBandSpectra
+    ) -> np.ndarray:
         """Exact intensity on the pupil-band subgrid.
 
         ``mask_band`` is a ``(B, m0, m1)`` stack of mask spectra on
@@ -631,39 +568,37 @@ class OpticalKernelSet:
         :meth:`resample_intensity` rebuilds the dense image.  When the
         band covers the grid the subgrid *is* the grid.
         """
-        fft = self.fft
-        weights, sub_spectra = self._device_band_arrays(band)
-        fields = fft.ifft2(mask_band[:, None] * sub_spectra[None], axes=(-2, -1))
-        intensity = fft.zeros(mask_band.shape, fft.float64)
-        for k, weight in enumerate(weights):
+        fields = np.fft.ifft2(
+            mask_band[:, None] * band.sub_spectra[None], axes=(-2, -1)
+        )
+        intensity = np.zeros(mask_band.shape, np.float64)
+        for k, weight in enumerate(band.weights):
             field_k = fields[:, k]
             intensity += weight * (field_k.real**2 + field_k.imag**2)
         return intensity
 
-    def resample_intensity(self, intensity_sub, shape: tuple[int, int]) -> np.ndarray:
+    def resample_intensity(
+        self, intensity_sub: np.ndarray, shape: tuple[int, int]
+    ) -> np.ndarray:
         """The dense back end: full-grid intensity from subgrid samples.
 
         An exact zero-padded resample in real arithmetic: ``rfft2`` of
         the ``(B, m0, m1)`` subgrid, the intensity band (radius ``2b``)
-        placed into the full grid's half spectrum, then ``irfft2``.  The
-        dense aerial is the host/device boundary, so the result is host
-        numpy.  A non-compact band's subgrid is the grid: no resample.
+        placed into the full grid's half spectrum, then ``irfft2``.  A
+        non-compact band's subgrid is the grid: no resample.
         """
         band = self.band_spectra((int(shape[0]), int(shape[1])))
-        fft = self.fft
         if not band.compact:
-            return fft.to_host(intensity_sub)
+            return intensity_sub
         rows, cols = band.shape
         m0, m1 = band.subgrid
         half_cols = 2 * band.band[1] + 1
-        spectrum = fft.rfft2(intensity_sub, axes=(-2, -1))
-        full = fft.zeros(
-            (spectrum.shape[0], rows, cols // 2 + 1), fft.complex128
-        )
-        full[:, fft.index(band.up_rows_dst), :half_cols] = spectrum[
-            :, fft.index(band.up_rows_src), :half_cols
+        spectrum = np.fft.rfft2(intensity_sub, axes=(-2, -1))
+        full = np.zeros((spectrum.shape[0], rows, cols // 2 + 1), np.complex128)
+        full[:, band.up_rows_dst, :half_cols] = spectrum[
+            :, band.up_rows_src, :half_cols
         ] * ((rows * cols) / (m0 * m1))
-        return fft.to_host(fft.irfft2(full, s=(rows, cols), axes=(-2, -1)))
+        return np.fft.irfft2(full, s=(rows, cols), axes=(-2, -1))
 
 
 @lru_cache(maxsize=8)
@@ -675,8 +610,6 @@ def build_kernel_set(
     energy_fraction: float = 0.995,
     wavelength_nm: float = WAVELENGTH_NM,
     numerical_aperture: float = NUMERICAL_APERTURE,
-    backend: str = "numpy",
-    device: str | None = None,
     spectra_store: object | None = None,
 ) -> OpticalKernelSet:
     """Build (and cache) an :class:`OpticalKernelSet`.
@@ -695,7 +628,5 @@ def build_kernel_set(
         numerical_aperture=numerical_aperture,
         max_kernels=max_kernels,
         energy_fraction=energy_fraction,
-        backend=backend,
-        device=device,
         spectra_store=spectra_store,
     )

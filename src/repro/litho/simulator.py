@@ -57,27 +57,13 @@ three entry points:
   rasterizes, it stays an independent cross-check of the polygon band
   source.
 
-Array/device backend
---------------------
+Array backend
+-------------
 
-Every array operation and transform runs through the pluggable array
-backend of :mod:`repro.backend`, selected by ``LithoConfig.backend``:
-``"numpy"`` (the default: ``np.fft``, bit-for-bit the same numbers on
-any host, the backend the committed goldens were generated with) or
-``"torch"`` (device execution of the band engine on ``device``; CPU
-parity ~1e-12, an explicit opt-in).  Batch-vs-single-mask parity within
-the batched engine is bit-for-bit under either backend because every
-path shares it, and device-resident caches are keyed by backend
-identity.
-
-Under a device backend, :meth:`LithographySimulator.simulate_batch` and
-:meth:`~LithographySimulator.simulate_epe_batch` accept host arrays *or*
-device tensors and run the forward transform, band convolution and
-sparse gathers on the device (a polygon batch's band is computed on the
-host and moved to the device once); the returned aerials / sparse values
-are always host numpy — downstream metrology and resist thresholding are
-host-side by contract, so conversion happens exactly once, at this
-boundary.
+Every array operation is numpy and every transform is ``np.fft``, so a
+table's numbers are bit-for-bit the same on any host, whatever its core
+count or installed libraries.  ``LithoConfig(backend=...)`` accepts
+only ``"numpy"``.
 
 Batched metrology contract
 --------------------------
@@ -101,7 +87,7 @@ from __future__ import annotations
 import functools
 import threading
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -120,7 +106,6 @@ from repro.geometry.raster import (
     Slabs,
     rasterize,
 )
-from repro.backend import resolve_backend
 from repro.litho.kernels import (
     OpticalKernelSet,
     PixelLift,
@@ -145,14 +130,9 @@ class LithoConfig:
     source: SourceSpec = SourceSpec()
     max_kernels: int = 12
     energy_fraction: float = 0.995
-    backend: str = "numpy"
-    """Array/transform backend for every array op in the simulate path:
-    ``"numpy"`` or ``"torch"`` (device execution; see
-    :mod:`repro.backend`)."""
-    device: str | None = None
-    """Torch device (``"cpu"``, ``"cuda"``, ``"cuda:N"``); ``None``
-    picks CUDA when available.  numpy ignores it (must be
-    ``None``/``"cpu"``)."""
+    backend: InitVar[str] = "numpy"
+    """Array backend of the simulate path, checked at construction and
+    not stored: ``"numpy"`` is the only one."""
     spectra_store: str | None = None
     """Directory of the disk-persistent kernel-spectra store
     (:mod:`repro.litho.store`); ``None`` disables persistence.  A warm
@@ -160,10 +140,13 @@ class LithoConfig:
     changing any simulated value (stored spectra are bit-for-bit equal
     to an in-process build)."""
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, backend: str) -> None:
         if self.pixel_nm <= 0:
             raise LithoError("pixel_nm must be positive")
-        resolve_backend(self.backend, self.device)
+        if backend != "numpy":
+            raise LithoError(
+                f"unknown array backend {backend!r}; numpy is the only one"
+            )
 
 
 def _read(source) -> np.ndarray:
@@ -337,7 +320,7 @@ class NominalLift:
             return []
         from repro.metrology.contour import SparseAerial
 
-        values = self._lift(intensity_sub, self.kernel_set.fft)
+        values = self._lift(intensity_sub)
         return [
             [SparseAerial(plan=plan, values=row) for row in values[:, picks]]
             for plan, picks in zip(self.plans, self._picks)
@@ -385,8 +368,6 @@ class LithographySimulator:
                     source=cfg.source,
                     max_kernels=cfg.max_kernels,
                     energy_fraction=cfg.energy_fraction,
-                    backend=cfg.backend,
-                    device=cfg.device,
                     spectra_store=store,
                 )
             return self._kernel_sets[defocus_nm]
@@ -424,8 +405,8 @@ class LithographySimulator:
         )
 
     def _mask_stack(self, masks, grid: Grid):
-        """``masks`` as a validated backend-native ``(B, H, W)`` stack on
-        ``grid`` (a device tensor stays on its device)."""
+        """``masks`` as a validated float64 ``(B, H, W)`` stack on
+        ``grid``."""
         if hasattr(masks, "ndim"):
             stack = masks
         else:
@@ -468,16 +449,15 @@ class LithographySimulator:
         are taken as given.  Each band layout is computed once, so the
         focus and defocus sets, which share one, share it.
         """
-        fft = self.kernel_set(self.corners()[0].defocus_nm).fft
         if not hasattr(masks, "ndim"):
             masks = list(masks)
             if not masks:
                 raise LithoError("mask batch is empty")
         if hasattr(masks, "ndim") or hasattr(masks[0], "ndim"):
-            spectra = fft.rfft2(self._mask_stack(masks, grid), axes=(-2, -1))
+            spectra = np.fft.rfft2(self._mask_stack(masks, grid), axes=(-2, -1))
 
             def source(band):
-                return gather_band_rfft(spectra, band, fft)
+                return gather_band_rfft(spectra, band)
         else:
             slab_sets = [
                 mask if isinstance(mask, Slabs)
@@ -486,7 +466,7 @@ class LithographySimulator:
             ]
 
             def source(band):
-                return fft.to_device(polygon_band_subgrid(slab_sets, grid, band))
+                return polygon_band_subgrid(slab_sets, grid, band)
 
         computed: dict = {}
 
@@ -530,10 +510,6 @@ class LithographySimulator:
         sets, and ``LithoResult.sparse`` holds one
         :class:`~repro.metrology.contour.SparseAerial` per plan — EPE
         without any dense nominal image.
-
-        Under a device backend ``masks`` may already be a device tensor
-        (``(B, H, W)``); host input is moved to the device once, and the
-        returned aerials are host numpy either way.
         """
         nominal, inner, outer = self.corners()
         focus_set = self.kernel_set(nominal.defocus_nm)
@@ -615,10 +591,6 @@ class LithographySimulator:
         <= 1e-9 nm.  On a grid whose pupil band is not compact the
         subgrid is the grid, and the lift is a plain gather from the
         very array the dense aerial is.
-
-        Like :meth:`simulate_batch`, ``masks`` may be a device tensor
-        under a device backend; the sparse values in each returned
-        :class:`~repro.metrology.contour.SparseAerial` are host numpy.
         """
         kset = self.kernel_set(self.corners()[0].defocus_nm)
         if hasattr(masks, "ndim"):
@@ -638,7 +610,6 @@ class LithographySimulator:
                 )
         _check_plan_grids(plan_list, grid)
         shape = grid.shape
-        fft = kset.fft
         # One entry per imaged mask: its subgrid intensity and its batch
         # index; each plan groups the imaged rows it measures.
         imaged, owners = [], []
@@ -656,19 +627,19 @@ class LithographySimulator:
                 continue
             groups.setdefault(id(plan), (plan, []))[1].append(len(imaged))
             imaged.append(kset.subgrid_intensity(
-                fft.rfft2(row, axes=(-2, -1)), shape
+                np.fft.rfft2(row, axes=(-2, -1)), shape
             ))
             owners.append(index)
         results: list = [None] * batch
         if not imaged:
             return results
-        intensity = fft.concat(imaged)
+        intensity = np.concatenate(imaged)
         band = kset.band_spectra(shape)
         from repro.metrology.contour import SparseAerial
 
         for plan, rows in groups.values():
             values = band_values_at_pixels(
-                intensity[rows], band, plan.pixel_rows, plan.pixel_cols, fft,
+                intensity[rows], band, plan.pixel_rows, plan.pixel_cols
             )
             for row, row_values in zip(rows, values):
                 results[owners[row]] = SparseAerial(plan=plan, values=row_values)

@@ -14,8 +14,7 @@ warm store turns the per-shape warmup into one ``.npz`` read.
 Correctness properties:
 
 * The spectra build is FFT-free (pure ``numpy.linalg.eigh`` over the
-  TCC factor's Gram), so stored spectra are independent of the
-  configured FFT backend and a store can be shared across backends without keying on them.
+  TCC factor's Gram), so no transform setting enters the key.
 * Stored arrays are persisted bit-for-bit (``savez``, no compression of
   the float payload semantics), so a warm load reproduces the in-process
   build exactly — simulation results do not depend on store state.
@@ -107,8 +106,8 @@ def optics_fingerprint(kernel_set) -> str:
 
     Two kernel sets with equal fingerprints build bit-identical
     :class:`~repro.litho.kernels.GridBandSpectra` for every grid shape,
-    so their store entries are interchangeable.  The FFT backend is
-    deliberately excluded — the build never runs a transform.
+    so their store entries are interchangeable.  The build never runs
+    a transform.
     """
     source = kernel_set.source
     payload = {

@@ -158,13 +158,7 @@ class ContourStencilPlan:
         :func:`~repro.geometry.raster.bilinear_sample_many` on a dense
         image holding the same pixel values (the blend arithmetic is
         identical, operation for operation).
-
-        Metrology always resolves host-side: device arrays (torch
-        tensors from a device array backend) are converted to host
-        numpy here, at the boundary, before any blend arithmetic.
         """
-        if hasattr(values, "detach"):  # torch.Tensor (maybe CUDA) -> host
-            values = values.detach().cpu().numpy()
         values = np.asarray(values, dtype=np.float64)
         if values.shape[-1] != self.n_pixels:
             raise MetrologyError(
@@ -215,9 +209,7 @@ class SparseAerial:
 
 # Stencil plans are pure geometry — gather indices and bilinear blend
 # weights derived from (grid, points, normals, window) alone, with no
-# FFT or array-backend input — so the cache is deliberately *not* keyed
-# on ArrayBackend identity: one plan serves every backend, and sparse
-# values from any backend resolve through it host-side.
+# FFT input — so the cache keys on that geometry only.
 _PLAN_CACHE: "OrderedDict[tuple, ContourStencilPlan]" = OrderedDict()
 _PLAN_CACHE_CAPACITY = 128
 _PLAN_LOCK = threading.Lock()

@@ -16,11 +16,9 @@ plan's pixel values from the litho engine; the dense ones
 :func:`measure_epe_grouped`) gather the same pixels from ``(H, W)`` or
 ``(B, H, W)`` aerials.
 
-EPE is always resolved host-side in float64: whichever array backend
-produced the aerial intensity (numpy or a torch device backend),
-sparse pixel values cross to host numpy at the
-:class:`~repro.metrology.contour.ContourStencilPlan` boundary, so the
-reported numbers are backend-independent by construction.
+EPE is resolved in float64: the
+:class:`~repro.metrology.contour.ContourStencilPlan` coerces the pixel
+values it is given before any blend arithmetic.
 """
 
 from __future__ import annotations

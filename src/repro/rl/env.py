@@ -32,9 +32,8 @@ Evaluation is deterministic, so the reused state is bit for bit what a
 re-evaluation would give, and its cached PV band is not imaged again.
 
 Candidate-action batching: :meth:`OPCEnvironment.score_moves` evaluates a
-whole matrix of candidate action vectors — e.g. the five uniform segment
-moves from :meth:`OPCEnvironment.uniform_move_candidates` — through that
-one batched call instead of one simulator invocation per candidate.
+whole matrix of candidate action vectors through one batched call
+instead of one simulator invocation per candidate.
 """
 
 from __future__ import annotations
@@ -297,13 +296,6 @@ class OPCEnvironment:
         return next_states
 
     # -- batched candidate scoring ----------------------------------------------
-    def uniform_move_candidates(self) -> np.ndarray:
-        """``(n_actions, n_segments)`` matrix: candidate a moves *every*
-        segment by ``MOVE_SET_NM[a]``."""
-        return np.repeat(
-            np.arange(self.n_actions)[:, None], self.n_segments, axis=1
-        )
-
     def score_moves(
         self, state: EnvState, candidate_actions: np.ndarray
     ) -> list[tuple[EnvState, float]]:

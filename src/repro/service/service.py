@@ -68,7 +68,6 @@ class MaskOptService:
         self,
         simulator: LithographySimulator | None = None,
         litho_config: LithoConfig | None = None,
-        verify_tolerance_nm: float = _VERIFY_TOLERANCE_NM,
     ) -> None:
         if simulator is not None and litho_config is not None:
             raise ServiceError(
@@ -77,7 +76,6 @@ class MaskOptService:
         if simulator is None:
             simulator = LithographySimulator(litho_config or LithoConfig())
         self.simulator = simulator
-        self.verify_tolerance_nm = float(verify_tolerance_nm)
         self.scheduler = ShapeBinScheduler()
         self._pending: list[tuple[int, OptRequest]] = []
         self._engines: dict[tuple, Any] = {}
@@ -142,7 +140,7 @@ class MaskOptService:
         every verifiable outcome joins one shape-binned batched
         re-simulation pass, and any engine whose reported EPE drifts from
         the independent re-measurement by more than
-        ``verify_tolerance_nm`` raises :class:`MetrologyError`.
+        ``_VERIFY_TOLERANCE_NM`` raises :class:`MetrologyError`.
         """
         with self._lock:
             queued = self._pending
@@ -398,7 +396,7 @@ class MaskOptService:
             reported = float(outcome.epe_total)
             if verified is not None:
                 drift = abs(verified - reported)
-                if drift > self.verify_tolerance_nm:
+                if drift > _VERIFY_TOLERANCE_NM:
                     raise MetrologyError(
                         f"{request.engine_label} reported EPE "
                         f"{reported:.6f} nm on {request.clip.name} but "

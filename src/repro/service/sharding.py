@@ -43,12 +43,11 @@ from repro.litho.simulator import LithoConfig, LithographySimulator
 from repro.service.registry import build_engine, overrides_key, spec_label
 from repro.service.scheduler import final_mask_image
 
-FINGERPRINT_EXCLUDED_LITHO_FIELDS = ("backend", "device", "spectra_store")
-"""Deployment knobs that change *where/how fast* the numbers are
-computed.  The spectra store changes no bit; the torch backend differs
-from numpy at ~1e-12, not bit for bit, but far inside every acceptance
-tolerance.  Two specs differing only here share a fingerprint, so a
-journal written under numpy resumes under torch and vice versa."""
+FINGERPRINT_EXCLUDED_LITHO_FIELDS = ("spectra_store",)
+"""Deployment knobs that change no number: the spectra store changes no
+bit, so a journal moves between store paths.  ``LithoConfig``'s
+``backend`` is an init-only check, not a field, so it never enters a
+fingerprint either."""
 
 
 @dataclass(frozen=True)
@@ -146,8 +145,8 @@ class EngineSpec:
         This is the key the outcome journal stamps on every record, so
         ``resume`` can refuse to merge results computed under a different
         spec.  Deployment knobs (:data:`FINGERPRINT_EXCLUDED_LITHO_FIELDS`)
-        are excluded — moving a journal between a numpy and a torch host,
-        or between store paths, must not orphan it.
+        are excluded — moving a journal between store paths must not
+        orphan it.
         """
         # "seed=None" is kept verbatim so journals written before specs
         # lost their seed field still resume.

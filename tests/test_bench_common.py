@@ -45,12 +45,10 @@ def _backend_names(node):
 
 
 def test_committed_records_name_a_live_backend():
-    """A committed ``BENCH_*.json`` that records an FFT backend names one
-    the repo still has, so no record describes a retired path."""
-    from repro.backend import BACKEND_NAMES
-
+    """A committed ``BENCH_*.json`` that records an FFT backend names
+    numpy, the one the repo has, so no record describes a retired path."""
     records = sorted(BENCH_COMMON.parent.parent.glob("BENCH_*.json"))
     assert records
     for path in records:
         for name in _backend_names(json.loads(path.read_text())):
-            assert name in BACKEND_NAMES, f"{path.name}: {name!r}"
+            assert name == "numpy", f"{path.name}: {name!r}"

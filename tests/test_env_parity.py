@@ -11,8 +11,7 @@ reference (``simulate_mask``) and measured with the dense metrology
 * PV-band pixel counts identical.
 
 Clips V1, V9 (via) and M1, M4 (metal) at paper pixel pitch, at the start
-state and after three seeded random move sets, under every installed
-array backend.
+state and after three seeded random move sets.
 
 The defocus corner is imaged only when a PV band is read.  The laziness
 pins count its dense resamples through a whole MB-OPC and greedy CAMO
@@ -30,7 +29,6 @@ CAMO runs the policy once per distinct state.
 import numpy as np
 import pytest
 
-from repro.backend import torch_available
 from repro.baselines.mbopc import MBOPC, MBOPCConfig
 from repro.constants import MOVE_SET_NM
 from repro.core.agent import CAMO
@@ -50,10 +48,7 @@ from repro.rl.env import OPCEnvironment
 EPE_TOLERANCE_NM = 1e-9
 HOLD = MOVE_SET_NM.index(0)
 
-BACKENDS = ["numpy"] + (["torch"] if torch_available() else [])
-
-
-@pytest.fixture(scope="module", params=BACKENDS)
+@pytest.fixture(scope="module", params=["numpy"])
 def sim(request):
     return LithographySimulator(LithoConfig(backend=request.param))
 
@@ -142,10 +137,10 @@ def _eager_pvbands(sim, env, states):
     _, inner, outer = sim.corners()
     kernel_set = sim.kernel_set(inner.defocus_nm)
     band = kernel_set.band_spectra(env.grid.shape)
-    mask_band = kernel_set.fft.to_device(polygon_band_subgrid(
+    mask_band = polygon_band_subgrid(
         [tuple(state.mask.mask_polygons()) for state in states],
         env.grid, band,
-    ))
+    )
     aerials = kernel_set.resample_intensity(
         kernel_set.image_band(mask_band, band), env.grid.shape
     )

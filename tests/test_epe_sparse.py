@@ -4,7 +4,7 @@ gather, lazy printed images and the 5-smooth ``next_fast_len`` scan.
 The contract under test, end to end: ``simulate_epe_batch`` +
 ``measure_epe_grouped_sparse`` must reproduce the dense
 ``simulate_batch`` + ``measure_epe_grouped`` verifier to <= 1e-9 nm per
-measure point on a mixed via+metal suite, under both FFT backends — and
+measure point on a mixed via+metal suite — and
 each layer of the sparse stack (pixel-set planning, bilinear profile
 rebuild, crossing resolution) must match its dense counterpart
 *bit-for-bit* given identical inputs, so the only divergence is the
@@ -20,11 +20,10 @@ from repro.errors import LithoError, MetrologyError
 from repro.geometry import Grid, Polygon, Rect, rasterize
 from repro.geometry.raster import bilinear_sample_many
 from repro.geometry.segmentation import fragment_clip
-from repro.litho.kernels import band_values_at_pixels
-from repro.backend import (
+from repro.litho.kernels import (
     _is_5_smooth,
+    band_values_at_pixels,
     next_fast_len,
-    torch_available,
 )
 from repro.litho.simulator import LithoConfig, LithographySimulator
 from repro.metrology.contour import (
@@ -44,14 +43,9 @@ from repro.metrology.epe import (
 EPE_TOLERANCE_NM = 1e-9
 INTENSITY_TOLERANCE = 1e-12
 
-BACKENDS = ["numpy"] + (["torch"] if torch_available() else [])
-
-
-@pytest.fixture(scope="module", params=BACKENDS)
+@pytest.fixture(scope="module", params=["numpy"])
 def sim(request):
-    """One simulator per array backend — the parity suite runs under
-    every installed backend (numpy always; CPU/CUDA torch when
-    importable)."""
+    """The parity suite's simulator, named by its array backend."""
     return LithographySimulator(LithoConfig(
         pixel_nm=8.0, max_kernels=4,
         backend=request.param,
@@ -125,11 +119,9 @@ def lattice_values(kset, masks, rows, cols):
     gather."""
     shape = masks.shape[-2:]
     sub = kset.subgrid_intensity(
-        kset.fft.rfft2(masks, axes=(-2, -1)), shape
+        np.fft.rfft2(masks, axes=(-2, -1)), shape
     )
-    return band_values_at_pixels(
-        sub, kset.band_spectra(shape), rows, cols, kset.fft
-    )
+    return band_values_at_pixels(sub, kset.band_spectra(shape), rows, cols)
 
 
 class TestSparseIntensity:
@@ -159,9 +151,7 @@ class TestSparseIntensity:
             weight * np.abs(np.fft.ifft2(full_band * kernel, axes=(-2, -1))) ** 2
             for weight, kernel in zip(band.weights, band.sub_spectra)
         )
-        via_fft = band_values_at_pixels(
-            intensity, band, rows, cols, kset.fft
-        )
+        via_fft = band_values_at_pixels(intensity, band, rows, cols)
         via_rfft = lattice_values(kset, masks, rows, cols)
         assert np.abs(via_rfft - via_fft).max() < INTENSITY_TOLERANCE
 
@@ -397,7 +387,7 @@ class TestEndToEndParity:
     def test_sparse_matches_dense_verifier_on_mixed_suite(
         self, sim, mixed_suite
     ):
-        """The headline gate, under each FFT backend: sparse EPE within
+        """The headline gate: sparse EPE within
         1e-9 nm of the dense pipeline on every measure point of a mixed
         via+metal suite."""
         threshold = sim.config.threshold

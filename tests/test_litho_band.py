@@ -138,10 +138,7 @@ class TestBandCaches:
         assert a is b
 
     def test_band_cache_lru_eviction(self):
-        kernel_set = build_kernel_set(
-            pixel_nm=8.0, max_kernels=4,
-            backend="numpy",
-        )
+        kernel_set = build_kernel_set(pixel_nm=8.0, max_kernels=4)
         kernel_set._band_cache.clear()
         capacity = kernel_set.fft_cache_capacity
         shapes = [(96 + 4 * i, 96 + 4 * i) for i in range(capacity + 2)]

@@ -9,6 +9,7 @@ on batch size alone."""
 import numpy as np
 import pytest
 
+from repro.constants import MOVE_SET_NM
 from repro.errors import LithoError
 from repro.geometry import Clip, Grid, Polygon, Rect, rasterize
 from repro.geometry.raster import Slabs
@@ -47,7 +48,7 @@ def dense_intensity(kernel_set, masks):
     """Dense aerials of a ``(B, H, W)`` mask stack through the band
     engine: the imaging front end, then the dense back end."""
     shape = masks.shape[-2:]
-    spectra = kernel_set.fft.rfft2(masks, axes=(-2, -1))
+    spectra = np.fft.rfft2(masks, axes=(-2, -1))
     return kernel_set.resample_intensity(
         kernel_set.subgrid_intensity(spectra, shape), shape
     )
@@ -182,9 +183,7 @@ class TestUnifiedBandEngine:
         from repro.litho import build_kernel_set
 
         # 40 nm pixels: the band radius is ~0.28 * n, so 4b + 1 > n.
-        kernel_set = build_kernel_set(
-            pixel_nm=40.0, max_kernels=4, backend="numpy"
-        )
+        kernel_set = build_kernel_set(pixel_nm=40.0, max_kernels=4)
         band = kernel_set.band_spectra((32, 32))
         assert not band.compact
         assert band.subgrid == (32, 32)
@@ -249,6 +248,12 @@ def _tiny_env(sim):
     return OPCEnvironment(clip, sim, initial_bias_nm=3.0)
 
 
+def _uniform_moves(env):
+    """``(n_actions, n_segments)``: candidate a moves every segment by
+    ``MOVE_SET_NM[a]``."""
+    return np.repeat(np.arange(env.n_actions)[:, None], env.n_segments, axis=1)
+
+
 class TestEnvBatching:
     def test_evaluate_batch_matches_evaluate(self, sim):
         env = _tiny_env(sim)
@@ -266,7 +271,7 @@ class TestEnvBatching:
     def test_score_moves_matches_step(self, sim):
         env = _tiny_env(sim)
         base = env.reset()
-        candidates = env.uniform_move_candidates()
+        candidates = _uniform_moves(env)
         scored = env.score_moves(base, candidates)
         assert len(scored) == env.n_actions
         for row, (state, reward) in zip(candidates, scored):
@@ -276,11 +281,17 @@ class TestEnvBatching:
             assert reward == env.reward(base, step_state)
 
     def test_uniform_candidates_shape(self, sim):
+        """Scoring the uniform moves shifts every segment of candidate a
+        by ``MOVE_SET_NM[a]``."""
         env = _tiny_env(sim)
-        candidates = env.uniform_move_candidates()
+        base = env.reset()
+        candidates = _uniform_moves(env)
         assert candidates.shape == (env.n_actions, env.n_segments)
-        for action, row in enumerate(candidates):
-            assert np.all(row == action)
+        scored = env.score_moves(base, candidates)
+        for move, (state, _) in zip(MOVE_SET_NM, scored):
+            np.testing.assert_array_equal(
+                state.mask.offsets, base.mask.offsets + move
+            )
 
 
 class TestRunnerBatchVerification:

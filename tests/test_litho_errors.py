@@ -1,13 +1,12 @@
 """Error-path coverage for the lithography engine plus the bounded
 per-grid caches: every ``LithoError`` raise in ``kernels.py`` /
 ``simulator.py`` is exercised, LRU eviction is shown to keep results
-correct, and the full-grid kernel spectra are shown to be
-backend-independent."""
+correct, and the full-grid kernel spectra are shown to be cached per
+grid shape."""
 
 import numpy as np
 import pytest
 
-from repro.backend import next_fast_len
 from repro.errors import LithoError, RLError
 from repro.geometry import Clip, Grid, Polygon, Rect
 from repro.litho import (
@@ -15,6 +14,7 @@ from repro.litho import (
     LithographySimulator,
     OpticalKernelSet,
     SourceSpec,
+    next_fast_len,
 )
 from repro.rl.env import OPCEnvironment
 
@@ -23,21 +23,19 @@ SMALL = 96
 hold the pupil band."""
 
 
-def native_kernel_set(capacity: int = 6, **kw):
+def native_kernel_set(capacity: int = 6):
     """A small uncached kernel set (8 nm, at most 4 kernels)."""
-    kw.setdefault("backend", "numpy")
     return OpticalKernelSet(
         pixel_nm=8.0,
         defocus_nm=0.0,
         source=SourceSpec(),
         max_kernels=4,
         fft_cache_capacity=capacity,
-        **kw,
     )
 
 
 def cache_key(shape):
-    return (shape, "band")
+    return shape
 
 
 class TestKernelSetErrors:
@@ -146,7 +144,7 @@ class TestFFTCacheLRU:
         kernel_set.convolve_intensity(np.ones((SMALL, SMALL)))
         assert list(kernel_set._fft_cache) == [cache_key((SMALL, SMALL))]
         shape = (SMALL, SMALL)
-        spectra = kernel_set.fft.rfft2(np.ones((4, *shape)), axes=(-2, -1))
+        spectra = np.fft.rfft2(np.ones((4, *shape)), axes=(-2, -1))
         kernel_set.resample_intensity(
             kernel_set.subgrid_intensity(spectra, shape), shape
         )
@@ -158,13 +156,11 @@ class TestFFTCacheBackendKey:
     def test_native_band_spectra_are_backend_independent(self):
         from repro.litho import build_kernel_set
 
-        native = build_kernel_set(
-            pixel_nm=8.0, max_kernels=4, backend="numpy"
-        )
+        native = build_kernel_set(pixel_nm=8.0, max_kernels=4)
         stack = native.kernel_spectra((96, 96))
         # Scattered band coefficients involve no transform at all, so the
-        # cache key carries the "band" provenance, not a backend.
-        assert ((96, 96), "band") in native._fft_cache
+        # grid shape is the whole cache key.
+        assert (96, 96) in native._fft_cache
         again = native.kernel_spectra((96, 96))
         assert again is stack
 

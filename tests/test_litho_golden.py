@@ -2,11 +2,10 @@
 
 Committed ``.npz`` references (see ``tests/golden/generate.py``) pin the
 aerial and printed images of two canonical benchmark clips.  Any litho
-refactor — batching, caching, array-backend changes — that shifts an
+refactor — batching, caching, transform changes — that shifts an
 intensity by more than 1e-9 fails here, and both the single-mask spatial
 reference and the unified band-limited batched engine are held to the
-same references, under the numpy backend and (where installed) the
-CPU/CUDA torch backend.
+same references.
 """
 
 import os
@@ -14,7 +13,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.litho import torch_available
 from repro.litho.simulator import LithoConfig, LithographySimulator
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -27,13 +25,6 @@ def simulator():
     # Must match tests/golden/generate.py: GOLDEN_CONFIG.
     return LithographySimulator(
         LithoConfig(pixel_nm=8.0, max_kernels=8, backend="numpy")
-    )
-
-
-@pytest.fixture(scope="module")
-def torch_simulator():
-    return LithographySimulator(
-        LithoConfig(pixel_nm=8.0, max_kernels=8, backend="torch")
     )
 
 
@@ -84,27 +75,6 @@ class TestGoldenImages:
         for corner in ("nominal", "inner", "outer"):
             assert np.array_equal(
                 result.printed[corner], data[f"printed_{corner}"]
-            )
-
-    @pytest.mark.skipif(
-        not torch_available(), reason="torch not installed"
-    )
-    def test_torch_backend_paths(self, torch_simulator, case):
-        """The torch device backend answers to the same golden
-        references: the batched band engine runs device-side and stays
-        inside the 1e-9 tolerance; the single-mask spatial reference is
-        host-by-design and must match goldens identically."""
-        data = load_golden(case)
-        mask = data["mask"]
-        grid = grid_for(torch_simulator, mask)
-        single = torch_simulator.simulate_mask(mask, grid)
-        batched = torch_simulator.simulate_batch(mask[None], grid)[0]
-        assert isinstance(batched.aerial, np.ndarray)  # host boundary
-        assert_aerials_match(single, data)
-        assert_aerials_match(batched, data)
-        for corner in ("nominal", "inner", "outer"):
-            assert np.array_equal(
-                single.printed[corner], batched.printed[corner]
             )
 
     def test_printed_images_nontrivial(self, simulator, case):

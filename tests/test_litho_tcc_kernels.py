@@ -29,7 +29,7 @@ def tcc():
 
 @pytest.fixture(scope="module")
 def kernel_set():
-    return build_kernel_set(pixel_nm=8.0, backend="numpy")
+    return build_kernel_set(pixel_nm=8.0)
 
 
 class TestLattice:
@@ -160,7 +160,7 @@ class TestClusterAwareTruncation:
     def test_golden_config_drops_the_split_pair(self):
         """At 8 nm / 8 kernels the focus TCC's eigenvalues 8 and 9 are
         equal, so only 7 focus kernels are kept."""
-        kset = build_kernel_set(pixel_nm=8.0, max_kernels=8, backend="numpy")
+        kset = build_kernel_set(pixel_nm=8.0, max_kernels=8)
         tcc = build_tcc_grid(kset.source, (188, 188), kset.pixel_nm)
         eigvals = np.sort(np.linalg.eigvalsh(tcc.matrix))[::-1]
         assert eigvals[7] - eigvals[8] < 1e-12 * eigvals[0]
@@ -172,7 +172,7 @@ class TestClusterAwareTruncation:
         """LAPACK may return any orthonormal basis of an eigenspace.  The
         cut never splits a cluster, so remixing every cluster of the
         full spectrum by a random unitary leaves the image unchanged."""
-        source = build_kernel_set(pixel_nm=8.0, backend="numpy").source
+        source = build_kernel_set(pixel_nm=8.0).source
         tcc = build_tcc_grid(source, (188, 188), 8.0)
         weights, coefficients = socs_spectra(tcc, max_kernels=8)
         eigvals, eigvecs = np.linalg.eigh(tcc.matrix)
@@ -232,7 +232,7 @@ class TestFactorGramParity:
     @pytest.mark.parametrize("case", sorted(GRAM_CASES))
     def test_factor_gram_matches_dense_eigh(self, case, defocus_nm, golden_mask):
         pixel_nm, shape, max_kernels = GRAM_CASES[case]
-        source = build_kernel_set(pixel_nm=pixel_nm, backend="numpy").source
+        source = build_kernel_set(pixel_nm=pixel_nm).source
         tcc = build_tcc_grid(source, shape, pixel_nm, defocus_nm=defocus_nm)
         sources, n = tcc.factor.shape
         assert sources < n
@@ -311,7 +311,7 @@ class TestNominalPupilPhase:
     @pytest.mark.parametrize("case", sorted(GRAM_CASES))
     def test_factor_and_spectra_equal_the_exp_path(self, case, monkeypatch):
         pixel_nm, shape, max_kernels = GRAM_CASES[case]
-        source = build_kernel_set(pixel_nm=pixel_nm, backend="numpy").source
+        source = build_kernel_set(pixel_nm=pixel_nm).source
         tcc = build_tcc_grid(source, shape, pixel_nm)
         monkeypatch.setattr(tcc_module, "pupil_function", exp_path_pupil)
         complex_factor = build_tcc_grid(

@@ -194,10 +194,9 @@ class TestGeometryEdgeCases:
 def per_kernel_intensity(kernel_set, mask_band, band):
     """One inverse FFT per kernel: the imaging loop ``image_band``
     replaced, kept as its bit-for-bit reference."""
-    fft = kernel_set.fft
     intensity = np.zeros(mask_band.shape)
     for weight, kernel_sub in zip(band.weights, band.sub_spectra):
-        field_k = fft.ifft2(mask_band * kernel_sub, axes=(-2, -1))
+        field_k = np.fft.ifft2(mask_band * kernel_sub, axes=(-2, -1))
         intensity += weight * (field_k.real**2 + field_k.imag**2)
     return intensity
 
@@ -220,13 +219,13 @@ def test_one_transform_imaging_is_bit_for_bit():
         per_kernel_intensity(kernel_set, mask_band, band),
     )
     # The raster-input entry: rfft2, gather, then the same imaging.
-    spectra = kernel_set.fft.rfft2(
+    spectra = np.fft.rfft2(
         np.stack([rasterize(p, grid) for p in polygon_sets]), axes=(-2, -1)
     )
     assert np.array_equal(
         kernel_set.subgrid_intensity(spectra, grid.shape),
         per_kernel_intensity(
-            kernel_set, gather_band_rfft(spectra, band, kernel_set.fft), band
+            kernel_set, gather_band_rfft(spectra, band), band
         ),
     )
 
@@ -291,7 +290,9 @@ class TestPolygonInput:
         state = env.reset()
         rng = np.random.default_rng(9)
         candidates = np.vstack([
-            env.uniform_move_candidates(),
+            np.repeat(
+                np.arange(env.n_actions)[:, None], env.n_segments, axis=1
+            ),
             rng.integers(0, env.n_actions, size=(2, env.n_segments)),
         ])
         scored = env.score_moves(state, candidates)

@@ -24,7 +24,6 @@ import zlib
 
 import pytest
 
-from repro.backend import torch_available
 from repro.data.via_bench import generate_via_clip
 from repro.errors import JournalError, ServiceError
 from repro.litho.simulator import LithoConfig
@@ -215,10 +214,10 @@ def test_resume_needs_clips(tmp_path):
 def test_fingerprint_tracks_identity_not_backend(tmp_path):
     """The engine fingerprint covers everything that changes numbers
     (engine, overrides, litho optics) and nothing that doesn't
-    (array backend, device, store path)."""
+    (array backend, store path)."""
     base = EngineSpec(engine="mbopc", litho=_litho_config(),
                       overrides=tuple(sorted(OVERRIDES.items())))
-    for deployment in ({"device": "cpu"}, {"spectra_store": str(tmp_path)}):
+    for deployment in ({"backend": "numpy"}, {"spectra_store": str(tmp_path)}):
         same = EngineSpec(engine="mbopc", litho=_litho_config(**deployment),
                           overrides=tuple(sorted(OVERRIDES.items())))
         assert base.fingerprint() == same.fingerprint()
@@ -237,39 +236,16 @@ def test_fingerprint_tracks_identity_not_backend(tmp_path):
     assert base.fingerprint() != other_optics.fingerprint()
 
 
-@pytest.mark.parametrize("resume_backend", [
-    pytest.param("torch", marks=pytest.mark.skipif(
-        not torch_available(), reason="torch not installed")),
-])
-def test_journal_written_under_numpy_resumes_under_other_backend(
-    tmp_path, resume_backend
-):
-    """Array backend is a deployment knob: a journal written on a numpy
-    host replays in full on a torch-device host (same
-    fingerprint), with zero clips re-run."""
-    suite = _suite()
-    numpy_spec = EngineSpec(
-        engine="mbopc", litho=_litho_config(backend="numpy"),
-        overrides=tuple(sorted(OVERRIDES.items())),
+def test_fingerprint_digest_is_pinned():
+    """A journal stamps this digest on every record: a change to the
+    spec's fields (adding or dropping one, or its rendering) must not
+    change it, or every existing journal is orphaned."""
+    spec = EngineSpec(
+        engine="mbopc",
+        litho=LithoConfig(pixel_nm=8.0, max_kernels=4, spectra_store="/x"),
+        overrides=(("max_updates", 2),),
     )
-    fingerprint = numpy_spec.fingerprint()
-    path = str(tmp_path / "numpy-host.journal")
-    with OutcomeJournal(path) as journal:
-        for index, clip in enumerate(suite):
-            journal.log_admit(index, clip, "mbopc", fingerprint)
-            journal.log_result(
-                index, _result(ticket=index, clip=clip.name), fingerprint
-            )
-
-    service = MaskOptService(
-        litho_config=_litho_config(backend=resume_backend)
-    )
-    results, replayed = resume_suite(
-        service, "mbopc", suite, path, workers=2,
-        engine_overrides=OVERRIDES,
-    )
-    assert replayed == len(suite)
-    assert [r.clip_name for r in results] == [c.name for c in suite]
+    assert spec.fingerprint() == "bace075d128714bc"
 
 
 # -- SIGKILL + resume smoke (the whole point) ---------------------------------
