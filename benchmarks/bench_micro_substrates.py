@@ -1,6 +1,7 @@
 """Micro-benchmarks of the substrates: mask geometry (offsets to slabs
 to pupil band, rasterization), the cold SOCS kernel build, litho
-imaging, squish encoding, policy forward/backward (and the no-grad
+imaging (including a serve-shape verify and dense defocus resample),
+squish encoding, policy forward/backward (and the no-grad
 forward of CAMO metal inference), the convolution backward, segment
 EPE metrology.
 
@@ -21,6 +22,7 @@ from repro.litho import LithoConfig, LithographySimulator
 from repro.litho.kernels import OpticalKernelSet
 from repro.litho.polygon_band import polygon_band_coeffs
 from repro.metrology import segment_epe
+from repro.metrology.epe import measure_stencil_plan
 from repro.nn import Tensor, conv2d, no_grad
 from repro.nn.sage import mean_adjacency
 from repro.rl.reinforce import select_log_probs_population
@@ -49,6 +51,45 @@ def test_bench_full_corner_sweep(setup, benchmark):
     simulator, _, _, _, grid, mask = setup
     result = benchmark(simulator.simulate_mask, mask, grid)
     assert result.nominal.shape == mask.shape
+
+
+@pytest.fixture(scope="module")
+def serve_shape():
+    """A via test clip on its 500² grid at the default optics, as a
+    served MB-OPC request sees it, with its measure-point plan."""
+    simulator = LithographySimulator(LithoConfig())
+    clip = via_test_suite()[0]
+    segments = fragment_clip(clip)
+    grid = simulator.grid_for(clip)
+    assert grid.shape == (500, 500)
+    state = MaskState.initial(clip, segments, bias_nm=3.0)
+    plan = measure_stencil_plan(grid, segments)
+    return simulator, grid, state, plan
+
+
+def test_bench_serve_verify(serve_shape, benchmark):
+    """The verify flush's work for one mask: rasterize its polygons,
+    take its band (row rfft, band-column fft), image it on the subgrid
+    and lift the plan's pixels."""
+    simulator, grid, state, plan = serve_shape
+    polygons = tuple(state.mask_polygons())
+    (sparse,) = benchmark(
+        simulator.simulate_epe_batch, [polygons], grid, [plan]
+    )
+    assert sparse.values.shape == (plan.n_pixels,)
+
+
+def test_bench_serve_defocus_resample(serve_shape, benchmark):
+    """One dense defocus aerial, the read behind a state's PV band:
+    the subgrid intensity resampled onto the 500² grid."""
+    simulator, grid, state, _ = serve_shape
+    kernel_set = simulator.kernel_set(simulator.config.defocus_nm)
+    band = kernel_set.band_spectra(grid.shape)
+    assert band.compact
+    mask = rasterize(state.mask_polygons(), grid)
+    sub = kernel_set.subgrid_intensity(mask[None])
+    aerial = benchmark(kernel_set.resample_intensity, sub, grid.shape)
+    assert aerial.shape == (1, *grid.shape)
 
 
 @pytest.mark.parametrize("focus", ["nominal", "defocus"])

@@ -15,23 +15,37 @@ One imaging pipeline serves every batched entry point
 (``LithographySimulator.simulate_batch`` / ``simulate_epe_batch``):
 
 * band source — the mask stack's pupil band on the subgrid, from one of
-  two sources, one per input kind: ``rfft2`` of rasterized masks and the
-  Hermitian gather (:func:`gather_band_rfft`), or, for polygon input,
-  the closed-form band of the polygons' slabs
+  two sources, one per input kind: :func:`raster_band` of rasterized
+  masks (the row ``rfft``, the column ``fft`` of the band's columns, the
+  Hermitian gather :func:`gather_band_rfft`), or, for polygon input, the
+  closed-form band of the polygons' slabs
   (:func:`repro.litho.polygon_band.polygon_band_subgrid`), with no raster
   and no full-grid FFT;
 * front end, :meth:`OpticalKernelSet.image_band` — every kernel's
-  coherent field from one inverse FFT over ``(B, K, m0, m1)`` on an
-  alias-free subgrid (``m >= 4b + 1`` so the *squared* field, band
-  radius ``2b``, folds nowhere), weighted magnitudes summed in kernel
-  order (:meth:`~OpticalKernelSet.subgrid_intensity` is the raster-input
-  entry: gather, then this);
+  coherent field in one ``(B, K, m0, m1)`` array on an alias-free
+  subgrid (``m >= 4b + 1`` so the *squared* field, band radius ``2b``,
+  folds nowhere), weighted magnitudes summed in kernel order
+  (:meth:`~OpticalKernelSet.subgrid_intensity` is the raster-input
+  entry: :func:`raster_band`, then this);
 * sparse back end, :class:`PixelLift` — the subgrid intensity lifted to
   chosen full-grid pixels by a separable lattice DFT (EPE metrology
   needs nothing else), planned once per pixel set;
 * dense back end, :meth:`OpticalKernelSet.resample_intensity` — an
   exact zero-padded resample in real arithmetic (subgrid ``rfft2``,
   half spectrum, ``irfft2``).
+
+Band-only transforms.  Every kernel spectrum is exactly zero outside
+the pupil band, so most 1-D passes of a full 2-D transform would either
+transform an all-zero line or produce a line nothing reads.  The three
+transforms above keep numpy's axis order (``ifft2`` and ``rfft2`` run
+the last axis first, ``irfft2`` runs it last) and skip exactly those
+passes: the image's row pass runs on the ``2 b0 + 1`` band rows, the
+resample's column pass on the ``2 b1 + 1`` band columns, the raster
+band's column pass on columns ``0..b1``.  A 1-D transform of a line
+does not depend on the other lines, and a skipped line's output is
+zero (or never read) either way, so every value is bit for bit that of
+the full 2-D transform; ``tests/test_band_transforms.py`` holds all
+three to it as ``.view(int64)``.
 
 Both back ends agree with the reference path to FFT round-off (<= 1e-9
 absolute intensity).  When the band covers the grid the subgrid *is*
@@ -178,14 +192,16 @@ class GridBandSpectra:
 
 
 def gather_band_rfft(mask_rffts: np.ndarray, band: GridBandSpectra) -> np.ndarray:
-    """Pupil-band gather from half-width ``rfft2`` spectra onto the subgrid.
+    """Pupil-band gather from half-width spectra onto the subgrid.
 
-    A real mask's spectrum is Hermitian, ``F[r, c] = conj(F[(-r) % H,
+    ``mask_rffts`` holds ``(B, H, C)`` spectra of a real mask stack, ``C
+    >= b1 + 1``: the ``rfft2`` output, or just its columns ``0..b1``
+    (what :func:`raster_band` transforms), which are all this reads.  A
+    real mask's spectrum is Hermitian, ``F[r, c] = conj(F[(-r) % H,
     (-c) % W])``, so the negative-column half of the pupil band is
-    recovered from the stored positive columns with flipped rows.  Values
-    match the full-spectrum gather to FFT round-off (the rfft sums in a
-    different order — not bit-for-bit).  This is the gather of the one
-    imaging front end, :meth:`OpticalKernelSet.subgrid_intensity`.
+    recovered from the stored positive columns with flipped rows.
+    Values match the full-spectrum gather to FFT round-off (the rfft
+    sums in a different order — not bit-for-bit).
     """
     rows, _ = band.shape
     b1 = band.band[1]
@@ -205,6 +221,22 @@ def gather_band_rfft(mask_rffts: np.ndarray, band: GridBandSpectra) -> np.ndarra
     sub = np.zeros((mask_rffts.shape[0], m0, m1), np.complex128)
     sub[:, band.rows_dst[:, None], band.cols_dst[None, :]] = gathered
     return sub
+
+
+def raster_band(masks: np.ndarray, band: GridBandSpectra) -> np.ndarray:
+    """``(B, m0, m1)`` pupil-band spectra of a ``(B, H, W)`` raster stack.
+
+    The band source of rasterized input.  ``rfft2`` runs its row
+    ``rfft`` first and then a column ``fft`` over all ``W // 2 + 1``
+    columns; :func:`gather_band_rfft` reads only columns ``0..b1``, so
+    the column pass runs on those alone, in place.  Every 1-D transform
+    that runs is the one ``rfft2`` runs on the same line, so the band is
+    bit for bit the gather of the full ``rfft2``.
+    """
+    spectra = np.fft.rfft(masks, axis=-1)
+    columns = spectra[..., : band.band[1] + 1]
+    np.fft.fft(columns, axis=-2, out=columns)
+    return gather_band_rfft(columns, band)
 
 
 def _lattice(indices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -492,21 +524,6 @@ class OpticalKernelSet:
         self._validate_grid(tuple(stack.shape[1:]))
         return stack
 
-    @staticmethod
-    def _check_rfft_shape(mask_rffts, shape: tuple[int, int]) -> tuple[int, int]:
-        if mask_rffts.ndim != 3:
-            raise LithoError(
-                "mask rfft spectra must be 3-D (B, H, W//2+1), got shape "
-                f"{mask_rffts.shape}"
-            )
-        shape = (int(shape[0]), int(shape[1]))
-        if mask_rffts.shape[-2:] != (shape[0], shape[1] // 2 + 1):
-            raise LithoError(
-                f"rfft spectra {mask_rffts.shape[-2:]} do not match grid "
-                f"{shape} (expected ({shape[0]}, {shape[1] // 2 + 1}))"
-            )
-        return shape
-
     # -- convolution ---------------------------------------------------------
     def convolve_intensity(self, mask: np.ndarray) -> np.ndarray:
         """Aerial intensity ``sum_k w_k |h_k * mask|^2`` (circular conv).
@@ -535,20 +552,16 @@ class OpticalKernelSet:
             intensity += weight * (field_k.real**2 + field_k.imag**2)
         return intensity
 
-    def subgrid_intensity(
-        self, mask_rffts: np.ndarray, shape: tuple[int, int]
-    ) -> np.ndarray:
+    def subgrid_intensity(self, masks) -> np.ndarray:
         """The imaging front end for rasterized masks.
 
-        ``mask_rffts`` are the ``(B, H, W//2 + 1)`` half-width spectra of
-        a real mask stack on an ``(H, W)`` grid.  The pupil band is
-        gathered by Hermitian symmetry (:func:`gather_band_rfft`) and
-        imaged by :meth:`image_band`.
+        ``masks`` is a ``(B, H, W)`` raster stack
+        (:meth:`validate_mask_batch`); its pupil band
+        (:func:`raster_band`) is imaged by :meth:`image_band`.
         """
-        shape = self._check_rfft_shape(mask_rffts, shape)
-        self._validate_grid(shape)
-        band = self.band_spectra(shape)
-        return self.image_band(gather_band_rfft(mask_rffts, band), band)
+        stack = self.validate_mask_batch(masks)
+        band = self.band_spectra(stack.shape[1:])
+        return self.image_band(raster_band(stack, band), band)
 
     def image_band(
         self, mask_band: np.ndarray, band: GridBandSpectra
@@ -557,24 +570,48 @@ class OpticalKernelSet:
 
         ``mask_band`` is a ``(B, m0, m1)`` stack of mask spectra on
         ``band``'s subgrid, zero outside the pupil band — from
-        :func:`gather_band_rfft` (rasterized masks) or
+        :func:`raster_band` (rasterized masks) or
         :func:`repro.litho.polygon_band.polygon_band_subgrid` (polygons).
         Every kernel convolves it on the alias-free subgrid (``m >= 4b +
-        1``, so the squared field folds nowhere): the K coherent fields
-        come from one inverse FFT over ``(B, K, m0, m1)``, and their
-        weighted magnitudes are summed in kernel order.  The band-limited
-        intensity is fully determined by these samples;
-        :class:`PixelLift` lifts pixels from it and
-        :meth:`resample_intensity` rebuilds the dense image.  When the
-        band covers the grid the subgrid *is* the grid.
+        1``, so the squared field folds nowhere), all K coherent fields
+        in one ``(B, K, m0, m1)`` array.  The band-limited intensity is
+        fully determined by these samples; :class:`PixelLift` lifts
+        pixels from it and :meth:`resample_intensity` rebuilds the dense
+        image.  When the band covers the grid the subgrid *is* the grid.
+
+        The fields are ``ifft2`` of the spectra products, which runs the
+        row ``ifft`` (axis -1) and then the column ``ifft`` (axis -2).
+        The products are zero outside the ``2 b0 + 1`` band rows, so only
+        those rows take the row pass, and the column pass runs in place
+        over the one array.  Each 1-D transform that runs is the one
+        ``ifft2`` runs on the same line; the rows skipped hold zeros
+        either way, up to the sign of a zero, which squares away.  Each
+        mask's weighted ``|field|^2`` are summed with one
+        ``np.add.reduce`` over the kernel axis, which adds in kernel
+        order like the per-kernel loop it replaced, so the intensity is
+        bit for bit that of one ``ifft2`` per kernel.  A batch holds its
+        fields once, plus one mask's ``(K, m0, m1)`` magnitudes.
         """
-        fields = np.fft.ifft2(
-            mask_band[:, None] * band.sub_spectra[None], axes=(-2, -1)
+        m0 = band.subgrid[0]
+        b0 = band.band[0]
+        fields = np.zeros(
+            (len(mask_band), band.count, *band.subgrid), np.complex128
         )
-        intensity = np.zeros(mask_band.shape, np.float64)
-        for k, weight in enumerate(band.weights):
-            field_k = fields[:, k]
-            intensity += weight * (field_k.real**2 + field_k.imag**2)
+        for rows in (slice(0, b0 + 1), slice(m0 - b0, m0)):
+            part = fields[:, :, rows]
+            np.multiply(
+                mask_band[:, None, rows], band.sub_spectra[None, :, rows],
+                out=part,
+            )
+            np.fft.ifft(part, axis=-1, out=part)
+        np.fft.ifft(fields, axis=-2, out=fields)
+        intensity = np.empty(mask_band.shape, np.float64)
+        weights = band.weights[:, None, None]
+        for field, out in zip(fields, intensity):
+            power = np.square(field.real)
+            power += np.square(field.imag)
+            power *= weights
+            np.add.reduce(power, axis=0, out=out)
         return intensity
 
     def resample_intensity(
@@ -586,6 +623,13 @@ class OpticalKernelSet:
         the ``(B, m0, m1)`` subgrid, the intensity band (radius ``2b``)
         placed into the full grid's half spectrum, then ``irfft2``.  A
         non-compact band's subgrid is the grid: no resample.
+
+        ``irfft2`` runs the column ``ifft`` (axis -2) over every one of
+        the ``W // 2 + 1`` columns and then the row ``irfft``.  The half
+        spectrum is zero outside its first ``2 b1 + 1`` columns, so the
+        column pass runs on those alone, in place; every 1-D transform
+        that runs is the one ``irfft2`` runs on the same line, and the
+        output is bit for bit ``irfft2``'s.
         """
         band = self.band_spectra((int(shape[0]), int(shape[1])))
         if not band.compact:
@@ -595,10 +639,12 @@ class OpticalKernelSet:
         half_cols = 2 * band.band[1] + 1
         spectrum = np.fft.rfft2(intensity_sub, axes=(-2, -1))
         full = np.zeros((spectrum.shape[0], rows, cols // 2 + 1), np.complex128)
-        full[:, band.up_rows_dst, :half_cols] = spectrum[
+        columns = full[..., :half_cols]
+        columns[:, band.up_rows_dst] = spectrum[
             :, band.up_rows_src, :half_cols
         ] * ((rows * cols) / (m0 * m1))
-        return np.fft.irfft2(full, s=(rows, cols), axes=(-2, -1))
+        np.fft.ifft(columns, axis=-2, out=columns)
+        return np.fft.irfft(full, n=cols, axis=-1)
 
 
 @lru_cache(maxsize=8)

@@ -30,17 +30,19 @@ three entry points:
   (:meth:`simulate_polygons`) and the OPC environment's cached slabs
   take it straight from their slabs' closed-form interval DFTs
   (:mod:`repro.litho.polygon_band`, no raster and no full-grid FFT);
-  rasterized masks take one real-input
-  forward FFT (``rfft2``) and the Hermitian band gather.  Each set's
-  imaging front end then images the band on the compact subgrid, all
-  kernels in one inverse FFT
+  rasterized masks take the row ``rfft`` and a column ``fft`` of the
+  band's columns only, then the Hermitian band gather
+  (:func:`~repro.litho.kernels.raster_band`).  Each set's imaging front
+  end then images the band on the compact subgrid, all kernels in one
+  ``(B, K, m0, m1)`` array whose row pass runs on the band rows only
   (:meth:`~repro.litho.kernels.OpticalKernelSet.image_band`).
   Two back ends read that subgrid intensity: the nominal corner is
   lifted only at the pixels of the caller's stencil plans (EPE
   metrology; :class:`NominalLift` plans that lift once for callers
   whose plans never change); a dense aerial is rebuilt by an exact
   real-arithmetic zero-padded resample (``rfft2`` -> half spectrum ->
-  ``irfft2``) only when it is read.  The defocus corner, which feeds
+  ``irfft2``, whose column pass runs on the band's columns only) only
+  when it is read.  The defocus corner, which feeds
   nothing but the PV band, is not even imaged until a row's
   :attr:`LithoResult.aerial_defocus` (or its printed ``inner`` /
   ``outer`` image) is first read; that read images the whole batch
@@ -51,11 +53,11 @@ three entry points:
   they are legal for reported EPE/PV-band metrology.
 
 * :meth:`LithographySimulator.simulate_epe_batch` — the verifier's
-  sparse sweep on rasterized masks: one mask at a time, raster,
-  ``rfft2`` and the same front end, keeping only the subgrid
-  intensity; then only the pixel lift, per plan.  Because the verifier
-  rasterizes, it stays an independent cross-check of the polygon band
-  source.
+  sparse sweep on rasterized masks: one mask at a time, raster, its
+  band (:func:`~repro.litho.kernels.raster_band`) and the same front
+  end, keeping only the subgrid intensity; then only the pixel lift,
+  per plan.  Because the verifier rasterizes, it stays an independent
+  cross-check of the polygon band source.
 
 Array backend
 -------------
@@ -111,7 +113,7 @@ from repro.litho.kernels import (
     PixelLift,
     band_values_at_pixels,
     build_kernel_set,
-    gather_band_rfft,
+    raster_band,
 )
 from repro.litho.polygon_band import polygon_band_subgrid
 from repro.litho.process import ProcessCorner, standard_corners
@@ -438,9 +440,10 @@ class LithographySimulator:
     def _band_source(self, masks, grid: Grid):
         """``band -> (B, m0, m1)`` pupil-band spectra of ``masks``.
 
-        One band source per input kind.  Rasterized masks take one
-        ``rfft2`` of the stack and the Hermitian band gather
-        (:func:`~repro.litho.kernels.gather_band_rfft`).  Polygon sets
+        One band source per input kind.  Rasterized masks take the row
+        ``rfft`` of the stack, the column ``fft`` of the band's columns
+        and the Hermitian band gather
+        (:func:`~repro.litho.kernels.raster_band`).  Polygon sets
         and :class:`~repro.geometry.raster.Slabs` take the analytic band
         of their slabs
         (:func:`~repro.litho.polygon_band.polygon_band_subgrid`): no
@@ -454,10 +457,10 @@ class LithographySimulator:
             if not masks:
                 raise LithoError("mask batch is empty")
         if hasattr(masks, "ndim") or hasattr(masks[0], "ndim"):
-            spectra = np.fft.rfft2(self._mask_stack(masks, grid), axes=(-2, -1))
+            stack = self._mask_stack(masks, grid)
 
             def source(band):
-                return gather_band_rfft(spectra, band)
+                return raster_band(stack, band)
         else:
             slab_sets = [
                 mask if isinstance(mask, Slabs)
@@ -491,7 +494,8 @@ class LithographySimulator:
         (each a collection of mutually disjoint rectilinear polygons,
         else :class:`~repro.errors.LithoError`) or their
         :class:`~repro.geometry.raster.Slabs`.
-        Rasterized masks take one real-input forward FFT; polygon sets
+        Rasterized masks take a row ``rfft`` and a column ``fft`` of
+        the band's columns only; polygon sets
         and slabs take their pupil band straight from the geometry
         (:mod:`repro.litho.polygon_band`), equal to rasterizing them to
         float round-off.  Either band feeds the imaging front end of
@@ -577,10 +581,11 @@ class LithographySimulator:
         rasterized on ``grid`` here.  Masks are taken one at a time
         through the imaging front end for rasters
         (:meth:`~repro.litho.kernels.OpticalKernelSet.subgrid_intensity`:
-        ``rfft2`` of that one mask, the Hermitian band gather, the
-        image on the pupil-band subgrid), and only its subgrid intensity
-        is kept, so a sequence never holds more than one full-grid
-        raster and spectrum, and the K kernel fields of one mask.  Each
+        :func:`~repro.litho.kernels.raster_band` of that one mask, then
+        the image on the pupil-band subgrid), and only its subgrid
+        intensity is kept, so a sequence never holds more than one
+        full-grid raster and its row ``rfft``, and the K kernel fields
+        of one mask.  Each
         plan's pixel set is then lifted from the stacked intensities by
         the lattice gather
         (:func:`~repro.litho.kernels.band_values_at_pixels`).  A mask
@@ -626,9 +631,7 @@ class LithographySimulator:
             if plan is None or not plan.n_points:
                 continue
             groups.setdefault(id(plan), (plan, []))[1].append(len(imaged))
-            imaged.append(kset.subgrid_intensity(
-                np.fft.rfft2(row, axes=(-2, -1)), shape
-            ))
+            imaged.append(kset.subgrid_intensity(row))
             owners.append(index)
         results: list = [None] * batch
         if not imaged:

@@ -60,9 +60,7 @@ def small_mask_stack(count=2, n=160, seed=3):
 def subgrid_intensity(kset, band, count=2):
     """Exact ``(count, m0, m1)`` subgrid intensity of a small mask stack."""
     masks = small_mask_stack(count)
-    return kset.subgrid_intensity(
-        np.fft.rfft2(masks, axes=(-2, -1)), band.shape
-    )
+    return kset.subgrid_intensity(masks)
 
 
 class TestResolution:

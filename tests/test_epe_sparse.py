@@ -117,11 +117,10 @@ def lattice_values(kset, masks, rows, cols):
     """The verifier's sparse intensity: image the stack once on the
     pupil-band subgrid, then lift the pixel set with the lattice
     gather."""
-    shape = masks.shape[-2:]
-    sub = kset.subgrid_intensity(
-        np.fft.rfft2(masks, axes=(-2, -1)), shape
+    sub = kset.subgrid_intensity(masks)
+    return band_values_at_pixels(
+        sub, kset.band_spectra(masks.shape[-2:]), rows, cols
     )
-    return band_values_at_pixels(sub, kset.band_spectra(shape), rows, cols)
 
 
 class TestSparseIntensity:
@@ -182,12 +181,6 @@ class TestSparseIntensity:
             )
         with pytest.raises(LithoError, match="1-D"):
             lattice_values(kset, masks, np.array([0, 1]), np.array([0]))
-
-    def test_rfft_entry_rejects_full_width_spectra(self, sim):
-        kset = sim.kernel_set(0.0)
-        full = np.fft.fft2(mask_stack(GRID, 1), axes=(-2, -1))
-        with pytest.raises(LithoError, match="do not match grid"):
-            kset.subgrid_intensity(full, GRID.shape)
 
     @pytest.mark.parametrize("case", [
         "duplicated_unsorted", "single_row", "single_col", "one_pixel",

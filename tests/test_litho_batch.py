@@ -47,10 +47,8 @@ def mask_stack(grid, count):
 def dense_intensity(kernel_set, masks):
     """Dense aerials of a ``(B, H, W)`` mask stack through the band
     engine: the imaging front end, then the dense back end."""
-    shape = masks.shape[-2:]
-    spectra = np.fft.rfft2(masks, axes=(-2, -1))
     return kernel_set.resample_intensity(
-        kernel_set.subgrid_intensity(spectra, shape), shape
+        kernel_set.subgrid_intensity(masks), masks.shape[-2:]
     )
 
 

@@ -44,10 +44,8 @@ def fresh_set(store=None, defocus_nm=0.0, max_kernels=4):
 def dense_intensity(kernel_set, masks):
     """Dense aerials of a ``(B, H, W)`` mask stack through the band
     engine: the imaging front end, then the dense back end."""
-    shape = masks.shape[-2:]
-    spectra = np.fft.rfft2(masks, axes=(-2, -1))
     return kernel_set.resample_intensity(
-        kernel_set.subgrid_intensity(spectra, shape), shape
+        kernel_set.subgrid_intensity(masks), masks.shape[-2:]
     )
 
 

@@ -219,11 +219,10 @@ def test_one_transform_imaging_is_bit_for_bit():
         per_kernel_intensity(kernel_set, mask_band, band),
     )
     # The raster-input entry: rfft2, gather, then the same imaging.
-    spectra = np.fft.rfft2(
-        np.stack([rasterize(p, grid) for p in polygon_sets]), axes=(-2, -1)
-    )
+    rasters = np.stack([rasterize(p, grid) for p in polygon_sets])
+    spectra = np.fft.rfft2(rasters, axes=(-2, -1))
     assert np.array_equal(
-        kernel_set.subgrid_intensity(spectra, grid.shape),
+        kernel_set.subgrid_intensity(rasters),
         per_kernel_intensity(
             kernel_set, gather_band_rfft(spectra, band), band
         ),
