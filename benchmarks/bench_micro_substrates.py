@@ -1,13 +1,15 @@
 """Micro-benchmarks of the substrates: mask geometry (offsets to slabs
 to pupil band, rasterization), the cold SOCS kernel build, litho
 imaging (including a serve-shape verify and dense defocus resample),
-squish encoding, policy forward/backward (and the no-grad
-forward of CAMO metal inference), the convolution backward, segment
-EPE metrology.
+a cold stencil plan at the serve shapes, squish encoding, policy
+forward/backward (and the no-grad forward of CAMO metal inference),
+the convolution backward, segment EPE metrology.
 
 These are the per-iteration costs that dominate every OPC engine's
 runtime column in Tables 1 and 2.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -90,6 +92,25 @@ def test_bench_serve_defocus_resample(serve_shape, benchmark):
     sub = kernel_set.subgrid_intensity(mask[None])
     aerial = benchmark(kernel_set.resample_intensity, sub, grid.shape)
     assert aerial.shape == (1, *grid.shape)
+
+
+@pytest.mark.parametrize(
+    "suite, shape",
+    [(via_test_suite, (500, 500)), (metal_test_suite, (375, 375))],
+    ids=["via-500", "metal-375"],
+)
+def test_bench_cold_stencil_plan(benchmark, suite, shape):
+    """The measure-point plan of a served clip that nothing holds: what
+    the verifier pays to queue a repeated clip once its earlier
+    request's plans are gone."""
+    clip = suite()[-1]
+    segments = fragment_clip(clip)
+    grid = LithographySimulator(LithoConfig()).grid_for(clip)
+    assert grid.shape == shape
+    probe = weakref.ref(measure_stencil_plan(grid, segments))
+    assert probe() is None  # nothing keeps it, so every call plans anew
+    pixels = benchmark(lambda: measure_stencil_plan(grid, segments).n_pixels)
+    assert pixels > 0
 
 
 @pytest.mark.parametrize("focus", ["nominal", "defocus"])

@@ -1,9 +1,10 @@
 """The CAMO agent: two-phase training (Algorithm 1) and modulated
 inference (Eq. 6).
 
-A :class:`CAMO` instance owns the policy network, the modulator and one
-optimization context per clip (environment + segment graph + visit order,
-all fixed for the clip's lifetime, as the paper prescribes).  Training
+A :class:`CAMO` instance owns the policy network and the modulator, and
+hands out one optimization context per clip object (environment +
+segment graph + visit order, all fixed for the clip, as the paper
+prescribes) for as long as something uses it.  Training
 and inference both run the policy on populations of states; one state
 is a population of one.  RL-OPC (:class:`repro.baselines.rlopc.RLOPC`)
 is a subclass that swaps in its own policy and features and runs without
@@ -19,6 +20,7 @@ and returns an :class:`OptimizeResult`.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -177,7 +179,11 @@ class CAMO:
             channels=self.feature_channels,
         )
         self.rng = np.random.default_rng(config.seed)
-        self._contexts: dict[str, _ClipContext] = {}
+        # Keyed by id(clip): a live context's environment holds its clip,
+        # so no other clip can take that id while the entry exists.
+        self._contexts: "weakref.WeakValueDictionary[int, _ClipContext]" = (
+            weakref.WeakValueDictionary()
+        )
 
     def _make_optimizer(self, lr: float):
         if self.config.optimizer == "adam":
@@ -186,8 +192,15 @@ class CAMO:
 
     # -- context management -----------------------------------------------------
     def context(self, clip: Clip) -> _ClipContext:
-        """Environment + fixed graph/ordering for a clip (built once)."""
-        ctx = self._contexts.get(clip.name)
+        """Environment + fixed graph/ordering for a clip object.
+
+        Contexts are keyed by the clip object, not its name: two clips
+        that share a name get their own.  The engine holds a context
+        only weakly, so it lives while a caller, a :meth:`train` call or
+        an :meth:`optimize` run still uses it; while one does, the same
+        clip gets the same context back.
+        """
+        ctx = self._contexts.get(id(clip))
         if ctx is None:
             env = OPCEnvironment(
                 clip,
@@ -206,7 +219,7 @@ class CAMO:
                 adjacency=mean_adjacency(graph),
                 order=get_ordering(self.config.ordering)(graph),
             )
-            self._contexts[clip.name] = ctx
+            self._contexts[id(clip)] = ctx
         return ctx
 
     # -- policy evaluation ------------------------------------------------------
@@ -243,8 +256,11 @@ class CAMO:
         if not clips:
             raise RLError("training requires at least one clip")
         history: dict[str, list[float]] = {"imitation_logp": [], "rl_reward": []}
-        self._train_imitation(clips, history, verbose)
-        self._train_rl(clips, history, verbose)
+        # Held for the whole call, so both phases and every epoch reuse
+        # one context per clip.
+        contexts = [self.context(clip) for clip in clips]
+        self._train_imitation(contexts, history, verbose)
+        self._train_rl(contexts, history, verbose)
         return history
 
     def _teacher_corpus(self, ctx: _ClipContext) -> list[tuple]:
@@ -284,7 +300,10 @@ class CAMO:
         ]
 
     def _train_imitation(
-        self, clips: list[Clip], history: dict[str, list[float]], verbose: bool
+        self,
+        contexts: list[_ClipContext],
+        history: dict[str, list[float]],
+        verbose: bool,
     ) -> None:
         """Phase 1: mimic the model-based teacher.
 
@@ -302,16 +321,15 @@ class CAMO:
         dropped when the phase ends, and every call starts from fresh
         optimizer moments, as :meth:`_train_rl` does.
         """
-        corpus: dict[str, list[tuple]] = {}
-        for clip in clips:
-            if clip.name not in corpus:
-                corpus[clip.name] = self._teacher_corpus(self.context(clip))
+        corpus: dict[int, list[tuple]] = {}
+        for ctx in contexts:
+            if id(ctx) not in corpus:
+                corpus[id(ctx)] = self._teacher_corpus(ctx)
         optimizer = self._make_optimizer(self.config.learning_rate)
         for epoch in range(self.config.imitation_epochs):
             epoch_logp = 0.0
-            for clip in clips:
-                ctx = self.context(clip)
-                for features, actions, weight, log_pref in corpus[clip.name]:
+            for ctx in contexts:
+                for features, actions, weight, log_pref in corpus[id(ctx)]:
                     logits = self.policy(
                         features.dense()[None], ctx.adjacency, ctx.order
                     )
@@ -327,7 +345,10 @@ class CAMO:
                 print(f"[imitation] epoch {epoch}: sum log-prob {epoch_logp:.2f}")
 
     def _train_rl(
-        self, clips: list[Clip], history: dict[str, list[float]], verbose: bool
+        self,
+        contexts: list[_ClipContext],
+        history: dict[str, list[float]],
+        verbose: bool,
     ) -> None:
         """Phase 2: modulated exploration with Eq. 7 updates, over a
         lockstep population of ``rl_population`` trajectories per clip.
@@ -352,8 +373,7 @@ class CAMO:
         initialized = np.zeros(population, dtype=bool)
         for epoch in range(self.config.rl_epochs):
             epoch_reward = 0.0
-            for clip in clips:
-                ctx = self.context(clip)
+            for ctx in contexts:
                 # reset() is deterministic, so the population shares one
                 # evaluated start state (EnvState is immutable); the
                 # trajectories diverge at the first sampled actions.
@@ -400,7 +420,9 @@ class CAMO:
                     survivors = []
                     for index, p in enumerate(active):
                         states[p] = stepped[index]
-                        if not early_exit_reached(self.config, clip, states[p]):
+                        if not early_exit_reached(
+                            self.config, ctx.env.clip, states[p]
+                        ):
                             survivors.append(p)
                     active = survivors
                     if not active:

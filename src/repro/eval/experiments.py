@@ -385,7 +385,7 @@ def figure6(
     clip = by_name[case]
     outcome = camo.optimize(clip)
     state = outcome.final_state
-    grid = camo.context(clip).env.grid
+    grid = camo.simulator.grid_for(clip)
 
     panels = {
         "target": rasterize(clip.targets, grid),

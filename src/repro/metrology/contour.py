@@ -30,7 +30,7 @@ plan path is tested bit for bit against it.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,9 +209,13 @@ class SparseAerial:
 
 # Stencil plans are pure geometry — gather indices and bilinear blend
 # weights derived from (grid, points, normals, window) alone, with no
-# FFT input — so the cache keys on that geometry only.
-_PLAN_CACHE: "OrderedDict[tuple, ContourStencilPlan]" = OrderedDict()
-_PLAN_CACHE_CAPACITY = 128
+# FFT input — so the cache keys on that geometry only.  It holds plans
+# weakly: a plan lives as long as an environment, a SparseAerial or a
+# queued verify item still holds it, and a finished request's plans go
+# with the request.
+_PLAN_CACHE: "weakref.WeakValueDictionary[tuple, ContourStencilPlan]" = (
+    weakref.WeakValueDictionary()
+)
 _PLAN_LOCK = threading.Lock()
 
 
@@ -222,11 +226,12 @@ def plan_contour_stencils(
     search_nm: float = 40.0,
     step_nm: float = 1.0,
 ) -> ContourStencilPlan:
-    """Build (and cache) the sparse sampling plan for one geometry.
+    """Build (or share) the sparse sampling plan for one geometry.
 
-    Plans are cached per ``(grid, points, normals, search window)`` —
-    clip geometry is immutable, so repeated verification or screening of
-    the same clip reuses one plan.
+    While any caller still holds the plan of a ``(grid, points, normals,
+    search window)``, the same geometry gets that plan object back —
+    clip geometry is immutable, so an environment, its outcome and the
+    verifier share one plan.  Nothing else keeps a plan alive.
     """
     points, normals = _validate_inputs(points, normals, search_nm, step_nm)
     key = (
@@ -238,9 +243,8 @@ def plan_contour_stencils(
     )
     with _PLAN_LOCK:
         cached = _PLAN_CACHE.get(key)
-        if cached is not None:
-            _PLAN_CACHE.move_to_end(key)
-            return cached
+    if cached is not None:
+        return cached
     offsets = np.arange(-search_nm, search_nm + step_nm / 2, step_nm)
     xs, ys = _sample_coordinates(points, normals, offsets)
     # The exact corner/weight arithmetic of the dense samplers — reusing
@@ -272,10 +276,9 @@ def plan_contour_stencils(
         frac_c=frac_c,
     )
     with _PLAN_LOCK:
-        _PLAN_CACHE[key] = plan
-        while len(_PLAN_CACHE) > _PLAN_CACHE_CAPACITY:
-            _PLAN_CACHE.popitem(last=False)
-    return plan
+        # Another thread may have planned the same geometry meanwhile;
+        # every caller gets the one plan the cache holds.
+        return _PLAN_CACHE.setdefault(key, plan)
 
 
 def contour_offsets_sparse(

@@ -25,6 +25,7 @@ Request lifecycle
                                │                (engines unchanged)
                                ▼
                   ShapeBinScheduler.add_outcome
+                     plans the clip's measure-point stencils,
                      bins by (grid shape, EPE search range)
                      across clips *and* engines
                                │

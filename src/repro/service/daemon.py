@@ -546,10 +546,19 @@ class MaskOptDaemon:
                 scheduler.discard(tuple(waiting))
                 return
             ticket, request, payload = item
-            added = scheduler.add_outcome(
-                ticket, request.clip, payload, simulator,
-                payload.epe_search_nm,
-            )
+            try:
+                added = scheduler.add_outcome(
+                    ticket, request.clip, payload, simulator,
+                    payload.epe_search_nm,
+                )
+            except Exception as exc:
+                # Queueing plans the mask; a failure there fails this
+                # ticket alone and the verifier keeps serving.
+                self._resolve_soon(ticket, error=ServiceError(
+                    f"verification queueing failed for clip "
+                    f"{request.clip.name!r}: {exc}"
+                ))
+                continue
             if not added:
                 # No recoverable final mask: resolve as "unverifiable".
                 self._finish(ticket, request, payload, {}, True)

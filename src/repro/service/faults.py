@@ -27,6 +27,8 @@ the ones wired into the stack):
                           parent already holds the payload)
 ``pipe.frame``            instead of the result: write a torn/garbage frame
                           to the result pipe and die (``corrupt`` action)
+``verifier.add``          in :meth:`ShapeBinScheduler.add`, before a mask is
+                          planned and queued; context is the clip name
 ``verifier.flush``        in :meth:`ShapeBinScheduler._flush_keys`, before a
                           bin is measured; context ``str(bin_key)``
 ``store.save``            after a spectra entry is atomically written;

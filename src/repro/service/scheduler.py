@@ -19,6 +19,12 @@ transforms and images one mask at a time and keeps only its band-limited
 subgrid intensity, so a flush holds at most one full-grid raster (and
 its spectrum) at a time.
 
+Each item is planned when it is queued: :meth:`ShapeBinScheduler.add`
+builds the stencil plan of the clip's measure points, and the item
+holds it until it is measured.  The plan cache
+(:func:`~repro.metrology.contour.plan_contour_stencils`) keeps no plan
+alive on its own, so a verified request's plans go with it.
+
 Verification is EPE-only, so the flush evaluates intensity solely at the
 pixels under each clip's measure-point stencils: no ``printed_image``
 and no full-grid inverse FFT is ever built.  The measured EPE agrees
@@ -48,7 +54,7 @@ twice.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Hashable
 
 import numpy as np
@@ -58,6 +64,7 @@ from repro.geometry.polygon import Polygon
 from repro.geometry.raster import Grid, rasterize
 from repro.geometry.segmentation import fragment_clip
 from repro.litho.simulator import LithographySimulator
+from repro.metrology.contour import ContourStencilPlan
 from repro.metrology.epe import (  # noqa: F401
     measure_epe_grouped,  # perfbench's layer tracer hooks it here
     measure_epe_grouped_sparse,
@@ -93,13 +100,19 @@ def final_mask_image(outcome, grid: Grid) -> np.ndarray | None:
 @dataclass(frozen=True)
 class VerifyItem:
     """One final mask queued for batched re-measurement: its polygons,
-    or an ``(H, W)`` raster on ``grid``."""
+    or an ``(H, W)`` raster on ``grid``.
+
+    ``plan`` is the stencil plan of the clip's measure points (``None``
+    for a clip without any); :meth:`ShapeBinScheduler.add` fills it in,
+    so a queued item holds its plan until it is measured.
+    """
 
     key: Hashable
     clip: Clip
     grid: Grid
     mask: "tuple[Polygon, ...] | np.ndarray"
     epe_search_nm: float
+    plan: ContourStencilPlan | None = None
 
 
 @dataclass
@@ -114,9 +127,22 @@ class ShapeBinScheduler:
     )
 
     def add(self, item: VerifyItem) -> None:
-        bin_key = (item.grid.shape, float(item.epe_search_nm))
+        """Plan ``item``'s measure points and queue it.
+
+        The plan is built here, outside the lock, so a planning error
+        reaches the caller that queued the mask and not a later flush.
+        While the engine's outcome is alive its environment's plan of
+        the same points is a cache hit.
+        """
+        maybe_fault("verifier.add", item.clip.name)
+        search_nm = float(item.epe_search_nm)
+        item = replace(item, plan=measure_stencil_plan(
+            item.grid, fragment_clip(item.clip), search_nm=search_nm
+        ))
         with self._lock:
-            self._bins.setdefault(bin_key, []).append(item)
+            self._bins.setdefault((item.grid.shape, search_nm), []).append(
+                item
+            )
 
     def add_outcome(
         self,
@@ -232,18 +258,12 @@ class ShapeBinScheduler:
                 members = self._bins.pop(key, None)
             if not members:
                 continue
-            (_, search_nm) = key
-            # Per-item stencil plans (cached by clip geometry) drive the
-            # sparse gather; clips without measure points plan to None
-            # and come back as empty reports.
-            plans = [
-                measure_stencil_plan(
-                    item.grid, fragment_clip(item.clip), search_nm=search_nm
-                )
-                for item in members
-            ]
+            # The plans made when the items were queued drive the sparse
+            # gather; clips without measure points planned to None and
+            # come back as empty reports.
             sparse = simulator.simulate_epe_batch(
-                [item.mask for item in members], members[0].grid, plans
+                [item.mask for item in members], members[0].grid,
+                [item.plan for item in members],
             )
             reports = measure_epe_grouped_sparse(sparse, threshold)
             for item, report in zip(members, reports):

@@ -226,6 +226,45 @@ class TestAgent:
         agent = CAMO(CamoConfig.smoke(), simulator)
         assert agent.context(clip) is agent.context(clip)
 
+    def test_same_named_clips_optimize_their_own_segments(self, simulator):
+        """Contexts are keyed by the clip object: a 3-via clip named like
+        an earlier 2-via clip gets its own 12-segment environment, not
+        the first clip's 8 segments."""
+        first = generate_via_clip("twin", n_vias=2, seed=51, clip_nm=1024)
+        second = generate_via_clip("twin", n_vias=3, seed=52, clip_nm=1024)
+        agent = CAMO(CamoConfig.smoke(max_updates=2), simulator)
+        for clip in (first, second):
+            mask = agent.optimize(clip).final_state.mask
+            assert mask.clip is clip
+            assert mask.segments == fragment_clip(clip)
+        assert len(fragment_clip(first)) == 8
+        assert len(fragment_clip(second)) == 12
+
+    def test_engine_keeps_nothing_of_dropped_clips(self):
+        """Optimizing 8 metal clips that the caller then drops leaves
+        under 1 MB of traced memory behind (contexts keyed by clip name
+        kept 10.3 MB: every clip's env, plans and lift)."""
+        import gc
+        import tracemalloc
+
+        simulator = LithographySimulator(
+            LithoConfig(pixel_nm=4.0, max_kernels=4)
+        )
+        agent = CAMO(CamoConfig.smoke(max_updates=1), simulator)
+        agent.optimize(metal_test_suite()[-1])  # kernels and band spectra
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            clips = metal_test_suite()[:8]
+            results = [agent.optimize(clip) for clip in clips]
+            del clips, results
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert kept < 1e6
+
     def test_save_load_roundtrip(self, simulator, clip, tmp_path):
         config = CamoConfig.smoke()
         agent = CAMO(config, simulator)

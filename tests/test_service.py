@@ -416,6 +416,85 @@ class TestStreamingFlush:
         assert eight < 3.5
         assert eight - one < 0.5
 
+    def test_hand_built_item_is_planned_in_add(self, sim, mixed_suite):
+        """``add`` plans an item built without a plan, and the queued
+        item holds the plan the clip's measure points share."""
+        from repro.metrology.epe import measure_stencil_plan
+        from repro.service.scheduler import ShapeBinScheduler, VerifyItem
+
+        clip = mixed_suite[0]
+        grid = sim.grid_for(clip)
+        item = VerifyItem(
+            key=0, clip=clip, grid=grid, mask=np.zeros(grid.shape),
+            epe_search_nm=40.0,
+        )
+        assert item.plan is None
+        scheduler = ShapeBinScheduler()
+        scheduler.add(item)
+        (queued,) = [member for bin_ in scheduler._bins.values()
+                     for member in bin_]
+        assert queued.plan is measure_stencil_plan(
+            grid, fragment_clip(clip), search_nm=40.0
+        )
+
+
+class TestPerClipState:
+    """What the service keeps of a request ends with the request."""
+
+    def test_verified_requests_leave_no_plans(self, sim):
+        """After 8 distinct metal clips are served and verified and the
+        caller drops the results, no stencil plan of theirs is alive."""
+        import gc
+        import weakref
+
+        from repro.metrology.contour import ContourStencilPlan
+
+        def live_plans():
+            gc.collect()
+            return [
+                obj for obj in gc.get_objects()
+                if isinstance(obj, ContourStencilPlan)
+            ]
+
+        before = {id(plan): weakref.ref(plan) for plan in live_plans()}
+        service = MaskOptService(simulator=sim)
+        for index in range(8):
+            service.submit(OptRequest(
+                clip=stdcell_metal_clip(
+                    f"rp{index}", 8, seed=60 + index, clip_nm=1280
+                ),
+                engine=make_engine(sim),
+            ))
+        results = service.run_all()
+        assert [result.outcome for result in results] == ["verified"] * 8
+        del results
+        left = [
+            plan for plan in live_plans()
+            if id(plan) not in before or before[id(plan)]() is not plan
+        ]
+        assert left == []
+
+    def test_same_named_clips_are_verified(self, sim):
+        """One CAMO engine serves two different clips that share a name:
+        each is optimized on its own environment and verifies (keyed by
+        name, the second got the first's 8-segment environment and the
+        drift check raised MetrologyError)."""
+        from repro.core import CAMO, CamoConfig
+
+        engine = CAMO(CamoConfig.smoke(max_updates=2), sim)
+        service = MaskOptService(simulator=sim)
+        for n_vias, seed in ((2, 51), (3, 52)):
+            service.submit(OptRequest(
+                clip=generate_via_clip(
+                    "twin", n_vias=n_vias, seed=seed, clip_nm=1024
+                ),
+                engine=engine,
+            ))
+        results = service.run_all()
+        assert [result.outcome for result in results] == ["verified"] * 2
+        for result in results:
+            assert abs(result.verified_epe_nm - result.epe_nm) <= 1e-6
+
 
 class TestMapSuite:
     def test_matches_run_all_and_shares_one_verify_pass(

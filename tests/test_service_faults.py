@@ -395,6 +395,45 @@ def test_verifier_flush_fault_fails_cleanly():
         clear_fault_plan()
 
 
+def test_verifier_add_fault_fails_only_its_ticket():
+    """A failure while the daemon's verifier queues (and plans) one mask
+    fails that ticket alone with a ServiceError: the verifier thread
+    keeps running, the other tickets verify, and so does a request
+    submitted after the failure."""
+    install_fault_plan(FaultPlan([
+        FaultRule(point="verifier.add", action="raise", match="fv2"),
+    ]))
+
+    async def main():
+        daemon = MaskOptDaemon(
+            litho_config=_litho_config(), workers=2, grace_s=0.3,
+        )
+        async with daemon:
+            async def serve(clip):
+                ticket = await daemon.submit(OptRequest(
+                    clip=clip, engine="mbopc", engine_overrides=OVERRIDES,
+                ))
+                try:
+                    # A dead verifier thread would strand the ticket.
+                    result = await asyncio.wait_for(
+                        daemon.result(ticket), timeout=120
+                    )
+                except ServiceError as exc:
+                    return exc
+                return result.outcome
+
+            first = await asyncio.gather(*(serve(c) for c in _suite()))
+            return first, await serve(_suite()[0])
+
+    try:
+        first, later = asyncio.run(main())
+    finally:
+        clear_fault_plan()
+    assert first[0] == first[2] == later == "verified"
+    assert type(first[1]) is ServiceError
+    assert "fv2" in str(first[1])
+
+
 # -- pool-retirement edges ----------------------------------------------------
 
 def test_revive_cap_exhaustion_mid_backlog():
