@@ -18,8 +18,8 @@ def fig5_curves(scale_name):
     return curves
 
 
-def test_figure5_generation(fig5_curves, benchmark):
-    bundle = experiments.trained_metal_engines()
+def test_figure5_generation(fig5_curves, scale_name, benchmark):
+    bundle = experiments.trained_engines(scale_name, "metal")
     from repro.data.metal_bench import metal_test_suite
 
     m2 = next(c for c in metal_test_suite() if c.name == "M2")

@@ -13,15 +13,15 @@ from repro.eval import experiments
 
 @pytest.fixture(scope="module")
 def table1_results(scale_name):
-    text, results = experiments.table1(scale_name)
+    text, results = experiments.table(scale_name, "via")
     print("\n" + text)
     return text, results
 
 
-def test_table1_generation(table1_results, benchmark):
+def test_table1_generation(table1_results, scale_name, benchmark):
     """Benchmark CAMO inference over the via test suite (training cached)."""
     _text, results = table1_results
-    bundle = experiments.trained_via_engines()
+    bundle = experiments.trained_engines(scale_name, "via")
     clip = bundle["test_clips"][0]
 
     benchmark(lambda: bundle["camo"].optimize(clip))
@@ -36,10 +36,11 @@ def test_table1_generation(table1_results, benchmark):
     assert camo.epe_sum <= rlopc.epe_sum
 
 
-def test_table1_all_clips_converge(table1_results):
-    """Every engine must improve on the initial mask for every clip."""
+def test_table1_all_clips_converge(table1_results, scale_name):
+    """CAMO improves on the initial mask for every clip.  Only CAMO is
+    checked: the baselines are not held to this bound."""
     _text, results = table1_results
-    bundle = experiments.trained_via_engines()
+    bundle = experiments.trained_engines(scale_name, "via")
     for row in results["CAMO"].rows:
         clip = next(c for c in bundle["test_clips"] if c.name == row.clip_name)
         # 4 measure points per via, initial |EPE| >= ~10 nm per point.

@@ -12,14 +12,14 @@ from repro.eval import experiments
 
 @pytest.fixture(scope="module")
 def table2_results(scale_name):
-    text, results = experiments.table2(scale_name)
+    text, results = experiments.table(scale_name, "metal")
     print("\n" + text)
     return text, results
 
 
-def test_table2_generation(table2_results, benchmark):
+def test_table2_generation(table2_results, scale_name, benchmark):
     _text, results = table2_results
-    bundle = experiments.trained_metal_engines()
+    bundle = experiments.trained_engines(scale_name, "metal")
     clip = bundle["test_clips"][0]
 
     benchmark(lambda: bundle["camo"].optimize(clip))
@@ -33,12 +33,12 @@ def test_table2_generation(table2_results, benchmark):
     assert camo.epe_sum < 2.0 * calibre.epe_sum
 
 
-def test_table2_measure_point_counts(table2_results):
+def test_table2_measure_point_counts(table2_results, scale_name):
     """The suite reproduces Table 2's Point # column exactly."""
     from repro.data.metal_bench import METAL_TEST_POINTS, metal_test_suite
     from repro.geometry import fragment_clip
 
-    bundle = experiments.trained_metal_engines()
+    bundle = experiments.trained_engines(scale_name, "metal")
     wanted = {
         clip.name: pts
         for clip, pts in zip(metal_test_suite(), METAL_TEST_POINTS)

@@ -26,7 +26,7 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    text, _results = experiments.table2(args.scale)
+    text, _results = experiments.table(args.scale, "metal")
     print(text)
 
     print()

@@ -25,7 +25,7 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    text, results = experiments.table1(args.scale)
+    text, results = experiments.table(args.scale, "via")
     print(text)
     camo = results["CAMO"]
     exits = sum(row.early_exited for row in camo.rows)

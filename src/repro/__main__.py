@@ -427,10 +427,8 @@ def cmd_serve(args) -> int:
 def cmd_table(args) -> int:
     from repro.eval import experiments
 
-    if args.which == 1:
-        text, _ = experiments.table1(args.scale)
-    else:
-        text, _ = experiments.table2(args.scale)
+    layer = {1: "via", 2: "metal"}[args.which]
+    text, _ = experiments.table(args.scale, layer)
     print(text)
     return 0
 

@@ -16,7 +16,7 @@ spatial correlation handling and modulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -70,15 +70,6 @@ class RLOPCConfig:
             raise ConfigError(
                 f"unknown imitation_weighting {self.imitation_weighting!r}"
             )
-
-    @classmethod
-    def metal(cls, **overrides) -> "RLOPCConfig":
-        base = cls(
-            max_updates=15,
-            early_exit_threshold=1.0,
-            early_exit_mode="per_point",
-        )
-        return replace(base, **overrides)
 
 
 class RlOpcPolicy(Module):

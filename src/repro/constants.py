@@ -8,6 +8,8 @@ benchmarks and academic baselines target.
 
 from __future__ import annotations
 
+from typing import Any
+
 # --- Optics (193i, ICCAD-13 style) -----------------------------------------
 WAVELENGTH_NM: float = 193.0
 """ArF excimer laser wavelength."""
@@ -82,3 +84,23 @@ VIA_MAX_UPDATES: int = 10
 VIA_EARLY_EXIT_EPE_PER_VIA: float = 4.0
 METAL_MAX_UPDATES: int = 15
 METAL_EARLY_EXIT_EPE_PER_POINT: float = 1.0
+
+EPISODE_RULES: dict[str, dict[str, Any]] = {
+    "via": {
+        "max_updates": VIA_MAX_UPDATES,
+        "early_exit_threshold": VIA_EARLY_EXIT_EPE_PER_VIA,
+        "early_exit_mode": "per_target",
+        "initial_bias_nm": VIA_INITIAL_BIAS_NM,
+    },
+    "metal": {
+        "max_updates": METAL_MAX_UPDATES,
+        "early_exit_threshold": METAL_EARLY_EXIT_EPE_PER_POINT,
+        "early_exit_mode": "per_point",
+        "initial_bias_nm": 0.0,
+    },
+}
+"""Each layer's optimization episode, keyed by ``Clip.layer``: the update
+budget, the early exit (mean |EPE| per via, or per measure point on
+metal) and the initial mask bias.  The keys are the fields every engine
+config (CAMO, RL-OPC, MB-OPC) shares, so a layer's engines are built
+with ``Config(**EPISODE_RULES[layer], ...)``."""

@@ -8,7 +8,10 @@ rollouts' shape (:data:`repro.core.agent.IMITATION_STEPS`,
 clip (:data:`repro.rl.reinforce.MAX_GRAD_NORM`).  The paper-fidelity
 values are noted next to each field; ``CamoConfig.paper_via()`` /
 ``paper_metal()`` build them, while the default constructor is the
-reduced-but-faithful "repro" profile used by tests and benches.
+reduced-but-faithful "repro" profile used by tests and benches.  The
+defaults run the via episode; the metal profiles take theirs from
+:data:`repro.constants.EPISODE_RULES`, the one place each layer's
+episode rule (update budget, early exit, initial bias) is written.
 """
 
 from __future__ import annotations
@@ -16,11 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.constants import (
+    EPISODE_RULES,
     FEATURE_WINDOW_NM,
     GRAPH_EDGE_THRESHOLD_NM,
     LEARNING_RATE,
-    METAL_EARLY_EXIT_EPE_PER_POINT,
-    METAL_MAX_UPDATES,
     MODULATOR_B,
     MODULATOR_K,
     MODULATOR_N,
@@ -50,7 +52,6 @@ class CamoConfig:
     sage_layers: int = 2
     rnn_hidden: int = 64                       # paper: hidden state 64
     rnn_layers: int = 3                        # paper: 3 recurrent layers
-    n_actions: int = 5
     use_gnn: bool = True
     use_rnn: bool = True
 
@@ -114,20 +115,12 @@ class CamoConfig:
             )
         if self.sage_layers < 1:
             raise ConfigError("need at least one GraphSAGE layer")
-        if self.n_actions != 5:
-            raise ConfigError("the movement set is fixed at 5 actions")
 
     # -- profiles ----------------------------------------------------------------
     @classmethod
     def repro_metal(cls, **overrides) -> "CamoConfig":
         """Fast profile for metal layers."""
-        base = cls(
-            max_updates=METAL_MAX_UPDATES,
-            early_exit_threshold=METAL_EARLY_EXIT_EPE_PER_POINT,
-            early_exit_mode="per_point",
-            initial_bias_nm=0.0,
-        )
-        return replace(base, **overrides)
+        return replace(cls(**EPISODE_RULES["metal"]), **overrides)
 
     @classmethod
     def paper_via(cls, **overrides) -> "CamoConfig":
@@ -150,10 +143,7 @@ class CamoConfig:
             rl_epochs=50,
             optimizer="sgd",
             learning_rate=LEARNING_RATE,
-            max_updates=METAL_MAX_UPDATES,
-            early_exit_threshold=METAL_EARLY_EXIT_EPE_PER_POINT,
-            early_exit_mode="per_point",
-            initial_bias_nm=0.0,
+            **EPISODE_RULES["metal"],
         )
         return replace(base, **overrides)
 

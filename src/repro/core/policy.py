@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.constants import MOVE_SET_NM
 from repro.core.config import CamoConfig
 from repro.errors import NNError
 from repro.nn.layers import Conv2d, GlobalAvgPool2d, Linear, ReLU
@@ -71,7 +72,7 @@ class CamoPolicy(Module):
             self.node_mlp = Sequential(
                 Linear(config.embed_dim, config.rnn_hidden, rng=rng), ReLU()
             )
-        self.head = Linear(config.rnn_hidden, config.n_actions, rng=rng)
+        self.head = Linear(config.rnn_hidden, len(MOVE_SET_NM), rng=rng)
 
     # -- forward ------------------------------------------------------------
     def forward(

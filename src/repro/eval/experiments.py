@@ -2,16 +2,19 @@
 
 Every artefact of the evaluation section has one entry point here:
 
-* :func:`table1` — via-layer comparison (DAMO-like, Calibre-like MB-OPC,
-  RL-OPC, CAMO) on V1..V13;
-* :func:`table2` — metal-layer comparison (Calibre-like, RL-OPC, CAMO) on
-  M1..M10;
+* :func:`table` — one layer's comparison: ``"via"`` is Table 1
+  (DAMO-like, Calibre-like MB-OPC, RL-OPC, CAMO on V1..V13), ``"metal"``
+  is Table 2 (Calibre-like, RL-OPC, CAMO on M1..M10);
 * :func:`figure4` — modulator preference vectors vs EPE (paper projection
   function f(x) = 0.02 x^4 + 1);
 * :func:`figure5` — EPE-vs-step trajectories on M2/M4 with and without the
   modulator;
 * :func:`figure6` — target / mask / printed contour / PV-band panels for
   case M10.
+
+:data:`LAYERS` holds what differs between the two tables: suites, count
+column, title and engine columns.  Every engine of a layer runs that
+layer's episode rule, :data:`repro.constants.EPISODE_RULES`.
 
 ``scale`` selects the effort profile: ``"smoke"`` (seconds, CI),
 ``"repro"`` (the default used by the benches — minutes, reproduces the
@@ -25,20 +28,23 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from repro.baselines.damo import DamoConfig, DamoLikeOPC
 from repro.baselines.mbopc import MBOPC, MBOPCConfig
 from repro.baselines.rlopc import RLOPC, RLOPCConfig
-from repro.constants import VIA_INITIAL_BIAS_NM
+from repro.constants import EPISODE_RULES
 from repro.core.agent import CAMO
 from repro.core.config import CamoConfig
 from repro.core.modulator import Modulator
 from repro.data.metal_bench import METAL_TEST_POINTS, metal_test_suite, metal_train_suite
 from repro.data.via_bench import VIA_TEST_COUNTS, via_test_suite, via_train_suite
 from repro.errors import ConfigError
+from repro.eval.metrics import SuiteResult
 from repro.eval.tables import format_comparison_table
+from repro.geometry.layout import Clip
 from repro.litho.simulator import LithoConfig, LithographySimulator
 from repro.service import MaskOptService
 from repro.viz.ascii_art import ascii_image
@@ -133,6 +139,73 @@ def _subset(clips: list, limit: int) -> list:
     return clips if limit == 0 else clips[:limit]
 
 
+@dataclass(frozen=True)
+class LayerTable:
+    """What one layer's comparison table is made of."""
+
+    title: str
+    train_suite: Callable[[], list[Clip]]
+    test_suite: Callable[[], list[Clip]]
+    counts: tuple[int, ...]
+    """The count column, one entry per test-suite clip in order."""
+    count_header: str
+    columns: Mapping[str, str]
+    """Column label -> engine key of :func:`trained_engines`, in column
+    order; the last column is the Ratio reference."""
+    camo_sizes: Callable[[Scale], dict[str, int]]
+    """The scale's CAMO network sizes for this layer."""
+    paper_profile: Callable[[], CamoConfig]
+    rule: Mapping[str, Any]
+    """The layer's episode rule, shared by every engine config."""
+
+
+LAYERS: dict[str, LayerTable] = {
+    "via": LayerTable(
+        title="Table 1: via-layer OPC comparison (EPE nm / PVB nm^2 / RT s)",
+        train_suite=via_train_suite,
+        test_suite=via_test_suite,
+        counts=VIA_TEST_COUNTS,
+        count_header="Via #",
+        columns={
+            "DAMO-like": "damo",
+            "Calibre-like": "mbopc",
+            "RL-OPC": "rlopc",
+            "CAMO": "camo",
+        },
+        camo_sizes=lambda scale: {
+            "encode_size": scale.encode_size_via,
+            "imitation_epochs": scale.imitation_epochs_via,
+        },
+        paper_profile=CamoConfig.paper_via,
+        rule=EPISODE_RULES["via"],
+    ),
+    "metal": LayerTable(
+        title="Table 2: metal-layer OPC comparison (EPE nm / PVB nm^2 / RT s)",
+        train_suite=metal_train_suite,
+        test_suite=metal_test_suite,
+        counts=METAL_TEST_POINTS,
+        count_header="Point #",
+        columns={"Calibre-like": "mbopc", "RL-OPC": "rlopc", "CAMO": "camo"},
+        camo_sizes=lambda scale: {
+            "encode_size": scale.encode_size_metal,
+            "embed_dim": scale.embed_dim_metal,
+            "imitation_epochs": scale.imitation_epochs_metal,
+        },
+        paper_profile=CamoConfig.paper_metal,
+        rule=EPISODE_RULES["metal"],
+    ),
+}
+
+
+def layer_table(layer: str) -> LayerTable:
+    try:
+        return LAYERS[layer]
+    except KeyError:
+        raise ConfigError(
+            f"unknown layer {layer!r}; choose from {sorted(LAYERS)}"
+        ) from None
+
+
 # --------------------------------------------------------------------------
 # Engine construction + training (cached per scale and layer)
 # --------------------------------------------------------------------------
@@ -140,187 +213,94 @@ def _subset(clips: list, limit: int) -> list:
 def camo_config(scale: str | Scale | None, layer: str) -> CamoConfig:
     """The CAMO config a scale trains on ``layer`` (``"via"`` or
     ``"metal"``).  Paper scale trains with the paper's optimizer and
-    learning rate, taken from :meth:`CamoConfig.paper_via` /
-    :meth:`CamoConfig.paper_metal` (SGD at ``LEARNING_RATE``)."""
+    learning rate, taken from the layer's paper profile
+    (:meth:`CamoConfig.paper_via` / :meth:`CamoConfig.paper_metal`:
+    SGD at ``LEARNING_RATE``)."""
     resolved = get_scale(scale)
-    if layer == "via":
-        config = CamoConfig(
-            encode_size=resolved.encode_size_via,
-            imitation_epochs=resolved.imitation_epochs_via,
-            rl_epochs=resolved.rl_epochs,
-            policy_temperature=2.5,
-            initial_bias_nm=VIA_INITIAL_BIAS_NM,
-        )
-        paper = CamoConfig.paper_via()
-    elif layer == "metal":
-        config = CamoConfig.repro_metal(
-            encode_size=resolved.encode_size_metal,
-            embed_dim=resolved.embed_dim_metal,
-            imitation_epochs=resolved.imitation_epochs_metal,
-            rl_epochs=resolved.rl_epochs,
-            policy_temperature=2.5,
-        )
-        paper = CamoConfig.paper_metal()
-    else:
-        raise ConfigError(f"unknown layer {layer!r}; choose 'via' or 'metal'")
+    spec = layer_table(layer)
+    config = CamoConfig(
+        **spec.rule,
+        **spec.camo_sizes(resolved),
+        rl_epochs=resolved.rl_epochs,
+        policy_temperature=2.5,
+    )
     if resolved.name != "paper":
         return config
+    paper = spec.paper_profile()
     return dataclasses.replace(
         config, optimizer=paper.optimizer, learning_rate=paper.learning_rate
     )
 
 
-def trained_via_engines(scale: str | Scale | None = None) -> dict:
-    """Simulator, suites and the four trained/configured via engines."""
+def trained_engines(scale: str | Scale | None, layer: str) -> dict:
+    """Simulator, suites and the trained/configured engines of one layer,
+    keyed as in :attr:`LayerTable.columns`."""
     resolved = get_scale(scale)
-    key = (resolved.name, "via")
+    spec = layer_table(layer)
+    key = (resolved.name, layer)
     if key in _ENGINE_CACHE:
         return _ENGINE_CACHE[key]
 
     simulator = build_simulator(resolved)
-    train_clips = _subset(via_train_suite(), resolved.n_train_clips)
-    test_clips = _subset(via_test_suite(), resolved.n_test_clips)
-
-    camo = CAMO(camo_config(resolved, "via"), simulator)
-    camo.train(train_clips)
+    train_clips = _subset(spec.train_suite(), resolved.n_train_clips)
+    bundle = {
+        "simulator": simulator,
+        "train_clips": train_clips,
+        "test_clips": _subset(spec.test_suite(), resolved.n_test_clips),
+    }
+    camo_cfg = camo_config(resolved, layer)
+    bundle["camo"] = CAMO(camo_cfg, simulator)
+    bundle["camo"].train(train_clips)
 
     rlopc_cfg = RLOPCConfig(
-        encode_size=resolved.encode_size_via,
+        **spec.rule,
+        encode_size=camo_cfg.encode_size,
         imitation_epochs=resolved.rlopc_imitation_epochs,
         rl_epochs=resolved.rl_epochs,
-        initial_bias_nm=VIA_INITIAL_BIAS_NM,
     )
-    rlopc = RLOPC(rlopc_cfg, simulator)
-    rlopc.train(train_clips)
+    bundle["rlopc"] = RLOPC(rlopc_cfg, simulator)
+    bundle["rlopc"].train(train_clips)
 
-    damo_cfg = DamoConfig(
-        encode_size=resolved.encode_size_via,
-        epochs=resolved.damo_epochs,
-        initial_bias_nm=VIA_INITIAL_BIAS_NM,
-    )
-    damo = DamoLikeOPC(damo_cfg, simulator)
-    damo.train(train_clips)
+    if "damo" in spec.columns.values():
+        damo_cfg = DamoConfig(
+            encode_size=camo_cfg.encode_size,
+            epochs=resolved.damo_epochs,
+            initial_bias_nm=spec.rule["initial_bias_nm"],
+        )
+        bundle["damo"] = DamoLikeOPC(damo_cfg, simulator)
+        bundle["damo"].train(train_clips)
 
-    mbopc = MBOPC(
-        MBOPCConfig(initial_bias_nm=VIA_INITIAL_BIAS_NM), simulator
-    )
-
-    bundle = {
-        "simulator": simulator,
-        "train_clips": train_clips,
-        "test_clips": test_clips,
-        "camo": camo,
-        "rlopc": rlopc,
-        "damo": damo,
-        "mbopc": mbopc,
-    }
+    bundle["mbopc"] = MBOPC(MBOPCConfig(**spec.rule), simulator)
     _ENGINE_CACHE[key] = bundle
     return bundle
 
 
-def trained_metal_engines(scale: str | Scale | None = None) -> dict:
-    """Simulator, suites and the trained/configured metal engines."""
-    resolved = get_scale(scale)
-    key = (resolved.name, "metal")
-    if key in _ENGINE_CACHE:
-        return _ENGINE_CACHE[key]
-
-    simulator = build_simulator(resolved)
-    train_clips = _subset(metal_train_suite(), resolved.n_train_clips)
-    test_clips = _subset(metal_test_suite(), resolved.n_test_clips)
-
-    camo = CAMO(camo_config(resolved, "metal"), simulator)
-    camo.train(train_clips)
-
-    rlopc_cfg = RLOPCConfig.metal(
-        encode_size=resolved.encode_size_metal,
-        imitation_epochs=resolved.rlopc_imitation_epochs,
-        rl_epochs=resolved.rl_epochs,
-    )
-    rlopc = RLOPC(rlopc_cfg, simulator)
-    rlopc.train(train_clips)
-
-    mbopc = MBOPC(
-        MBOPCConfig(
-            max_updates=15,
-            early_exit_threshold=1.0,
-            early_exit_mode="per_point",
-        ),
-        simulator,
-    )
-
-    bundle = {
-        "simulator": simulator,
-        "train_clips": train_clips,
-        "test_clips": test_clips,
-        "camo": camo,
-        "rlopc": rlopc,
-        "mbopc": mbopc,
-    }
-    _ENGINE_CACHE[key] = bundle
-    return bundle
-
-
-# --------------------------------------------------------------------------
-# Table 1 / Table 2
-# --------------------------------------------------------------------------
-
-def table1(scale: str | Scale | None = None) -> tuple[str, dict]:
-    """Via-layer comparison (paper Table 1)."""
-    bundle = trained_via_engines(scale)
+def table(
+    scale: str | Scale | None, layer: str
+) -> tuple[str, dict[str, SuiteResult]]:
+    """One layer's comparison (paper Table 1 for ``"via"``, Table 2 for
+    ``"metal"``): the formatted table and ``{column label: SuiteResult}``
+    whose rows are the service's verified results."""
+    spec = layer_table(layer)
+    bundle = trained_engines(scale, layer)
     test_clips = bundle["test_clips"]
-    # One service call sweeps all four engines in order and funnels
+    # One service call sweeps the engines in column order and funnels
     # every reported EPE through one cross-engine shape-binned
     # re-simulation pass (service docs).
     service = MaskOptService(simulator=bundle["simulator"])
     suites = service.map_suite(
-        {
-            "DAMO-like": bundle["damo"],
-            "Calibre-like": bundle["mbopc"],
-            "RL-OPC": bundle["rlopc"],
-            "CAMO": bundle["camo"],
-        },
+        {label: bundle[engine] for label, engine in spec.columns.items()},
         test_clips,
     )
-    results = list(suites.values())
-    counts = {
-        clip.name: count for clip, count in zip(test_clips, VIA_TEST_COUNTS)
-    }
     text = format_comparison_table(
-        results,
-        design_counts=counts,
-        count_header="Via #",
-        title="Table 1: via-layer OPC comparison (EPE nm / PVB nm^2 / RT s)",
-    )
-    return text, {r.engine: r for r in results}
-
-
-def table2(scale: str | Scale | None = None) -> tuple[str, dict]:
-    """Metal-layer comparison (paper Table 2)."""
-    bundle = trained_metal_engines(scale)
-    test_clips = bundle["test_clips"]
-    service = MaskOptService(simulator=bundle["simulator"])
-    suites = service.map_suite(
-        {
-            "Calibre-like": bundle["mbopc"],
-            "RL-OPC": bundle["rlopc"],
-            "CAMO": bundle["camo"],
+        list(suites.values()),
+        design_counts={
+            clip.name: count for clip, count in zip(test_clips, spec.counts)
         },
-        test_clips,
+        count_header=spec.count_header,
+        title=spec.title,
     )
-    results = list(suites.values())
-    counts = {
-        clip.name: points
-        for clip, points in zip(metal_test_suite(), METAL_TEST_POINTS)
-        if any(clip.name == c.name for c in test_clips)
-    }
-    text = format_comparison_table(
-        results,
-        design_counts=counts,
-        count_header="Point #",
-        title="Table 2: metal-layer OPC comparison (EPE nm / PVB nm^2 / RT s)",
-    )
-    return text, {r.engine: r for r in results}
+    return text, suites
 
 
 # --------------------------------------------------------------------------
@@ -347,7 +327,7 @@ def figure5(
     steps: int = 15,
 ) -> tuple[str, dict[str, list[float]]]:
     """EPE trajectories with / without the modulator (paper Fig. 5)."""
-    bundle = trained_metal_engines(scale)
+    bundle = trained_engines(scale, "metal")
     camo: CAMO = bundle["camo"]
     by_name = {clip.name: clip for clip in metal_test_suite()}
     curves: dict[str, list[float]] = {}
@@ -379,7 +359,7 @@ def figure6(
     from repro.geometry.raster import rasterize
     from repro.metrology.pvband import pvband_image
 
-    bundle = trained_metal_engines(scale)
+    bundle = trained_engines(scale, "metal")
     camo: CAMO = bundle["camo"]
     by_name = {clip.name: clip for clip in metal_test_suite()}
     clip = by_name[case]

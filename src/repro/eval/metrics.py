@@ -3,28 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-
-@dataclass(frozen=True)
-class EngineRow:
-    """One engine's result on one clip (a cell triple of Tables 1/2)."""
-
-    clip_name: str
-    epe_nm: float
-    pvband_nm2: float
-    runtime_s: float
-    steps: int = 0
-    early_exited: bool = False
+if TYPE_CHECKING:
+    from repro.service.api import OptResult
 
 
 @dataclass
 class SuiteResult:
-    """One engine's results over a whole benchmark suite."""
+    """One engine's results over a whole benchmark suite: the service's
+    :class:`~repro.service.api.OptResult` per clip, in suite order (a
+    cell triple of Tables 1/2 each, with its verification outcome)."""
 
     engine: str
-    rows: list[EngineRow] = field(default_factory=list)
+    rows: list[OptResult] = field(default_factory=list)
 
-    def add(self, row: EngineRow) -> None:
+    def add(self, row: OptResult) -> None:
         self.rows.append(row)
 
     @property
@@ -39,7 +33,7 @@ class SuiteResult:
     def runtime_sum(self) -> float:
         return sum(r.runtime_s for r in self.rows)
 
-    def row_for(self, clip_name: str) -> EngineRow:
+    def row_for(self, clip_name: str) -> OptResult:
         for row in self.rows:
             if row.clip_name == clip_name:
                 return row

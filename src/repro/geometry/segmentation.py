@@ -14,15 +14,15 @@ Segments are emitted in counter-clockwise boundary order per polygon, which
 is what :mod:`repro.geometry.mask_edit` needs to rebuild mask polygons from
 per-segment offsets.
 
-:func:`fragment_clip` remembers the fragmentation of the last
-:data:`FRAGMENTED_CLIPS_KEPT` clip objects, so an engine's environment and
-the service's verifier, which both fragment a request's clip, do the work
-once; each still derives the segments from the clip alone.
+:func:`fragment_clip` remembers the fragmentation of every live clip
+object, so an engine's environment and the service's verifier, which both
+fragment a request's clip, do the work once; each still derives the
+segments from the clip alone.  The memory goes with the clip.
 """
 
 from __future__ import annotations
 
-import threading
+import weakref
 from dataclasses import dataclass
 
 from repro.constants import MEASURE_SPACING_NM
@@ -102,28 +102,25 @@ def fragment_polygon(
     return segments
 
 
-FRAGMENTED_CLIPS_KEPT = 64
-_fragmented: dict[tuple[int, float], tuple[Clip, tuple[Segment, ...]]] = {}
-_fragmented_lock = threading.Lock()
+_fragmented: dict[tuple[int, float], tuple[Segment, ...]] = {}
 
 
 def fragment_clip(clip: Clip, spacing: float = MEASURE_SPACING_NM) -> list[Segment]:
     """Fragment every target polygon of a clip (SRAFs are never fragmented).
 
-    The result is memoized per clip object and spacing; every call gets
-    its own list.
+    The result is memoized per clip object and spacing while the clip
+    lives; every call gets its own list.
     """
-    # An entry holds its clip, so no other object can take its id.
     key = (id(clip), spacing)
-    with _fragmented_lock:
-        entry = _fragmented.get(key)
-    if entry is None:
-        entry = (clip, tuple(_fragment_clip(clip, spacing)))
-        with _fragmented_lock:
-            _fragmented[key] = entry
-            if len(_fragmented) > FRAGMENTED_CLIPS_KEPT:
-                del _fragmented[next(iter(_fragmented))]
-    return list(entry[1])
+    segments = _fragmented.get(key)
+    if segments is None:
+        segments = tuple(_fragment_clip(clip, spacing))
+        # setdefault and pop are atomic, so threads need no lock, and a
+        # finalizer that a collection runs here cannot deadlock.  The
+        # entry goes when the clip does, before its id can be reused.
+        if _fragmented.setdefault(key, segments) is segments:
+            weakref.finalize(clip, _fragmented.pop, key, None)
+    return list(segments)
 
 
 def _fragment_clip(clip: Clip, spacing: float) -> list[Segment]:

@@ -145,23 +145,6 @@ class OptResult:
                 f"got {self.outcome!r}"
             )
 
-    def to_row(self):
-        """Project onto the comparison-table record
-        (:class:`repro.eval.metrics.EngineRow`) used by the tables."""
-        # Imported lazily: repro.eval's package __init__ pulls in the
-        # experiment drivers, which themselves build on this service
-        # package.
-        from repro.eval.metrics import EngineRow
-
-        return EngineRow(
-            clip_name=self.clip_name,
-            epe_nm=self.epe_nm,
-            pvband_nm2=self.pvband_nm2,
-            runtime_s=self.runtime_s,
-            steps=self.steps,
-            early_exited=self.early_exited,
-        )
-
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready summary (drops the in-memory outcome object)."""
         return {

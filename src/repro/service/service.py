@@ -32,6 +32,7 @@ value-deterministic).
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.errors import MetrologyError, ServiceError
@@ -181,7 +182,10 @@ class MaskOptService:
         processes is :meth:`run_suite`, one engine at a time.
 
         Returns ``{label: :class:`~repro.eval.metrics.SuiteResult`}`` in
-        ``engines`` order.
+        ``engines`` order, whose rows are the :class:`OptResult` records
+        without ``raw_outcome``, as a journal replays them: an outcome's
+        trajectory of states holds megabytes per clip (2.6 MB on a smoke
+        via clip), and a suite result outlives the sweep.
         """
         from repro.eval.metrics import SuiteResult  # avoid eval<->service cycle
 
@@ -216,7 +220,7 @@ class MaskOptService:
         for label in specs:
             suite = SuiteResult(engine=label)
             for _ in clip_list:
-                suite.add(next(results).to_row())
+                suite.add(replace(next(results), raw_outcome=None))
             suites[label] = suite
         return suites
 

@@ -7,6 +7,7 @@ from repro.baselines import MBOPC, RLOPC, DamoLikeOPC
 from repro.baselines.damo import DamoConfig
 from repro.baselines.mbopc import MBOPCConfig
 from repro.baselines.rlopc import RLOPCConfig
+from repro.constants import EPISODE_RULES
 from repro.core.agent import IMITATION_BIAS_OFFSETS_NM, IMITATION_STEPS
 from repro.data.via_bench import generate_via_clip
 from repro.errors import ConfigError
@@ -92,7 +93,7 @@ class TestRLOPC:
         assert outcome.trajectory.length == 3
 
     def test_metal_profile(self):
-        config = RLOPCConfig.metal()
+        config = RLOPCConfig(**EPISODE_RULES["metal"])
         assert config.max_updates == 15
         assert config.early_exit_mode == "per_point"
 
@@ -105,8 +106,6 @@ class TestRLOPC:
             RLOPCConfig(imitation_weighting="soft")
         with pytest.raises(ConfigError):
             RLOPCConfig(encode_size=20)  # not divisible by 8
-        with pytest.raises(ConfigError):
-            RLOPCConfig.metal(early_exit_mode="never")
         assert RLOPCConfig(imitation_weighting="reward").imitation_weighting == "reward"
 
     def test_env_cached(self, simulator, clip):

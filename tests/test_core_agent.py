@@ -37,7 +37,6 @@ def clip():
 class TestConfig:
     def test_defaults_valid(self):
         config = CamoConfig()
-        assert config.n_actions == 5
         assert config.rnn_layers == 3
 
     def test_profiles(self):
@@ -53,8 +52,6 @@ class TestConfig:
             CamoConfig(early_exit_mode="never")
         with pytest.raises(ConfigError):
             CamoConfig(sage_layers=0)
-        with pytest.raises(ConfigError):
-            CamoConfig(n_actions=3)
         with pytest.raises(ConfigError):
             CamoConfig(optimizer="lbfgs")
         with pytest.raises(ConfigError):

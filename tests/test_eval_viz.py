@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.eval.metrics import EngineRow, SuiteResult
+from repro.eval.metrics import SuiteResult
 from repro.eval.tables import format_comparison_table
+from repro.service.api import OptResult
 from repro.viz import ascii_image, save_pgm
 
 
@@ -13,8 +14,10 @@ def make_result(engine, values):
     result = SuiteResult(engine=engine)
     for i, (epe, pvb, rt) in enumerate(values):
         result.add(
-            EngineRow(
-                clip_name=f"V{i + 1}", epe_nm=epe, pvband_nm2=pvb, runtime_s=rt
+            OptResult(
+                request_id=i, clip_name=f"V{i + 1}", engine=engine,
+                epe_nm=epe, pvband_nm2=pvb, runtime_s=rt, steps=0,
+                early_exited=False,
             )
         )
     return result
@@ -127,6 +130,35 @@ class TestExperimentScales:
             assert (config.optimizer, config.learning_rate) == (
                 defaults.optimizer, defaults.learning_rate,
             )
+
+    @pytest.mark.parametrize("layer", ["via", "metal"])
+    def test_smoke_table_rows_are_verified_results(self, layer):
+        """One verified service result per test clip per engine column,
+        and the count column is the suite constants' prefix."""
+        from repro.eval.experiments import LAYERS, table, trained_engines
+
+        spec = LAYERS[layer]
+        text, suites = table("smoke", layer)
+        clips = trained_engines("smoke", layer)["test_clips"]
+        names = [clip.name for clip in spec.test_suite()[: len(clips)]]
+        assert [clip.name for clip in clips] == names
+        assert list(suites) == list(spec.columns)
+        for label, suite in suites.items():
+            assert suite.engine == label
+            assert [row.clip_name for row in suite.rows] == names
+            for row in suite.rows:
+                assert isinstance(row, OptResult)
+                assert row.outcome == "verified"
+                assert abs(row.verified_epe_nm - row.epe_nm) <= 1e-6
+        lines = text.splitlines()
+        assert lines[0] == spec.title
+        assert spec.count_header in lines[1]
+        counts = {
+            line.split()[0]: int(line.split()[1])
+            for line in lines[3:]
+            if line.split()[0] in names
+        }
+        assert counts == dict(zip(names, spec.counts))
 
     def test_figure4_text(self):
         from repro.eval.experiments import figure4

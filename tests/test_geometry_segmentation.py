@@ -143,15 +143,24 @@ class TestFragmentMemo:
         assert again is not fragment_clip(clip)
         assert fragment_clip(clip, spacing=30.0) != again
 
-    def test_memo_keeps_the_last_clips_only(self):
+    def test_memo_entry_lives_with_its_clip(self):
+        """A live clip keeps its entry; a dropped clip is not held by the
+        memo, and its entries, every spacing of them, go with it."""
+        import gc
+        import weakref
+
         import repro.geometry.segmentation as segmentation
 
-        clips = [
-            via_clip(1) for _ in range(segmentation.FRAGMENTED_CLIPS_KEPT + 1)
-        ]
-        for clip in clips:
-            fragment_clip(clip)
-        kept = [entry[0] for entry in segmentation._fragmented.values()]
-        assert len(kept) == segmentation.FRAGMENTED_CLIPS_KEPT
-        assert all(any(c is clip for c in kept) for clip in clips[1:])
-        assert not any(c is clips[0] for c in kept)
+        kept, dropped = via_clip(1), via_clip(2)
+        first = fragment_clip(kept)
+        fragment_clip(dropped)
+        fragment_clip(dropped, spacing=30.0)
+        dropped_keys = [key for key in segmentation._fragmented
+                        if key[0] == id(dropped)]
+        assert len(dropped_keys) == 2
+        alive = weakref.ref(dropped)
+        del dropped
+        gc.collect()
+        assert alive() is None
+        assert not any(key in segmentation._fragmented for key in dropped_keys)
+        assert segmentation._fragmented[(id(kept), 60)] == tuple(first)

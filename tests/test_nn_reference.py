@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import nn_reference as ref
+from repro.constants import MOVE_SET_NM
 from repro.core.config import CamoConfig
 from repro.core.policy import CamoPolicy
 from repro.nn import SGD, Adam, Parameter, Tensor
@@ -62,7 +63,7 @@ def test_policy_forward_matches_reference():
     features = rng.normal(size=(n, 6, 32, 32))
     adjacency = random_graph(n, rng)
     order = list(rng.permutation(n))
-    targets = rng.integers(0, config.n_actions, n)
+    targets = rng.integers(0, len(MOVE_SET_NM), n)
 
     def run(forward):
         logits = forward(policy, features, adjacency, order)
@@ -83,7 +84,7 @@ def test_population_forward_matches_reference():
     features = rng.normal(size=(population, n, 6, 24, 24))
     adjacency = random_graph(n, rng)
     order = list(rng.permutation(n))
-    actions = rng.integers(0, config.n_actions, (population, n))
+    actions = rng.integers(0, len(MOVE_SET_NM), (population, n))
     advantages = rng.normal(size=population)
 
     def run(forward):

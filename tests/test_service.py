@@ -519,6 +519,8 @@ class TestMapSuite:
             for row, ref in zip(rows, expected):
                 assert row.epe_nm == ref.epe_nm
                 assert row.pvband_nm2 == ref.pvband_nm2
+                assert row.outcome == ref.outcome == "verified"
+                assert row.raw_outcome is None
         # Cross-engine batching: 2 engines x 4 clips over 2 shapes still
         # flush in exactly 2 batched litho calls.
         assert pooled.scheduler.batch_calls == 2
